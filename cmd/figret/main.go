@@ -15,11 +15,9 @@
 // (dense snapshot arrays), .csv (sparse t,src,dst,demand rows), and .fgt —
 // the memory-mapped columnar store of internal/tracestore, the format for
 // traces bigger than RAM. gen writes whichever the -out extension names,
-// and convert translates between any pair. -tracecache names a directory
-// of .fgt files shared with scenarios/served: each (topology, T, seed)
-// trace is generated once, then every later run memory-maps it:
-//
-//	figret train -topo cogentco -scale full -tracecache ~/.cache/figret-traces -out model.json
+// and convert translates between any pair. Synthetic traces are always
+// regenerated from (topology, T, seed): generation is a few milliseconds,
+// so there is nothing for a cache to save.
 //
 // Candidate-path precomputation fans out across all CPUs by default
 // (-pathworkers pins the pool size; results are bitwise identical for any
@@ -79,7 +77,6 @@ func main() {
 
 		pathCache   = fs.String("pathcache", "", "directory of the on-disk candidate-path cache (shared across figret/experiments/served runs; empty = recompute every run)")
 		pathWorkers = fs.Int("pathworkers", 0, "candidate-path precomputation worker pool size (0 = all CPUs); the path set is bitwise identical for any value")
-		traceCache  = fs.String("tracecache", "", "directory of the on-disk columnar trace store shared across figret/scenarios/served runs; traces are generated once, then memory-mapped (empty = regenerate in RAM)")
 
 		trainWorkers = fs.Int("trainworkers", 0, "training worker pool size (0 = all CPUs); the loss trajectory and trained weights are bitwise identical for any value")
 		macroBatch   = fs.Int("macrobatch", 1, "micro-batches accumulated per optimizer step (gradient accumulation; effective batch = batch*macrobatch)")
@@ -91,7 +88,7 @@ func main() {
 	if *scale == "full" {
 		sc = experiments.ScaleFull
 	}
-	paths := pathOptions{cache: *pathCache, workers: *pathWorkers, traceCache: *traceCache}
+	paths := pathOptions{cache: *pathCache, workers: *pathWorkers}
 	train := trainOptions{workers: *trainWorkers, macro: *macroBatch}
 
 	var err error
@@ -118,12 +115,10 @@ func main() {
 	}
 }
 
-// pathOptions carries the precomputation-cache flags: the candidate-path
-// cache and the memory-mapped trace cache.
+// pathOptions carries the candidate-path precomputation flags.
 type pathOptions struct {
-	cache      string
-	workers    int
-	traceCache string
+	cache   string
+	workers int
 }
 
 // trainOptions carries the data-parallel training flags. Both knobs are
@@ -147,7 +142,6 @@ func usage() {
 func buildEnv(topo string, sc experiments.Scale, T int, seed int64, paths pathOptions) (*experiments.Env, error) {
 	return experiments.NewEnv(topo, sc, experiments.EnvOptions{
 		T: T, Seed: seed, PathCache: paths.cache, PathWorkers: paths.workers,
-		TraceCache: paths.traceCache,
 	})
 }
 

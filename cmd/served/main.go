@@ -108,7 +108,6 @@ func main() {
 
 		pathCache   = flag.String("pathcache", "", "directory of the on-disk candidate-path cache; a warm cache brings multi-topology daemons up in seconds instead of re-running Yen per process")
 		pathWorkers = flag.Int("pathworkers", 0, "candidate-path precomputation worker pool size (0 = all CPUs); the path set is bitwise identical for any value")
-		traceCache  = flag.String("tracecache", "", "directory of the on-disk columnar trace store shared with figret/scenarios; bootstrap traces are generated once, then memory-mapped")
 		spool       = flag.String("spool", "", "directory where each controller spools every ingested snapshot to an on-disk trace store (<dir>/<topology>.fgt); the in-RAM window stays bounded by -history, and a restarted daemon recovers the spool and resumes where it stopped")
 
 		trainWorkers = flag.Int("trainworkers", 0, "worker pool size for bootstrap and drift retraining (0 = all CPUs); trained weights are bitwise identical for any value")
@@ -132,9 +131,11 @@ func main() {
 		sc = experiments.ScaleFull
 	}
 
+	envOpt := experiments.EnvOptions{T: *T, Seed: *seed, PathCache: *pathCache, PathWorkers: *pathWorkers}
+
 	if *drive != "" {
 		topo := strings.TrimSpace(strings.Split(*topos, ",")[0])
-		if err := runDrive(logger, *drive, topo, *driveTransport, sc, *T, *seed, *driveN, *driveAsync, *pathCache, *pathWorkers); err != nil {
+		if err := runDrive(logger, *drive, topo, *driveTransport, sc, envOpt, *driveN, *driveAsync); err != nil {
 			logger.Error("drive failed", "topology", topo, "err", err)
 			os.Exit(1)
 		}
@@ -186,18 +187,25 @@ func main() {
 	if *pathCache != "" {
 		tel.RegisterCacheStats("paths", "", te.PathCacheStats)
 	}
-	if *traceCache != "" {
-		tel.RegisterCacheStats("traces", "", experiments.TraceCacheStats)
-	}
-	if *traceCache != "" || *spool != "" {
+	if *spool != "" {
 		registerTracestoreMetrics(metrics)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
+	cfg := &topoConfig{
+		logger: logger, tel: tel, srv: srv, reg: reg, scale: sc,
+		env:   envOpt,
+		ctl:   serve.ControllerOptions{HistoryCap: *history, MaxChurn: *churn, Spool: *spool},
+		drift: *drift, bootstrap: *bootstrap,
+		model: figret.Config{
+			H: *H, Gamma: *gamma, Epochs: *epochs, Seed: *seed, BatchSize: *batch,
+			TrainWorkers: *trainWorkers,
+		},
+	}
 	for _, topo := range expected {
-		if err := addTopology(logger, tel, srv, reg, topo, sc, *bootstrap, *T, *H, *gamma, *epochs, *batch, *seed, *history, *churn, *drift, *pathCache, *traceCache, *spool, *pathWorkers, *trainWorkers); err != nil {
+		if err := cfg.addTopology(topo); err != nil {
 			logger.Error("topology bootstrap failed", "topology", topo, "err", err)
 			os.Exit(1)
 		}
@@ -236,8 +244,8 @@ func main() {
 }
 
 // registerTracestoreMetrics exports the process-wide trace-store
-// counters (shared by the trace cache and the ingest spools) as
-// scrape-time Prometheus counters.
+// counters (the ingest spools' writes and recovery reads) as scrape-time
+// Prometheus counters.
 func registerTracestoreMetrics(reg *obs.Registry) {
 	reg.CounterFunc("figret_tracestore_blocks_written_total",
 		"Trace-store block writes, including tail-block rewrites.",
@@ -319,11 +327,8 @@ func startListener(logger *slog.Logger, name, addr string, h http.Handler) *http
 // transport runs the synchronous closed-loop Replay over plain HTTP.
 // Both log how many decisions the daemon actually served, which the e2e
 // smoke gate asserts on.
-func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experiments.Scale, T int, seed int64, n int, async bool,
-	pathCache string, pathWorkers int) error {
-	env, err := experiments.NewEnv(topo, sc, experiments.EnvOptions{
-		T: T, Seed: seed, PathCache: pathCache, PathWorkers: pathWorkers,
-	})
+func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experiments.Scale, envOpt experiments.EnvOptions, n int, async bool) error {
+	env, err := experiments.NewEnv(topo, sc, envOpt)
 	if err != nil {
 		return err
 	}
@@ -357,51 +362,63 @@ func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experimen
 	}
 }
 
-func addTopology(logger *slog.Logger, tel *serve.Telemetry, srv *serve.Server, reg *serve.Registry, topo string, sc experiments.Scale,
-	bootstrap bool, T, H int, gamma float64, epochs, batch int, seed int64,
-	history int, churn float64, drift bool, pathCache, traceCache, spool string, pathWorkers, trainWorkers int) error {
-	env, err := experiments.NewEnv(topo, sc, experiments.EnvOptions{
-		T: T, Seed: seed, PathCache: pathCache, PathWorkers: pathWorkers,
-		TraceCache: traceCache,
-	})
+// topoConfig is everything addTopology needs besides the topology's
+// name: the serving objects and the parsed flags, the same for every
+// topology the daemon serves.
+type topoConfig struct {
+	logger *slog.Logger
+	tel    *serve.Telemetry
+	srv    *serve.Server
+	reg    *serve.Registry
+	scale  experiments.Scale
+	env    experiments.EnvOptions  // -T -seed -pathcache -pathworkers
+	ctl    serve.ControllerOptions // -history -churn -spool
+
+	drift, bootstrap bool
+	// model holds the bootstrap hyperparameters; its TrainWorkers also
+	// sizes drift retrains.
+	model figret.Config
+}
+
+// addTopology builds one topology's environment, starts its controller
+// and, with bootstrap set, trains and installs its first checkpoint.
+func (c *topoConfig) addTopology(topo string) error {
+	env, err := experiments.NewEnv(topo, c.scale, c.env)
 	if err != nil {
 		return err
 	}
-	if err := reg.AddTopology(topo, env.PS); err != nil {
+	if err := c.reg.AddTopology(topo, env.PS); err != nil {
 		return err
 	}
-	opt := serve.ControllerOptions{HistoryCap: history, MaxChurn: churn, Spool: spool}
-	if drift {
+	opt := c.ctl
+	if c.drift {
 		// Shadow evaluations normalize against the environment's memoized
 		// omniscient oracle; solves run in the background and are shared
 		// across retrains.
 		oracle := eval.NewOracle(env.PS, baselines.AutoSolve(env.PS), nil)
-		tel.RegisterCacheStats("oracle", topo, oracle.Stats)
+		c.tel.RegisterCacheStats("oracle", topo, oracle.Stats)
 		opt.Drift = &serve.DriftOptions{
 			Oracle:       oracle,
-			TrainWorkers: trainWorkers,
+			TrainWorkers: c.model.TrainWorkers,
 		}
 	}
-	if _, err := srv.Add(topo, opt); err != nil {
+	if _, err := c.srv.Add(topo, opt); err != nil {
 		return err
 	}
-	if !bootstrap {
-		logger.Info("topology ready", "topology", topo, "checkpoint", "none (uniform fallback until upload)")
+	if !c.bootstrap {
+		c.logger.Info("topology ready", "topology", topo, "checkpoint", "none (uniform fallback until upload)")
 		return nil
 	}
-	m := figret.New(env.PS, figret.Config{
-		H: H, Gamma: gamma, Epochs: epochs, Seed: seed, BatchSize: batch,
-		TrainWorkers: trainWorkers,
-	})
+	m := figret.New(env.PS, c.model)
 	stats, err := m.Train(env.Train)
 	if err != nil {
 		return err
 	}
-	ck, err := reg.Install(topo, m, "bootstrap")
+	ck, err := c.reg.Install(topo, m, "bootstrap")
 	if err != nil {
 		return err
 	}
-	logger.Info("topology ready", "topology", topo, "version", ck.Version,
+	c.logger.Info("topology ready", "topology", topo, "version", ck.Version,
 		"params", m.Net.NumParams(),
 		"train_mlu_first", stats.EpochMLU[0], "train_mlu_last", stats.EpochMLU[len(stats.EpochMLU)-1])
 	return nil

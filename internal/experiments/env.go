@@ -24,7 +24,6 @@ import (
 	"figret/internal/graph"
 	"figret/internal/solver"
 	"figret/internal/te"
-	"figret/internal/tracestore"
 	"figret/internal/traffic"
 )
 
@@ -62,21 +61,6 @@ type Env struct {
 	WarmIters int
 
 	oracle *eval.Oracle
-	// store owns the memory mapping behind Trace when the environment was
-	// built with a TraceCache; nil for heap-backed environments.
-	store *tracestore.Reader
-}
-
-// Close releases the memory-mapped trace store backing this environment,
-// if any. After Close the environment's Trace/Train/Test views must not
-// be used. Heap-backed environments make it a no-op.
-func (e *Env) Close() error {
-	if e.store == nil {
-		return nil
-	}
-	s := e.store
-	e.store = nil
-	return s.Close()
 }
 
 // Oracle returns the environment's shared omniscient-solve cache. Every
@@ -175,13 +159,6 @@ type EnvOptions struct {
 	// daemon then share one Yen precomputation per (topology, K,
 	// selector) across processes instead of each recomputing at startup.
 	PathCache string
-	// TraceCache, when non-empty, is a directory of on-disk tracestore
-	// files: the synthetic trace for (topology, n, T, seed) is generated
-	// once, spooled there in the columnar store format, and every
-	// environment — including the one that generated it — serves
-	// snapshots as zero-copy views of the memory-mapped file. Results are
-	// bitwise identical with the cache on or off, warm or cold.
-	TraceCache string
 }
 
 // NewEnv builds the evaluation environment for a named topology.
@@ -225,21 +202,12 @@ func NewEnv(topo string, scale Scale, opt EnvOptions) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tr *traffic.Trace
-	var store *tracestore.Reader
-	if opt.TraceCache != "" {
-		tr, store, err = traceFromCache(opt.TraceCache, topo, g.NumVertices(), opt.T, opt.Seed)
-	} else {
-		tr, err = traffic.ForTopology(topo, g.NumVertices(), opt.T, opt.Seed)
-	}
+	tr, err := traffic.ForTopology(topo, g.NumVertices(), opt.T, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
 	// Scale traffic so the omniscient MLU sits in a realistic band (~0.5):
-	// normalize by the mean-demand-driven uniform-config MLU. For a
-	// store-backed trace this writes through the private mapping:
-	// copy-on-write pages diverge in this process only, the durable file
-	// keeps the raw generated demands.
+	// normalize by the mean-demand-driven uniform-config MLU.
 	calibrate(ps, tr)
 	train, test := tr.Split(0.75)
 	return &Env{
@@ -254,7 +222,6 @@ func NewEnv(topo string, scale Scale, opt EnvOptions) (*Env, error) {
 		Seed:      opt.Seed,
 		Paths:     opt.K,
 		TestStart: train.Len(),
-		store:     store,
 	}, nil
 }
 

@@ -309,6 +309,36 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
+// Quantile returns an upper estimate of the q'th quantile (0 < q ≤ 1)
+// over every observation since the histogram was created: the upper
+// bound of the bucket holding the nearest-rank (ceil(q·n)) observation,
+// so it never under-reports and is within one bucket factor of the exact
+// value. Observations in the +Inf bucket report the largest finite
+// bound, so the result is always finite. 0 before any observation, with
+// no finite bucket, or on nil.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h == nil {
+		return 0
+	}
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	if n == 0 || len(h.bounds) == 0 {
+		return 0
+	}
+	rank := uint64(math.Ceil(q * float64(n)))
+	// Counts only grow, so this second pass reaches rank no later than the
+	// first pass's total did, even with observations landing in between.
+	var cum uint64
+	for i, bound := range h.bounds {
+		if cum += h.counts[i].Load(); cum >= rank {
+			return bound
+		}
+	}
+	return h.bounds[len(h.bounds)-1]
+}
+
 // Histogram returns the histogram for (name, labels) with the given
 // finite bucket bounds (strictly increasing; a +Inf bucket is implicit),
 // creating it on first use. The bounds of an existing histogram are kept

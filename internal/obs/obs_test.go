@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -43,7 +45,7 @@ func TestNilInstrumentsAreInert(t *testing.T) {
 	h.Observe(1)
 	s := tr.Start()
 	s.Mark(0)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || s.ID() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 || s.ID() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 }
@@ -85,6 +87,57 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	wantSum := 0.001 + math.Nextafter(0.001, 1) + 0.0005 + 0.1 + 5
 	if got := h.Sum(); math.Abs(got-wantSum) > 1e-12 {
 		t.Errorf("sum = %v, want %v", got, wantSum)
+	}
+}
+
+// TestHistogramQuantile pins the bucket-upper-bound estimate: fixed
+// cases, then on random samples over the ×2 default buckets the estimate
+// brackets the exact nearest-rank value from above within one factor.
+func TestHistogramQuantile(t *testing.T) {
+	bounds := []float64{1, 2, 4}
+	for _, c := range []struct {
+		name string
+		obs  []float64
+		q    float64
+		want float64
+	}{
+		{"empty", nil, 0.99, 0},
+		{"single bucket", []float64{1.5, 1.5, 1.5}, 0.5, 2},
+		{"nearest rank stays below the tail", []float64{0.5, 0.5, 0.5, 3}, 0.75, 1},
+		{"nearest rank reaches the tail", []float64{0.5, 0.5, 0.5, 3}, 0.76, 4},
+		{"q=1 is the maximum's bucket", []float64{0.5, 3}, 1, 4},
+		{"overflow bucket saturates", []float64{100, 100}, 0.5, 4},
+		{"overflow only in the tail", []float64{1, 1, 1, 100}, 0.5, 1},
+	} {
+		h := NewRegistry().Histogram("q", "help", bounds)
+		for _, v := range c.obs {
+			h.Observe(v)
+		}
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("%s: Quantile(%v) = %v, want %v", c.name, c.q, got, c.want)
+		}
+	}
+	if got := NewRegistry().Histogram("inf_only", "help", nil).Quantile(0.5); got != 0 {
+		t.Errorf("no finite bucket: Quantile = %v, want 0", got)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		h := NewRegistry().Histogram("lat", "help", DefaultLatencyBuckets())
+		samples := make([]float64, 1+rng.Intn(500))
+		for i := range samples {
+			// Log-uniform over 10µs..10s, inside the finite buckets.
+			samples[i] = 10e-6 * math.Pow(1e6, rng.Float64())
+			h.Observe(samples[i])
+		}
+		sort.Float64s(samples)
+		for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 1} {
+			exact := samples[int(math.Ceil(q*float64(len(samples))))-1]
+			if got := h.Quantile(q); got < exact || got > 2*exact {
+				t.Fatalf("n=%d q=%v: Quantile = %v outside [exact, 2·exact] = [%v, %v]",
+					len(samples), q, got, exact, 2*exact)
+			}
+		}
 	}
 }
 

@@ -39,12 +39,6 @@ type Options struct {
 	// candidate-path precomputation per (topology, K) across all cells
 	// and processes.
 	PathCache string
-	// TraceCache, when non-empty, is the directory of an on-disk
-	// tracestore (see internal/tracestore): each cell's synthetic trace
-	// is generated once, spooled as a columnar store file, and served as
-	// zero-copy views of the memory-mapped file. Golden-gated metrics are
-	// bitwise identical with the cache on or off.
-	TraceCache string
 	// Wire replays closed-loop scenarios over the upgraded binary stream
 	// protocol (persistent connection, delta-encoded decisions) instead
 	// of JSON HTTP. Decisions are bitwise identical either way, so every
@@ -230,7 +224,6 @@ func (r *Runner) envFor(sp *Spec) (*experiments.Env, error) {
 		}
 		env, err := experiments.NewEnv(sp.Topo, scale, experiments.EnvOptions{
 			T: sp.T, K: sp.K, Seed: sp.Seed, PathCache: r.opt.PathCache,
-			TraceCache: r.opt.TraceCache,
 		})
 		if err != nil {
 			e.err = err

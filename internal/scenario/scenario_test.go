@@ -141,39 +141,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestTraceCacheGoldenByteIdentity pins the golden contract for the
-// memory-mapped trace store: serving a cell's trace as zero-copy views
-// of an on-disk store file — cold (generate → spool → reload) or warm
-// (mmap of an existing file) — produces a byte-identical sealed Metrics
-// payload to the in-RAM path, so every blessed golden gates the
-// store-routed pipeline too.
-func TestTraceCacheGoldenByteIdentity(t *testing.T) {
-	dir := t.TempDir()
-	run := func(cache string) *Metrics {
-		spec := podSpec("golden-tc")
-		spec.Failures = &FailureSpec{Count: 1, At: 4}
-		m, err := NewRunner(Options{TraceCache: cache}).RunOne(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	plain, cold, warm := run(""), run(dir), run(dir)
-	pj, _ := json.Marshal(plain)
-	for _, c := range []struct {
-		name string
-		m    *Metrics
-	}{{"cold", cold}, {"warm", warm}} {
-		cj, _ := json.Marshal(c.m)
-		if string(pj) != string(cj) {
-			t.Fatalf("%s cache metrics differ from in-RAM:\n%s\n%s", c.name, pj, cj)
-		}
-		if plain.Checksum != c.m.Checksum {
-			t.Fatalf("%s cache checksum differs from in-RAM", c.name)
-		}
-	}
-}
-
 // TestTrainWorkerGoldenByteIdentity pins the golden contract for the
 // data-parallel trainer: a substrate model whose minibatch spans several
 // gradient shards (BatchSize 48 = 3 shards) trains to bitwise-identical

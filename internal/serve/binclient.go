@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/textproto"
 	"net/url"
@@ -613,8 +614,9 @@ func (c *BinClient) stream(n int, demand func(i int) []float64, onDecision func(
 	return stats, nil
 }
 
-// fillRTTStats computes the RTT summary (nearest-rank quantiles, the
-// metrics.go convention).
+// fillRTTStats computes the RTT summary. Quantiles are nearest-rank
+// (ceil(q·n) ranks from the bottom): p99 of two samples is the larger
+// one, so tail quantiles are never under-reported.
 func fillRTTStats(stats *StreamStats, rtts []time.Duration) {
 	if len(rtts) == 0 {
 		return
@@ -623,9 +625,11 @@ func fillRTTStats(stats *StreamStats, rtts []time.Duration) {
 	for _, r := range rtts {
 		sum += r
 	}
-	stats.MeanRTTMicros = micros(sum / time.Duration(len(rtts)))
 	sorted := append([]time.Duration(nil), rtts...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	stats.P50RTTMicros = micros(quantileDur(sorted, 0.50))
-	stats.P99RTTMicros = micros(quantileDur(sorted, 0.99))
+	rank := func(q float64) time.Duration { return sorted[int(math.Ceil(q*float64(len(sorted))))-1] }
+	micros := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+	stats.MeanRTTMicros = micros(sum / time.Duration(len(rtts)))
+	stats.P50RTTMicros = micros(rank(0.50))
+	stats.P99RTTMicros = micros(rank(0.99))
 }

@@ -129,10 +129,12 @@ type ControllerOptions struct {
 	MaxChurn float64
 	// Drift enables drift-triggered background retraining when non-nil.
 	Drift *DriftOptions
-	// Telemetry, when non-nil, exports this controller's counters, stage
-	// spans and latency histograms through the obs registry. Telemetry
-	// observes decisions; it never alters them — replays with and
-	// without it are bitwise identical.
+	// Telemetry names the obs registry this controller's counters, stage
+	// spans and latency histograms are exported through. Nil does not
+	// turn them off — Metrics and Ready read them — it keeps them on a
+	// registry private to the controller, reachable only through Metrics.
+	// Instruments observe decisions; they never alter them — replays over
+	// a shared and a private registry are bitwise identical.
 	Telemetry *Telemetry
 	// Spool, when non-empty, is a directory where every ingested snapshot
 	// is appended to an on-disk trace store (<dir>/<topo>.fgt) as it
@@ -162,9 +164,8 @@ type ctrlMsg struct {
 	// links is set for failure reports (empty slice clears failures).
 	links   [][2]int
 	failure bool
-	// span traces the snapshot through the decision pipeline (inert when
-	// telemetry is off). It opens at enqueue, so its first stage is the
-	// queue wait.
+	// span traces the snapshot through the decision pipeline. It opens at
+	// enqueue, so its first stage is the queue wait.
 	span obs.Span
 	// reply, when non-nil, receives the result once the message is fully
 	// processed (sync ingest / failure report).
@@ -193,8 +194,12 @@ type Controller struct {
 	stopOnce sync.Once
 	done     chan struct{}
 	decided  atomic.Pointer[Decision]
-	metrics  *metricsRecorder
+	start    time.Time
 	tel      *topoTelemetry
+	// lastRetrainErr and configErr are the two Metrics fields that are
+	// messages rather than counts (nil = none).
+	lastRetrainErr atomic.Pointer[string]
+	configErr      atomic.Pointer[string]
 
 	// Goroutine-owned state below (never touched outside run).
 	spool      *tracestore.Writer // nil when spooling is off or failed
@@ -226,6 +231,10 @@ func NewController(topo string, reg *Registry, opt ControllerOptions) (*Controll
 		d := opt.Drift.withDefaults()
 		opt.Drift = &d
 	}
+	tel := opt.Telemetry.topo(topo)
+	if tel == nil {
+		tel = newTopoTelemetry(obs.NewRegistry(), topo)
+	}
 	c := &Controller{
 		topo:    topo,
 		ps:      ps,
@@ -235,8 +244,8 @@ func NewController(topo string, reg *Registry, opt ControllerOptions) (*Controll
 		retctl:  make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
-		metrics: newMetricsRecorder(),
-		tel:     opt.Telemetry.topo(topo),
+		start:   time.Now(),
+		tel:     tel,
 		history: traffic.NewTrace(ps.Pairs.N()),
 	}
 	if opt.Spool != "" {
@@ -298,7 +307,7 @@ func (c *Controller) openSpool() error {
 		c.nSnapshots = w.Len()
 	}
 	c.spool = w
-	c.tel.spool(w.DurableBytes())
+	c.tel.spoolBytes.Set(float64(w.DurableBytes()))
 	return nil
 }
 
@@ -314,12 +323,12 @@ func (c *Controller) spoolSnapshot(demand []float64) {
 		err = c.spool.Flush()
 	}
 	if err != nil {
-		c.tel.spoolError()
+		c.tel.spoolErrors.Inc()
 		c.spool.Close()
 		c.spool = nil
 		return
 	}
-	c.tel.spool(c.spool.DurableBytes())
+	c.tel.spoolBytes.Set(float64(c.spool.DurableBytes()))
 }
 
 // Topology returns the served topology name.
@@ -329,15 +338,12 @@ func (c *Controller) Topology() string { return c.topo }
 // after NewController). The returned value is immutable.
 func (c *Controller) Decision() *Decision { return c.decided.Load() }
 
-// Metrics returns a snapshot of the serving counters.
-func (c *Controller) Metrics() Metrics { return c.metrics.snapshot() }
-
 // Ready reports whether this controller has published at least one real
 // decision (model inference or failure republish — not the bootstrap
 // fallback). This is the per-topology readiness condition of the
-// daemon's /readyz probe, read from an atomic counter so probes never
-// touch the controller goroutine.
-func (c *Controller) Ready() bool { return c.metrics.decisions.Load() > 0 }
+// daemon's /readyz probe, read from the figret_serve_decisions_total
+// counter so probes never touch the controller goroutine.
+func (c *Controller) Ready() bool { return c.tel.decisions.Value() > 0 }
 
 // Close stops the controller goroutine. Pending sync requests are
 // answered with an error. Safe to call multiple times, concurrently.
@@ -357,7 +363,7 @@ func (c *Controller) Ingest(demand []float64, wait bool) (*IngestResult, error) 
 	if len(demand) != c.ps.Pairs.Count() {
 		return nil, fmt.Errorf("serve: %s snapshot has %d entries, want %d", c.topo, len(demand), c.ps.Pairs.Count())
 	}
-	msg := ctrlMsg{demand: append([]float64(nil), demand...), span: c.tel.span()}
+	msg := ctrlMsg{demand: append([]float64(nil), demand...), span: c.tel.tracer.Start()}
 	if wait {
 		msg.reply = make(chan ingestReply, 1)
 	}
@@ -480,20 +486,19 @@ func (c *Controller) handleSnapshot(m ctrlMsg, last bool) {
 
 	sync := m.reply != nil
 	if !sync && !last {
-		c.metrics.ingest(true)
 		c.tel.ingest(true)
 		return
 	}
-	c.metrics.ingest(false)
 	c.tel.ingest(false)
 	dec, warming, err := c.decide(idx, &m.span)
 	if err != nil {
 		// Async ingesters never see per-request errors; a standing
 		// misconfiguration surfaces through the metrics endpoint.
-		c.metrics.configError(err.Error())
+		msg := err.Error()
+		c.configErr.Store(&msg)
 	}
 	if warming {
-		c.tel.warm()
+		c.tel.warming.Inc()
 	}
 	if sync {
 		m.reply <- ingestReply{res: &IngestResult{Snapshot: idx, Decision: dec, Warming: warming}, err: err}
@@ -548,8 +553,10 @@ func (c *Controller) decide(snapshot int64, span *obs.Span) (*Decision, bool, er
 	}
 	span.Mark(stageReroute)
 	c.publish(dec)
-	c.metrics.decision(time.Since(start))
-	c.metrics.configError("") // a model decision proves the config serves
+	// A model decision proves the config serves. Only model decisions
+	// clear the message: a failure-report republish of the fallback must
+	// not hide a still-present misconfiguration.
+	c.configErr.Store(nil)
 	span.Mark(stagePublish)
 	c.tel.decision(dec, time.Since(start))
 	return dec, false, nil
@@ -580,7 +587,6 @@ func (c *Controller) handleFailures(m ctrlMsg) {
 		dec.Rerouted = true
 	}
 	c.publish(dec)
-	c.metrics.decision(time.Since(start))
 	c.tel.decision(dec, time.Since(start))
 	m.reply <- ingestReply{}
 }
@@ -689,8 +695,7 @@ func (c *Controller) retrain(hist *traffic.Trace, incumbent *Checkpoint) {
 		return
 	}
 	if candScore > incScore*(1+opt.Tolerance) {
-		c.metrics.retrain(false)
-		c.tel.retrain("rejected")
+		c.tel.retrains["rejected"].Inc()
 		c.retctl <- struct{}{}
 		return
 	}
@@ -701,14 +706,14 @@ func (c *Controller) retrain(hist *traffic.Trace, incumbent *Checkpoint) {
 		c.retrainFailed(err)
 		return
 	}
-	c.metrics.retrain(true)
-	c.tel.retrain("accepted")
+	c.tel.retrains["accepted"].Inc()
 	c.retctl <- struct{}{}
 }
 
 func (c *Controller) retrainFailed(err error) {
-	c.metrics.retrainFailed(err)
-	c.tel.retrain("failed")
+	msg := err.Error()
+	c.lastRetrainErr.Store(&msg)
+	c.tel.retrains["failed"].Inc()
 	c.retctl <- struct{}{}
 }
 

@@ -1,20 +1,11 @@
 package serve
 
-import (
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// latencyRingSize bounds the decision-latency sample ring the quantiles
-// are computed over; 1024 recent decisions give stable p50/p99 without
-// unbounded memory.
-const latencyRingSize = 1024
-
-// Metrics is one topology's serving counters, exported by the metrics
-// endpoint.
+// Metrics is one topology's serving counters as the JSON metrics
+// endpoint renders them. Every number is read from the controller's obs
+// instruments — the same series the Prometheus page exports — so the two
+// endpoints cannot disagree.
 type Metrics struct {
 	// Snapshots is the number of demand snapshots ingested.
 	Snapshots uint64 `json:"snapshots"`
@@ -33,10 +24,13 @@ type Metrics struct {
 	RetrainsRejected uint64 `json:"retrains_rejected"`
 	RetrainsFailed   uint64 `json:"retrains_failed,omitempty"`
 	LastRetrainError string `json:"last_retrain_error,omitempty"`
-	// DecisionsPerSec is Decisions over the collector's uptime.
+	// DecisionsPerSec is Decisions over the controller's uptime.
 	DecisionsPerSec float64 `json:"decisions_per_sec"`
-	// P50/P99 are decision-latency quantiles in microseconds over the most
-	// recent latencyRingSize decisions (0 before any decision).
+	// P50/P99 are decision-latency quantiles in microseconds over every
+	// decision since the controller started, read from the latency
+	// histogram (obs.Histogram.Quantile): the upper bound of the ×2 bucket
+	// holding the nearest-rank decision, so never under-reported and at
+	// most 2× the exact value (0 before any decision).
 	P50Micros float64 `json:"p50_micros"`
 	P99Micros float64 `json:"p99_micros"`
 	// ConfigError reports a standing misconfiguration that prevents
@@ -47,130 +41,28 @@ type Metrics struct {
 	ConfigError string `json:"config_error,omitempty"`
 }
 
-// metricsRecorder collects one controller's counters. All methods are
-// safe for concurrent use, and the hot-path writers (ingest, decision)
-// are lock-free: a metrics scrape in flight can never stall the decision
-// path, and the decision path can never tear a scrape. The latency ring
-// holds each sample in its own atomic slot, so a snapshot reads every
-// slot individually valid even while decisions land concurrently — the
-// scrape's view is each-sample-consistent rather than
-// whole-ring-consistent, which is exactly what quantiles over recent
-// samples need.
-type metricsRecorder struct {
-	start     time.Time
-	snapshots atomic.Uint64
-	coalesced atomic.Uint64
-	decisions atomic.Uint64
-	ring      [latencyRingSize]atomic.Int64 // latency nanos; slot i holds decision (k*ring+i)
-
-	// Retrain bookkeeping and the config-error string are cold paths
-	// (background retrains, misconfigurations); they stay under a mutex.
-	mu          sync.Mutex
-	retrains    uint64
-	rejected    uint64
-	failed      uint64
-	lastRetrain string
-	configErr   string
-}
-
-func newMetricsRecorder() *metricsRecorder {
-	return &metricsRecorder{start: time.Now()}
-}
-
-func (m *metricsRecorder) ingest(coalesced bool) {
-	m.snapshots.Add(1)
-	if coalesced {
-		m.coalesced.Add(1)
-	}
-}
-
-func (m *metricsRecorder) decision(latency time.Duration) {
-	n := m.decisions.Add(1)
-	m.ring[(n-1)%latencyRingSize].Store(int64(latency))
-}
-
-// configError records (or, with "", clears) the standing
-// misconfiguration message. Clearing is tied to successful *model*
-// decisions only — a failure-report republish of the fallback must not
-// hide a still-present misconfiguration.
-func (m *metricsRecorder) configError(msg string) {
-	m.mu.Lock()
-	m.configErr = msg
-	m.mu.Unlock()
-}
-
-func (m *metricsRecorder) retrain(accepted bool) {
-	m.mu.Lock()
-	if accepted {
-		m.retrains++
-	} else {
-		m.rejected++
-	}
-	m.mu.Unlock()
-}
-
-func (m *metricsRecorder) retrainFailed(err error) {
-	m.mu.Lock()
-	m.failed++
-	m.lastRetrain = err.Error()
-	m.mu.Unlock()
-}
-
-// snapshot returns a copy of the counters with quantiles computed over
-// the latency ring. It never blocks a concurrent decision: ring slots
-// are read atomically one by one, so a decision landing mid-snapshot
-// contributes either its fresh sample or the slot's previous valid
-// sample — never a torn value.
-func (m *metricsRecorder) snapshot() Metrics {
-	m.mu.Lock()
+// Metrics returns a snapshot of the serving counters. It reads atomics
+// only, so a scrape never stalls the decision path.
+func (c *Controller) Metrics() Metrics {
+	tt := c.tel
 	out := Metrics{
-		Retrains:         m.retrains,
-		RetrainsRejected: m.rejected,
-		RetrainsFailed:   m.failed,
-		LastRetrainError: m.lastRetrain,
-		ConfigError:      m.configErr,
+		Snapshots:        tt.snapshots.Value(),
+		Decisions:        tt.decisions.Value(),
+		Coalesced:        tt.coalesced.Value(),
+		Retrains:         tt.retrains["accepted"].Value(),
+		RetrainsRejected: tt.retrains["rejected"].Value(),
+		RetrainsFailed:   tt.retrains["failed"].Value(),
+		P50Micros:        tt.latency.Quantile(0.50) * 1e6,
+		P99Micros:        tt.latency.Quantile(0.99) * 1e6,
 	}
-	m.mu.Unlock()
-	out.Snapshots = m.snapshots.Load()
-	out.Coalesced = m.coalesced.Load()
-	out.Decisions = m.decisions.Load()
-
-	n := out.Decisions
-	if n > latencyRingSize {
-		n = latencyRingSize
+	if msg := c.lastRetrainErr.Load(); msg != nil {
+		out.LastRetrainError = *msg
 	}
-	lat := make([]time.Duration, n)
-	for i := range lat {
-		lat[i] = time.Duration(m.ring[i].Load())
+	if msg := c.configErr.Load(); msg != nil {
+		out.ConfigError = *msg
 	}
-	if elapsed := time.Since(m.start).Seconds(); elapsed > 0 {
+	if elapsed := time.Since(c.start).Seconds(); elapsed > 0 {
 		out.DecisionsPerSec = float64(out.Decisions) / elapsed
 	}
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		out.P50Micros = micros(quantileDur(lat, 0.50))
-		out.P99Micros = micros(quantileDur(lat, 0.99))
-	}
 	return out
-}
-
-// quantileDur returns the q'th quantile of sorted durations by
-// nearest-rank (ceil(q·n) ranks from the bottom): p99 of two samples is
-// the larger one, so tail quantiles are never under-reported.
-func quantileDur(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
-func micros(d time.Duration) float64 {
-	return float64(d.Nanoseconds()) / 1e3
 }

@@ -1,110 +1,204 @@
 package serve
 
 import (
+	"bytes"
+	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"figret/internal/experiments"
+	"figret/internal/figret"
+	"figret/internal/obs"
 )
 
-// TestMetricsRecorderConcurrentSnapshot race-exercises the latency
-// ring: decision/ingest writers hammer the recorder while snapshot
-// readers scrape concurrently. Every scraped quantile must be a value
-// some decision actually recorded (slots are atomic, so a torn read
-// would surface as a nonsense latency), and the final counts must be
-// exact. Run under -race this is the satellite's regression test for
-// the lock-free-read snapshot contract.
-func TestMetricsRecorderConcurrentSnapshot(t *testing.T) {
-	m := newMetricsRecorder()
-	const writers, perWriter = 4, 3000
-	// Writers record only latencies from this fixed set, so any value
-	// outside it observed by a reader is a torn or invented sample.
-	// Zero is legal: a reader can observe the decision count before the
-	// claimed ring slot's store lands (the slot then still reads as its
-	// zero/previous value — valid, just not this decision's sample).
-	valid := map[time.Duration]bool{
-		0:                      true,
-		5 * time.Microsecond:   true,
-		50 * time.Microsecond:  true,
-		500 * time.Microsecond: true,
+// promValue returns the value of one exact series line on a rendered
+// Prometheus page.
+func promValue(t *testing.T, page, series string) uint64 {
+	t.Helper()
+	for _, line := range strings.Split(page, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseUint(rest, 10, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return v
+		}
 	}
-	latencies := []time.Duration{5 * time.Microsecond, 50 * time.Microsecond, 500 * time.Microsecond}
+	t.Fatalf("scrape missing %s\n%s", series, page)
+	return 0
+}
 
+// TestMetricsOneSourceOfTruth replays one trace over JSON and over the
+// wire stream against a single server, adds an async burst and a failure
+// report, and requires every counter of GET /v1/metrics to equal the
+// same topology's series on the Prometheus page: both endpoints render
+// one instrument set.
+func TestMetricsOneSourceOfTruth(t *testing.T) {
+	ps, tr, m := fixture(t, 30, 9)
+	data, err := m.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := obs.NewRegistry()
+	client, _, _ := startServer(t, "pod", ps, ControllerOptions{HistoryCap: 64, Telemetry: NewTelemetry(page)})
+	if _, err := client.UploadCheckpoint("pod", data); err != nil {
+		t.Fatal(err)
+	}
+	for _, wire := range []bool{false, true} {
+		if _, err := Replay(client, "pod", ps, tr, ReplayOptions{Wire: wire}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		if err := client.PostSnapshotAsync("pod", tr.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := client.PostSnapshot("pod", tr.At(6)); err != nil {
+		t.Fatal(err)
+	}
+	e := ps.G.Edge(0)
+	if _, err := client.ReportFailures("pod", [][2]int{{e.From, e.To}}); err != nil {
+		t.Fatal(err)
+	}
+
+	ms, err := client.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ms["pod"]
+	var sb strings.Builder
+	if err := page.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		field  string
+		json   uint64
+		series string
+	}{
+		{"snapshots", got.Snapshots, `figret_serve_snapshots_total{topology="pod"}`},
+		{"decisions", got.Decisions, `figret_serve_decisions_total{topology="pod"}`},
+		{"decisions", got.Decisions, `figret_serve_decision_duration_seconds_count{topology="pod"}`},
+		{"coalesced", got.Coalesced, `figret_serve_snapshots_coalesced_total{topology="pod"}`},
+		{"retrains", got.Retrains, `figret_serve_retrains_total{outcome="accepted",topology="pod"}`},
+		{"retrains_rejected", got.RetrainsRejected, `figret_serve_retrains_total{outcome="rejected",topology="pod"}`},
+		{"retrains_failed", got.RetrainsFailed, `figret_serve_retrains_total{outcome="failed",topology="pod"}`},
+	} {
+		if want := promValue(t, sb.String(), c.series); c.json != want {
+			t.Errorf("/v1/metrics %s = %d, %s = %d", c.field, c.json, c.series, want)
+		}
+	}
+	if want := uint64(2*tr.Len() + 7); got.Snapshots != want {
+		t.Errorf("snapshots = %d, want %d", got.Snapshots, want)
+	}
+	if got.P50Micros <= 0 || got.P99Micros < got.P50Micros {
+		t.Errorf("latency quantiles p50=%v p99=%v malformed", got.P50Micros, got.P99Micros)
+	}
+}
+
+// TestControllerReadyWithoutTelemetry pins what a nil Telemetry means: the
+// controller still counts (on a private registry), so readiness flips on
+// its first real decision — not on the bootstrap fallback, a checkpoint
+// install or a warming ack.
+func TestControllerReadyWithoutTelemetry(t *testing.T) {
+	c, _, fx := startController(t, ControllerOptions{})
+	h := fx.m.Cfg.H
+	for s := 0; s < h; s++ {
+		if c.Ready() {
+			t.Fatalf("ready after %d snapshots, before any decision (H=%d)", s, h)
+		}
+		res, err := c.Ingest(fx.tr.At(s), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Warming != (s < h-1) {
+			t.Fatalf("snapshot %d: warming = %v", s, res.Warming)
+		}
+	}
+	if !c.Ready() {
+		t.Fatal("not ready after the first real decision")
+	}
+	if got := c.Metrics(); got.Decisions != 1 || got.Snapshots != uint64(h) {
+		t.Fatalf("metrics after first decision = %+v", got)
+	}
+}
+
+// TestControllerMetricsConcurrentScrape scrapes Metrics from several
+// goroutines while sync ingests land (run under -race): a scrape reads
+// atomics only, never a torn or decreasing count, and the final counts
+// are exact.
+func TestControllerMetricsConcurrentScrape(t *testing.T) {
+	c, _, fx := startController(t, ControllerOptions{})
 	stop := make(chan struct{})
-	var readers sync.WaitGroup
+	var scrapers sync.WaitGroup
 	for r := 0; r < 3; r++ {
-		readers.Add(1)
+		scrapers.Add(1)
 		go func() {
-			defer readers.Done()
+			defer scrapers.Done()
+			var last Metrics
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					got := m.snapshot()
-					if got.Decisions > 0 {
-						for _, q := range []float64{got.P50Micros, got.P99Micros} {
-							if !valid[time.Duration(q*1e3)*time.Nanosecond] {
-								t.Errorf("scraped quantile %vµs is not a recorded latency", q)
-								return
-							}
-						}
-					}
 				}
+				got := c.Metrics()
+				if got.Decisions < last.Decisions || got.Snapshots < last.Snapshots {
+					t.Errorf("counters went backwards: %+v after %+v", got, last)
+					return
+				}
+				if got.Decisions > 0 && (got.P50Micros <= 0 || got.P99Micros < got.P50Micros) {
+					t.Errorf("scraped quantiles p50=%v p99=%v malformed", got.P50Micros, got.P99Micros)
+					return
+				}
+				last = got
 			}
 		}()
 	}
-
-	var writersWG sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		writersWG.Add(1)
-		go func(w int) {
-			defer writersWG.Done()
-			for i := 0; i < perWriter; i++ {
-				m.ingest(i%3 == 0)
-				m.decision(latencies[i%len(latencies)])
-			}
-		}(w)
+	const n = 400
+	for i := 0; i < n; i++ {
+		if _, err := c.Ingest(fx.tr.At(i%fx.tr.Len()), true); err != nil {
+			t.Fatal(err)
+		}
 	}
-	writersWG.Wait()
 	close(stop)
-	readers.Wait()
-
-	got := m.snapshot()
-	if want := uint64(writers * perWriter); got.Snapshots != want || got.Decisions != want {
-		t.Fatalf("snapshots/decisions = %d/%d, want %d each", got.Snapshots, got.Decisions, want)
-	}
-	if want := uint64(writers * perWriter / 3); got.Coalesced != want {
-		t.Fatalf("coalesced = %d, want %d", got.Coalesced, want)
-	}
-	if got.P50Micros == 0 || got.P99Micros < got.P50Micros {
-		t.Fatalf("quantiles p50=%v p99=%v malformed", got.P50Micros, got.P99Micros)
+	scrapers.Wait()
+	got := c.Metrics()
+	if want := uint64(n - (fx.m.Cfg.H - 1)); got.Snapshots != n || got.Decisions != want {
+		t.Fatalf("snapshots/decisions = %d/%d, want %d/%d", got.Snapshots, got.Decisions, n, want)
 	}
 }
 
-// TestMetricsRecorderRingQuantiles pins the quantile math on a quiet
-// recorder: nearest-rank over the most recent ring contents.
-func TestMetricsRecorderRingQuantiles(t *testing.T) {
-	m := newMetricsRecorder()
-	for i := 1; i <= 100; i++ {
-		m.decision(time.Duration(i) * time.Microsecond)
+// TestUploadLargeCheckpoint uploads the checkpoint the daemon itself
+// bootstraps for large-wan at fast scale — JSON weights well past the
+// 64 MiB bound the other request bodies keep.
+func TestUploadLargeCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("marshals and uploads a ~79 MB checkpoint")
 	}
-	got := m.snapshot()
-	if got.P50Micros != 50 {
-		t.Fatalf("p50 = %v, want 50", got.P50Micros)
+	env, err := experiments.NewEnv("large-wan", experiments.ScaleFast, experiments.EnvOptions{T: 20})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.P99Micros != 99 {
-		t.Fatalf("p99 = %v, want 99", got.P99Micros)
+	data, err := figret.New(env.PS, figret.Config{H: 12, Seed: 1}).MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Overflow the ring: the oldest samples fall out, quantiles follow
-	// the most recent latencyRingSize decisions.
-	for i := 0; i < latencyRingSize; i++ {
-		m.decision(time.Millisecond)
+	if len(data) <= maxBodyBytes {
+		t.Fatalf("large-wan checkpoint is %d bytes: no longer exercises the upload bound", len(data))
 	}
-	got = m.snapshot()
-	if got.P50Micros != 1000 || got.P99Micros != 1000 {
-		t.Fatalf("post-overflow quantiles p50=%v p99=%v, want 1000 each", got.P50Micros, got.P99Micros)
+	client, _, reg := startServer(t, "large-wan", env.PS, ControllerOptions{})
+	resp, err := http.Post(client.BaseURL+"/v1/topologies/large-wan/checkpoints", "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Decisions != 100+latencyRingSize {
-		t.Fatalf("decisions = %d, want %d", got.Decisions, 100+latencyRingSize)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload of %d-byte checkpoint: status %d, want 201", len(data), resp.StatusCode)
+	}
+	if ck := reg.Active("large-wan"); ck == nil || ck.Version != 1 {
+		t.Fatalf("uploaded checkpoint not active: %+v", ck)
 	}
 }

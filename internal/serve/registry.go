@@ -120,13 +120,6 @@ func (r *Registry) SetTelemetry(t *Telemetry) {
 	r.mu.Unlock()
 }
 
-// telemetry returns the attached instrument set (nil-safe for callers).
-func (r *Registry) telemetry() *Telemetry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tel
-}
-
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{topos: make(map[string]*topoModels)}
@@ -249,7 +242,9 @@ func (r *Registry) install(topo string, data []byte, source string, expect *Chec
 	}
 	tel := r.tel
 	r.mu.Unlock()
-	tel.topo(topo).install(source)
+	if tel != nil {
+		tel.topo(topo).install(source)
+	}
 	return ck, nil
 }
 
@@ -317,7 +312,9 @@ func (r *Registry) Rollback(topo string) (*Checkpoint, error) {
 	prev := tm.versions[idx-1]
 	tm.versions = append(tm.versions[:idx], tm.versions[idx+1:]...)
 	tm.active.Store(prev)
-	r.tel.topo(topo).rollback()
+	if r.tel != nil {
+		r.tel.topo(topo).rollbacks.Inc()
+	}
 	return prev, nil
 }
 

@@ -17,9 +17,13 @@ import (
 	"figret/internal/wire"
 )
 
-// maxBodyBytes bounds request bodies (checkpoints for large fabrics are
-// a few MB of JSON weights).
+// maxBodyBytes bounds snapshot and failure-report bodies.
 const maxBodyBytes = 64 << 20
+
+// maxCheckpointBytes bounds checkpoint uploads: the JSON weights of the
+// fast-scale large-wan model are 79 MB, so the daemon's own bootstrap
+// checkpoint has to fit with room for full-scale fabrics.
+const maxCheckpointBytes = 512 << 20
 
 // Server shards the HTTP/JSON API across per-topology controllers: every
 // request is routed by its {topo} path element to that topology's
@@ -84,9 +88,10 @@ func NewServer(reg *Registry) *Server {
 // UseTelemetry attaches the observability instrument set: transport
 // request timing on the server, install/rollback counters on the
 // registry, and — for controllers added afterwards without their own
-// Telemetry option — the full per-topology decision instrumentation.
-// Call before Add. A nil Telemetry (the default) leaves the serving
-// path unobserved and unchanged.
+// Telemetry option — the registry their decision instruments export
+// through. Call before Add. With a nil Telemetry (the default) transports
+// and the registry go unobserved and each controller keeps its
+// instruments on a private registry, visible only as GET /v1/metrics.
 func (s *Server) UseTelemetry(t *Telemetry) {
 	s.mu.Lock()
 	s.tel = t
@@ -373,7 +378,7 @@ func (s *Server) handleUploadCheckpoint(w http.ResponseWriter, r *http.Request) 
 	if c == nil {
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCheckpointBytes))
 	if err != nil {
 		// MaxBytesReader makes oversized bodies an explicit error rather
 		// than a silent truncation that would surface as a baffling

@@ -26,11 +26,15 @@ const (
 
 var stageNames = [numStages]string{"ingest", "window", "predict", "reroute", "publish"}
 
-// Telemetry is the serving subsystem's view into an obs.Registry. It is
-// entirely optional: a nil *Telemetry (the default everywhere) disables
-// every instrument at the cost of one branch per call site, and the
-// decision values themselves are never touched — replays with telemetry
-// on and off are bitwise identical (TestTelemetryZeroImpact).
+// Telemetry is the serving subsystem's view into an obs.Registry: it
+// decides which registry — and so which Prometheus page — the instruments
+// land on. A nil *Telemetry leaves the server's transport timing, the
+// wire-stream lifecycle, the registry's install/rollback counts and the
+// client stream unobserved at one branch per call site; a Controller
+// counts its events regardless (into a private registry when handed
+// none, see ControllerOptions.Telemetry). Instruments only count and
+// time: replays over a shared and over a private registry are bitwise
+// identical (TestTelemetryZeroImpact).
 type Telemetry struct {
 	reg      *obs.Registry
 	traceLog *slog.Logger
@@ -116,8 +120,9 @@ func (t *Telemetry) RegisterCacheStats(cache, topo string, stats func() (hits, m
 		func() float64 { _, m := stats(); return float64(m) }, labels...)
 }
 
-// topoTelemetry is one topology's instrument set. All methods are safe
-// on a nil receiver, which is how an untelemetered controller runs.
+// topoTelemetry is one topology's instrument set — the only place a
+// controller books its events. Both metrics endpoints render from it:
+// Prometheus through the registry, JSON through Controller.Metrics.
 type topoTelemetry struct {
 	snapshots    *obs.Counter
 	coalesced    *obs.Counter
@@ -136,21 +141,9 @@ type topoTelemetry struct {
 	topo string
 }
 
-// topo returns (creating on first use) the named topology's instrument
-// set; nil on a nil Telemetry.
-func (t *Telemetry) topo(name string) *topoTelemetry {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tt := t.topos[name]
-	if tt != nil {
-		return tt
-	}
-	reg := t.reg
+func newTopoTelemetry(reg *obs.Registry, name string) *topoTelemetry {
 	l := obs.L("topology", name)
-	tt = &topoTelemetry{
+	tt := &topoTelemetry{
 		reg:  reg,
 		topo: name,
 		snapshots: reg.Counter("figret_serve_snapshots_total",
@@ -183,22 +176,28 @@ func (t *Telemetry) topo(name string) *topoTelemetry {
 		tt.retrains[outcome] = reg.Counter("figret_serve_retrains_total",
 			"Drift-triggered retrains by outcome.", l, obs.L("outcome", outcome))
 	}
-	tt.tracer.LogSpans(t.traceLog)
-	t.topos[name] = tt
 	return tt
 }
 
-func (tt *topoTelemetry) span() obs.Span {
-	if tt == nil {
-		return obs.Span{}
+// topo returns (creating on first use) the named topology's instrument
+// set; nil on a nil Telemetry. Controllers that share a Telemetry and a
+// topology name share one set, as they share its Prometheus series.
+func (t *Telemetry) topo(name string) *topoTelemetry {
+	if t == nil {
+		return nil
 	}
-	return tt.tracer.Start()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	tt := t.topos[name]
+	if tt == nil {
+		tt = newTopoTelemetry(t.reg, name)
+		tt.tracer.LogSpans(t.traceLog)
+		t.topos[name] = tt
+	}
+	return tt
 }
 
 func (tt *topoTelemetry) ingest(coalesced bool) {
-	if tt == nil {
-		return
-	}
 	tt.snapshots.Inc()
 	if coalesced {
 		tt.coalesced.Inc()
@@ -206,9 +205,6 @@ func (tt *topoTelemetry) ingest(coalesced bool) {
 }
 
 func (tt *topoTelemetry) decision(d *Decision, latency time.Duration) {
-	if tt == nil {
-		return
-	}
 	tt.decisions.Inc()
 	tt.latency.Observe(latency.Seconds())
 	if d.Rerouted {
@@ -219,45 +215,12 @@ func (tt *topoTelemetry) decision(d *Decision, latency time.Duration) {
 	}
 }
 
-func (tt *topoTelemetry) spool(durableBytes int64) {
-	if tt != nil {
-		tt.spoolBytes.Set(float64(durableBytes))
-	}
-}
-
-func (tt *topoTelemetry) spoolError() {
-	if tt != nil {
-		tt.spoolErrors.Inc()
-	}
-}
-
-func (tt *topoTelemetry) warm() {
-	if tt != nil {
-		tt.warming.Inc()
-	}
-}
-
-func (tt *topoTelemetry) retrain(outcome string) {
-	if tt != nil {
-		tt.retrains[outcome].Inc()
-	}
-}
-
 // install counts a checkpoint activation; sources are unbounded
 // operator strings, so the counter is created on demand.
 func (tt *topoTelemetry) install(source string) {
-	if tt == nil {
-		return
-	}
 	tt.reg.Counter("figret_serve_checkpoint_installs_total",
 		"Checkpoint activations by source.",
 		obs.L("topology", tt.topo), obs.L("source", source)).Inc()
-}
-
-func (tt *topoTelemetry) rollback() {
-	if tt != nil {
-		tt.rollbacks.Inc()
-	}
 }
 
 // transportTelemetry times the decision path of one serving surface.
