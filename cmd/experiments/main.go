@@ -1,7 +1,6 @@
 // Command experiments regenerates the paper's tables and figures on the
 // synthetic substrates of this repository and prints paper-shaped text
-// output. See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-// recorded paper-vs-measured results.
+// output. See DESIGN.md §4 for the experiment index.
 //
 // Usage:
 //
@@ -15,15 +14,21 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"figret/internal/baselines"
 	"figret/internal/experiments"
 	"figret/internal/graph"
 )
 
+// experimentNames is every experiment, in the order -exp all runs them.
+var experimentNames = []string{"fig1", "fig2", "fig4", "fig5", "fig6", "fig7",
+	"fig8", "fig16", "fig18", "fig19", "fig20", "mluproxy", "table2", "table3",
+	"table4", "table5", "appc"}
+
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig1 fig2 fig4 fig5 fig6 fig7 fig8 fig18 fig19 table2 table3 table4 table5 appc all")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, " ")+" all (fig17 is fig16: one study draws both)")
 		topo    = flag.String("topo", "", "topology (default: per-experiment paper choice)")
 		scale   = flag.String("scale", "fast", "fast|full")
 		T       = flag.Int("T", 0, "trace length (0 = scale default)")
@@ -81,9 +86,7 @@ func (r runner) env(defaultTopo string) (*experiments.Env, error) {
 func (r runner) run(exp string) error {
 	switch exp {
 	case "all":
-		for _, e := range []string{"fig1", "fig2", "fig4", "fig5", "fig6", "fig7",
-			"fig8", "fig16", "fig19", "fig20", "mluproxy", "table2", "table3",
-			"table4", "table5", "appc"} {
+		for _, e := range experimentNames {
 			fmt.Printf("==== %s ====\n", e)
 			if err := r.run(e); err != nil {
 				return fmt.Errorf("%s: %w", e, err)

@@ -54,9 +54,9 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  scenarios run   [-suite dir] [-shard i/n] [-json] [-workers n] [-parallel n] [-trainworkers n] [-pathcache dir] [-wire]
-  scenarios bless [-suite dir] [-golden dir] [-shard i/n] [-workers n] [-parallel n] [-trainworkers n] [-pathcache dir] [-wire]
-  scenarios diff  [-suite dir] [-golden dir] [-shard i/n] [-json] [-workers n] [-parallel n] [-trainworkers n] [-pathcache dir] [-wire]`)
+  scenarios run   [-suite dir] [-shard i/n] [-json] [-workers n] [-parallel n] [-trainworkers n] [-pathcache dir]
+  scenarios bless [-suite dir] [-golden dir] [-shard i/n] [-workers n] [-parallel n] [-trainworkers n] [-pathcache dir]
+  scenarios diff  [-suite dir] [-golden dir] [-shard i/n] [-json] [-workers n] [-parallel n] [-trainworkers n] [-pathcache dir]`)
 }
 
 func execute(cmd string, args []string) error {
@@ -70,7 +70,6 @@ func execute(cmd string, args []string) error {
 		parallel     = fs.Int("parallel", 1, "scenarios run concurrently; metrics are bitwise identical for any value")
 		pathCache    = fs.String("pathcache", "", "directory of the on-disk candidate-path cache shared with figret/experiments/served (empty = recompute)")
 		trainWorkers = fs.Int("trainworkers", 0, "substrate-model training worker pool size (0 = all CPUs); metrics are bitwise identical for any value")
-		wireReplay   = fs.Bool("wire", false, "replay closed-loop scenarios over the binary wire protocol instead of JSON HTTP; metrics are bitwise identical for either transport")
 		quiet        = fs.Bool("q", false, "suppress per-scenario progress lines")
 	)
 	fs.Parse(args)
@@ -91,7 +90,7 @@ func execute(cmd string, args []string) error {
 		return fmt.Errorf("shard %s selected no scenarios of %s", *shardStr, *suite)
 	}
 
-	opt := scenario.Options{Workers: *workers, ScenarioWorkers: *parallel, PathCache: *pathCache, TrainWorkers: *trainWorkers, Wire: *wireReplay}
+	opt := scenario.Options{Workers: *workers, ScenarioWorkers: *parallel, PathCache: *pathCache, TrainWorkers: *trainWorkers}
 	if !*quiet && !*jsonOut {
 		opt.Log = func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	}

@@ -323,10 +323,9 @@ func startListener(logger *slog.Logger, name, addr string, h http.Handler) *http
 // runDrive is the load-generator mode. The wire transport rebuilds the
 // topology's environment (path set + synthetic trace, no training),
 // dials the running daemon's binary stream and pipelines demand
-// snapshots at the adaptive window's sustainable rate; the json
-// transport runs the synchronous closed-loop Replay over plain HTTP.
-// Both log how many decisions the daemon actually served, which the e2e
-// smoke gate asserts on.
+// snapshots through it; the json transport runs the synchronous
+// closed-loop Replay over plain HTTP. Both log how many decisions the
+// daemon actually served, which the e2e smoke gate asserts on.
 func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experiments.Scale, envOpt experiments.EnvOptions, n int, async bool) error {
 	env, err := experiments.NewEnv(topo, sc, envOpt)
 	if err != nil {
@@ -334,7 +333,11 @@ func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experimen
 	}
 	switch transport {
 	case "json":
-		res, err := serve.Replay(serve.NewClient(baseURL), topo, env.PS, env.Test, serve.ReplayOptions{})
+		client := serve.NewClient(baseURL)
+		post := func(demand []float64) (*serve.RoutingResponse, error) {
+			return client.PostSnapshot(topo, demand)
+		}
+		res, err := serve.Replay(post, env.PS, env.Test, serve.ReplayOptions{})
 		if err != nil {
 			return err
 		}
@@ -351,8 +354,7 @@ func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experimen
 			"requests", s.Requests, "elapsed", s.Elapsed.Round(time.Millisecond),
 			"decisions_per_sec", int(res.DecisionsPerSec), "requests_per_sec", int(res.RequestsPerSec))
 		logger.Info("drive rtt", "mean_us", int(s.MeanRTTMicros), "p50_us", int(s.P50RTTMicros),
-			"p99_us", int(s.P99RTTMicros), "window_min", s.MinWindow, "window_max", s.MaxWindow,
-			"window_final", s.FinalWindow, "backoffs", s.CongestionEvents)
+			"p99_us", int(s.P99RTTMicros))
 		logger.Info("drive transfer", "deltas", res.Bin.Deltas, "fulls", res.Bin.Fulls,
 			"resyncs", res.Bin.Resyncs, "redials", res.Bin.Redials,
 			"bytes_sent", s.BytesSent, "bytes_received", s.BytesReceived)

@@ -76,7 +76,10 @@ func main() {
 	// 3. Stream the first half of the test trace and close the loop with
 	// a 2-interval installation delay (the paper's control-plane latency).
 	half := test.Len() / 2
-	res, err := serve.Replay(client, "geant", ps, test, serve.ReplayOptions{To: half, Delay: 2})
+	post := func(demand []float64) (*serve.RoutingResponse, error) {
+		return client.PostSnapshot("geant", demand)
+	}
+	res, err := serve.Replay(post, ps, test, serve.ReplayOptions{To: half, Delay: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("hot-swapped checkpoint v%d\n", ck.Version)
-	res2, err := serve.Replay(client, "geant", ps, test, serve.ReplayOptions{From: half, Delay: 2})
+	res2, err := serve.Replay(post, ps, test, serve.ReplayOptions{From: half, Delay: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,8 +11,7 @@
 //     slow in pure Go.
 //   - ScaleFast keeps every topology family's *shape* (full mesh, random
 //     regular, ring+chords) but reduces node counts so the complete
-//     experiment suite runs in minutes. EXPERIMENTS.md records which scale
-//     produced each number.
+//     experiment suite runs in minutes.
 package experiments
 
 import (

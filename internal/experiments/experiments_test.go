@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -215,6 +216,24 @@ func TestFailuresShape(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "failure") {
 		t.Error("render broken")
+	}
+}
+
+// TestFailuresShortTestSplit: a test split with no snapshot that has a
+// full history window behind it is an error naming both lengths, not an
+// out-of-range index (T=40 → 10 test snapshots) or a division by zero
+// (T=48 → exactly H).
+func TestFailuresShortTestSplit(t *testing.T) {
+	for _, T := range []int{40, 48} {
+		env, err := NewEnv(graph.TopoPoDDB, ScaleFast, EnvOptions{T: T})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Failures(env, FailureOptions{H: 12, Epochs: 1})
+		want := fmt.Sprintf("H=12, got %d snapshots", env.Test.Len())
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("T=%d (test split %d): err = %v, want one naming %q", T, env.Test.Len(), err, want)
+		}
 	}
 }
 

@@ -57,6 +57,11 @@ func Failures(env *Env, opt FailureOptions) (*FailureResult, error) {
 	if opt.SnapsPer == 0 {
 		opt.SnapsPer = 6
 	}
+	// Snapshots are drawn from test indices [H, Len), each with a full
+	// history window behind it.
+	if n := env.Test.Len(); n <= opt.H {
+		return nil, fmt.Errorf("experiments: failure study needs a test split longer than H=%d, got %d snapshots", opt.H, n)
+	}
 	fig, dote, err := env.TrainModels(opt.H, opt.Gamma, opt.Epochs)
 	if err != nil {
 		return nil, err

@@ -39,12 +39,6 @@ type Options struct {
 	// candidate-path precomputation per (topology, K) across all cells
 	// and processes.
 	PathCache string
-	// Wire replays closed-loop scenarios over the upgraded binary stream
-	// protocol (persistent connection, delta-encoded decisions) instead
-	// of JSON HTTP. Decisions are bitwise identical either way, so every
-	// golden-gated metric is unchanged; the switch exercises the binary
-	// data plane in the scenario harness.
-	Wire bool
 	// Log, when non-nil, receives one progress line per completed
 	// scenario.
 	Log func(format string, args ...any)
@@ -453,8 +447,12 @@ func (r *Runner) runClosedLoop(sp *Spec, env *experiments.Env, tr *traffic.Trace
 		return err
 	}
 
-	rr, err := serve.Replay(serve.NewClient(hs.URL), sp.Topo, env.PS, tr, serve.ReplayOptions{
-		From: m.From - h, To: m.To, Delay: sp.Delay, Wire: r.opt.Wire,
+	client := serve.NewClient(hs.URL)
+	post := func(demand []float64) (*serve.RoutingResponse, error) {
+		return client.PostSnapshot(sp.Topo, demand)
+	}
+	rr, err := serve.Replay(post, env.PS, tr, serve.ReplayOptions{
+		From: m.From - h, To: m.To, Delay: sp.Delay,
 	})
 	if err != nil {
 		return err

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"fmt"
+	"errors"
 
 	"figret/internal/te"
 	"figret/internal/traffic"
@@ -9,23 +9,18 @@ import (
 
 // LoadOptions configures a load-generation run over the binary stream.
 type LoadOptions struct {
-	// Requests is the total snapshot count to drive; the trace window
-	// cycles to fill it (default: one pass over the window).
+	// Requests is the total snapshot count to drive; the trace cycles to
+	// fill it (default: one pass over the trace).
 	Requests int
-	// From, To is the half-open trace window the demands cycle through
-	// (clamped like Replay).
-	From, To int
 	// Async ingests without per-request decisions (burst-coalescing
 	// throughput rather than decision throughput).
 	Async bool
-	// Bin tunes the binary client.
-	Bin BinClientOptions
 }
 
 // LoadResult summarizes one load-generation run.
 type LoadResult struct {
-	// Stream carries the pipelining measurements (RTT quantiles,
-	// adaptive-window trace, byte counts).
+	// Stream carries the pipelining measurements (RTT quantiles, byte
+	// counts).
 	Stream StreamStats
 	// Bin carries the transport counters (delta vs full decisions,
 	// resyncs, redials).
@@ -40,30 +35,24 @@ type LoadResult struct {
 
 // LoadGen drives the server's binary stream at maximum sustainable rate:
 // it dials the upgraded protocol, pipelines Requests snapshot ingests
-// from the trace window under the adaptive window, and reports
-// decisions/sec plus the transport's delta and RTT statistics. This is
-// the load-generator mode behind cmd/served -drive and
-// BenchmarkServeThroughput.
+// cycling through the trace, and reports decisions/sec plus the
+// transport's delta and RTT statistics. This is the load-generator mode
+// behind cmd/served -drive and BenchmarkServeThroughput.
 func LoadGen(baseURL, topo string, ps *te.PathSet, tr *traffic.Trace, opt LoadOptions) (*LoadResult, error) {
-	from, to := opt.From, opt.To
-	if to <= 0 || to > tr.Len() {
-		to = tr.Len()
+	if tr.Len() == 0 {
+		return nil, errors.New("serve: load generation over an empty trace")
 	}
-	if from < 0 || from >= to {
-		return nil, fmt.Errorf("serve: empty load window [%d,%d) of trace length %d", from, to, tr.Len())
-	}
-	span := to - from
 	n := opt.Requests
 	if n <= 0 {
-		n = span
+		n = tr.Len()
 	}
-	bin, err := DialBin(baseURL, topo, ps, opt.Bin)
+	bin, err := DialBin(baseURL, topo, ps, BinClientOptions{})
 	if err != nil {
 		return nil, err
 	}
 	defer bin.Close()
 
-	demand := func(i int) []float64 { return tr.At(from + i%span) }
+	demand := func(i int) []float64 { return tr.At(i % tr.Len()) }
 	var stats *StreamStats
 	if opt.Async {
 		stats, err = bin.StreamAsync(n, demand)

@@ -30,11 +30,11 @@ func promValue(t *testing.T, page, series string) uint64 {
 	return 0
 }
 
-// TestMetricsOneSourceOfTruth replays one trace over JSON and over the
-// wire stream against a single server, adds an async burst and a failure
-// report, and requires every counter of GET /v1/metrics to equal the
-// same topology's series on the Prometheus page: both endpoints render
-// one instrument set.
+// TestMetricsOneSourceOfTruth replays one trace over JSON, binary HTTP
+// and the wire stream against a single server, adds an async burst and a
+// failure report, and requires every counter of GET /v1/metrics to equal
+// the same topology's series on the Prometheus page: both endpoints
+// render one instrument set.
 func TestMetricsOneSourceOfTruth(t *testing.T) {
 	ps, tr, m := fixture(t, 30, 9)
 	data, err := m.MarshalJSON()
@@ -46,8 +46,8 @@ func TestMetricsOneSourceOfTruth(t *testing.T) {
 	if _, err := client.UploadCheckpoint("pod", data); err != nil {
 		t.Fatal(err)
 	}
-	for _, wire := range []bool{false, true} {
-		if _, err := Replay(client, "pod", ps, tr, ReplayOptions{Wire: wire}); err != nil {
+	for _, transport := range transports {
+		if _, err := Replay(postOver(t, transport, client, "pod", ps, nil), ps, tr, ReplayOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +90,7 @@ func TestMetricsOneSourceOfTruth(t *testing.T) {
 			t.Errorf("/v1/metrics %s = %d, %s = %d", c.field, c.json, c.series, want)
 		}
 	}
-	if want := uint64(2*tr.Len() + 7); got.Snapshots != want {
+	if want := uint64(len(transports)*tr.Len() + 7); got.Snapshots != want {
 		t.Errorf("snapshots = %d, want %d", got.Snapshots, want)
 	}
 	if got.P50Micros <= 0 || got.P99Micros < got.P50Micros {

@@ -22,6 +22,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -141,7 +142,7 @@ func (r *Registry) AddTopology(name string, ps *te.PathSet) error {
 	return nil
 }
 
-// Topologies lists registered topology names (unordered).
+// Topologies lists registered topology names, sorted.
 func (r *Registry) Topologies() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -149,6 +150,7 @@ func (r *Registry) Topologies() []string {
 	for name := range r.topos {
 		out = append(out, name)
 	}
+	sort.Strings(out)
 	return out
 }
 

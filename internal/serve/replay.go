@@ -25,13 +25,6 @@ type ReplayOptions struct {
 	// Initial serves intervals before the first delayed decision lands
 	// (default: the uniform split over the replayed configs' path set).
 	Initial *te.Config
-	// Wire streams snapshots over the upgraded binary protocol (one
-	// persistent connection, delta-encoded decisions) instead of JSON
-	// HTTP requests. The decisions are the same bitwise; only the
-	// transport changes.
-	Wire bool
-	// Bin tunes the binary client when Wire is set.
-	Bin BinClientOptions
 }
 
 // ReplayResult aggregates a closed-loop replay.
@@ -49,16 +42,18 @@ type ReplayResult struct {
 	Versions []int
 }
 
-// Replay streams tr's snapshots [From, To) through the serving API one
-// at a time (synchronous ingest: each POST returns the decision for the
-// window ending at that snapshot) and closes the loop like
+// Replay streams tr's snapshots [From, To) through post one at a time
+// (synchronous ingest: each call returns the decision for the window
+// ending at that snapshot; post is a client's PostSnapshot bound to the
+// topology, so the transport is the caller's choice and the decisions
+// are the same bitwise over any of them) and closes the loop like
 // netsim.ControlLoop: the configuration serving interval t is the
 // decision computed after snapshot t-1, delayed by Delay intervals.
 // Each served interval is scored with the fluid simulator, so the
 // result is directly comparable to an offline control-loop run over the
 // same windows — the serving path is benchmarkable and testable
 // end-to-end.
-func Replay(client *Client, topo string, ps *te.PathSet, tr *traffic.Trace, opt ReplayOptions) (*ReplayResult, error) {
+func Replay(post func(demand []float64) (*RoutingResponse, error), ps *te.PathSet, tr *traffic.Trace, opt ReplayOptions) (*ReplayResult, error) {
 	from, to := opt.From, opt.To
 	if to <= 0 || to > tr.Len() {
 		to = tr.Len()
@@ -72,17 +67,6 @@ func Replay(client *Client, topo string, ps *te.PathSet, tr *traffic.Trace, opt 
 	installed := opt.Initial
 	if installed == nil {
 		installed = te.UniformConfig(ps)
-	}
-	post := func(demand []float64) (*RoutingResponse, error) {
-		return client.PostSnapshot(topo, demand)
-	}
-	if opt.Wire {
-		bin, err := DialBin(client.BaseURL, topo, ps, opt.Bin)
-		if err != nil {
-			return nil, err
-		}
-		defer bin.Close()
-		post = bin.PostSnapshot
 	}
 
 	res := &ReplayResult{}

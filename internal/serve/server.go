@@ -102,20 +102,21 @@ func (s *Server) UseTelemetry(t *Telemetry) {
 // Add starts a controller for a topology already registered in the
 // registry (see Registry.AddTopology) and shards the API to it.
 func (s *Server) Add(topo string, opt ControllerOptions) (*Controller, error) {
+	// The lock is held across construction: NewController opens the
+	// topology's spool for appending and recovers its tail, so a
+	// duplicate must be refused before it gets a second writer on the
+	// served controller's live spool file.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.controllers[topo]; ok {
+		return nil, fmt.Errorf("serve: topology %q already served", topo)
+	}
 	if opt.Telemetry == nil {
-		s.mu.RLock()
 		opt.Telemetry = s.tel
-		s.mu.RUnlock()
 	}
 	c, err := NewController(topo, s.reg, opt)
 	if err != nil {
 		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.controllers[topo]; ok {
-		c.Close()
-		return nil, fmt.Errorf("serve: topology %q already served", topo)
 	}
 	s.controllers[topo] = c
 	return c, nil
@@ -280,6 +281,7 @@ func (s *Server) handleTopologies(w http.ResponseWriter, r *http.Request) {
 		names = append(names, name)
 	}
 	s.mu.RUnlock()
+	sort.Strings(names)
 	writeJSON(w, http.StatusOK, map[string][]string{"topologies": names})
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -33,6 +34,27 @@ func startServer(t *testing.T, topo string, ps *te.PathSet, opt ControllerOption
 		srv.Close()
 	})
 	return NewClient(hs.URL), srv, reg
+}
+
+// The three transports a snapshot can be ingested over.
+var transports = []string{transportJSON, transportBinHTTP, transportWire}
+
+// postOver returns the synchronous-ingest function of one transport
+// against client's server, bound to topo — what Replay is handed. The
+// wire stream reports to tel when that is non-nil and is closed with
+// the test.
+func postOver(t *testing.T, transport string, client *Client, topo string, ps *te.PathSet, tel *StreamTelemetry) func([]float64) (*RoutingResponse, error) {
+	t.Helper()
+	if transport == transportWire {
+		bin, err := DialBin(client.BaseURL, topo, ps, BinClientOptions{Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { bin.Close() })
+		return bin.PostSnapshot
+	}
+	c := &Client{BaseURL: client.BaseURL, HTTP: client.HTTP, Binary: transport == transportBinHTTP}
+	return func(demand []float64) (*RoutingResponse, error) { return c.PostSnapshot(topo, demand) }
 }
 
 // TestClosedLoopReplayMatchesOffline is the acceptance check of the
@@ -74,7 +96,7 @@ func TestClosedLoopReplayMatchesOffline(t *testing.T) {
 	}
 
 	const delay = 2
-	res, err := Replay(client, "geant", ps, test, ReplayOptions{To: 30, Delay: delay})
+	res, err := Replay(postOver(t, transportJSON, client, "geant", ps, nil), ps, test, ReplayOptions{To: 30, Delay: delay})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +299,24 @@ func TestHotSwapMidStream(t *testing.T) {
 
 func TestServerEndpoints(t *testing.T) {
 	ps, tr, m := fixture(t, 60, 21)
-	client, _, _ := startServer(t, "pod", ps, ControllerOptions{})
+	client, srv, reg := startServer(t, "pod", ps, ControllerOptions{})
 
+	// Both listings are sorted, whatever order the topologies arrived in.
+	for _, name := range []string{"zeta", "alpha"} {
+		if err := reg.AddTopology(name, ps); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Add(name, ControllerOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"alpha", "pod", "zeta"}
 	topos, err := client.Topologies()
-	if err != nil || len(topos) != 1 || topos[0] != "pod" {
-		t.Fatalf("topologies = %v, %v", topos, err)
+	if err != nil || !reflect.DeepEqual(topos, want) {
+		t.Fatalf("GET /v1/topologies = %v, %v; want %v", topos, err, want)
+	}
+	if got := reg.Topologies(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Registry.Topologies() = %v, want %v", got, want)
 	}
 
 	// Routing before any checkpoint: the bootstrap uniform fallback.

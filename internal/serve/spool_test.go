@@ -142,3 +142,64 @@ func TestControllerSpoolTornTailRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestServerAddDuplicateLeavesSpool: a second Add for a served topology
+// is refused before a controller is built for it, so the live spool
+// never gets a second writer — the first controller's numbering, next
+// decision and durable spool carry on as if nothing had happened.
+func TestServerAddDuplicateLeavesSpool(t *testing.T) {
+	ps, tr, m := fixture(t, 60, 1)
+	reg := NewRegistry()
+	if err := reg.AddTopology("pod", ps); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Install("pod", m, "bootstrap"); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opt := ControllerOptions{HistoryCap: 8, Spool: dir}
+	srv := NewServer(reg)
+	c, err := srv.Add("pod", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const before = 7
+	for i := 0; i < before; i++ {
+		if _, err := c.Ingest(tr.At(i), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if _, err := srv.Add("pod", opt); err == nil {
+		t.Fatal("second Add for a served topology succeeded")
+	}
+	if srv.Controller("pod") != c {
+		t.Fatal("duplicate Add replaced the served controller")
+	}
+
+	res, err := c.Ingest(tr.At(before), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot != before || res.Warming {
+		t.Fatalf("decision after duplicate Add: snapshot %d warming %v, want %d", res.Snapshot, res.Warming, before)
+	}
+	want, err := m.Predict(tr.Window(before+1, m.Cfg.H))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range want.R {
+		if res.Decision.Config.R[p] != want.R[p] {
+			t.Fatalf("path %d: served %v, offline %v", p, res.Decision.Config.R[p], want.R[p])
+		}
+	}
+	srv.Close()
+	r, err := tracestore.Open(filepath.Join(dir, "pod.fgt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Len() != before+1 {
+		t.Fatalf("spool holds %d snapshots, want %d", r.Len(), before+1)
+	}
+}

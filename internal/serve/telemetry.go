@@ -13,8 +13,7 @@ import (
 // through the pipeline; the per-stage latencies land in the
 // figret_serve_stage_duration_seconds{topology,stage} histograms, so
 // queueing delay is attributable separately from inference or reroute
-// cost — the L4Span-style visibility the drift loop and the adaptive
-// stream client fly by.
+// cost — the L4Span-style visibility the drift loop flies by.
 const (
 	stageIngest  = iota // queue wait: enqueue → controller pickup
 	stageWindow         // window append + trim + drift observation
@@ -279,20 +278,15 @@ func (t *Telemetry) wireResync() {
 	}
 }
 
-// StreamTelemetry instruments one BinClient's adaptive stream: the
-// in-flight window, RTT estimator state, congestion backoffs and the
-// delta/full/resync/redial mix. Attach via BinClientOptions.Telemetry.
-// All methods are safe on a nil receiver.
+// StreamTelemetry instruments one BinClient's stream: per-request RTT
+// and the delta/full/resync/redial mix. Attach via
+// BinClientOptions.Telemetry. All methods are safe on a nil receiver.
 type StreamTelemetry struct {
-	window     *obs.Gauge
-	srtt       *obs.Gauge
-	rto        *obs.Gauge
-	rtt        *obs.Histogram
-	congestion *obs.Counter
-	redials    *obs.Counter
-	resyncs    *obs.Counter
-	deltas     *obs.Counter
-	fulls      *obs.Counter
+	rtt     *obs.Histogram
+	redials *obs.Counter
+	resyncs *obs.Counter
+	deltas  *obs.Counter
+	fulls   *obs.Counter
 }
 
 // Stream returns (creating on first use) the stream instrument set for
@@ -310,17 +304,9 @@ func (t *Telemetry) Stream(topo string) *StreamTelemetry {
 	reg := t.reg
 	l := obs.L("topology", topo)
 	st = &StreamTelemetry{
-		window: reg.Gauge("figret_stream_window",
-			"Current adaptive in-flight window of the pipelined stream client.", l),
-		srtt: reg.Gauge("figret_stream_srtt_seconds",
-			"Smoothed RTT of the stream client's RFC 6298 estimator.", l),
-		rto: reg.Gauge("figret_stream_rto_seconds",
-			"Current timeout threshold (congestion signal) of the stream client.", l),
 		rtt: reg.Histogram("figret_stream_rtt_seconds",
 			"Per-request round-trip time of the pipelined stream.",
 			obs.DefaultLatencyBuckets(), l),
-		congestion: reg.Counter("figret_stream_congestion_events_total",
-			"Multiplicative window backoffs.", l),
 		redials: reg.Counter("figret_stream_redials_total",
 			"Reconnects after broken stream connections.", l),
 		resyncs: reg.Counter("figret_stream_resyncs_total",
@@ -334,19 +320,9 @@ func (t *Telemetry) Stream(topo string) *StreamTelemetry {
 	return st
 }
 
-func (st *StreamTelemetry) observeRTT(sample time.Duration, est *rttEstimator, window int) {
-	if st == nil {
-		return
-	}
-	st.rtt.Observe(sample.Seconds())
-	st.srtt.Set(est.sRTT().Seconds())
-	st.rto.Set(est.rto().Seconds())
-	st.window.Set(float64(window))
-}
-
-func (st *StreamTelemetry) onCongestion() {
+func (st *StreamTelemetry) observeRTT(sample time.Duration) {
 	if st != nil {
-		st.congestion.Inc()
+		st.rtt.Observe(sample.Seconds())
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 
 // replayDecisions runs a sync replay and strips the wall-clock stamps so
 // two runs are comparable bitwise.
-func replayDecisions(t *testing.T, tel *Telemetry, wireTransport bool, ps *te.PathSet, tr *traffic.Trace, data []byte) []RoutingResponse {
+func replayDecisions(t *testing.T, tel *Telemetry, transport string, ps *te.PathSet, tr *traffic.Trace, data []byte) []RoutingResponse {
 	t.Helper()
 	reg := NewRegistry()
 	if err := reg.AddTopology("pod", ps); err != nil {
@@ -37,11 +37,7 @@ func replayDecisions(t *testing.T, tel *Telemetry, wireTransport bool, ps *te.Pa
 	if _, err := client.UploadCheckpoint("pod", data); err != nil {
 		t.Fatal(err)
 	}
-	var bin BinClientOptions
-	if tel != nil {
-		bin.Telemetry = tel.Stream("pod")
-	}
-	res, err := Replay(client, "pod", ps, tr, ReplayOptions{Wire: wireTransport, Bin: bin})
+	res, err := Replay(postOver(t, transport, client, "pod", ps, tel.Stream("pod")), ps, tr, ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,23 +51,19 @@ func replayDecisions(t *testing.T, tel *Telemetry, wireTransport bool, ps *te.Pa
 
 // TestTelemetryZeroImpact is the tentpole's no-perturbation guarantee:
 // the same trace replayed with full telemetry attached and with none
-// must produce bitwise-identical decision sequences, on both the JSON
-// and the upgraded wire transport.
+// must produce bitwise-identical decision sequences, on all three
+// transports.
 func TestTelemetryZeroImpact(t *testing.T) {
 	ps, tr, m := fixture(t, 40, 5)
 	data, err := m.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, wire := range []bool{false, true} {
-		name := "json"
-		if wire {
-			name = "wire"
-		}
-		t.Run(name, func(t *testing.T) {
-			bare := replayDecisions(t, nil, wire, ps, tr, data)
+	for _, transport := range transports {
+		t.Run(transport, func(t *testing.T) {
+			bare := replayDecisions(t, nil, transport, ps, tr, data)
 			tel := NewTelemetry(obs.NewRegistry())
-			observed := replayDecisions(t, tel, wire, ps, tr, data)
+			observed := replayDecisions(t, tel, transport, ps, tr, data)
 			if !reflect.DeepEqual(bare, observed) {
 				t.Fatal("decisions with telemetry differ from decisions without")
 			}
@@ -80,7 +72,7 @@ func TestTelemetryZeroImpact(t *testing.T) {
 }
 
 // TestTelemetryCountersDuringReplay checks the wiring end to end: after
-// replays over both transports, the scraped Prometheus page must carry
+// replays over all three transports, the scraped Prometheus page must carry
 // non-zero decision, stage, transport and wire-stream series.
 func TestTelemetryCountersDuringReplay(t *testing.T) {
 	ps, tr, m := fixture(t, 30, 6)
@@ -90,8 +82,9 @@ func TestTelemetryCountersDuringReplay(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	tel := NewTelemetry(reg)
-	replayDecisions(t, tel, false, ps, tr, data)
-	replayDecisions(t, tel, true, ps, tr, data)
+	for _, transport := range transports {
+		replayDecisions(t, tel, transport, ps, tr, data)
+	}
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -104,6 +97,7 @@ func TestTelemetryCountersDuringReplay(t *testing.T) {
 		`figret_serve_decision_duration_seconds_count{topology="pod"}`,
 		`figret_serve_stage_duration_seconds_count{stage="predict",topology="pod"}`,
 		`figret_serve_transport_requests_total{transport="json"}`,
+		`figret_serve_transport_requests_total{transport="binhttp"}`,
 		`figret_serve_transport_requests_total{transport="wire"}`,
 		`figret_serve_checkpoint_installs_total{source="upload",topology="pod"}`,
 		`figret_wire_connections_total`,

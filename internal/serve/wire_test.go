@@ -4,7 +4,9 @@ import (
 	"math"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"figret/internal/wire"
 )
@@ -106,7 +108,7 @@ func TestWireStream(t *testing.T) {
 
 	// Unknown topology: the server answers the hello with a 404 error
 	// frame and the dial fails.
-	if _, err := DialBin(client.BaseURL, "nope", ps, BinClientOptions{RedialAttempts: 1}); err == nil ||
+	if _, err := DialBin(client.BaseURL, "nope", ps, BinClientOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "404") {
 		t.Fatalf("dial to unknown topology: %v", err)
 	}
@@ -224,48 +226,78 @@ func TestWireStreamResync(t *testing.T) {
 	}
 }
 
-// TestWireStreamPipelined runs the adaptive-window Stream and checks
-// ordering, decision counts and the RTT/window bookkeeping.
+// TestWireStreamPipelined streams three pipelines' worth of snapshots
+// and checks ordering, counts and RTT bookkeeping, that the requests in
+// flight fill the pipeline and never exceed it (the first streamDepth
+// requests fit the write buffer, so the run deadlocks unless the sender
+// flushes before it waits for a slot), and that pipelining changes no
+// decision: a twin server fed the same snapshots one synchronous
+// PostSnapshot at a time answers bitwise the same.
 func TestWireStreamPipelined(t *testing.T) {
 	client, _ := wireFixture(t)
+	twin, _ := wireFixture(t)
 	ps, tr, _ := fixture(t, 60, 1)
-	bin, err := DialBin(client.BaseURL, "pod", ps, BinClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bin.Close()
-
-	const n = 64
-	var seqs []int64
-	stats, err := bin.Stream(n,
-		func(i int) []float64 { return tr.At(i % tr.Len()) },
-		func(i int, d *wire.Decision) { seqs = append(seqs, d.Seq) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Requests != n || stats.Decisions != n || stats.Acks != 0 {
-		t.Fatalf("stream stats %+v", stats)
-	}
-	if len(seqs) != n {
-		t.Fatalf("observed %d decisions", len(seqs))
-	}
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] != seqs[i-1]+1 {
-			t.Fatalf("decisions out of order at %d: %v -> %v", i, seqs[i-1], seqs[i])
+	dial := func(c *Client) *BinClient {
+		bin, err := DialBin(c.BaseURL, "pod", ps, BinClientOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { bin.Close() })
+		return bin
+	}
+	bin, oneByOne := dial(client), dial(twin)
+	demand := func(i int) []float64 { return tr.At(i % tr.Len()) }
+
+	const n = 3 * streamDepth
+	want := make([]*RoutingResponse, n)
+	for i := range want {
+		d, err := oneByOne.PostSnapshot(demand(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = d
+	}
+
+	// Stream calls demand(i) as it sends request i and onDecision(i) as it
+	// takes response i, so sent−received bounds the requests in flight.
+	var received atomic.Int64
+	maxInFlight := 0
+	got := make([]*RoutingResponse, 0, n)
+	stats, err := bin.Stream(n,
+		func(i int) []float64 {
+			if f := i + 1 - int(received.Load()); f > maxInFlight {
+				maxInFlight = f
+			}
+			return demand(i)
+		},
+		func(i int, d *wire.Decision) {
+			if i != len(got) {
+				t.Errorf("decision %d arrived in position %d", i, len(got))
+			}
+			got = append(got, wireToRouting("pod", d))
+			received.Add(1)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Requests != n || stats.Decisions != n || stats.Acks != 0 || len(got) != n {
+		t.Fatalf("stream stats %+v, observed %d decisions", stats, len(got))
+	}
+	for i := range want {
+		sameDecisionAt(t, "stream-vs-sync", want[i], got[i], false)
+	}
+	if maxInFlight != streamDepth {
+		t.Fatalf("at most %d requests in flight, want the pipeline depth %d", maxInFlight, streamDepth)
 	}
 	if stats.MeanRTTMicros <= 0 || stats.P99RTTMicros < stats.P50RTTMicros {
 		t.Fatalf("rtt stats %+v", stats)
-	}
-	if stats.MinWindow < 1 || stats.MaxWindow < stats.MinWindow || stats.FinalWindow < 1 {
-		t.Fatalf("window stats %+v", stats)
 	}
 	if stats.BytesSent == 0 || stats.BytesReceived == 0 {
 		t.Fatalf("byte counts %+v", stats)
 	}
 
 	// Async streaming acks everything.
-	astats, err := bin.StreamAsync(16, func(i int) []float64 { return tr.At(i % tr.Len()) })
+	astats, err := bin.StreamAsync(16, demand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +312,7 @@ func TestWireStreamPipelined(t *testing.T) {
 func TestWireServerClose(t *testing.T) {
 	client, srv := wireFixture(t)
 	ps, tr, _ := fixture(t, 60, 1)
-	bin, err := DialBin(client.BaseURL, "pod", ps, BinClientOptions{
-		RedialAttempts: 1,
-	})
+	bin, err := DialBin(client.BaseURL, "pod", ps, BinClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +322,13 @@ func TestWireServerClose(t *testing.T) {
 	}
 
 	srv.Close()
+	start := time.Now()
 	if _, err := bin.PostSnapshot(tr.At(11)); err == nil {
 		t.Fatal("stream op succeeded after server close")
+	}
+	// The redial backoff is a constant 350 ms in all; nothing else waits.
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("stream op took %v to fail after server close", took)
 	}
 }
 
@@ -311,25 +346,18 @@ func TestWireReplayBitwise(t *testing.T) {
 		if _, err := reg.Install("pod", m, "test"); err != nil {
 			t.Fatal(err)
 		}
-		opt := ReplayOptions{To: 30, Delay: 1}
-		switch mode {
-		case "binhttp":
-			client.Binary = true
-		case "wire":
-			opt.Wire = true
-		}
-		rr, err := Replay(client, "pod", ps, tr, opt)
+		rr, err := Replay(postOver(t, mode, client, "pod", ps, nil), ps, tr, ReplayOptions{To: 30, Delay: 1})
 		if err != nil {
 			t.Fatalf("%s replay: %v", mode, err)
 		}
 		return rr
 	}
 
-	base := run("json")
+	base := run(transportJSON)
 	if len(base.Decisions) != 30 {
 		t.Fatalf("json replay produced %d decisions", len(base.Decisions))
 	}
-	for _, mode := range []string{"binhttp", "wire"} {
+	for _, mode := range []string{transportBinHTTP, transportWire} {
 		rr := run(mode)
 		if len(rr.Decisions) != len(base.Decisions) {
 			t.Fatalf("%s: %d decisions, json %d", mode, len(rr.Decisions), len(base.Decisions))

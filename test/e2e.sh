@@ -74,11 +74,17 @@ for _ in $(seq 1 600); do
 done
 
 echo "e2e: replaying over JSON"
-"$workdir/served" -topos "$TOPO" -drive "$API" -drivetransport json -T 60 -seed 3 \
+"$workdir/served" -topos "$TOPO" -drive "$API" -drivetransport json -T 60 -seed 3 -logformat text \
   >"$workdir/drive-json.log" 2>&1 || fail "json replay failed: $(cat "$workdir/drive-json.log")"
+grep -Eq ' decisions=[1-9][0-9]*( |$)' "$workdir/drive-json.log" \
+  || fail "json replay logged no decisions: $(cat "$workdir/drive-json.log")"
 echo "e2e: replaying over the wire stream"
-"$workdir/served" -topos "$TOPO" -drive "$API" -drivetransport wire -T 60 -seed 3 -driven 500 \
+"$workdir/served" -topos "$TOPO" -drive "$API" -drivetransport wire -T 60 -seed 3 -driven 500 -logformat text \
   >"$workdir/drive-wire.log" 2>&1 || fail "wire replay failed: $(cat "$workdir/drive-wire.log")"
+grep -Eq ' requests=500( |$)' "$workdir/drive-wire.log" \
+  || fail "wire replay did not log requests=500: $(cat "$workdir/drive-wire.log")"
+grep -Eq ' decisions_per_sec=[1-9][0-9]*( |$)' "$workdir/drive-wire.log" \
+  || fail "wire replay logged no decision rate: $(cat "$workdir/drive-wire.log")"
 
 [[ "$(code "$OPS/readyz")" == 200 ]] || fail "readyz did not flip to 200 after serving decisions"
 echo "e2e: readyz flipped to ready"
