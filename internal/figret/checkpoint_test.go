@@ -1,6 +1,7 @@
 package figret
 
 import (
+	"encoding/json"
 	"testing"
 )
 
@@ -89,5 +90,44 @@ func TestCheckpointRoundTripBitwise(t *testing.T) {
 				t.Fatal("second serialization differs from the first")
 			}
 		})
+	}
+}
+
+// TestLoadModelRejectsMismatchedWindow: a checkpoint whose cfg.H × pairs
+// is not the first layer's input width used to load cleanly and panic in
+// the first PredictAt (in served: the controller goroutine, on the next
+// snapshot after the upload). LoadModel must refuse it, along with a
+// non-positive H or input scale.
+func TestLoadModelRejectsMismatchedWindow(t *testing.T) {
+	ps := smallSetup(t)
+	good := New(ps, Config{H: 3, Hidden: []int{8}, Seed: 1})
+	serialize := func(edit func(j *modelJSON)) []byte {
+		t.Helper()
+		j := modelJSON{Cfg: good.Cfg, Net: good.Net, VarWeights: good.VarWeights, Scale: good.Scale, LossScale: good.LossScale}
+		edit(&j)
+		data, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if _, err := LoadModel(ps, serialize(func(*modelJSON) {})); err != nil {
+		t.Fatalf("unedited checkpoint rejected: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(j *modelJSON)
+	}{
+		{"H shorter than the network's window", func(j *modelJSON) { j.Cfg.H = 2 }},
+		{"H longer than the network's window", func(j *modelJSON) { j.Cfg.H = 4 }},
+		{"zero H", func(j *modelJSON) { j.Cfg.H = 0 }},
+		{"negative H", func(j *modelJSON) { j.Cfg.H = -3 }},
+		{"zero scale", func(j *modelJSON) { j.Scale = 0 }},
+		{"negative scale", func(j *modelJSON) { j.Scale = -1 }},
+	} {
+		m, err := LoadModel(ps, serialize(c.edit))
+		if err == nil {
+			t.Errorf("%s: loaded (H=%d, scale=%v, %d network inputs)", c.name, m.Cfg.H, m.Scale, m.Net.Layers[0].In)
+		}
 	}
 }

@@ -55,10 +55,14 @@ type Config struct {
 	// per-sample evaluation with gradient accumulation (TrainSequential).
 	BatchSize int
 	// TrainWorkers sizes the data-parallel training worker pool: minibatch
-	// rows are sharded across workers and the per-worker gradients are
-	// combined by a fixed-order tree reduction, so the loss trajectory and
-	// the trained weights are bitwise identical for every value (DESIGN.md
-	// §10). 0 (the default) selects GOMAXPROCS; 1 trains single-threaded.
+	// rows are sharded across workers and the per-shard gradients are
+	// combined by a fixed-order tree reduction; a minibatch with fewer
+	// shards than workers (the default BatchSize is one shard) spends the
+	// rest of the pool inside each shard's kernels, the reduce and the
+	// Adam sweep. The loss trajectory and the trained weights are bitwise
+	// identical for every value (DESIGN.md §10). 0 (the default) selects
+	// GOMAXPROCS; 1 trains on the calling goroutine alone and starts no
+	// other — the way to confine a retrain to one core.
 	// Excluded from model serialization: it is an execution knob of the
 	// machine that trains, not a property of the trained model — saved
 	// models must be byte-identical for any worker count.
@@ -251,8 +255,9 @@ func (m *Model) sampleOrder(tr *traffic.Trace) []int {
 // [B][H·K] matrix in scaled form (scaledWindowInto, single pass, no
 // allocation), cut into shards of nn.GradShardRows rows that
 // Cfg.TrainWorkers workers forward, score (lossAndGrad on per-lane
-// lossScratch state) and backpropagate independently, and the per-lane
-// gradients are tree-reduced in fixed order before each Adam step. With
+// lossScratch state) and backpropagate independently (workers the shards
+// leave idle go into each shard's kernels), and the per-lane gradients are
+// tree-reduced in fixed order before each Adam step. With
 // Cfg.MacroBatch > 1, that many micro-batches accumulate before a step.
 // The loss trajectory and final weights are bitwise identical for every
 // worker count, and bitwise identical to TrainSequential at every
@@ -321,8 +326,7 @@ func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 			// gradients never carry across epochs (matches the historical
 			// trailing partial step).
 			if micros == macro || start+bs == len(order) {
-				eng.Reduce()
-				opt.Step(m.Net)
+				eng.Step(opt)
 				micros = 0
 			}
 			for bi := 0; bi < bs; bi++ {
@@ -856,6 +860,16 @@ func LoadModel(ps *te.PathSet, data []byte) (*Model, error) {
 	out := j.Net.Layers[len(j.Net.Layers)-1].Out
 	if out != ps.NumPaths() {
 		return nil, fmt.Errorf("figret: model outputs %d paths, topology has %d", out, ps.NumPaths())
+	}
+	// The window the predictor assembles is cfg.H snapshots of every pair;
+	// a first layer of any other width would panic on the first Predict.
+	if in := j.Net.Layers[0].In; j.Cfg.H <= 0 || j.Cfg.H*ps.Pairs.Count() != in {
+		return nil, fmt.Errorf("figret: model window H=%d over %d pairs does not match its %d network inputs",
+			j.Cfg.H, ps.Pairs.Count(), in)
+	}
+	// Inputs are divided by Scale (a JSON number, so never NaN or ±Inf).
+	if j.Scale <= 0 {
+		return nil, fmt.Errorf("figret: model input scale %v is not positive", j.Scale)
 	}
 	if j.LossScale == 0 {
 		j.LossScale = 1

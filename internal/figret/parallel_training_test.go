@@ -50,23 +50,41 @@ func weightsEqual(t *testing.T, label string, a, b []float64) {
 
 // TestTrainWorkerCountInvariance is the end-to-end determinism contract:
 // the whole loss trajectory and the trained weights are bitwise identical
-// for every TrainWorkers value. BatchSize 48 = 3 shards per minibatch, so
-// the shards genuinely run concurrently at workers > 1.
+// for every TrainWorkers value, and identical to TrainSequential. It covers
+// both ways the engine spends its workers: BatchSize 48 = 3 shards per
+// minibatch, which run concurrently with serial kernels; and BatchSize 16
+// = 1 shard, where the workers go into the kernels instead — H 44 makes
+// layer 0 (528×128) cross nn's parallel threshold as a kernel and as an
+// Adam tensor, and leaves a trailing 8-row minibatch.
 func TestTrainWorkerCountInvariance(t *testing.T) {
 	ps, tr := trainSetup(t)
-	base := Config{H: 4, Epochs: 3, Seed: 9, Gamma: 1, BatchSize: 3 * nn.GradShardRows}
+	for _, base := range []Config{
+		{H: 4, Epochs: 3, Seed: 9, Gamma: 1, BatchSize: 3 * nn.GradShardRows},
+		{H: 44, Epochs: 2, Seed: 9, Gamma: 1, BatchSize: nn.GradShardRows},
+	} {
+		ref := base
+		ref.TrainWorkers = 1
+		refStats, refW := trainWith(t, ps, ref, tr)
 
-	ref := base
-	ref.TrainWorkers = 1
-	refStats, refW := trainWith(t, ps, ref, tr)
+		for _, w := range []int{2, 3, runtime.GOMAXPROCS(0), runtime.GOMAXPROCS(0) + 5, 0} {
+			cfg := base
+			cfg.TrainWorkers = w
+			stats, weights := trainWith(t, ps, cfg, tr)
+			label := fmt.Sprintf("batch=%d workers=%d", base.BatchSize, w)
+			statsEqual(t, label, refStats, stats)
+			weightsEqual(t, label, refW, weights)
+		}
 
-	for _, w := range []int{2, 3, runtime.GOMAXPROCS(0), runtime.GOMAXPROCS(0) + 5, 0} {
-		cfg := base
-		cfg.TrainWorkers = w
-		stats, weights := trainWith(t, ps, cfg, tr)
-		label := fmt.Sprintf("workers=%d", w)
-		statsEqual(t, label, refStats, stats)
-		weightsEqual(t, label, refW, weights)
+		seq := New(ps, base)
+		seqStats, err := seq.TrainSequential(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seqW []float64
+		seq.Net.VisitParams(func(params, _ []float64) { seqW = append(seqW, params...) })
+		label := fmt.Sprintf("batch=%d sequential", base.BatchSize)
+		statsEqual(t, label, refStats, seqStats)
+		weightsEqual(t, label, refW, seqW)
 	}
 }
 
@@ -93,8 +111,9 @@ func TestTrainMacroBatchEqualsFlat(t *testing.T) {
 }
 
 // TestTrainWorkersExceedBatch covers the workers > shards edge: a
-// single-shard batch with a large worker pool must clamp to one effective
-// worker and match the single-worker run bitwise.
+// single-shard batch with a large worker pool runs its one shard inline,
+// hands the pool to that shard's kernels (far more goroutines than tiles),
+// and must match the single-worker run bitwise.
 func TestTrainWorkersExceedBatch(t *testing.T) {
 	ps, tr := trainSetup(t)
 	base := Config{H: 4, Epochs: 2, Seed: 5, Gamma: 1, BatchSize: 4}

@@ -35,7 +35,15 @@ func NewAdam(lr float64) *Adam {
 // gradients accumulated since the last ZeroGrads, then clears them. The
 // first Step binds the optimizer to net's shape; reusing it on a
 // different architecture panics instead of silently re-keying.
-func (a *Adam) Step(net *MLP) {
+func (a *Adam) Step(net *MLP) { a.step(net, 0) }
+
+// step is Step with the fan-out made explicit: a tensor of at least
+// parallelThreshold parameters is updated in chunks over at most workers
+// goroutines (0 means GOMAXPROCS, 1 starts none). Each parameter's update
+// reads and writes only its own slot of the four buffers, so chunking
+// cannot change a bit. The gradient is cleared in the same sweep that
+// consumes it.
+func (a *Adam) step(net *MLP, workers int) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
@@ -52,23 +60,35 @@ func (a *Adam) Step(net *MLP) {
 		}
 		mBuf, vBuf := a.m[ti], a.v[ti]
 		ti++
-		n := len(params)
-		grads = grads[:n]
-		mBuf = mBuf[:n]
-		vBuf = vBuf[:n]
-		for i := range params {
-			g := grads[i]
-			mBuf[i] = a.Beta1*mBuf[i] + (1-a.Beta1)*g
-			vBuf[i] = a.Beta2*vBuf[i] + (1-a.Beta2)*g*g
-			mh := mBuf[i] / c1
-			vh := vBuf[i] / c2
-			params[i] -= a.LR * mh / (math.Sqrt(vh) + a.Epsilon)
+		if workers == 1 || len(params) < parallelThreshold {
+			a.update(params, grads, mBuf, vBuf, c1, c2)
+			return
 		}
+		parallelFor(fanOut(workers), len(params), func(lo, hi int) {
+			a.update(params[lo:hi], grads[lo:hi], mBuf[lo:hi], vBuf[lo:hi], c1, c2)
+		})
 	})
 	if ti != len(a.m) {
 		panic("nn: Adam state bound to a different architecture")
 	}
-	net.ZeroGrads()
+}
+
+// update is the Adam rule over one run of parameters, zeroing each
+// gradient once read; c1, c2 are the step's bias corrections.
+func (a *Adam) update(params, grads, mBuf, vBuf []float64, c1, c2 float64) {
+	n := len(params)
+	grads = grads[:n]
+	mBuf = mBuf[:n]
+	vBuf = vBuf[:n]
+	for i := range params {
+		g := grads[i]
+		grads[i] = 0
+		mBuf[i] = a.Beta1*mBuf[i] + (1-a.Beta1)*g
+		vBuf[i] = a.Beta2*vBuf[i] + (1-a.Beta2)*g*g
+		mh := mBuf[i] / c1
+		vh := vBuf[i] / c2
+		params[i] -= a.LR * mh / (math.Sqrt(vh) + a.Epsilon)
+	}
 }
 
 // SGD is a plain stochastic-gradient-descent optimizer, provided as a

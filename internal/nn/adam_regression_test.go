@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,10 +58,24 @@ func (a *mapAdam) Step(net *MLP) {
 // TestAdamMatchesMapImplementation drives two identical networks through
 // the same gradient sequence, one stepped by the flattened Adam and one
 // by the historical map-keyed version, and requires bitwise-equal
-// parameters after every step.
+// parameters after every step. The second network has one tensor above
+// parallelThreshold (300×230), which Step updates in chunks — uneven ones
+// at 3 and 7 workers.
 func TestAdamMatchesMapImplementation(t *testing.T) {
-	a := testNet(t, 11)
-	b := testNet(t, 11)
+	small := func() *MLP { return testNet(t, 11) }
+	big := func() *MLP {
+		return NewMLP([]int{300, 230, 5}, ReLU, Sigmoid, rand.New(rand.NewSource(11)))
+	}
+	adamMatchesMap(t, "small", 25, small(), small(), (*Adam).Step)
+	adamMatchesMap(t, "big", 5, big(), big(), (*Adam).Step)
+	for _, w := range []int{1, 3, 7} {
+		adamMatchesMap(t, fmt.Sprintf("big workers=%d", w), 5, big(), big(),
+			func(opt *Adam, m *MLP) { opt.step(m, w) })
+	}
+}
+
+func adamMatchesMap(t *testing.T, label string, steps int, a, b *MLP, stepA func(*Adam, *MLP)) {
+	t.Helper()
 	optA := NewAdam(3e-3)
 	optB := newMapAdam(3e-3)
 	rng := rand.New(rand.NewSource(4))
@@ -74,22 +89,28 @@ func TestAdamMatchesMapImplementation(t *testing.T) {
 		})
 	}
 
-	for step := 0; step < 25; step++ {
+	for step := 0; step < steps; step++ {
 		seed := rng.Int63()
 		setGrads(a, seed)
 		setGrads(b, seed)
-		optA.Step(a)
+		stepA(optA, a)
 		optB.Step(b)
 		for li := range a.Layers {
 			la, lb := a.Layers[li], b.Layers[li]
 			for i := range la.W {
 				if la.W[i] != lb.W[i] {
-					t.Fatalf("step %d layer %d W[%d]: %v vs %v", step, li, i, la.W[i], lb.W[i])
+					t.Fatalf("%s: step %d layer %d W[%d]: %v vs %v", label, step, li, i, la.W[i], lb.W[i])
+				}
+				if la.GW[i] != 0 {
+					t.Fatalf("%s: step %d layer %d GW[%d] = %v after Step, want cleared", label, step, li, i, la.GW[i])
 				}
 			}
 			for i := range la.B {
 				if la.B[i] != lb.B[i] {
-					t.Fatalf("step %d layer %d B[%d]: %v vs %v", step, li, i, la.B[i], lb.B[i])
+					t.Fatalf("%s: step %d layer %d B[%d]: %v vs %v", label, step, li, i, la.B[i], lb.B[i])
+				}
+				if la.GB[i] != 0 {
+					t.Fatalf("%s: step %d layer %d GB[%d] = %v after Step, want cleared", label, step, li, i, la.GB[i])
 				}
 			}
 		}

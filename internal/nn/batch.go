@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // This file implements the batched minibatch engine (DESIGN.md §3): a
 // minibatch is a row-major [B][In] matrix, and Forward/Backward become
@@ -18,7 +15,8 @@ import (
 // Tile sizes for the blocked kernels: a tile spans up to tileRows batch
 // rows × tileOuts output rows. Tiles keep the batch-row block of the input
 // resident in cache while a block of weight rows streams through, and they
-// are the sharding unit for parallelFor on multi-core machines.
+// are the sharding unit for parallelFor in the forward pass and in
+// backward pass 1 (backward pass 2 shards over single batch rows).
 const (
 	tileRows = 16
 	tileOuts = 64
@@ -32,7 +30,9 @@ const (
 // allocated on every call. It is tied to the layer shapes of the MLP it
 // was built for and supports any batch size up to its capacity.
 //
-// A Scratch is not safe for concurrent use; use one per training goroutine.
+// A Scratch is not safe for concurrent use: one pass at a time. The
+// goroutines a kernel fans out to inside that pass write disjoint rows of
+// it.
 type Scratch struct {
 	batch int         // capacity in batch rows
 	sizes []int       // layer widths: sizes[0] = input, sizes[i+1] = Layers[i].Out
@@ -86,13 +86,15 @@ func (s *Scratch) check(m *MLP, b int) {
 // copied into an owned buffer, so the caller may reuse it immediately. The
 // returned [b][Out] matrix is owned by s and valid until the next call.
 func (m *MLP) BatchForward(x []float64, b int, s *Scratch) []float64 {
-	return m.batchForward(x, b, s, false)
+	return m.batchForward(x, b, s, 0)
 }
 
-// batchForward is BatchForward with a serial switch: serial forces the
-// per-layer kernels single-threaded, which the data-parallel engine uses
-// so its worker goroutines never nest another parallelFor.
-func (m *MLP) batchForward(x []float64, b int, s *Scratch, serial bool) []float64 {
+// batchForward is BatchForward with the kernel fan-out made explicit: each
+// layer at or above parallelThreshold splits its tiles over at most workers
+// goroutines — 0 means GOMAXPROCS (fanOut), 1 starts none. The
+// data-parallel engine passes what its shard-level parallelism leaves idle
+// (DESIGN.md §10).
+func (m *MLP) batchForward(x []float64, b int, s *Scratch, workers int) []float64 {
 	s.check(m, b)
 	in := s.sizes[0]
 	if len(x) != b*in {
@@ -100,7 +102,7 @@ func (m *MLP) batchForward(x []float64, b int, s *Scratch, serial bool) []float6
 	}
 	copy(s.acts[0][:b*in], x)
 	for i, l := range m.Layers {
-		l.batchForward(s.acts[i][:b*l.In], s.acts[i+1][:b*l.Out], b, serial)
+		l.batchForward(s.acts[i][:b*l.In], s.acts[i+1][:b*l.Out], b, workers)
 	}
 	return s.acts[len(m.Layers)][:b*s.sizes[len(s.sizes)-1]]
 }
@@ -110,15 +112,17 @@ func (m *MLP) batchForward(x []float64, b int, s *Scratch, serial bool) []float6
 // Backward calls would (bitwise-identical sums, samples in row order). It
 // returns dL/d(input), owned by s. dOut is not modified.
 func (m *MLP) BatchBackward(dOut []float64, b int, s *Scratch) []float64 {
-	return m.batchBackward(dOut, b, s, nil, false)
+	return m.batchBackward(dOut, b, s, nil, 0, true)
 }
 
-// batchBackward is BatchBackward with two extensions for the data-parallel
-// engine: g selects an alternate gradient-accumulation target (nil means
-// the network's own GW/GB), and serial forces single-threaded kernels.
-// Tensor i of g pairs with VisitParams order: g.t[2i] = layer i weights,
-// g.t[2i+1] = layer i biases.
-func (m *MLP) batchBackward(dOut []float64, b int, s *Scratch, g *Grads, serial bool) []float64 {
+// batchBackward is BatchBackward with three extensions for the
+// data-parallel engine: g selects an alternate gradient-accumulation
+// target (nil means the network's own GW/GB), workers bounds the kernel
+// fan-out as in batchForward, and inputGrad false skips layer 0's dL/dx —
+// the largest product of the pass when the input is the widest layer, and
+// one a trainer never reads — returning nil. Tensor i of g pairs with
+// VisitParams order: g.t[2i] = layer i weights, g.t[2i+1] = layer i biases.
+func (m *MLP) batchBackward(dOut []float64, b int, s *Scratch, g *Grads, workers int, inputGrad bool) []float64 {
 	s.check(m, b)
 	L := len(m.Layers)
 	out := s.sizes[L]
@@ -132,8 +136,15 @@ func (m *MLP) batchBackward(dOut []float64, b int, s *Scratch, g *Grads, serial 
 		if g != nil {
 			gw, gb = g.t[2*i], g.t[2*i+1]
 		}
+		var dx []float64
+		if i > 0 || inputGrad {
+			dx = s.grads[i][:b*l.In]
+		}
 		l.batchBackward(s.acts[i][:b*l.In], s.acts[i+1][:b*l.Out],
-			s.grads[i+1][:b*l.Out], s.grads[i][:b*l.In], gw, gb, b, serial)
+			s.grads[i+1][:b*l.Out], dx, gw, gb, b, workers)
+	}
+	if !inputGrad {
+		return nil
 	}
 	return s.grads[0][:b*s.sizes[0]]
 }
@@ -142,10 +153,10 @@ func (m *MLP) batchBackward(dOut []float64, b int, s *Scratch, g *Grads, serial 
 // shape [b][In] into y of shape [b][Out]. It retains no references to its
 // arguments. Equivalent to b Forward calls, bitwise.
 func (d *Dense) BatchForward(x, y []float64, b int) {
-	d.batchForward(x, y, b, false)
+	d.batchForward(x, y, b, 0)
 }
 
-func (d *Dense) batchForward(x, y []float64, b int, serial bool) {
+func (d *Dense) batchForward(x, y []float64, b, workers int) {
 	if len(x) != b*d.In {
 		panic(fmt.Sprintf("nn: batch input size %d, want %d×%d", len(x), b, d.In))
 	}
@@ -156,7 +167,7 @@ func (d *Dense) batchForward(x, y []float64, b int, serial bool) {
 		d.forwardBlock(x, y, 0, b, 0, d.Out)
 		return
 	}
-	if serial || runtime.GOMAXPROCS(0) <= 1 {
+	if workers = fanOut(workers); workers <= 1 {
 		// Serial but still tiled for cache; no closure allocations.
 		for b0 := 0; b0 < b; b0 += tileRows {
 			b1 := min(b0+tileRows, b)
@@ -168,7 +179,7 @@ func (d *Dense) batchForward(x, y []float64, b int, serial bool) {
 	}
 	nb := (b + tileRows - 1) / tileRows
 	no := (d.Out + tileOuts - 1) / tileOuts
-	parallelFor(nb*no, func(lo, hi int) {
+	parallelFor(workers, nb*no, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			b0 := (t / no) * tileRows
 			o0 := (t % no) * tileOuts
@@ -218,14 +229,18 @@ func (d *Dense) forwardBlock(x, y []float64, b0, b1, o0, o1 int) {
 // clobbered (overwritten with the post-activation deltas). Gradient sums
 // are bitwise identical to b sequential Backward calls in row order.
 func (d *Dense) BatchBackward(x, y, dy, dx []float64, b int) {
-	d.batchBackward(x, y, dy, dx, d.GW, d.GB, b, false)
+	if dx == nil { // batchBackward would take nil as "skip dL/dx"
+		panic("nn: batch backward needs a dx buffer")
+	}
+	d.batchBackward(x, y, dy, dx, d.GW, d.GB, b, 0)
 }
 
 // batchBackward is BatchBackward with an explicit gradient target (gw, gb)
-// — the data-parallel engine points it at per-worker shard buffers — and a
-// serial switch that keeps worker goroutines from nesting parallelFor.
-func (d *Dense) batchBackward(x, y, dy, dx, gw, gb []float64, b int, forceSerial bool) {
-	if len(x) != b*d.In || len(y) != b*d.Out || len(dy) != b*d.Out || len(dx) != b*d.In {
+// — the data-parallel engine points it at per-lane shard buffers — an
+// explicit kernel fan-out (workers, as in batchForward), and an optional
+// dx: nil skips pass 2 for a caller that will not read dL/dx.
+func (d *Dense) batchBackward(x, y, dy, dx, gw, gb []float64, b, workers int) {
+	if len(x) != b*d.In || len(y) != b*d.Out || len(dy) != b*d.Out || (dx != nil && len(dx) != b*d.In) {
 		panic(fmt.Sprintf("nn: batch backward shapes x=%d y=%d dy=%d dx=%d for b=%d (%d×%d layer)",
 			len(x), len(y), len(dy), len(dx), b, d.In, d.Out))
 	}
@@ -233,31 +248,36 @@ func (d *Dense) batchBackward(x, y, dy, dx, gw, gb []float64, b int, forceSerial
 		panic(fmt.Sprintf("nn: batch backward grad target gw=%d gb=%d for %d×%d layer",
 			len(gw), len(gb), d.In, d.Out))
 	}
-	serial := forceSerial || b*d.In*d.Out < parallelThreshold || runtime.GOMAXPROCS(0) <= 1
+	serial := b*d.In*d.Out < parallelThreshold
+	if !serial {
+		workers = fanOut(workers)
+		serial = workers <= 1
+	}
 	// Pass 1 — deltas and parameter gradients, sharded over output rows so
 	// every gw row and gb entry has a single writer. Within a row, samples
 	// accumulate in batch order, matching sequential execution.
 	if serial {
 		d.backwardGradBlock(x, y, dy, gw, gb, 0, d.Out, b)
 	} else {
-		parallelFor((d.Out+tileOuts-1)/tileOuts, func(lo, hi int) {
+		parallelFor(workers, (d.Out+tileOuts-1)/tileOuts, func(lo, hi int) {
 			for t := lo; t < hi; t++ {
 				o0 := t * tileOuts
 				d.backwardGradBlock(x, y, dy, gw, gb, o0, min(o0+tileOuts, d.Out), b)
 			}
 		})
 	}
-	// Pass 2 — dL/dx, sharded over batch rows so every dx row has a single
-	// writer. Within a row, output rows accumulate in ascending order,
-	// matching sequential execution.
+	// Pass 2 — dL/dx, sharded over single batch rows (a row's sweep over W
+	// shares nothing with its neighbours', so even one tileRows block
+	// splits) so every dx row has a single writer. Within a row, output
+	// rows accumulate in ascending order, matching sequential execution.
+	if dx == nil {
+		return
+	}
 	if serial {
 		d.backwardInputBlock(dy, dx, 0, b)
 	} else {
-		parallelFor((b+tileRows-1)/tileRows, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				b0 := t * tileRows
-				d.backwardInputBlock(dy, dx, b0, min(b0+tileRows, b))
-			}
+		parallelFor(workers, b, func(lo, hi int) {
+			d.backwardInputBlock(dy, dx, lo, hi)
 		})
 	}
 }

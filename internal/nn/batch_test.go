@@ -91,6 +91,41 @@ func TestBatchBackwardMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBatchBackwardStillReturnsInputGrad: only the training engine skips
+// layer 0's dL/dx. The public path still computes it — split over batch
+// rows once the layer reaches parallelThreshold — bitwise as b sequential
+// Backward calls do, also on a network the engine has just been through.
+func TestBatchBackwardStillReturnsInputGrad(t *testing.T) {
+	const in, out = 1201, 1101
+	for _, b := range []int{1, 2, GradShardRows - 1, GradShardRows, 2*GradShardRows + 1} {
+		net := wideNet(5)
+		ref := cloneNet(net)
+		rng := rand.New(rand.NewSource(int64(b)))
+		x := randVec(rng, b*in)
+		dOut := randVec(rng, b*out)
+
+		eng := NewDataParallel(net, 4)
+		eng.Accumulate(x, b, quadScore(out))
+		eng.Reduce()
+		net.ZeroGrads()
+
+		s := NewScratch(net, b)
+		net.BatchForward(x, b, s)
+		dx := net.BatchBackward(dOut, b, s)
+		if len(dx) != b*in {
+			t.Fatalf("b=%d: BatchBackward returned %d input gradients, want %d", b, len(dx), b*in)
+		}
+		for bi := 0; bi < b; bi++ {
+			ref.Forward(x[bi*in : (bi+1)*in])
+			for i, v := range ref.Backward(dOut[bi*out : (bi+1)*out]) {
+				if dx[bi*in+i] != v {
+					t.Fatalf("b=%d sample %d dx[%d]: batch %v, sequential %v", b, bi, i, dx[bi*in+i], v)
+				}
+			}
+		}
+	}
+}
+
 func TestBatchBackwardFiniteDifference(t *testing.T) {
 	// One layer, batch loss L = Σ_b ½‖y_b − t_b‖²: analytic batch gradient
 	// must match central differences.

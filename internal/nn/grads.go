@@ -55,18 +55,50 @@ func (g *Grads) Zero() {
 // in ascending order — one addition per element, the only rounding the
 // reduction introduces.
 func (g *Grads) Add(o *Grads) {
+	g.checkShape(o)
+	for ti, dst := range g.t {
+		src := o.t[ti][:len(dst)]
+		for i := range dst {
+			dst[i] += src[i]
+		}
+	}
+}
+
+// checkShape panics unless o has g's tensors, length for length.
+func (g *Grads) checkShape(o *Grads) {
 	if len(g.t) != len(o.t) {
 		panic(fmt.Sprintf("nn: grads shape mismatch: %d vs %d tensors", len(g.t), len(o.t)))
 	}
 	for ti, dst := range g.t {
+		if len(o.t[ti]) != len(dst) {
+			panic(fmt.Sprintf("nn: grads tensor %d length mismatch: %d vs %d", ti, len(dst), len(o.t[ti])))
+		}
+	}
+}
+
+// addAndClear is Add that also zeroes o, in the same sweep: dst += src,
+// src = 0 per element, tensors at or above parallelThreshold cut into
+// chunks over at most workers (>= 1) goroutines. Elements are
+// independent, so the sums are Add's bit for bit.
+func (g *Grads) addAndClear(o *Grads, workers int) {
+	g.checkShape(o)
+	for ti, dst := range g.t {
 		src := o.t[ti]
-		if len(src) != len(dst) {
-			panic(fmt.Sprintf("nn: grads tensor %d length mismatch: %d vs %d", ti, len(dst), len(src)))
+		if workers <= 1 || len(dst) < parallelThreshold {
+			addAndClear(dst, src)
+			continue
 		}
-		src = src[:len(dst)]
-		for i := range dst {
-			dst[i] += src[i]
-		}
+		parallelFor(workers, len(dst), func(lo, hi int) {
+			addAndClear(dst[lo:hi], src[lo:hi])
+		})
+	}
+}
+
+func addAndClear(dst, src []float64) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] += src[i]
+		src[i] = 0
 	}
 }
 
@@ -91,10 +123,16 @@ func TreeReduce(gs []*Grads) *Grads {
 	if len(gs) == 0 {
 		return nil
 	}
-	for stride := 1; stride < len(gs); stride *= 2 {
-		for i := 0; i+stride < len(gs); i += 2 * stride {
-			gs[i].Add(gs[i+stride])
+	treeReduce(len(gs), func(dst, src int) { gs[dst].Add(gs[src]) })
+	return gs[0]
+}
+
+// treeReduce is the pairing order of TreeReduce over n slots; add(dst,
+// src) folds slot src into slot dst.
+func treeReduce(n int, add func(dst, src int)) {
+	for stride := 1; stride < n; stride *= 2 {
+		for i := 0; i+stride < n; i += 2 * stride {
+			add(i, i+stride)
 		}
 	}
-	return gs[0]
 }

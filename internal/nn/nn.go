@@ -114,8 +114,10 @@ func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 	return d
 }
 
-// parallelThreshold is the work size above which Forward/Backward shard
-// across goroutines. Chosen so small nets stay single-threaded.
+// parallelThreshold is the work size (multiply-adds of a layer pass,
+// elements of an optimizer or reduction sweep) at and above which the
+// kernels shard across goroutines. Chosen so small nets stay
+// single-threaded.
 const parallelThreshold = 1 << 16
 
 // Forward computes the layer output for x, caching state for Backward. It
@@ -178,8 +180,27 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-func parallelFor(n int, f func(lo, hi int)) {
-	nsh := runtime.GOMAXPROCS(0)
+// fanOut resolves the worker bound a kernel was handed. The public entry
+// points hand down 0, meaning GOMAXPROCS; the data-parallel engine hands
+// down the share of its own pool that the micro-batch's shards leave idle.
+// Kernels call it only once they have found themselves at or above
+// parallelThreshold: runtime.GOMAXPROCS takes the scheduler's lock, and a
+// small network's Forward runs many thousand times a second from several
+// goroutines.
+func fanOut(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
+// parallelFor cuts [0, n) into at most workers contiguous chunks and runs f
+// on each, concurrently when there is more than one: the first on the
+// calling goroutine, each other on its own. The chunking decides only
+// which goroutine runs an index, so a caller whose indices write disjoint
+// memory gets the same bits for every workers.
+func parallelFor(workers, n int, f func(lo, hi int)) {
+	nsh := workers
 	if nsh > n {
 		nsh = n
 	}
@@ -189,17 +210,14 @@ func parallelFor(n int, f func(lo, hi int)) {
 	}
 	chunk := (n + nsh - 1) / nsh
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for lo := chunk; lo < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			f(lo, hi)
-		}(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
+	f(0, chunk)
 	wg.Wait()
 }
 
@@ -311,7 +329,14 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 	m.Layers = nil
 	for i := 0; i+1 < len(j.Sizes); i++ {
 		in, out := j.Sizes[i], j.Sizes[i+1]
-		if len(j.W[i]) != in*out || len(j.B[i]) != out {
+		if in <= 0 || out <= 0 {
+			return fmt.Errorf("nn: layer %d has non-positive shape %dx%d", i, in, out)
+		}
+		if j.Acts[i] < Identity || j.Acts[i] > Sigmoid {
+			return fmt.Errorf("nn: layer %d has unknown activation code %d", i, int(j.Acts[i]))
+		}
+		// in <= len(W) first: in*out can wrap for sizes no slice can have.
+		if in > len(j.W[i]) || len(j.W[i]) != in*out || len(j.B[i]) != out {
 			return fmt.Errorf("nn: layer %d weight shape mismatch", i)
 		}
 		d := &Dense{

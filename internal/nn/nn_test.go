@@ -235,6 +235,31 @@ func TestMLPJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMLPUnmarshalRejectsMalformed: checkpoint bytes come from outside the
+// program (served's upload endpoint), so every shape the decoder would
+// otherwise build a panicking or silently wrong network from is an error.
+func TestMLPUnmarshalRejectsMalformed(t *testing.T) {
+	for _, c := range []struct{ name, json string }{
+		{"valid", `{"sizes":[2,1],"acts":[2],"w":[[1,2]],"b":[[0]]}`},
+		// -1 × -1 = 1 passes the in*out length check.
+		{"negative sizes", `{"sizes":[-1,-1],"acts":[1],"w":[[1]],"b":[[]]}`},
+		{"zero input", `{"sizes":[0,1],"acts":[1],"w":[[]],"b":[[0]]}`},
+		{"zero output", `{"sizes":[2,0],"acts":[1],"w":[[]],"b":[[]]}`},
+		{"product wraps to the weight count", `{"sizes":[4611686018427387904,4],"acts":[1],"w":[[]],"b":[[0,0,0,0]]}`},
+		{"unknown activation", `{"sizes":[2,1],"acts":[3],"w":[[1,2]],"b":[[0]]}`},
+		{"negative activation", `{"sizes":[2,1],"acts":[-1],"w":[[1,2]],"b":[[0]]}`},
+		{"weight count", `{"sizes":[2,1],"acts":[1],"w":[[1,2,3]],"b":[[0]]}`},
+		{"bias count", `{"sizes":[2,1],"acts":[1],"w":[[1,2]],"b":[[0,0]]}`},
+		{"one size", `{"sizes":[2],"acts":[],"w":[],"b":[]}`},
+	} {
+		var m MLP
+		err := json.Unmarshal([]byte(c.json), &m)
+		if want := c.name != "valid"; (err != nil) != want {
+			t.Errorf("%s: error %v, want rejected=%v", c.name, err, want)
+		}
+	}
+}
+
 func TestDeterministicInit(t *testing.T) {
 	a := NewMLP([]int{4, 8, 2}, ReLU, Sigmoid, rand.New(rand.NewSource(7)))
 	b := NewMLP([]int{4, 8, 2}, ReLU, Sigmoid, rand.New(rand.NewSource(7)))

@@ -18,6 +18,15 @@ import (
 // bitwise identical for every worker count (including 1, which runs
 // inline with no goroutines at all). Worker scheduling only decides
 // *when* a lane's shards are processed, never *what* they contain.
+//
+// Where the cores go: a micro-batch with at least as many shards as the
+// engine has workers is parallel across shards, each running serial
+// kernels; one with fewer shards (the default batch of GradShardRows rows
+// is a single shard) hands the workers the shards leave idle to the
+// kernels of each shard instead — forward and backward tiles, the reduce
+// and the optimizer sweep. Every output entry, gradient row and parameter
+// keeps exactly one writer and its accumulation order under either split,
+// so the choice cannot move a bit.
 
 const (
 	// GradShardRows is the number of consecutive minibatch rows per
@@ -66,8 +75,7 @@ type dpLane struct {
 //	for each micro-batch {
 //		eng.Accumulate(x, b, score)  // forward + score + backward
 //	}
-//	eng.Reduce()                     // tree-reduce partials into m's GW/GB
-//	opt.Step(m)
+//	eng.Step(opt)                    // tree-reduce partials into m's GW/GB, then Adam
 //
 // Accumulate may be called several times before Reduce (macro-batches):
 // the shard counter runs on across calls, so K micro-batches of B rows
@@ -79,6 +87,7 @@ type dpLane struct {
 // internally.
 type DataParallel struct {
 	m       *MLP
+	netg    *Grads // aliases m's GW/GB: where Reduce lands the sum
 	workers int
 	out     int
 	lanes   [MaxGradLanes]*dpLane
@@ -95,7 +104,7 @@ func NewDataParallel(m *MLP, workers int) *DataParallel {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &DataParallel{m: m, workers: workers, out: m.Layers[len(m.Layers)-1].Out}
+	return &DataParallel{m: m, netg: m.GradView(), workers: workers, out: m.Layers[len(m.Layers)-1].Out}
 }
 
 // Workers returns the resolved worker-pool size.
@@ -138,6 +147,14 @@ func (e *DataParallel) Accumulate(x []float64, b int, score ScoreFunc) {
 	if active > MaxGradLanes {
 		active = MaxGradLanes
 	}
+	workers := e.workers
+	if workers > active {
+		workers = active
+	}
+	// Workers beyond the shard count would park; they go into each shard's
+	// kernels instead. 1 — serial kernels — once the shards alone occupy
+	// the pool.
+	kernelWorkers := max(1, e.workers/active)
 	run := func(k int) {
 		laneIdx := (base + k) % MaxGradLanes
 		ln := e.lane(laneIdx)
@@ -148,33 +165,28 @@ func (e *DataParallel) Accumulate(x []float64, b int, score ScoreFunc) {
 				r1 = b
 			}
 			rows := r1 - r0
-			y := e.m.batchForward(x[r0*in:r1*in], rows, ln.scratch, true)
+			y := e.m.batchForward(x[r0*in:r1*in], rows, ln.scratch, kernelWorkers)
 			dy := ln.dy[:rows*e.out]
 			score(laneIdx, y, r0, r1, dy)
 			// The first shard of a lane accumulates straight into the
 			// (zeroed) lane partial; later shards are computed into a
 			// zeroed side buffer and folded in with one rounded add per
-			// element — the canonical reduction order.
+			// element — the canonical reduction order — which clears the
+			// side buffer for the next shard in the same sweep.
 			tgt := ln.grads
 			if ln.dirty {
 				if ln.shard == nil {
 					ln.shard = NewGrads(e.m)
-				} else {
-					ln.shard.Zero()
 				}
 				tgt = ln.shard
 			}
-			e.m.batchBackward(dy, rows, ln.scratch, tgt, true)
+			e.m.batchBackward(dy, rows, ln.scratch, tgt, kernelWorkers, false)
 			if ln.dirty {
-				ln.grads.Add(ln.shard)
+				ln.grads.addAndClear(ln.shard, kernelWorkers)
 			} else {
 				ln.dirty = true
 			}
 		}
-	}
-	workers := e.workers
-	if workers > active {
-		workers = active
 	}
 	if workers <= 1 {
 		for k := 0; k < active; k++ {
@@ -204,8 +216,11 @@ func (e *DataParallel) Accumulate(x []float64, b int, score ScoreFunc) {
 // Reduce folds the lane partials into the network's GW/GB by the fixed
 // pairwise tree over lanes [0, used) and resets the engine for the next
 // macro-batch. It is a no-op if nothing was accumulated. The network's
-// gradient buffers are expected to be zero on entry (optimizer Steps end
-// with ZeroGrads), so after Reduce they hold exactly the reduced sum.
+// gradient buffers are expected to be zero on entry (optimizer Steps
+// clear them), so after Reduce they hold exactly the reduced sum. Every
+// lane is the source of exactly one add of the tree (lane 0 of the final
+// one into the network), so each add clears its source in the same sweep
+// and no separate zeroing pass follows.
 func (e *DataParallel) Reduce() {
 	used := e.shards
 	if used > MaxGradLanes {
@@ -216,15 +231,20 @@ func (e *DataParallel) Reduce() {
 	}
 	// The shard counter resets every Reduce, so the dirty lanes are
 	// exactly [0, used).
-	var parts [MaxGradLanes]*Grads
+	treeReduce(used, func(dst, src int) {
+		e.lanes[dst].grads.addAndClear(e.lanes[src].grads, e.workers)
+	})
+	e.netg.addAndClear(e.lanes[0].grads, e.workers)
 	for i := 0; i < used; i++ {
-		parts[i] = e.lanes[i].grads
-	}
-	TreeReduce(parts[:used])
-	e.m.GradView().Add(parts[0])
-	for i := 0; i < used; i++ {
-		e.lanes[i].grads.Zero()
 		e.lanes[i].dirty = false
 	}
 	e.shards = 0
+}
+
+// Step ends a macro-batch: Reduce, then one update of opt on the network,
+// its sweep bounded by the engine's worker pool like the step's other
+// kernels (opt.Step on its own is bounded by GOMAXPROCS).
+func (e *DataParallel) Step(opt *Adam) {
+	e.Reduce()
+	opt.step(e.m, e.workers)
 }

@@ -14,6 +14,17 @@ func testNet(t *testing.T, seed int64) *MLP {
 	return NewMLP([]int{7, 11, 5}, ReLU, Sigmoid, rng)
 }
 
+// wideNet builds an MLP in which every layer class — wide-in, square,
+// wide-out — reaches parallelThreshold already at b=1 (1201×67, 257×257,
+// 66×1101), so the engine's kernel-parallel path runs at every batch size;
+// the two narrow layers between them cross it from b=4. Output widths are
+// not multiples of tileOuts and give 2, 5 and 18 tiles: uneven chunks for
+// 3 and 4 workers.
+func wideNet(seed int64) *MLP {
+	rng := rand.New(rand.NewSource(seed))
+	return NewMLP([]int{1201, 67, 257, 257, 66, 1101}, ReLU, Sigmoid, rng)
+}
+
 // testBatch builds a deterministic [b][in] input matrix.
 func testBatch(b, in int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -59,16 +70,32 @@ func gradsEqual(t *testing.T, label string, a, b [][]float64) {
 }
 
 // runEngine accumulates the given micro-batches on a fresh engine over a
-// fresh net and returns the reduced gradient snapshot.
+// fresh testNet and returns the reduced gradient snapshot.
 func runEngine(t *testing.T, workers int, micros [][]float64, rows []int) [][]float64 {
 	t.Helper()
-	m := testNet(t, 1)
+	return runEngineOn(testNet(t, 1), workers, micros, rows)
+}
+
+// runEngineOn is runEngine over a caller-built net.
+func runEngineOn(m *MLP, workers int, micros [][]float64, rows []int) [][]float64 {
 	eng := NewDataParallel(m, workers)
-	score := quadScore(5)
+	score := quadScore(m.Layers[len(m.Layers)-1].Out)
 	for i, x := range micros {
 		eng.Accumulate(x, rows[i], score)
 	}
 	eng.Reduce()
+	return snapshotGrads(m)
+}
+
+// plainGrads is the gradient of one BatchForward + quadScore +
+// BatchBackward over m, with no engine involved.
+func plainGrads(m *MLP, x []float64, b int) [][]float64 {
+	out := m.Layers[len(m.Layers)-1].Out
+	s := NewScratch(m, b)
+	y := m.BatchForward(x, b, s)
+	dy := make([]float64, b*out)
+	quadScore(out)(0, y, 0, b, dy)
+	m.BatchBackward(dy, b, s)
 	return snapshotGrads(m)
 }
 
@@ -93,17 +120,68 @@ func TestDataParallelWorkerCountInvariance(t *testing.T) {
 func TestDataParallelSingleShardMatchesBatchBackward(t *testing.T) {
 	for _, b := range []int{1, 2, GradShardRows} {
 		x := testBatch(b, 7, 7)
-
-		ref := testNet(t, 1)
-		s := NewScratch(ref, b)
-		y := ref.BatchForward(x, b, s)
-		dy := make([]float64, b*5)
-		quadScore(5)(0, y, 0, b, dy)
-		ref.BatchBackward(dy, b, s)
-		want := snapshotGrads(ref)
-
+		want := plainGrads(testNet(t, 1), x, b)
 		got := runEngine(t, 4, [][]float64{x}, []int{b})
 		gradsEqual(t, fmt.Sprintf("single-shard b=%d", b), want, got)
+	}
+}
+
+// TestDataParallelSingleShardKernelParallel covers the path a micro-batch
+// with fewer shards than workers takes: the idle workers go into the
+// kernels (forward tiles, backward pass 1 over output tiles, pass 2 over
+// batch rows, layer 0's dL/dx skipped, fused parallel reduce). The reduced
+// gradient must be bitwise the workers=1 one — which starts no goroutine —
+// and, for a single shard, that of a plain BatchForward + BatchBackward.
+// 32 and 33 rows are two and three shards: with more workers than that,
+// shard goroutines nest kernel goroutines.
+func TestDataParallelSingleShardKernelParallel(t *testing.T) {
+	workers := []int{2, 3, 4, runtime.GOMAXPROCS(0) + 5}
+	for _, b := range []int{1, 2, GradShardRows - 1, GradShardRows, 2 * GradShardRows, 2*GradShardRows + 1} {
+		x := testBatch(b, 1201, 17)
+		ref := runEngineOn(wideNet(1), 1, [][]float64{x}, []int{b})
+		if b <= GradShardRows {
+			gradsEqual(t, fmt.Sprintf("b=%d workers=1 vs BatchBackward", b), plainGrads(wideNet(1), x, b), ref)
+		}
+		for _, w := range workers {
+			got := runEngineOn(wideNet(1), w, [][]float64{x}, []int{b})
+			gradsEqual(t, fmt.Sprintf("b=%d workers=%d", b, w), ref, got)
+		}
+	}
+}
+
+// TestDataParallelStepMatchesReduceThenAdam pins Step: the engine-bounded
+// optimizer sweep leaves bitwise the parameters of Reduce followed by the
+// public Adam.Step, and leaves the gradients cleared, for every worker
+// count.
+func TestDataParallelStepMatchesReduceThenAdam(t *testing.T) {
+	const b = GradShardRows
+	const steps = 3
+	x := testBatch(b, 1201, 23)
+	ref := wideNet(2)
+	refEng, refOpt := NewDataParallel(ref, 1), NewAdam(3e-3)
+	for step := 0; step < steps; step++ {
+		refEng.Accumulate(x, b, quadScore(1101))
+		refEng.Reduce()
+		refOpt.Step(ref)
+	}
+	for _, w := range []int{1, 2, 3, runtime.GOMAXPROCS(0) + 5} {
+		m := wideNet(2)
+		eng, opt := NewDataParallel(m, w), NewAdam(3e-3)
+		for step := 0; step < steps; step++ {
+			eng.Accumulate(x, b, quadScore(1101))
+			eng.Step(opt)
+		}
+		for li, l := range m.Layers {
+			gradsEqual(t, fmt.Sprintf("workers=%d layer %d params", w, li),
+				[][]float64{ref.Layers[li].W, ref.Layers[li].B}, [][]float64{l.W, l.B})
+			for _, g := range [][]float64{l.GW, l.GB} {
+				for i, v := range g {
+					if v != 0 {
+						t.Fatalf("workers=%d layer %d: gradient %d is %v after Step, want cleared", w, li, i, v)
+					}
+				}
+			}
+		}
 	}
 }
 

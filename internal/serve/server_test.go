@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -410,5 +413,76 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if _, err := client.PostSnapshot("pod", []float64{1}); err == nil {
 		t.Fatal("short demand vector accepted")
+	}
+}
+
+// TestUploadRejectsCheckpointThatCannotPredict: a checkpoint whose window
+// (cfg.H × pairs) disagrees with its network's input width, or whose layer
+// sizes are malformed, used to be activated by the upload and to panic the
+// controller goroutine on the next snapshot. The upload must answer 4xx,
+// the active version must stay, and the next decision must still be served
+// by it.
+func TestUploadRejectsCheckpointThatCannotPredict(t *testing.T) {
+	ps, tr, m := fixture(t, 40, 5)
+	client, _, reg := startServer(t, "pod", ps, ControllerOptions{})
+	good, err := m.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.UploadCheckpoint("pod", good); err != nil {
+		t.Fatal(err)
+	}
+	h := m.Cfg.H
+	for i := 0; i < h; i++ {
+		if _, err := client.PostSnapshot("pod", tr.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(good, &fields); err != nil {
+		t.Fatal(err)
+	}
+	withField := func(key, value string) []byte {
+		t.Helper()
+		edited := map[string]json.RawMessage{}
+		for k, v := range fields {
+			edited[k] = v
+		}
+		edited[key] = json.RawMessage(value)
+		data, err := json.Marshal(edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	cfg := m.Cfg
+	cfg.H = h - 1
+	shortWindow, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"window shorter than the network input": withField("cfg", string(shortWindow)),
+		"negative layer sizes":                  withField("net", `{"sizes":[-1,-1],"acts":[1],"w":[[1]],"b":[[]]}`),
+	} {
+		resp, err := http.Post(client.BaseURL+"/v1/topologies/pod/checkpoints", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("%s: upload answered %d, want 4xx", name, resp.StatusCode)
+		}
+		if v := reg.Active("pod").Version; v != 1 {
+			t.Fatalf("%s: active checkpoint is version %d, want 1", name, v)
+		}
+		rr, err := client.PostSnapshot("pod", tr.At(h))
+		if err != nil {
+			t.Fatalf("%s: next snapshot: %v", name, err)
+		}
+		if rr.Warming || rr.Version != 1 {
+			t.Fatalf("%s: next decision = warming %v version %d, want a version-1 decision", name, rr.Warming, rr.Version)
+		}
 	}
 }
