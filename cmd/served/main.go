@@ -385,10 +385,12 @@ type topoConfig struct {
 // addTopology builds one topology's environment, starts its controller
 // and, with bootstrap set, trains and installs its first checkpoint.
 func (c *topoConfig) addTopology(topo string) error {
+	start := time.Now()
 	env, err := experiments.NewEnv(topo, c.scale, c.env)
 	if err != nil {
 		return err
 	}
+	envDone := time.Now()
 	if err := c.reg.AddTopology(topo, env.PS); err != nil {
 		return err
 	}
@@ -411,17 +413,22 @@ func (c *topoConfig) addTopology(topo string) error {
 		c.logger.Info("topology ready", "topology", topo, "checkpoint", "none (uniform fallback until upload)")
 		return nil
 	}
+	trainStart := time.Now()
 	m := figret.New(env.PS, c.model)
 	stats, err := m.Train(env.Train)
 	if err != nil {
 		return err
 	}
+	trained := time.Now()
 	ck, err := c.reg.Install(topo, m, "bootstrap")
 	if err != nil {
 		return err
 	}
+	// Where the boot went, stage by stage, for whoever reads the log.
 	c.logger.Info("topology ready", "topology", topo, "version", ck.Version,
 		"params", m.Net.NumParams(),
+		"env_s", envDone.Sub(start).Seconds(), "train_s", trained.Sub(trainStart).Seconds(),
+		"install_s", time.Since(trained).Seconds(),
 		"train_mlu_first", stats.EpochMLU[0], "train_mlu_last", stats.EpochMLU[len(stats.EpochMLU)-1])
 	return nil
 }

@@ -2,6 +2,7 @@ package figret
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -44,6 +45,15 @@ func TestCheckpointRoundTripBitwise(t *testing.T) {
 			back, err := LoadModel(ps, data)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Snapshot is this round trip without the text: the same model,
+			// field for field (Cfg, weights, fresh gradient buffers).
+			snap, err := m.Snapshot(ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(snap, back) {
+				t.Fatalf("Snapshot differs from LoadModel(MarshalJSON): cfg %+v vs %+v", snap.Cfg, back.Cfg)
 			}
 			if back.Scale != m.Scale || back.LossScale != m.LossScale {
 				t.Fatalf("normalization state changed: scale %v->%v, loss scale %v->%v",

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"figret/internal/nn"
 	"figret/internal/te"
@@ -854,6 +855,29 @@ func LoadModel(ps *te.PathSet, data []byte) (*Model, error) {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return nil, err
 	}
+	return bind(ps, j)
+}
+
+// Snapshot returns an independent deep copy of m bound to ps: the model
+// LoadModel(ps, m.MarshalJSON()) yields, bit for bit and through the same
+// validation (Cfg.TrainWorkers, never serialized, comes out 0), without
+// the text.
+func (m *Model) Snapshot(ps *te.PathSet) (*Model, error) {
+	j := modelJSON{Cfg: m.Cfg, VarWeights: slices.Clone(m.VarWeights), Scale: m.Scale, LossScale: m.LossScale}
+	j.Cfg.TrainWorkers = 0
+	j.Cfg.Hidden = slices.Clone(m.Cfg.Hidden)
+	if m.Net != nil {
+		var err error
+		if j.Net, err = m.Net.Snapshot(); err != nil {
+			return nil, err
+		}
+	}
+	return bind(ps, j)
+}
+
+// bind validates a decoded or snapshotted model against ps and assembles
+// the Model over j's network and slices.
+func bind(ps *te.PathSet, j modelJSON) (*Model, error) {
 	if j.Net == nil || len(j.VarWeights) != ps.Pairs.Count() {
 		return nil, fmt.Errorf("figret: serialized model does not match topology")
 	}
@@ -861,13 +885,23 @@ func LoadModel(ps *te.PathSet, data []byte) (*Model, error) {
 	if out != ps.NumPaths() {
 		return nil, fmt.Errorf("figret: model outputs %d paths, topology has %d", out, ps.NumPaths())
 	}
+	// JSON cannot carry NaN or ±Inf (json.Marshal refuses them); a snapshot
+	// of a diverged in-process model can. nn has checked the network.
+	scalars := []float64{j.Scale, j.LossScale, j.Cfg.Gamma, j.Cfg.LR, j.Cfg.BetaRel, j.Cfg.LRDecay, j.Cfg.LatencyWeight}
+	for _, vs := range [][]float64{scalars, j.VarWeights} {
+		for _, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("figret: model holds a non-finite scale, hyperparameter or variance weight %v", v)
+			}
+		}
+	}
 	// The window the predictor assembles is cfg.H snapshots of every pair;
 	// a first layer of any other width would panic on the first Predict.
 	if in := j.Net.Layers[0].In; j.Cfg.H <= 0 || j.Cfg.H*ps.Pairs.Count() != in {
 		return nil, fmt.Errorf("figret: model window H=%d over %d pairs does not match its %d network inputs",
 			j.Cfg.H, ps.Pairs.Count(), in)
 	}
-	// Inputs are divided by Scale (a JSON number, so never NaN or ±Inf).
+	// Inputs are divided by Scale.
 	if j.Scale <= 0 {
 		return nil, fmt.Errorf("figret: model input scale %v is not positive", j.Scale)
 	}

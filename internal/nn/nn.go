@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -302,8 +303,8 @@ type mlpJSON struct {
 	B     [][]float64  `json:"b"`
 }
 
-// MarshalJSON serializes architecture and weights.
-func (m *MLP) MarshalJSON() ([]byte, error) {
+// parts lays m out in the serialization schema, aliasing its tensors.
+func (m *MLP) parts() mlpJSON {
 	j := mlpJSON{}
 	for i, l := range m.Layers {
 		if i == 0 {
@@ -314,7 +315,12 @@ func (m *MLP) MarshalJSON() ([]byte, error) {
 		j.W = append(j.W, l.W)
 		j.B = append(j.B, l.B)
 	}
-	return json.Marshal(j)
+	return j
+}
+
+// MarshalJSON serializes architecture and weights.
+func (m *MLP) MarshalJSON() ([]byte, error) {
+	return json.Marshal(m.parts())
 }
 
 // UnmarshalJSON restores architecture and weights.
@@ -323,6 +329,28 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
+	return m.fromParts(j)
+}
+
+// Snapshot returns an independent copy of m — the same architecture and
+// parameters in fresh tensors, zero gradients, no forward state — built
+// and validated as UnmarshalJSON(MarshalJSON(m)) would build it, bit for
+// bit, without the text.
+func (m *MLP) Snapshot() (*MLP, error) {
+	j := m.parts()
+	for i := range j.W {
+		j.W[i], j.B[i] = slices.Clone(j.W[i]), slices.Clone(j.B[i])
+	}
+	out := &MLP{}
+	if err := out.fromParts(j); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// fromParts validates a decoded or snapshotted schema and builds the
+// layers over its tensors, which m owns from then on.
+func (m *MLP) fromParts(j mlpJSON) error {
 	if len(j.Sizes) < 2 || len(j.W) != len(j.Sizes)-1 || len(j.Acts) != len(j.W) || len(j.B) != len(j.W) {
 		return fmt.Errorf("nn: malformed MLP JSON")
 	}
@@ -338,6 +366,15 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 		// in <= len(W) first: in*out can wrap for sizes no slice can have.
 		if in > len(j.W[i]) || len(j.W[i]) != in*out || len(j.B[i]) != out {
 			return fmt.Errorf("nn: layer %d weight shape mismatch", i)
+		}
+		// JSON cannot carry NaN or ±Inf (json.Marshal refuses them); a
+		// snapshot of a diverged in-process model can.
+		for _, t := range [][]float64{j.W[i], j.B[i]} {
+			for _, v := range t {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("nn: layer %d has a non-finite parameter", i)
+				}
+			}
 		}
 		d := &Dense{
 			In: in, Out: out, Act: j.Acts[i],

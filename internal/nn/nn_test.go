@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -256,6 +257,48 @@ func TestMLPUnmarshalRejectsMalformed(t *testing.T) {
 		err := json.Unmarshal([]byte(c.json), &m)
 		if want := c.name != "valid"; (err != nil) != want {
 			t.Errorf("%s: error %v, want rejected=%v", c.name, err, want)
+		}
+	}
+}
+
+// TestMLPSnapshot: Snapshot yields the network the JSON round trip
+// yields (after a training step, so gradients and forward state are
+// dirty on the source and must not travel), shares no tensor with its
+// source, and refuses what json.Marshal refuses.
+func TestMLPSnapshot(t *testing.T) {
+	src := NewMLP([]int{3, 5, 2}, ReLU, Sigmoid, rand.New(rand.NewSource(11)))
+	src.Forward([]float64{1, 2, 3})
+	src.Backward([]float64{1, -1})
+	data, err := json.Marshal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back MLP
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, &back) {
+		t.Fatal("Snapshot differs from the MarshalJSON/UnmarshalJSON round trip")
+	}
+	src.VisitParams(func(params, _ []float64) {
+		for i := range params {
+			params[i] = 42
+		}
+	})
+	if !reflect.DeepEqual(snap, &back) {
+		t.Fatal("overwriting the source reached its snapshot")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		src.Layers[1].B[1] = bad
+		if _, err := src.Snapshot(); err == nil {
+			t.Errorf("Snapshot accepted a %v bias", bad)
+		}
+		if _, err := json.Marshal(src); err == nil {
+			t.Errorf("json.Marshal accepted a %v bias: the round trip no longer refuses it", bad)
 		}
 	}
 }

@@ -88,6 +88,34 @@ func BenchmarkServeDecision(b *testing.B) {
 	})
 }
 
+// BenchmarkRegistryInstall measures one in-process install — what boot,
+// every accepted drift retrain and the scenario runner's served cells pay
+// — of the paper's network on GEANT (H 12, five hidden layers of 128,
+// ~1M parameters). Its B/op is the gated number: a snapshot allocates
+// the weights once more plus their gradient buffers (~2 × 8 B per
+// parameter), whereas a serialise-and-reparse install allocated the JSON
+// text, its growth buffers, a retained copy and the parsed weights on
+// top — an order of magnitude that trips the B/op band should a
+// serialisation creep back onto this path.
+func BenchmarkRegistryInstall(b *testing.B) {
+	ps, err := te.NewPathSet(graph.GEANT(), 3, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := figret.New(ps, figret.Config{Seed: 7})
+	reg := NewRegistry()
+	if err := reg.AddTopology("geant", ps); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := reg.Install("geant", m, "bench"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServeThroughput measures the serving data plane's sustained
 // decision throughput on a GEANT WAN replay workload, one sub-benchmark
 // per transport:

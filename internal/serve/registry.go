@@ -22,6 +22,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,9 +32,10 @@ import (
 	"figret/internal/traffic"
 )
 
-// Checkpoint is one immutable registry entry: a model version plus its
-// serialized form. The Model must never be trained after registration —
-// decision paths read its weights concurrently through pooled predictors.
+// Checkpoint is one immutable registry entry: a model version only the
+// registry holds (parsed from an upload, or a snapshot of an installed
+// model), so nothing trains it while decision paths read its weights
+// concurrently through pooled predictors.
 type Checkpoint struct {
 	// Version is the registry-assigned monotonically increasing id (1-based
 	// per topology).
@@ -41,12 +43,10 @@ type Checkpoint struct {
 	// Source records how the checkpoint arrived: "bootstrap", "upload" or
 	// "retrain".
 	Source string
-	// Data is the canonical serialized form (figret.MarshalJSON). The
-	// served Model is always LoadModel(Data), so what the registry serves
-	// is bitwise the checkpoint's round-trip — the invariant the figret
-	// checkpoint round-trip tests pin down.
-	Data []byte
-	// Model is the deserialized model this checkpoint serves.
+	// Bytes sizes the checkpoint in the listing: an upload's body length,
+	// 8 × the parameter count for an install. The daemon never reads it.
+	Bytes int
+	// Model is the validated model this checkpoint serves.
 	Model *figret.Model
 
 	// pool recycles goroutine-confined predictors for Model. Each borrow
@@ -156,36 +156,39 @@ func (r *Registry) Topologies() []string {
 
 // PathSet returns the registered path set for a topology, or nil.
 func (r *Registry) PathSet(topo string) *te.PathSet {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if tm := r.topos[topo]; tm != nil {
+	if tm := r.stack(topo); tm != nil {
 		return tm.ps
 	}
 	return nil
 }
 
-// Install serializes m, round-trips it through LoadModel and activates the
-// result as the topology's next version. Serving the round-trip (rather
-// than m itself) guarantees the served weights are exactly what Data
-// records — uploads and in-process installs behave identically.
+// Install activates an independent, validated snapshot of m
+// (figret.Model.Snapshot) as the topology's next version: bitwise the
+// model an Upload of m.MarshalJSON() would serve, rejected for whatever
+// that upload would be rejected for, and m stays the caller's to train.
 func (r *Registry) Install(topo string, m *figret.Model, source string) (*Checkpoint, error) {
-	data, err := m.MarshalJSON()
-	if err != nil {
-		return nil, fmt.Errorf("serve: serialize model for %q: %w", topo, err)
-	}
-	return r.install(topo, data, source, nil)
+	return r.InstallIf(topo, m, source, nil)
 }
 
-// InstallIf is Install gated on the active checkpoint: the new version is
-// only activated while expect is still serving, so a slow background
-// producer (the drift retrainer) cannot silently supersede a checkpoint
-// installed while it was working. It returns ErrSuperseded otherwise.
+// InstallIf is Install gated on the active checkpoint when expect is
+// non-nil: the new version is only activated while expect is still
+// serving, so a slow background producer (the drift retrainer) cannot
+// silently supersede a checkpoint installed while it was working. It
+// returns ErrSuperseded otherwise, before copying m if expect is already
+// gone on entry.
 func (r *Registry) InstallIf(topo string, m *figret.Model, source string, expect *Checkpoint) (*Checkpoint, error) {
-	data, err := m.MarshalJSON()
-	if err != nil {
-		return nil, fmt.Errorf("serve: serialize model for %q: %w", topo, err)
+	tm := r.stack(topo)
+	if tm == nil {
+		return nil, fmt.Errorf("serve: unknown topology %q", topo)
 	}
-	return r.install(topo, data, source, expect)
+	if expect != nil && tm.active.Load() != expect {
+		return nil, fmt.Errorf("serve: %q: %w", topo, ErrSuperseded)
+	}
+	snap, err := m.Snapshot(tm.ps)
+	if err != nil {
+		return nil, fmt.Errorf("serve: checkpoint rejected for %q: %w", topo, err)
+	}
+	return r.activate(topo, tm, &Checkpoint{Source: source, Bytes: 8 * snap.Net.NumParams(), Model: snap}, expect)
 }
 
 // ErrSuperseded reports an InstallIf whose expected incumbent was no
@@ -193,32 +196,35 @@ func (r *Registry) InstallIf(topo string, m *figret.Model, source string, expect
 var ErrSuperseded = errors.New("active checkpoint changed")
 
 // Upload validates a serialized checkpoint against the topology's path set
-// and atomically activates it as the next version.
+// and atomically activates it as the next version — the one place the
+// registry parses JSON: where bytes arrive from outside the process.
 func (r *Registry) Upload(topo string, data []byte, source string) (*Checkpoint, error) {
-	return r.install(topo, data, source, nil)
-}
-
-// install deserializes and activates one checkpoint. Deserialization —
-// the expensive part for multi-MB checkpoints — runs outside the
-// registry lock, so an upload for one topology never stalls another
-// topology's Active reads (the decision hot path). When expect is
-// non-nil the activation is conditional on it still being active.
-func (r *Registry) install(topo string, data []byte, source string, expect *Checkpoint) (*Checkpoint, error) {
-	r.mu.Lock()
-	tm := r.topos[topo]
-	r.mu.Unlock()
+	tm := r.stack(topo)
 	if tm == nil {
 		return nil, fmt.Errorf("serve: unknown topology %q", topo)
 	}
-	m, err := figret.LoadModel(tm.ps, data) // tm.ps is immutable after AddTopology
+	m, err := figret.LoadModel(tm.ps, data)
 	if err != nil {
 		return nil, fmt.Errorf("serve: checkpoint rejected for %q: %w", topo, err)
 	}
-	ck := &Checkpoint{
-		Source: source,
-		Data:   append([]byte(nil), data...),
-		Model:  m,
-	}
+	return r.activate(topo, tm, &Checkpoint{Source: source, Bytes: len(data), Model: m}, nil)
+}
+
+// stack returns a topology's version stack, nil when it is unregistered.
+// The stack's path set is immutable after AddTopology, so a checkpoint's
+// model — the expensive part — is built outside the registry lock and
+// never stalls another topology's Active reads (the decision hot path).
+func (r *Registry) stack(topo string) *topoModels {
+	r.mu.Lock()
+	tm := r.topos[topo]
+	r.mu.Unlock()
+	return tm
+}
+
+// activate assigns ck the topology's next version and swaps it in. When
+// expect is non-nil the activation is conditional on it still being
+// active.
+func (r *Registry) activate(topo string, tm *topoModels, ck *Checkpoint, expect *Checkpoint) (*Checkpoint, error) {
 	r.mu.Lock()
 	if expect != nil && tm.active.Load() != expect {
 		r.mu.Unlock()
@@ -230,22 +236,14 @@ func (r *Registry) install(topo string, data []byte, source string, expect *Chec
 	tm.active.Store(ck)
 	// Retention: drop the oldest retired versions beyond the bound so a
 	// long-running daemon with drift retraining cannot grow without
-	// limit. The active checkpoint is never pruned.
+	// limit. ck, the active checkpoint, is the newest and never pruned.
 	if over := len(tm.versions) - retainVersions; over > 0 {
-		kept := tm.versions[:0]
-		for _, v := range tm.versions {
-			if over > 0 && v != ck {
-				over--
-				continue
-			}
-			kept = append(kept, v)
-		}
-		tm.versions = kept
+		tm.versions = slices.Delete(tm.versions, 0, over)
 	}
 	tel := r.tel
 	r.mu.Unlock()
 	if tel != nil {
-		tel.topo(topo).install(source)
+		tel.topo(topo).install(ck.Source)
 	}
 	return ck, nil
 }
@@ -260,13 +258,10 @@ const retainVersions = 16
 // append-only topology map plus one atomic load — never blocked by
 // checkpoint deserialization (see Upload).
 func (r *Registry) Active(topo string) *Checkpoint {
-	r.mu.Lock()
-	tm := r.topos[topo]
-	r.mu.Unlock()
-	if tm == nil {
-		return nil
+	if tm := r.stack(topo); tm != nil {
+		return tm.active.Load()
 	}
-	return tm.active.Load()
+	return nil
 }
 
 // Get returns the topology's checkpoint with the given version, or nil.
@@ -334,7 +329,7 @@ func (r *Registry) List(topo string) []CheckpointInfo {
 		out[i] = CheckpointInfo{
 			Version: ck.Version,
 			Source:  ck.Source,
-			Bytes:   len(ck.Data),
+			Bytes:   ck.Bytes,
 			Active:  ck == cur,
 		}
 	}

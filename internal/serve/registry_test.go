@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -154,5 +157,309 @@ func TestCheckpointPredictMatchesModel(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestInstallServesWhatUploadServes: an in-process Install serves the
+// model an Upload of the same model's MarshalJSON serves — the snapshot is
+// the round trip without the text. Twin servers, one fed each way, must
+// hold deep-equal models (Cfg included, TrainWorkers 0 on both as the
+// json:"-" round trip leaves it) and answer a replay with bitwise-equal
+// decisions over every transport.
+func TestInstallServesWhatUploadServes(t *testing.T) {
+	ps, tr, m := fixture(t, 60, 1)
+	m.Cfg.TrainWorkers = 3
+	data, err := m.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, transport := range transports {
+		installed, _, regI := startServer(t, "pod", ps, ControllerOptions{HistoryCap: 16})
+		uploaded, _, regU := startServer(t, "pod", ps, ControllerOptions{HistoryCap: 16})
+		ckI, err := regI.Install("pod", m, "bootstrap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckU, err := regU.Upload("pod", data, "bootstrap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ckI.Model == m || ckI.Model.Net == m.Net {
+			t.Fatal("Install serves the caller's own model")
+		}
+		if ckI.Model.Cfg.TrainWorkers != 0 {
+			t.Fatalf("installed Cfg.TrainWorkers = %d, want 0", ckI.Model.Cfg.TrainWorkers)
+		}
+		if !reflect.DeepEqual(ckI.Model, ckU.Model) {
+			t.Fatalf("installed model differs from uploaded model:\ncfg %+v\nvs  %+v", ckI.Model.Cfg, ckU.Model.Cfg)
+		}
+		if ckI.Bytes != 8*m.Net.NumParams() || ckU.Bytes != len(data) {
+			t.Fatalf("Bytes = %d (install) / %d (upload), want %d / %d", ckI.Bytes, ckU.Bytes, 8*m.Net.NumParams(), len(data))
+		}
+		a, err := Replay(postOver(t, transport, installed, "pod", ps, nil), ps, tr, ReplayOptions{To: 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Replay(postOver(t, transport, uploaded, "pod", ps, nil), ps, tr, ReplayOptions{To: 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Decisions) != 30 || len(b.Decisions) != 30 {
+			t.Fatalf("%s: %d / %d decisions, want 30", transport, len(a.Decisions), len(b.Decisions))
+		}
+		for i := range a.Decisions {
+			sameDecisionAt(t, transport, a.Decisions[i], b.Decisions[i], false)
+		}
+	}
+}
+
+// TestInstallSnapshotIsIndependent: the caller keeps its model. Training
+// it further and then scribbling over every weight while the daemon
+// serves (run under -race) changes no decision — each stays bitwise the
+// offline inference of the model as it was at Install — and an edit of
+// the caller's Cfg.Hidden does not reach the checkpoint.
+func TestInstallSnapshotIsIndependent(t *testing.T) {
+	ps, tr, m := fixture(t, 60, 2)
+	m.Cfg.Hidden = []int{128, 128, 128, 128, 128} // what withDefaults chose, owned here
+	data, err := m.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := figret.LoadModel(ps, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, _, reg := startServer(t, "pod", ps, ControllerOptions{HistoryCap: 16})
+	ck, err := reg.Install("pod", m, "bootstrap")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Train(tr)
+		m.Net.VisitParams(func(params, _ []float64) {
+			for i := range params {
+				params[i] = math.NaN()
+			}
+		})
+		for i := range m.VarWeights {
+			m.VarWeights[i] = -1
+		}
+		m.Cfg.Hidden[0] = 7
+		m.Scale = 0
+		done <- err
+	}()
+	h := frozen.Cfg.H
+	check := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			rr, err := client.PostSnapshot("pod", tr.At(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i < h-1 {
+				continue
+			}
+			want, err := frozen.Predict(tr.Window(i+1, h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rr.Warming || rr.Version != 1 || len(rr.Ratios) != len(want.R) {
+				t.Fatalf("t=%d: warming %v version %d, %d ratios", i, rr.Warming, rr.Version, len(rr.Ratios))
+			}
+			for p := range want.R {
+				if math.Float64bits(rr.Ratios[p]) != math.Float64bits(want.R[p]) {
+					t.Fatalf("t=%d path %d: served %v, model at install %v", i, p, rr.Ratios[p], want.R[p])
+				}
+			}
+		}
+	}
+	check(0, 30) // while m trains and is overwritten
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	check(30, tr.Len()) // and after
+	if got := ck.Model.Cfg.Hidden[0]; got != 128 {
+		t.Fatalf("checkpoint Cfg.Hidden[0] = %d after the caller's edit, want 128", got)
+	}
+}
+
+// TestInstallRejectsWhatUploadRejects: the snapshot route runs every
+// check the serialize-and-reparse route ran. Each broken model must fail
+// Install, and must equally fail the JSON route — either MarshalJSON
+// refuses to encode it (NaN/±Inf; that error used to be Install's) or
+// Upload rejects the bytes — and after each the active version and the
+// next decision are what they were.
+func TestInstallRejectsWhatUploadRejects(t *testing.T) {
+	ps, tr, m := fixture(t, 40, 5)
+	good, err := m.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := te.NewPathSet(graph.PoDWEB(), 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, _, reg := startServer(t, "pod", ps, ControllerOptions{HistoryCap: 16})
+	if _, err := reg.Install("pod", m, "bootstrap"); err != nil {
+		t.Fatal(err)
+	}
+	h := m.Cfg.H
+	for i := 0; i < h; i++ {
+		if _, err := client.PostSnapshot("pod", tr.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := h
+
+	cases := []struct {
+		name  string
+		build func(m *figret.Model) *figret.Model
+	}{
+		{"NaN weight", func(m *figret.Model) *figret.Model { m.Net.Layers[0].W[3] = math.NaN(); return m }},
+		{"Inf bias", func(m *figret.Model) *figret.Model { m.Net.Layers[1].B[0] = math.Inf(1); return m }},
+		{"-Inf output weight", func(m *figret.Model) *figret.Model {
+			l := m.Net.Layers[len(m.Net.Layers)-1]
+			l.W[len(l.W)-1] = math.Inf(-1)
+			return m
+		}},
+		{"NaN variance weight", func(m *figret.Model) *figret.Model { m.VarWeights[1] = math.NaN(); return m }},
+		{"scale 0", func(m *figret.Model) *figret.Model { m.Scale = 0; return m }},
+		{"scale negative", func(m *figret.Model) *figret.Model { m.Scale = -2; return m }},
+		{"scale NaN", func(m *figret.Model) *figret.Model { m.Scale = math.NaN(); return m }},
+		{"scale +Inf", func(m *figret.Model) *figret.Model { m.Scale = math.Inf(1); return m }},
+		{"loss scale NaN", func(m *figret.Model) *figret.Model { m.LossScale = math.NaN(); return m }},
+		{"gamma NaN", func(m *figret.Model) *figret.Model { m.Cfg.Gamma = math.NaN(); return m }},
+		{"built for another path set", func(*figret.Model) *figret.Model {
+			return figret.New(other, figret.Config{H: 4, Epochs: 1, Seed: 1})
+		}},
+		{"H x pairs != first layer inputs", func(m *figret.Model) *figret.Model { m.Cfg.H--; return m }},
+		{"H zero", func(m *figret.Model) *figret.Model { m.Cfg.H = 0; return m }},
+		{"variance weights of another size", func(m *figret.Model) *figret.Model {
+			m.VarWeights = m.VarWeights[1:]
+			return m
+		}},
+		{"layers that do not chain", func(m *figret.Model) *figret.Model { m.Net.Layers[0].Out++; return m }},
+		{"truncated weight tensor", func(m *figret.Model) *figret.Model {
+			l := m.Net.Layers[2]
+			l.W = l.W[1:]
+			return m
+		}},
+		{"unknown activation", func(m *figret.Model) *figret.Model { m.Net.Layers[0].Act = 99; return m }},
+		{"no layers", func(m *figret.Model) *figret.Model { m.Net.Layers = nil; return m }},
+		{"no network", func(m *figret.Model) *figret.Model { m.Net = nil; return m }},
+	}
+	for _, c := range cases {
+		fresh, err := figret.LoadModel(ps, good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := c.build(fresh)
+		if _, err := reg.Install("pod", bad, "retrain"); err == nil {
+			t.Errorf("%s: Install accepted it", c.name)
+		}
+		if data, err := bad.MarshalJSON(); err == nil {
+			if _, err := reg.Upload("pod", data, "upload"); err == nil {
+				t.Errorf("%s: Upload accepted it", c.name)
+			}
+		}
+		if ck := reg.Active("pod"); ck.Version != 1 || len(reg.List("pod")) != 1 {
+			t.Fatalf("%s: active version %d of %d listed, want the one bootstrap", c.name, ck.Version, len(reg.List("pod")))
+		}
+		rr, err := client.PostSnapshot("pod", tr.At(next))
+		if err != nil {
+			t.Fatalf("%s: next snapshot: %v", c.name, err)
+		}
+		next++
+		want, err := m.Predict(tr.Window(next, h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.Warming || rr.Version != 1 || len(rr.Ratios) != len(want.R) {
+			t.Fatalf("%s: next decision = warming %v version %d, want a version-1 decision", c.name, rr.Warming, rr.Version)
+		}
+		for p := range want.R {
+			if math.Float64bits(rr.Ratios[p]) != math.Float64bits(want.R[p]) {
+				t.Fatalf("%s: next decision path %d: served %v, want %v", c.name, p, rr.Ratios[p], want.R[p])
+			}
+		}
+	}
+	// The table's fixture itself passes both routes.
+	fresh, err := figret.LoadModel(ps, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Install("pod", fresh, "retrain"); err != nil {
+		t.Fatalf("unbroken model rejected by Install: %v", err)
+	}
+	if _, err := reg.Upload("pod", good, "upload"); err != nil {
+		t.Fatalf("unbroken model rejected by Upload: %v", err)
+	}
+}
+
+// TestInstallIfSuperseded: a retrain whose incumbent was replaced while
+// it trained gets ErrSuperseded before its model is copied or validated
+// (a model that could never validate still reports "superseded", not
+// "rejected"); against the live incumbent the same model is rejected on
+// its merits; and of many InstallIf racing on one incumbent exactly one
+// wins — the check under the lock still decides.
+func TestInstallIfSuperseded(t *testing.T) {
+	ps, _, m := fixture(t, 40, 1)
+	reg := NewRegistry()
+	if err := reg.AddTopology("pod", ps); err != nil {
+		t.Fatal(err)
+	}
+	ck1, err := reg.Install("pod", m, "bootstrap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck2, err := reg.Install("pod", m, "upload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := m.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken, err := figret.LoadModel(ps, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken.Net.Layers[0].W[0] = math.NaN()
+	if _, err := reg.InstallIf("pod", broken, "retrain", ck1); !errors.Is(err, ErrSuperseded) {
+		t.Fatalf("InstallIf against a replaced incumbent: %v, want ErrSuperseded", err)
+	}
+	if _, err := reg.InstallIf("pod", broken, "retrain", ck2); err == nil || errors.Is(err, ErrSuperseded) {
+		t.Fatalf("InstallIf of a NaN model against the live incumbent: %v, want a rejection", err)
+	}
+	if reg.Active("pod") != ck2 {
+		t.Fatal("a failed InstallIf changed the active checkpoint")
+	}
+
+	const racers = 8
+	var wg sync.WaitGroup
+	results := make(chan error, racers)
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := reg.InstallIf("pod", m, "retrain", ck2)
+			results <- err
+		}()
+	}
+	wg.Wait()
+	close(results)
+	won := 0
+	for err := range results {
+		switch {
+		case err == nil:
+			won++
+		case !errors.Is(err, ErrSuperseded):
+			t.Fatalf("racing InstallIf: %v", err)
+		}
+	}
+	if won != 1 || reg.Active("pod").Version != 3 {
+		t.Fatalf("%d of %d racing InstallIf won, active version %d; want 1 and 3", won, racers, reg.Active("pod").Version)
 	}
 }

@@ -384,8 +384,14 @@ func (s *Server) handleUploadCheckpoint(w http.ResponseWriter, r *http.Request) 
 	if err != nil {
 		// MaxBytesReader makes oversized bodies an explicit error rather
 		// than a silent truncation that would surface as a baffling
-		// parse failure.
-		httpError(w, http.StatusRequestEntityTooLarge, err.Error())
+		// parse failure; any other read failure (a client that hung up
+		// mid-upload) is the client's, but not for size.
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, err.Error())
 		return
 	}
 	ck, err := s.reg.Upload(c.Topology(), data, "upload")

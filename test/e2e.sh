@@ -73,6 +73,18 @@ for _ in $(seq 1 600); do
   sleep 0.1
 done
 
+# Where the boot went is readable from outputs alone: the "topology
+# ready" record carries the three stage times, and the bootstrap install
+# is listed as version 1 with a size.
+ready="$(grep '"msg":"topology ready"' "$workdir/served.log" || true)"
+for key in env_s train_s install_s; do
+  grep -Eq "\"$key\":[0-9]" <<<"$ready" || fail "topology-ready record lacks $key: ${ready:-missing}"
+done
+checkpoints="$(curl -s "$API/v1/topologies/$TOPO/checkpoints")"
+grep -Eq '"version":1,"source":"bootstrap","bytes":[1-9][0-9]*,' <<<"$checkpoints" \
+  || fail "checkpoint listing lacks a sized bootstrap version 1: $checkpoints"
+echo "e2e: boot stages logged, bootstrap checkpoint listed"
+
 echo "e2e: replaying over JSON"
 "$workdir/served" -topos "$TOPO" -drive "$API" -drivetransport json -T 60 -seed 3 -logformat text \
   >"$workdir/drive-json.log" 2>&1 || fail "json replay failed: $(cat "$workdir/drive-json.log")"
