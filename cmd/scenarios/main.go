@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"time"
 
 	"figret/internal/scenario"
 )
@@ -54,9 +55,9 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  scenarios run   [-suite dir] [-shard i/n] [-json] [-workers n] [-parallel n] [-trainworkers n] [-pathcache dir]
-  scenarios bless [-suite dir] [-golden dir] [-shard i/n] [-workers n] [-parallel n] [-trainworkers n] [-pathcache dir]
-  scenarios diff  [-suite dir] [-golden dir] [-shard i/n] [-json] [-workers n] [-parallel n] [-trainworkers n] [-pathcache dir]`)
+  scenarios run   [-suite dir] [-shard i/n] [-json] [-workers n] [-trainworkers n] [-pathcache dir]
+  scenarios bless [-suite dir] [-golden dir] [-shard i/n] [-workers n] [-trainworkers n] [-pathcache dir]
+  scenarios diff  [-suite dir] [-golden dir] [-shard i/n] [-json] [-workers n] [-trainworkers n] [-pathcache dir]`)
 }
 
 func execute(cmd string, args []string) error {
@@ -66,11 +67,10 @@ func execute(cmd string, args []string) error {
 		golden       = fs.String("golden", "scenarios/golden", "directory of blessed golden metrics (bless/diff)")
 		shardStr     = fs.String("shard", "", "run slice i/n (1-based) of the name-sorted suite; empty = all")
 		jsonOut      = fs.Bool("json", false, "emit machine-readable JSON instead of text")
-		workers      = fs.Int("workers", runtime.NumCPU(), "per-scenario evaluation worker pool size; metrics are bitwise identical for any value")
-		parallel     = fs.Int("parallel", 1, "scenarios run concurrently; metrics are bitwise identical for any value")
+		workers      = fs.Int("workers", runtime.NumCPU(), "per-scenario evaluation worker pool size, and how many substrates run at once; metrics are bitwise identical for any value")
 		pathCache    = fs.String("pathcache", "", "directory of the on-disk candidate-path cache shared with figret/experiments/served (empty = recompute)")
 		trainWorkers = fs.Int("trainworkers", 0, "substrate-model training worker pool size (0 = all CPUs); metrics are bitwise identical for any value")
-		quiet        = fs.Bool("q", false, "suppress per-scenario progress lines")
+		quiet        = fs.Bool("q", false, "suppress the per-scenario progress lines and the closing summary on stderr")
 	)
 	fs.Parse(args)
 	if fs.NArg() != 0 {
@@ -90,13 +90,19 @@ func execute(cmd string, args []string) error {
 		return fmt.Errorf("shard %s selected no scenarios of %s", *shardStr, *suite)
 	}
 
-	opt := scenario.Options{Workers: *workers, ScenarioWorkers: *parallel, PathCache: *pathCache, TrainWorkers: *trainWorkers}
+	opt := scenario.Options{Workers: *workers, PathCache: *pathCache, TrainWorkers: *trainWorkers}
 	if !*quiet && !*jsonOut {
 		opt.Log = func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	}
-	metrics, err := scenario.NewRunner(opt).Run(specs)
+	runner := scenario.NewRunner(opt)
+	start := time.Now()
+	metrics, err := runner.Run(specs)
 	if err != nil {
 		return err
+	}
+	if opt.Log != nil {
+		opt.Log("%d scenarios on %d substrates: wall %.2f s, cpu %.2f s",
+			len(metrics), runner.Substrates(), time.Since(start).Seconds(), cpuSeconds())
 	}
 
 	switch cmd {

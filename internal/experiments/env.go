@@ -62,24 +62,33 @@ type Env struct {
 	oracle *eval.Oracle
 }
 
-// Oracle returns the environment's shared omniscient-solve cache. Every
-// experiment on this environment shares the cache, so the omniscient base
-// for a window is solved once per process. The oracle's cold solve
-// delegates to the CURRENT e.Solve on every call, so reassigning Solve
-// after the oracle exists affects future solves — but entries already
-// cached were computed by the previous solver; switch solvers with
-// UseGradSolver (which resets the cache) rather than reassigning Solve
-// mid-run.
+// NewOracle returns a fresh, empty omniscient-solve cache over the
+// environment's path set and solvers, for callers that must not share
+// solves with every other user of the environment (the scenario runner
+// keeps one per evaluated trace and window start). The cold solve
+// delegates to the CURRENT e.Solve on every call; the warm solve is fixed
+// at construction.
+func (e *Env) NewOracle() *eval.Oracle {
+	var warm baselines.WarmSolveFunc
+	if e.WarmIters > 0 {
+		warm = baselines.GradWarmSolve(solver.Options{Iters: e.WarmIters})
+	}
+	cold := func(ps *te.PathSet, d, caps []float64) (*te.Config, float64, error) {
+		return e.Solve(ps, d, caps)
+	}
+	return eval.NewOracle(e.PS, cold, warm)
+}
+
+// Oracle returns the environment's shared omniscient-solve cache, built
+// by NewOracle on first use. Every experiment on this environment shares
+// the cache, so the omniscient base for a window is solved once per
+// process. Reassigning Solve after the oracle exists affects future
+// solves — but entries already cached were computed by the previous
+// solver; switch solvers with UseGradSolver (which resets the cache)
+// rather than reassigning Solve mid-run.
 func (e *Env) Oracle() *eval.Oracle {
 	if e.oracle == nil {
-		var warm baselines.WarmSolveFunc
-		if e.WarmIters > 0 {
-			warm = baselines.GradWarmSolve(solver.Options{Iters: e.WarmIters})
-		}
-		cold := func(ps *te.PathSet, d, caps []float64) (*te.Config, float64, error) {
-			return e.Solve(ps, d, caps)
-		}
-		e.oracle = eval.NewOracle(e.PS, cold, warm)
+		e.oracle = e.NewOracle()
 	}
 	return e.oracle
 }

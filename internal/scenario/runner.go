@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"figret/internal/baselines"
 	"figret/internal/eval"
@@ -20,14 +22,10 @@ import (
 
 // Options configures a Runner.
 type Options struct {
-	// Workers sizes each scenario's evaluation worker pool (<= 0 selects
+	// Workers sizes each scenario's evaluation worker pool and bounds how
+	// many substrates Run works on at once (<= 0 selects
 	// runtime.NumCPU()). Metrics are bitwise identical for any value.
 	Workers int
-	// ScenarioWorkers is how many scenarios run concurrently (default 1;
-	// each scenario already parallelizes its cells). Metrics are bitwise
-	// identical for any value — every cell writes only its own slot and
-	// the shared caches are content-addressed.
-	ScenarioWorkers int
 	// TrainWorkers sizes the data-parallel pool used to train substrate
 	// models (<= 0 selects GOMAXPROCS). Trained weights — and so every
 	// golden-gated metric — are bitwise identical for any value, which is
@@ -40,33 +38,32 @@ type Options struct {
 	// and processes.
 	PathCache string
 	// Log, when non-nil, receives one progress line per completed
-	// scenario.
+	// scenario. Run calls it from several goroutines.
 	Log func(format string, args ...any)
 }
 
 // Runner executes scenario specs. Substrate state — the path set, the
-// calibrated trace, the omniscient-oracle solve cache and trained NN
+// calibrated trace, the omniscient-oracle solve caches and trained NN
 // models — is shared across every cell with the same substrate key, so a
 // suite of N scenarios on one topology pays for one environment and one
 // model, not N.
 type Runner struct {
 	opt Options
 
-	mu     sync.Mutex
-	envs   map[string]*envEntry
-	models map[string]*modelEntry
+	mu   sync.Mutex
+	subs map[string]*substrate
 }
 
-type envEntry struct {
-	once sync.Once
-	env  *experiments.Env
-	err  error
-}
-
-type modelEntry struct {
-	once  sync.Once
-	model *figret.Model
-	err   error
+// substrate is what the specs of one envKey share. Its lock is held for
+// the whole of a RunOne: specs on one substrate run one at a time — the
+// way Run schedules them anyway — so the caches below need no
+// synchronization of their own and nothing ever waits on a half-built
+// entry.
+type substrate struct {
+	mu      sync.Mutex
+	env     *experiments.Env
+	models  map[string]*figret.Model
+	oracles map[string]*eval.Oracle
 }
 
 // NewRunner builds a runner.
@@ -74,42 +71,73 @@ func NewRunner(opt Options) *Runner {
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.NumCPU()
 	}
-	if opt.ScenarioWorkers <= 0 {
-		opt.ScenarioWorkers = 1
-	}
-	return &Runner{
-		opt:    opt,
-		envs:   make(map[string]*envEntry),
-		models: make(map[string]*modelEntry),
-	}
+	return &Runner{opt: opt, subs: make(map[string]*substrate)}
+}
+
+// Substrates reports how many distinct substrates the runner has built.
+func (r *Runner) Substrates() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.subs)
 }
 
 // Run executes every spec and returns one Metrics per spec, in input
-// order. Scenarios run on a worker pool of ScenarioWorkers; each result
-// lands in its own slot, so the output — like every other layer of this
-// harness — is independent of scheduling. The error is the
-// smallest-indexed failing scenario's.
+// order. The schedule is substrate-major: specs are grouped by substrate
+// key (groups in order of first appearance), up to Workers groups run
+// concurrently, and the specs of a group run in input order on one
+// goroutine, each still fanning its cells out over Workers — so the
+// serial stretches of one substrate (its env build, its oracle's
+// warm-start chain, small-batch training) overlap with the parallel
+// stretches of another, and every spec meets exactly the substrate
+// state it would meet in a sequential pass. Each result lands in its own
+// slot, so the output is independent of scheduling. The error is the
+// smallest-indexed failing scenario's, for any Workers: a failure stops
+// its own group (whose remaining specs all have larger indices) and no
+// other.
 func (r *Runner) Run(specs []*Spec) ([]*Metrics, error) {
-	for _, s := range specs {
+	var groups [][]int
+	groupOf := make(map[string]int)
+	for i, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, err
 		}
+		key := envKey(s.withDefaults())
+		g, ok := groupOf[key]
+		if !ok {
+			g = len(groups)
+			groupOf[key] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
 	out := make([]*Metrics, len(specs))
-	err := eval.Parallel(len(specs), r.opt.ScenarioWorkers, func(i int) error {
-		m, err := r.RunOne(specs[i])
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", specs[i].Name, err)
-		}
-		out[i] = m
-		if r.opt.Log != nil {
-			r.opt.Log("ran %-32s mode=%-10s schemes=%d window=[%d,%d)",
-				m.Scenario, m.Mode, len(m.Schemes), m.From, m.To)
+	errs := make([]error, len(specs))
+	// The pool's function never fails: a spec's error stays in its slot,
+	// so no group cancels another and the verdict below cannot depend on
+	// which group a worker reached first.
+	eval.Parallel(len(groups), r.opt.Workers, func(g int) error {
+		for _, i := range groups[g] {
+			//figret:allow(detsource) stopwatch for the progress line, never reaches Metrics
+			start := time.Now()
+			m, err := r.RunOne(specs[i])
+			if err != nil {
+				errs[i] = fmt.Errorf("scenario %s: %w", specs[i].Name, err)
+				break
+			}
+			out[i] = m
+			if r.opt.Log != nil {
+				//figret:allow(detsource) the same stopwatch
+				wall := time.Since(start)
+				r.opt.Log("ran %-32s mode=%-10s schemes=%d window=[%d,%d) substrate=%s wall=%dms",
+					m.Scenario, m.Mode, len(m.Schemes), m.From, m.To, specs[i].Topo, wall.Milliseconds())
+			}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -120,7 +148,10 @@ func (r *Runner) RunOne(spec *Spec) (*Metrics, error) {
 		return nil, err
 	}
 	sp := spec.withDefaults()
-	env, err := r.envFor(sp)
+	sub := r.substrateFor(sp)
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	env, err := r.envFor(sub, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +202,8 @@ func (r *Runner) RunOne(spec *Spec) (*Metrics, error) {
 		}
 	}
 
-	cells, err := r.schemeCells(sp, env, fs, failAt)
+	oracle := sub.oracleFor(sp, from)
+	cells, err := r.schemeCells(sub, sp, oracle, fs, failAt)
 	if err != nil {
 		return nil, err
 	}
@@ -179,11 +211,11 @@ func (r *Runner) RunOne(spec *Spec) (*Metrics, error) {
 	m := &Metrics{Scenario: sp.Name, Mode: sp.Mode, From: from, To: to}
 	switch sp.Mode {
 	case ModeOffline:
-		err = r.runOffline(sp, env, evTrace, cells, m)
+		err = r.runOffline(evTrace, oracle, cells, m)
 	case ModeFluid:
-		err = r.runFluid(sp, env, evTrace, cells, m)
+		err = r.runFluid(sp, env, evTrace, oracle, cells, m)
 	case ModeClosedLoop:
-		err = r.runClosedLoop(sp, env, evTrace, m)
+		err = r.runClosedLoop(sub, sp, evTrace, m)
 	default:
 		err = fmt.Errorf("unknown mode %q", sp.Mode)
 	}
@@ -202,69 +234,87 @@ func envKey(sp *Spec) string {
 	return fmt.Sprintf("%s|%s|T=%d|K=%d|seed=%d|iters=%d", sp.Topo, sp.Scale, sp.T, sp.K, sp.Seed, sp.SolverIters)
 }
 
-func (r *Runner) envFor(sp *Spec) (*experiments.Env, error) {
+func (r *Runner) substrateFor(sp *Spec) *substrate {
 	key := envKey(sp)
 	r.mu.Lock()
-	e, ok := r.envs[key]
+	defer r.mu.Unlock()
+	sub, ok := r.subs[key]
 	if !ok {
-		e = &envEntry{}
-		r.envs[key] = e
+		sub = &substrate{models: make(map[string]*figret.Model), oracles: make(map[string]*eval.Oracle)}
+		r.subs[key] = sub
 	}
-	r.mu.Unlock()
-	e.once.Do(func() {
-		scale := experiments.ScaleFast
-		if sp.Scale == "full" {
-			scale = experiments.ScaleFull
-		}
-		env, err := experiments.NewEnv(sp.Topo, scale, experiments.EnvOptions{
-			T: sp.T, K: sp.K, Seed: sp.Seed, PathCache: r.opt.PathCache,
-		})
-		if err != nil {
-			e.err = err
-			return
-		}
-		// Scenarios always use the projected-gradient solver: it is
-		// deterministic at every scale, and its iteration budget is part
-		// of the substrate key so goldens pin it.
-		env.UseGradSolver(sp.SolverIters)
-		env.Workers = r.opt.Workers
-		env.Oracle() // materialize before concurrent use
-		e.env = env
-	})
-	return e.env, e.err
+	return sub
 }
 
-func (r *Runner) modelFor(sp *Spec, env *experiments.Env, kind string) (*figret.Model, error) {
-	t := *sp.Train
-	key := fmt.Sprintf("%s|%s|H=%d|gamma=%g|epochs=%d|hidden=%v|batch=%d",
-		envKey(sp), kind, t.H, t.Gamma, t.Epochs, t.Hidden, t.BatchSize)
-	r.mu.Lock()
-	e, ok := r.models[key]
-	if !ok {
-		e = &modelEntry{}
-		r.models[key] = e
+func (r *Runner) envFor(sub *substrate, sp *Spec) (*experiments.Env, error) {
+	if sub.env != nil {
+		return sub.env, nil
 	}
-	r.mu.Unlock()
-	e.once.Do(func() {
-		cfg := figret.Config{
-			H: t.H, Epochs: t.Epochs, Seed: sp.Seed,
-			Hidden: t.Hidden, BatchSize: t.BatchSize,
-			TrainWorkers: r.opt.TrainWorkers,
-		}
-		var m *figret.Model
-		if kind == SchemeFIGRET {
-			cfg.Gamma = t.Gamma
-			m = figret.New(env.PS, cfg)
-		} else {
-			m = figret.NewDOTE(env.PS, cfg)
-		}
-		if _, err := m.Train(env.Train); err != nil {
-			e.err = err
-			return
-		}
-		e.model = m
+	scale := experiments.ScaleFast
+	if sp.Scale == "full" {
+		scale = experiments.ScaleFull
+	}
+	env, err := experiments.NewEnv(sp.Topo, scale, experiments.EnvOptions{
+		T: sp.T, K: sp.K, Seed: sp.Seed, PathCache: r.opt.PathCache,
 	})
-	return e.model, e.err
+	if err != nil {
+		return nil, err
+	}
+	// Scenarios always use the projected-gradient solver: it is
+	// deterministic at every scale, and its iteration budget is part
+	// of the substrate key so goldens pin it.
+	env.UseGradSolver(sp.SolverIters)
+	env.Workers = r.opt.Workers
+	sub.env = env
+	return env, nil
+}
+
+// oracleFor returns the solve cache of one (evaluated trace, window
+// start). Oracle.Series anchors its warm-start chains at the window start
+// and publishes them first-writer-wins, and PredTE reads them back, so
+// two windows starting at different snapshots would hand each other
+// differently-seeded solves of the same demand if they shared a cache —
+// a spec's metrics would depend on which specs ran before it. Specs that
+// agree on trace and start share everything they can and nothing else is
+// shared.
+func (sub *substrate) oracleFor(sp *Spec, from int) *eval.Oracle {
+	key := fmt.Sprintf("from=%d", from)
+	if p := sp.Perturb; p != nil {
+		key += fmt.Sprintf("|alpha=%g|seed=%d|worst=%t", p.Alpha, p.Seed, p.WorstCase)
+	}
+	o, ok := sub.oracles[key]
+	if !ok {
+		o = sub.env.NewOracle()
+		sub.oracles[key] = o
+	}
+	return o
+}
+
+func (r *Runner) modelFor(sub *substrate, sp *Spec, kind string) (*figret.Model, error) {
+	env := sub.env
+	t := *sp.Train
+	key := fmt.Sprintf("%s|H=%d|gamma=%g|epochs=%d|hidden=%v|batch=%d",
+		kind, t.H, t.Gamma, t.Epochs, t.Hidden, t.BatchSize)
+	if m, ok := sub.models[key]; ok {
+		return m, nil
+	}
+	cfg := figret.Config{
+		H: t.H, Epochs: t.Epochs, Seed: sp.Seed,
+		Hidden: t.Hidden, BatchSize: t.BatchSize,
+		TrainWorkers: r.opt.TrainWorkers,
+	}
+	var m *figret.Model
+	if kind == SchemeFIGRET {
+		cfg.Gamma = t.Gamma
+		m = figret.New(env.PS, cfg)
+	} else {
+		m = figret.NewDOTE(env.PS, cfg)
+	}
+	if _, err := m.Train(env.Train); err != nil {
+		return nil, err
+	}
+	sub.models[key] = m
+	return m, nil
 }
 
 // --- scheme construction ------------------------------------------------
@@ -296,21 +346,21 @@ func (c *schemeCell) Advise(tr *traffic.Trace, t int) (*te.Config, error) {
 	return cfg, nil
 }
 
-func (r *Runner) schemeCells(sp *Spec, env *experiments.Env, fs *te.FailureSet, failAt int) ([]*schemeCell, error) {
-	oracle := env.Oracle()
+func (r *Runner) schemeCells(sub *substrate, sp *Spec, oracle *eval.Oracle, fs *te.FailureSet, failAt int) ([]*schemeCell, error) {
+	env := sub.env
 	cells := make([]*schemeCell, 0, len(sp.Schemes))
 	for _, name := range sp.Schemes {
 		var inner baselines.Scheme
 		switch name {
 		case SchemeFIGRET, SchemeDOTE:
-			m, err := r.modelFor(sp, env, name)
+			m, err := r.modelFor(sub, sp, name)
 			if err != nil {
 				return nil, err
 			}
 			inner = &baselines.NNScheme{Label: name, Model: m}
 		case SchemeDesTE:
 			// CachedSolve shares capped peak-matrix solves across cells
-			// and scenarios on the same substrate.
+			// and same-window scenarios on the same substrate.
 			inner = &baselines.DesTE{PS: env.PS, Solve: oracle.CachedSolve, H: sp.Train.H}
 		case SchemePredTE:
 			// PredTE's advice for t is the omniscient solve of t−1: every
@@ -328,13 +378,13 @@ func (r *Runner) schemeCells(sp *Spec, env *experiments.Env, fs *te.FailureSet, 
 
 // --- modes --------------------------------------------------------------
 
-func (r *Runner) runOffline(sp *Spec, env *experiments.Env, tr *traffic.Trace, cells []*schemeCell, m *Metrics) error {
+func (r *Runner) runOffline(tr *traffic.Trace, oracle *eval.Oracle, cells []*schemeCell, m *Metrics) error {
 	schemes := make([]baselines.Scheme, len(cells))
 	for i, c := range cells {
 		schemes[i] = c
 	}
 	res, err := eval.Run(schemes, tr, eval.Window{From: m.From, To: m.To},
-		eval.Options{Workers: r.opt.Workers, Oracle: env.Oracle()})
+		eval.Options{Workers: r.opt.Workers, Oracle: oracle})
 	if err != nil {
 		return err
 	}
@@ -386,7 +436,15 @@ func fluidMetrics(name string, intervals []*netsim.Result) SchemeMetrics {
 // installed (or in the Delay pipeline) keep their pre-failure routing
 // until the rerouted advice lands, which is exactly the staleness the
 // paper's §1 control loop exposes.
-func (r *Runner) runFluid(sp *Spec, env *experiments.Env, tr *traffic.Trace, cells []*schemeCell, m *Metrics) error {
+func (r *Runner) runFluid(sp *Spec, env *experiments.Env, tr *traffic.Trace, oracle *eval.Oracle, cells []*schemeCell, m *Metrics) error {
+	// PredTE reads the oracle's base series back. Fill it first, as
+	// eval.Run does, so what PredTE reads is this window's warm-start
+	// chain whether or not an offline spec on the same window ran before.
+	if slices.Contains(sp.Schemes, SchemePredTE) {
+		if _, err := oracle.Series(tr, m.From, m.To, r.opt.Workers); err != nil {
+			return err
+		}
+	}
 	results := make([][]*netsim.Result, len(cells))
 	err := eval.Parallel(len(cells), r.opt.Workers, func(i int) error {
 		cell := cells[i]
@@ -418,9 +476,9 @@ func (r *Runner) runFluid(sp *Spec, env *experiments.Env, tr *traffic.Trace, cel
 // H snapshots early so the controller's sliding window is warm by the
 // first evaluated interval; those warmup intervals are excluded from the
 // metrics.
-func (r *Runner) runClosedLoop(sp *Spec, env *experiments.Env, tr *traffic.Trace, m *Metrics) error {
-	kind := sp.Schemes[0]
-	model, err := r.modelFor(sp, env, kind)
+func (r *Runner) runClosedLoop(sub *substrate, sp *Spec, tr *traffic.Trace, m *Metrics) error {
+	env, kind := sub.env, sp.Schemes[0]
+	model, err := r.modelFor(sub, sp, kind)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"figret/internal/eval"
 )
 
 func podSpec(name string) *Spec {
@@ -113,31 +115,167 @@ func TestLoadSuite(t *testing.T) {
 	}
 }
 
-// TestRunDeterminism is the core contract: metrics are a pure function
-// of the spec — identical for any evaluation worker count, scenario
-// concurrency, training worker count, and across runner instances
-// (fresh caches).
-func TestRunDeterminism(t *testing.T) {
-	spec := podSpec("det")
-	spec.Failures = &FailureSpec{Count: 1, At: 4}
-	var got []*Metrics
-	for _, opt := range []Options{
-		{Workers: 1, ScenarioWorkers: 1, TrainWorkers: 1},
-		{Workers: 4, ScenarioWorkers: 2, TrainWorkers: 3},
-	} {
-		ms, err := NewRunner(opt).Run([]*Spec{spec, podSpec("det2")})
+// sealed is the byte-level identity the determinism tests compare: the
+// Metrics JSON, which carries the checksum.
+func sealed(t *testing.T, m *Metrics) string {
+	t.Helper()
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// runEach runs specs one after another on a fresh runner and returns the
+// sealed metrics by spec name.
+func runEach(t *testing.T, specs ...*Spec) map[string]string {
+	t.Helper()
+	r := NewRunner(Options{})
+	got := make(map[string]string, len(specs))
+	for _, s := range specs {
+		m, err := r.RunOne(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, ms...)
+		got[s.Name] = sealed(t, m)
 	}
-	a, _ := json.Marshal(got[0])
-	b, _ := json.Marshal(got[2])
-	if string(a) != string(b) {
-		t.Fatalf("metrics differ across worker counts:\n%s\n%s", a, b)
+	return got
+}
+
+// TestRunDeterminism is the scheduling contract: Run's substrate-major
+// schedule returns, for any Workers (and TrainWorkers), byte for byte
+// what RunOne returns spec after spec in name order on a fresh runner.
+// The mini-suite puts three specs on one substrate — one with its own
+// window, one perturbed — and two on another, so groups run beside each
+// other and specs inside a group share a substrate.
+func TestRunDeterminism(t *testing.T) {
+	fail := podSpec("a-fail")
+	fail.Failures = &FailureSpec{Count: 1, At: 4}
+	win := podSpec("c-window")
+	win.Window = &WindowSpec{From: 5}
+	pert := podSpec("e-perturb")
+	pert.Perturb = &PerturbSpec{Alpha: 0.5}
+	web := podSpec("b-web")
+	web.Topo = "pod-web"
+	webFluid := podSpec("d-web-fluid")
+	webFluid.Topo = "pod-web"
+	webFluid.Mode = ModeFluid
+	webFluid.Delay = 1
+	specs := []*Spec{fail, web, win, webFluid, pert}
+
+	want := runEach(t, specs...)
+	for _, opt := range []Options{
+		{Workers: 1, TrainWorkers: 1},
+		{Workers: 2},
+		{Workers: 4, TrainWorkers: 3},
+		{Workers: 16},
+	} {
+		r := NewRunner(opt)
+		ms, err := r.Run(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Substrates() != 2 {
+			t.Fatalf("Workers=%d: %d substrates, want 2", opt.Workers, r.Substrates())
+		}
+		for i, m := range ms {
+			if m.Scenario != specs[i].Name {
+				t.Fatalf("Workers=%d: result %d is %s, want %s (input order)", opt.Workers, i, m.Scenario, specs[i].Name)
+			}
+			if got := sealed(t, m); got != want[m.Scenario] {
+				t.Errorf("Workers=%d: %s differs from name-order RunOne:\n%s\n%s", opt.Workers, m.Scenario, got, want[m.Scenario])
+			}
+		}
 	}
-	if got[0].Checksum != got[2].Checksum || got[1].Checksum != got[3].Checksum {
-		t.Fatal("checksums differ across runner instances")
+}
+
+// TestRunOneConcurrent: RunOne may be called from several goroutines;
+// calls that meet on one substrate take turns and agree.
+func TestRunOneConcurrent(t *testing.T) {
+	spec := podSpec("conc")
+	want := runEach(t, spec)["conc"]
+	r := NewRunner(Options{})
+	got := make([]*Metrics, 4)
+	err := eval.Parallel(len(got), len(got), func(i int) (err error) {
+		got[i], err = r.RunOne(spec)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range got {
+		if s := sealed(t, m); s != want {
+			t.Errorf("call %d differs from a lone RunOne:\n%s\n%s", i, s, want)
+		}
+	}
+}
+
+// TestRunErrorIsSmallestSpecIndex: Run reports the failing spec with the
+// smallest index at every Workers, even when that spec sits in a group
+// scheduled after the group of a later failing spec.
+func TestRunErrorIsSmallestSpecIndex(t *testing.T) {
+	late := func(name, topo string) *Spec {
+		s := podSpec(name)
+		s.Topo = topo
+		s.Failures = &FailureSpec{Count: 1, At: 999} // valid spec, fails once the window is known
+		return s
+	}
+	web := podSpec("web-ok")
+	web.Topo = "pod-web"
+	// Groups in order of first appearance: pod-db {0, 3}, pod-web {1, 2}.
+	specs := []*Spec{podSpec("db-ok"), web, late("web-bad", "pod-web"), late("db-bad", "pod-db")}
+	for _, w := range []int{1, 2, 4, 16} {
+		_, err := NewRunner(Options{Workers: w}).Run(specs)
+		if err == nil || !strings.HasPrefix(err.Error(), "scenario web-bad:") {
+			t.Errorf("Workers=%d: error %v, want scenario web-bad's", w, err)
+		}
+	}
+}
+
+// TestMetricsIndependentOfSuiteOrder: a spec's metrics do not depend on
+// which specs ran before it on its substrate. Each pair shares a
+// substrate but not a (trace, window start) — or, in the last pair, not
+// a mode — and b must come out byte-identical run after a, before a, and
+// alone.
+func TestMetricsIndependentOfSuiteOrder(t *testing.T) {
+	spec := func(name string, schemes ...string) *Spec {
+		s := podSpec(name)
+		s.Schemes = schemes
+		return s
+	}
+	type pair struct {
+		name string
+		a, b *Spec
+	}
+	var pairs []pair
+
+	b := spec("b", SchemePredTE, SchemeUniform)
+	b.Window = &WindowSpec{From: 5}
+	pairs = append(pairs, pair{"window", spec("a", SchemePredTE, SchemeUniform), b})
+
+	a := spec("a", SchemePredTE, SchemeUniform)
+	a.Perturb = &PerturbSpec{Alpha: 0.5}
+	b = spec("b", SchemePredTE, SchemeUniform)
+	b.Perturb = &PerturbSpec{Alpha: 0.5}
+	b.Window = &WindowSpec{From: 5}
+	pairs = append(pairs, pair{"perturb", a, b})
+
+	b = spec("b", SchemeDesTE, SchemePredTE)
+	b.Window = &WindowSpec{From: 5}
+	pairs = append(pairs, pair{"deste", spec("a", SchemeDesTE, SchemePredTE), b})
+
+	a = spec("a", SchemePredTE, SchemeUniform)
+	a.Mode = ModeFluid
+	pairs = append(pairs, pair{"fluid-then-offline", a, spec("b", SchemePredTE, SchemeUniform)})
+
+	for _, p := range pairs {
+		ab, ba, alone := runEach(t, p.a, p.b), runEach(t, p.b, p.a), runEach(t, p.b)
+		if ab["b"] != alone["b"] || ba["b"] != alone["b"] {
+			t.Errorf("%s: b depends on suite order:\nalone   %s\nafter a %s\nfirst   %s", p.name, alone["b"], ab["b"], ba["b"])
+		}
+		if ab["a"] != ba["a"] {
+			t.Errorf("%s: a depends on suite order:\nfirst   %s\nafter b %s", p.name, ab["a"], ba["a"])
+		}
 	}
 }
 
