@@ -1,371 +1,106 @@
-// Package bench is the repository's benchmark harness: one benchmark per
-// table and figure of the paper (regenerating the corresponding experiment
-// and reporting its headline metric), the design-choice ablations called out
-// in DESIGN.md §5, and micro-benchmarks of the hot paths.
+// Package bench holds the design-choice ablations of DESIGN.md §5. Each
+// trains or solves at ScaleFast sizing and reports a quality metric
+// (avg-mlu, mlu, mlu-vs-ideal); its ns/op is not a measurement. Time is
+// measured by benchmark/ (BENCHMARK.json names every per-layer metric),
+// allocation counts are gated by the alloc-contract tests in tier-1.
 //
-// Run everything with:
-//
-//	go test -bench=. -benchmem
-//
-// Experiment benchmarks execute at ScaleFast sizing so the full suite
-// completes in minutes; cmd/experiments -scale full runs the paper-sized
-// variants.
+//	go test -run '^$' -bench . -benchtime 1x .
 package bench
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
+	"strconv"
 	"testing"
 
-	"figret/internal/baselines"
-	"figret/internal/eval"
 	"figret/internal/experiments"
 	"figret/internal/figret"
 	"figret/internal/graph"
 	"figret/internal/lp"
 	"figret/internal/solver"
 	"figret/internal/te"
-	"figret/internal/traffic"
 )
 
-// Shared environments, built once.
-var (
-	envOnce sync.Once
-	podEnv  *experiments.Env
-	torEnv  *experiments.Env
-	geantPS *te.PathSet
-	geantD  []float64
-)
-
-func setup(b *testing.B) {
+func fastEnv(b *testing.B, topo string, T, k int) *experiments.Env {
 	b.Helper()
-	envOnce.Do(func() {
-		var err error
-		podEnv, err = experiments.NewEnv(graph.TopoPoDDB, experiments.ScaleFast, experiments.EnvOptions{T: 140, Seed: 2})
-		if err != nil {
-			panic(err)
-		}
-		torEnv, err = experiments.NewEnv(graph.TopoToRDB, experiments.ScaleFast, experiments.EnvOptions{T: 140, Seed: 2})
-		if err != nil {
-			panic(err)
-		}
-		torEnv.UseGradSolver(300)
-		geantPS, err = te.NewPathSet(graph.GEANT(), 3, nil)
-		if err != nil {
-			panic(err)
-		}
-		rng := rand.New(rand.NewSource(11))
-		geantD = make([]float64, geantPS.Pairs.Count())
-		for i := range geantD {
-			geantD[i] = rng.Float64() * 2
+	env, err := experiments.NewEnv(topo, experiments.ScaleFast, experiments.EnvOptions{T: T, Seed: 2, K: k})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return env
+}
+
+// geant returns GEANT's 3-shortest-path set and one seeded demand matrix.
+func geant(b *testing.B) (*te.PathSet, []float64) {
+	b.Helper()
+	ps, err := te.NewPathSet(graph.GEANT(), 3, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	d := make([]float64, ps.Pairs.Count())
+	for i := range d {
+		d[i] = rng.Float64() * 2
+	}
+	return ps, d
+}
+
+// ablate runs one sub-benchmark: train cfg on env's training split and
+// report the mean MLU of its decisions over the test split.
+func ablate(b *testing.B, name string, env *experiments.Env, cfg figret.Config) {
+	b.Run(name, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m := figret.New(env.PS, cfg)
+			if _, err := m.Train(env.Train); err != nil {
+				b.Fatal(err)
+			}
+			var sum float64
+			for t := cfg.H; t < env.Test.Len(); t++ {
+				c, err := m.PredictAt(env.Test, t)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sum += c.MLU(env.Test.At(t))
+			}
+			b.ReportMetric(sum/float64(env.Test.Len()-cfg.H), "avg-mlu")
 		}
 	})
 }
 
-// --- Figure/table regenerators -----------------------------------------
-
-func BenchmarkFig1_HedgingTradeoff(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Hedging(podEnv, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.PeakNoHedge/res.PeakHedge, "peak-ratio")
-	}
-}
-
-func BenchmarkFig2_VarianceHeterogeneity(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res := experiments.VarianceHeterogeneity(torEnv)
-		b.ReportMetric(res.Heterogeneity, "p90/p50")
-	}
-}
-
-func BenchmarkFig4_CosineSimilarity(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res := experiments.CosineSimilarity([]*experiments.Env{podEnv, torEnv}, 12)
-		if len(res.Entries) != 2 {
-			b.Fatal("missing entries")
-		}
-	}
-}
-
-func BenchmarkFig5_TEQuality(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TEQuality(podEnv, experiments.QualityOptions{
-			H: 6, Epochs: 6, MaxEval: 15, WithOblivious: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Scheme("FIGRET").AvgMLU, "figret-avg-nmlu")
-		b.ReportMetric(res.Scheme("DOTE").AvgMLU, "dote-avg-nmlu")
-	}
-}
-
-func BenchmarkFig5_TEQualityBursty(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TEQuality(torEnv, experiments.QualityOptions{
-			H: 6, Epochs: 8, Gamma: 2, MaxEval: 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Scheme("FIGRET").SevereCongestion, "figret-severe")
-		b.ReportMetric(res.Scheme("DOTE").SevereCongestion, "dote-severe")
-	}
-}
-
-func BenchmarkFig6_RaeckePaths(b *testing.B) {
-	env, err := experiments.NewEnv(graph.TopoPoDDB, experiments.ScaleFast, experiments.EnvOptions{
-		T: 120, Seed: 2, Selector: baselines.RaeckeSelector(0)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TEQuality(env, experiments.QualityOptions{H: 6, Epochs: 4, MaxEval: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Scheme("FIGRET").AvgMLU, "figret-avg-nmlu")
-	}
-}
-
-func BenchmarkFig7_Failures(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Failures(podEnv, experiments.FailureOptions{
-			H: 6, Epochs: 4, MaxFail: 2, Trials: 2, SnapsPer: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if row := res.Row(1); row != nil {
-			if s := row.Scheme("FIGRET"); s != nil {
-				b.ReportMetric(s.AvgMLU, "figret-avg-nmlu-1fail")
-			}
-		}
-	}
-}
-
-func BenchmarkFig8_SensitivityScatter(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.SensitivityAnalysis(podEnv, 6, 8, 6, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.FigretCorr, "figret-var-sens-corr")
-	}
-}
-
-func BenchmarkFig19_PredictionMismatch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.PredictionMismatch()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MLUA-res.MLUB, "mlu-gap-equal-mse")
-	}
-}
-
-func BenchmarkTable2_FigretCalc(b *testing.B) {
-	setup(b)
-	m := figret.New(geantPS, figret.Config{H: 6, Epochs: 1, Seed: 1})
-	tr, err := traffic.WAN(23, 40, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.Train(tr); err != nil {
-		b.Fatal(err)
-	}
-	w := tr.Window(tr.Len(), 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Predict(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2_LPCalc(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := lp.MLUMin(geantPS, geantD); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2_DesTECalc(b *testing.B) {
-	setup(b)
-	caps := lp.SensitivityCaps(geantPS, lp.ConstantF(2.0/3.0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := lp.MLUMinCapped(geantPS, geantD, caps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2_GradSolverCalc(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		solver.MinimizeMLU(geantPS, geantD, solver.Options{Iters: 300})
-	}
-}
-
-func BenchmarkTable2_ObliviousPrecomp(b *testing.B) {
-	setup(b)
-	dmax := baselines.PeakDemand(podEnv.Train)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := baselines.ObliviousConfig(podEnv.PS, dmax, 6); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable3_Perturbation(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Perturbation(podEnv, 6, 1, 4, []float64{0.5, 2}, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.AvgDecline[1], "avg-decline-pct-a2")
-	}
-}
-
-func BenchmarkTable4_Drift(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Drift(podEnv, 6, 1, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.AvgDecline[0], "seg1-decline-pct")
-	}
-}
-
-func BenchmarkTable5_WorstCase(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Perturbation(podEnv, 6, 1, 4, []float64{2}, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.AvgDecline[0], "avg-decline-pct-a2")
-		b.ReportMetric(res.Spearman, "spearman")
-	}
-}
-
-func BenchmarkAppC_HeuristicF(b *testing.B) {
-	setup(b)
-	for _, kind := range []string{"linear", "piecewise"} {
-		b.Run(kind, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.HeuristicF(podEnv, kind, 8); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Ablations (DESIGN.md §5) -------------------------------------------
-
-func trainedEval(b *testing.B, env *experiments.Env, cfg figret.Config) float64 {
-	b.Helper()
-	m := figret.New(env.PS, cfg)
-	if _, err := m.Train(env.Train); err != nil {
-		b.Fatal(err)
-	}
-	var sum float64
-	var n int
-	for t := cfg.H; t < env.Test.Len(); t++ {
-		c, err := m.PredictAt(env.Test, t)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sum += c.MLU(env.Test.At(t))
-		n++
-	}
-	return sum / float64(n)
-}
-
 func BenchmarkAblationGamma(b *testing.B) {
-	setup(b)
+	env := fastEnv(b, graph.TopoToRDB, 140, 0)
 	for _, gamma := range []float64{0, 0.5, 2, 8} {
-		b.Run(fmtFloat(gamma), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				avg := trainedEval(b, torEnv, figret.Config{H: 6, Gamma: gamma, Epochs: 6, Seed: 2})
-				b.ReportMetric(avg, "avg-mlu")
-			}
-		})
+		ablate(b, strconv.FormatFloat(gamma, 'g', -1, 64), env, figret.Config{H: 6, Gamma: gamma, Epochs: 6, Seed: 2})
 	}
 }
 
+// BenchmarkAblationLossTerm is the central design choice: variance-weighted
+// (fine-grained) L2 vs a uniform (coarse-grained, Des-TE-like) L2 vs none
+// (DOTE).
 func BenchmarkAblationLossTerm(b *testing.B) {
-	// The central design choice: variance-weighted (fine-grained) L2 vs a
-	// uniform (coarse-grained, Des-TE-like) L2 vs none (DOTE).
-	setup(b)
-	variants := []struct {
-		name string
-		cfg  figret.Config
-	}{
-		{"fine-grained", figret.Config{H: 6, Gamma: 2, Epochs: 6, Seed: 2}},
-		{"coarse-grained", figret.Config{H: 6, Gamma: 2, Epochs: 6, Seed: 2, CoarseGrained: true}},
-		{"none-dote", figret.Config{H: 6, Gamma: 0, Epochs: 6, Seed: 2}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				avg := trainedEval(b, torEnv, v.cfg)
-				b.ReportMetric(avg, "avg-mlu")
-			}
-		})
-	}
+	env := fastEnv(b, graph.TopoToRDB, 140, 0)
+	ablate(b, "fine-grained", env, figret.Config{H: 6, Gamma: 2, Epochs: 6, Seed: 2})
+	ablate(b, "coarse-grained", env, figret.Config{H: 6, Gamma: 2, Epochs: 6, Seed: 2, CoarseGrained: true})
+	ablate(b, "none-dote", env, figret.Config{H: 6, Gamma: 0, Epochs: 6, Seed: 2})
 }
 
 func BenchmarkAblationWindow(b *testing.B) {
-	setup(b)
+	env := fastEnv(b, graph.TopoPoDDB, 140, 0)
 	for _, h := range []int{1, 6, 12} {
-		b.Run(fmtInt(h), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				avg := trainedEval(b, podEnv, figret.Config{H: h, Gamma: 1, Epochs: 6, Seed: 2})
-				b.ReportMetric(avg, "avg-mlu")
-			}
-		})
+		ablate(b, strconv.Itoa(h), env, figret.Config{H: h, Gamma: 1, Epochs: 6, Seed: 2})
 	}
 }
 
 func BenchmarkAblationPaths(b *testing.B) {
 	for _, k := range []int{1, 3, 5} {
-		b.Run(fmtInt(k), func(b *testing.B) {
-			env, err := experiments.NewEnv(graph.TopoPoDDB, experiments.ScaleFast,
-				experiments.EnvOptions{T: 120, Seed: 2, K: k})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				avg := trainedEval(b, env, figret.Config{H: 6, Gamma: 1, Epochs: 5, Seed: 2})
-				b.ReportMetric(avg, "avg-mlu")
-			}
-		})
+		ablate(b, strconv.Itoa(k), fastEnv(b, graph.TopoPoDDB, 120, k), figret.Config{H: 6, Gamma: 1, Epochs: 5, Seed: 2})
 	}
 }
 
 func BenchmarkSolverVsLP(b *testing.B) {
-	setup(b)
+	ps, d := geant(b)
 	b.Run("lp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, obj, err := lp.MLUMin(geantPS, geantD)
+			_, obj, err := lp.MLUMin(ps, d)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -374,401 +109,28 @@ func BenchmarkSolverVsLP(b *testing.B) {
 	})
 	b.Run("grad", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, obj := solver.MinimizeMLU(geantPS, geantD, solver.Options{Iters: 600})
+			_, obj := solver.MinimizeMLU(ps, d, solver.Options{Iters: 600})
 			b.ReportMetric(obj, "mlu")
 		}
 	})
 }
 
+// BenchmarkAblationWCMP is the MLU cost of hardware WCMP quantization at
+// different table sizes, relative to ideal real-valued splits.
 func BenchmarkAblationWCMP(b *testing.B) {
-	// MLU cost of hardware WCMP quantization at different table sizes,
-	// relative to ideal real-valued splits.
-	setup(b)
-	cfg, _ := solver.MinimizeMLU(geantPS, geantD, solver.Options{Iters: 300})
-	ideal, _ := geantPS.MLU(geantD, cfg.R)
+	ps, d := geant(b)
+	cfg, _ := solver.MinimizeMLU(ps, d, solver.Options{Iters: 300})
+	ideal, _ := ps.MLU(d, cfg.R)
 	for _, size := range []int{4, 16, 64} {
-		b.Run(fmtInt(size), func(b *testing.B) {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q, err := te.QuantizeWCMP(cfg, size)
 				if err != nil {
 					b.Fatal(err)
 				}
-				m, _ := geantPS.MLU(geantD, q.R)
+				m, _ := ps.MLU(d, q.R)
 				b.ReportMetric(m/ideal, "mlu-vs-ideal")
 			}
 		})
 	}
-}
-
-func BenchmarkMLUProxySimulation(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.MLUProxy(podEnv, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.LossCorr, "mlu-loss-corr")
-	}
-}
-
-func BenchmarkDriftVisualization(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.VisualizeDrift(podEnv, 60)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Drift[3], "q4-drift")
-	}
-}
-
-func BenchmarkFig20_DOTEFailureCase(b *testing.B) {
-	setup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.DOTEFailureCase(torEnv, 6, 2, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.DOTEMLU/res.FigretMLU, "dote-vs-figret-mlu")
-	}
-}
-
-// --- Micro-benchmarks -----------------------------------------------------
-
-// BenchmarkTrainStep measures a five-epoch training run on the ScaleFast
-// PoD env: the sequential per-sample reference path ("seq") against the
-// batched minibatch engine at batch sizes 1, 8 and 32, and the
-// data-parallel engine at batch 64 (4 gradient shards) with worker pools
-// of 1, 2 and all CPUs plus a gradient-accumulation macro-batch variant.
-// Run with -benchmem: the batched engine must show the allocation
-// elimination (scratch reuse makes the steady-state epochs
-// allocation-free, leaving only one-time optimizer/scratch setup) and the
-// blocked-GEMM wall-clock win, while producing bitwise-identical loss
-// trajectories to "seq" at every batch size
-// (TestBatchedMatchesSequentialTrajectory); the worker variants must
-// produce bitwise-identical trajectories to workers=1 at every pool size
-// (TestTrainWorkerCountInvariance), with the multi-worker win scaling in
-// GOMAXPROCS.
-func BenchmarkTrainStep(b *testing.B) {
-	run := func(cfg figret.Config, seq bool) func(b *testing.B) {
-		cfg.H, cfg.Gamma, cfg.Epochs, cfg.Seed = 6, 1, 5, 1
-		return func(b *testing.B) {
-			setup(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				m := figret.New(podEnv.PS, cfg)
-				b.StartTimer()
-				var err error
-				if seq {
-					_, err = m.TrainSequential(podEnv.Train)
-				} else {
-					_, err = m.Train(podEnv.Train)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("seq", run(figret.Config{BatchSize: 1}, true))
-	b.Run("batch=1", run(figret.Config{BatchSize: 1}, false))
-	b.Run("batch=8", run(figret.Config{BatchSize: 8}, false))
-	b.Run("batch=32", run(figret.Config{BatchSize: 32}, false))
-	b.Run("batch=64-workers=1", run(figret.Config{BatchSize: 64, TrainWorkers: 1}, false))
-	b.Run("batch=64-workers=2", run(figret.Config{BatchSize: 64, TrainWorkers: 2}, false))
-	b.Run("batch=64-workers=max", run(figret.Config{BatchSize: 64}, false))
-	b.Run("batch=32-macro=2-workers=max", run(figret.Config{BatchSize: 32, MacroBatch: 2}, false))
-}
-
-// evalBenchSchemes builds the scheme set for the evaluation-engine
-// benchmarks: PredTE (per-snapshot optimal solves of the preceding
-// demand), Des TE (per-snapshot capped solves of the peak matrix) and a
-// static config — the non-NN slice of a Figure 5 quality run, freshly
-// constructed per iteration exactly as an experiment would.
-func evalBenchSchemes(solve baselines.SolveFunc) []baselines.Scheme {
-	return []baselines.Scheme{
-		&baselines.PredTE{PS: podEnv.PS, Solve: solve},
-		&baselines.DesTE{PS: podEnv.PS, Solve: solve, H: 6},
-		&baselines.FixedScheme{Label: "Uniform", Cfg: te.UniformConfig(podEnv.PS)},
-	}
-}
-
-// BenchmarkEvaluateParallel compares the pre-refactor sequential
-// evaluation path (per-scheme baselines.Evaluate loops, every omniscient
-// solve recomputed, PredTE paying for its own solves) against eval.Run on
-// the same window with a process-lifetime oracle. The engine's win on a
-// quality-style evaluation comes from three stacked effects: (1) the
-// oracle base is memoized across runs, (2) PredTE's solves hit the same
-// cache (its advice for t is the omniscient solve of t-1), and (3) cells
-// evaluate in parallel across however many cores exist. The acceptance
-// bar is engine ≥ 3× legacy at steady state.
-func BenchmarkEvaluateParallel(b *testing.B) {
-	setup(b)
-	from, to := 1, 21
-	b.Run("legacy-sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			omni := &baselines.Omniscient{PS: podEnv.PS, Solve: podEnv.Solve}
-			base, err := baselines.Evaluate(omni, podEnv.Test, from, to)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, s := range evalBenchSchemes(podEnv.Solve) {
-				series, err := baselines.Evaluate(s, podEnv.Test, from, to)
-				if err != nil {
-					b.Fatal(err)
-				}
-				norm := baselines.Normalize(series, base)
-				_ = traffic.Summarize(norm)
-			}
-		}
-	})
-	b.Run("engine", func(b *testing.B) {
-		orc := eval.NewOracle(podEnv.PS, podEnv.Solve, nil)
-		for i := 0; i < b.N; i++ {
-			res, err := eval.Run(evalBenchSchemes(orc.CachedSolve), podEnv.Test,
-				eval.Window{From: from, To: to},
-				eval.Options{Workers: runtime.NumCPU(), Oracle: orc})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Scheme("Pred TE") == nil {
-				b.Fatal("missing scheme")
-			}
-		}
-		hits, misses := orc.Stats()
-		b.ReportMetric(float64(hits)/float64(hits+misses), "cache-hit-rate")
-	})
-}
-
-// BenchmarkOracleCache isolates the oracle's memoization: a cold Series
-// pays one solve per snapshot, a warm Series is pure cache lookups.
-func BenchmarkOracleCache(b *testing.B) {
-	setup(b)
-	from, to := 1, 21
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			orc := eval.NewOracle(podEnv.PS, podEnv.Solve, nil)
-			if _, err := orc.Series(podEnv.Test, from, to, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hit", func(b *testing.B) {
-		orc := eval.NewOracle(podEnv.PS, podEnv.Solve, nil)
-		if _, err := orc.Series(podEnv.Test, from, to, 1); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := orc.Series(podEnv.Test, from, to, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkOracleWarmStart measures the warm-started gradient chain
-// against cold full-budget solves over the same window — the oracle's
-// steady-state advantage on temporally-correlated traces (the LP-free
-// regime, i.e. every ToR-scale topology).
-func BenchmarkOracleWarmStart(b *testing.B) {
-	setup(b)
-	from, to := 1, 21
-	b.Run("cold-fullbudget", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			orc := eval.NewOracle(torEnv.PS, torEnv.Solve, nil)
-			if _, err := orc.Series(torEnv.Test, from, to, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm-chain", func(b *testing.B) {
-		warm := baselines.GradWarmSolve(solver.Options{Iters: 150})
-		for i := 0; i < b.N; i++ {
-			orc := eval.NewOracle(torEnv.PS, torEnv.Solve, warm)
-			if _, err := orc.Series(torEnv.Test, from, to, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkEdgeFlowsCSR exercises the flat CSR incidence walk that is the
-// inner loop of both the training loss and the gradient solver, on the
-// PoD-scale path set.
-func BenchmarkEdgeFlowsCSR(b *testing.B) {
-	setup(b)
-	ps := podEnv.PS
-	d := podEnv.Train.At(0)
-	cfg := te.UniformConfig(ps)
-	buf := make([]float64, ps.G.NumEdges())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ps.EdgeFlows(d, cfg.R, buf)
-	}
-}
-
-func BenchmarkMicroMLUEval(b *testing.B) {
-	setup(b)
-	cfg := te.UniformConfig(geantPS)
-	buf := make([]float64, geantPS.G.NumEdges())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		geantPS.EdgeFlows(geantD, cfg.R, buf)
-	}
-}
-
-func BenchmarkMicroYenGEANT(b *testing.B) {
-	g := graph.GEANT()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ps := g.KShortestPaths(0, 12, 3, graph.HopWeight); len(ps) != 3 {
-			b.Fatal("missing paths")
-		}
-	}
-}
-
-func BenchmarkMicroPathSetGEANT(b *testing.B) {
-	g := graph.GEANT()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := te.NewPathSet(g, 3, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMicroReroute(b *testing.B) {
-	setup(b)
-	cfg := te.UniformConfig(geantPS)
-	e := geantPS.G.Edge(0)
-	fs := te.NewFailureSet(geantPS.G, [][2]int{{e.From, e.To}})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		te.Reroute(cfg, fs)
-	}
-}
-
-func BenchmarkMicroTrainingStep(b *testing.B) {
-	setup(b)
-	tr, err := traffic.DC(traffic.PoDDB, 4, 30, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ps, err := te.NewPathSet(graph.PoDDB(), 3, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := figret.New(ps, figret.Config{H: 4, Gamma: 1, Epochs: 1, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Train(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func fmtInt(v int) string {
-	return fmtFloat(float64(v))
-}
-
-func fmtFloat(v float64) string {
-	switch {
-	case v == float64(int(v)):
-		return itoa(int(v))
-	default:
-		// one decimal
-		return itoa(int(v)) + "." + itoa(int(v*10)%10)
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
-// BenchmarkNewPathSetParallel measures whole-topology candidate-path
-// precomputation on the large synthetic WAN (220 nodes, 48,180 SD pairs;
-// a reduced 60-node WAN in -short mode, which is what the CI smoke runs):
-//
-//   - seed:       the pre-PathSetOptions cost — an explicit YenSelector,
-//     one worker, a fresh Yen solver (and its allocations) per pair;
-//   - sequential: one worker with per-worker Yen scratch reuse;
-//   - parallel:   all CPUs, scratch reuse (the NewPathSet default). The
-//     speedup over `seed` multiplies the scratch-reuse win by ~the core
-//     count; the result is bitwise identical to `sequential`;
-//   - cached:     reload of the persisted te.PathStore entry, the cost a
-//     warm process pays instead of any Yen solve.
-func BenchmarkNewPathSetParallel(b *testing.B) {
-	var g *graph.Graph
-	if testing.Short() {
-		small, err := graph.RingWithChords(60, 90, 10, 2201)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g = small
-	} else {
-		g = graph.LargeWAN()
-	}
-
-	b.Run("seed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := te.NewPathSetOpt(g, 3, te.PathSetOptions{
-				Workers: 1, Selector: te.YenSelector, SelectorName: te.SelectorYen,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := te.NewPathSetOpt(g, 3, te.PathSetOptions{Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := te.NewPathSetOpt(g, 3, te.PathSetOptions{Workers: runtime.NumCPU()}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		store, err := te.NewPathStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Warm the cache outside the timed region.
-		if _, err := te.NewPathSetOpt(g, 3, te.PathSetOptions{Store: store}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := te.NewPathSetOpt(g, 3, te.PathSetOptions{Store: store}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -198,6 +198,11 @@ func TestOracleCacheAccounting(t *testing.T) {
 	if cfg2.R[0] == -1 {
 		t.Error("CachedSolve returned a shared configuration")
 	}
+	// Alloc contract: a warm Series is its result, its bookkeeping slice
+	// and one closure — nothing per snapshot.
+	if n := testing.AllocsPerRun(50, func() { orc.Series(tr, 10, 20, 1) }); n > 3 && !testing.Short() {
+		t.Errorf("warm Oracle.Series: %v allocs/op, want <= 3", n)
+	}
 }
 
 // TestOracleWarmStartAgreement: warm-started chains must agree with

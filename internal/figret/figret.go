@@ -350,8 +350,7 @@ func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 // tree-reduced in fixed order before each Adam step (every BatchSize
 // samples, times MacroBatch). It is retained as the equivalence oracle
 // for Train (identical seeds must produce bitwise-identical loss
-// trajectories) and as the baseline the BenchmarkTrainStep
-// micro-benchmarks compare the data-parallel engine against.
+// trajectories).
 func (m *Model) TrainSequential(tr *traffic.Trace) (TrainStats, error) {
 	if err := m.fitTrace(tr); err != nil {
 		return TrainStats{}, err

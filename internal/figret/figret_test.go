@@ -310,6 +310,11 @@ func TestPredictorMatchesModelBitwise(t *testing.T) {
 	if _, err := p.Predict(make([]float64, 3)); err == nil {
 		t.Error("predictor accepted short window")
 	}
+	// Alloc contract: a decision is the returned Config and its ratios;
+	// window and activations live in the predictor.
+	if n := testing.AllocsPerRun(50, func() { p.PredictAt(tr, 17) }); n > 2 && !testing.Short() {
+		t.Errorf("Predictor.PredictAt: %v allocs/op, want <= 2", n)
+	}
 }
 
 func TestTrainValidation(t *testing.T) {

@@ -236,9 +236,10 @@ func ToRWEB() *Graph {
 // LargeWAN returns a 220-node / 660-directed-edge synthetic WAN (330
 // links), larger than any of the paper's Table 1 WANs. It exists to stress
 // whole-topology candidate-path precomputation: with 48,180 SD pairs it is
-// the workload BenchmarkNewPathSetParallel measures the worker-pool and
-// PathStore speedups on. It is not part of AllTopologies (the paper's
-// evaluation set) but is served by ByName as "large-wan".
+// the workload the worker pool and the PathStore are measured on
+// (te.pathset_build_s, te.pathstore_load_ms). It is not part of
+// AllTopologies (the paper's evaluation set) but is served by ByName as
+// "large-wan".
 func LargeWAN() *Graph {
 	g, err := RingWithChords(220, 330, 10, 2201)
 	if err != nil {

@@ -37,7 +37,7 @@ type LoadResult struct {
 // it dials the upgraded protocol, pipelines Requests snapshot ingests
 // cycling through the trace, and reports decisions/sec plus the
 // transport's delta and RTT statistics. This is the load-generator mode
-// behind cmd/served -drive and BenchmarkServeThroughput.
+// behind cmd/served -drive.
 func LoadGen(baseURL, topo string, ps *te.PathSet, tr *traffic.Trace, opt LoadOptions) (*LoadResult, error) {
 	if tr.Len() == 0 {
 		return nil, errors.New("serve: load generation over an empty trace")

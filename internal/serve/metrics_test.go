@@ -149,10 +149,6 @@ func TestControllerMetricsConcurrentScrape(t *testing.T) {
 					t.Errorf("counters went backwards: %+v after %+v", got, last)
 					return
 				}
-				if got.Decisions > 0 && (got.P50Micros <= 0 || got.P99Micros < got.P50Micros) {
-					t.Errorf("scraped quantiles p50=%v p99=%v malformed", got.P50Micros, got.P99Micros)
-					return
-				}
 				last = got
 			}
 		}()
@@ -168,6 +164,11 @@ func TestControllerMetricsConcurrentScrape(t *testing.T) {
 	got := c.Metrics()
 	if want := uint64(n - (fx.m.Cfg.H - 1)); got.Snapshots != n || got.Decisions != want {
 		t.Fatalf("snapshots/decisions = %d/%d, want %d/%d", got.Snapshots, got.Decisions, n, want)
+	}
+	// Quantiles are ordered only at rest: p50 and p99 are two passes over
+	// a histogram that ingests keep filling, booked after the counters.
+	if got.P50Micros <= 0 || got.P99Micros < got.P50Micros {
+		t.Errorf("quantiles p50=%v p99=%v malformed", got.P50Micros, got.P99Micros)
 	}
 }
 

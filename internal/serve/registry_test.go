@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -461,5 +462,69 @@ func TestInstallIfSuperseded(t *testing.T) {
 	}
 	if won != 1 || reg.Active("pod").Version != 3 {
 		t.Fatalf("%d of %d racing InstallIf won, active version %d; want 1 and 3", won, racers, reg.Active("pod").Version)
+	}
+}
+
+// TestAllocContracts gates the serving path's steady-state allocations
+// with absolute bounds. AllocsPerRun counts every malloc in the process,
+// so the controller-goroutine hop and the in-process wire server are
+// included — and so are the race detector's own, hence the -short skip.
+func TestAllocContracts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the race job runs -short; its instrumentation allocates")
+	}
+	c, _, fx := startController(t, ControllerOptions{HistoryCap: 16})
+	next := 0
+	demand := func(int) []float64 { next++; return fx.tr.At(next % fx.tr.Len()) }
+	for i := 0; i < 8; i++ { // past the model's window: every run decides
+		c.Ingest(demand(i), true)
+	}
+	var err error // of the last measured call: a failing path allocates little
+	ingest := testing.AllocsPerRun(50, func() { _, err = c.Ingest(demand(0), true) })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	client, _ := wireFixture(t)
+	bin := dialPod(t, client, fx.ps)
+	const n = 100 // one Stream call's set-up is spread over n decisions
+	stream := testing.AllocsPerRun(1, func() { _, err = bin.Stream(n, demand, nil) }) / n
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The paper's network on GEANT (~1M parameters): a snapshot allocates
+	// the weights once more plus their gradient buffers, 16 B a parameter;
+	// a serialisation back on this path would be an order of magnitude.
+	// Four runs: the registry retains every version, 16 MB each.
+	ps, err := te.NewPathSet(graph.GEANT(), 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, reg := figret.New(ps, figret.Config{Seed: 7}), NewRegistry()
+	if err := reg.AddTopology("geant", ps); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	install := testing.AllocsPerRun(4, func() { _, err = reg.Install("geant", m, "contract") })
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perParam := float64(after.TotalAlloc-before.TotalAlloc) / 5 / float64(m.Net.NumParams())
+
+	for _, c := range []struct {
+		what     string
+		got, max float64
+	}{
+		{"Controller.Ingest allocs/op", ingest, 7},
+		{"BinClient.Stream allocs/decision", stream, 8},
+		{"Registry.Install allocs/op", install, 57},
+		{"Registry.Install bytes/parameter", perParam, 17},
+	} {
+		if c.got > c.max {
+			t.Errorf("%s = %.4g, want <= %v", c.what, c.got, c.max)
+		}
 	}
 }

@@ -382,16 +382,7 @@ func (s *Server) handleUploadCheckpoint(w http.ResponseWriter, r *http.Request) 
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCheckpointBytes))
 	if err != nil {
-		// MaxBytesReader makes oversized bodies an explicit error rather
-		// than a silent truncation that would surface as a baffling
-		// parse failure; any other read failure (a client that hung up
-		// mid-upload) is the client's, but not for size.
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, err.Error())
+		bodyReadError(w, err)
 		return
 	}
 	ck, err := s.reg.Upload(c.Topology(), data, "upload")
@@ -441,25 +432,40 @@ func putBodyBuf(buf *bytes.Buffer) {
 	}
 }
 
+// bodyReadError answers a failed body read. MaxBytesReader makes an
+// oversized body an explicit error rather than a silent truncation that
+// would surface as a baffling parse failure, and only that is 413; any
+// other read failure (a client that hung up mid-body) is the client's,
+// but not for size.
+func bodyReadError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, err.Error())
+}
+
 // readBody reads a bounded request body into a pooled buffer (callers
-// must return it with putBodyBuf).
-func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+// must return it with putBodyBuf). A failed read is answered here and
+// returns nil.
+func readBody(w http.ResponseWriter, r *http.Request) *bytes.Buffer {
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		putBodyBuf(buf)
-		return nil, err
+		bodyReadError(w, err)
+		return nil
 	}
-	return buf, nil
+	return buf
 }
 
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	buf, err := readBody(w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	buf := readBody(w, r)
+	if buf == nil {
 		return false
 	}
-	err = json.Unmarshal(buf.Bytes(), v)
+	err := json.Unmarshal(buf.Bytes(), v)
 	putBodyBuf(buf)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -494,9 +500,8 @@ func wantsWire(r *http.Request) bool {
 
 // readWireSnapshot decodes a binary snapshot-ingest body into req.
 func readWireSnapshot(w http.ResponseWriter, r *http.Request, req *SnapshotRequest) bool {
-	buf, err := readBody(w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	buf := readBody(w, r)
+	if buf == nil {
 		return false
 	}
 	defer putBodyBuf(buf)

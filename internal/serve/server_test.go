@@ -21,6 +21,7 @@ import (
 	"figret/internal/netsim"
 	"figret/internal/te"
 	"figret/internal/traffic"
+	"figret/internal/wire"
 )
 
 // startServer wires a registry + server around one topology and returns
@@ -491,44 +492,53 @@ func TestUploadRejectsCheckpointThatCannotPredict(t *testing.T) {
 	}
 }
 
-// TestUploadBodyReadFailures: only a body past the size bound is "too
-// large". A client that hangs up mid-upload used to be told 413 as well;
-// it is a 400, and neither failure touches the registry.
+// TestUploadBodyReadFailures: on every route that reads a body, only a
+// body past the size bound is "too large". A client that hangs up
+// mid-body is a 400, and neither failure touches the registry.
 func TestUploadBodyReadFailures(t *testing.T) {
 	ps, _, _ := fixture(t, 40, 1)
 	client, srv, reg := startServer(t, "pod", ps, ControllerOptions{})
+	for _, route := range [][2]string{
+		{"checkpoints", "application/json"},
+		{"snapshots", "application/json"},
+		{"snapshots", wire.MediaType},
+		{"failures", "application/json"},
+	} {
+		path, ctype := "/v1/topologies/pod/"+route[0], route[1]
 
-	// A body that trips a byte bound (here an inner, 8-byte one: filling
-	// maxCheckpointBytes would take half a gigabyte) surfaces as the
-	// *http.MaxBytesError the handler's own reader produces.
-	req := httptest.NewRequest(http.MethodPost, "/v1/topologies/pod/checkpoints", nil)
-	req.Body = http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(`{"cfg":{},"net":null}`)), 8)
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413", rec.Code)
-	}
+		// A body that trips a byte bound (here an inner, 8-byte one: filling
+		// maxCheckpointBytes would take half a gigabyte) surfaces as the
+		// *http.MaxBytesError the handler's own reader produces.
+		req := httptest.NewRequest(http.MethodPost, path, nil)
+		req.Header.Set("Content-Type", ctype)
+		req.Body = http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(`{"cfg":{},"net":null}`)), 8)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s (%s): oversized body: status %d, want 413", path, ctype, rec.Code)
+		}
 
-	// Promise 1000 bytes, send 10, half-close: the server's read fails
-	// with an unexpected EOF and the answer is still readable.
-	conn, err := net.Dial("tcp", strings.TrimPrefix(client.BaseURL, "http://"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := io.WriteString(conn, "POST /v1/topologies/pod/checkpoints HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n{\"cfg\":{}"); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("client hung up mid-upload: status %d, want 400", resp.StatusCode)
+		// Promise 1000 bytes, send 10, half-close: the server's read fails
+		// with an unexpected EOF and the answer is still readable.
+		conn, err := net.Dial("tcp", strings.TrimPrefix(client.BaseURL, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(conn, "POST "+path+" HTTP/1.1\r\nHost: x\r\nContent-Type: "+ctype+"\r\nContent-Length: 1000\r\n\r\n{\"cfg\":{}"); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		conn.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s (%s): client hung up mid-body: status %d, want 400", path, ctype, resp.StatusCode)
+		}
 	}
 	if reg.Active("pod") != nil || len(reg.List("pod")) != 0 {
 		t.Fatal("a failed body read installed a checkpoint")

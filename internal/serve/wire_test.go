@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"figret/internal/te"
 	"figret/internal/wire"
 )
 
@@ -27,6 +28,18 @@ func wireFixture(t *testing.T) (*Client, *Server) {
 		}
 	}
 	return client, srv
+}
+
+// dialPod opens the binary stream to c's "pod" topology; it is closed
+// with the test.
+func dialPod(t *testing.T, c *Client, ps *te.PathSet) *BinClient {
+	t.Helper()
+	bin, err := DialBin(c.BaseURL, "pod", ps, BinClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bin.Close() })
+	return bin
 }
 
 func sameDecision(t *testing.T, name string, a, b *RoutingResponse) {
@@ -113,11 +126,7 @@ func TestWireStream(t *testing.T) {
 		t.Fatalf("dial to unknown topology: %v", err)
 	}
 
-	bin, err := DialBin(client.BaseURL, "pod", ps, BinClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bin.Close()
+	bin := dialPod(t, client, ps)
 
 	// First decision over the stream is full (no base yet).
 	d1, err := bin.PostSnapshot(tr.At(10))
@@ -187,11 +196,7 @@ func TestWireStream(t *testing.T) {
 func TestWireStreamResync(t *testing.T) {
 	client, _ := wireFixture(t)
 	ps, tr, _ := fixture(t, 60, 1)
-	bin, err := DialBin(client.BaseURL, "pod", ps, BinClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bin.Close()
+	bin := dialPod(t, client, ps)
 
 	// Establish a delta chain on stable demand.
 	for i := 0; i < 10; i++ {
@@ -237,15 +242,7 @@ func TestWireStreamPipelined(t *testing.T) {
 	client, _ := wireFixture(t)
 	twin, _ := wireFixture(t)
 	ps, tr, _ := fixture(t, 60, 1)
-	dial := func(c *Client) *BinClient {
-		bin, err := DialBin(c.BaseURL, "pod", ps, BinClientOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { bin.Close() })
-		return bin
-	}
-	bin, oneByOne := dial(client), dial(twin)
+	bin, oneByOne := dialPod(t, client, ps), dialPod(t, twin, ps)
 	demand := func(i int) []float64 { return tr.At(i % tr.Len()) }
 
 	const n = 3 * streamDepth
@@ -312,11 +309,7 @@ func TestWireStreamPipelined(t *testing.T) {
 func TestWireServerClose(t *testing.T) {
 	client, srv := wireFixture(t)
 	ps, tr, _ := fixture(t, 60, 1)
-	bin, err := DialBin(client.BaseURL, "pod", ps, BinClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bin.Close()
+	bin := dialPod(t, client, ps)
 	if _, err := bin.PostSnapshot(tr.At(10)); err != nil {
 		t.Fatal(err)
 	}

@@ -182,6 +182,10 @@ func TestEdgeFlowsReuseBuffer(t *testing.T) {
 			t.Fatalf("flow %d differs: %v vs %v", i, f1[i], f2[i])
 		}
 	}
+	// Alloc contract: the CSR walk into a caller's buffer allocates nothing.
+	if n := testing.AllocsPerRun(50, func() { ps.EdgeFlows(d, c.R, buf) }); n != 0 && !testing.Short() {
+		t.Errorf("EdgeFlows into a caller's buffer: %v allocs/op, want 0", n)
+	}
 }
 
 func TestEdgeCSRMatchesEdgeIDs(t *testing.T) {
