@@ -131,7 +131,7 @@ func (r runner) run(exp string) error {
 			h = r.H
 		}
 		var envs []*experiments.Env
-		for _, topo := range graph.AllTopologies() {
+		for _, topo := range r.topos(graph.AllTopologies()...) {
 			env, err := r.env(topo)
 			if err != nil {
 				return err

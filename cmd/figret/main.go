@@ -169,12 +169,6 @@ func runTopo(topo string, sc experiments.Scale, paths pathOptions) error {
 	return nil
 }
 
-// traceJSON is the on-disk trace format.
-type traceJSON struct {
-	N         int         `json:"n"`
-	Snapshots [][]float64 `json:"snapshots"`
-}
-
 func runGen(topo string, sc experiments.Scale, T int, seed int64, out string, paths pathOptions) error {
 	if out == "" {
 		return fmt.Errorf("gen requires -out")

@@ -6,15 +6,12 @@
 //
 // Usage:
 //
-//	scenarios run   [-suite dir] [-shard i/n] [-json] [flags]
-//	scenarios bless [-suite dir] [-golden dir] [-shard i/n] [flags]
-//	scenarios diff  [-suite dir] [-golden dir] [-shard i/n] [-json] [flags]
+//	scenarios run   [-suite dir] [-json] [flags]
+//	scenarios bless [-suite dir] [-golden dir] [flags]
+//	scenarios diff  [-suite dir] [-golden dir] [-json] [flags]
 //
 // run prints fresh metrics; bless writes them as goldens; diff fails
 // (exit 1) when any scenario regressed past tolerance or lacks a golden.
-// -shard i/n (1-based) runs the canonical i-th slice of the name-sorted
-// suite: the union of all shards is bitwise the single-process result,
-// so CI can fan the matrix out without changing what is measured.
 package main
 
 import (
@@ -55,9 +52,9 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  scenarios run   [-suite dir] [-shard i/n] [-json] [-workers n] [-trainworkers n] [-pathcache dir]
-  scenarios bless [-suite dir] [-golden dir] [-shard i/n] [-workers n] [-trainworkers n] [-pathcache dir]
-  scenarios diff  [-suite dir] [-golden dir] [-shard i/n] [-json] [-workers n] [-trainworkers n] [-pathcache dir]`)
+  scenarios run   [-suite dir] [-json] [-workers n] [-trainworkers n] [-pathcache dir]
+  scenarios bless [-suite dir] [-golden dir] [-workers n] [-trainworkers n] [-pathcache dir]
+  scenarios diff  [-suite dir] [-golden dir] [-json] [-workers n] [-trainworkers n] [-pathcache dir]`)
 }
 
 func execute(cmd string, args []string) error {
@@ -65,7 +62,6 @@ func execute(cmd string, args []string) error {
 	var (
 		suite        = fs.String("suite", "scenarios/suite", "directory of scenario spec *.json files")
 		golden       = fs.String("golden", "scenarios/golden", "directory of blessed golden metrics (bless/diff)")
-		shardStr     = fs.String("shard", "", "run slice i/n (1-based) of the name-sorted suite; empty = all")
 		jsonOut      = fs.Bool("json", false, "emit machine-readable JSON instead of text")
 		workers      = fs.Int("workers", runtime.NumCPU(), "per-scenario evaluation worker pool size, and how many substrates run at once; metrics are bitwise identical for any value")
 		pathCache    = fs.String("pathcache", "", "directory of the on-disk candidate-path cache shared with figret/experiments/served (empty = recompute)")
@@ -77,17 +73,9 @@ func execute(cmd string, args []string) error {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
 
-	allSpecs, err := scenario.LoadSuite(*suite)
+	specs, err := scenario.LoadSuite(*suite)
 	if err != nil {
 		return err
-	}
-	shard, err := scenario.ParseShard(*shardStr)
-	if err != nil {
-		return err
-	}
-	specs := shard.Select(allSpecs)
-	if len(specs) == 0 {
-		return fmt.Errorf("shard %s selected no scenarios of %s", *shardStr, *suite)
 	}
 
 	opt := scenario.Options{Workers: *workers, PathCache: *pathCache, TrainWorkers: *trainWorkers}
@@ -121,7 +109,7 @@ func execute(cmd string, args []string) error {
 		fmt.Printf("blessed %d scenario golden(s) into %s\n", len(metrics), *golden)
 		return nil
 	case "diff":
-		return diff(metrics, *golden, specs, allSpecs, *jsonOut)
+		return diff(metrics, *golden, specs, *jsonOut)
 	}
 	return nil
 }
@@ -144,7 +132,7 @@ type diffReport struct {
 	Improvements []string `json:"improvements,omitempty"`
 }
 
-func diff(metrics []*scenario.Metrics, goldenDir string, specs, allSpecs []*scenario.Spec, asJSON bool) error {
+func diff(metrics []*scenario.Metrics, goldenDir string, specs []*scenario.Spec, asJSON bool) error {
 	st, err := scenario.NewStore(goldenDir)
 	if err != nil {
 		return err
@@ -158,18 +146,13 @@ func diff(metrics []*scenario.Metrics, goldenDir string, specs, allSpecs []*scen
 
 	// Orphaned goldens: a golden whose spec left the suite means the gate
 	// silently shrank — deleting a scenario must be as deliberate as
-	// regressing one. Checked against the full (unsharded) suite so every
-	// shard agrees.
-	inSuite := make(map[string]bool, len(allSpecs))
-	for _, sp := range allSpecs {
-		inSuite[sp.Name] = true
-	}
+	// regressing one.
 	blessed, err := st.List()
 	if err != nil {
 		return err
 	}
 	for _, name := range blessed {
-		if !inSuite[name] {
+		if _, inSuite := tolerances[name]; !inSuite {
 			failed++
 			reports = append(reports, diffReport{Scenario: name, Regressions: []string{
 				fmt.Sprintf("golden %s has no spec in the suite (scenario deleted? remove the golden to accept)", name),

@@ -86,7 +86,7 @@ import (
 
 func main() {
 	var (
-		topos     = flag.String("topos", "pod-db", "comma-separated topologies to serve (geant uscarrier cogentco pfabric pod-db pod-web tor-db tor-web)")
+		topos     = flag.String("topos", "pod-db", "comma-separated topologies to serve (geant uscarrier cogentco pfabric pod-db pod-web tor-db tor-web large-wan)")
 		addr      = flag.String("addr", ":8080", "HTTP listen address of the serving API")
 		opsAddr   = flag.String("opsaddr", ":9090", "ops listen address for /metrics, /healthz, /readyz and /debug/pprof (empty disables)")
 		scale     = flag.String("scale", "fast", "fast|full topology sizing")

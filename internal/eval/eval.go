@@ -39,18 +39,15 @@ type Options struct {
 	// Oracle normalizes the series. Nil evaluates raw MLUs only (Norm is
 	// nil and statistics are computed over Raw).
 	Oracle *Oracle
-	// SevereThreshold is the normalized-MLU bound above which a snapshot
-	// counts as a severe-congestion incident (default 2, the paper's
-	// criterion).
-	SevereThreshold float64
 }
+
+// severeThreshold is the normalized-MLU bound above which a snapshot
+// counts as a severe-congestion incident (the paper's criterion).
+const severeThreshold = 2
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
-	}
-	if o.SevereThreshold == 0 {
-		o.SevereThreshold = 2
 	}
 	return o
 }
@@ -174,7 +171,7 @@ func Run(schemes []baselines.Scheme, tr *traffic.Trace, win Window, opt Options)
 			summary = ss.Norm
 			severe := 0
 			for _, v := range ss.Norm {
-				if v > opt.SevereThreshold {
+				if v > severeThreshold {
 					severe++
 				}
 			}

@@ -130,16 +130,6 @@ func HeuristicF(env *Env, kind string, maxEval int) (*HeuristicFResult, error) {
 	return res, nil
 }
 
-// Entry returns the labeled entry, or nil.
-func (r *HeuristicFResult) Entry(label string) *HeuristicFEntry {
-	for i := range r.Entries {
-		if r.Entries[i].Label == label {
-			return &r.Entries[i]
-		}
-	}
-	return nil
-}
-
 // String renders the parameter study.
 func (r *HeuristicFResult) String() string {
 	var b strings.Builder

@@ -279,12 +279,3 @@ func (e *Env) TrainModels(h int, gamma float64, epochs int) (fig, dote *figret.M
 	}
 	return fig, dote, nil
 }
-
-// GradSolve returns a gradient-based SolveFunc sized for this environment
-// (used where LP would dominate runtime, e.g. per-snapshot hedging series).
-func (e *Env) GradSolve(iters int) baselines.SolveFunc {
-	if iters == 0 {
-		iters = 300
-	}
-	return baselines.GradSolve(solver.Options{Iters: iters})
-}

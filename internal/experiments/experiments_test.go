@@ -8,6 +8,7 @@ import (
 
 	"figret/internal/baselines"
 	"figret/internal/graph"
+	"figret/internal/solver"
 )
 
 // Small shared environments for the integration tests. Sizes are trimmed so
@@ -166,7 +167,7 @@ func TestTEQualityBurstyHeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Solve = env.GradSolve(300) // LP would dominate runtime here
+	env.Solve = baselines.GradSolve(solver.Options{Iters: 300}) // LP would dominate runtime here
 	res, err := TEQuality(env, QualityOptions{H: 6, Epochs: 8, Gamma: 2, MaxEval: 15})
 	if err != nil {
 		t.Fatal(err)

@@ -249,16 +249,6 @@ func (r *FailureResult) String() string {
 	return b.String()
 }
 
-// Row returns stats for a given failure count, or nil.
-func (r *FailureResult) Row(failures int) *FailureRow {
-	for i := range r.Rows {
-		if r.Rows[i].Failures == failures {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // Scheme returns the named scheme's stats within a row, or nil.
 func (row *FailureRow) Scheme(name string) *SchemeStats {
 	for i := range row.Schemes {

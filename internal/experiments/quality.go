@@ -29,14 +29,17 @@ type QualityResult struct {
 
 // QualityOptions configures TEQuality.
 type QualityOptions struct {
-	H              int     // history window (default 12)
-	Gamma          float64 // FIGRET robustness weight (default 1)
-	Epochs         int     // training epochs (default per scale)
-	WithOblivious  bool    // include Oblivious & COPE (small topologies only)
-	MaxEval        int     // cap on evaluated snapshots (default 60)
-	ObliviousIters int     // cutting-plane iterations (default 5)
-	CopeSet        int     // COPE predicted-set size (default 4)
+	H             int     // history window (default 12)
+	Gamma         float64 // FIGRET robustness weight (default 1)
+	Epochs        int     // training epochs (default per scale)
+	WithOblivious bool    // include Oblivious & COPE (small topologies only)
+	MaxEval       int     // cap on evaluated snapshots (default 60)
 }
+
+const (
+	obliviousIters = 5 // cutting-plane iterations for Oblivious and COPE
+	copeSet        = 4 // COPE predicted-set size
+)
 
 // TEQuality reproduces Figure 5 (and, with a Räcke-selector environment,
 // Figure 6): normalized MLU distributions of FIGRET against the baselines.
@@ -47,17 +50,11 @@ func TEQuality(env *Env, opt QualityOptions) (*QualityResult, error) {
 	if opt.MaxEval == 0 {
 		opt.MaxEval = 60
 	}
-	if opt.ObliviousIters == 0 {
-		opt.ObliviousIters = 5
-	}
-	if opt.CopeSet == 0 {
-		opt.CopeSet = 4
-	}
 	fig, dote, err := env.TrainModels(opt.H, opt.Gamma, opt.Epochs)
 	if err != nil {
 		return nil, err
 	}
-	teal := baselines.NewTEAL(env.PS, maxInt(4, opt.Epochs/2), env.Seed)
+	teal := baselines.NewTEAL(env.PS, max(4, opt.Epochs/2), env.Seed)
 	if _, err := teal.Train(env.Train); err != nil {
 		return nil, err
 	}
@@ -75,11 +72,11 @@ func TEQuality(env *Env, opt QualityOptions) (*QualityResult, error) {
 	}
 	if opt.WithOblivious {
 		dmax := baselines.PeakDemand(env.Train)
-		obl, _, err := baselines.ObliviousConfig(env.PS, dmax, opt.ObliviousIters)
+		obl, _, err := baselines.ObliviousConfig(env.PS, dmax, obliviousIters)
 		if err != nil {
 			return nil, fmt.Errorf("oblivious: %w", err)
 		}
-		cope, _, err := baselines.COPEConfig(env.PS, baselines.RecentDemands(env.Train, opt.CopeSet), dmax, 2.0, opt.ObliviousIters)
+		cope, _, err := baselines.COPEConfig(env.PS, baselines.RecentDemands(env.Train, copeSet), dmax, 2.0, obliviousIters)
 		if err != nil {
 			return nil, fmt.Errorf("cope: %w", err)
 		}
@@ -133,13 +130,6 @@ func (r *QualityResult) Scheme(name string) *SchemeStats {
 		}
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // HedgingResult is the Figure 1 study: per-snapshot MLU of the no-hedging

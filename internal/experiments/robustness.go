@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -137,7 +138,7 @@ func Drift(env *Env, h int, gamma float64, epochs int) (*DriftResult, error) {
 	var refAvg, refP90 float64
 	res := &DriftResult{Topo: env.Topo}
 	for i, sg := range segs {
-		m := figret.New(env.PS, figret.Config{H: h, Gamma: orDefault(gamma, 1), Epochs: orDefaultInt(epochs, 8), Seed: env.Seed})
+		m := figret.New(env.PS, figret.Config{H: h, Gamma: cmp.Or(gamma, 1), Epochs: cmp.Or(epochs, 8), Seed: env.Seed})
 		if _, err := m.Train(env.Trace.Slice(sg.from, sg.to)); err != nil {
 			return nil, fmt.Errorf("segment %s: %w", sg.name, err)
 		}
@@ -154,20 +155,6 @@ func Drift(env *Env, h int, gamma float64, epochs int) (*DriftResult, error) {
 		res.P90Decline = append(res.P90Decline, 100*(p90-refP90)/refP90)
 	}
 	return res, nil
-}
-
-func orDefault(v, d float64) float64 {
-	if v == 0 {
-		return d
-	}
-	return v
-}
-
-func orDefaultInt(v, d int) int {
-	if v == 0 {
-		return d
-	}
-	return v
 }
 
 // String renders Table 4.

@@ -30,11 +30,17 @@ type TimingResult struct {
 
 // TimingOptions configures the Table 2 run.
 type TimingOptions struct {
-	H         int
-	Epochs    int // figret training epochs for the precomputation column
-	LPMaxRows int // dense-LP feasibility cutoff (default 1200 rows)
-	GradIters int
+	H      int
+	Epochs int // figret training epochs for the precomputation column
 }
+
+const (
+	// lpMaxRows is the dense-LP feasibility cutoff, in constraint rows.
+	lpMaxRows = 1200
+	// gradIters is the cold gradient solve's iteration budget; the
+	// warm-started solve runs a third of it.
+	gradIters = 300
+)
 
 // Timing reproduces Table 2 on one environment.
 func Timing(env *Env, opt TimingOptions) (*TimingResult, error) {
@@ -43,12 +49,6 @@ func Timing(env *Env, opt TimingOptions) (*TimingResult, error) {
 	}
 	if opt.Epochs == 0 {
 		opt.Epochs = 3
-	}
-	if opt.LPMaxRows == 0 {
-		opt.LPMaxRows = 1200
-	}
-	if opt.GradIters == 0 {
-		opt.GradIters = 300
 	}
 	res := &TimingResult{
 		Topo:  env.Topo,
@@ -76,7 +76,7 @@ func Timing(env *Env, opt TimingOptions) (*TimingResult, error) {
 
 	// LP and Des TE (capped LP), only at dense-simplex-feasible scale.
 	rows := env.PS.Pairs.Count() + env.G.NumEdges()
-	res.LPFeasible = rows <= opt.LPMaxRows
+	res.LPFeasible = rows <= lpMaxRows
 	if res.LPFeasible {
 		start = time.Now()
 		if _, _, err := lp.MLUMin(env.PS, d); err != nil {
@@ -99,12 +99,12 @@ func Timing(env *Env, opt TimingOptions) (*TimingResult, error) {
 	if env.Test.Len() >= 2 {
 		dPrev = env.Test.At(env.Test.Len() - 2)
 	}
-	prevCfg, _ := solver.MinimizeMLU(env.PS, dPrev, solver.Options{Iters: opt.GradIters})
+	prevCfg, _ := solver.MinimizeMLU(env.PS, dPrev, solver.Options{Iters: gradIters})
 	start = time.Now()
-	solver.MinimizeMLU(env.PS, d, solver.Options{Iters: opt.GradIters})
+	solver.MinimizeMLU(env.PS, d, solver.Options{Iters: gradIters})
 	res.GradCalc = time.Since(start)
 	start = time.Now()
-	solver.MinimizeMLU(env.PS, d, solver.Options{Iters: maxInt(100, opt.GradIters/3), InitR: prevCfg.R})
+	solver.MinimizeMLU(env.PS, d, solver.Options{Iters: gradIters / 3, InitR: prevCfg.R})
 	res.GradWarmCalc = time.Since(start)
 
 	// Oblivious precomputation, small scale only (as in the paper, where it

@@ -60,14 +60,11 @@ func (p Path) Capacity(g *Graph) float64 {
 }
 
 // EdgeWeight gives the cost of traversing an edge; used to parameterize
-// shortest-path computations (hop count, inverse capacity, custom).
+// shortest-path computations (hop count, custom).
 type EdgeWeight func(e Edge) float64
 
 // HopWeight weights every edge 1, so shortest path = fewest hops.
 func HopWeight(Edge) float64 { return 1 }
-
-// InverseCapacityWeight weights an edge by 1/capacity, preferring fat links.
-func InverseCapacityWeight(e Edge) float64 { return 1 / e.Capacity }
 
 type pqItem struct {
 	v    int

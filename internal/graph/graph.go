@@ -130,26 +130,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// RemoveLink returns a copy of g with both directions of link (a,b) removed.
-// It is used to model a physical link failure. It returns an error if the
-// link does not exist in either direction.
-func (g *Graph) RemoveLink(a, b int) (*Graph, error) {
-	if _, ok := g.EdgeID(a, b); !ok {
-		return nil, fmt.Errorf("graph: link (%d,%d) does not exist", a, b)
-	}
-	if _, ok := g.EdgeID(b, a); !ok {
-		return nil, fmt.Errorf("graph: reverse link (%d,%d) does not exist", b, a)
-	}
-	c := New(g.n)
-	for _, e := range g.edges {
-		if (e.From == a && e.To == b) || (e.From == b && e.To == a) {
-			continue
-		}
-		c.MustAddEdge(e.From, e.To, e.Capacity)
-	}
-	return c, nil
-}
-
 // Connected reports whether every vertex is reachable from vertex 0
 // following directed edges (sufficient for the symmetric graphs used here).
 func (g *Graph) Connected() bool {

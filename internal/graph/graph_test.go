@@ -49,36 +49,6 @@ func TestEdgeIDAndOutEdges(t *testing.T) {
 	}
 }
 
-func TestRemoveLink(t *testing.T) {
-	g := New(3)
-	if err := g.AddLink(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddLink(1, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	h, err := g.RemoveLink(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumEdges() != 2 {
-		t.Errorf("edges after removal = %d, want 2", h.NumEdges())
-	}
-	if _, ok := h.EdgeID(0, 1); ok {
-		t.Error("edge (0,1) still present")
-	}
-	if _, ok := h.EdgeID(1, 0); ok {
-		t.Error("edge (1,0) still present")
-	}
-	// Original graph untouched.
-	if g.NumEdges() != 4 {
-		t.Errorf("original mutated: %d edges", g.NumEdges())
-	}
-	if _, err := g.RemoveLink(0, 2); err == nil {
-		t.Error("removing missing link should error")
-	}
-}
-
 func TestConnected(t *testing.T) {
 	g := New(3)
 	g.MustAddEdge(0, 1, 1)
@@ -136,7 +106,7 @@ func TestShortestPathWeights(t *testing.T) {
 	g.MustAddEdge(1, 2, 100)
 	g.MustAddEdge(0, 2, 1)
 	// Under inverse-capacity weight the two-hop fat route wins.
-	p, _, ok := g.ShortestPath(0, 2, InverseCapacityWeight, nil, nil)
+	p, _, ok := g.ShortestPath(0, 2, func(e Edge) float64 { return 1 / e.Capacity }, nil, nil)
 	if !ok || !p.Equal(Path{0, 1, 2}) {
 		t.Errorf("inverse-capacity path = %v", p)
 	}

@@ -3,49 +3,11 @@ package graph
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
-	"encoding/xml"
-	"fmt"
-	"io"
 	"math"
-	"sort"
-	"strconv"
 )
 
-// This file provides topology serialization: a JSON format for round-trips
-// within this repository, and a GraphML importer so the real Topology Zoo
-// files (UsCarrier.graphml, Cogentco.graphml, ...) can be dropped in to
-// replace the synthetic reconstructions when available.
-
-// graphJSON is the portable JSON schema.
-type graphJSON struct {
-	N     int    `json:"n"`
-	Edges []Edge `json:"edges"`
-}
-
-// MarshalJSON serializes the graph.
-func (g *Graph) MarshalJSON() ([]byte, error) {
-	return json.Marshal(graphJSON{N: g.n, Edges: g.edges})
-}
-
-// UnmarshalJSON restores a graph, validating every edge.
-func (g *Graph) UnmarshalJSON(data []byte) error {
-	var j graphJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if j.N < 0 {
-		return fmt.Errorf("graph: negative vertex count %d", j.N)
-	}
-	restored := New(j.N)
-	for i, e := range j.Edges {
-		if _, err := restored.AddEdge(e.From, e.To, e.Capacity); err != nil {
-			return fmt.Errorf("graph: edge %d: %w", i, err)
-		}
-	}
-	*g = *restored
-	return nil
-}
+// This file holds the graph's content address. Topologies are built in code
+// (topologies.go); there is no topology file format.
 
 // ContentHash returns a SHA-256 digest of the graph's content: the vertex
 // count plus every edge's (From, To, Capacity), hashed in sorted (From, To)
@@ -69,179 +31,4 @@ func (g *Graph) ContentHash() [sha256.Size]byte {
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out
-}
-
-// GraphML parsing types (subset sufficient for Topology Zoo exports).
-type graphmlFile struct {
-	XMLName xml.Name     `xml:"graphml"`
-	Keys    []graphmlKey `xml:"key"`
-	Graph   graphmlGraph `xml:"graph"`
-}
-
-type graphmlKey struct {
-	ID   string `xml:"id,attr"`
-	For  string `xml:"for,attr"`
-	Name string `xml:"attr.name,attr"`
-}
-
-type graphmlGraph struct {
-	EdgeDefault string        `xml:"edgedefault,attr"`
-	Nodes       []graphmlNode `xml:"node"`
-	Edges       []graphmlEdge `xml:"edge"`
-}
-
-type graphmlNode struct {
-	ID string `xml:"id,attr"`
-}
-
-type graphmlEdge struct {
-	Source string        `xml:"source,attr"`
-	Target string        `xml:"target,attr"`
-	Data   []graphmlData `xml:"data"`
-}
-
-type graphmlData struct {
-	Key   string `xml:"key,attr"`
-	Value string `xml:",chardata"`
-}
-
-// GraphMLOptions configures the importer.
-type GraphMLOptions struct {
-	// DefaultCapacity is used for edges without a recognized capacity
-	// attribute (default 10).
-	DefaultCapacity float64
-	// CapacityAttr names the edge attribute holding capacity/bandwidth
-	// (default: any key whose attr.name contains "apacity" or "andwidth").
-	CapacityAttr string
-}
-
-// ReadGraphML parses a GraphML topology (Topology Zoo style) into a Graph.
-// Node IDs are mapped to dense integers in order of appearance; undirected
-// edges (the Topology Zoo default) become directed edge pairs. Duplicate
-// links between the same node pair are merged by summing capacities, since
-// parallel edges are not supported.
-func ReadGraphML(r io.Reader, opt GraphMLOptions) (*Graph, error) {
-	if opt.DefaultCapacity == 0 {
-		opt.DefaultCapacity = 10
-	}
-	var f graphmlFile
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("graph: graphml parse: %w", err)
-	}
-	if len(f.Graph.Nodes) == 0 {
-		return nil, fmt.Errorf("graph: graphml has no nodes")
-	}
-	// Resolve the capacity key.
-	capKey := ""
-	for _, k := range f.Keys {
-		if k.For != "edge" {
-			continue
-		}
-		if opt.CapacityAttr != "" {
-			if k.Name == opt.CapacityAttr {
-				capKey = k.ID
-				break
-			}
-			continue
-		}
-		if containsAny(k.Name, "apacity", "andwidth") {
-			capKey = k.ID
-			break
-		}
-	}
-
-	id := make(map[string]int, len(f.Graph.Nodes))
-	for _, n := range f.Graph.Nodes {
-		if _, dup := id[n.ID]; dup {
-			return nil, fmt.Errorf("graph: duplicate node id %q", n.ID)
-		}
-		id[n.ID] = len(id)
-	}
-	g := New(len(id))
-	directed := f.Graph.EdgeDefault == "directed"
-	// Accumulate capacities per (a,b) with a<b normalization for undirected.
-	type link struct{ a, b int }
-	caps := map[link]float64{}
-	for i, e := range f.Graph.Edges {
-		a, ok := id[e.Source]
-		if !ok {
-			return nil, fmt.Errorf("graph: edge %d references unknown node %q", i, e.Source)
-		}
-		b, ok := id[e.Target]
-		if !ok {
-			return nil, fmt.Errorf("graph: edge %d references unknown node %q", i, e.Target)
-		}
-		if a == b {
-			continue // self-loops are meaningless for TE
-		}
-		c := opt.DefaultCapacity
-		if capKey != "" {
-			for _, d := range e.Data {
-				if d.Key == capKey {
-					if v, err := strconv.ParseFloat(trimSpace(d.Value), 64); err == nil && v > 0 {
-						c = v
-					}
-				}
-			}
-		}
-		if !directed && a > b {
-			a, b = b, a
-		}
-		caps[link{a, b}] += c
-	}
-	// Sort links for deterministic edge ordering.
-	links := make([]link, 0, len(caps))
-	for l := range caps {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].a != links[j].a {
-			return links[i].a < links[j].a
-		}
-		return links[i].b < links[j].b
-	})
-	for _, l := range links {
-		c := caps[l]
-		if directed {
-			g.MustAddEdge(l.a, l.b, c)
-			continue
-		}
-		if err := g.AddLink(l.a, l.b, c); err != nil {
-			return nil, err
-		}
-	}
-	if g.NumEdges() == 0 {
-		return nil, fmt.Errorf("graph: graphml has no usable edges")
-	}
-	return g, nil
-}
-
-func containsAny(s string, subs ...string) bool {
-	for _, sub := range subs {
-		if containsStr(s, sub) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-func trimSpace(s string) string {
-	start, end := 0, len(s)
-	for start < end && (s[start] == ' ' || s[start] == '\n' || s[start] == '\t' || s[start] == '\r') {
-		start++
-	}
-	for end > start && (s[end-1] == ' ' || s[end-1] == '\n' || s[end-1] == '\t' || s[end-1] == '\r') {
-		end--
-	}
-	return s[start:end]
 }

@@ -36,9 +36,6 @@ func (m *MLP) GradView() *Grads {
 	return g
 }
 
-// NumTensors returns the number of parameter tensors (2 per layer).
-func (m *MLP) NumTensors() int { return 2 * len(m.Layers) }
-
 // Tensor returns buffer i (VisitParams order).
 func (g *Grads) Tensor(i int) []float64 { return g.t[i] }
 

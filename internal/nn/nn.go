@@ -246,12 +246,6 @@ func NewMLP(sizes []int, hiddenAct, outAct Activation, rng *rand.Rand) *MLP {
 	return m
 }
 
-// PaperMLP builds the exact FIGRET/DOTE architecture: five hidden layers of
-// 128 ReLU units and a Sigmoid output layer.
-func PaperMLP(in, out int, rng *rand.Rand) *MLP {
-	return NewMLP([]int{in, 128, 128, 128, 128, 128, out}, ReLU, Sigmoid, rng)
-}
-
 // Forward runs the network on a single input vector.
 func (m *MLP) Forward(x []float64) []float64 {
 	for _, l := range m.Layers {

@@ -323,33 +323,11 @@ func TestNumParams(t *testing.T) {
 	}
 }
 
-func TestPaperMLPShape(t *testing.T) {
-	net := PaperMLP(10, 4, rand.New(rand.NewSource(9)))
-	if len(net.Layers) != 6 {
-		t.Fatalf("layers = %d, want 6", len(net.Layers))
-	}
-	for i, l := range net.Layers[:5] {
-		if l.Out != 128 || l.Act != ReLU {
-			t.Errorf("hidden layer %d: out=%d act=%v", i, l.Out, l.Act)
-		}
-	}
-	outL := net.Layers[5]
-	if outL.Out != 4 || outL.Act != Sigmoid {
-		t.Errorf("output layer: out=%d act=%v", outL.Out, outL.Act)
-	}
-	y := net.Forward(make([]float64, 10))
-	for _, v := range y {
-		if v <= 0 || v >= 1 {
-			t.Errorf("sigmoid output %v out of (0,1)", v)
-		}
-	}
-}
-
 // Property: sigmoid outputs always lie in [0,1] for any finite input
 // (saturation to exactly 0 or 1 is possible in float64 for extreme
 // pre-activations and is acceptable: Normalize repairs all-zero pairs).
 func TestSigmoidRangeProperty(t *testing.T) {
-	net := PaperMLP(6, 3, rand.New(rand.NewSource(10)))
+	net := NewMLP([]int{6, 128, 128, 128, 128, 128, 3}, ReLU, Sigmoid, rand.New(rand.NewSource(10)))
 	f := func(a, b, c, d, e, g float64) bool {
 		clamp := func(v float64) float64 {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

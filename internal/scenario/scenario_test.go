@@ -46,48 +46,37 @@ func TestSpecValidate(t *testing.T) {
 	if err := podSpec("ok").Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+
+	// Sizes a spec file can carry that would panic in nn.NewDense (h,
+	// hidden), produce a +Inf metric JSON cannot encode (solverIters) or
+	// silently run another configuration (epochs, batchSize): each is
+	// rejected by field name, and the runner never starts on one.
+	hostile := []struct{ field, body string }{
+		{"train.h", `"train":{"h":-1}`},
+		{"train.hidden", `"train":{"hidden":[0]}`},
+		{"solverIters", `"solverIters":-3`},
+		{"train.epochs", `"train":{"epochs":-1}`},
+		{"train.batchSize", `"train":{"batchSize":-4}`},
+	}
+	for _, h := range hostile {
+		data := []byte(`{"name":"x","topo":"pod-db","mode":"offline","schemes":["figret"],` + h.body + `}`)
+		if _, err := ParseSpec(data); err == nil || !strings.Contains(err.Error(), h.field) {
+			t.Errorf("ParseSpec(%s) = %v, want an error naming %s", h.body, err, h.field)
+		}
+		var sp Spec
+		if err := json.Unmarshal(data, &sp); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := NewRunner(Options{}).RunOne(&sp); err == nil || m != nil {
+			t.Errorf("RunOne(%s) = %v, %v, want an error and no metrics", h.body, m, err)
+		}
+	}
 }
 
 func TestParseSpecUnknownField(t *testing.T) {
 	_, err := ParseSpec([]byte(`{"name":"x","topo":"geant","mode":"offline","schemes":["uniform"],"topology":"oops"}`))
 	if err == nil || !strings.Contains(err.Error(), "topology") {
 		t.Fatalf("unknown field not rejected: %v", err)
-	}
-}
-
-func TestParseShard(t *testing.T) {
-	for _, bad := range []string{"0/3", "4/3", "x", "1/0", "-1/2"} {
-		if _, err := ParseShard(bad); err == nil {
-			t.Errorf("shard %q unexpectedly parsed", bad)
-		}
-	}
-	sh, err := ParseShard("2/3")
-	if err != nil || sh != (Shard{2, 3}) {
-		t.Fatalf("ParseShard(2/3) = %v, %v", sh, err)
-	}
-	if sh, _ := ParseShard(""); sh != (Shard{1, 1}) {
-		t.Fatalf("empty shard = %v", sh)
-	}
-}
-
-// TestShardSelectUnion proves the shard invariant: shards are disjoint
-// and their union (in canonical order) is exactly the suite.
-func TestShardSelectUnion(t *testing.T) {
-	specs := []*Spec{podSpec("a"), podSpec("b"), podSpec("c"), podSpec("d"), podSpec("e")}
-	const n = 3
-	seen := map[string]int{}
-	for i := 1; i <= n; i++ {
-		for _, s := range (Shard{i, n}).Select(specs) {
-			seen[s.Name]++
-		}
-	}
-	if len(seen) != len(specs) {
-		t.Fatalf("union has %d of %d specs", len(seen), len(specs))
-	}
-	for _, s := range specs {
-		if c := seen[s.Name]; c != 1 {
-			t.Fatalf("spec %s selected %d times", s.Name, c)
-		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package scenario is the declarative scenario-matrix subsystem: a Spec
 // names one cell of the paper's evaluation space — (topology × traffic
 // model × perturbation × failure pattern × scheme set × evaluation mode)
-// — in JSON, a sharded Runner executes whole suites of cells on a worker
+// — in JSON, a Runner executes whole suites of cells on a worker
 // pool that shares one environment (path set, oracle cache, trained
 // models) per substrate across cells, and a checksummed golden-metrics
 // store with tolerance-checked Compare turns the suite into a regression
@@ -12,9 +12,8 @@
 // alone — every random draw (traffic, perturbation, failure sampling,
 // model initialization) is explicitly seeded, the evaluation engine is
 // worker-count independent, and the closed-loop mode streams its trace
-// through synchronous ingest. Sharding a suite therefore produces the
-// bitwise union of the single-process results, and `bless` → `diff`
-// round-trips clean on an unchanged tree.
+// through synchronous ingest. `bless` → `diff` therefore round-trips
+// clean on an unchanged tree.
 package scenario
 
 import (
@@ -126,8 +125,8 @@ type WindowSpec struct {
 // select documented defaults, so a minimal spec is just
 // {name, topo, mode, schemes}.
 type Spec struct {
-	// Name identifies the scenario; golden files and shard assignment key
-	// on it. Suite names must be unique.
+	// Name identifies the scenario; golden files key on it. Suite names
+	// must be unique.
 	Name string `json:"name"`
 	// Topo is a graph.Topo* name; the traffic model is the topology's
 	// canonical workload (traffic.ForTopology): WAN bursts on geant,
@@ -272,6 +271,27 @@ func (s *Spec) Validate() error {
 	if s.Delay < 0 {
 		return fmt.Errorf("scenario %s: negative delay %d", s.Name, s.Delay)
 	}
+	// Sizes: 0 selects the documented default; a negative one would reach
+	// nn.NewDense or the solver's iteration loop as-is.
+	if s.SolverIters < 0 {
+		return fmt.Errorf("scenario %s: solverIters %d must be >= 0", s.Name, s.SolverIters)
+	}
+	if t := s.Train; t != nil {
+		if t.H < 0 {
+			return fmt.Errorf("scenario %s: train.h %d must be >= 0", s.Name, t.H)
+		}
+		if t.Epochs < 0 {
+			return fmt.Errorf("scenario %s: train.epochs %d must be >= 0", s.Name, t.Epochs)
+		}
+		if t.BatchSize < 0 {
+			return fmt.Errorf("scenario %s: train.batchSize %d must be >= 0", s.Name, t.BatchSize)
+		}
+		for _, w := range t.Hidden {
+			if w < 1 {
+				return fmt.Errorf("scenario %s: train.hidden width %d must be >= 1", s.Name, w)
+			}
+		}
+	}
 	if s.Tolerance < 0 {
 		return fmt.Errorf("scenario %s: negative tolerance %v", s.Name, s.Tolerance)
 	}
@@ -296,7 +316,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 
 // LoadSuite reads every *.json spec under dir, validates each, checks
 // name uniqueness and returns the suite sorted by name — the canonical
-// order sharding and output listing use.
+// order output listing uses.
 func LoadSuite(dir string) ([]*Spec, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -325,43 +345,4 @@ func LoadSuite(dir string) ([]*Spec, error) {
 	}
 	sort.Slice(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
 	return specs, nil
-}
-
-// Shard selects a 1-based slice i/n of a suite: spec j (in canonical
-// name order) belongs to shard (j mod n)+1. The union over all shards is
-// exactly the full suite.
-type Shard struct {
-	Index, Count int
-}
-
-// ParseShard parses "i/n" (1 <= i <= n). An empty string means the whole
-// suite (Shard{1, 1}).
-func ParseShard(s string) (Shard, error) {
-	if s == "" {
-		return Shard{1, 1}, nil
-	}
-	var i, n int
-	if _, err := fmt.Sscanf(s, "%d/%d", &i, &n); err != nil {
-		return Shard{}, fmt.Errorf("scenario: bad shard %q (want i/n)", s)
-	}
-	if n < 1 || i < 1 || i > n {
-		return Shard{}, fmt.Errorf("scenario: shard %d/%d out of range", i, n)
-	}
-	return Shard{Index: i, Count: n}, nil
-}
-
-// Select returns the specs of this shard, preserving canonical order.
-// specs must already be in canonical (name-sorted) order, as LoadSuite
-// returns them.
-func (sh Shard) Select(specs []*Spec) []*Spec {
-	if sh.Count <= 1 {
-		return specs
-	}
-	var out []*Spec
-	for j, s := range specs {
-		if j%sh.Count == sh.Index-1 {
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -78,8 +78,9 @@ type DriftOptions struct {
 	// Epochs is the retraining epoch budget (default 4; retrains favor
 	// fast turnaround over squeezing out the last fraction of loss).
 	Epochs int
-	// TrainWorkers overrides the retraining worker-pool size (0 inherits
-	// the incumbent model's setting). Retrained weights are bitwise
+	// TrainWorkers sizes the retraining worker pool (0 = GOMAXPROCS; a
+	// registry checkpoint never carries a worker count of its own, and
+	// served passes -trainworkers here). Retrained weights are bitwise
 	// identical for any value, so this only trades latency for CPU.
 	TrainWorkers int
 	// ShadowWindow is how many recent snapshots the candidate is
@@ -676,11 +677,9 @@ func (c *Controller) retrain(hist *traffic.Trace, incumbent *Checkpoint) {
 	cfg := incumbent.Model.Cfg
 	cfg.Epochs = opt.Epochs
 	cfg.Seed = cfg.Seed + int64(incumbent.Version) // decorrelate restarts
-	if opt.TrainWorkers > 0 {
-		// Worker count never changes the trained bits, so overriding it
-		// here cannot perturb the accept/reject decision.
-		cfg.TrainWorkers = opt.TrainWorkers
-	}
+	// Worker count never changes the trained bits, so it cannot perturb
+	// the accept/reject decision.
+	cfg.TrainWorkers = opt.TrainWorkers
 	cand := figret.New(c.ps, cfg)
 	// Hold the shadow window out of training: the candidate is accepted
 	// on snapshots neither model trained on, so an overfit candidate

@@ -24,10 +24,6 @@ type Options struct {
 	Iters int
 	// LR is the Adam learning rate (default 0.05).
 	LR float64
-	// BetaRel scales the softmax-temperature used by the smooth max: the
-	// effective temperature is BetaRel / currentMaxUtilization, making the
-	// relaxation scale-invariant (default 30).
-	BetaRel float64
 	// Seed initializes the logits jitter (default 0: start uniform).
 	Seed int64
 	// InitR, if non-nil, warm-starts the solve: the logits are initialized
@@ -41,9 +37,16 @@ type Options struct {
 	// Caps, if non-nil, are per-path upper bounds on split ratios, enforced
 	// by a quadratic penalty (entries may be +Inf).
 	Caps []float64
-	// PenaltyWeight scales the cap-violation penalty (default 50).
-	PenaltyWeight float64
 }
+
+const (
+	// betaRel scales the softmax-temperature used by the smooth max: the
+	// effective temperature is betaRel / currentMaxUtilization, making the
+	// relaxation scale-invariant.
+	betaRel = 30
+	// penaltyWeight scales the cap-violation penalty.
+	penaltyWeight = 50
+)
 
 func (o Options) withDefaults() Options {
 	if o.Iters == 0 {
@@ -51,12 +54,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LR == 0 {
 		o.LR = 0.05
-	}
-	if o.BetaRel == 0 {
-		o.BetaRel = 30
-	}
-	if o.PenaltyWeight == 0 {
-		o.PenaltyWeight = 50
 	}
 	return o
 }
@@ -115,7 +112,7 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 		// Track the best hard-max iterate (with caps feasibility preferred).
 		score := maxU
 		if opt.Caps != nil {
-			score += opt.PenaltyWeight * capViolation(r, opt.Caps)
+			score += penaltyWeight * capViolation(r, opt.Caps)
 		}
 		if score < best {
 			best = score
@@ -128,7 +125,7 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 		// Smooth-max weights: w_e = softmax(beta * util), pre-divided by
 		// edge capacity so the per-path gradient loop below is a single
 		// multiply-accumulate over the flat CSR edge list.
-		beta := opt.BetaRel / maxU
+		beta := betaRel / maxU
 		var sumW float64
 		for e := range util {
 			w[e] = math.Exp(beta * (util[e] - maxU))
@@ -158,7 +155,7 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 					continue
 				}
 				if v := r[p] - c; v > 0 {
-					gr[p] += 2 * opt.PenaltyWeight * v
+					gr[p] += 2 * penaltyWeight * v
 				}
 			}
 		}

@@ -109,15 +109,3 @@ func (c *Config) MLU(d []float64) float64 {
 	m, _ := c.ps.MLU(d, c.R)
 	return m
 }
-
-// MaxSensitivity returns the maximum path sensitivity across all paths
-// (the COUDER-style global robustness metric).
-func (c *Config) MaxSensitivity(normalize bool) float64 {
-	best := 0.0
-	for _, s := range c.ps.Sensitivities(c.R, normalize) {
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}

@@ -50,12 +50,6 @@ type PathSet struct {
 // PathSelector chooses candidate paths for one SD pair.
 type PathSelector func(g *graph.Graph, s, d, k int) []graph.Path
 
-// YenSelector returns the paper's default path selection: Yen's K shortest
-// paths by hop count.
-func YenSelector(g *graph.Graph, s, d, k int) []graph.Path {
-	return g.KShortestPaths(s, d, k, graph.HopWeight)
-}
-
 // SelectorYen is the content-address name of the default Yen selector.
 const SelectorYen = "yen"
 
@@ -293,17 +287,6 @@ func (ps *PathSet) EdgeCaps() []float64 {
 	return ps.csrCap
 }
 
-// MaxPathsPerPair returns the largest candidate set size over all pairs.
-func (ps *PathSet) MaxPathsPerPair() int {
-	m := 0
-	for _, pp := range ps.PairPaths {
-		if len(pp) > m {
-			m = len(pp)
-		}
-	}
-	return m
-}
-
 // EdgeFlows accumulates the per-edge flow induced by demand vector d (indexed
 // by pair) and split ratios r (indexed by path): f_e = Σ_p d[pair(p)]·r[p]
 // over paths containing e. The result has one entry per directed edge.
@@ -350,36 +333,6 @@ func (ps *PathSet) MLUFromFlows(flows []float64) (float64, int) {
 		}
 	}
 	return best, arg
-}
-
-// Utilizations returns per-edge utilization f_e / c_e for demand d under r.
-func (ps *PathSet) Utilizations(d, r []float64) []float64 {
-	flows := ps.EdgeFlows(d, r, nil)
-	for e := range flows {
-		flows[e] /= ps.G.Edge(e).Capacity
-	}
-	return flows
-}
-
-// SharedLinkMLU evaluates MLU treating each pair of opposite directed edges
-// as one undirected link whose capacity is shared by both directions:
-// u(a,b) = (f_{a->b} + f_{b->a}) / c. This is the convention of the paper's
-// Figure 3 worked example ("A↔B: 2"); the evaluation sections use the
-// per-directed-edge MLU instead.
-func (ps *PathSet) SharedLinkMLU(d, r []float64) float64 {
-	flows := ps.EdgeFlows(d, r, nil)
-	best := 0.0
-	for e, f := range flows {
-		ed := ps.G.Edge(e)
-		total := f
-		if rev, ok := ps.G.EdgeID(ed.To, ed.From); ok {
-			total += flows[rev]
-		}
-		if u := total / ed.Capacity; u > best {
-			best = u
-		}
-	}
-	return best
 }
 
 // Sensitivities returns S_p = r_p / C_p for every path (the paper's path

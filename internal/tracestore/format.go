@@ -92,14 +92,6 @@ var ErrCorrupt = errors.New("tracestore: corrupt store")
 // version: not damage, but not readable either.
 var ErrVersion = errors.New("tracestore: unsupported format version")
 
-// IsFormatError reports whether err indicates damaged or foreign store
-// bytes (ErrCorrupt or ErrVersion) rather than an I/O fault. Cache
-// layers use it to classify a bad entry as a miss to regenerate instead
-// of a fatal error.
-func IsFormatError(err error) bool {
-	return errors.Is(err, ErrCorrupt) || errors.Is(err, ErrVersion)
-}
-
 // corruptf builds an ErrCorrupt with a located reason.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))

@@ -106,19 +106,6 @@ func (t *Trace) Scale(f float64) *Trace {
 	return t
 }
 
-// MaxDemand returns the largest single demand entry in the trace.
-func (t *Trace) MaxDemand() float64 {
-	m := 0.0
-	for _, s := range t.Snapshots {
-		for _, v := range s {
-			if v > m {
-				m = v
-			}
-		}
-	}
-	return m
-}
-
 // Window returns the H snapshots strictly before index t as a flat vector
 // (oldest first), the input layout consumed by the history-window models.
 // It panics unless H <= t <= Len().

@@ -479,9 +479,6 @@ func TestScaleAndMaxDemand(t *testing.T) {
 	if tr.Snapshots[0][1] != 6 {
 		t.Errorf("scale failed: %v", tr.Snapshots[0])
 	}
-	if tr.MaxDemand() != 6 {
-		t.Errorf("MaxDemand = %v", tr.MaxDemand())
-	}
 }
 
 // TestReverseRankMapTies pins tie handling: equal values rank by ascending

@@ -21,13 +21,12 @@ type Options struct {
 	Perplexity float64
 	// Iters is the number of gradient-descent iterations (default 400).
 	Iters int
-	// LearningRate is the gradient step (default 100).
-	LearningRate float64
 	// Seed drives the initial embedding.
 	Seed int64
-	// OutDims is the embedding dimensionality (default 2).
-	OutDims int
 }
+
+// learningRate is the gradient step.
+const learningRate = 100
 
 func (o Options) withDefaults(n int) Options {
 	if o.Perplexity == 0 {
@@ -39,17 +38,11 @@ func (o Options) withDefaults(n int) Options {
 	if o.Iters == 0 {
 		o.Iters = 400
 	}
-	if o.LearningRate == 0 {
-		o.LearningRate = 100
-	}
-	if o.OutDims == 0 {
-		o.OutDims = 2
-	}
 	return o
 }
 
-// Run embeds the n input vectors xs (each the same length) into OutDims
-// dimensions and returns an n×OutDims matrix.
+// Run embeds the n input vectors xs (each the same length) into two
+// dimensions and returns an n×2 matrix.
 func Run(xs [][]float64, opt Options) ([][]float64, error) {
 	n := len(xs)
 	if n < 4 {
@@ -78,7 +71,7 @@ func Run(xs [][]float64, opt Options) ([][]float64, error) {
 	}
 
 	rng := rand.New(rand.NewSource(opt.Seed))
-	d := opt.OutDims
+	const d = 2 // embedding dimensionality
 	y := make([]float64, n*d)
 	for i := range y {
 		y[i] = rng.NormFloat64() * 1e-2
@@ -132,7 +125,7 @@ func Run(xs [][]float64, opt Options) ([][]float64, error) {
 			momentum = 0.8
 		}
 		for i := range y {
-			vel[i] = momentum*vel[i] - opt.LearningRate*grad[i]
+			vel[i] = momentum*vel[i] - learningRate*grad[i]
 			y[i] += vel[i]
 		}
 		// Recenter.
