@@ -7,10 +7,12 @@ import "fmt"
 // blocked GEMM-style products. Every per-(sample, output) dot product
 // accumulates in exactly the order of dot(), so a batch of B samples is
 // bitwise identical to B sequential single-sample calls; the speedup comes
-// from register blocking (four independent accumulator chains instead of
-// one latency-bound chain), cache blocking (each weight row is reused
-// across the batch rows of a tile), and the complete absence of per-step
-// allocations once a Scratch has been built.
+// from register blocking (one load of x feeds four weight rows: eight
+// independent accumulator chains for a pair of batch rows, four for a
+// single row, instead of one chain that re-reads x per weight row), cache
+// blocking (each weight row is reused across the batch rows of a tile), and
+// the complete absence of per-step allocations once a Scratch has been
+// built.
 
 // Tile sizes for the blocked kernels: a tile spans up to tileRows batch
 // rows × tileOuts output rows. Tiles keep the batch-row block of the input
@@ -188,33 +190,46 @@ func (d *Dense) batchForward(x, y []float64, b, workers int) {
 	})
 }
 
-// forwardBlock fills y for batch rows [b0,b1) × output rows [o0,o1) using
-// 2×2 register blocking: four dot-product chains run concurrently, each
-// accumulating in dot()'s exact order.
+// forwardBlock fills y for batch rows [b0,b1) × output rows [o0,o1), four
+// output rows per pass of x: batch rows go through dot2x4 in pairs, an odd
+// last row — all of a batch-1 pass — through dot1x4, and the (o1-o0)%4
+// leftover output rows through dot one at a time. Every accumulator keeps
+// dot()'s exact order.
 func (d *Dense) forwardBlock(x, y []float64, b0, b1, o0, o1 int) {
 	in, out := d.In, d.Out
 	o := o0
-	for ; o+2 <= o1; o += 2 {
+	for ; o+4 <= o1; o += 4 {
 		w0 := d.W[o*in : o*in+in]
 		w1 := d.W[(o+1)*in : (o+1)*in+in]
-		c0, c1 := d.B[o], d.B[o+1]
+		w2 := d.W[(o+2)*in : (o+2)*in+in]
+		w3 := d.W[(o+3)*in : (o+3)*in+in]
+		c0, c1, c2, c3 := d.B[o], d.B[o+1], d.B[o+2], d.B[o+3]
 		bi := b0
 		for ; bi+2 <= b1; bi += 2 {
 			x0 := x[bi*in : bi*in+in]
 			x1 := x[(bi+1)*in : (bi+1)*in+in]
-			s00, s01, s10, s11 := dot2x2(w0, w1, x0, x1)
-			y[bi*out+o] = d.Act.apply(s00 + c0)
-			y[bi*out+o+1] = d.Act.apply(s10 + c1)
-			y[(bi+1)*out+o] = d.Act.apply(s01 + c0)
-			y[(bi+1)*out+o+1] = d.Act.apply(s11 + c1)
+			s00, s01, s02, s03, s10, s11, s12, s13 := dot2x4(x0, x1, w0, w1, w2, w3)
+			y0 := y[bi*out+o : bi*out+o+4]
+			y1 := y[(bi+1)*out+o : (bi+1)*out+o+4]
+			y0[0] = d.Act.apply(s00 + c0)
+			y0[1] = d.Act.apply(s01 + c1)
+			y0[2] = d.Act.apply(s02 + c2)
+			y0[3] = d.Act.apply(s03 + c3)
+			y1[0] = d.Act.apply(s10 + c0)
+			y1[1] = d.Act.apply(s11 + c1)
+			y1[2] = d.Act.apply(s12 + c2)
+			y1[3] = d.Act.apply(s13 + c3)
 		}
 		if bi < b1 {
-			x0 := x[bi*in : bi*in+in]
-			y[bi*out+o] = d.Act.apply(dot(w0, x0) + c0)
-			y[bi*out+o+1] = d.Act.apply(dot(w1, x0) + c1)
+			s0, s1, s2, s3 := dot1x4(x[bi*in:bi*in+in], w0, w1, w2, w3)
+			y0 := y[bi*out+o : bi*out+o+4]
+			y0[0] = d.Act.apply(s0 + c0)
+			y0[1] = d.Act.apply(s1 + c1)
+			y0[2] = d.Act.apply(s2 + c2)
+			y0[3] = d.Act.apply(s3 + c3)
 		}
 	}
-	if o < o1 {
+	for ; o < o1; o++ {
 		w0 := d.W[o*in : o*in+in]
 		c0 := d.B[o]
 		for bi := b0; bi < b1; bi++ {
@@ -354,41 +369,87 @@ func (d *Dense) backwardInputBlock(dy, dx []float64, b0, b1 int) {
 	}
 }
 
-// dot2x2 computes the four dot products {w0,w1}·{x0,x1}. Each of the four
-// accumulators follows dot()'s 4-wide grouping, so every result is bitwise
-// identical to the corresponding dot(w, x) — but the four chains are
-// independent, hiding floating-point add latency. Reslicing every operand
-// to n lets the compiler prove all indices in-bounds (zero bounds checks
-// in the loops; verify with go build -gcflags=-d=ssa/check_bce).
-func dot2x2(w0, w1, x0, x1 []float64) (s00, s01, s10, s11 float64) {
-	n := len(w0)
-	w1 = w1[:n]
-	x0 = x0[:n]
+// dot2x4 computes the eight dot products {x0,x1}·{w0,w1,w2,w3}; sRO is batch
+// row R against weight row O. Each accumulator follows dot()'s grouping —
+// s += ((w₀x₀ + w₁x₁) + w₂x₂) + w₃x₃, remainder elements one at a time —
+// so every result is bitwise the corresponding dot(w, x); the eight chains
+// are independent and each x element is loaded once for four weight rows
+// (24 loads per 32 multiply-adds). Reslicing the other five operands to
+// len(x0) leaves go build -gcflags=-d=ssa/check_bce reporting four
+// IsInBounds per 4-wide step (the loads of x0, which then cover the rest)
+// and one in the remainder loop; the check-free loop shapes measured slower
+// (DESIGN.md §10).
+func dot2x4(x0, x1, w0, w1, w2, w3 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64) {
+	n := len(x0)
 	x1 = x1[:n]
+	w0 = w0[:n]
+	w1 = w1[:n]
+	w2 = w2[:n]
+	w3 = w3[:n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		a0, a1, a2, a3 := w0[i], w0[i+1], w0[i+2], w0[i+3]
-		b0, b1, b2, b3 := w1[i], w1[i+1], w1[i+2], w1[i+3]
 		p0, p1, p2, p3 := x0[i], x0[i+1], x0[i+2], x0[i+3]
 		q0, q1, q2, q3 := x1[i], x1[i+1], x1[i+2], x1[i+3]
+		a0, a1, a2, a3 := w0[i], w0[i+1], w0[i+2], w0[i+3]
 		s00 += a0*p0 + a1*p1 + a2*p2 + a3*p3
-		s01 += a0*q0 + a1*q1 + a2*q2 + a3*q3
-		s10 += b0*p0 + b1*p1 + b2*p2 + b3*p3
-		s11 += b0*q0 + b1*q1 + b2*q2 + b3*q3
+		s10 += a0*q0 + a1*q1 + a2*q2 + a3*q3
+		a0, a1, a2, a3 = w1[i], w1[i+1], w1[i+2], w1[i+3]
+		s01 += a0*p0 + a1*p1 + a2*p2 + a3*p3
+		s11 += a0*q0 + a1*q1 + a2*q2 + a3*q3
+		a0, a1, a2, a3 = w2[i], w2[i+1], w2[i+2], w2[i+3]
+		s02 += a0*p0 + a1*p1 + a2*p2 + a3*p3
+		s12 += a0*q0 + a1*q1 + a2*q2 + a3*q3
+		a0, a1, a2, a3 = w3[i], w3[i+1], w3[i+2], w3[i+3]
+		s03 += a0*p0 + a1*p1 + a2*p2 + a3*p3
+		s13 += a0*q0 + a1*q1 + a2*q2 + a3*q3
 	}
 	for ; i < n; i++ {
-		a, b2, p, q := w0[i], w1[i], x0[i], x1[i]
-		s00 += a * p
-		s01 += a * q
-		s10 += b2 * p
-		s11 += b2 * q
+		p, q := x0[i], x1[i]
+		s00 += w0[i] * p
+		s01 += w1[i] * p
+		s02 += w2[i] * p
+		s03 += w3[i] * p
+		s10 += w0[i] * q
+		s11 += w1[i] * q
+		s12 += w2[i] * q
+		s13 += w3[i] * q
+	}
+	return
+}
+
+// dot1x4 computes the four dot products x·{w0,w1,w2,w3}, each accumulator in
+// dot()'s grouping like dot2x4's: the kernel of every single-row pass, where
+// dot would re-read x once per weight row. check_bce reports the same as
+// for dot2x4: four IsInBounds per 4-wide step (the loads of x), one in the
+// remainder loop.
+func dot1x4(x, w0, w1, w2, w3 []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	w0 = w0[:n]
+	w1 = w1[:n]
+	w2 = w2[:n]
+	w3 = w3[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		p0, p1, p2, p3 := x[i], x[i+1], x[i+2], x[i+3]
+		s0 += w0[i]*p0 + w0[i+1]*p1 + w0[i+2]*p2 + w0[i+3]*p3
+		s1 += w1[i]*p0 + w1[i+1]*p1 + w1[i+2]*p2 + w1[i+3]*p3
+		s2 += w2[i]*p0 + w2[i+1]*p1 + w2[i+2]*p2 + w2[i+3]*p3
+		s3 += w3[i]*p0 + w3[i+1]*p1 + w3[i+2]*p2 + w3[i+3]*p3
+	}
+	for ; i < n; i++ {
+		p := x[i]
+		s0 += w0[i] * p
+		s1 += w1[i] * p
+		s2 += w2[i] * p
+		s3 += w3[i] * p
 	}
 	return
 }
 
 // axpy computes dst[i] += a·src[i], 4-way unrolled. Element updates are
 // independent, so unrolling cannot change results. src is resliced to
-// len(dst) so both loops run bounds-check-free.
+// len(dst), which leaves check_bce reporting four IsInBounds per 4-wide
+// step (on dst; they cover src) and one in the remainder loop.
 func axpy(dst, src []float64, a float64) {
 	n := len(dst)
 	src = src[:n]
@@ -406,8 +467,9 @@ func axpy(dst, src []float64, a float64) {
 
 // axpy2 computes dst[i] += a·u[i]; dst[i] += b·v[i] as two separate adds
 // per element (preserving sequential rounding) while loading and storing
-// dst only once. u and v are resliced to len(dst) so both loops run
-// bounds-check-free.
+// dst only once. u and v are resliced to len(dst), which leaves check_bce
+// reporting four IsInBounds per 4-wide step (on dst; they cover u and v)
+// and one in the remainder loop.
 func axpy2(dst, u, v []float64, a, b float64) {
 	n := len(dst)
 	u = u[:n]

@@ -49,6 +49,50 @@ func TestBatchForwardMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestForwardKernelsMatchDot checks the forward kernels against dot(), not
+// against each other: Forward is the batch-1 wrapper of the same kernels,
+// so TestBatchForwardMatchesSequential compares dot1x4 with dot1x4. Every
+// y[b][o] must be act(dot(W[o], x[b]) + B[o]) bit for bit over every
+// remainder path — the 4-wide inner loop (In), the quad walk over outputs
+// (Out, also split into tileOuts tiles), the row-pair walk (b, also split
+// into tileRows tiles) — below and above parallelThreshold, serial and over
+// even and uneven worker counts. Identity keeps the raw sums visible.
+func TestForwardKernelsMatchDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var below, above int
+	for _, in := range []int{1, 2, 3, 4, 5, 7, 8, 129} {
+		for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 67} {
+			d := NewDense(in, out, Identity, rng)
+			copy(d.B, randVec(rng, out))
+			for _, b := range []int{1, 2, 3, 16, 17} {
+				if b*in*out < parallelThreshold {
+					below++
+				} else {
+					above++
+				}
+				x := randVec(rng, b*in)
+				y := make([]float64, b*out)
+				for _, workers := range []int{1, 2, 3} {
+					clear(y)
+					d.batchForward(x, y, b, workers)
+					for bi := 0; bi < b; bi++ {
+						for o := 0; o < out; o++ {
+							want := d.Act.apply(dot(d.W[o*in:(o+1)*in], x[bi*in:(bi+1)*in]) + d.B[o])
+							if got := y[bi*out+o]; got != want {
+								t.Fatalf("%d×%d layer, b=%d, workers=%d: y[%d][%d] = %v, dot() gives %v",
+									in, out, b, workers, bi, o, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if below == 0 || above == 0 {
+		t.Fatalf("table has %d cases below parallelThreshold and %d at or above it; want both", below, above)
+	}
+}
+
 func TestBatchBackwardMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	net := NewMLP([]int{23, 130, 67, 4}, ReLU, Sigmoid, rng)

@@ -25,9 +25,9 @@ func NewGrads(m *MLP) *Grads {
 }
 
 // GradView returns a Grads whose tensors alias the network's own GW/GB
-// buffers (no copy): the target the reduced gradient sum is applied to
-// before an optimizer step, and the source the sequential reference
-// trainer snapshots shard partials from.
+// buffers (no copy): lane 0 of the data-parallel engine, so where its
+// reduced gradient sum lands before an optimizer step, and the source the
+// sequential reference trainer snapshots shard partials from.
 func (m *MLP) GradView() *Grads {
 	g := &Grads{}
 	for _, l := range m.Layers {

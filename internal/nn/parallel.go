@@ -63,7 +63,7 @@ type ScoreFunc func(lane int, y []float64, r0, r1 int, dy []float64)
 type dpLane struct {
 	scratch *Scratch
 	dy      []float64
-	grads   *Grads // running partial; zeroed by Reduce
+	grads   *Grads // running partial: lane 0's is the network's own GW/GB, the others' are zeroed by Reduce
 	shard   *Grads // scratch for shards after the first; lazily allocated
 	dirty   bool   // grads holds at least one shard since the last Reduce
 }
@@ -75,7 +75,7 @@ type dpLane struct {
 //	for each micro-batch {
 //		eng.Accumulate(x, b, score)  // forward + score + backward
 //	}
-//	eng.Step(opt)                    // tree-reduce partials into m's GW/GB, then Adam
+//	eng.Step(opt)                    // tree-reduce partials into lane 0 — m's GW/GB — then Adam
 //
 // Accumulate may be called several times before Reduce (macro-batches):
 // the shard counter runs on across calls, so K micro-batches of B rows
@@ -87,7 +87,6 @@ type dpLane struct {
 // internally.
 type DataParallel struct {
 	m       *MLP
-	netg    *Grads // aliases m's GW/GB: where Reduce lands the sum
 	workers int
 	out     int
 	lanes   [MaxGradLanes]*dpLane
@@ -95,8 +94,9 @@ type DataParallel struct {
 }
 
 // NewDataParallel builds an engine over m. workers <= 0 selects
-// GOMAXPROCS. Lane buffers are allocated on demand, so a single-worker
-// engine over small batches costs one scratch plus one gradient set.
+// GOMAXPROCS. Lane buffers are allocated on demand and lane 0 accumulates
+// in the network's own gradient buffers, so an engine over single-shard
+// batches costs one scratch and no gradient set at all.
 func NewDataParallel(m *MLP, workers int) *DataParallel {
 	if len(m.Layers) == 0 {
 		panic("nn: data-parallel engine over empty MLP")
@@ -104,7 +104,7 @@ func NewDataParallel(m *MLP, workers int) *DataParallel {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &DataParallel{m: m, netg: m.GradView(), workers: workers, out: m.Layers[len(m.Layers)-1].Out}
+	return &DataParallel{m: m, workers: workers, out: m.Layers[len(m.Layers)-1].Out}
 }
 
 // Workers returns the resolved worker-pool size.
@@ -113,10 +113,20 @@ func (e *DataParallel) Workers() int { return e.workers }
 func (e *DataParallel) lane(i int) *dpLane {
 	ln := e.lanes[i]
 	if ln == nil {
+		// The tree lands in lane 0, so lane 0 accumulates where the sum
+		// belongs. The network's gradients are +0 on entry and a sum grown
+		// from +0 by additions is never -0, so this is bitwise a partial of
+		// lane 0's own added into them afterwards.
+		var grads *Grads
+		if i == 0 {
+			grads = e.m.GradView()
+		} else {
+			grads = NewGrads(e.m)
+		}
 		ln = &dpLane{
 			scratch: NewScratch(e.m, GradShardRows),
 			dy:      make([]float64, GradShardRows*e.out),
-			grads:   NewGrads(e.m),
+			grads:   grads,
 		}
 		e.lanes[i] = ln
 	}
@@ -126,8 +136,10 @@ func (e *DataParallel) lane(i int) *dpLane {
 // Accumulate runs forward, scoring, and backward for one micro-batch x of
 // shape [b][In], adding its gradient into the engine's lane partials. The
 // input is consumed before Accumulate returns (workers read it but never
-// write), so the caller may reuse x immediately. Nothing is applied to
-// the network until Reduce.
+// write), so the caller may reuse x immediately. Lane 0's partial is the
+// network's own GW/GB: they must be zero on entry to the first Accumulate
+// after a Reduce (optimizer Steps clear them), hold that one lane's partial
+// in between, and the whole sum only after Reduce.
 func (e *DataParallel) Accumulate(x []float64, b int, score ScoreFunc) {
 	in := e.m.Layers[0].In
 	if b <= 0 {
@@ -215,12 +227,12 @@ func (e *DataParallel) Accumulate(x []float64, b int, score ScoreFunc) {
 
 // Reduce folds the lane partials into the network's GW/GB by the fixed
 // pairwise tree over lanes [0, used) and resets the engine for the next
-// macro-batch. It is a no-op if nothing was accumulated. The network's
-// gradient buffers are expected to be zero on entry (optimizer Steps
-// clear them), so after Reduce they hold exactly the reduced sum. Every
-// lane is the source of exactly one add of the tree (lane 0 of the final
-// one into the network), so each add clears its source in the same sweep
-// and no separate zeroing pass follows.
+// macro-batch. It is a no-op if nothing was accumulated. The tree lands in
+// lane 0, which is the network's gradient, so after Reduce GW/GB hold
+// exactly the reduced sum and a single-lane Reduce touches no tensor. Every
+// other lane is the source of exactly one add of the tree, so each add
+// clears its source in the same sweep and no separate zeroing pass follows;
+// lane 0 is cleared by whoever consumes the gradient (optimizer Steps do).
 func (e *DataParallel) Reduce() {
 	used := e.shards
 	if used > MaxGradLanes {
@@ -234,7 +246,6 @@ func (e *DataParallel) Reduce() {
 	treeReduce(used, func(dst, src int) {
 		e.lanes[dst].grads.addAndClear(e.lanes[src].grads, e.workers)
 	})
-	e.netg.addAndClear(e.lanes[0].grads, e.workers)
 	for i := 0; i < used; i++ {
 		e.lanes[i].dirty = false
 	}

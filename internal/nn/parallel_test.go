@@ -149,6 +149,35 @@ func TestDataParallelSingleShardKernelParallel(t *testing.T) {
 	}
 }
 
+// TestDataParallelLaneZeroIsNetworkGradient is the contract of a
+// single-shard step: lane 0 accumulates in the network's own GW/GB, so the
+// engine holds no gradient-sized buffer and Reduce has nothing to copy. On
+// a net whose parameters dwarf its activations (16 rows × 1536 widths
+// against 525k parameters), building the engine and running one
+// single-shard Accumulate + Reduce allocates well under the 8 B a parameter
+// one such buffer costs.
+func TestDataParallelLaneZeroIsNetworkGradient(t *testing.T) {
+	m := NewMLP([]int{512, 512, 512}, ReLU, Sigmoid, rand.New(rand.NewSource(4)))
+	x := testBatch(GradShardRows, 512, 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	eng := NewDataParallel(m, 1)
+	eng.Accumulate(x, GradShardRows, quadScore(512))
+	eng.Reduce()
+	runtime.ReadMemStats(&after)
+	if perParam := float64(after.TotalAlloc-before.TotalAlloc) / float64(m.NumParams()); perParam >= 8 {
+		t.Errorf("engine + single-shard step allocated %.3g B per parameter, want < 8: a gradient-sized buffer", perParam)
+	}
+	for ti, want := range m.GradView().t {
+		if got := eng.lanes[0].grads.t[ti]; &got[0] != &want[0] || len(got) != len(want) {
+			t.Errorf("lane 0 tensor %d is not the network's gradient buffer", ti)
+		}
+	}
+	if eng.lanes[1] != nil {
+		t.Error("a single-shard step built a second lane")
+	}
+}
+
 // TestDataParallelStepMatchesReduceThenAdam pins Step: the engine-bounded
 // optimizer sweep leaves bitwise the parameters of Reduce followed by the
 // public Adam.Step, and leaves the gradients cleared, for every worker
