@@ -18,6 +18,7 @@ import (
 
 	"figret/internal/baselines"
 	"figret/internal/experiments"
+	"figret/internal/figret"
 	"figret/internal/graph"
 )
 
@@ -28,54 +29,46 @@ var experimentNames = []string{"fig1", "fig2", "fig4", "fig5", "fig6", "fig7",
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, " ")+" all (fig17 is fig16: one study draws both)")
-		topo    = flag.String("topo", "", "topology (default: per-experiment paper choice)")
-		scale   = flag.String("scale", "fast", "fast|full")
-		T       = flag.Int("T", 0, "trace length (0 = scale default)")
-		H       = flag.Int("H", 0, "history window (0 = default 12)")
-		gamma   = flag.Float64("gamma", 0, "FIGRET robustness weight (0 = default)")
-		epochs  = flag.Int("epochs", 0, "training epochs (0 = scale default)")
-		seed    = flag.Int64("seed", 1, "random seed")
-		workers = flag.Int("workers", runtime.NumCPU(), "evaluation worker pool size; results are bitwise identical for any worker count")
-
-		pathCache   = flag.String("pathcache", "", "directory of the on-disk candidate-path cache (shared across figret/experiments/served runs; empty = recompute every run)")
-		pathWorkers = flag.Int("pathworkers", 0, "candidate-path precomputation worker pool size (0 = all CPUs); the path set is bitwise identical for any value")
+		r     runner
+		exp   = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, " ")+" all (fig17 is fig16: one study draws both)")
+		scale = flag.String("scale", "fast", "fast|full")
 	)
+	flag.StringVar(&r.topo, "topo", "", "topology (default: per-experiment paper choice)")
+	flag.IntVar(&r.env.T, "T", 0, "trace length (0 = scale default)")
+	flag.IntVar(&r.model.H, "H", 0, "history window (0 = default 12)")
+	flag.Float64Var(&r.model.Gamma, "gamma", 0, "FIGRET robustness weight (0 = default)")
+	flag.IntVar(&r.model.Epochs, "epochs", 0, "training epochs (0 = scale default)")
+	flag.Int64Var(&r.env.Seed, "seed", 1, "random seed")
+	flag.IntVar(&r.workers, "workers", runtime.NumCPU(), "evaluation worker pool size; results are bitwise identical for any worker count")
+	flag.StringVar(&r.env.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache (shared across figret/experiments/served runs; empty = recompute every run)")
+	flag.IntVar(&r.env.PathWorkers, "pathworkers", 0, "candidate-path precomputation worker pool size (0 = all CPUs); the path set is bitwise identical for any value")
 	flag.Parse()
 
-	sc := experiments.ScaleFast
 	if *scale == "full" {
-		sc = experiments.ScaleFull
+		r.scale = experiments.ScaleFull
 	}
-	r := runner{scale: sc, T: *T, H: *H, gamma: *gamma, epochs: *epochs, seed: *seed, topo: *topo,
-		workers: *workers, pathCache: *pathCache, pathWorkers: *pathWorkers}
 	if err := r.run(*exp); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
+// runner is the parsed command line: the flags fill the option structs
+// the experiments take.
 type runner struct {
-	scale       experiments.Scale
-	T           int
-	H           int
-	gamma       float64
-	epochs      int
-	seed        int64
-	topo        string
-	workers     int
-	pathCache   string
-	pathWorkers int
+	scale   experiments.Scale
+	topo    string
+	workers int
+	env     experiments.EnvOptions // -T -seed -pathcache -pathworkers
+	model   figret.Config          // -H -gamma -epochs
 }
 
-func (r runner) env(defaultTopo string) (*experiments.Env, error) {
-	topo := r.topo
-	if topo == "" {
-		topo = defaultTopo
+// newEnv builds topo's environment (the -topo override wins).
+func (r runner) newEnv(topo string) (*experiments.Env, error) {
+	if r.topo != "" {
+		topo = r.topo
 	}
-	env, err := experiments.NewEnv(topo, r.scale, experiments.EnvOptions{
-		T: r.T, Seed: r.seed, PathCache: r.pathCache, PathWorkers: r.pathWorkers,
-	})
+	env, err := experiments.NewEnv(topo, r.scale, r.env)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +90,7 @@ func (r runner) run(exp string) error {
 
 	case "fig1":
 		for _, topo := range r.topos(graph.TopoGEANT, graph.TopoPoDDB, graph.TopoToRDB) {
-			env, err := r.env(topo)
+			env, err := r.newEnv(topo)
 			if err != nil {
 				return err
 			}
@@ -114,7 +107,7 @@ func (r runner) run(exp string) error {
 
 	case "fig2":
 		for _, topo := range r.topos(graph.TopoGEANT, graph.TopoPoDDB, graph.TopoToRDB) {
-			env, err := r.env(topo)
+			env, err := r.newEnv(topo)
 			if err != nil {
 				return err
 			}
@@ -127,12 +120,12 @@ func (r runner) run(exp string) error {
 		if exp == "fig18" {
 			h = 64
 		}
-		if r.H != 0 {
-			h = r.H
+		if r.model.H != 0 {
+			h = r.model.H
 		}
 		var envs []*experiments.Env
 		for _, topo := range r.topos(graph.AllTopologies()...) {
-			env, err := r.env(topo)
+			env, err := r.newEnv(topo)
 			if err != nil {
 				return err
 			}
@@ -144,11 +137,11 @@ func (r runner) run(exp string) error {
 	case "fig5":
 		for _, topo := range r.topos(graph.TopoGEANT, graph.TopoPFabric, graph.TopoPoDDB,
 			graph.TopoPoDWEB, graph.TopoToRDB, graph.TopoToRWEB, graph.TopoCogentco, graph.TopoUsCarrier) {
-			env, err := r.env(topo)
+			env, err := r.newEnv(topo)
 			if err != nil {
 				return err
 			}
-			opt := experiments.QualityOptions{H: r.H, Gamma: r.gamma, Epochs: r.epochs, MaxEval: 30}
+			opt := experiments.QualityOptions{H: r.model.H, Gamma: r.model.Gamma, Epochs: r.model.Epochs, MaxEval: 30}
 			small := env.PS.Pairs.Count()+env.G.NumEdges() <= 200
 			opt.WithOblivious = small
 			if !small {
@@ -169,22 +162,20 @@ func (r runner) run(exp string) error {
 		return nil
 
 	case "fig6":
+		r.env.Selector = baselines.RaeckeSelector(0)
+		// The selector name pins the cache key to the default inflation;
+		// bump it if the inflation argument changes.
+		r.env.SelectorName = "raecke-8"
 		for _, topo := range r.topos(graph.TopoGEANT, graph.TopoPFabric) {
-			env, err := experiments.NewEnv(topo, r.scale, experiments.EnvOptions{
-				T: r.T, Seed: r.seed, Selector: baselines.RaeckeSelector(0),
-				// The selector name pins the cache key to the default
-				// inflation; bump it if the inflation argument changes.
-				SelectorName: "raecke-8",
-				PathCache:    r.pathCache, PathWorkers: r.pathWorkers})
+			env, err := r.newEnv(topo)
 			if err != nil {
 				return err
 			}
-			env.Workers = r.workers
 			if env.PS.Pairs.Count()+env.G.NumEdges() > 200 {
 				env.UseGradSolver(0)
 			}
 			res, err := experiments.TEQuality(env, experiments.QualityOptions{
-				H: r.H, Gamma: r.gamma, Epochs: r.epochs, MaxEval: 30,
+				H: r.model.H, Gamma: r.model.Gamma, Epochs: r.model.Epochs, MaxEval: 30,
 				WithOblivious: env.PS.Pairs.Count()+env.G.NumEdges() <= 200})
 			if err != nil {
 				return err
@@ -196,12 +187,12 @@ func (r runner) run(exp string) error {
 
 	case "fig7":
 		for _, topo := range r.topos(graph.TopoGEANT, graph.TopoPFabric, graph.TopoToRDB) {
-			env, err := r.env(topo)
+			env, err := r.newEnv(topo)
 			if err != nil {
 				return err
 			}
 			res, err := experiments.Failures(env, experiments.FailureOptions{
-				H: r.H, Gamma: r.gamma, Epochs: r.epochs})
+				H: r.model.H, Gamma: r.model.Gamma, Epochs: r.model.Epochs})
 			if err != nil {
 				return err
 			}
@@ -211,18 +202,18 @@ func (r runner) run(exp string) error {
 
 	case "fig8":
 		for _, topo := range r.topos(graph.TopoPoDDB, graph.TopoToRDB) {
-			env, err := r.env(topo)
+			env, err := r.newEnv(topo)
 			if err != nil {
 				return err
 			}
 			if env.PS.Pairs.Count() > 200 {
 				env.UseGradSolver(0)
 			}
-			g := r.gamma
+			g := r.model.Gamma
 			if g == 0 {
 				g = 8
 			}
-			res, err := experiments.SensitivityAnalysis(env, r.H, g, r.epochs, 20)
+			res, err := experiments.SensitivityAnalysis(env, r.model.H, g, r.model.Epochs, 20)
 			if err != nil {
 				return err
 			}
@@ -232,7 +223,7 @@ func (r runner) run(exp string) error {
 
 	case "fig16", "fig17":
 		for _, topo := range r.topos(graph.TopoPoDDB, graph.TopoToRDB) {
-			env, err := r.env(topo)
+			env, err := r.newEnv(topo)
 			if err != nil {
 				return err
 			}
@@ -253,11 +244,11 @@ func (r runner) run(exp string) error {
 		return nil
 
 	case "fig20":
-		env, err := r.env(graph.TopoToRDB)
+		env, err := r.newEnv(graph.TopoToRDB)
 		if err != nil {
 			return err
 		}
-		res, err := experiments.DOTEFailureCase(env, r.H, r.gamma, r.epochs)
+		res, err := experiments.DOTEFailureCase(env, r.model.H, r.model.Gamma, r.model.Epochs)
 		if err != nil {
 			return err
 		}
@@ -265,7 +256,7 @@ func (r runner) run(exp string) error {
 		return nil
 
 	case "mluproxy":
-		env, err := r.env(graph.TopoPoDDB)
+		env, err := r.newEnv(graph.TopoPoDDB)
 		if err != nil {
 			return err
 		}
@@ -278,11 +269,11 @@ func (r runner) run(exp string) error {
 
 	case "table2":
 		for _, topo := range r.topos(graph.TopoGEANT, graph.TopoToRDB, graph.TopoToRWEB) {
-			env, err := r.env(topo)
+			env, err := r.newEnv(topo)
 			if err != nil {
 				return err
 			}
-			res, err := experiments.Timing(env, experiments.TimingOptions{H: r.H, Epochs: r.epochs})
+			res, err := experiments.Timing(env, experiments.TimingOptions{H: r.model.H, Epochs: r.model.Epochs})
 			if err != nil {
 				return err
 			}
@@ -293,11 +284,11 @@ func (r runner) run(exp string) error {
 	case "table3", "table5":
 		worst := exp == "table5"
 		for _, topo := range r.topos(graph.TopoPoDDB, graph.TopoPFabric, graph.TopoToRDB) {
-			env, err := r.env(topo)
+			env, err := r.newEnv(topo)
 			if err != nil {
 				return err
 			}
-			res, err := experiments.Perturbation(env, r.H, r.gamma, r.epochs, nil, worst)
+			res, err := experiments.Perturbation(env, r.model.H, r.model.Gamma, r.model.Epochs, nil, worst)
 			if err != nil {
 				return err
 			}
@@ -307,11 +298,11 @@ func (r runner) run(exp string) error {
 
 	case "table4":
 		for _, topo := range r.topos(graph.TopoPoDDB, graph.TopoPFabric, graph.TopoToRDB) {
-			env, err := r.env(topo)
+			env, err := r.newEnv(topo)
 			if err != nil {
 				return err
 			}
-			res, err := experiments.Drift(env, r.H, r.gamma, r.epochs)
+			res, err := experiments.Drift(env, r.model.H, r.model.Gamma, r.model.Epochs)
 			if err != nil {
 				return err
 			}
@@ -320,7 +311,7 @@ func (r runner) run(exp string) error {
 		return nil
 
 	case "appc":
-		env, err := r.env(graph.TopoPoDDB)
+		env, err := r.newEnv(graph.TopoPoDDB)
 		if err != nil {
 			return err
 		}

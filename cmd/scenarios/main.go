@@ -60,14 +60,15 @@ func usage() {
 func execute(cmd string, args []string) error {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	var (
-		suite        = fs.String("suite", "scenarios/suite", "directory of scenario spec *.json files")
-		golden       = fs.String("golden", "scenarios/golden", "directory of blessed golden metrics (bless/diff)")
-		jsonOut      = fs.Bool("json", false, "emit machine-readable JSON instead of text")
-		workers      = fs.Int("workers", runtime.NumCPU(), "per-scenario evaluation worker pool size, and how many substrates run at once; metrics are bitwise identical for any value")
-		pathCache    = fs.String("pathcache", "", "directory of the on-disk candidate-path cache shared with figret/experiments/served (empty = recompute)")
-		trainWorkers = fs.Int("trainworkers", 0, "substrate-model training worker pool size (0 = all CPUs); metrics are bitwise identical for any value")
-		quiet        = fs.Bool("q", false, "suppress the per-scenario progress lines and the closing summary on stderr")
+		opt     scenario.Options
+		suite   = fs.String("suite", "scenarios/suite", "directory of scenario spec *.json files")
+		golden  = fs.String("golden", "scenarios/golden", "directory of blessed golden metrics (bless/diff)")
+		jsonOut = fs.Bool("json", false, "emit machine-readable JSON instead of text")
+		quiet   = fs.Bool("q", false, "suppress the per-scenario progress lines and the closing summary on stderr")
 	)
+	fs.IntVar(&opt.Workers, "workers", runtime.NumCPU(), "per-scenario evaluation worker pool size, and how many substrates run at once; metrics are bitwise identical for any value")
+	fs.StringVar(&opt.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache shared with figret/experiments/served (empty = recompute)")
+	fs.IntVar(&opt.TrainWorkers, "trainworkers", 0, "substrate-model training worker pool size (0 = all CPUs); metrics are bitwise identical for any value")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
@@ -78,7 +79,6 @@ func execute(cmd string, args []string) error {
 		return err
 	}
 
-	opt := scenario.Options{Workers: *workers, PathCache: *pathCache, TrainWorkers: *trainWorkers}
 	if !*quiet && !*jsonOut {
 		opt.Log = func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	}

@@ -86,38 +86,38 @@ import (
 
 func main() {
 	var (
-		topos     = flag.String("topos", "pod-db", "comma-separated topologies to serve (geant uscarrier cogentco pfabric pod-db pod-web tor-db tor-web large-wan)")
-		addr      = flag.String("addr", ":8080", "HTTP listen address of the serving API")
-		opsAddr   = flag.String("opsaddr", ":9090", "ops listen address for /metrics, /healthz, /readyz and /debug/pprof (empty disables)")
-		scale     = flag.String("scale", "fast", "fast|full topology sizing")
-		bootstrap = flag.Bool("bootstrap", true, "train a bootstrap checkpoint per topology at startup")
-		T         = flag.Int("T", 200, "bootstrap trace length")
-		H         = flag.Int("H", 12, "history window of bootstrap models")
-		gamma     = flag.Float64("gamma", 1, "robustness loss weight of bootstrap models (0 = DOTE)")
-		epochs    = flag.Int("epochs", 6, "bootstrap training epochs")
-		batch     = flag.Int("batch", 16, "bootstrap training minibatch size")
-		seed      = flag.Int64("seed", 1, "random seed")
-		history   = flag.Int("history", 256, "sliding demand-window capacity per topology")
-		churn     = flag.Float64("churn", 0, "per-interval L1 churn limit (0 = unlimited)")
-		drift     = flag.Bool("drift", true, "enable drift-triggered background retraining")
+		cfg topoConfig
+
+		topos   = flag.String("topos", "pod-db", "comma-separated topologies to serve (geant uscarrier cogentco pfabric pod-db pod-web tor-db tor-web large-wan)")
+		addr    = flag.String("addr", ":8080", "HTTP listen address of the serving API")
+		opsAddr = flag.String("opsaddr", ":9090", "ops listen address for /metrics, /healthz, /readyz and /debug/pprof (empty disables)")
+		scale   = flag.String("scale", "fast", "fast|full topology sizing")
 
 		logLevel  = flag.String("loglevel", envOr("FIGRET_LOG_LEVEL", "info"), "log level: debug|info|warn|error (env FIGRET_LOG_LEVEL)")
 		logFormat = flag.String("logformat", envOr("FIGRET_LOG_FORMAT", "text"), "log format: text|json (env FIGRET_LOG_FORMAT)")
 		traceLog  = flag.Bool("tracelog", false, "emit a debug log record per decision-pipeline stage (expensive at decision rate; requires -loglevel debug)")
 		drainT    = flag.Duration("draintimeout", 10*time.Second, "graceful-shutdown budget for draining controllers")
 
-		pathCache   = flag.String("pathcache", "", "directory of the on-disk candidate-path cache; a warm cache brings multi-topology daemons up in seconds instead of re-running Yen per process")
-		pathWorkers = flag.Int("pathworkers", 0, "candidate-path precomputation worker pool size (0 = all CPUs); the path set is bitwise identical for any value")
-		spool       = flag.String("spool", "", "directory where each controller spools every ingested snapshot to an on-disk trace store (<dir>/<topology>.fgt); the in-RAM window stays bounded by -history, and a restarted daemon recovers the spool and resumes where it stopped")
-
-		trainWorkers = flag.Int("trainworkers", 0, "worker pool size for bootstrap and drift retraining (0 = all CPUs); trained weights are bitwise identical for any value")
-
 		drive          = flag.String("drive", "", "load-generator mode: instead of serving, drive the daemon at this base URL (e.g. http://127.0.0.1:8080); the first -topos entry names the target topology")
 		driveN         = flag.Int("driven", 0, "load-generator request count (0 = one pass over the topology's trace)")
-		driveAsync     = flag.Bool("driveasync", false, "load-generate asynchronous ingests (acks) instead of per-request decisions (wire transport only)")
 		driveTransport = flag.String("drivetransport", "wire", "drive-mode transport: wire (pipelined binary stream) or json (synchronous closed-loop HTTP replay)")
 	)
+	flag.IntVar(&cfg.env.T, "T", 200, "bootstrap trace length")
+	flag.Int64Var(&cfg.env.Seed, "seed", 1, "random seed")
+	flag.StringVar(&cfg.env.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache; a warm cache brings multi-topology daemons up in seconds instead of re-running Yen per process")
+	flag.IntVar(&cfg.env.PathWorkers, "pathworkers", 0, "candidate-path precomputation worker pool size (0 = all CPUs); the path set is bitwise identical for any value")
+	flag.IntVar(&cfg.model.H, "H", 12, "history window of bootstrap models")
+	flag.Float64Var(&cfg.model.Gamma, "gamma", 1, "robustness loss weight of bootstrap models (0 = DOTE)")
+	flag.IntVar(&cfg.model.Epochs, "epochs", 6, "bootstrap training epochs")
+	flag.IntVar(&cfg.model.BatchSize, "batch", 16, "bootstrap training minibatch size")
+	flag.IntVar(&cfg.model.TrainWorkers, "trainworkers", 0, "worker pool size for bootstrap and drift retraining (0 = all CPUs); trained weights are bitwise identical for any value")
+	flag.IntVar(&cfg.ctl.HistoryCap, "history", 256, "sliding demand-window capacity per topology")
+	flag.Float64Var(&cfg.ctl.MaxChurn, "churn", 0, "per-interval L1 churn limit (0 = unlimited)")
+	flag.StringVar(&cfg.ctl.Spool, "spool", "", "directory where each controller spools every ingested snapshot to an on-disk trace store (<dir>/<topology>.fgt); the in-RAM window stays bounded by -history, and a restarted daemon recovers the spool and resumes where it stopped")
+	flag.BoolVar(&cfg.bootstrap, "bootstrap", true, "train a bootstrap checkpoint per topology at startup")
+	flag.BoolVar(&cfg.drift, "drift", true, "enable drift-triggered background retraining")
 	flag.Parse()
+	cfg.model.Seed = cfg.env.Seed
 
 	logger, err := newLogger(*logLevel, *logFormat)
 	if err != nil {
@@ -126,16 +126,13 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	sc := experiments.ScaleFast
 	if *scale == "full" {
-		sc = experiments.ScaleFull
+		cfg.scale = experiments.ScaleFull
 	}
-
-	envOpt := experiments.EnvOptions{T: *T, Seed: *seed, PathCache: *pathCache, PathWorkers: *pathWorkers}
 
 	if *drive != "" {
 		topo := strings.TrimSpace(strings.Split(*topos, ",")[0])
-		if err := runDrive(logger, *drive, topo, *driveTransport, sc, envOpt, *driveN, *driveAsync); err != nil {
+		if err := runDrive(logger, *drive, topo, *driveTransport, cfg.scale, cfg.env, *driveN); err != nil {
 			logger.Error("drive failed", "topology", topo, "err", err)
 			os.Exit(1)
 		}
@@ -145,6 +142,12 @@ func main() {
 	expected := splitTopos(*topos)
 	if len(expected) == 0 {
 		logger.Error("no topologies to serve", "topos", *topos)
+		os.Exit(2)
+	}
+	if cfg.bootstrap && cfg.ctl.HistoryCap > 0 && cfg.model.H > cfg.ctl.HistoryCap {
+		// Every synchronous ingest would answer 500 (ErrNeverServable)
+		// forever; an uploaded checkpoint is still checked per decision.
+		fmt.Fprintf(os.Stderr, "served: -H %d exceeds -history %d: the bootstrap model's window would never fit the demand window\n", cfg.model.H, cfg.ctl.HistoryCap)
 		os.Exit(2)
 	}
 
@@ -184,26 +187,17 @@ func main() {
 		opsSrv = startListener(logger, "ops", *opsAddr, ops.Handler())
 	}
 
-	if *pathCache != "" {
+	if cfg.env.PathCache != "" {
 		tel.RegisterCacheStats("paths", "", te.PathCacheStats)
 	}
-	if *spool != "" {
+	if cfg.ctl.Spool != "" {
 		registerTracestoreMetrics(metrics)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	cfg := &topoConfig{
-		logger: logger, tel: tel, srv: srv, reg: reg, scale: sc,
-		env:   envOpt,
-		ctl:   serve.ControllerOptions{HistoryCap: *history, MaxChurn: *churn, Spool: *spool},
-		drift: *drift, bootstrap: *bootstrap,
-		model: figret.Config{
-			H: *H, Gamma: *gamma, Epochs: *epochs, Seed: *seed, BatchSize: *batch,
-			TrainWorkers: *trainWorkers,
-		},
-	}
+	cfg.logger, cfg.tel, cfg.srv, cfg.reg = logger, tel, srv, reg
 	for _, topo := range expected {
 		if err := cfg.addTopology(topo); err != nil {
 			logger.Error("topology bootstrap failed", "topology", topo, "err", err)
@@ -326,7 +320,7 @@ func startListener(logger *slog.Logger, name, addr string, h http.Handler) *http
 // snapshots through it; the json transport runs the synchronous
 // closed-loop Replay over plain HTTP. Both log how many decisions the
 // daemon actually served, which the e2e smoke gate asserts on.
-func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experiments.Scale, envOpt experiments.EnvOptions, n int, async bool) error {
+func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experiments.Scale, envOpt experiments.EnvOptions, n int) error {
 	env, err := experiments.NewEnv(topo, sc, envOpt)
 	if err != nil {
 		return err
@@ -345,7 +339,7 @@ func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experimen
 			"decisions", len(res.Decisions), "mean_mlu", res.MeanMLU, "versions", res.Versions)
 		return nil
 	case "wire":
-		res, err := serve.LoadGen(baseURL, topo, env.PS, env.Test, serve.LoadOptions{Requests: n, Async: async})
+		res, err := serve.LoadGen(baseURL, topo, env.PS, env.Test, serve.LoadOptions{Requests: n})
 		if err != nil {
 			return err
 		}
@@ -365,8 +359,8 @@ func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experimen
 }
 
 // topoConfig is everything addTopology needs besides the topology's
-// name: the serving objects and the parsed flags, the same for every
-// topology the daemon serves.
+// name: the serving objects and the option structs the flags fill, the
+// same for every topology the daemon serves.
 type topoConfig struct {
 	logger *slog.Logger
 	tel    *serve.Telemetry
@@ -376,7 +370,7 @@ type topoConfig struct {
 	env    experiments.EnvOptions  // -T -seed -pathcache -pathworkers
 	ctl    serve.ControllerOptions // -history -churn -spool
 
-	drift, bootstrap bool
+	drift, bootstrap bool // -drift -bootstrap
 	// model holds the bootstrap hyperparameters; its TrainWorkers also
 	// sizes drift retrains.
 	model figret.Config

@@ -10,6 +10,7 @@ import (
 	"log"
 	"math/rand"
 
+	"figret/internal/experiments"
 	"figret/internal/figret"
 	"figret/internal/graph"
 	"figret/internal/lp"
@@ -67,7 +68,7 @@ func main() {
 		var n int
 		for trial := 0; trial < 8; trial++ {
 			// Resample until the failure set leaves every pair a path.
-			fs, ok := sampleSurvivableFailures(ps, rng, nf)
+			fs, ok := experiments.SampleFailures(ps, rng, nf)
 			if !ok {
 				continue
 			}
@@ -88,46 +89,4 @@ func main() {
 			fmt.Printf("%-9d %18.3f\n", nf, sum/float64(n))
 		}
 	}
-}
-
-// sampleSurvivableFailures draws nf distinct link failures that leave every
-// SD pair at least one surviving candidate path.
-func sampleSurvivableFailures(ps *te.PathSet, rng *rand.Rand, nf int) (*te.FailureSet, bool) {
-	g := ps.G
-	es := g.Edges()
-	for attempt := 0; attempt < 100; attempt++ {
-		seen := map[[2]int]bool{}
-		var links [][2]int
-		for len(links) < nf {
-			e := es[rng.Intn(len(es))]
-			a, b := e.From, e.To
-			if a > b {
-				a, b = b, a
-			}
-			if seen[[2]int{a, b}] {
-				continue
-			}
-			seen[[2]int{a, b}] = true
-			links = append(links, [2]int{a, b})
-		}
-		fs := te.NewFailureSet(g, links)
-		ok := true
-		for _, pp := range ps.PairPaths {
-			alive := false
-			for _, p := range pp {
-				if !fs.PathDown(ps, p) {
-					alive = true
-					break
-				}
-			}
-			if !alive {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return fs, true
-		}
-	}
-	return nil, false
 }

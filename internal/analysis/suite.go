@@ -25,7 +25,7 @@ var detPackages = []string{
 // threaded by value), not nil-pointer safety.
 var nilRecvTargets = map[string][]string{
 	"figret/internal/obs":   {"Counter", "Gauge", "Histogram", "Tracer"},
-	"figret/internal/serve": {"Telemetry", "StreamTelemetry"},
+	"figret/internal/serve": {"Telemetry"},
 }
 
 // View-returning functions under the PR 3 aliasing contract. The

@@ -221,14 +221,10 @@ func (d *FineGrainedDesTE) Advise(tr *traffic.Trace, t int) (*te.Config, error) 
 }
 
 // NNScheme adapts a trained figret.Model (FIGRET, DOTE, or TEAL-like) to the
-// Scheme interface. Advise is safe for concurrent use: inference runs on a
-// pool of goroutine-confined figret.Predictor contexts, whose outputs are
-// bitwise identical to Model.PredictAt.
+// Scheme interface. Advise is safe for concurrent use, as Model.PredictAt is.
 type NNScheme struct {
 	Label string
 	Model *figret.Model
-
-	pool sync.Pool // of *figret.Predictor
 }
 
 // Name implements Scheme.
@@ -239,12 +235,7 @@ func (s *NNScheme) Warmup() int { return s.Model.Cfg.H }
 
 // Advise implements Scheme.
 func (s *NNScheme) Advise(tr *traffic.Trace, t int) (*te.Config, error) {
-	p, _ := s.pool.Get().(*figret.Predictor)
-	if p == nil {
-		p = s.Model.NewPredictor()
-	}
-	defer s.pool.Put(p)
-	return p.PredictAt(tr, t)
+	return s.Model.PredictAt(tr, t)
 }
 
 // FixedScheme wraps a precomputed static configuration (Oblivious, COPE).

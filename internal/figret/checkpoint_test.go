@@ -25,7 +25,6 @@ func TestCheckpointRoundTripBitwise(t *testing.T) {
 		{"figret", Config{H: 3, Gamma: 1, Epochs: 2, Seed: 4}},
 		{"dote", Config{H: 3, Gamma: 0, Epochs: 2, Seed: 5}},
 		{"coarse", Config{H: 3, Gamma: 2, Epochs: 2, Seed: 6, CoarseGrained: true}},
-		{"latency", Config{H: 3, Gamma: 1, Epochs: 2, Seed: 7, LatencyWeight: 0.5}},
 		{"self-target", Config{H: 4, Gamma: 1, Epochs: 2, Seed: 8, SelfTarget: true}},
 		{"narrow-net", Config{H: 2, Gamma: 1, Epochs: 2, Seed: 9, Hidden: []int{16}, BatchSize: 8}},
 	}

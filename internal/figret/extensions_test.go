@@ -6,107 +6,7 @@ import (
 
 	"figret/internal/graph"
 	"figret/internal/te"
-	"figret/internal/traffic"
 )
-
-// --- Latency extension (§6) ------------------------------------------------
-
-func TestPathStretch(t *testing.T) {
-	ps, err := te.NewPathSet(graph.Triangle(), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := pathStretch(ps)
-	for p, v := range st {
-		hops := len(ps.Paths[p]) - 1
-		switch hops {
-		case 1:
-			if v != 0 {
-				t.Errorf("direct path %d stretch %v", p, v)
-			}
-		case 2:
-			if v != 1 {
-				t.Errorf("two-hop path %d stretch %v", p, v)
-			}
-		default:
-			t.Errorf("unexpected hop count %d", hops)
-		}
-	}
-}
-
-func TestLatencyLossGradient(t *testing.T) {
-	ps, err := te.NewPathSet(graph.Triangle(), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(ps, Config{H: 2, LatencyWeight: 1, Seed: 1})
-	// Zero demand: no latency gradient (demand-share weighting).
-	s := newLossScratch(ps)
-	cfg := te.UniformConfig(ps)
-	_, _, gr := m.lossAndGrad(cfg.R, make([]float64, ps.Pairs.Count()), s)
-	for p, g := range gr {
-		if g != 0 {
-			t.Errorf("zero-demand latency gradient on path %d: %v", p, g)
-		}
-	}
-	// With demand on one pair, only that pair's stretched path gets a
-	// latency gradient contribution beyond the MLU part... verify the
-	// stretched path's gradient exceeds the direct path's.
-	d := make([]float64, ps.Pairs.Count())
-	pi := ps.Pairs.Index(0, 1)
-	d[pi] = 1
-	_, _, gr = m.lossAndGrad(cfg.R, d, s)
-	pp := ps.PairPaths[pi]
-	var direct, stretched int
-	if len(ps.Paths[pp[0]]) == 2 {
-		direct, stretched = pp[0], pp[1]
-	} else {
-		direct, stretched = pp[1], pp[0]
-	}
-	if gr[stretched] <= gr[direct] {
-		t.Errorf("stretched-path gradient %v not above direct %v", gr[stretched], gr[direct])
-	}
-}
-
-func TestLatencyWeightShortensPaths(t *testing.T) {
-	// Training with a strong latency weight must yield configurations with
-	// lower demand-weighted stretch than without it.
-	ps, err := te.NewPathSet(graph.FullMesh(4, 10), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := traffic.NewTrace(4)
-	for i := 0; i < 80; i++ {
-		snap := make([]float64, ps.Pairs.Count())
-		for j := range snap {
-			snap[j] = 4 + 0.1*math.Sin(float64(i+j))
-		}
-		tr.Append(snap)
-	}
-	plain := New(ps, Config{H: 3, Epochs: 6, Seed: 2})
-	lat := New(ps, Config{H: 3, Epochs: 6, Seed: 2, LatencyWeight: 20})
-	if _, err := plain.Train(tr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lat.Train(tr); err != nil {
-		t.Fatal(err)
-	}
-	stretch := pathStretch(ps)
-	avgStretch := func(m *Model) float64 {
-		cfg, err := m.PredictAt(tr, tr.Len())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var s float64
-		for p, r := range cfg.R {
-			s += r * stretch[p]
-		}
-		return s
-	}
-	if as, ap := avgStretch(lat), avgStretch(plain); as >= ap {
-		t.Errorf("latency-trained stretch %v not below plain %v", as, ap)
-	}
-}
 
 // --- Drift detector (§6) -----------------------------------------------------
 

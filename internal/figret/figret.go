@@ -21,6 +21,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"figret/internal/nn"
 	"figret/internal/te"
@@ -38,15 +39,10 @@ type Config struct {
 	// Hidden lists hidden-layer widths. Default: five layers of 128
 	// (Appendix D.4).
 	Hidden []int
-	// LR is the Adam learning rate. Default 1e-3.
-	LR float64
 	// Epochs is the number of training passes. Default 15.
 	Epochs int
 	// Seed drives weight initialization and sample shuffling.
 	Seed int64
-	// BetaRel is the smooth-max sharpness used when differentiating the MLU
-	// term (see internal/solver). Default 30.
-	BetaRel float64
 	// BatchSize is the minibatch size of the batched training engine: each
 	// Adam step consumes the summed gradients of this many samples,
 	// evaluated as one [B][In] matrix pass through the network (default 1,
@@ -75,21 +71,11 @@ type Config struct {
 	// BatchSize is a multiple of nn.GradShardRows the trajectory is
 	// bitwise identical to a flat batch of K·BatchSize.
 	MacroBatch int
-	// LRDecay multiplies the learning rate after every epoch (default 1:
-	// constant rate). Values slightly below 1 (e.g. 0.95) stabilize the
-	// final epochs on bursty traces.
-	LRDecay float64
 	// CoarseGrained replaces the per-pair variance weights of the L2 term
 	// with a uniform weight of 1 — the coarse-grained robustness of
 	// desensitization-based TE, kept as an ablation of the paper's central
 	// fine-grained design choice.
 	CoarseGrained bool
-	// LatencyWeight enables the §6 latency extension: an additional loss
-	// term penalizing demand carried on stretched (longer-than-shortest)
-	// paths, λ · Σ_p r_p · stretch_p · d_pair/Σd, where stretch_p is the
-	// path's extra hop count over the pair's shortest candidate. 0 disables
-	// it. Like Gamma it is made dimensionless via LossScale.
-	LatencyWeight float64
 	// SelfTarget switches the training objective to TEAL-style per-demand
 	// optimization: the input window ends at D_t (inclusive) and the loss is
 	// evaluated against that same D_t. The default (false) is the
@@ -98,6 +84,14 @@ type Config struct {
 	SelfTarget bool
 }
 
+const (
+	// learningRate is the Adam learning rate, constant over training.
+	learningRate = 1e-3
+	// smoothMaxBeta is the smooth-max sharpness used when differentiating
+	// the MLU term (see internal/solver).
+	smoothMaxBeta = 30
+)
+
 func (c Config) withDefaults() Config {
 	if c.H == 0 {
 		c.H = 12
@@ -105,23 +99,14 @@ func (c Config) withDefaults() Config {
 	if c.Hidden == nil {
 		c.Hidden = []int{128, 128, 128, 128, 128}
 	}
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 15
-	}
-	if c.BetaRel == 0 {
-		c.BetaRel = 30
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 1
 	}
 	if c.MacroBatch <= 0 {
 		c.MacroBatch = 1
-	}
-	if c.LRDecay == 0 {
-		c.LRDecay = 1
 	}
 	return c
 }
@@ -143,9 +128,8 @@ type Model struct {
 	// terms stay comparable regardless of the trace's demand units.
 	LossScale float64
 
-	// stretch[p] is path p's hop count minus its pair's minimum hop count,
-	// used by the latency loss term. Derived from the path set.
-	stretch []float64
+	// pool recycles the Predictors that Predict and PredictAt borrow.
+	pool sync.Pool
 }
 
 // New constructs an untrained model for ps under cfg.
@@ -162,26 +146,7 @@ func New(ps *te.PathSet, cfg Config) *Model {
 		VarWeights: make([]float64, ps.Pairs.Count()),
 		Scale:      1,
 		LossScale:  1,
-		stretch:    pathStretch(ps),
 	}
-}
-
-// pathStretch returns each path's extra hop count over its pair's shortest
-// candidate path.
-func pathStretch(ps *te.PathSet) []float64 {
-	out := make([]float64, ps.NumPaths())
-	for _, pp := range ps.PairPaths {
-		min := len(ps.Paths[pp[0]])
-		for _, p := range pp {
-			if len(ps.Paths[p]) < min {
-				min = len(ps.Paths[p])
-			}
-		}
-		for _, p := range pp {
-			out[p] = float64(len(ps.Paths[p]) - min)
-		}
-	}
-	return out
 }
 
 // NewDOTE constructs the DOTE baseline: identical architecture with the
@@ -271,7 +236,7 @@ func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 	macro := m.Cfg.MacroBatch
 	in := m.Cfg.H * m.PS.Pairs.Count()
 
-	opt := nn.NewAdam(m.Cfg.LR)
+	opt := nn.NewAdam(learningRate)
 	rng := rand.New(rand.NewSource(m.Cfg.Seed + 1))
 	order := m.sampleOrder(tr)
 	if batch > len(order) {
@@ -335,7 +300,6 @@ func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 				sumMLU += mlus[bi]
 			}
 		}
-		opt.LR *= m.Cfg.LRDecay
 		n := float64(len(order))
 		stats.EpochLoss = append(stats.EpochLoss, sumLoss/n)
 		stats.EpochMLU = append(stats.EpochMLU, sumMLU/n)
@@ -355,7 +319,7 @@ func (m *Model) TrainSequential(tr *traffic.Trace) (TrainStats, error) {
 	if err := m.fitTrace(tr); err != nil {
 		return TrainStats{}, err
 	}
-	opt := nn.NewAdam(m.Cfg.LR)
+	opt := nn.NewAdam(learningRate)
 	rng := rand.New(rand.NewSource(m.Cfg.Seed + 1))
 	order := m.sampleOrder(tr)
 	stats := TrainStats{}
@@ -448,7 +412,6 @@ func (m *Model) TrainSequential(tr *traffic.Trace) (TrainStats, error) {
 		if pending > 0 || micros > 0 {
 			step()
 		}
-		opt.LR *= m.Cfg.LRDecay
 		n := float64(len(order))
 		stats.EpochLoss = append(stats.EpochLoss, sumLoss/n)
 		stats.EpochMLU = append(stats.EpochMLU, sumMLU/n)
@@ -458,37 +421,40 @@ func (m *Model) TrainSequential(tr *traffic.Trace) (TrainStats, error) {
 
 // Predict maps a raw (unscaled) history window to a feasible TE
 // configuration. The window layout is H consecutive snapshots, oldest first,
-// as produced by traffic.Trace.Window.
+// as produced by traffic.Trace.Window. Safe for concurrent use: the forward
+// pass runs on a Predictor borrowed from a pool the model owns, so it costs
+// no per-call allocation beyond the returned configuration.
 func (m *Model) Predict(window []float64) (*te.Config, error) {
-	want := m.Cfg.H * m.PS.Pairs.Count()
-	if len(window) != want {
-		return nil, fmt.Errorf("figret: window has %d entries, want %d", len(window), want)
-	}
-	x := make([]float64, len(window))
-	scaleInto(x, window, 1/m.Scale)
-	y := m.Net.Forward(x)
-	cfg := te.NewConfig(m.PS)
-	copy(cfg.R, y)
-	cfg.Normalize()
-	return cfg, nil
+	p := m.borrow()
+	cfg, err := p.Predict(window)
+	m.pool.Put(p)
+	return cfg, err
 }
 
-// PredictAt is a convenience wrapper: configuration for snapshot t of tr
-// from the window ending at t-1.
+// PredictAt returns the configuration for snapshot t of tr from the window
+// ending at t-1, assembled directly into the borrowed Predictor's input
+// buffer. Safe for concurrent use, like Predict.
 func (m *Model) PredictAt(tr *traffic.Trace, t int) (*te.Config, error) {
-	return m.Predict(tr.Window(t, m.Cfg.H))
+	p := m.borrow()
+	cfg, err := p.PredictAt(tr, t)
+	m.pool.Put(p)
+	return cfg, err
 }
 
-// Predictor is a goroutine-confined inference context for a Model. The
-// Model's own Forward path caches activations inside the network layers,
-// so concurrent Predict/PredictAt calls on one Model race; a Predictor
-// owns every buffer the forward pass touches (an nn.Scratch plus an input
-// window), so one Predictor per goroutine evaluates the same trained
-// weights in parallel safely and without per-call allocations. Outputs
-// are bitwise identical to Model.Predict (the batch-1 kernel reproduces
-// the sequential kernel exactly; see internal/nn). A Predictor must not
-// be shared between goroutines; the Model's weights must not be trained
-// while Predictors are in flight.
+func (m *Model) borrow() *Predictor {
+	if p, _ := m.pool.Get().(*Predictor); p != nil {
+		return p
+	}
+	return m.NewPredictor()
+}
+
+// Predictor is a goroutine-confined inference context for a Model: it owns
+// every buffer the forward pass touches (an nn.Scratch plus an input
+// window). Model.Predict and PredictAt borrow one per call; a caller that
+// wants to own its scratch holds one per goroutine. Outputs are bitwise
+// identical to the sequential nn.MLP.Forward kernel (see internal/nn). A
+// Predictor must not be shared between goroutines; the Model's weights must
+// not be trained while any prediction is in flight.
 type Predictor struct {
 	m       *Model
 	scratch *nn.Scratch
@@ -671,7 +637,7 @@ func (m *Model) lossAndGrad(r, d []float64, s *lossScratch) (loss, mlu float64, 
 	if maxU > 0 {
 		// Smooth-max weights, pre-divided by edge capacity so the CSR
 		// gradient sweep below is a single multiply-accumulate per edge.
-		beta := m.Cfg.BetaRel / maxU
+		beta := smoothMaxBeta / maxU
 		var sumW float64
 		for e := range s.util {
 			s.w[e] = math.Exp(beta * (s.util[e] - maxU))
@@ -722,29 +688,6 @@ func (m *Model) lossAndGrad(r, d []float64, s *lossScratch) (loss, mlu float64, 
 			}
 		}
 		loss += gamma * l2
-	}
-	if m.Cfg.LatencyWeight > 0 {
-		lw := m.Cfg.LatencyWeight * m.LossScale
-		var total float64
-		for _, v := range d {
-			total += v
-		}
-		if total > 0 {
-			var l3 float64
-			inv := 1 / total
-			for p, st := range m.stretch {
-				if st == 0 {
-					continue
-				}
-				share := d[ps.PairOf[p]] * inv
-				if share == 0 {
-					continue
-				}
-				l3 += r[p] * st * share
-				s.gr[p] += lw * st * share
-			}
-			loss += lw * l3
-		}
 	}
 	return loss, mlu, s.gr
 }
@@ -886,7 +829,7 @@ func bind(ps *te.PathSet, j modelJSON) (*Model, error) {
 	}
 	// JSON cannot carry NaN or ±Inf (json.Marshal refuses them); a snapshot
 	// of a diverged in-process model can. nn has checked the network.
-	scalars := []float64{j.Scale, j.LossScale, j.Cfg.Gamma, j.Cfg.LR, j.Cfg.BetaRel, j.Cfg.LRDecay, j.Cfg.LatencyWeight}
+	scalars := []float64{j.Scale, j.LossScale, j.Cfg.Gamma}
 	for _, vs := range [][]float64{scalars, j.VarWeights} {
 		for _, v := range vs {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -907,5 +850,5 @@ func bind(ps *te.PathSet, j modelJSON) (*Model, error) {
 	if j.LossScale == 0 {
 		j.LossScale = 1
 	}
-	return &Model{PS: ps, Cfg: j.Cfg, Net: j.Net, VarWeights: j.VarWeights, Scale: j.Scale, LossScale: j.LossScale, stretch: pathStretch(ps)}, nil
+	return &Model{PS: ps, Cfg: j.Cfg, Net: j.Net, VarWeights: j.VarWeights, Scale: j.Scale, LossScale: j.LossScale}, nil
 }

@@ -3,6 +3,8 @@ package figret
 import (
 	"encoding/json"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"figret/internal/graph"
@@ -41,7 +43,7 @@ func burstyTrace(ps *te.PathSet, T int, burstEvery int, burstSize float64) *traf
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.H != 12 || c.LR != 1e-3 || c.Epochs != 15 || len(c.Hidden) != 5 {
+	if c.H != 12 || c.Epochs != 15 || len(c.Hidden) != 5 {
 		t.Errorf("defaults = %+v", c)
 	}
 	for _, h := range c.Hidden {
@@ -315,6 +317,55 @@ func TestPredictorMatchesModelBitwise(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { p.PredictAt(tr, 17) }); n > 2 && !testing.Short() {
 		t.Errorf("Predictor.PredictAt: %v allocs/op, want <= 2", n)
 	}
+}
+
+// TestModelPredictConcurrent: Model.PredictAt borrows its buffers from the
+// model's pool, so goroutines sharing one Model race on nothing (run under
+// -race) and each gets the bits a private Predictor — and the sequential
+// Net.Forward kernel — produce.
+func TestModelPredictConcurrent(t *testing.T) {
+	ps := smallSetup(t)
+	tr := burstyTrace(ps, 60, 10, 30)
+	m := New(ps, Config{H: 4, Gamma: 1, Epochs: 1, Seed: 9})
+	if _, err := m.Train(tr); err != nil {
+		t.Fatal(err)
+	}
+	ats := []int{4, 17, 42, 59, 60}
+	want := make([][]float64, len(ats))
+	private := m.NewPredictor()
+	for i, at := range ats {
+		cfg, err := private.PredictAt(tr, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = cfg.R
+		seq := te.NewConfig(ps)
+		copy(seq.R, m.Net.Forward(m.normalizedWindow(tr, at)))
+		seq.Normalize()
+		if !slices.Equal(seq.R, cfg.R) {
+			t.Fatalf("t=%d: predictor differs from the sequential forward kernel", at)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				i := (g + round) % len(ats)
+				got, err := m.PredictAt(tr, ats[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got.R, want[i]) {
+					t.Errorf("goroutine %d: Model.PredictAt(t=%d) differs from a private Predictor", g, ats[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestTrainValidation(t *testing.T) {

@@ -24,8 +24,8 @@ func trainSetup(t *testing.T) (*te.PathSet, *traffic.Trace) {
 
 func TestBatchSizeDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.BatchSize != 1 || c.LRDecay != 1 {
-		t.Errorf("defaults: batch=%d decay=%v", c.BatchSize, c.LRDecay)
+	if c.BatchSize != 1 {
+		t.Errorf("defaults: batch=%d", c.BatchSize)
 	}
 }
 
@@ -137,36 +137,5 @@ func TestCoarseGrainedUniformWeights(t *testing.T) {
 	}
 	if uniform {
 		t.Error("fine-grained weights unexpectedly uniform")
-	}
-}
-
-func TestLRDecayApplied(t *testing.T) {
-	// With aggressive decay the later epochs barely move the weights, so
-	// the loss trajectory must differ from constant-rate training.
-	ps, tr := trainSetup(t)
-	a := New(ps, Config{H: 4, Epochs: 5, Seed: 4})
-	b := New(ps, Config{H: 4, Epochs: 5, Seed: 4, LRDecay: 0.3})
-	sa, err := a.Train(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := b.Train(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range sa.EpochLoss {
-		if sa.EpochLoss[i] != sb.EpochLoss[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("LR decay had no effect")
-	}
-	// Both still converge to finite losses.
-	for _, v := range sb.EpochLoss {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatal("decayed training diverged")
-		}
 	}
 }

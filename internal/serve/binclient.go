@@ -17,13 +17,10 @@ import (
 	"figret/internal/wire"
 )
 
-// BinClientOptions configures the binary stream client.
-type BinClientOptions struct {
-	// Telemetry, when non-nil, exports the stream's RTT histogram and its
-	// redial/resync counters and delta-vs-full mix through the obs
-	// registry. Purely observational.
-	Telemetry *StreamTelemetry
-}
+// BinClientOptions is DialBin's option set. Nothing about the stream
+// client is configurable; the type stays because benchmark/, which
+// compiles against this package, passes one.
+type BinClientOptions struct{}
 
 const (
 	// streamDepth is how many requests Stream keeps in flight. One
@@ -64,7 +61,6 @@ type BinClient struct {
 	hostport string
 	topo     string
 	ps       *te.PathSet
-	tel      *StreamTelemetry
 
 	conn net.Conn
 	br   *bufio.Reader
@@ -97,7 +93,7 @@ type BinStats struct {
 // (the JSON client's BaseURL, e.g. "http://127.0.0.1:8080") and binds
 // it to topo. ps must be the topology's path set — decisions are
 // validated and delta-decoded against its layout.
-func DialBin(baseURL, topo string, ps *te.PathSet, opt BinClientOptions) (*BinClient, error) {
+func DialBin(baseURL, topo string, ps *te.PathSet, _ BinClientOptions) (*BinClient, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
 		return nil, fmt.Errorf("serve: bin client: %w", err)
@@ -113,7 +109,6 @@ func DialBin(baseURL, topo string, ps *te.PathSet, opt BinClientOptions) (*BinCl
 		hostport: host,
 		topo:     topo,
 		ps:       ps,
-		tel:      opt.Telemetry,
 		last:     &wire.Decision{},
 		spare:    &wire.Decision{},
 	}
@@ -223,7 +218,6 @@ func (c *BinClient) redial() error {
 		}
 		if err = c.dial(); err == nil {
 			c.redials++
-			c.tel.onRedial()
 			return nil
 		}
 	}
@@ -273,7 +267,6 @@ func (c *BinClient) readReply(deadline time.Time, resync bool) (*wire.Decision, 
 			return nil, err
 		}
 		c.fulls++
-		c.tel.onDecision(false)
 		if c.spare.Warming {
 			// Warming carries no ratios; the delta base stays put.
 			return c.spare, nil
@@ -296,7 +289,6 @@ func (c *BinClient) readReply(deadline time.Time, resync bool) (*wire.Decision, 
 			return nil, err
 		}
 		c.deltas++
-		c.tel.onDecision(true)
 		c.last, c.spare = c.spare, c.last
 		return c.last, nil
 	default:
@@ -308,7 +300,6 @@ func (c *BinClient) readReply(deadline time.Time, resync bool) (*wire.Decision, 
 // adopt it as the new base.
 func (c *BinClient) resyncFull(deadline time.Time) (*wire.Decision, error) {
 	c.resyncs++
-	c.tel.onResync()
 	if _, err := c.bw.Write(c.enc.Resync()); err != nil {
 		return nil, err
 	}
@@ -327,7 +318,6 @@ func (c *BinClient) resyncFull(deadline time.Time) (*wire.Decision, error) {
 		return nil, err
 	}
 	c.fulls++
-	c.tel.onDecision(false)
 	if !c.spare.Warming {
 		c.last, c.spare = c.spare, c.last
 		c.haveLast = true
@@ -512,7 +502,6 @@ func (c *BinClient) stream(n int, demand func(i int) []float64, onDecision func(
 			cond.Signal()
 			mu.Unlock()
 			rtts = append(rtts, sample)
-			c.tel.observeRTT(sample)
 		}
 	}()
 

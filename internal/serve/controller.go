@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -353,8 +354,10 @@ func (c *Controller) Close() {
 	<-c.done
 }
 
-// Ingest streams one demand snapshot into the controller. The slice is
-// copied before handoff, so callers may reuse it. With wait set the call
+// Ingest streams one demand snapshot into the controller. A snapshot of
+// the wrong length, or with a negative or non-finite entry, is refused as
+// the caller's fault before it touches any state. The slice is copied
+// before handoff, so callers may reuse it. With wait set the call
 // blocks until the decision for the window ending at this snapshot is
 // published and returns it; without, the snapshot enters the window and
 // the next published decision covers it (bursts coalesce: queued async
@@ -363,6 +366,14 @@ func (c *Controller) Close() {
 func (c *Controller) Ingest(demand []float64, wait bool) (*IngestResult, error) {
 	if len(demand) != c.ps.Pairs.Count() {
 		return nil, fmt.Errorf("serve: %s snapshot has %d entries, want %d", c.topo, len(demand), c.ps.Pairs.Count())
+	}
+	// The binary transports carry raw float bits: one NaN would enter the
+	// window, the spool and the retrain history, and every decision over
+	// it would publish NaN ratios.
+	for i, v := range demand {
+		if !(v >= 0 && v <= math.MaxFloat64) {
+			return nil, fmt.Errorf("serve: %s snapshot entry %d is %v, want a finite non-negative demand", c.topo, i, v)
+		}
 	}
 	msg := ctrlMsg{demand: append([]float64(nil), demand...), span: c.tel.tracer.Start()}
 	if wait {
@@ -526,7 +537,7 @@ func (c *Controller) decide(snapshot int64, span *obs.Span) (*Decision, bool, er
 	if c.history.Len() < h {
 		return nil, true, nil
 	}
-	cfg, err := ck.PredictAt(c.history, c.history.Len())
+	cfg, err := ck.Model.PredictAt(c.history, c.history.Len())
 	if err != nil {
 		// PredictAt only fails on a window-range mismatch, which the
 		// length check above rules out; keep serving the installed

@@ -47,7 +47,7 @@ func TestMetricsOneSourceOfTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, transport := range transports {
-		if _, err := Replay(postOver(t, transport, client, "pod", ps, nil), ps, tr, ReplayOptions{}); err != nil {
+		if _, err := Replay(postOver(t, transport, client, "pod", ps), ps, tr, ReplayOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

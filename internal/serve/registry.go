@@ -4,7 +4,7 @@
 // service. A Registry holds versioned model checkpoints per topology with
 // atomic hot-swap and rollback; a Controller (one goroutine per topology)
 // ingests streamed demand snapshots into a sliding window, serves routing
-// decisions through pooled predictors, reroutes around reported link
+// decisions from the active checkpoint, reroutes around reported link
 // failures, rate-limits configuration churn, and triggers background
 // retraining when the drift detector fires; Server exposes the whole thing
 // over an HTTP/JSON API that Replay can drive closed-loop from a recorded
@@ -29,13 +29,12 @@ import (
 
 	"figret/internal/figret"
 	"figret/internal/te"
-	"figret/internal/traffic"
 )
 
 // Checkpoint is one immutable registry entry: a model version only the
 // registry holds (parsed from an upload, or a snapshot of an installed
 // model), so nothing trains it while decision paths read its weights
-// concurrently through pooled predictors.
+// concurrently (figret.Model.PredictAt is safe for concurrent use).
 type Checkpoint struct {
 	// Version is the registry-assigned monotonically increasing id (1-based
 	// per topology).
@@ -48,40 +47,6 @@ type Checkpoint struct {
 	Bytes int
 	// Model is the validated model this checkpoint serves.
 	Model *figret.Model
-
-	// pool recycles goroutine-confined predictors for Model. Each borrow
-	// owns every buffer its forward pass touches, so concurrent Predict
-	// calls on one checkpoint are race-free and the forward pass costs no
-	// per-call allocations at steady state (the returned decision config
-	// is a fresh, immutable allocation by design).
-	pool sync.Pool
-}
-
-// Predict runs one inference on a pooled predictor. Safe for concurrent
-// use; output is bitwise identical to figret.Model.Predict on the same
-// window.
-func (c *Checkpoint) Predict(window []float64) (*te.Config, error) {
-	p, _ := c.pool.Get().(*figret.Predictor)
-	if p == nil {
-		p = c.Model.NewPredictor()
-	}
-	cfg, err := p.Predict(window)
-	c.pool.Put(p)
-	return cfg, err
-}
-
-// PredictAt is the decision hot path: inference for snapshot t of tr
-// from the window ending at t-1, assembled directly into the pooled
-// predictor's input buffer — no window allocation or extra copy. Output
-// is bitwise identical to Predict on tr.Window(t, H).
-func (c *Checkpoint) PredictAt(tr *traffic.Trace, t int) (*te.Config, error) {
-	p, _ := c.pool.Get().(*figret.Predictor)
-	if p == nil {
-		p = c.Model.NewPredictor()
-	}
-	cfg, err := p.PredictAt(tr, t)
-	c.pool.Put(p)
-	return cfg, err
 }
 
 // CheckpointInfo is the exported metadata of one registry entry.

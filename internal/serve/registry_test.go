@@ -109,9 +109,9 @@ func TestRegistryUploadValidation(t *testing.T) {
 }
 
 // TestCheckpointPredictMatchesModel pins the serving hot path to offline
-// inference: pooled concurrent Checkpoint.Predict calls are bitwise
-// identical to Model.Predict, which the closed-loop test then extends
-// across the HTTP API.
+// inference: concurrent Predict calls on an installed checkpoint's model
+// are bitwise identical to the source model's serial ones, which the
+// closed-loop test then extends across the HTTP API.
 func TestCheckpointPredictMatchesModel(t *testing.T) {
 	ps, tr, m := fixture(t, 60, 3)
 	reg := NewRegistry()
@@ -123,8 +123,7 @@ func TestCheckpointPredictMatchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := m.Cfg.H
-	// Reference outputs first, serially: Model.Predict itself is not
-	// concurrency-safe — that is precisely what the predictor pool is for.
+	// Reference outputs first, serially.
 	want := make(map[int]*te.Config)
 	for ti := h; ti <= tr.Len(); ti++ {
 		cfg, err := m.Predict(tr.Window(ti, h))
@@ -140,14 +139,14 @@ func TestCheckpointPredictMatchesModel(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for ti := h + w; ti <= tr.Len(); ti += 8 {
-				got, err := ck.Predict(tr.Window(ti, h))
+				got, err := ck.Model.Predict(tr.Window(ti, h))
 				if err != nil {
 					errs <- err
 					return
 				}
 				for p := range want[ti].R {
 					if got.R[p] != want[ti].R[p] {
-						errs <- fmt.Errorf("t=%d path %d: pooled %v, model %v", ti, p, got.R[p], want[ti].R[p])
+						errs <- fmt.Errorf("t=%d path %d: checkpoint %v, model %v", ti, p, got.R[p], want[ti].R[p])
 						return
 					}
 				}
@@ -197,11 +196,11 @@ func TestInstallServesWhatUploadServes(t *testing.T) {
 		if ckI.Bytes != 8*m.Net.NumParams() || ckU.Bytes != len(data) {
 			t.Fatalf("Bytes = %d (install) / %d (upload), want %d / %d", ckI.Bytes, ckU.Bytes, 8*m.Net.NumParams(), len(data))
 		}
-		a, err := Replay(postOver(t, transport, installed, "pod", ps, nil), ps, tr, ReplayOptions{To: 30})
+		a, err := Replay(postOver(t, transport, installed, "pod", ps), ps, tr, ReplayOptions{To: 30})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Replay(postOver(t, transport, uploaded, "pod", ps, nil), ps, tr, ReplayOptions{To: 30})
+		b, err := Replay(postOver(t, transport, uploaded, "pod", ps), ps, tr, ReplayOptions{To: 30})
 		if err != nil {
 			t.Fatal(err)
 		}

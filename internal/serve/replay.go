@@ -22,9 +22,6 @@ type ReplayOptions struct {
 	// (interval t is served by the decision that saw everything up to
 	// t-1).
 	Delay int
-	// Initial serves intervals before the first delayed decision lands
-	// (default: the uniform split over the replayed configs' path set).
-	Initial *te.Config
 }
 
 // ReplayResult aggregates a closed-loop replay.
@@ -64,10 +61,8 @@ func Replay(post func(demand []float64) (*RoutingResponse, error), ps *te.PathSe
 	if opt.Delay < 0 {
 		return nil, fmt.Errorf("serve: negative replay delay %d", opt.Delay)
 	}
-	installed := opt.Initial
-	if installed == nil {
-		installed = te.UniformConfig(ps)
-	}
+	// The uniform split serves until the first delayed decision lands.
+	installed := te.UniformConfig(ps)
 
 	res := &ReplayResult{}
 	seen := make(map[int]bool)

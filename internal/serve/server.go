@@ -30,7 +30,8 @@ const maxCheckpointBytes = 512 << 20
 // controller, so topologies never contend — one topology's retrain or
 // ingest burst cannot delay another's decisions.
 //
-// API surface (all JSON):
+// API surface (JSON; the snapshot and routing endpoints also speak the
+// binary wire codec, and /v1/wire is binary only — see below):
 //
 //	GET  /v1/topologies                           list served topologies
 //	POST /v1/topologies/{topo}/snapshots          ingest a demand snapshot
@@ -40,6 +41,7 @@ const maxCheckpointBytes = 512 << 20
 //	POST /v1/topologies/{topo}/checkpoints        upload + activate a checkpoint
 //	POST /v1/topologies/{topo}/checkpoints/rollback  roll back to the previous one
 //	GET  /v1/metrics                              per-topology serving metrics
+//	GET  /v1/wire                                 upgrade to the binary stream
 //
 // Snapshot ingest is synchronous by default — the response carries the
 // decision computed from the window ending at the posted snapshot —

@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +23,7 @@ import (
 	"figret/internal/graph"
 	"figret/internal/netsim"
 	"figret/internal/te"
+	"figret/internal/tracestore"
 	"figret/internal/traffic"
 	"figret/internal/wire"
 )
@@ -49,12 +53,11 @@ var transports = []string{transportJSON, transportBinHTTP, transportWire}
 
 // postOver returns the synchronous-ingest function of one transport
 // against client's server, bound to topo — what Replay is handed. The
-// wire stream reports to tel when that is non-nil and is closed with
-// the test.
-func postOver(t *testing.T, transport string, client *Client, topo string, ps *te.PathSet, tel *StreamTelemetry) func([]float64) (*RoutingResponse, error) {
+// wire stream is closed with the test.
+func postOver(t *testing.T, transport string, client *Client, topo string, ps *te.PathSet) func([]float64) (*RoutingResponse, error) {
 	t.Helper()
 	if transport == transportWire {
-		bin, err := DialBin(client.BaseURL, topo, ps, BinClientOptions{Telemetry: tel})
+		bin, err := DialBin(client.BaseURL, topo, ps, BinClientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +107,7 @@ func TestClosedLoopReplayMatchesOffline(t *testing.T) {
 	}
 
 	const delay = 2
-	res, err := Replay(postOver(t, transportJSON, client, "geant", ps, nil), ps, test, ReplayOptions{To: 30, Delay: delay})
+	res, err := Replay(postOver(t, transportJSON, client, "geant", ps), ps, test, ReplayOptions{To: 30, Delay: delay})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,6 +421,68 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if _, err := client.PostSnapshot("pod", []float64{1}); err == nil {
 		t.Fatal("short demand vector accepted")
+	}
+}
+
+// TestIngestRejectsHostileDemand: a negative or non-finite demand entry is
+// the caller's fault on every transport (the binary ones carry raw float
+// bits, so they can deliver all four; JSON can spell only the negative
+// one). Each answers 400 and moves nothing — not the published decision,
+// not the ingest counter, not the durable spool — and the same connection
+// serves the next clean snapshot bitwise as offline inference does.
+func TestIngestRejectsHostileDemand(t *testing.T) {
+	ps, tr, m := fixture(t, 40, 5)
+	dir := t.TempDir()
+	client, srv, reg := startServer(t, "pod", ps, ControllerOptions{HistoryCap: 16, Spool: dir})
+	if _, err := reg.Install("pod", m, "bootstrap"); err != nil {
+		t.Fatal(err)
+	}
+	h := m.Cfg.H
+	for i := 0; i < h; i++ {
+		if _, err := client.PostSnapshot("pod", tr.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := h
+	ctl := srv.Controller("pod")
+	spoolLen := func() int64 {
+		t.Helper()
+		r, err := tracestore.Open(filepath.Join(dir, "pod.fgt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		return r.Len()
+	}
+	for _, transport := range transports {
+		post := postOver(t, transport, client, "pod", ps)
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e9} {
+			if transport == transportJSON && bad != -1e9 {
+				continue
+			}
+			decided, snapshots, spooled := ctl.Decision(), ctl.Metrics().Snapshots, spoolLen()
+			demand := append([]float64(nil), tr.At(next)...)
+			demand[3] = bad
+			if _, err := post(demand); err == nil || !strings.Contains(err.Error(), "status 400") {
+				t.Fatalf("%s: demand entry %v answered %v, want a 400", transport, bad, err)
+			}
+			if ctl.Decision() != decided || ctl.Metrics().Snapshots != snapshots || spoolLen() != spooled {
+				t.Fatalf("%s: rejected entry %v moved state: decision seq %d -> %d, snapshots %d -> %d, spool %d -> %d",
+					transport, bad, decided.Seq, ctl.Decision().Seq, snapshots, ctl.Metrics().Snapshots, spooled, spoolLen())
+			}
+		}
+		rr, err := post(tr.At(next))
+		if err != nil {
+			t.Fatalf("%s: clean snapshot after the rejected ones: %v", transport, err)
+		}
+		next++
+		want, err := m.Predict(tr.Window(next, h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.Snapshot != int64(next-1) || !slices.Equal(rr.Ratios, want.R) {
+			t.Fatalf("%s: decision for snapshot %d after the rejected ones differs from offline inference", transport, rr.Snapshot)
+		}
 	}
 }
 

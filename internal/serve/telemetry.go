@@ -17,7 +17,7 @@ import (
 const (
 	stageIngest  = iota // queue wait: enqueue → controller pickup
 	stageWindow         // window append + trim + drift observation
-	stagePredict        // pooled model inference over the window
+	stagePredict        // model inference over the window
 	stageReroute        // churn limiting + failure reroute
 	stagePublish        // atomic publish + latency bookkeeping
 	numStages
@@ -28,8 +28,8 @@ var stageNames = [numStages]string{"ingest", "window", "predict", "reroute", "pu
 // Telemetry is the serving subsystem's view into an obs.Registry: it
 // decides which registry — and so which Prometheus page — the instruments
 // land on. A nil *Telemetry leaves the server's transport timing, the
-// wire-stream lifecycle, the registry's install/rollback counts and the
-// client stream unobserved at one branch per call site; a Controller
+// wire-stream lifecycle and the registry's install/rollback counts
+// unobserved at one branch per call site; a Controller
 // counts its events regardless (into a private registry when handed
 // none, see ControllerOptions.Telemetry). Instruments only count and
 // time: replays over a shared and over a private registry are bitwise
@@ -38,9 +38,8 @@ type Telemetry struct {
 	reg      *obs.Registry
 	traceLog *slog.Logger
 
-	mu     sync.Mutex
-	topos  map[string]*topoTelemetry
-	stream map[string]*StreamTelemetry
+	mu    sync.Mutex
+	topos map[string]*topoTelemetry
 
 	transports map[string]*transportTelemetry
 
@@ -63,7 +62,6 @@ func NewTelemetry(reg *obs.Registry) *Telemetry {
 	t := &Telemetry{
 		reg:        reg,
 		topos:      make(map[string]*topoTelemetry),
-		stream:     make(map[string]*StreamTelemetry),
 		transports: make(map[string]*transportTelemetry, 3),
 		wireConnsActive: reg.Gauge("figret_wire_connections_active",
 			"Upgraded wire streams currently open."),
@@ -275,76 +273,5 @@ func (t *Telemetry) wireDecision(delta bool) {
 func (t *Telemetry) wireResync() {
 	if t != nil {
 		t.wireResyncs.Inc()
-	}
-}
-
-// StreamTelemetry instruments one BinClient's stream: per-request RTT
-// and the delta/full/resync/redial mix. Attach via
-// BinClientOptions.Telemetry. All methods are safe on a nil receiver.
-type StreamTelemetry struct {
-	rtt     *obs.Histogram
-	redials *obs.Counter
-	resyncs *obs.Counter
-	deltas  *obs.Counter
-	fulls   *obs.Counter
-}
-
-// Stream returns (creating on first use) the stream instrument set for
-// a topology; nil on a nil Telemetry.
-func (t *Telemetry) Stream(topo string) *StreamTelemetry {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.stream[topo]
-	if st != nil {
-		return st
-	}
-	reg := t.reg
-	l := obs.L("topology", topo)
-	st = &StreamTelemetry{
-		rtt: reg.Histogram("figret_stream_rtt_seconds",
-			"Per-request round-trip time of the pipelined stream.",
-			obs.DefaultLatencyBuckets(), l),
-		redials: reg.Counter("figret_stream_redials_total",
-			"Reconnects after broken stream connections.", l),
-		resyncs: reg.Counter("figret_stream_resyncs_total",
-			"Client-requested full-decision resyncs after delta gaps.", l),
-		deltas: reg.Counter("figret_stream_decisions_total",
-			"Decisions received by encoding.", l, obs.L("encoding", "delta")),
-		fulls: reg.Counter("figret_stream_decisions_total",
-			"Decisions received by encoding.", l, obs.L("encoding", "full")),
-	}
-	t.stream[topo] = st
-	return st
-}
-
-func (st *StreamTelemetry) observeRTT(sample time.Duration) {
-	if st != nil {
-		st.rtt.Observe(sample.Seconds())
-	}
-}
-
-func (st *StreamTelemetry) onRedial() {
-	if st != nil {
-		st.redials.Inc()
-	}
-}
-
-func (st *StreamTelemetry) onDecision(delta bool) {
-	if st == nil {
-		return
-	}
-	if delta {
-		st.deltas.Inc()
-	} else {
-		st.fulls.Inc()
-	}
-}
-
-func (st *StreamTelemetry) onResync() {
-	if st != nil {
-		st.resyncs.Inc()
 	}
 }

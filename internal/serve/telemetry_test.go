@@ -37,7 +37,7 @@ func replayDecisions(t *testing.T, tel *Telemetry, transport string, ps *te.Path
 	if _, err := client.UploadCheckpoint("pod", data); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Replay(postOver(t, transport, client, "pod", ps, tel.Stream("pod")), ps, tr, ReplayOptions{})
+	res, err := Replay(postOver(t, transport, client, "pod", ps), ps, tr, ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,6 @@ func TestTelemetryCountersDuringReplay(t *testing.T) {
 		`figret_serve_transport_requests_total{transport="wire"}`,
 		`figret_serve_checkpoint_installs_total{source="upload",topology="pod"}`,
 		`figret_wire_connections_total`,
-		`figret_stream_decisions_total{encoding="full",topology="pod"}`,
 	} {
 		idx := strings.Index(page, want)
 		if idx < 0 {

@@ -339,7 +339,7 @@ func TestWireReplayBitwise(t *testing.T) {
 		if _, err := reg.Install("pod", m, "test"); err != nil {
 			t.Fatal(err)
 		}
-		rr, err := Replay(postOver(t, mode, client, "pod", ps, nil), ps, tr, ReplayOptions{To: 30, Delay: 1})
+		rr, err := Replay(postOver(t, mode, client, "pod", ps), ps, tr, ReplayOptions{To: 30, Delay: 1})
 		if err != nil {
 			t.Fatalf("%s replay: %v", mode, err)
 		}

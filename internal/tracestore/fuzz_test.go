@@ -122,9 +122,8 @@ func TestFuzzSeedCorpus(t *testing.T) {
 }
 
 // readWholeImage drives every reader path over a store image: open,
-// per-block verification via Trace, per-snapshot access, and window
-// assembly. It must return an error or succeed — never panic — for any
-// input whatsoever.
+// per-block verification via Trace and per-snapshot access. It must
+// return an error or succeed — never panic — for any input whatsoever.
 func readWholeImage(data []byte) error {
 	r, err := openBytes(data)
 	if err != nil {
@@ -143,22 +142,12 @@ func readWholeImage(data []byte) error {
 			return fmt.Errorf("snapshot %d has %d entries, want %d", i, len(s), tr.Pairs.Count())
 		}
 	}
-	if r.Len() > 0 {
-		h := r.Len()
-		if h > 4 {
-			h = 4
-		}
-		dst := make([]float64, h*int64(r.PairCount()))
-		if _, err := r.WindowInto(dst, r.Len(), h); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // FuzzReadBlock feeds arbitrary bytes through the whole reader:
-// structural validation, lazy block verification, zero-copy snapshot
-// views and window assembly. The invariant is the wire decoder's:
+// structural validation, lazy block verification and zero-copy snapshot
+// views. The invariant is the wire decoder's:
 // corrupt, truncated, hostile or foreign-version input surfaces as an
 // error, never a panic or an out-of-bounds access.
 func FuzzReadBlock(f *testing.F) {

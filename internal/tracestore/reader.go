@@ -191,34 +191,11 @@ func (r *Reader) At(i int64) ([]float64, error) {
 	return f[j*pc : (j+1)*pc : (j+1)*pc], nil
 }
 
-// WindowInto copies the H snapshots strictly before index t into dst
-// (H·pairCount entries) — the streaming counterpart of
-// traffic.Trace.WindowInto for stores too large to materialize, with
-// corrupt blocks surfacing as errors.
-func (r *Reader) WindowInto(dst []float64, t, H int64) ([]float64, error) {
-	if t < H || t > r.nSnaps {
-		return nil, fmt.Errorf("tracestore: window t=%d H=%d len=%d", t, H, r.nSnaps)
-	}
-	pc := int64(r.g.pairCount)
-	if int64(len(dst)) != H*pc {
-		return nil, fmt.Errorf("tracestore: window dst has %d entries, want %d", len(dst), H*pc)
-	}
-	for i := int64(0); i < H; i++ {
-		s, err := r.At(t - H + i)
-		if err != nil {
-			return nil, err
-		}
-		copy(dst[i*pc:(i+1)*pc], s)
-	}
-	return dst, nil
-}
-
 // Trace materializes the whole store as a traffic.Trace of zero-copy
-// snapshot views, verifying every block's checksum on the way — the
-// fully-validated path the scenario substrate cache and environment
-// construction use. The trace shares the mapping: it is valid until
-// Close, and its snapshots follow the view contract (read, don't
-// mutate; mutations are process-private copy-on-write either way).
+// snapshot views, verifying every block's checksum on the way. The trace
+// shares the mapping: it is valid until Close, and its snapshots follow
+// the view contract (read, don't mutate; mutations are process-private
+// copy-on-write either way).
 func (r *Reader) Trace() (*traffic.Trace, error) {
 	snaps := make([][]float64, r.nSnaps)
 	pc := r.g.pairCount
@@ -247,20 +224,4 @@ func (r *Reader) Close() error {
 		return r.unmap()
 	}
 	return nil
-}
-
-// Load opens path and materializes its trace in one step. The returned
-// reader owns the mapping: the trace is valid until Reader.Close (or
-// process exit for callers that hold it for the process lifetime).
-func Load(path string) (*traffic.Trace, *Reader, error) {
-	r, err := Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr, err := r.Trace()
-	if err != nil {
-		r.Close()
-		return nil, nil, err
-	}
-	return tr, r, nil
 }

@@ -3,10 +3,9 @@ package tracestore
 import "sync/atomic"
 
 // Process-wide store counters, aggregated across every Writer and
-// Reader (stores are created ad hoc — env construction, spooling
-// controllers, CLI conversions — and not retained, so per-store
-// counters would be unreachable by the time a metrics scrape wants
-// them; same rationale as te.PathCacheStats).
+// Reader (stores are created ad hoc by spooling controllers and not
+// retained, so per-store counters would be unreachable by the time a
+// metrics scrape wants them; same rationale as te.PathCacheStats).
 var (
 	statBlocksWritten  atomic.Uint64
 	statBytesWritten   atomic.Uint64

@@ -69,7 +69,7 @@ func TestRoundTripBitwise(t *testing.T) {
 			if err := WriteTrace(path, tr, Options{SnapsPerBlock: tc.snaps}); err != nil {
 				t.Fatal(err)
 			}
-			got, r, err := Load(path)
+			got, r, err := loadStore(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestWindowViewsMatchInMemory(t *testing.T) {
 	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 4}); err != nil {
 		t.Fatal(err)
 	}
-	stored, r, err := Load(path)
+	stored, r, err := loadStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +104,32 @@ func TestWindowViewsMatchInMemory(t *testing.T) {
 		if !bytes.Equal(floatBytes(want), floatBytes(got)) {
 			t.Fatalf("trace window at %d differs", at)
 		}
-		// Through the streaming reader path.
-		dst := make([]float64, H*pc)
-		if _, err := r.WindowInto(dst, int64(at), int64(H)); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(floatBytes(want), floatBytes(dst)) {
-			t.Fatalf("reader window at %d differs", at)
+		// Through the reader's per-snapshot views.
+		for i := 0; i < H; i++ {
+			s, err := r.At(int64(at - H + i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(floatBytes(want[i*pc:(i+1)*pc]), floatBytes(s)) {
+				t.Fatalf("reader snapshot %d of the window at %d differs", i, at)
+			}
 		}
 	}
+}
+
+// loadStore opens path and materializes its trace; the reader owns the
+// mapping the trace's snapshots view.
+func loadStore(path string) (*traffic.Trace, *Reader, error) {
+	r, err := Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, err := r.Trace()
+	if err != nil {
+		r.Close()
+		return nil, nil, err
+	}
+	return tr, r, nil
 }
 
 func floatBytes(f []float64) []byte {
@@ -185,7 +202,7 @@ func TestAppendReuseBuffer(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, r, err := Load(path)
+	got, r, err := loadStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +293,7 @@ func TestOpenAppendRecoversTornTail(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, r, err := Load(path)
+	got, r, err := loadStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +420,7 @@ func TestViewCapacityClipped(t *testing.T) {
 	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 3}); err != nil {
 		t.Fatal(err)
 	}
-	got, r, err := Load(path)
+	got, r, err := loadStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,53 +438,6 @@ func TestViewCapacityClipped(t *testing.T) {
 	}
 	if !bitwiseEqual(tr.Slice(2, 3), got.Slice(2, 3)) {
 		t.Fatal("append to a view clobbered the parent's snapshot 2")
-	}
-}
-
-// TestCSVStoreRoundTrip is the satellite gate: CSV → store → windows is
-// bitwise equal to CSV → in-memory Trace, including the empty-trace and
-// single-snapshot edge cases.
-func TestCSVStoreRoundTrip(t *testing.T) {
-	cases := []struct {
-		name string
-		tr   *traffic.Trace
-	}{
-		{"empty", traffic.NewTrace(4)},
-		{"single_snapshot", synthTrace(4, 1, 11)},
-		{"typical", synthTrace(5, 17, 12)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var csv bytes.Buffer
-			if err := tc.tr.WriteCSV(&csv); err != nil {
-				t.Fatal(err)
-			}
-			direct, err := traffic.ReadCSV(bytes.NewReader(csv.Bytes()), tc.tr.Pairs.N())
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "t.fgt")
-			if err := WriteTrace(path, direct, Options{SnapsPerBlock: 4}); err != nil {
-				t.Fatal(err)
-			}
-			stored, r, err := Load(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			if !bitwiseEqual(direct, stored) {
-				t.Fatal("CSV → store differs from CSV → memory")
-			}
-			if direct.Len() == 0 {
-				return
-			}
-			H := direct.Len()
-			wa := direct.Window(direct.Len(), H)
-			wb := stored.Window(stored.Len(), H)
-			if !bytes.Equal(floatBytes(wa), floatBytes(wb)) {
-				t.Fatal("windows over the stored trace differ from the in-memory ones")
-			}
-		})
 	}
 }
 
@@ -516,7 +486,7 @@ func TestStatsAdvance(t *testing.T) {
 	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, r, err := Load(path); err != nil {
+	if _, r, err := loadStore(path); err != nil {
 		t.Fatal(err)
 	} else {
 		r.Close()

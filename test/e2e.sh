@@ -3,7 +3,8 @@
 # transition (healthz live while readyz still reports the warming
 # topology), replay a trace over both transports through the real
 # sockets, assert non-zero decision counters on the Prometheus scrape,
-# and verify SIGTERM drains the process within the budget.
+# upload a checkpoint trained by the figret CLI (and roll it back), and
+# verify SIGTERM drains the process within the budget.
 #
 # Run from the repository root:  ./test/e2e.sh
 set -euo pipefail
@@ -42,6 +43,16 @@ metric() {
 
 echo "e2e: building served"
 go build -o "$workdir/served" ./cmd/served
+
+# A bootstrap window the demand window can never hold is refused when the
+# flags are parsed (exit 2, both flags named), not discovered as a 500 on
+# every ingest after boot and training.
+rc=0
+"$workdir/served" -topos "$TOPO" -H 300 -history 256 -addr "127.0.0.1:$API_PORT" -opsaddr "" \
+  >"$workdir/served.log" 2>&1 || rc=$?
+[[ "$rc" == 2 ]] && grep -q -- '-H 300' "$workdir/served.log" && grep -q -- '-history 256' "$workdir/served.log" \
+  || fail "served -H 300 -history 256 exited $rc, want 2 with both flags named"
+echo "e2e: -H above -history refused at flag-parse time"
 
 echo "e2e: booting served ($TOPO, api :$API_PORT, ops :$OPS_PORT)"
 "$workdir/served" -topos "$TOPO" -addr "127.0.0.1:$API_PORT" -opsaddr "127.0.0.1:$OPS_PORT" \
@@ -109,6 +120,28 @@ wire_reqs="$(metric 'figret_serve_transport_requests_total{transport="wire"}')"
 [[ -n "$json_reqs" && "$json_reqs" != 0 ]] || fail "json transport counter is '${json_reqs:-missing}'"
 [[ -n "$wire_reqs" && "$wire_reqs" != 0 ]] || fail "wire transport counter is '${wire_reqs:-missing}'"
 echo "e2e: metrics scrape ok (decisions=$decisions json=$json_reqs wire=$wire_reqs)"
+
+# The one file format a second process reads: a model trained by the
+# figret CLI with the daemon's own flags uploads as version 2, serves
+# the next decision, and rolls back; one trained for another topology is
+# refused with 422 and changes nothing.
+echo "e2e: building figret, training a checkpoint for $TOPO"
+go build -o "$workdir/figret" ./cmd/figret
+"$workdir/figret" train -topo "$TOPO" -T 60 -H 4 -epochs 2 -seed 3 -batch 16 -out "$workdir/model.json" \
+  >"$workdir/train.log" 2>&1 || fail "figret train failed: $(cat "$workdir/train.log")"
+uploaded="$(curl -s -X POST --data-binary "@$workdir/model.json" "$API/v1/topologies/$TOPO/checkpoints")"
+grep -q '"version":2,"source":"upload"' <<<"$uploaded" || fail "upload of the CLI-trained model answered: $uploaded"
+decision="$(curl -s -X POST -d '{"demand":[1,2,1,1,3,1,1,1,2,1,1,1]}' "$API/v1/topologies/$TOPO/snapshots")"
+grep -q '"version":2,' <<<"$decision" || fail "decision after the upload is not served by version 2: $decision"
+rolled="$(curl -s -X POST "$API/v1/topologies/$TOPO/checkpoints/rollback")"
+grep -q '"version":1,' <<<"$rolled" || fail "rollback did not return to version 1: $rolled"
+"$workdir/figret" train -topo geant -T 60 -H 4 -epochs 1 -seed 3 -batch 16 -out "$workdir/geant.json" \
+  >"$workdir/train.log" 2>&1 || fail "figret train (geant) failed: $(cat "$workdir/train.log")"
+wrong="$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary "@$workdir/geant.json" "$API/v1/topologies/$TOPO/checkpoints")"
+[[ "$wrong" == 422 ]] || fail "a geant checkpoint uploaded to $TOPO answered $wrong, want 422"
+curl -s "$API/v1/topologies/$TOPO/checkpoints" | grep -q '"version":1,"source":"bootstrap","bytes":[1-9][0-9]*,"active":true' \
+  || fail "active checkpoint is not the bootstrap after rollback and the refused upload"
+echo "e2e: CLI-trained checkpoint uploaded, served, rolled back; foreign checkpoint refused"
 
 echo "e2e: sending SIGTERM"
 kill -TERM "$served_pid"
