@@ -39,7 +39,7 @@ func main() {
 	flag.Float64Var(&r.model.Gamma, "gamma", 0, "FIGRET robustness weight (0 = default)")
 	flag.IntVar(&r.model.Epochs, "epochs", 0, "training epochs (0 = scale default)")
 	flag.Int64Var(&r.env.Seed, "seed", 1, "random seed")
-	flag.IntVar(&r.workers, "workers", runtime.NumCPU(), "evaluation worker pool size; results are bitwise identical for any worker count")
+	flag.IntVar(&r.workers, "workers", runtime.GOMAXPROCS(0), "evaluation worker pool size; results are bitwise identical for any worker count")
 	flag.StringVar(&r.env.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache (shared across figret/experiments/served runs; empty = recompute every run)")
 	flag.IntVar(&r.env.PathWorkers, "pathworkers", 0, "candidate-path precomputation worker pool size (0 = all CPUs); the path set is bitwise identical for any value")
 	flag.Parse()

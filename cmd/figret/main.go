@@ -23,12 +23,10 @@
 //	figret train -topo cogentco -scale full -pathcache ~/.cache/figret-paths -out model.json
 //	figret eval  -topo cogentco -scale full -pathcache ~/.cache/figret-paths -model model.json
 //
-// Training itself is data-parallel: -trainworkers sizes the worker pool
-// (0 = all CPUs) with a bitwise worker-count-independent loss trajectory,
-// and -macrobatch accumulates that many micro-batches of -batch samples
-// per optimizer step (gradient accumulation):
+// Training kernels fan out over -trainworkers goroutines (0 = all CPUs)
+// with a bitwise worker-count-independent loss trajectory:
 //
-//	figret train -topo pod-db -batch 32 -trainworkers 4 -macrobatch 2 -out model.json
+//	figret train -topo pod-db -batch 32 -trainworkers 4 -out model.json
 package main
 
 import (
@@ -78,7 +76,6 @@ func main() {
 	fs.IntVar(&cfg.Epochs, "epochs", 10, "training epochs")
 	fs.IntVar(&cfg.BatchSize, "batch", 1, "training minibatch size (1 = the paper's per-sample protocol; larger batches train faster)")
 	fs.IntVar(&cfg.TrainWorkers, "trainworkers", 0, "training worker pool size (0 = all CPUs); the loss trajectory and trained weights are bitwise identical for any value")
-	fs.IntVar(&cfg.MacroBatch, "macrobatch", 1, "micro-batches accumulated per optimizer step (gradient accumulation; effective batch = batch*macrobatch)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}

@@ -1,8 +1,7 @@
 // Command figretvet runs the project's static-analysis suite
-// (internal/analysis) over the module: detrange, detsource, nilrecv,
-// viewsafe and errwire — the machine-checked versions of the
-// determinism, nil-safety, view-aliasing and wire-error contracts
-// documented in DESIGN.md §13.
+// (internal/analysis) over the module: detrange, detsource, viewsafe and
+// errwire — the machine-checked versions of the determinism,
+// view-aliasing and wire-error contracts documented in DESIGN.md §13.
 //
 // Usage:
 //

@@ -66,7 +66,7 @@ func execute(cmd string, args []string) error {
 		jsonOut = fs.Bool("json", false, "emit machine-readable JSON instead of text")
 		quiet   = fs.Bool("q", false, "suppress the per-scenario progress lines and the closing summary on stderr")
 	)
-	fs.IntVar(&opt.Workers, "workers", runtime.NumCPU(), "per-scenario evaluation worker pool size, and how many substrates run at once; metrics are bitwise identical for any value")
+	fs.IntVar(&opt.Workers, "workers", runtime.GOMAXPROCS(0), "per-scenario evaluation worker pool size, and how many substrates run at once; metrics are bitwise identical for any value")
 	fs.StringVar(&opt.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache shared with figret/experiments/served (empty = recompute)")
 	fs.IntVar(&opt.TrainWorkers, "trainworkers", 0, "substrate-model training worker pool size (0 = all CPUs); metrics are bitwise identical for any value")
 	fs.Parse(args)

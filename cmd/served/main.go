@@ -318,7 +318,8 @@ func startListener(logger *slog.Logger, name, addr string, h http.Handler) *http
 // topology's environment (path set + synthetic trace, no training),
 // dials the running daemon's binary stream and pipelines demand
 // snapshots through it; the json transport runs the synchronous
-// closed-loop Replay over plain HTTP. Both log how many decisions the
+// closed-loop Replay over plain HTTP. n is the request count either way
+// (0 = one pass over the test split). Both log how many decisions the
 // daemon actually served, which the e2e smoke gate asserts on.
 func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experiments.Scale, envOpt experiments.EnvOptions, n int) error {
 	env, err := experiments.NewEnv(topo, sc, envOpt)
@@ -331,7 +332,7 @@ func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experimen
 		post := func(demand []float64) (*serve.RoutingResponse, error) {
 			return client.PostSnapshot(topo, demand)
 		}
-		res, err := serve.Replay(post, env.PS, env.Test, serve.ReplayOptions{})
+		res, err := serve.Replay(post, env.PS, env.Test, serve.ReplayOptions{To: n})
 		if err != nil {
 			return err
 		}

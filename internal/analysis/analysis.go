@@ -3,10 +3,9 @@
 // ethos as internal/obs) driver that loads and type-checks every package
 // in the module and runs project-specific analyzers enforcing the
 // contracts the repository's correctness rests on — bitwise-deterministic
-// training/eval/serving (DESIGN.md §6/§10), nil-receiver-safe telemetry
-// instruments (§12), the capacity-clipped view contract of
-// traffic.Trace.Slice (§7), and never-panic error-returning wire decoders
-// (§11).
+// training/eval/serving (DESIGN.md §6/§10), the capacity-clipped view
+// contract of traffic.Trace.Slice (§7), and never-panic error-returning
+// wire decoders (§11).
 //
 // Each analyzer reports file:line diagnostics. A diagnostic is suppressed
 // by a directive comment on the flagged line or the line directly above:

@@ -21,9 +21,6 @@ func goldenSuites() map[string]func(path string) *Suite {
 	return map[string]func(path string) *Suite{
 		"detrange":  func(p string) *Suite { return one(NewDetRange([]string{p})) },
 		"detsource": func(p string) *Suite { return one(NewDetSource([]string{p})) },
-		"nilrecv": func(p string) *Suite {
-			return one(NewNilRecv(map[string][]string{p: {"Counter", "Tracer"}}))
-		},
 		"viewsafe": func(p string) *Suite {
 			return one(NewViewSafe([]ViewFunc{
 				{Pkg: p, Recv: "Buf", Name: "View", Fields: []string{"Items"}},

@@ -20,14 +20,6 @@ var detPackages = []string{
 	"figret/internal/tracestore",
 }
 
-// Instrument types under the §12 nil-receiver contract. obs.Span is
-// deliberately absent: its contract is zero-*value* inertness (spans are
-// threaded by value), not nil-pointer safety.
-var nilRecvTargets = map[string][]string{
-	"figret/internal/obs":   {"Counter", "Gauge", "Histogram", "Tracer"},
-	"figret/internal/serve": {"Telemetry"},
-}
-
 // View-returning functions under the PR 3 aliasing contract. The
 // tracestore reader's Trace and At return windows into the mmap'd file
 // (capacity-clipped, but still aliases of the mapping), so call sites
@@ -35,7 +27,6 @@ var nilRecvTargets = map[string][]string{
 var viewFuncs = []ViewFunc{
 	{Pkg: "figret/internal/traffic", Recv: "Trace", Name: "Slice", Fields: []string{"Snapshots"}},
 	{Pkg: "figret/internal/traffic", Recv: "Trace", Name: "WindowInto"},
-	{Pkg: "figret/internal/nn", Recv: "MLP", Name: "GradView"},
 	{Pkg: "figret/internal/tracestore", Recv: "Reader", Name: "Trace", Fields: []string{"Snapshots"}},
 	{Pkg: "figret/internal/tracestore", Recv: "Reader", Name: "At"},
 }
@@ -49,7 +40,6 @@ func DefaultSuite() *Suite {
 	return &Suite{Analyzers: []*Analyzer{
 		NewDetRange(detPackages),
 		NewDetSource(detPackages),
-		NewNilRecv(nilRecvTargets),
 		NewViewSafe(viewFuncs),
 		NewErrWire(wirePackage),
 	}}

@@ -34,7 +34,7 @@ type Window struct {
 // Options configures Run.
 type Options struct {
 	// Workers is the size of the evaluation worker pool; <= 0 selects
-	// runtime.NumCPU(). Results are bitwise identical for any value.
+	// runtime.GOMAXPROCS(0). Results are bitwise identical for any value.
 	Workers int
 	// Oracle normalizes the series. Nil evaluates raw MLUs only (Norm is
 	// nil and statistics are computed over Raw).
@@ -47,7 +47,7 @@ const severeThreshold = 2
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -188,7 +188,7 @@ func Run(schemes []baselines.Scheme, tr *traffic.Trace, win Window, opt Options)
 }
 
 // Parallel runs fn(i) for every i in [0, n) on up to workers goroutines
-// (<= 0 selects runtime.NumCPU()) and returns the error of the
+// (<= 0 selects runtime.GOMAXPROCS(0)) and returns the error of the
 // smallest-indexed failing call. A failure cancels the pool: indices not
 // yet claimed are skipped, so a scheme erroring on its first cell does
 // not pay for the hundreds of remaining ones. Because indices are
@@ -206,7 +206,7 @@ func Parallel(n, workers int, fn func(i int) error) error {
 		return nil
 	}
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

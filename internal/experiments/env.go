@@ -52,7 +52,7 @@ type Env struct {
 	// training history usable for window warmup).
 	TestStart int
 	// Workers sizes the evaluation engine's worker pool (0 selects
-	// runtime.NumCPU()); results are bitwise identical for any value.
+	// runtime.GOMAXPROCS(0)); results are bitwise identical for any value.
 	Workers int
 	// WarmIters, when positive, enables warm-started oracle solves with
 	// this iteration budget (set by UseGradSolver; meaningless for the
@@ -159,7 +159,7 @@ type EnvOptions struct {
 	// environment (see te.PathSetOptions).
 	SelectorName string
 	// PathWorkers sizes the candidate-path precomputation worker pool
-	// (0 = runtime.NumCPU()). The path set is bitwise identical for any
+	// (0 = runtime.GOMAXPROCS(0)). The path set is bitwise identical for any
 	// value.
 	PathWorkers int
 	// PathCache, when non-empty, is the directory of an on-disk

@@ -7,6 +7,7 @@ import (
 	"figret/internal/baselines"
 	"figret/internal/netsim"
 	"figret/internal/te"
+	"figret/internal/traffic"
 )
 
 // MLUProxyResult validates the paper's §3 premise — "Google found MLU to be
@@ -68,8 +69,8 @@ func MLUProxy(env *Env, snapshots int) (*MLUProxyResult, error) {
 		res.Loss = append(res.Loss, lossSum/float64(n))
 		res.Delay = append(res.Delay, delaySum/float64(n))
 	}
-	res.LossCorr = netsim.Correlation(res.MLU, res.Loss)
-	res.DelayCorr = netsim.Correlation(res.MLU, res.Delay)
+	res.LossCorr = traffic.Pearson(res.MLU, res.Loss)
+	res.DelayCorr = traffic.Pearson(res.MLU, res.Delay)
 
 	// Scheme comparison at the stress level: the MLU-optimal config should
 	// also lose less traffic than the naive uniform config.

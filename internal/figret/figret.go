@@ -51,26 +51,17 @@ type Config struct {
 	// fixed BatchSize the trajectory is bitwise identical to sequential
 	// per-sample evaluation with gradient accumulation (TrainSequential).
 	BatchSize int
-	// TrainWorkers sizes the data-parallel training worker pool: minibatch
-	// rows are sharded across workers and the per-shard gradients are
-	// combined by a fixed-order tree reduction; a minibatch with fewer
-	// shards than workers (the default BatchSize is one shard) spends the
-	// rest of the pool inside each shard's kernels, the reduce and the
-	// Adam sweep. The loss trajectory and the trained weights are bitwise
-	// identical for every value (DESIGN.md §10). 0 (the default) selects
-	// GOMAXPROCS; 1 trains on the calling goroutine alone and starts no
-	// other — the way to confine a retrain to one core.
+	// TrainWorkers bounds the goroutines a training step's kernels —
+	// forward and backward tiles, the Adam sweep — fan out over. Every
+	// output, gradient row and parameter has one writer and a fixed
+	// accumulation order, so the loss trajectory and the trained weights
+	// are bitwise identical for every value (DESIGN.md §10). 0 (the
+	// default) selects GOMAXPROCS; 1 trains on the calling goroutine alone
+	// and starts no other — the way to confine a retrain to one core.
 	// Excluded from model serialization: it is an execution knob of the
 	// machine that trains, not a property of the trained model — saved
 	// models must be byte-identical for any worker count.
 	TrainWorkers int `json:"-"`
-	// MacroBatch is the number of micro-batches of BatchSize samples whose
-	// gradients accumulate before each Adam step (default 1: one step per
-	// minibatch). K micro-batches keep the per-pass working set at
-	// BatchSize rows while stepping on K·BatchSize summed gradients; when
-	// BatchSize is a multiple of nn.GradShardRows the trajectory is
-	// bitwise identical to a flat batch of K·BatchSize.
-	MacroBatch int
 	// CoarseGrained replaces the per-pair variance weights of the L2 term
 	// with a uniform weight of 1 — the coarse-grained robustness of
 	// desensitization-based TE, kept as an ablation of the paper's central
@@ -104,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 1
-	}
-	if c.MacroBatch <= 0 {
-		c.MacroBatch = 1
 	}
 	return c
 }
@@ -215,25 +203,19 @@ func (m *Model) sampleOrder(tr *traffic.Trace) []int {
 
 // Train fits the model on tr under the protocol of §4.3 — for every t in
 // [H, len), the window {D_{t-H}..D_{t-1}} is the input and the revealed
-// D_t scores the output configuration — executed by the deterministic
-// data-parallel engine (nn.DataParallel, DESIGN.md §10): each shuffled
-// minibatch of Cfg.BatchSize windows is assembled into a row-major
-// [B][H·K] matrix in scaled form (scaledWindowInto, single pass, no
-// allocation), cut into shards of nn.GradShardRows rows that
-// Cfg.TrainWorkers workers forward, score (lossAndGrad on per-lane
-// lossScratch state) and backpropagate independently (workers the shards
-// leave idle go into each shard's kernels), and the per-lane gradients are
-// tree-reduced in fixed order before each Adam step. With
-// Cfg.MacroBatch > 1, that many micro-batches accumulate before a step.
-// The loss trajectory and final weights are bitwise identical for every
-// worker count, and bitwise identical to TrainSequential at every
-// (BatchSize, MacroBatch).
+// D_t scores the output configuration — on the deterministic training
+// engine (nn.DataParallel, DESIGN.md §10): each shuffled minibatch of
+// Cfg.BatchSize windows is assembled into a row-major [B][H·K] matrix in
+// scaled form (scaledWindowInto, single pass, no allocation), forwarded,
+// scored row by row (lossAndGrad) and backpropagated by kernels that fan
+// out over Cfg.TrainWorkers goroutines, then Adam steps. The loss
+// trajectory and final weights are bitwise identical for every worker
+// count, and bitwise identical to TrainSequential at every BatchSize.
 func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 	if err := m.fitTrace(tr); err != nil {
 		return TrainStats{}, err
 	}
 	batch := m.Cfg.BatchSize
-	macro := m.Cfg.MacroBatch
 	in := m.Cfg.H * m.PS.Pairs.Count()
 
 	opt := nn.NewAdam(learningRate)
@@ -247,17 +229,9 @@ func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 	xb := make([]float64, batch*in)  // minibatch input matrix [B][H·K]
 	losses := make([]float64, batch) // per-sample losses, summed in order
 	mlus := make([]float64, batch)
-	// Loss-evaluation state is lane-indexed: the engine guarantees
-	// concurrent score calls carry distinct lanes, so each entry has one
-	// user at a time. Allocated on first use per lane.
-	var pool [nn.MaxGradLanes]*lossScratch
-	var mb []int // targets of the micro-batch currently being scored
-	score := func(lane int, y []float64, r0, r1 int, dy []float64) {
-		ls := pool[lane]
-		if ls == nil {
-			ls = newLossScratch(m.PS)
-			pool[lane] = ls
-		}
+	ls := newLossScratch(m.PS)
+	var mb []int // targets of the minibatch currently being scored
+	score := func(_ int, y []float64, r0, r1 int, dy []float64) {
 		P := m.PS.NumPaths()
 		for bi := r0; bi < r1; bi++ {
 			yr := y[(bi-r0)*P : (bi-r0+1)*P]
@@ -272,7 +246,6 @@ func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var sumLoss, sumMLU float64
-		micros := 0
 		for start := 0; start < len(order); start += batch {
 			bs := batch
 			if rem := len(order) - start; bs > rem {
@@ -287,14 +260,7 @@ func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 				m.scaledWindowInto(xb[bi*in:(bi+1)*in], tr, wt)
 			}
 			eng.Accumulate(xb[:bs*in], bs, score)
-			micros++
-			// An epoch always ends with a step, even on a short macro —
-			// gradients never carry across epochs (matches the historical
-			// trailing partial step).
-			if micros == macro || start+bs == len(order) {
-				eng.Step(opt)
-				micros = 0
-			}
+			eng.Step(opt)
 			for bi := 0; bi < bs; bi++ {
 				sumLoss += losses[bi]
 				sumMLU += mlus[bi]
@@ -308,13 +274,11 @@ func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 }
 
 // TrainSequential is the single-sample reference trainer: per-sample
-// forward/backward, gradients folded through the same canonical shard
-// reduction as the data-parallel engine — partials of nn.GradShardRows
-// consecutive samples land in lane (shard mod nn.MaxGradLanes) and are
-// tree-reduced in fixed order before each Adam step (every BatchSize
-// samples, times MacroBatch). It is retained as the equivalence oracle
-// for Train (identical seeds must produce bitwise-identical loss
-// trajectories).
+// Forward/Backward accumulating into the network's gradient, one Adam step
+// every BatchSize samples and at the epoch's end. It shares no code with
+// the batched engine below the loss, which is what makes it the equivalence
+// oracle for Train (identical seeds must produce bitwise-identical loss
+// trajectories and weights).
 func (m *Model) TrainSequential(tr *traffic.Trace) (TrainStats, error) {
 	if err := m.fitTrace(tr); err != nil {
 		return TrainStats{}, err
@@ -324,63 +288,11 @@ func (m *Model) TrainSequential(tr *traffic.Trace) (TrainStats, error) {
 	order := m.sampleOrder(tr)
 	stats := TrainStats{}
 	scratch := newLossScratch(m.PS)
-	batch := m.Cfg.BatchSize
-	if batch > len(order) {
-		batch = len(order)
-	}
-	macro := m.Cfg.MacroBatch
-
-	// Canonical shard reduction, mirroring nn.DataParallel: the network's
-	// own gradient buffers accumulate one shard at a time; each closed
-	// shard is moved into its lane slot (first shard of a lane copies,
-	// later shards add — one rounded add per element), and lanes [0,used)
-	// are tree-reduced back into the network before each optimizer step.
-	netg := m.Net.GradView()
-	var lanes [nn.MaxGradLanes]*nn.Grads
-	var dirty [nn.MaxGradLanes]bool
-	shards := 0    // shards closed since the last step
-	shardRows := 0 // samples in the currently open shard
-	closeShard := func() {
-		if shardRows == 0 {
-			return
-		}
-		lane := shards % nn.MaxGradLanes
-		if lanes[lane] == nil {
-			lanes[lane] = nn.NewGrads(m.Net)
-		}
-		if dirty[lane] {
-			lanes[lane].Add(netg)
-		} else {
-			lanes[lane].CopyFrom(netg)
-			dirty[lane] = true
-		}
-		m.Net.ZeroGrads()
-		shards++
-		shardRows = 0
-	}
-	step := func() {
-		closeShard()
-		used := shards
-		if used > nn.MaxGradLanes {
-			used = nn.MaxGradLanes
-		}
-		if used > 0 {
-			nn.TreeReduce(lanes[:used])
-			netg.Add(lanes[0])
-			for i := 0; i < used; i++ {
-				lanes[i].Zero()
-				dirty[i] = false
-			}
-		}
-		shards = 0
-		opt.Step(m.Net)
-	}
 
 	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var sumLoss, sumMLU float64
 		pending := 0
-		micros := 0
 		for _, t := range order {
 			wt := t
 			if m.Cfg.SelfTarget {
@@ -392,25 +304,16 @@ func (m *Model) TrainSequential(tr *traffic.Trace) (TrainStats, error) {
 			loss, mlu, gr := m.lossAndGrad(r, tr.At(t), scratch)
 			dy := dRtoY(gr)
 			m.Net.Backward(dy)
-			shardRows++
-			if shardRows == nn.GradShardRows {
-				closeShard()
-			}
 			pending++
-			if pending == batch {
-				closeShard()
+			if pending == m.Cfg.BatchSize {
+				opt.Step(m.Net)
 				pending = 0
-				micros++
-				if micros == macro {
-					step()
-					micros = 0
-				}
 			}
 			sumLoss += loss
 			sumMLU += mlu
 		}
-		if pending > 0 || micros > 0 {
-			step()
+		if pending > 0 {
+			opt.Step(m.Net)
 		}
 		n := float64(len(order))
 		stats.EpochLoss = append(stats.EpochLoss, sumLoss/n)

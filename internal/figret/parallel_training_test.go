@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"figret/internal/nn"
 	"figret/internal/te"
 	"figret/internal/traffic"
 )
@@ -50,17 +49,15 @@ func weightsEqual(t *testing.T, label string, a, b []float64) {
 
 // TestTrainWorkerCountInvariance is the end-to-end determinism contract:
 // the whole loss trajectory and the trained weights are bitwise identical
-// for every TrainWorkers value, and identical to TrainSequential. It covers
-// both ways the engine spends its workers: BatchSize 48 = 3 shards per
-// minibatch, which run concurrently with serial kernels; and BatchSize 16
-// = 1 shard, where the workers go into the kernels instead — H 44 makes
-// layer 0 (528×128) cross nn's parallel threshold as a kernel and as an
-// Adam tensor, and leaves a trailing 8-row minibatch.
+// for every TrainWorkers value, and identical to TrainSequential. BatchSize
+// 48 is three kernel tiles of rows on a network too small to fan out; at
+// BatchSize 16, H 44 makes layer 0 (528×128) cross nn's parallel threshold
+// as a kernel and as an Adam tensor, and leaves a trailing 8-row minibatch.
 func TestTrainWorkerCountInvariance(t *testing.T) {
 	ps, tr := trainSetup(t)
 	for _, base := range []Config{
-		{H: 4, Epochs: 3, Seed: 9, Gamma: 1, BatchSize: 3 * nn.GradShardRows},
-		{H: 44, Epochs: 2, Seed: 9, Gamma: 1, BatchSize: nn.GradShardRows},
+		{H: 4, Epochs: 3, Seed: 9, Gamma: 1, BatchSize: 3 * 16},
+		{H: 44, Epochs: 2, Seed: 9, Gamma: 1, BatchSize: 16},
 	} {
 		ref := base
 		ref.TrainWorkers = 1
@@ -88,31 +85,8 @@ func TestTrainWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestTrainMacroBatchEqualsFlat pins the macro-batch Adam-schedule
-// equivalence: K micro-batches of B rows per step produce bitwise the same
-// trajectory as flat batches of K·B rows whenever B is a multiple of
-// nn.GradShardRows — same gradient sums (shard layout and tree reduction
-// are identical) and the same optimizer step count.
-func TestTrainMacroBatchEqualsFlat(t *testing.T) {
-	ps, tr := trainSetup(t)
-	for _, c := range []struct{ B, K int }{
-		{nn.GradShardRows, 2},
-		{nn.GradShardRows, 4},
-		{2 * nn.GradShardRows, 2},
-	} {
-		macro := Config{H: 4, Epochs: 2, Seed: 7, Gamma: 1, BatchSize: c.B, MacroBatch: c.K}
-		flat := Config{H: 4, Epochs: 2, Seed: 7, Gamma: 1, BatchSize: c.B * c.K}
-		ms, mw := trainWith(t, ps, macro, tr)
-		fs, fw := trainWith(t, ps, flat, tr)
-		label := fmt.Sprintf("B=%d K=%d", c.B, c.K)
-		statsEqual(t, label, fs, ms)
-		weightsEqual(t, label, fw, mw)
-	}
-}
-
-// TestTrainWorkersExceedBatch covers the workers > shards edge: a
-// single-shard batch with a large worker pool runs its one shard inline,
-// hands the pool to that shard's kernels (far more goroutines than tiles),
+// TestTrainWorkersExceedBatch covers the workers > rows edge: a 4-row batch
+// with a large worker pool hands its kernels far more goroutines than tiles
 // and must match the single-worker run bitwise.
 func TestTrainWorkersExceedBatch(t *testing.T) {
 	ps, tr := trainSetup(t)
@@ -129,35 +103,8 @@ func TestTrainWorkersExceedBatch(t *testing.T) {
 	weightsEqual(t, "workers=64 batch=4", refW, weights)
 }
 
-// TestTrainMacroBatchSequentialParity extends the batched≡sequential
-// oracle to macro-batches: Train and TrainSequential implement the same
-// canonical sharded reduction, so their trajectories agree bitwise with
-// MacroBatch > 1 too.
-func TestTrainMacroBatchSequentialParity(t *testing.T) {
-	ps, tr := trainSetup(t)
-	cfg := Config{H: 4, Epochs: 2, Seed: 11, Gamma: 1, BatchSize: nn.GradShardRows, MacroBatch: 3}
-	a := New(ps, cfg)
-	b := New(ps, cfg)
-	sa, err := a.Train(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := b.TrainSequential(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statsEqual(t, "macro sequential parity", sa, sb)
-	for li := range a.Net.Layers {
-		for i, w := range a.Net.Layers[li].W {
-			if w != b.Net.Layers[li].W[i] {
-				t.Fatalf("layer %d W[%d]: batched %v != sequential %v", li, i, w, b.Net.Layers[li].W[i])
-			}
-		}
-	}
-}
-
-// TestTrainWorkersWithBatchOverTrace combines both clamps: worker pool
-// larger than the shard count of a batch that itself exceeds the trace.
+// TestTrainWorkersWithBatchOverTrace combines both clamps: a worker pool
+// larger than the tile count of a batch that itself exceeds the trace.
 func TestTrainWorkersWithBatchOverTrace(t *testing.T) {
 	ps, tr := trainSetup(t)
 	ref := Config{H: 4, Epochs: 2, Seed: 3, BatchSize: 10000, TrainWorkers: 1}

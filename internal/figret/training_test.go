@@ -62,10 +62,11 @@ func TestMinibatchDiffersFromPerSample(t *testing.T) {
 func TestBatchedMatchesSequentialTrajectory(t *testing.T) {
 	// The batched engine must reproduce the sequential per-sample reference
 	// path bitwise for identical seeds: at batch=1 (the paper's per-sample
-	// protocol) and at batch>1 (gradient accumulation). This is the
-	// end-to-end guarantee on top of the nn-level kernel equivalence tests.
+	// protocol) and at batch>1 (gradient accumulation), 3×16+5 rows being
+	// aligned to no kernel tile. This is the end-to-end guarantee on top of
+	// the nn-level kernel equivalence tests.
 	ps, tr := trainSetup(t)
-	for _, batch := range []int{1, 8} {
+	for _, batch := range []int{1, 8, 3*16 + 5} {
 		cfg := Config{H: 4, Epochs: 3, Seed: 9, Gamma: 1, BatchSize: batch}
 		a := New(ps, cfg)
 		b := New(ps, cfg)

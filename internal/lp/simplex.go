@@ -180,7 +180,7 @@ func Solve(p *Problem) ([]float64, float64, error) {
 	obj := make([]float64, total+1)
 	copy(obj, p.C)
 	reduce(obj, t, basis)
-	if err := iterate2(t, obj, basis, n+nSlack); err != nil {
+	if err := iterate(t, obj, basis, n+nSlack); err != nil {
 		return nil, 0, err
 	}
 
@@ -207,15 +207,10 @@ func reduce(obj []float64, t [][]float64, basis []int) {
 	}
 }
 
-// iterate runs simplex iterations over all columns (phase 1).
-func iterate(t [][]float64, obj []float64, basis []int, nCols int) error {
-	return iterate2(t, obj, basis, nCols)
-}
-
-// iterate2 runs simplex with Dantzig pricing and a Bland fallback to
+// iterate runs simplex with Dantzig pricing and a Bland fallback to
 // guarantee termination, considering only the first nCols columns as
 // entering candidates.
-func iterate2(t [][]float64, obj []float64, basis []int, nCols int) error {
+func iterate(t [][]float64, obj []float64, basis []int, nCols int) error {
 	total := len(obj) - 1
 	degenerate := 0
 	for iter := 0; ; iter++ {

@@ -17,88 +17,6 @@ func failureSetup(t *testing.T) (*te.PathSet, *traffic.Trace, *te.FailureSet) {
 	return ps, tr, fs
 }
 
-// TestSimulateSeriesMidFailure injects a failure halfway through a
-// series: configs before the cut are the clean uniform split, configs
-// from the cut on are the rerouted ones. Pre-cut results must be
-// bitwise identical to a failure-free series, and post-cut results must
-// match simulating the rerouted config directly — SimulateSeries has no
-// hidden cross-snapshot state.
-func TestSimulateSeriesMidFailure(t *testing.T) {
-	ps, tr, fs := failureSetup(t)
-	uni := te.UniformConfig(ps)
-	rerouted := te.Reroute(uni, fs)
-
-	const n, cut = 20, 10
-	cfgs := make([]*te.Config, n)
-	clean := make([]*te.Config, n)
-	demands := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		demands[i] = tr.At(i)
-		clean[i] = uni
-		if i < cut {
-			cfgs[i] = uni
-		} else {
-			cfgs[i] = rerouted
-		}
-	}
-
-	got, err := SimulateSeries(cfgs, demands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := SimulateSeries(clean, demands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("got %d results, want %d", len(got), n)
-	}
-	for i := 0; i < cut; i++ {
-		if got[i].MLU != want[i].MLU || got[i].Delivered != want[i].Delivered {
-			t.Fatalf("pre-failure interval %d diverged from failure-free series", i)
-		}
-	}
-	for i := cut; i < n; i++ {
-		direct, err := Simulate(rerouted, demands[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].MLU != direct.MLU || got[i].Delivered != direct.Delivered || got[i].LossRate != direct.LossRate {
-			t.Fatalf("post-failure interval %d does not match direct simulation", i)
-		}
-		// The rerouted config concentrates the failed paths' mass on the
-		// survivors; every pair must still deliver (PoD stays connected
-		// under one link failure with k=3 candidate paths).
-		if got[i].Offered <= 0 {
-			t.Fatalf("post-failure interval %d offered nothing", i)
-		}
-	}
-
-	// Rerouted configs route strictly around the failed link: its two
-	// directed edges carry zero offered load, so the rerouted MLU must
-	// differ from the clean one whenever the failed link was the
-	// bottleneck or its traffic moved (sanity: the series actually
-	// changed at the cut).
-	changed := false
-	for i := cut; i < n; i++ {
-		if got[i].MLU != want[i].MLU {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		t.Fatal("failure injection left the series untouched (reroute was a no-op?)")
-	}
-}
-
-func TestSimulateSeriesLengthMismatch(t *testing.T) {
-	ps, tr, _ := failureSetup(t)
-	uni := te.UniformConfig(ps)
-	if _, err := SimulateSeries([]*te.Config{uni}, [][]float64{tr.At(0), tr.At(1)}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 // TestControlLoopMidSeriesFailure drives the control loop with an
 // advisor that learns of a failure at interval failAt: advice from then
 // on is rerouted. With installation delay d, the network must keep

@@ -148,47 +148,3 @@ func Simulate(cfg *te.Config, d []float64) (*Result, error) {
 	}
 	return res, nil
 }
-
-// SimulateSeries runs Simulate over a sequence of demands and returns the
-// per-snapshot results.
-func SimulateSeries(cfgs []*te.Config, demands [][]float64) ([]*Result, error) {
-	if len(cfgs) != len(demands) {
-		return nil, fmt.Errorf("netsim: %d configs vs %d demands", len(cfgs), len(demands))
-	}
-	out := make([]*Result, len(cfgs))
-	for i := range cfgs {
-		r, err := Simulate(cfgs[i], demands[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// Correlation returns the Pearson correlation between two equal-length
-// series; it is used to validate MLU as a proxy for loss and delay.
-func Correlation(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) < 2 {
-		return 0
-	}
-	var ma, mb float64
-	for i := range a {
-		ma += a[i]
-		mb += b[i]
-	}
-	n := float64(len(a))
-	ma /= n
-	mb /= n
-	var cov, va, vb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va == 0 || vb == 0 {
-		return 0
-	}
-	return cov / math.Sqrt(va*vb)
-}

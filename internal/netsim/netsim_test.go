@@ -8,6 +8,7 @@ import (
 
 	"figret/internal/graph"
 	"figret/internal/te"
+	"figret/internal/traffic"
 )
 
 func triangleSetup(t *testing.T) (*te.PathSet, *te.Config) {
@@ -116,9 +117,6 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(cfg, []float64{1}); err == nil {
 		t.Error("wrong demand size accepted")
 	}
-	if _, err := SimulateSeries([]*te.Config{cfg}, nil); err == nil {
-		t.Error("mismatched series accepted")
-	}
 }
 
 // Property: delivered <= offered, per-pair delivered <= per-pair offered,
@@ -179,23 +177,11 @@ func TestMLUCorrelatesWithLoss(t *testing.T) {
 		losses = append(losses, res.LossRate)
 		delays = append(delays, res.MeanDelay)
 	}
-	if c := Correlation(mlus, losses); c < 0.8 {
+	if c := traffic.Pearson(mlus, losses); c < 0.8 {
 		t.Errorf("MLU/loss correlation %v too weak", c)
 	}
-	if c := Correlation(mlus, delays); c < 0.6 {
+	if c := traffic.Pearson(mlus, delays); c < 0.6 {
 		t.Errorf("MLU/delay correlation %v too weak", c)
-	}
-}
-
-func TestCorrelationEdgeCases(t *testing.T) {
-	if c := Correlation([]float64{1, 2}, []float64{1}); c != 0 {
-		t.Errorf("length mismatch = %v", c)
-	}
-	if c := Correlation([]float64{1, 1}, []float64{2, 3}); c != 0 {
-		t.Errorf("constant series = %v", c)
-	}
-	if c := Correlation([]float64{1, 2, 3}, []float64{2, 4, 6}); math.Abs(c-1) > 1e-12 {
-		t.Errorf("perfect correlation = %v", c)
 	}
 }
 

@@ -7,10 +7,9 @@ import (
 
 // Adam implements the Adam optimizer (Kingma & Ba 2014), the optimizer
 // FIGRET trains with (Appendix D.4). Moment buffers are index-addressed
-// per-tensor slices in VisitParams order, allocated on the first Step —
-// the same layout as Grads — so the hot loop touches no maps and the
-// optimizer's identity contract is positional (tensor i of the visited
-// network) rather than the old fragile pointer-to-first-element keying.
+// per-tensor slices in VisitParams order, allocated on the first Step, so
+// the hot loop touches no maps and the optimizer's identity contract is
+// positional (tensor i of the visited network).
 type Adam struct {
 	LR      float64
 	Beta1   float64

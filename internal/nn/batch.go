@@ -94,8 +94,7 @@ func (m *MLP) BatchForward(x []float64, b int, s *Scratch) []float64 {
 // batchForward is BatchForward with the kernel fan-out made explicit: each
 // layer at or above parallelThreshold splits its tiles over at most workers
 // goroutines — 0 means GOMAXPROCS (fanOut), 1 starts none. The
-// data-parallel engine passes what its shard-level parallelism leaves idle
-// (DESIGN.md §10).
+// data-parallel engine passes its worker count (DESIGN.md §10).
 func (m *MLP) batchForward(x []float64, b int, s *Scratch, workers int) []float64 {
 	s.check(m, b)
 	in := s.sizes[0]
@@ -114,17 +113,15 @@ func (m *MLP) batchForward(x []float64, b int, s *Scratch, workers int) []float6
 // Backward calls would (bitwise-identical sums, samples in row order). It
 // returns dL/d(input), owned by s. dOut is not modified.
 func (m *MLP) BatchBackward(dOut []float64, b int, s *Scratch) []float64 {
-	return m.batchBackward(dOut, b, s, nil, 0, true)
+	return m.batchBackward(dOut, b, s, 0, true)
 }
 
-// batchBackward is BatchBackward with three extensions for the
-// data-parallel engine: g selects an alternate gradient-accumulation
-// target (nil means the network's own GW/GB), workers bounds the kernel
-// fan-out as in batchForward, and inputGrad false skips layer 0's dL/dx —
-// the largest product of the pass when the input is the widest layer, and
-// one a trainer never reads — returning nil. Tensor i of g pairs with
-// VisitParams order: g.t[2i] = layer i weights, g.t[2i+1] = layer i biases.
-func (m *MLP) batchBackward(dOut []float64, b int, s *Scratch, g *Grads, workers int, inputGrad bool) []float64 {
+// batchBackward is BatchBackward with two extensions for the data-parallel
+// engine: workers bounds the kernel fan-out as in batchForward, and
+// inputGrad false skips layer 0's dL/dx — the largest product of the pass
+// when the input is the widest layer, and one a trainer never reads —
+// returning nil.
+func (m *MLP) batchBackward(dOut []float64, b int, s *Scratch, workers int, inputGrad bool) []float64 {
 	s.check(m, b)
 	L := len(m.Layers)
 	out := s.sizes[L]
@@ -134,16 +131,12 @@ func (m *MLP) batchBackward(dOut []float64, b int, s *Scratch, g *Grads, workers
 	copy(s.grads[L][:b*out], dOut)
 	for i := L - 1; i >= 0; i-- {
 		l := m.Layers[i]
-		gw, gb := l.GW, l.GB
-		if g != nil {
-			gw, gb = g.t[2*i], g.t[2*i+1]
-		}
 		var dx []float64
 		if i > 0 || inputGrad {
 			dx = s.grads[i][:b*l.In]
 		}
 		l.batchBackward(s.acts[i][:b*l.In], s.acts[i+1][:b*l.Out],
-			s.grads[i+1][:b*l.Out], dx, gw, gb, b, workers)
+			s.grads[i+1][:b*l.Out], dx, b, workers)
 	}
 	if !inputGrad {
 		return nil
@@ -247,21 +240,16 @@ func (d *Dense) BatchBackward(x, y, dy, dx []float64, b int) {
 	if dx == nil { // batchBackward would take nil as "skip dL/dx"
 		panic("nn: batch backward needs a dx buffer")
 	}
-	d.batchBackward(x, y, dy, dx, d.GW, d.GB, b, 0)
+	d.batchBackward(x, y, dy, dx, b, 0)
 }
 
-// batchBackward is BatchBackward with an explicit gradient target (gw, gb)
-// — the data-parallel engine points it at per-lane shard buffers — an
-// explicit kernel fan-out (workers, as in batchForward), and an optional
-// dx: nil skips pass 2 for a caller that will not read dL/dx.
-func (d *Dense) batchBackward(x, y, dy, dx, gw, gb []float64, b, workers int) {
+// batchBackward is BatchBackward with an explicit kernel fan-out (workers,
+// as in batchForward) and an optional dx: nil skips pass 2 for a caller
+// that will not read dL/dx.
+func (d *Dense) batchBackward(x, y, dy, dx []float64, b, workers int) {
 	if len(x) != b*d.In || len(y) != b*d.Out || len(dy) != b*d.Out || (dx != nil && len(dx) != b*d.In) {
 		panic(fmt.Sprintf("nn: batch backward shapes x=%d y=%d dy=%d dx=%d for b=%d (%d×%d layer)",
 			len(x), len(y), len(dy), len(dx), b, d.In, d.Out))
-	}
-	if len(gw) != d.Out*d.In || len(gb) != d.Out {
-		panic(fmt.Sprintf("nn: batch backward grad target gw=%d gb=%d for %d×%d layer",
-			len(gw), len(gb), d.In, d.Out))
 	}
 	serial := b*d.In*d.Out < parallelThreshold
 	if !serial {
@@ -269,15 +257,15 @@ func (d *Dense) batchBackward(x, y, dy, dx, gw, gb []float64, b, workers int) {
 		serial = workers <= 1
 	}
 	// Pass 1 — deltas and parameter gradients, sharded over output rows so
-	// every gw row and gb entry has a single writer. Within a row, samples
+	// every GW row and GB entry has a single writer. Within a row, samples
 	// accumulate in batch order, matching sequential execution.
 	if serial {
-		d.backwardGradBlock(x, y, dy, gw, gb, 0, d.Out, b)
+		d.backwardGradBlock(x, y, dy, 0, d.Out, b)
 	} else {
 		parallelFor(workers, (d.Out+tileOuts-1)/tileOuts, func(lo, hi int) {
 			for t := lo; t < hi; t++ {
 				o0 := t * tileOuts
-				d.backwardGradBlock(x, y, dy, gw, gb, o0, min(o0+tileOuts, d.Out), b)
+				d.backwardGradBlock(x, y, dy, o0, min(o0+tileOuts, d.Out), b)
 			}
 		})
 	}
@@ -299,13 +287,13 @@ func (d *Dense) batchBackward(x, y, dy, dx, gw, gb []float64, b, workers int) {
 
 // backwardGradBlock handles pass 1 for output rows [o0,o1): it rewrites
 // dy entries as post-activation deltas g = dy·σ′(y) and accumulates into
-// the bias-gradient target gbuf and the rank-b weight-gradient row updates
-// of gwbuf, two batch rows per sweep.
-func (d *Dense) backwardGradBlock(x, y, dy, gwbuf, gbuf []float64, o0, o1, b int) {
+// the bias gradient GB and the rank-b weight-gradient row updates of GW,
+// two batch rows per sweep.
+func (d *Dense) backwardGradBlock(x, y, dy []float64, o0, o1, b int) {
 	in, out := d.In, d.Out
 	for o := o0; o < o1; o++ {
-		grow := gwbuf[o*in : o*in+in]
-		gb := gbuf[o]
+		grow := d.GW[o*in : o*in+in]
+		gb := d.GB[o]
 		bi := 0
 		for ; bi+2 <= b; bi += 2 {
 			g0 := dy[bi*out+o] * d.Act.derivFromOutput(y[bi*out+o])
@@ -335,7 +323,7 @@ func (d *Dense) backwardGradBlock(x, y, dy, gwbuf, gbuf []float64, o0, o1, b int
 				axpy(grow, x[bi*in:bi*in+in], g)
 			}
 		}
-		gbuf[o] = gb
+		d.GB[o] = gb
 	}
 }
 

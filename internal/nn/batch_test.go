@@ -141,7 +141,7 @@ func TestBatchBackwardMatchesSequential(t *testing.T) {
 // Backward calls do, also on a network the engine has just been through.
 func TestBatchBackwardStillReturnsInputGrad(t *testing.T) {
 	const in, out = 1201, 1101
-	for _, b := range []int{1, 2, GradShardRows - 1, GradShardRows, 2*GradShardRows + 1} {
+	for _, b := range []int{1, 2, tileRows - 1, tileRows, 2*tileRows + 1} {
 		net := wideNet(5)
 		ref := cloneNet(net)
 		rng := rand.New(rand.NewSource(int64(b)))
@@ -150,7 +150,6 @@ func TestBatchBackwardStillReturnsInputGrad(t *testing.T) {
 
 		eng := NewDataParallel(net, 4)
 		eng.Accumulate(x, b, quadScore(out))
-		eng.Reduce()
 		net.ZeroGrads()
 
 		s := NewScratch(net, b)

@@ -116,9 +116,8 @@ func NewDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 }
 
 // parallelThreshold is the work size (multiply-adds of a layer pass,
-// elements of an optimizer or reduction sweep) at and above which the
-// kernels shard across goroutines. Chosen so small nets stay
-// single-threaded.
+// elements of an optimizer sweep) at and above which the kernels shard
+// across goroutines. Chosen so small nets stay single-threaded.
 const parallelThreshold = 1 << 16
 
 // Forward computes the layer output for x, caching state for Backward. It
@@ -184,7 +183,7 @@ func dot(a, b []float64) float64 {
 
 // fanOut resolves the worker bound a kernel was handed. The public entry
 // points hand down 0, meaning GOMAXPROCS; the data-parallel engine hands
-// down the share of its own pool that the micro-batch's shards leave idle.
+// down its own worker count.
 // Kernels call it only once they have found themselves at or above
 // parallelThreshold: runtime.GOMAXPROCS takes the scheduler's lock, and a
 // small network's Forward runs many thousand times a second from several

@@ -69,21 +69,14 @@ func gradsEqual(t *testing.T, label string, a, b [][]float64) {
 	}
 }
 
-// runEngine accumulates the given micro-batches on a fresh engine over a
-// fresh testNet and returns the reduced gradient snapshot.
-func runEngine(t *testing.T, workers int, micros [][]float64, rows []int) [][]float64 {
-	t.Helper()
-	return runEngineOn(testNet(t, 1), workers, micros, rows)
-}
-
-// runEngineOn is runEngine over a caller-built net.
-func runEngineOn(m *MLP, workers int, micros [][]float64, rows []int) [][]float64 {
+// engineGrads accumulates the given micro-batches on a fresh engine over m
+// and returns the network's gradient.
+func engineGrads(m *MLP, workers int, micros [][]float64, rows []int) [][]float64 {
 	eng := NewDataParallel(m, workers)
 	score := quadScore(m.Layers[len(m.Layers)-1].Out)
 	for i, x := range micros {
 		eng.Accumulate(x, rows[i], score)
 	}
-	eng.Reduce()
 	return snapshotGrads(m)
 }
 
@@ -99,82 +92,67 @@ func plainGrads(m *MLP, x []float64, b int) [][]float64 {
 	return snapshotGrads(m)
 }
 
-// TestDataParallelWorkerCountInvariance is the core determinism contract:
-// the reduced gradient is bitwise identical for every worker count,
-// including worker counts above the shard count and above GOMAXPROCS.
+// sampleGrads is the gradient of b per-sample Forward + quadScore +
+// Backward calls in row order: the sum every other path must reproduce.
+func sampleGrads(m *MLP, x []float64, b int) [][]float64 {
+	in, out := m.Layers[0].In, m.Layers[len(m.Layers)-1].Out
+	dy := make([]float64, out)
+	for bi := 0; bi < b; bi++ {
+		y := m.Forward(x[bi*in : (bi+1)*in])
+		quadScore(out)(0, y, bi, bi+1, dy)
+		m.Backward(dy)
+	}
+	return snapshotGrads(m)
+}
+
+// checkEngineGradient is the determinism contract without a caveat: for
+// every batch size and every worker count — 1 starts no goroutine, the
+// largest exceeds GOMAXPROCS and most tile counts — the engine's gradient
+// is bitwise that of a plain BatchForward + BatchBackward and of per-sample
+// Forward/Backward accumulation in row order.
+func checkEngineGradient(t *testing.T, mk func() *MLP, batches []int) {
+	t.Helper()
+	in := mk().Layers[0].In
+	for _, b := range batches {
+		x := testBatch(b, in, 42)
+		want := sampleGrads(mk(), x, b)
+		gradsEqual(t, fmt.Sprintf("b=%d BatchBackward vs per-sample", b), want, plainGrads(mk(), x, b))
+		for _, w := range []int{1, 2, 3, 4, 16, runtime.GOMAXPROCS(0) + 5} {
+			got := engineGrads(mk(), w, [][]float64{x}, []int{b})
+			gradsEqual(t, fmt.Sprintf("b=%d workers=%d", b, w), want, got)
+		}
+	}
+}
+
+// TestDataParallelWorkerCountInvariance runs the contract on a net whose
+// kernels stay below parallelThreshold: batch sizes around and far past a
+// tile, odd and even, on the serial paths.
 func TestDataParallelWorkerCountInvariance(t *testing.T) {
-	for _, b := range []int{1, 3, GradShardRows, GradShardRows + 1, 53, 16 * MaxGradLanes, 16*MaxGradLanes + 7} {
-		x := testBatch(b, 7, 42)
-		ref := runEngine(t, 1, [][]float64{x}, []int{b})
-		for _, w := range []int{2, 3, 8, MaxGradLanes, MaxGradLanes + 9, runtime.GOMAXPROCS(0)} {
-			got := runEngine(t, w, [][]float64{x}, []int{b})
-			gradsEqual(t, fmt.Sprintf("b=%d workers=%d", b, w), ref, got)
-		}
-	}
+	checkEngineGradient(t, func() *MLP { return testNet(t, 1) }, []int{1, 2, 15, 16, 17, 33, 53, 263})
 }
 
-// TestDataParallelSingleShardMatchesBatchBackward pins the compatibility
-// guarantee: a batch of at most GradShardRows rows is one shard, whose
-// reduced gradient is bitwise identical to a plain BatchForward +
-// BatchBackward on the network — i.e. to the pre-engine batched trainer.
-func TestDataParallelSingleShardMatchesBatchBackward(t *testing.T) {
-	for _, b := range []int{1, 2, GradShardRows} {
-		x := testBatch(b, 7, 7)
-		want := plainGrads(testNet(t, 1), x, b)
-		got := runEngine(t, 4, [][]float64{x}, []int{b})
-		gradsEqual(t, fmt.Sprintf("single-shard b=%d", b), want, got)
-	}
+// TestDataParallelKernelParallel runs it where every kernel fans out:
+// forward tiles, backward pass 1 over output tiles, pass 2 over batch rows
+// (layer 0's dL/dx skipped), with uneven chunks for 3 and 4 workers.
+func TestDataParallelKernelParallel(t *testing.T) {
+	checkEngineGradient(t, func() *MLP { return wideNet(1) }, []int{1, 2, 15, 16, 17, 33})
 }
 
-// TestDataParallelSingleShardKernelParallel covers the path a micro-batch
-// with fewer shards than workers takes: the idle workers go into the
-// kernels (forward tiles, backward pass 1 over output tiles, pass 2 over
-// batch rows, layer 0's dL/dx skipped, fused parallel reduce). The reduced
-// gradient must be bitwise the workers=1 one — which starts no goroutine —
-// and, for a single shard, that of a plain BatchForward + BatchBackward.
-// 32 and 33 rows are two and three shards: with more workers than that,
-// shard goroutines nest kernel goroutines.
-func TestDataParallelSingleShardKernelParallel(t *testing.T) {
-	workers := []int{2, 3, 4, runtime.GOMAXPROCS(0) + 5}
-	for _, b := range []int{1, 2, GradShardRows - 1, GradShardRows, 2 * GradShardRows, 2*GradShardRows + 1} {
-		x := testBatch(b, 1201, 17)
-		ref := runEngineOn(wideNet(1), 1, [][]float64{x}, []int{b})
-		if b <= GradShardRows {
-			gradsEqual(t, fmt.Sprintf("b=%d workers=1 vs BatchBackward", b), plainGrads(wideNet(1), x, b), ref)
-		}
-		for _, w := range workers {
-			got := runEngineOn(wideNet(1), w, [][]float64{x}, []int{b})
-			gradsEqual(t, fmt.Sprintf("b=%d workers=%d", b, w), ref, got)
-		}
-	}
-}
-
-// TestDataParallelLaneZeroIsNetworkGradient is the contract of a
-// single-shard step: lane 0 accumulates in the network's own GW/GB, so the
-// engine holds no gradient-sized buffer and Reduce has nothing to copy. On
-// a net whose parameters dwarf its activations (16 rows × 1536 widths
-// against 525k parameters), building the engine and running one
-// single-shard Accumulate + Reduce allocates well under the 8 B a parameter
-// one such buffer costs.
-func TestDataParallelLaneZeroIsNetworkGradient(t *testing.T) {
+// TestDataParallelNoGradientSizedAllocation: the engine accumulates in the
+// network's own GW/GB and holds no gradient-sized buffer. On a net whose
+// parameters dwarf its activations (16 rows × 1536 widths against 525k
+// parameters), building the engine and running one Accumulate allocates
+// well under the 8 B a parameter one such buffer costs.
+func TestDataParallelNoGradientSizedAllocation(t *testing.T) {
 	m := NewMLP([]int{512, 512, 512}, ReLU, Sigmoid, rand.New(rand.NewSource(4)))
-	x := testBatch(GradShardRows, 512, 4)
+	x := testBatch(16, 512, 4)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	eng := NewDataParallel(m, 1)
-	eng.Accumulate(x, GradShardRows, quadScore(512))
-	eng.Reduce()
+	eng.Accumulate(x, 16, quadScore(512))
 	runtime.ReadMemStats(&after)
 	if perParam := float64(after.TotalAlloc-before.TotalAlloc) / float64(m.NumParams()); perParam >= 8 {
-		t.Errorf("engine + single-shard step allocated %.3g B per parameter, want < 8: a gradient-sized buffer", perParam)
-	}
-	for ti, want := range m.GradView().t {
-		if got := eng.lanes[0].grads.t[ti]; &got[0] != &want[0] || len(got) != len(want) {
-			t.Errorf("lane 0 tensor %d is not the network's gradient buffer", ti)
-		}
-	}
-	if eng.lanes[1] != nil {
-		t.Error("a single-shard step built a second lane")
+		t.Errorf("engine + one step allocated %.3g B per parameter, want < 8: a gradient-sized buffer", perParam)
 	}
 }
 
@@ -183,7 +161,7 @@ func TestDataParallelLaneZeroIsNetworkGradient(t *testing.T) {
 // public Adam.Step, and leaves the gradients cleared, for every worker
 // count.
 func TestDataParallelStepMatchesReduceThenAdam(t *testing.T) {
-	const b = GradShardRows
+	const b = tileRows
 	const steps = 3
 	x := testBatch(b, 1201, 23)
 	ref := wideNet(2)
@@ -214,94 +192,24 @@ func TestDataParallelStepMatchesReduceThenAdam(t *testing.T) {
 	}
 }
 
-// TestDataParallelMacroEqualsFlat pins the macro-batch alignment
-// guarantee: accumulating K micro-batches of B rows (B a multiple of
-// GradShardRows) before one Reduce produces bitwise the same gradient as
-// one flat batch of K·B rows.
+// TestDataParallelMacroEqualsFlat: gradient rows grow in batch-row order
+// across Accumulate calls as within one, so two calls leave bitwise the
+// gradient of one — for every cut of a batch, aligned to nothing, on serial
+// kernels (testNet) and on fanned-out ones (wideNet).
 func TestDataParallelMacroEqualsFlat(t *testing.T) {
-	for _, c := range []struct{ B, K int }{{GradShardRows, 2}, {2 * GradShardRows, 2}, {2 * GradShardRows, 4}, {GradShardRows, 17}} {
-		flat := testBatch(c.B*c.K, 7, 99)
-		micros := make([][]float64, c.K)
-		rows := make([]int, c.K)
-		for i := range micros {
-			micros[i] = flat[i*c.B*7 : (i+1)*c.B*7]
-			rows[i] = c.B
+	for _, c := range []struct {
+		mk func() *MLP
+		b  int
+	}{
+		{func() *MLP { return testNet(t, 1) }, 53},
+		{func() *MLP { return wideNet(1) }, 19},
+	} {
+		in := c.mk().Layers[0].In
+		flat := testBatch(c.b, in, 99)
+		want := engineGrads(c.mk(), 3, [][]float64{flat}, []int{c.b})
+		for cut := 1; cut < c.b; cut++ {
+			got := engineGrads(c.mk(), 3, [][]float64{flat[:cut*in], flat[cut*in:]}, []int{cut, c.b - cut})
+			gradsEqual(t, fmt.Sprintf("in=%d cut=%d", in, cut), want, got)
 		}
-		want := runEngine(t, 3, [][]float64{flat}, []int{c.B * c.K})
-		got := runEngine(t, 3, micros, rows)
-		gradsEqual(t, fmt.Sprintf("macro B=%d K=%d", c.B, c.K), want, got)
-	}
-}
-
-// TestDataParallelReduceResets verifies a second macro-batch after Reduce
-// starts from clean lanes: two identical Accumulate+Reduce rounds yield
-// identical per-round gradients.
-func TestDataParallelReduceResets(t *testing.T) {
-	m := testNet(t, 1)
-	eng := NewDataParallel(m, 4)
-	x := testBatch(40, 7, 5)
-	score := quadScore(5)
-
-	eng.Accumulate(x, 40, score)
-	eng.Reduce()
-	first := snapshotGrads(m)
-	m.ZeroGrads()
-
-	eng.Accumulate(x, 40, score)
-	eng.Reduce()
-	second := snapshotGrads(m)
-	gradsEqual(t, "second round", first, second)
-}
-
-// TestTreeReduceOrder checks the reduction combines lanes in the fixed
-// pairwise pattern ((0+1)+(2+3))+((4)...) rather than a left fold.
-func TestTreeReduceOrder(t *testing.T) {
-	m := testNet(t, 2)
-	mk := func(v float64) *Grads {
-		g := NewGrads(m)
-		for ti := 0; ti < len(g.t); ti++ {
-			for i := range g.t[ti] {
-				g.t[ti][i] = v
-			}
-		}
-		return g
-	}
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16} {
-		gs := make([]*Grads, n)
-		vals := make([]float64, n)
-		for i := range gs {
-			vals[i] = 1 / float64(i+3)
-			gs[i] = mk(vals[i])
-		}
-		got := TreeReduce(gs).t[0][0]
-		want := treeSumRef(vals)
-		if got != want {
-			t.Fatalf("n=%d: tree sum %v, want %v", n, got, want)
-		}
-	}
-}
-
-// treeSumRef mirrors TreeReduce's grouping on plain float64s.
-func treeSumRef(v []float64) float64 {
-	v = append([]float64(nil), v...)
-	for stride := 1; stride < len(v); stride *= 2 {
-		for i := 0; i+stride < len(v); i += 2 * stride {
-			v[i] += v[i+stride]
-		}
-	}
-	return v[0]
-}
-
-// TestGradsAliasView verifies GradView aliases the live gradient buffers.
-func TestGradsAliasView(t *testing.T) {
-	m := testNet(t, 3)
-	view := m.GradView()
-	m.Layers[0].GW[2] = 42
-	if view.Tensor(0)[2] != 42 {
-		t.Fatal("GradView does not alias GW")
-	}
-	view.Zero()
-	if m.Layers[0].GW[2] != 0 {
-		t.Fatal("Zero through view did not clear GW")
 	}
 }

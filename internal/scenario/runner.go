@@ -24,7 +24,7 @@ import (
 type Options struct {
 	// Workers sizes each scenario's evaluation worker pool and bounds how
 	// many substrates Run works on at once (<= 0 selects
-	// runtime.NumCPU()). Metrics are bitwise identical for any value.
+	// runtime.GOMAXPROCS(0)). Metrics are bitwise identical for any value.
 	Workers int
 	// TrainWorkers sizes the data-parallel pool used to train substrate
 	// models (<= 0 selects GOMAXPROCS). Trained weights — and so every
@@ -69,7 +69,7 @@ type substrate struct {
 // NewRunner builds a runner.
 func NewRunner(opt Options) *Runner {
 	if opt.Workers <= 0 {
-		opt.Workers = runtime.NumCPU()
+		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{opt: opt, subs: make(map[string]*substrate)}
 }

@@ -49,6 +49,38 @@ func replayDecisions(t *testing.T, tel *Telemetry, transport string, ps *te.Path
 	return out
 }
 
+// TestNilTelemetryIsInert is obs.TestNilInstrumentsAreInert's twin: every
+// exported method of a nil *Telemetry, found by reflection and called with
+// zero-valued arguments, returns zero values without panicking, and so do
+// the unexported hooks the controller and the transports call.
+func TestNilTelemetryIsInert(t *testing.T) {
+	var tel *Telemetry
+	v := reflect.ValueOf(tel)
+	if v.NumMethod() == 0 {
+		t.Fatal("*Telemetry has no exported methods")
+	}
+	for i := 0; i < v.NumMethod(); i++ {
+		m := v.Method(i)
+		args := make([]reflect.Value, m.Type().NumIn())
+		for j := range args {
+			args[j] = reflect.Zero(m.Type().In(j))
+		}
+		for _, out := range m.Call(args) {
+			if !out.IsZero() {
+				t.Errorf("(*Telemetry)(nil).%s returned %v, want the zero value", v.Type().Method(i).Name, out)
+			}
+		}
+	}
+	tel.wireConnOpen()
+	tel.wireDecision(true)
+	tel.wireResync()
+	tel.wireConnClose()
+	tel.transport("json").observe(time.Second)
+	if tel.topo("pod") != nil {
+		t.Error("a nil Telemetry handed out a topology instrument set")
+	}
+}
+
 // TestTelemetryZeroImpact is the tentpole's no-perturbation guarantee:
 // the same trace replayed with full telemetry attached and with none
 // must produce bitwise-identical decision sequences, on all three

@@ -56,7 +56,7 @@ const SelectorYen = "yen"
 // PathSetOptions configures NewPathSetOpt.
 type PathSetOptions struct {
 	// Workers sizes the precomputation worker pool; <= 0 selects
-	// runtime.NumCPU(), 1 runs sequentially. The resulting PathSet is
+	// runtime.GOMAXPROCS(0), 1 runs sequentially. The resulting PathSet is
 	// bitwise identical for every worker count: each pair's candidate
 	// list lands in an index-addressed slot and the set is flattened in
 	// pair order, so scheduling never reorders output.
@@ -86,7 +86,7 @@ type PathSetOptions struct {
 // NewPathSet computes candidate paths for every SD pair of g using sel
 // (k paths per pair where the topology allows). It returns an error if any
 // pair has no path (disconnected topology). Precomputation fans out across
-// runtime.NumCPU() workers; use NewPathSetOpt to pin the worker count or
+// runtime.GOMAXPROCS(0) workers; use NewPathSetOpt to pin the worker count or
 // attach an on-disk PathStore. Output is identical for any worker count.
 func NewPathSet(g *graph.Graph, k int, sel PathSelector) (*PathSet, error) {
 	return NewPathSetOpt(g, k, PathSetOptions{Selector: sel})
@@ -98,7 +98,7 @@ func NewPathSetOpt(g *graph.Graph, k int, opt PathSetOptions) (*PathSet, error) 
 		return nil, fmt.Errorf("te: path count k=%d must be positive", k)
 	}
 	if opt.Workers <= 0 {
-		opt.Workers = runtime.NumCPU()
+		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	selName := opt.SelectorName
 	if opt.Selector == nil && selName == "" {

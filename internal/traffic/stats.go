@@ -153,25 +153,29 @@ func Summarize(xs []float64) Candlestick {
 
 // SpearmanRank returns the Spearman rank correlation coefficient between two
 // equal-length samples (used by the Table 5 analysis of variance-rank
-// stability between train and test sets).
+// stability between train and test sets): the Pearson correlation of the
+// ranks, which is robust to ties.
 func SpearmanRank(a, b []float64) float64 {
+	return Pearson(ranks(a), ranks(b))
+}
+
+// Pearson returns the Pearson correlation between two equal-length series;
+// 0 for mismatched lengths, fewer than two points or a constant series.
+func Pearson(a, b []float64) float64 {
 	if len(a) != len(b) || len(a) < 2 {
 		return 0
 	}
-	ra := ranks(a)
-	rb := ranks(b)
-	// Pearson correlation of the ranks (robust to ties).
 	var ma, mb float64
-	for i := range ra {
-		ma += ra[i]
-		mb += rb[i]
+	for i := range a {
+		ma += a[i]
+		mb += b[i]
 	}
-	n := float64(len(ra))
+	n := float64(len(a))
 	ma /= n
 	mb /= n
 	var cov, va, vb float64
-	for i := range ra {
-		da, db := ra[i]-ma, rb[i]-mb
+	for i := range a {
+		da, db := a[i]-ma, b[i]-mb
 		cov += da * db
 		va += da * da
 		vb += db * db

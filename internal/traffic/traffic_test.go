@@ -224,6 +224,18 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+func TestPearsonEdgeCases(t *testing.T) {
+	if c := Pearson([]float64{1, 2}, []float64{1}); c != 0 {
+		t.Errorf("length mismatch = %v", c)
+	}
+	if c := Pearson([]float64{1, 1}, []float64{2, 3}); c != 0 {
+		t.Errorf("constant series = %v", c)
+	}
+	if c := Pearson([]float64{1, 2, 3}, []float64{2, 4, 6}); math.Abs(c-1) > 1e-12 {
+		t.Errorf("perfect correlation = %v", c)
+	}
+}
+
 func TestSpearman(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	b := []float64{10, 20, 30, 40, 50}

@@ -97,10 +97,10 @@ grep -Eq '"version":1,"source":"bootstrap","bytes":[1-9][0-9]*,' <<<"$checkpoint
 echo "e2e: boot stages logged, bootstrap checkpoint listed"
 
 echo "e2e: replaying over JSON"
-"$workdir/served" -topos "$TOPO" -drive "$API" -drivetransport json -T 60 -seed 3 -logformat text \
+"$workdir/served" -topos "$TOPO" -drive "$API" -drivetransport json -T 60 -seed 3 -driven 7 -logformat text \
   >"$workdir/drive-json.log" 2>&1 || fail "json replay failed: $(cat "$workdir/drive-json.log")"
-grep -Eq ' decisions=[1-9][0-9]*( |$)' "$workdir/drive-json.log" \
-  || fail "json replay logged no decisions: $(cat "$workdir/drive-json.log")"
+grep -Eq ' decisions=7( |$)' "$workdir/drive-json.log" \
+  || fail "json replay did not log decisions=7: $(cat "$workdir/drive-json.log")"
 echo "e2e: replaying over the wire stream"
 "$workdir/served" -topos "$TOPO" -drive "$API" -drivetransport wire -T 60 -seed 3 -driven 500 -logformat text \
   >"$workdir/drive-wire.log" 2>&1 || fail "wire replay failed: $(cat "$workdir/drive-wire.log")"
