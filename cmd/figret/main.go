@@ -80,9 +80,10 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Seed = envOpt.Seed
-	sc := experiments.ScaleFast
-	if *scale == "full" {
-		sc = experiments.ScaleFull
+	sc, err := experiments.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figret:", err)
+		os.Exit(2)
 	}
 
 	fail := func(err error) {

@@ -126,8 +126,9 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	if *scale == "full" {
-		cfg.scale = experiments.ScaleFull
+	if cfg.scale, err = experiments.ParseScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "served:", err)
+		os.Exit(2)
 	}
 
 	if *drive != "" {

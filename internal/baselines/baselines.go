@@ -7,6 +7,7 @@
 package baselines
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sync"
@@ -127,64 +128,26 @@ func (p *PredTE) Advise(tr *traffic.Trace, t int) (*te.Config, error) {
 	return cfg, err
 }
 
+// desTEBound is Des TE's default constant sensitivity bound F: 2/3, the
+// "Original" setting of Appendix C's Tables 7/8.
+const desTEBound = 2.0 / 3.0
+
 // DesTE is desensitization-based TE — the scheme of Google's Jupiter data
 // centers [37] and COUDER [44]: optimize MLU for the window-peak predicted
-// matrix under a constant path-sensitivity cap.
+// matrix under a path-sensitivity cap. The cap is the constant Bound, or —
+// the Appendix C variant — a per-pair bound F varying with the pair's
+// historical variance (lp.LinearF, lp.PiecewiseF).
 type DesTE struct {
 	PS *te.PathSet
 	// H is the peak-tracking window (default 12).
 	H int
-	// Bound is the constant sensitivity bound F (default 2/3, the
-	// "Original" setting of Appendix C's Tables 7/8).
+	// Bound is the constant sensitivity bound (default 2/3); ignored when
+	// F is set.
 	Bound float64
-	Solve SolveFunc
-
-	capsOnce sync.Once
-	caps     []float64
-}
-
-// Name implements Scheme.
-func (d *DesTE) Name() string { return "Des TE" }
-
-// Warmup implements Scheme.
-func (d *DesTE) Warmup() int { return 1 }
-
-func (d *DesTE) params() (int, float64) {
-	h := d.H
-	if h == 0 {
-		h = 12
-	}
-	b := d.Bound
-	if b == 0 {
-		b = 2.0 / 3.0
-	}
-	return h, b
-}
-
-// Advise implements Scheme.
-func (d *DesTE) Advise(tr *traffic.Trace, t int) (*te.Config, error) {
-	if t < 1 {
-		return nil, fmt.Errorf("baselines: DesTE needs t >= 1")
-	}
-	h, bound := d.params()
-	d.capsOnce.Do(func() {
-		d.caps = lp.SensitivityCaps(d.PS, lp.ConstantF(bound))
-	})
-	peak := tr.PeakMatrix(t, h)
-	cfg, _, err := d.Solve(d.PS, peak, d.caps)
-	return cfg, err
-}
-
-// FineGrainedDesTE is the Appendix C variant: desensitization TE whose
-// sensitivity bound F varies per SD pair via a heuristic function of the
-// pair's historical variance (LinearF or PiecewiseF).
-type FineGrainedDesTE struct {
-	PS *te.PathSet
-	// H is the peak-tracking window (default 12).
-	H int
-	// F maps pair index to its sensitivity bound.
+	// F maps a pair index to its sensitivity bound; nil is
+	// lp.ConstantF(Bound).
 	F func(pair int) float64
-	// Label distinguishes parameterizations in reports.
+	// Label names the parameterization in reports (default "Des TE").
 	Label string
 	Solve SolveFunc
 
@@ -193,30 +156,24 @@ type FineGrainedDesTE struct {
 }
 
 // Name implements Scheme.
-func (d *FineGrainedDesTE) Name() string {
-	if d.Label != "" {
-		return d.Label
-	}
-	return "FG Des TE"
-}
+func (d *DesTE) Name() string { return cmp.Or(d.Label, "Des TE") }
 
 // Warmup implements Scheme.
-func (d *FineGrainedDesTE) Warmup() int { return 1 }
+func (d *DesTE) Warmup() int { return 1 }
 
 // Advise implements Scheme.
-func (d *FineGrainedDesTE) Advise(tr *traffic.Trace, t int) (*te.Config, error) {
+func (d *DesTE) Advise(tr *traffic.Trace, t int) (*te.Config, error) {
 	if t < 1 {
-		return nil, fmt.Errorf("baselines: FineGrainedDesTE needs t >= 1")
-	}
-	h := d.H
-	if h == 0 {
-		h = 12
+		return nil, fmt.Errorf("baselines: DesTE needs t >= 1")
 	}
 	d.capsOnce.Do(func() {
-		d.caps = lp.SensitivityCaps(d.PS, d.F)
+		f := d.F
+		if f == nil {
+			f = lp.ConstantF(cmp.Or(d.Bound, desTEBound))
+		}
+		d.caps = lp.SensitivityCaps(d.PS, f)
 	})
-	peak := tr.PeakMatrix(t, h)
-	cfg, _, err := d.Solve(d.PS, peak, d.caps)
+	cfg, _, err := d.Solve(d.PS, tr.PeakMatrix(t, cmp.Or(d.H, 12)), d.caps)
 	return cfg, err
 }
 

@@ -125,7 +125,7 @@ func TestFineGrainedDominatesConstantObjective(t *testing.T) {
 	}
 
 	constant := &DesTE{PS: ps, Solve: LPSolve, Bound: 0.5, H: 8}
-	fine := &FineGrainedDesTE{PS: ps, Solve: LPSolve, H: 8, F: lin, Label: "FG linear"}
+	fine := &DesTE{PS: ps, Solve: LPSolve, H: 8, F: lin, Label: "FG linear"}
 	c, err := Evaluate(constant, tr, 95, 115)
 	if err != nil {
 		t.Fatal(err)

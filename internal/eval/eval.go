@@ -16,7 +16,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -165,26 +164,29 @@ func Run(schemes []baselines.Scheme, tr *traffic.Trace, win Window, opt Options)
 	// Phase 3: aligned normalization and summary statistics.
 	for si := range res.Schemes {
 		ss := &res.Schemes[si]
-		summary := ss.Raw
-		if res.Base != nil {
+		if res.Base == nil {
+			ss.Stats = traffic.Summarize(ss.Raw)
+		} else {
 			ss.Norm = baselines.Normalize(ss.Raw, res.Base[ss.From-from:])
-			summary = ss.Norm
-			severe := 0
-			for _, v := range ss.Norm {
-				if v > severeThreshold {
-					severe++
-				}
-			}
-			ss.SevereCongestion = float64(severe) / float64(len(ss.Norm))
+			ss.Stats, ss.SevereCongestion = Summarize(ss.Norm)
 		}
-		ss.Stats = traffic.Summarize(summary)
-		var sum float64
-		for _, v := range summary {
-			sum += v
-		}
-		ss.AvgNorm = sum / float64(len(summary))
+		ss.AvgNorm = ss.Stats.Mean
 	}
 	return res, nil
+}
+
+// Summarize is the summary every normalized-MLU table reports: the
+// candlestick of xs (its Mean included) and the fraction of entries above
+// the severe-congestion threshold — normalized MLU > 2, the paper's
+// congestion-incident criterion. xs must be non-empty.
+func Summarize(xs []float64) (st traffic.Candlestick, severe float64) {
+	n := 0
+	for _, v := range xs {
+		if v > severeThreshold {
+			n++
+		}
+	}
+	return traffic.Summarize(xs), float64(n) / float64(len(xs))
 }
 
 // Parallel runs fn(i) for every i in [0, n) on up to workers goroutines
@@ -255,17 +257,4 @@ func Parallel(n, workers int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// MeanQuantile returns the mean of xs and its q'th quantile — the
-// (avg, p90)-style pair several robustness tables report.
-func MeanQuantile(xs []float64, q float64) (mean, quant float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	var sum float64
-	for _, v := range xs {
-		sum += v
-	}
-	return sum / float64(len(xs)), traffic.Quantile(xs, q)
 }

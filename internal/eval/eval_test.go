@@ -341,12 +341,13 @@ func TestParallel(t *testing.T) {
 	}
 }
 
-func TestMeanQuantile(t *testing.T) {
-	mean, p90 := MeanQuantile([]float64{1, 2, 3, 4}, 0.5)
-	if mean != 2.5 || p90 != 2.5 {
-		t.Errorf("got (%v, %v), want (2.5, 2.5)", mean, p90)
+func TestSummarize(t *testing.T) {
+	st, severe := Summarize([]float64{1, 2, 3, 4})
+	if st.Mean != 2.5 || st.Median != 2.5 || st.Min != 1 || st.Max != 4 {
+		t.Errorf("candlestick %+v, want mean and median 2.5 over [1, 4]", st)
 	}
-	if m, _ := MeanQuantile(nil, 0.5); !math.IsNaN(m) {
-		t.Errorf("empty mean = %v, want NaN", m)
+	// Severe is strictly above the threshold: 2 itself does not count.
+	if severe != 0.5 {
+		t.Errorf("severe share = %v, want 0.5 (3 and 4 of four)", severe)
 	}
 }

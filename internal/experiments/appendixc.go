@@ -61,9 +61,6 @@ var paramsPiecewise = []struct {
 // HeuristicF runs the Appendix C parameter study. kind is "linear" or
 // "piecewise".
 func HeuristicF(env *Env, kind string, maxEval int) (*HeuristicFResult, error) {
-	if maxEval == 0 {
-		maxEval = 40
-	}
 	vars := env.Train.Variances()
 	res := &HeuristicFResult{Topo: env.Topo}
 
@@ -100,7 +97,7 @@ func HeuristicF(env *Env, kind string, maxEval int) (*HeuristicFResult, error) {
 	}
 	schemes := make([]baselines.Scheme, len(params))
 	for i, p := range params {
-		schemes[i] = &baselines.FineGrainedDesTE{PS: env.PS, Solve: env.Oracle().CachedSolve, H: 12, F: p.f, Label: p.label}
+		schemes[i] = &baselines.DesTE{PS: env.PS, Solve: env.Oracle().CachedSolve, H: 12, F: p.f, Label: p.label}
 	}
 	run, err := eval.Run(schemes, env.Test, eval.Window{From: from, To: to}, env.EvalOptions())
 	if err != nil {

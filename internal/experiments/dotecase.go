@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"figret/internal/figret"
 	"figret/internal/te"
 )
 
@@ -31,17 +32,12 @@ type DOTECaseResult struct {
 }
 
 // DOTEFailureCase reproduces the Figure 20 narrative on the environment.
-func DOTEFailureCase(env *Env, h int, gamma float64, epochs int) (*DOTECaseResult, error) {
-	if h == 0 {
-		h = 6
-	}
-	if gamma == 0 {
-		gamma = 2
-	}
-	fig, dote, err := env.TrainModels(h, gamma, epochs)
+func DOTEFailureCase(env *Env, cfg figret.Config) (*DOTECaseResult, error) {
+	fig, dote, err := env.TrainModels(cfg)
 	if err != nil {
 		return nil, err
 	}
+	h := fig.Cfg.H
 	res := &DOTECaseResult{Topo: env.Topo, N: env.G.NumVertices(), Snapshot: -1}
 	worstRatio := 0.0
 	for t := h; t < env.Test.Len(); t++ {

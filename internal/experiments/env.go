@@ -1,8 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§5, Appendices C, E, F, G) on the synthetic substrates of this
 // repository. Each experiment is a function returning a typed result that
-// renders the paper's rows/series as text; cmd/experiments and the top-level
-// benchmark suite drive them.
+// renders the paper's rows/series as text; Studies indexes them and
+// cmd/experiments is a loop over it.
 //
 // Experiments run at two scales:
 //
@@ -15,6 +15,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"figret/internal/baselines"
@@ -35,6 +36,19 @@ const (
 	// ScaleFull uses the paper's Table 1 sizes.
 	ScaleFull
 )
+
+// ParseScale reads a -scale flag or a spec's scale field: "" and "fast"
+// are ScaleFast, "full" is ScaleFull, anything else is an error — a typo
+// must not silently run the fast scale under a full-scale label.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "", "fast":
+		return ScaleFast, nil
+	case "full":
+		return ScaleFull, nil
+	}
+	return ScaleFast, fmt.Errorf("unknown scale %q (want fast|full)", s)
+}
 
 // Env bundles everything an experiment needs for one topology/workload.
 type Env struct {
@@ -253,27 +267,36 @@ func calibrate(ps *te.PathSet, tr *traffic.Trace) {
 	}
 }
 
-// TrainModels trains FIGRET and DOTE on the environment's training split
-// with shared hyperparameters. Gamma and epochs default per scale.
-func (e *Env) TrainModels(h int, gamma float64, epochs int) (fig, dote *figret.Model, err error) {
-	if h == 0 {
-		h = 12
+// modelConfig fills the hyperparameters cfg leaves zero with the defaults
+// every study shares — H 12, γ 1, 8 epochs at the fast scale and 15 at the
+// full one — and seeds the model from the environment. Values a study sets
+// apart from these are data of its Studies row.
+func (e *Env) modelConfig(cfg figret.Config) figret.Config {
+	cfg.H = cmp.Or(cfg.H, 12)
+	cfg.Gamma = cmp.Or(cfg.Gamma, 1)
+	epochs := 15
+	if e.Scale == ScaleFast {
+		epochs = 8
 	}
-	if epochs == 0 {
-		if e.Scale == ScaleFast {
-			epochs = 8
-		} else {
-			epochs = 15
-		}
-	}
-	if gamma == 0 {
-		gamma = 1
-	}
-	fig = figret.New(e.PS, figret.Config{H: h, Gamma: gamma, Epochs: epochs, Seed: e.Seed})
-	if _, err = fig.Train(e.Train); err != nil {
+	cfg.Epochs = cmp.Or(cfg.Epochs, epochs)
+	cfg.Seed = e.Seed
+	return cfg
+}
+
+// trainFigret trains FIGRET alone on tr under modelConfig(cfg).
+func (e *Env) trainFigret(cfg figret.Config, tr *traffic.Trace) (*figret.Model, error) {
+	m := figret.New(e.PS, e.modelConfig(cfg))
+	_, err := m.Train(tr)
+	return m, err
+}
+
+// TrainModels trains FIGRET and its γ=0 ablation DOTE on the environment's
+// training split with shared hyperparameters, modelConfig(cfg).
+func (e *Env) TrainModels(cfg figret.Config) (fig, dote *figret.Model, err error) {
+	if fig, err = e.trainFigret(cfg, e.Train); err != nil {
 		return nil, nil, err
 	}
-	dote = figret.NewDOTE(e.PS, figret.Config{H: h, Epochs: epochs, Seed: e.Seed})
+	dote = figret.NewDOTE(e.PS, e.modelConfig(cfg))
 	if _, err = dote.Train(e.Train); err != nil {
 		return nil, nil, err
 	}

@@ -3,12 +3,16 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"figret/internal/baselines"
+	"figret/internal/figret"
 	"figret/internal/graph"
+	"figret/internal/lp"
 	"figret/internal/solver"
+	"figret/internal/te"
 )
 
 // Small shared environments for the integration tests. Sizes are trimmed so
@@ -127,7 +131,7 @@ func TestCosineSimilarityOrdering(t *testing.T) {
 
 func TestTEQualityShape(t *testing.T) {
 	env := podEnv(t)
-	res, err := TEQuality(env, QualityOptions{H: 6, Epochs: 6, MaxEval: 20, WithOblivious: true})
+	res, err := TEQuality(env, figret.Config{H: 6, Epochs: 6}, QualityOptions{MaxEval: 20, WithOblivious: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +172,7 @@ func TestTEQualityBurstyHeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Solve = baselines.GradSolve(solver.Options{Iters: 300}) // LP would dominate runtime here
-	res, err := TEQuality(env, QualityOptions{H: 6, Epochs: 8, Gamma: 2, MaxEval: 15})
+	res, err := TEQuality(env, figret.Config{H: 6, Epochs: 8, Gamma: 2}, QualityOptions{MaxEval: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +192,7 @@ func TestTEQualityRaeckePaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TEQuality(env, QualityOptions{H: 6, Epochs: 5, MaxEval: 12})
+	res, err := TEQuality(env, figret.Config{H: 6, Epochs: 5}, QualityOptions{MaxEval: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +203,7 @@ func TestTEQualityRaeckePaths(t *testing.T) {
 
 func TestFailuresShape(t *testing.T) {
 	env := podEnv(t)
-	res, err := Failures(env, FailureOptions{H: 6, Epochs: 5, MaxFail: 2, Trials: 3, SnapsPer: 3})
+	res, err := Failures(env, figret.Config{H: 6, Epochs: 5}, FailureOptions{MaxFail: 2, Trials: 3, SnapsPer: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +234,7 @@ func TestFailuresShortTestSplit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = Failures(env, FailureOptions{H: 12, Epochs: 1})
+		_, err = Failures(env, figret.Config{H: 12, Epochs: 1}, FailureOptions{})
 		want := fmt.Sprintf("H=12, got %d snapshots", env.Test.Len())
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("T=%d (test split %d): err = %v, want one naming %q", T, env.Test.Len(), err, want)
@@ -240,7 +244,7 @@ func TestFailuresShortTestSplit(t *testing.T) {
 
 func TestSensitivityAnalysisShape(t *testing.T) {
 	env := podEnv(t)
-	res, err := SensitivityAnalysis(env, 6, 8, 10, 10)
+	res, err := SensitivityAnalysis(env, figret.Config{H: 6, Gamma: 8, Epochs: 10}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +267,7 @@ func TestSensitivityAnalysisShape(t *testing.T) {
 
 func TestPerturbationTables(t *testing.T) {
 	env := podEnv(t)
-	res, err := Perturbation(env, 6, 1, 5, []float64{0.2, 2.0}, false)
+	res, err := Perturbation(env, figret.Config{H: 6, Gamma: 1, Epochs: 5}, []float64{0.2, 2.0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +278,7 @@ func TestPerturbationTables(t *testing.T) {
 	if res.AvgDecline[1] < res.AvgDecline[0]-2 {
 		t.Errorf("alpha=2 decline %v below alpha=0.2 %v", res.AvgDecline[1], res.AvgDecline[0])
 	}
-	worst, err := Perturbation(env, 6, 1, 5, []float64{2.0}, true)
+	worst, err := Perturbation(env, figret.Config{H: 6, Gamma: 1, Epochs: 5}, []float64{2.0}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +292,7 @@ func TestPerturbationTables(t *testing.T) {
 
 func TestDriftTable(t *testing.T) {
 	env := podEnv(t)
-	res, err := Drift(env, 6, 1, 4)
+	res, err := Drift(env, figret.Config{H: 6, Gamma: 1, Epochs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +309,7 @@ func TestDriftTable(t *testing.T) {
 
 func TestTimingTable(t *testing.T) {
 	env := podEnv(t)
-	res, err := Timing(env, TimingOptions{H: 6, Epochs: 2})
+	res, err := Timing(env, figret.Config{H: 6, Epochs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +340,7 @@ func TestTimingSpeedupGrowsWithScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Timing(env, TimingOptions{H: 6, Epochs: 1})
+	res, err := Timing(env, figret.Config{H: 6, Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,4 +397,42 @@ func TestPredictionMismatch(t *testing.T) {
 	if !strings.Contains(res.String(), "MSE") {
 		t.Error("render broken")
 	}
+}
+
+// TestRerouteNeverBeatsFaultAwareOptimum is the half of ROADMAP 3(b) that
+// is a theorem: the LP optimum of the intact graph, rerouted around a
+// failure set (§4.5), is a feasible configuration of the failed graph, so
+// its MLU can never be below the fault-aware LP's optimum there. The
+// largest ratio seen is logged as the starting point of a bounded-ratio
+// assertion.
+func TestRerouteNeverBeatsFaultAwareOptimum(t *testing.T) {
+	worst := 0.0
+	for _, topo := range []string{graph.TopoPFabric, graph.TopoPoDDB} {
+		env, err := NewEnv(topo, ScaleFast, EnvOptions{T: 80, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 20; i++ {
+			d := env.Test.At(i)
+			fs, ok := SampleFailures(env.PS, rng, 1+i%2)
+			if !ok {
+				t.Fatalf("%s: no feasible failure set of %d links", topo, 1+i%2)
+			}
+			cfg, _, err := lp.MLUMin(env.PS, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, opt, err := lp.FaultAwareMLUMin(env.PS, d, fs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rerouted := te.MLUUnderFailure(cfg, fs, d)
+			if rerouted < opt-1e-9 {
+				t.Errorf("%s snapshot %d: rerouted optimum %v beats the fault-aware optimum %v", topo, i, rerouted, opt)
+			}
+			worst = math.Max(worst, rerouted/opt)
+		}
+	}
+	t.Logf("largest rerouted/fault-aware MLU ratio over 40 cases: %.4f", worst)
 }

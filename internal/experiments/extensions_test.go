@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"figret/internal/figret"
 	"figret/internal/graph"
 )
 
@@ -37,7 +38,7 @@ func TestDOTEFailureCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DOTEFailureCase(env, 6, 2, 5)
+	res, err := DOTEFailureCase(env, figret.Config{H: 6, Gamma: 2, Epochs: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,9 @@ import (
 
 	"figret/internal/baselines"
 	"figret/internal/eval"
+	"figret/internal/figret"
 	"figret/internal/lp"
 	"figret/internal/te"
-	"figret/internal/traffic"
 )
 
 // FailureResult is the Figure 7 (and Appendix E Figures 14/15) study:
@@ -30,24 +30,13 @@ type FailureRow struct {
 
 // FailureOptions configures the study.
 type FailureOptions struct {
-	H        int // window (default 12)
-	Gamma    float64
-	Epochs   int
 	MaxFail  int // failure counts 1..MaxFail (default 3)
 	Trials   int // failure sets sampled per count (default 5)
 	SnapsPer int // test snapshots per trial (default 6)
-	// Seed, when non-zero, drives failure-set sampling explicitly so a
-	// given (Seed, MaxFail, Trials) replays a bit-identical failure
-	// sequence regardless of the environment seed; 0 keeps the historical
-	// default of env.Seed+77.
-	Seed int64
 }
 
 // Failures reproduces Figure 7 on the environment.
-func Failures(env *Env, opt FailureOptions) (*FailureResult, error) {
-	if opt.H == 0 {
-		opt.H = 12
-	}
+func Failures(env *Env, cfg figret.Config, opt FailureOptions) (*FailureResult, error) {
 	if opt.MaxFail == 0 {
 		opt.MaxFail = 3
 	}
@@ -59,10 +48,12 @@ func Failures(env *Env, opt FailureOptions) (*FailureResult, error) {
 	}
 	// Snapshots are drawn from test indices [H, Len), each with a full
 	// history window behind it.
-	if n := env.Test.Len(); n <= opt.H {
-		return nil, fmt.Errorf("experiments: failure study needs a test split longer than H=%d, got %d snapshots", opt.H, n)
+	cfg = env.modelConfig(cfg)
+	h := cfg.H
+	if n := env.Test.Len(); n <= h {
+		return nil, fmt.Errorf("experiments: failure study needs a test split longer than H=%d, got %d snapshots", h, n)
 	}
-	fig, dote, err := env.TrainModels(opt.H, opt.Gamma, opt.Epochs)
+	fig, dote, err := env.TrainModels(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -71,15 +62,13 @@ func Failures(env *Env, opt FailureOptions) (*FailureResult, error) {
 	// DesTE routes through the oracle cache — its advice depends only on
 	// t, and the same t recurs across failure sets and failure counts, so
 	// each capped peak-matrix solve is paid once.
-	figS := &baselines.NNScheme{Label: "FIGRET", Model: fig}
-	doteS := &baselines.NNScheme{Label: "DOTE", Model: dote}
-	des := &baselines.DesTE{PS: env.PS, Solve: env.Oracle().CachedSolve, H: opt.H}
-	faCaps := lp.SensitivityCaps(env.PS, lp.ConstantF(2.0/3.0))
-	seed := opt.Seed
-	if seed == 0 {
-		seed = env.Seed + 77
+	rerouted := []baselines.Scheme{
+		&baselines.NNScheme{Label: "FIGRET", Model: fig},
+		&baselines.NNScheme{Label: "DOTE", Model: dote},
+		&baselines.DesTE{PS: env.PS, Solve: env.Oracle().CachedSolve, H: h},
 	}
-	rng := rand.New(rand.NewSource(seed))
+	faCaps := lp.SensitivityCaps(env.PS, lp.ConstantF(2.0/3.0)) // Des TE's default bound
+	rng := rand.New(rand.NewSource(env.Seed + 77))
 
 	// Failure sets are drawn sequentially up front (the rng is a chain),
 	// then every (failure-set × snapshot) cell runs on the engine's worker
@@ -99,7 +88,7 @@ func Failures(env *Env, opt FailureOptions) (*FailureResult, error) {
 				continue
 			}
 			for s := 0; s < opt.SnapsPer; s++ {
-				t := opt.H + (trial*opt.SnapsPer+s)%(env.Test.Len()-opt.H)
+				t := h + (trial*opt.SnapsPer+s)%(env.Test.Len()-h)
 				cells = append(cells, cell{fs, t})
 			}
 		}
@@ -118,25 +107,17 @@ func Failures(env *Env, opt FailureOptions) (*FailureResult, error) {
 				return nil // infeasible draw: skip the cell
 			}
 			// FIGRET / DOTE / Des TE: advise then reroute around failures.
-			fc, err := figS.Advise(env.Test, c.t)
-			if err != nil {
-				return err
-			}
-			dc, err := doteS.Advise(env.Test, c.t)
-			if err != nil {
-				return err
-			}
-			sc, err := des.Advise(env.Test, c.t)
-			if err != nil {
-				return err
-			}
 			r := cellResult{ok: true}
-			r.vals[0] = te.MLUUnderFailure(fc, c.fs, d) / oracle
-			r.vals[1] = te.MLUUnderFailure(dc, c.fs, d) / oracle
-			r.vals[2] = te.MLUUnderFailure(sc, c.fs, d) / oracle
+			for vi, s := range rerouted {
+				cfg, err := s.Advise(env.Test, c.t)
+				if err != nil {
+					return err
+				}
+				r.vals[vi] = te.MLUUnderFailure(cfg, c.fs, d) / oracle
+			}
 			// FA Des TE: knows the failures, solves only over alive paths
 			// (with hedging caps) for the peak matrix.
-			peak := env.Test.PeakMatrix(c.t, opt.H)
+			peak := env.Test.PeakMatrix(c.t, h)
 			fa, _, err := lp.FaultAwareMLUMin(env.PS, peak, c.fs, faCaps)
 			if err != nil {
 				// Caps may be infeasible after failures; retry uncapped.
@@ -152,35 +133,20 @@ func Failures(env *Env, opt FailureOptions) (*FailureResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		agg := map[string][]float64{}
-		for _, r := range results {
-			if !r.ok {
-				continue
-			}
-			for vi, name := range schemeNames {
-				if vi == 3 && !r.faOK {
-					continue
-				}
-				agg[name] = append(agg[name], r.vals[vi])
-			}
-		}
 		row := FailureRow{Failures: nf}
-		for _, name := range schemeNames {
-			xs := agg[name]
+		for vi, name := range schemeNames {
+			var xs []float64
+			for _, r := range results {
+				if r.ok && (vi < len(rerouted) || r.faOK) {
+					xs = append(xs, r.vals[vi])
+				}
+			}
 			if len(xs) == 0 {
 				continue
 			}
-			st := SchemeStats{Name: name, Stats: traffic.Summarize(xs)}
-			sum := 0.0
-			severe := 0
-			for _, v := range xs {
-				sum += v
-				if v > 2 {
-					severe++
-				}
-			}
-			st.AvgMLU = sum / float64(len(xs))
-			st.SevereCongestion = float64(severe) / float64(len(xs))
+			st := SchemeStats{Name: name}
+			st.Stats, st.SevereCongestion = eval.Summarize(xs)
+			st.AvgMLU = st.Stats.Mean
 			row.Schemes = append(row.Schemes, st)
 		}
 		res.Rows = append(res.Rows, row)

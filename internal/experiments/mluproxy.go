@@ -42,66 +42,52 @@ func MLUProxy(env *Env, snapshots int) (*MLUProxyResult, error) {
 		Topo:   env.Topo,
 		Scales: []float64{0.5, 1, 2, 4, 8},
 	}
+	// One omniscient solve per snapshot: the MLU-optimal split ratios are
+	// the same at every demand multiple. The uniform configuration runs at
+	// the stress level (the largest scale) only: the MLU-optimal config
+	// should also lose less traffic than the naive one.
 	omni := &baselines.Omniscient{PS: env.PS, Solve: env.Solve}
-	for _, scale := range res.Scales {
-		var mluSum, lossSum, delaySum float64
-		var n int
-		for t := 0; t < snapshots; t++ {
-			base := env.Test.At(t)
-			d := make([]float64, len(base))
-			for i, v := range base {
+	uni := te.UniformConfig(env.PS)
+	stress := len(res.Scales) - 1
+	res.MLU = make([]float64, len(res.Scales))
+	res.Loss = make([]float64, len(res.Scales))
+	res.Delay = make([]float64, len(res.Scales))
+	d := make([]float64, env.PS.Pairs.Count())
+	for t := 0; t < snapshots; t++ {
+		cfg, err := omni.Advise(env.Test, t)
+		if err != nil {
+			return nil, err
+		}
+		for si, scale := range res.Scales {
+			for i, v := range env.Test.At(t) {
 				d[i] = v * scale
-			}
-			cfg, err := omni.Advise(env.Test, t)
-			if err != nil {
-				return nil, err
 			}
 			sim, err := netsim.Simulate(cfg, d)
 			if err != nil {
 				return nil, err
 			}
-			mluSum += sim.MLU
-			lossSum += sim.LossRate
-			delaySum += sim.MeanDelay
-			n++
+			res.MLU[si] += sim.MLU
+			res.Loss[si] += sim.LossRate
+			res.Delay[si] += sim.MeanDelay
+			if si == stress {
+				u, err := netsim.Simulate(uni, d)
+				if err != nil {
+					return nil, err
+				}
+				res.UniformLoss += u.LossRate
+			}
 		}
-		res.MLU = append(res.MLU, mluSum/float64(n))
-		res.Loss = append(res.Loss, lossSum/float64(n))
-		res.Delay = append(res.Delay, delaySum/float64(n))
+	}
+	n := float64(snapshots)
+	for si := range res.Scales {
+		res.MLU[si] /= n
+		res.Loss[si] /= n
+		res.Delay[si] /= n
 	}
 	res.LossCorr = traffic.Pearson(res.MLU, res.Loss)
 	res.DelayCorr = traffic.Pearson(res.MLU, res.Delay)
-
-	// Scheme comparison at the stress level: the MLU-optimal config should
-	// also lose less traffic than the naive uniform config.
-	stress := res.Scales[len(res.Scales)-1]
-	var omniLoss, uniLoss float64
-	var n int
-	uni := te.UniformConfig(env.PS)
-	for t := 0; t < snapshots; t++ {
-		base := env.Test.At(t)
-		d := make([]float64, len(base))
-		for i, v := range base {
-			d[i] = v * stress
-		}
-		cfg, err := omni.Advise(env.Test, t)
-		if err != nil {
-			return nil, err
-		}
-		a, err := netsim.Simulate(cfg, d)
-		if err != nil {
-			return nil, err
-		}
-		b, err := netsim.Simulate(uni, d)
-		if err != nil {
-			return nil, err
-		}
-		omniLoss += a.LossRate
-		uniLoss += b.LossRate
-		n++
-	}
-	res.OmniLoss = omniLoss / float64(n)
-	res.UniformLoss = uniLoss / float64(n)
+	res.OmniLoss = res.Loss[stress]
+	res.UniformLoss /= n
 	return res, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"figret/internal/baselines"
 	"figret/internal/eval"
+	"figret/internal/figret"
 	"figret/internal/traffic"
 )
 
@@ -29,11 +30,8 @@ type QualityResult struct {
 
 // QualityOptions configures TEQuality.
 type QualityOptions struct {
-	H             int     // history window (default 12)
-	Gamma         float64 // FIGRET robustness weight (default 1)
-	Epochs        int     // training epochs (default per scale)
-	WithOblivious bool    // include Oblivious & COPE (small topologies only)
-	MaxEval       int     // cap on evaluated snapshots (default 60)
+	WithOblivious bool // include Oblivious & COPE (small topologies only)
+	MaxEval       int  // cap on evaluated snapshots
 }
 
 const (
@@ -43,18 +41,13 @@ const (
 
 // TEQuality reproduces Figure 5 (and, with a Räcke-selector environment,
 // Figure 6): normalized MLU distributions of FIGRET against the baselines.
-func TEQuality(env *Env, opt QualityOptions) (*QualityResult, error) {
-	if opt.H == 0 {
-		opt.H = 12
-	}
-	if opt.MaxEval == 0 {
-		opt.MaxEval = 60
-	}
-	fig, dote, err := env.TrainModels(opt.H, opt.Gamma, opt.Epochs)
+func TEQuality(env *Env, cfg figret.Config, opt QualityOptions) (*QualityResult, error) {
+	fig, dote, err := env.TrainModels(cfg)
 	if err != nil {
 		return nil, err
 	}
-	teal := baselines.NewTEAL(env.PS, max(4, opt.Epochs/2), env.Seed)
+	h := fig.Cfg.H
+	teal := baselines.NewTEAL(env.PS, max(4, cfg.Epochs/2), env.Seed)
 	if _, err := teal.Train(env.Train); err != nil {
 		return nil, err
 	}
@@ -66,7 +59,7 @@ func TEQuality(env *Env, opt QualityOptions) (*QualityResult, error) {
 	schemes := []baselines.Scheme{
 		&baselines.NNScheme{Label: "FIGRET", Model: fig},
 		&baselines.NNScheme{Label: "DOTE", Model: dote},
-		&baselines.DesTE{PS: env.PS, Solve: env.Oracle().CachedSolve, H: opt.H},
+		&baselines.DesTE{PS: env.PS, Solve: env.Oracle().CachedSolve, H: h},
 		&baselines.PredTE{PS: env.PS, Solve: env.Oracle().CachedSolve},
 		&baselines.NNScheme{Label: "TEAL", Model: teal},
 	}
@@ -86,7 +79,7 @@ func TEQuality(env *Env, opt QualityOptions) (*QualityResult, error) {
 		)
 	}
 
-	from := opt.H // warmup within the test split
+	from := h // warmup within the test split
 	to := env.Test.Len()
 	if to-from > opt.MaxEval {
 		to = from + opt.MaxEval
@@ -149,9 +142,6 @@ type HedgingResult struct {
 
 // Hedging reproduces Figure 1 on one environment.
 func Hedging(env *Env, maxEval int) (*HedgingResult, error) {
-	if maxEval == 0 {
-		maxEval = 60
-	}
 	from, to := 1, env.Test.Len()
 	if to-from > maxEval {
 		to = from + maxEval

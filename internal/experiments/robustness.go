@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"cmp"
 	"fmt"
 	"strings"
 
@@ -29,18 +28,15 @@ type PerturbationResult struct {
 
 // Perturbation reproduces Table 3 (worstCase=false) or Table 5
 // (worstCase=true) on the environment.
-func Perturbation(env *Env, h int, gamma float64, epochs int, alphas []float64, worstCase bool) (*PerturbationResult, error) {
-	if h == 0 {
-		h = 12
-	}
+func Perturbation(env *Env, cfg figret.Config, alphas []float64, worstCase bool) (*PerturbationResult, error) {
 	if len(alphas) == 0 {
 		alphas = []float64{0.2, 0.5, 1.0, 2.0}
 	}
-	fig, _, err := env.TrainModels(h, gamma, epochs)
+	fig, err := env.trainFigret(cfg, env.Train)
 	if err != nil {
 		return nil, err
 	}
-	baseAvg, baseP90, err := evalModel(fig, env.Test, h, env.Workers)
+	baseAvg, baseP90, err := evalModel(fig, env.Test, env.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +49,7 @@ func Perturbation(env *Env, h int, gamma float64, epochs int, alphas []float64, 
 		} else {
 			pert = traffic.Perturb(env.Test, env.Train, a, env.Seed+int64(100+i))
 		}
-		avg, p90, err := evalModel(fig, pert, h, env.Workers)
+		avg, p90, err := evalModel(fig, pert, env.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -63,9 +59,11 @@ func Perturbation(env *Env, h int, gamma float64, epochs int, alphas []float64, 
 	return res, nil
 }
 
-// evalModel runs a trained model over a trace on the evaluation engine
-// (raw MLUs, snapshots in parallel) and returns (mean, p90) MLU.
-func evalModel(m *figret.Model, tr *traffic.Trace, h, workers int) (avg, p90 float64, err error) {
+// evalModel runs a trained model over every snapshot of a trace that has
+// a full window behind it, on the evaluation engine (raw MLUs, snapshots
+// in parallel), and returns (mean, p90) MLU.
+func evalModel(m *figret.Model, tr *traffic.Trace, workers int) (avg, p90 float64, err error) {
+	h := m.Cfg.H
 	if tr.Len() <= h {
 		return 0, 0, fmt.Errorf("experiments: no snapshots to evaluate")
 	}
@@ -75,8 +73,27 @@ func evalModel(m *figret.Model, tr *traffic.Trace, h, workers int) (avg, p90 flo
 	if err != nil {
 		return 0, 0, err
 	}
-	avg, p90 = eval.MeanQuantile(run.Schemes[0].Raw, 0.9)
-	return avg, p90, nil
+	return run.Schemes[0].AvgNorm, traffic.Quantile(run.Schemes[0].Raw, 0.9), nil
+}
+
+// declineTable renders the three rows Tables 3–5 share — the column
+// labels, then the avg and p90 percentage changes — in w-wide columns.
+func declineTable(b *strings.Builder, w int, head string, cols []string, avg, p90 []float64) {
+	fmt.Fprintf(b, "%-*s", w, head)
+	for _, c := range cols {
+		fmt.Fprintf(b, " %*s", w, c)
+	}
+	b.WriteString("\n")
+	for _, row := range []struct {
+		name string
+		vals []float64
+	}{{"avg %", avg}, {"p90 %", p90}} {
+		fmt.Fprintf(b, "%-*s", w, row.name)
+		for _, v := range row.vals {
+			fmt.Fprintf(b, " %+*.1f", w, v)
+		}
+		b.WriteString("\n")
+	}
 }
 
 // String renders the table.
@@ -87,21 +104,11 @@ func (r *PerturbationResult) String() string {
 		kind = "variance-rank-reversed worst case (Table 5)"
 	}
 	fmt.Fprintf(&b, "FIGRET degradation on %s under %s fluctuations\n", r.Topo, kind)
-	fmt.Fprintf(&b, "%-8s", "alpha")
-	for _, a := range r.Alphas {
-		fmt.Fprintf(&b, " %8.1f", a)
+	alphas := make([]string, len(r.Alphas))
+	for i, a := range r.Alphas {
+		alphas[i] = fmt.Sprintf("%.1f", a)
 	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "%-8s", "avg %")
-	for _, v := range r.AvgDecline {
-		fmt.Fprintf(&b, " %+8.1f", v)
-	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "%-8s", "p90 %")
-	for _, v := range r.P90Decline {
-		fmt.Fprintf(&b, " %+8.1f", v)
-	}
-	b.WriteString("\n")
+	declineTable(&b, 8, "alpha", alphas, r.AvgDecline, r.P90Decline)
 	if r.WorstCase {
 		fmt.Fprintf(&b, "train/test variance-rank Spearman correlation: %.2f (high ⇒ worst case is rare)\n", r.Spearman)
 	}
@@ -119,10 +126,7 @@ type DriftResult struct {
 }
 
 // Drift reproduces Table 4.
-func Drift(env *Env, h int, gamma float64, epochs int) (*DriftResult, error) {
-	if h == 0 {
-		h = 12
-	}
+func Drift(env *Env, cfg figret.Config) (*DriftResult, error) {
 	n := env.Trace.Len()
 	q := n / 4
 	test := env.Trace.Slice(3*q, n)
@@ -138,11 +142,11 @@ func Drift(env *Env, h int, gamma float64, epochs int) (*DriftResult, error) {
 	var refAvg, refP90 float64
 	res := &DriftResult{Topo: env.Topo}
 	for i, sg := range segs {
-		m := figret.New(env.PS, figret.Config{H: h, Gamma: cmp.Or(gamma, 1), Epochs: cmp.Or(epochs, 8), Seed: env.Seed})
-		if _, err := m.Train(env.Trace.Slice(sg.from, sg.to)); err != nil {
+		m, err := env.trainFigret(cfg, env.Trace.Slice(sg.from, sg.to))
+		if err != nil {
 			return nil, fmt.Errorf("segment %s: %w", sg.name, err)
 		}
-		avg, p90, err := evalModel(m, test, h, env.Workers)
+		avg, p90, err := evalModel(m, test, env.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -161,20 +165,6 @@ func Drift(env *Env, h int, gamma float64, epochs int) (*DriftResult, error) {
 func (r *DriftResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "FIGRET under natural traffic drift on %s (vs model trained on 0-75%%)\n", r.Topo)
-	fmt.Fprintf(&b, "%-10s", "segment")
-	for _, s := range r.Segments {
-		fmt.Fprintf(&b, " %10s", s)
-	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "%-10s", "avg %")
-	for _, v := range r.AvgDecline {
-		fmt.Fprintf(&b, " %+10.1f", v)
-	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "%-10s", "p90 %")
-	for _, v := range r.P90Decline {
-		fmt.Fprintf(&b, " %+10.1f", v)
-	}
-	b.WriteString("\n")
+	declineTable(&b, 10, "segment", r.Segments, r.AvgDecline, r.P90Decline)
 	return b.String()
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"figret/internal/baselines"
+	"figret/internal/figret"
 	"figret/internal/traffic"
 )
 
@@ -27,17 +28,12 @@ type SensitivityScatter struct {
 }
 
 // SensitivityAnalysis reproduces Figure 8 on the environment.
-func SensitivityAnalysis(env *Env, h int, gamma float64, epochs int, maxEval int) (*SensitivityScatter, error) {
-	if h == 0 {
-		h = 12
-	}
-	if maxEval == 0 {
-		maxEval = 25
-	}
-	fig, _, err := env.TrainModels(h, gamma, epochs)
+func SensitivityAnalysis(env *Env, cfg figret.Config, maxEval int) (*SensitivityScatter, error) {
+	fig, err := env.trainFigret(cfg, env.Train)
 	if err != nil {
 		return nil, err
 	}
+	h := fig.Cfg.H
 	des := &baselines.DesTE{PS: env.PS, Solve: env.Solve, H: h}
 	k := env.PS.Pairs.Count()
 	hedgeSum := make([]float64, k)

@@ -28,12 +28,6 @@ type TimingResult struct {
 	ObliviousOK   bool
 }
 
-// TimingOptions configures the Table 2 run.
-type TimingOptions struct {
-	H      int
-	Epochs int // figret training epochs for the precomputation column
-}
-
 const (
 	// lpMaxRows is the dense-LP feasibility cutoff, in constraint rows.
 	lpMaxRows = 1200
@@ -42,14 +36,9 @@ const (
 	gradIters = 300
 )
 
-// Timing reproduces Table 2 on one environment.
-func Timing(env *Env, opt TimingOptions) (*TimingResult, error) {
-	if opt.H == 0 {
-		opt.H = 12
-	}
-	if opt.Epochs == 0 {
-		opt.Epochs = 3
-	}
+// Timing reproduces Table 2 on one environment; cfg.Epochs sizes the
+// training run of the precomputation column.
+func Timing(env *Env, cfg figret.Config) (*TimingResult, error) {
 	res := &TimingResult{
 		Topo:  env.Topo,
 		Nodes: env.G.NumVertices(),
@@ -58,13 +47,13 @@ func Timing(env *Env, opt TimingOptions) (*TimingResult, error) {
 	d := env.Test.At(env.Test.Len() - 1)
 
 	// FIGRET: train briefly, then time inference.
-	m := figret.New(env.PS, figret.Config{H: opt.H, Gamma: 1, Epochs: opt.Epochs, Seed: env.Seed})
+	m := figret.New(env.PS, env.modelConfig(cfg))
 	start := time.Now()
 	if _, err := m.Train(env.Train); err != nil {
 		return nil, err
 	}
 	res.FigretPrecomp = time.Since(start)
-	w := env.Test.Window(env.Test.Len(), opt.H)
+	w := env.Test.Window(env.Test.Len(), m.Cfg.H)
 	start = time.Now()
 	const reps = 5
 	for i := 0; i < reps; i++ {

@@ -93,9 +93,6 @@ type SimilarityEntry struct {
 // CosineSimilarity reproduces Figure 4 (H=12) and Figure 18 (H=64) across
 // the provided environments.
 func CosineSimilarity(envs []*Env, H int) *SimilarityResult {
-	if H == 0 {
-		H = 12
-	}
 	res := &SimilarityResult{H: H}
 	for _, e := range envs {
 		sims := e.Trace.WindowSimilarities(H)

@@ -250,9 +250,9 @@ func (r *Runner) envFor(sub *substrate, sp *Spec) (*experiments.Env, error) {
 	if sub.env != nil {
 		return sub.env, nil
 	}
-	scale := experiments.ScaleFast
-	if sp.Scale == "full" {
-		scale = experiments.ScaleFull
+	scale, err := experiments.ParseScale(sp.Scale)
+	if err != nil {
+		return nil, err
 	}
 	env, err := experiments.NewEnv(sp.Topo, scale, experiments.EnvOptions{
 		T: sp.T, K: sp.K, Seed: sp.Seed, PathCache: r.opt.PathCache,

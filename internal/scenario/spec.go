@@ -23,6 +23,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"figret/internal/experiments"
 )
 
 // Evaluation modes.
@@ -223,10 +225,8 @@ func (s *Spec) Validate() error {
 	if s.Topo == "" {
 		return fmt.Errorf("scenario %s: missing topo", s.Name)
 	}
-	switch s.Scale {
-	case "", "fast", "full":
-	default:
-		return fmt.Errorf("scenario %s: scale %q (want fast|full)", s.Name, s.Scale)
+	if _, err := experiments.ParseScale(s.Scale); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	switch s.Mode {
 	case ModeOffline, ModeFluid, ModeClosedLoop:

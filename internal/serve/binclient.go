@@ -123,9 +123,6 @@ func (c *BinClient) Stats() BinStats {
 	return BinStats{Deltas: c.deltas, Fulls: c.fulls, Resyncs: c.resyncs, Redials: c.redials}
 }
 
-// Topology returns the bound topology name.
-func (c *BinClient) Topology() string { return c.topo }
-
 // Close drops the connection.
 func (c *BinClient) Close() error {
 	if c.conn == nil {
@@ -363,12 +360,6 @@ func (c *BinClient) writeFlush(frame []byte) error {
 	return c.bw.Flush()
 }
 
-// toRoutingResponse copies a wire decision into the JSON surface's
-// response type, so both paths hand callers the same shape.
-func (c *BinClient) toRoutingResponse(d *wire.Decision) *RoutingResponse {
-	return wireToRouting(c.topo, d)
-}
-
 // PostSnapshot ingests one demand snapshot synchronously over the
 // stream and returns the decision for the window ending at it.
 func (c *BinClient) PostSnapshot(demand []float64) (*RoutingResponse, error) {
@@ -381,44 +372,7 @@ func (c *BinClient) PostSnapshot(demand []float64) (*RoutingResponse, error) {
 	if d == nil {
 		return nil, fmt.Errorf("serve: bin client: ack for a sync snapshot")
 	}
-	return c.toRoutingResponse(d), nil
-}
-
-// PostSnapshotAsync ingests one snapshot without waiting for a
-// decision.
-func (c *BinClient) PostSnapshotAsync(demand []float64) error {
-	d, err := c.roundTrip(func() []byte {
-		return c.enc.Snapshot(&wire.Snapshot{Demand: demand, Async: true})
-	})
-	if err != nil {
-		return err
-	}
-	if d != nil {
-		return fmt.Errorf("serve: bin client: decision for an async snapshot")
-	}
-	return nil
-}
-
-// Routing returns the currently published decision.
-func (c *BinClient) Routing() (*RoutingResponse, error) {
-	d, err := c.roundTrip(func() []byte { return c.enc.Routing() })
-	if err != nil {
-		return nil, err
-	}
-	return c.toRoutingResponse(d), nil
-}
-
-// ReportFailures installs the failed-link set (empty clears) and
-// returns the rerouted decision.
-func (c *BinClient) ReportFailures(links [][2]int) (*RoutingResponse, error) {
-	if links == nil {
-		links = [][2]int{}
-	}
-	d, err := c.roundTrip(func() []byte { return c.enc.Failures(&wire.Failures{Links: links}) })
-	if err != nil {
-		return nil, err
-	}
-	return c.toRoutingResponse(d), nil
+	return wireToRouting(c.topo, d), nil
 }
 
 // StreamStats summarizes one pipelined Stream run.

@@ -313,7 +313,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Only caller faults (malformed demand) are 4xx; lifecycle and
 		// configuration conditions are the server's.
-		httpError(w, ingestErrCode(err), err.Error())
+		httpError(w, statusOf(err, http.StatusBadRequest), err.Error())
 		return
 	}
 	if req.Async {
@@ -357,13 +357,7 @@ func (s *Server) handleFailures(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.ReportFailures(req.Links); err != nil {
-		// ErrClosed is the documented lifecycle condition (see
-		// Controller), mapped to 503 exactly as on the snapshot path.
-		if errors.Is(err, ErrClosed) {
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-		} else {
-			httpError(w, http.StatusInternalServerError, err.Error())
-		}
+		httpError(w, statusOf(err, http.StatusInternalServerError), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, routingResponse(c.Topology(), c.Decision(), true))

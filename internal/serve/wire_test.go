@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"net/http"
 	"strings"
@@ -114,7 +117,7 @@ func TestWireHTTPNegotiation(t *testing.T) {
 
 // TestWireStream exercises the upgraded persistent stream end to end:
 // hello validation, sync decisions, delta encoding on stable demand,
-// failure reports, async acks, and the routing query.
+// async acks, typed error frames, and the two retired control verbs.
 func TestWireStream(t *testing.T) {
 	client, _ := wireFixture(t)
 	ps, tr, _ := fixture(t, 60, 1)
@@ -142,8 +145,9 @@ func TestWireStream(t *testing.T) {
 
 	// Stable demand saturates the window with identical snapshots; the
 	// decisions converge and the server switches to (tiny) delta frames.
+	var last *RoutingResponse
 	for i := 0; i < 12; i++ {
-		if _, err := bin.PostSnapshot(tr.At(10)); err != nil {
+		if last, err = bin.PostSnapshot(tr.At(10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,10 +156,6 @@ func TestWireStream(t *testing.T) {
 	}
 
 	// The stream's decision equals the JSON surface's routing view.
-	last, err := bin.Routing()
-	if err != nil {
-		t.Fatal(err)
-	}
 	j, err := client.Routing("pod")
 	if err != nil {
 		t.Fatal(err)
@@ -163,17 +163,12 @@ func TestWireStream(t *testing.T) {
 	sameDecision(t, "stream-vs-json", j, last)
 
 	// Async ingest acks without a decision.
-	if err := bin.PostSnapshotAsync(tr.At(11)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Failure report (clearing an empty set) republishes a decision.
-	fd, err := bin.ReportFailures(nil)
+	st, err := bin.StreamAsync(1, func(int) []float64 { return tr.At(11) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fd.Ratios) != ps.NumPaths() {
-		t.Fatalf("failures decision %+v", fd)
+	if st.Acks != 1 || st.Decisions != 0 {
+		t.Fatalf("async ingest answered %+v, want one ack", st)
 	}
 
 	// An application error (malformed demand) comes back as a typed
@@ -187,6 +182,29 @@ func TestWireStream(t *testing.T) {
 	}
 	if _, err := bin.PostSnapshot(tr.At(12)); err != nil {
 		t.Fatalf("stream unusable after application error: %v", err)
+	}
+
+	// Type numbers 6 and 7 were the stream's failure report and routing
+	// query; control is JSON now. A frame carrying one is any unknown
+	// frame: a 400 error frame, then the server closes the connection
+	// (and the client redials on its next request).
+	for _, retired := range []byte{6, 7} {
+		frame := append([]byte(nil), bin.enc.Resync()...)
+		frame[5] = retired // u32 length, version, type
+		binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc32.ChecksumIEEE(frame[4:len(frame)-4]))
+		if _, err := bin.conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		var we *wireError
+		if _, err := bin.readReply(time.Now().Add(5*time.Second), false); !errors.As(err, &we) || we.Code != 400 {
+			t.Fatalf("retired type %d answered %v, want a 400 error frame", retired, err)
+		}
+		if _, err := bin.readReply(time.Now().Add(5*time.Second), false); err == nil {
+			t.Fatalf("connection still open after retired type %d", retired)
+		}
+		if _, err := bin.PostSnapshot(tr.At(12)); err != nil {
+			t.Fatalf("no redial after retired type %d: %v", retired, err)
+		}
 	}
 }
 

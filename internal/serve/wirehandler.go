@@ -110,9 +110,8 @@ type wireSession struct {
 	enc wire.Encoder
 	dec wire.Decoder
 
-	// Reused decode targets.
-	snap  wire.Snapshot
-	fails wire.Failures
+	// Reused decode target.
+	snap wire.Snapshot
 
 	// Delta state. last.Ratios aliases the published decision's
 	// immutable Config.R, so keeping the base costs no copy.
@@ -189,7 +188,7 @@ func (ws *wireSession) handle(t wire.MsgType, payload []byte) (frame []byte, fat
 		start := time.Now()
 		res, err := ws.c.Ingest(ws.snap.Demand, !ws.snap.Async)
 		if err != nil {
-			return ws.errorFrame(ingestErrCode(err), err.Error()), errors.Is(err, ErrClosed)
+			return ws.errorFrame(statusOf(err, http.StatusBadRequest), err.Error()), errors.Is(err, ErrClosed)
 		}
 		if ws.snap.Async {
 			ws.tel.transport(transportWire).observe(time.Since(start))
@@ -203,28 +202,6 @@ func (ws *wireSession) handle(t wire.MsgType, payload []byte) (frame []byte, fat
 		frame := ws.decisionFrame(res.Decision)
 		ws.tel.transport(transportWire).observe(time.Since(start))
 		return frame, false
-
-	case wire.TRouting:
-		if ws.c == nil {
-			return ws.errorFrame(http.StatusBadRequest, "hello required before requests"), true
-		}
-		return ws.decisionFrame(ws.c.Decision()), false
-
-	case wire.TFailures:
-		if ws.c == nil {
-			return ws.errorFrame(http.StatusBadRequest, "hello required before requests"), true
-		}
-		if err := wire.DecodeFailures(payload, &ws.fails); err != nil {
-			return ws.errorFrame(http.StatusBadRequest, err.Error()), true
-		}
-		if err := ws.c.ReportFailures(ws.fails.Links); err != nil {
-			code := http.StatusInternalServerError
-			if errors.Is(err, ErrClosed) {
-				code = http.StatusServiceUnavailable
-			}
-			return ws.errorFrame(code, err.Error()), errors.Is(err, ErrClosed)
-		}
-		return ws.decisionFrame(ws.c.Decision()), false
 
 	case wire.TResync:
 		if ws.c == nil {
@@ -272,16 +249,18 @@ func (ws *wireSession) errorFrame(code int, msg string) []byte {
 	return ws.enc.Error(&wire.ErrorMsg{Code: code, Msg: msg})
 }
 
-// ingestErrCode mirrors handleSnapshot's HTTP status mapping so the
-// stream and JSON surfaces classify faults identically.
-func ingestErrCode(err error) int {
+// statusOf classifies a controller error for both surfaces' snapshot and
+// failure routes: the lifecycle and configuration conditions are the
+// server's (503 closed, 500 never servable); anything else is fallback —
+// 400 where only the caller's input can be at fault.
+func statusOf(err error, fallback int) int {
 	switch {
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrNeverServable):
 		return http.StatusInternalServerError
 	default:
-		return http.StatusBadRequest
+		return fallback
 	}
 }
 

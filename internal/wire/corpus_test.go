@@ -46,8 +46,6 @@ func seedFrames() map[string][]byte {
 	}
 	add("delta", delta)
 
-	add("failures", e.Failures(&Failures{Links: [][2]int{{0, 3}, {2, 5}}}))
-	add("routing", e.Routing())
 	add("resync", e.Resync())
 	add("ack", e.Ack())
 	add("error", e.Error(&ErrorMsg{Code: 503, Msg: "solver warming"}))

@@ -1,10 +1,9 @@
 // Package wire is the compact binary serving protocol: a
 // length-prefixed, version-tagged, CRC-32-checksummed frame codec for
-// demand snapshots, routing decisions and failure reports, built on the
-// same engineering pattern as te.PathStore (explicit little-endian
-// framing, checksum-first validation, bounds-checked decoding that
-// errors instead of panicking on any corrupt, truncated or
-// foreign-format input).
+// demand snapshots and routing decisions, built on the same engineering
+// pattern as te.PathStore (explicit little-endian framing, checksum-first
+// validation, bounds-checked decoding that errors instead of panicking on
+// any corrupt, truncated or foreign-format input).
 //
 // The JSON API stays the compatibility surface; wire is the
 // incrementally-deployable fast path next to it. Frames travel either
@@ -66,32 +65,31 @@ const (
 // MsgType identifies a frame's payload schema.
 type MsgType uint8
 
+// The numbers are the protocol: 6 and 7 belonged to the stream's failure
+// report and current-decision request, retired with no caller (control is
+// JSON), and stay unassigned so every other type keeps its value.
 const (
 	// THello binds a stream connection to a topology (client → server;
 	// first frame on a stream).
-	THello MsgType = 1 + iota
+	THello MsgType = 1
 	// THelloAck confirms the binding and carries the topology's pair and
 	// path counts for client-side validation.
-	THelloAck
+	THelloAck MsgType = 2
 	// TSnapshot ingests one demand snapshot.
-	TSnapshot
+	TSnapshot MsgType = 3
 	// TDecision is a full routing decision.
-	TDecision
+	TDecision MsgType = 4
 	// TDelta is a delta-encoded routing decision: a base sequence number
 	// plus only the pairs whose splits changed.
-	TDelta
-	// TFailures installs the failed-link set (empty clears).
-	TFailures
-	// TRouting requests the currently published decision.
-	TRouting
+	TDelta MsgType = 5
 	// TResync requests a full (non-delta) decision, resetting the
 	// server's delta base.
-	TResync
+	TResync MsgType = 8
 	// TAck acknowledges a request with no decision payload (async
 	// ingest).
-	TAck
+	TAck MsgType = 9
 	// TError carries an error code and message.
-	TError
+	TError MsgType = 10
 )
 
 func (t MsgType) String() string {
@@ -106,10 +104,6 @@ func (t MsgType) String() string {
 		return "decision"
 	case TDelta:
 		return "delta"
-	case TFailures:
-		return "failures"
-	case TRouting:
-		return "routing"
 	case TResync:
 		return "resync"
 	case TAck:
@@ -197,12 +191,6 @@ type DeltaPair struct {
 	// Ratios are the pair's split ratios, aligned with the layout's path
 	// list for the pair.
 	Ratios []float64
-}
-
-// Failures reports failed undirected links by vertex pair (empty
-// clears).
-type Failures struct {
-	Links [][2]int
 }
 
 // ErrorMsg is a wire-level error response.
@@ -375,23 +363,6 @@ func (e *Encoder) DecisionDelta(prev, next *Decision, layout Layout) ([]byte, bo
 		}
 	}
 	return e.seal(), true
-}
-
-// Failures encodes a failed-link report.
-func (e *Encoder) Failures(m *Failures) []byte {
-	e.begin(TFailures)
-	e.u32(uint32(len(m.Links)))
-	for _, l := range m.Links {
-		e.u32(uint32(l[0]))
-		e.u32(uint32(l[1]))
-	}
-	return e.seal()
-}
-
-// Routing encodes a current-decision request.
-func (e *Encoder) Routing() []byte {
-	e.begin(TRouting)
-	return e.seal()
 }
 
 // Resync encodes a full-decision resync request.
@@ -657,24 +628,6 @@ func DecodeDelta(p []byte, m *Delta) error {
 		return err
 	}
 	return nil
-}
-
-// DecodeFailures decodes a TFailures payload into m.
-func DecodeFailures(p []byte, m *Failures) error {
-	r := &reader{data: p}
-	n := int(r.u32())
-	if n < 0 || r.off+8*n > len(r.data) {
-		return frameErr("%s claims %d links with %d bytes left", TFailures, n, len(r.data)-r.off)
-	}
-	if cap(m.Links) < n {
-		m.Links = make([][2]int, n)
-	}
-	m.Links = m.Links[:n]
-	for i := range m.Links {
-		m.Links[i][0] = int(r.u32())
-		m.Links[i][1] = int(r.u32())
-	}
-	return payloadErr(TFailures, r)
 }
 
 // DecodeError decodes a TError payload into m.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -87,13 +88,6 @@ func TestRoundTrip(t *testing.T) {
 		return &m, err
 	}, warm)
 
-	fails := &Failures{Links: [][2]int{{0, 3}, {7, 9}}}
-	check("failures", e.Failures(fails), TFailures, func(p []byte) (any, error) {
-		var m Failures
-		err := DecodeFailures(p, &m)
-		return &m, err
-	}, fails)
-
 	em := &ErrorMsg{Code: 503, Msg: "controller closed"}
 	check("error", e.Error(em), TError, func(p []byte) (any, error) {
 		var m ErrorMsg
@@ -101,14 +95,13 @@ func TestRoundTrip(t *testing.T) {
 		return &m, err
 	}, em)
 
-	// The frames must be copied one call at a time: all three encode
-	// calls share e's reusable buffer.
+	// The frames must be copied one call at a time: both encode calls
+	// share e's reusable buffer.
 	for _, tc := range []struct {
 		name  string
 		frame []byte
 		typ   MsgType
 	}{
-		{"routing", append([]byte(nil), e.Routing()...), TRouting},
 		{"resync", append([]byte(nil), e.Resync()...), TResync},
 		{"ack", append([]byte(nil), e.Ack()...), TAck},
 	} {
@@ -122,6 +115,26 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMsgTypeNumbers pins the protocol's type numbers. 6 and 7 were the
+// stream's failure report and routing query; they stay unassigned so a
+// peer that still sends one gets "unexpected frame", never another
+// message's decoder.
+func TestMsgTypeNumbers(t *testing.T) {
+	for _, tc := range []struct {
+		typ  MsgType
+		want uint8
+	}{{THello, 1}, {THelloAck, 2}, {TSnapshot, 3}, {TDecision, 4}, {TDelta, 5}, {TResync, 8}, {TAck, 9}, {TError, 10}} {
+		if uint8(tc.typ) != tc.want {
+			t.Errorf("%s = %d, want %d", tc.typ, uint8(tc.typ), tc.want)
+		}
+	}
+	for _, retired := range []MsgType{6, 7} {
+		if s := retired.String(); !strings.HasPrefix(s, "wire.MsgType(") {
+			t.Errorf("retired type %d still has a name: %s", uint8(retired), s)
+		}
+	}
+}
+
 // TestReadFrameStream checks stream framing: back-to-back frames decode
 // in order, a clean boundary yields io.EOF verbatim, and mid-frame
 // truncation is an ErrFrame.
@@ -130,12 +143,12 @@ func TestReadFrameStream(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(e.Snapshot(&Snapshot{Demand: []float64{1, 2, 3}}))
 	buf.Write(e.Ack())
-	buf.Write(e.Routing())
+	buf.Write(e.Resync())
 	full := append([]byte(nil), buf.Bytes()...)
 
 	var d Decoder
 	r := bytes.NewReader(full)
-	for i, want := range []MsgType{TSnapshot, TAck, TRouting} {
+	for i, want := range []MsgType{TSnapshot, TAck, TResync} {
 		typ, _, err := d.ReadFrame(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
@@ -249,7 +262,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(append([]byte(nil), e.Decision(decision(1, 0.5, 0.5, 1, 0, 0))...))
 	f.Add(append([]byte(nil), e.Snapshot(&Snapshot{Demand: []float64{1, 2}})...))
 	f.Add(append([]byte(nil), e.Hello(&Hello{Topo: "x", Delta: true})...))
-	f.Add(append([]byte(nil), e.Failures(&Failures{Links: [][2]int{{1, 2}}})...))
+	retired := append([]byte(nil), e.Resync()...)
+	retired[5] = 6 // a type number no longer assigned
+	reseal(retired)
+	f.Add(retired)
 	f.Add([]byte{})
 	f.Add([]byte{6, 0, 0, 0, Version, byte(TAck), 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -281,9 +297,6 @@ func FuzzDecodeFrame(f *testing.F) {
 				base.Version = m.Version
 				_ = ApplyDelta(&base, &m, layout2, &out) //figret:allow(errwire) fuzz contract is absence of panics, the error value is immaterial
 			}
-		case TFailures:
-			var m Failures
-			_ = DecodeFailures(payload, &m) //figret:allow(errwire) fuzz contract is absence of panics, the error value is immaterial
 		case TError:
 			var m ErrorMsg
 			_ = DecodeError(payload, &m) //figret:allow(errwire) fuzz contract is absence of panics, the error value is immaterial

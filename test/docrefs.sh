@@ -12,7 +12,10 @@
 #     with a capital in it is declared (func, method, type, const, var or
 #     field) in that package. Lower-case and under_scored components are
 #     file extensions and metric names, not identifiers, and are skipped;
-#     test names fall under the first rule.
+#     test names fall under the first rule;
+#   - a span that is exactly `-name` is a flag some cmd/*/main.go defines,
+#     or one of the few `go test` flags the docs quote: a flag that was
+#     deleted is history, and history lives in CHANGES.md.
 #
 # With an argument it checks that tree instead (an exported parent, say).
 #
@@ -30,6 +33,12 @@ miss() {
 # Test functions of the whole tree, one name per line.
 tests="$(find . -name '*_test.go' -not -path './.bench_build/*' -print0 |
   xargs -0 sed -nE 's/^func ((Test|Fuzz|Benchmark)[A-Za-z0-9_]*)\(.*/\1/p' | sort -u)"
+
+# Flags the CLIs define — flag.X("name", …), fs.XVar(&v, "name", …) — and
+# the go test flags.
+flags="$(grep -ohE '\b(flag|fs)\.[A-Za-z0-9]+\((&[^,]+, )?"[A-Za-z0-9-]+"' cmd/*/main.go |
+  sed -E 's/.*"([^"]+)"$/\1/' | sort -u)"
+flags+=$'\nrace\nshort\nrun\nbench\ncount\nfuzz\nv'
 
 # declared <dir> <ident>: ident is declared at top level of, or as a field
 # or block member in, a non-test file of dir.
@@ -53,6 +62,12 @@ for doc in "${docs[@]}"; do
     [[ -e "$path" ]] || miss "$doc" "$path" "does not exist"
   done < <(grep -oE '(^|[^A-Za-z0-9_-])(internal|cmd|test|examples|scenarios|benchmark)/[A-Za-z0-9_./-]*' <<<"$spans" |
     sed -E 's/^[^a-z]*//' | sort -u)
+
+  # shellcheck disable=SC2016 # the backticks are the pattern, not a command
+  while read -r flag; do
+    [[ -z "$flag" ]] && continue
+    grep -qx -- "${flag#-}" <<<"$flags" || miss "$doc" "$flag" "is no flag of cmd/*/main.go, nor a go test flag"
+  done < <(grep -oxE '`-[A-Za-z][A-Za-z0-9-]*`' <<<"$spans" | tr -d '`' | sort -u)
 
   while read -r ref; do
     [[ -z "$ref" ]] && continue
