@@ -51,11 +51,12 @@ type Config struct {
 	// fixed BatchSize the trajectory is bitwise identical to sequential
 	// per-sample evaluation with gradient accumulation (TrainSequential).
 	BatchSize int
-	// TrainWorkers bounds the goroutines a training step's kernels —
-	// forward and backward tiles, the Adam sweep — fan out over. Every
-	// output, gradient row and parameter has one writer and a fixed
-	// accumulation order, so the loss trajectory and the trained weights
-	// are bitwise identical for every value (DESIGN.md §10). 0 (the
+	// TrainWorkers bounds the goroutines a training step fans out over:
+	// its kernels — forward and backward tiles, the Adam sweep — and the
+	// per-row work around them, window assembly and loss scoring. Every
+	// output, gradient row, parameter and batch row has one writer and a
+	// fixed accumulation order, so the loss trajectory and the trained
+	// weights are bitwise identical for every value (DESIGN.md §10). 0 (the
 	// default) selects GOMAXPROCS; 1 trains on the calling goroutine alone
 	// and starts no other — the way to confine a retrain to one core.
 	// Excluded from model serialization: it is an execution knob of the
@@ -207,10 +208,13 @@ func (m *Model) sampleOrder(tr *traffic.Trace) []int {
 // engine (nn.DataParallel, DESIGN.md §10): each shuffled minibatch of
 // Cfg.BatchSize windows is assembled into a row-major [B][H·K] matrix in
 // scaled form (scaledWindowInto, single pass, no allocation), forwarded,
-// scored row by row (lossAndGrad) and backpropagated by kernels that fan
-// out over Cfg.TrainWorkers goroutines, then Adam steps. The loss
-// trajectory and final weights are bitwise identical for every worker
-// count, and bitwise identical to TrainSequential at every BatchSize.
+// scored row by row (lossAndGrad) and backpropagated, then Adam steps.
+// The kernels and, on a path set large enough to pay for it
+// (nn.DataParallel.ForRows), the rows of assembly and scoring fan out over
+// Cfg.TrainWorkers goroutines; each row writes only its own slots and the
+// epoch sums run in row order afterwards, so the loss trajectory and final
+// weights are bitwise identical for every worker count, and bitwise
+// identical to TrainSequential at every BatchSize.
 func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 	if err := m.fitTrace(tr); err != nil {
 		return TrainStats{}, err
@@ -229,17 +233,21 @@ func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 	xb := make([]float64, batch*in)  // minibatch input matrix [B][H·K]
 	losses := make([]float64, batch) // per-sample losses, summed in order
 	mlus := make([]float64, batch)
-	ls := newLossScratch(m.PS)
-	var mb []int // targets of the minibatch currently being scored
+	ls := make([]*lossScratch, batch) // one per row chunk, made by the first worker to score it
+	var mb []int                      // targets of the minibatch currently being scored
 	score := func(_ int, y []float64, r0, r1 int, dy []float64) {
 		P := m.PS.NumPaths()
-		for bi := r0; bi < r1; bi++ {
-			yr := y[(bi-r0)*P : (bi-r0+1)*P]
-			r := normalizePerPairInto(m.PS, yr, ls)
-			loss, mlu, gr := m.lossAndGrad(r, tr.At(mb[bi]), ls)
-			normalizeGradInto(m.PS, gr, ls, dy[(bi-r0)*P:(bi-r0+1)*P])
-			losses[bi], mlus[bi] = loss, mlu
-		}
+		eng.ForRows(r1-r0, scoreWork(m.PS, r1-r0), func(k, lo, hi int) {
+			if ls[k] == nil {
+				ls[k] = newLossScratch(m.PS)
+			}
+			for i := lo; i < hi; i++ {
+				r := normalizePerPairInto(m.PS, y[i*P:(i+1)*P], ls[k])
+				loss, mlu, gr := m.lossAndGrad(r, tr.At(mb[r0+i]), ls[k])
+				normalizeGradInto(m.PS, gr, ls[k], dy[i*P:(i+1)*P])
+				losses[r0+i], mlus[r0+i] = loss, mlu
+			}
+		})
 	}
 
 	stats := TrainStats{}
@@ -252,13 +260,15 @@ func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 				bs = rem
 			}
 			mb = order[start : start+bs]
-			for bi, t := range mb {
-				wt := t
-				if m.Cfg.SelfTarget {
-					wt = t + 1
+			eng.ForRows(bs, bs*in, func(_, lo, hi int) {
+				for bi := lo; bi < hi; bi++ {
+					wt := mb[bi]
+					if m.Cfg.SelfTarget {
+						wt++
+					}
+					m.scaledWindowInto(xb[bi*in:(bi+1)*in], tr, wt)
 				}
-				m.scaledWindowInto(xb[bi*in:(bi+1)*in], tr, wt)
-			}
+			})
 			eng.Accumulate(xb[:bs*in], bs, score)
 			eng.Step(opt)
 			for bi := 0; bi < bs; bi++ {
@@ -440,9 +450,9 @@ func (m *Model) normalizedWindow(tr *traffic.Trace, t int) []float64 {
 	return w
 }
 
-// lossScratch holds every reusable buffer one loss-evaluation worker
-// needs; the batched trainer keeps a pool of these so minibatch samples
-// can be scored in parallel without any per-step allocation.
+// lossScratch holds every reusable buffer one loss evaluation needs. Train
+// keeps one per chunk of minibatch rows it scores side by side (one in all
+// when scoring stays on the calling goroutine), TrainSequential one.
 type lossScratch struct {
 	flows []float64
 	util  []float64
@@ -450,6 +460,15 @@ type lossScratch struct {
 	gr    []float64
 	r     []float64 // per-pair-normalized split ratios
 	sums  []float64 // per-pair raw-output sums (for the backward map)
+}
+
+// scoreWork sizes the scoring of b rows for nn's fan-out threshold, whose
+// unit is a kernel's multiply-add: what a row costs is its sweeps over the
+// path set's path–edge incidences (EdgeFlows, then the smooth-max
+// gradient), one multiply-add an incidence, counted as one sweep.
+func scoreWork(ps *te.PathSet, b int) int {
+	ids, _ := ps.EdgeCSR()
+	return b * len(ids)
 }
 
 func newLossScratch(ps *te.PathSet) *lossScratch {

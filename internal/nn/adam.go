@@ -63,7 +63,7 @@ func (a *Adam) step(net *MLP, workers int) {
 			a.update(params, grads, mBuf, vBuf, c1, c2)
 			return
 		}
-		parallelFor(fanOut(workers), len(params), func(lo, hi int) {
+		parallelFor(fanOut(workers), len(params), func(_, lo, hi int) {
 			a.update(params[lo:hi], grads[lo:hi], mBuf[lo:hi], vBuf[lo:hi], c1, c2)
 		})
 	})
@@ -73,7 +73,11 @@ func (a *Adam) step(net *MLP, workers int) {
 }
 
 // update is the Adam rule over one run of parameters, zeroing each
-// gradient once read; c1, c2 are the step's bias corrections.
+// gradient once read; c1, c2 are the step's bias corrections. A parameter
+// whose g, m and v are all +0 is passed over: the rule would store +0 back
+// to all three and subtract lr·(+0/c1)/(√(+0/c2)+ε) = +0 from p, which
+// leaves every p — −0 included — as it was. Any other bit pattern (g = −0,
+// a denormal moment, a unit that just woke) takes the rule (DESIGN.md §10).
 func (a *Adam) update(params, grads, mBuf, vBuf []float64, c1, c2 float64) {
 	n := len(params)
 	grads = grads[:n]
@@ -81,6 +85,9 @@ func (a *Adam) update(params, grads, mBuf, vBuf []float64, c1, c2 float64) {
 	vBuf = vBuf[:n]
 	for i := range params {
 		g := grads[i]
+		if math.Float64bits(g)|math.Float64bits(mBuf[i])|math.Float64bits(vBuf[i]) == 0 {
+			continue
+		}
 		grads[i] = 0
 		mBuf[i] = a.Beta1*mBuf[i] + (1-a.Beta1)*g
 		vBuf[i] = a.Beta2*vBuf[i] + (1-a.Beta2)*g*g
@@ -88,20 +95,4 @@ func (a *Adam) update(params, grads, mBuf, vBuf []float64, c1, c2 float64) {
 		vh := vBuf[i] / c2
 		params[i] -= a.LR * mh / (math.Sqrt(vh) + a.Epsilon)
 	}
-}
-
-// SGD is a plain stochastic-gradient-descent optimizer, provided as a
-// baseline for the optimizer ablation.
-type SGD struct {
-	LR float64
-}
-
-// Step applies one SGD update and clears gradients.
-func (s SGD) Step(net *MLP) {
-	net.VisitParams(func(params, grads []float64) {
-		for i := range params {
-			params[i] -= s.LR * grads[i]
-		}
-	})
-	net.ZeroGrads()
 }

@@ -63,15 +63,16 @@ func (a *mapAdam) Step(net *MLP) {
 // at 3 and 7 workers.
 func TestAdamMatchesMapImplementation(t *testing.T) {
 	small := func() *MLP { return testNet(t, 11) }
-	big := func() *MLP {
-		return NewMLP([]int{300, 230, 5}, ReLU, Sigmoid, rand.New(rand.NewSource(11)))
-	}
 	adamMatchesMap(t, "small", 25, small(), small(), (*Adam).Step)
-	adamMatchesMap(t, "big", 5, big(), big(), (*Adam).Step)
+	adamMatchesMap(t, "big", 5, bigAdamNet(), bigAdamNet(), (*Adam).Step)
 	for _, w := range []int{1, 3, 7} {
-		adamMatchesMap(t, fmt.Sprintf("big workers=%d", w), 5, big(), big(),
+		adamMatchesMap(t, fmt.Sprintf("big workers=%d", w), 5, bigAdamNet(), bigAdamNet(),
 			func(opt *Adam, m *MLP) { opt.step(m, w) })
 	}
+}
+
+func bigAdamNet() *MLP {
+	return NewMLP([]int{300, 230, 5}, ReLU, Sigmoid, rand.New(rand.NewSource(11)))
 }
 
 func adamMatchesMap(t *testing.T, label string, steps int, a, b *MLP, stepA func(*Adam, *MLP)) {
@@ -95,24 +96,120 @@ func adamMatchesMap(t *testing.T, label string, steps int, a, b *MLP, stepA func
 		setGrads(b, seed)
 		stepA(optA, a)
 		optB.Step(b)
-		for li := range a.Layers {
-			la, lb := a.Layers[li], b.Layers[li]
-			for i := range la.W {
-				if la.W[i] != lb.W[i] {
-					t.Fatalf("%s: step %d layer %d W[%d]: %v vs %v", label, step, li, i, la.W[i], lb.W[i])
-				}
-				if la.GW[i] != 0 {
-					t.Fatalf("%s: step %d layer %d GW[%d] = %v after Step, want cleared", label, step, li, i, la.GW[i])
+		adamStateEqual(t, fmt.Sprintf("%s: step %d", label, step), a, b, optA, optB)
+	}
+}
+
+// adamStateEqual requires everything a step leaves behind to agree bit for
+// bit — compared as bits, because −0 == +0 and a skipped update must not
+// even flip a sign: parameters, both moment buffers, and gradients cleared
+// to +0.
+func adamStateEqual(t *testing.T, label string, a, b *MLP, optA *Adam, optB *mapAdam) {
+	t.Helper()
+	var pb [][]float64
+	b.VisitParams(func(params, _ []float64) { pb = append(pb, params) })
+	ti := 0
+	a.VisitParams(func(pa, ga []float64) {
+		key := &pb[ti][0]
+		for _, c := range []struct {
+			name      string
+			got, want []float64
+		}{
+			{"param", pa, pb[ti]},
+			{"m", optA.m[ti], optB.m[key]},
+			{"v", optA.v[ti], optB.v[key]},
+			{"cleared gradient", ga, make([]float64, len(ga))},
+		} {
+			for i := range c.got {
+				if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
+					t.Fatalf("%s tensor %d %s[%d]: %v (%#x), want %v (%#x)", label, ti, c.name, i,
+						c.got[i], math.Float64bits(c.got[i]), c.want[i], math.Float64bits(c.want[i]))
 				}
 			}
-			for i := range la.B {
-				if la.B[i] != lb.B[i] {
-					t.Fatalf("%s: step %d layer %d B[%d]: %v vs %v", label, step, li, i, la.B[i], lb.B[i])
-				}
-				if la.GB[i] != 0 {
-					t.Fatalf("%s: step %d layer %d GB[%d] = %v after Step, want cleared", label, step, li, i, la.GB[i])
+		}
+		ti++
+	})
+}
+
+// TestAdamSkipIsIdentity holds the skip in update — pass over a parameter
+// whose g, m and v are all +0 — against the reference that never skips, on
+// the states training produces and random gradients never do. Every tensor
+// is cut into runs of 100 elements of six kinds: never any gradient (a dead
+// unit's weight row); zeros interleaved with non-zeros; g = −0, which the
+// rule clears to +0; asleep for three steps, awake for two, then asleep
+// again on live moments, which must go on decaying and moving the
+// parameter; always live; and no gradient but moments at the smallest
+// denormal. Some parameters of every kind start at −0. The 300×230 tensor
+// is above parallelThreshold, so workers 3 and 7 cut it mid-run.
+func TestAdamSkipIsIdentity(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	const run, kinds, denormalKind = 100, 6, 5
+	mk := func() *MLP {
+		m := bigAdamNet()
+		m.VisitParams(func(params, _ []float64) {
+			for i := range params {
+				if i%3 == 0 {
+					params[i] = negZero
 				}
 			}
+		})
+		return m
+	}
+	setGrads := func(m *MLP, step int) {
+		r := rand.New(rand.NewSource(int64(step)))
+		m.VisitParams(func(_, grads []float64) {
+			for i := range grads {
+				x := r.NormFloat64()
+				switch (i / run) % kinds {
+				case 0, denormalKind:
+					x = 0
+				case 1:
+					if i%2 == 0 {
+						x = 0
+					}
+				case 2:
+					x = negZero
+				case 3:
+					if step < 3 || step >= 5 {
+						x = 0
+					}
+				}
+				grads[i] = x
+			}
+		})
+	}
+	// tiny plants denormal moments where the buffers are still +0: m alone,
+	// v alone, both.
+	tiny := func(mBuf, vBuf []float64) {
+		for i := range mBuf {
+			if (i/run)%kinds != denormalKind {
+				continue
+			}
+			if i%3 != 1 {
+				mBuf[i] = math.SmallestNonzeroFloat64
+			}
+			if i%3 != 0 {
+				vBuf[i] = math.SmallestNonzeroFloat64
+			}
+		}
+	}
+	for _, w := range []int{0, 1, 3, 7} {
+		a, b := mk(), mk()
+		optA, optB := NewAdam(3e-3), newMapAdam(3e-3)
+		for step := 0; step < 8; step++ {
+			setGrads(a, step)
+			setGrads(b, step)
+			optA.step(a, w)
+			optB.Step(b)
+			if step == 0 { // the first step made the buffers
+				ti := 0
+				b.VisitParams(func(params, _ []float64) {
+					tiny(optA.m[ti], optA.v[ti])
+					tiny(optB.m[&params[0]], optB.v[&params[0]])
+					ti++
+				})
+			}
+			adamStateEqual(t, fmt.Sprintf("workers=%d step %d", w, step), a, b, optA, optB)
 		}
 	}
 }

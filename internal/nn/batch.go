@@ -174,7 +174,7 @@ func (d *Dense) batchForward(x, y []float64, b, workers int) {
 	}
 	nb := (b + tileRows - 1) / tileRows
 	no := (d.Out + tileOuts - 1) / tileOuts
-	parallelFor(workers, nb*no, func(lo, hi int) {
+	parallelFor(workers, nb*no, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			b0 := (t / no) * tileRows
 			o0 := (t % no) * tileOuts
@@ -262,7 +262,7 @@ func (d *Dense) batchBackward(x, y, dy, dx []float64, b, workers int) {
 	if serial {
 		d.backwardGradBlock(x, y, dy, 0, d.Out, b)
 	} else {
-		parallelFor(workers, (d.Out+tileOuts-1)/tileOuts, func(lo, hi int) {
+		parallelFor(workers, (d.Out+tileOuts-1)/tileOuts, func(_, lo, hi int) {
 			for t := lo; t < hi; t++ {
 				o0 := t * tileOuts
 				d.backwardGradBlock(x, y, dy, o0, min(o0+tileOuts, d.Out), b)
@@ -279,7 +279,7 @@ func (d *Dense) batchBackward(x, y, dy, dx []float64, b, workers int) {
 	if serial {
 		d.backwardInputBlock(dy, dx, 0, b)
 	} else {
-		parallelFor(workers, b, func(lo, hi int) {
+		parallelFor(workers, b, func(_, lo, hi int) {
 			d.backwardInputBlock(dy, dx, lo, hi)
 		})
 	}

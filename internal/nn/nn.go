@@ -195,30 +195,31 @@ func fanOut(workers int) int {
 	return workers
 }
 
-// parallelFor cuts [0, n) into at most workers contiguous chunks and runs f
-// on each, concurrently when there is more than one: the first on the
-// calling goroutine, each other on its own. The chunking decides only
+// parallelFor cuts [0, n) into at most workers contiguous chunks and runs
+// f(k, lo, hi) on chunk k, concurrently when there is more than one: chunk 0
+// on the calling goroutine, each other on its own. The chunking decides only
 // which goroutine runs an index, so a caller whose indices write disjoint
-// memory gets the same bits for every workers.
-func parallelFor(workers, n int, f func(lo, hi int)) {
+// memory gets the same bits for every workers; k lets one that needs scratch
+// keep one per chunk.
+func parallelFor(workers, n int, f func(k, lo, hi int)) {
 	nsh := workers
 	if nsh > n {
 		nsh = n
 	}
 	if nsh <= 1 {
-		f(0, n)
+		f(0, 0, n)
 		return
 	}
 	chunk := (n + nsh - 1) / nsh
 	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
+	for k := 1; k*chunk < n; k++ {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(k int) {
 			defer wg.Done()
-			f(lo, hi)
-		}(lo, min(lo+chunk, n))
+			f(k, k*chunk, min((k+1)*chunk, n))
+		}(k)
 	}
-	f(0, chunk)
+	f(0, 0, chunk)
 	wg.Wait()
 }
 

@@ -193,23 +193,6 @@ func TestAdamConvergesOnRegression(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	net := NewMLP([]int{1, 1}, Identity, Identity, rng)
-	l := net.Layers[0]
-	l.W[0], l.B[0] = 1, 0
-	y := net.Forward([]float64{2})
-	_ = y
-	net.Backward([]float64{1}) // dL/dy = 1 -> dW = x = 2, dB = 1
-	SGD{LR: 0.1}.Step(net)
-	if math.Abs(l.W[0]-0.8) > 1e-12 || math.Abs(l.B[0]+0.1) > 1e-12 {
-		t.Errorf("SGD update: W=%v B=%v", l.W[0], l.B[0])
-	}
-	if l.GW[0] != 0 || l.GB[0] != 0 {
-		t.Error("grads not cleared after step")
-	}
-}
-
 func TestMLPJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	net := NewMLP([]int{3, 7, 2}, ReLU, Sigmoid, rng)

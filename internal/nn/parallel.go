@@ -18,7 +18,9 @@ import (
 // micro-batch's forward output y of shape [r1-r0][Out] and its row range
 // [r0, r1), and must fill dy (same shape as y) with dL/dy. The engine
 // scores a micro-batch in one call, so lane is always 0 and [r0, r1) is
-// [0, b); the five-argument shape is pinned by benchmark/probes.go.
+// [0, b) — a ScoreFunc that wants its rows on every core fans them out
+// itself through ForRows; the five-argument shape is pinned by
+// benchmark/probes.go.
 type ScoreFunc func(lane int, y []float64, r0, r1 int, dy []float64)
 
 // DataParallel runs minibatch forward/backward passes on a worker pool
@@ -78,6 +80,24 @@ func (e *DataParallel) Accumulate(x []float64, b int, score ScoreFunc) {
 	dy := e.dy[:b*out]
 	score(0, y, 0, b, dy)
 	e.m.batchBackward(dy, b, e.scratch, e.workers, false)
+}
+
+// ForRows runs f(k, lo, hi) over the rows [0, b) of a micro-batch, for the
+// per-row work a trainer does around the kernels (assembling inputs,
+// scoring outputs), under the kernels' own rule: a pass of at least
+// parallelThreshold element operations (work) is cut into contiguous
+// chunks over the engine's workers, chunk k < min(workers, b) on its own
+// goroutine and chunk 0 on the caller's; a smaller pass, or an engine of
+// one worker, is the single call f(0, 0, b) and starts none. Which rows
+// share a chunk depends on the worker count, so f must compute each row
+// from that row alone into slots no other row writes — then no bit depends
+// on the fan-out. k is for per-chunk scratch.
+func (e *DataParallel) ForRows(b, work int, f func(k, lo, hi int)) {
+	if work < parallelThreshold {
+		f(0, 0, b)
+		return
+	}
+	parallelFor(e.workers, b, f)
 }
 
 // Reduce does nothing: Accumulate leaves the whole gradient in the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -210,6 +211,49 @@ func TestDataParallelMacroEqualsFlat(t *testing.T) {
 		for cut := 1; cut < c.b; cut++ {
 			got := engineGrads(c.mk(), 3, [][]float64{flat[:cut*in], flat[cut*in:]}, []int{cut, c.b - cut})
 			gradsEqual(t, fmt.Sprintf("in=%d cut=%d", in, cut), want, got)
+		}
+	}
+}
+
+// TestDataParallelForRows pins the row fan-out a trainer's scoring and input
+// assembly ride on: a pass below parallelThreshold, or an engine of one
+// worker, is the one call f(0, 0, b) — no goroutine — and above it the
+// chunks are numbered from 0, contiguous, and cover every row once:
+// ⌈b/min(workers, b)⌉ rows each, so 5 rows over 3 workers are 2+2+1, 16
+// over 7 are five 3s and a 1, and workers beyond the rows get nothing.
+func TestDataParallelForRows(t *testing.T) {
+	m := testNet(t, 1)
+	for _, c := range []struct{ workers, b, work, chunks int }{
+		{8, 16, parallelThreshold - 1, 1},
+		{1, 16, parallelThreshold, 1},
+		{2, 16, parallelThreshold, 2},
+		{3, 5, parallelThreshold, 3},
+		{7, 16, 4 * parallelThreshold, 6},
+		{40, 3, parallelThreshold, 3},
+		{2, 1, parallelThreshold, 1},
+	} {
+		var mu sync.Mutex
+		bounds := map[int][2]int{}
+		NewDataParallel(m, c.workers).ForRows(c.b, c.work, func(k, lo, hi int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if _, dup := bounds[k]; dup {
+				t.Errorf("%+v: chunk %d ran twice", c, k)
+			}
+			bounds[k] = [2]int{lo, hi}
+		})
+		if len(bounds) != c.chunks {
+			t.Errorf("%+v: %d chunks: %v", c, len(bounds), bounds)
+		}
+		next := 0
+		for k := 0; k < len(bounds); k++ {
+			if r, ok := bounds[k]; !ok || r[0] != next || r[1] <= r[0] {
+				t.Fatalf("%+v: chunk %d is %v, want one starting at row %d: %v", c, k, r, next, bounds)
+			}
+			next = bounds[k][1]
+		}
+		if next != c.b {
+			t.Errorf("%+v: chunks end at row %d: %v", c, next, bounds)
 		}
 	}
 }
