@@ -51,9 +51,15 @@ func sum(m map[string]float64) float64 {
 }
 
 // TestInjectedWireDiscardCaught seeds a discarded wire decode error in a
-// package under any path: errwire is module-wide.
+// package under any path (errwire is module-wide), and a discarded error
+// of serve's JSON body decoders, which errwire names one by one.
 func TestInjectedWireDiscardCaught(t *testing.T) {
-	const src = `package anywhere
+	loader, err := NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ path, src, callee string }{
+		{"figret/internal/anywhere", `package anywhere
 
 import "figret/internal/wire"
 
@@ -61,25 +67,32 @@ func drop(p []byte) {
 	var m wire.Hello
 	_ = wire.DecodeHello(p, &m)
 }
-`
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "drop.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadDir(dir, "figret/internal/anywhere")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := DefaultSuite().Run(pkgs)
-	if len(diags) != 1 || diags[0].Check != "errwire" {
-		t.Fatalf("injected wire discard: got %v, want one errwire diagnostic", diags)
-	}
-	if !strings.Contains(diags[0].Message, "DecodeHello") {
-		t.Fatalf("diagnostic does not name the callee: %s", diags[0].Message)
+`, "DecodeHello"},
+		{"figret/internal/serve", `package serve
+
+func decodeSnapshotJSON(data []byte, v *int) error { return nil }
+
+func drop(p []byte) {
+	var v int
+	decodeSnapshotJSON(p, &v)
+}
+`, "decodeSnapshotJSON"},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "drop.go"), []byte(c.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pkgs, err := loader.LoadDir(dir, c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags := DefaultSuite().Run(pkgs)
+		if len(diags) != 1 || diags[0].Check != "errwire" {
+			t.Fatalf("injected discard of %s: got %v, want one errwire diagnostic", c.callee, diags)
+		}
+		if !strings.Contains(diags[0].Message, c.callee) {
+			t.Fatalf("diagnostic does not name the callee: %s", diags[0].Message)
+		}
 	}
 }
 

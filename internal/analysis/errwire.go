@@ -3,43 +3,47 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // NewErrWire returns the errwire analyzer: no call site anywhere in the
 // module may discard an error returned by a function or method of the
-// wire package (wirePkg) — the §11 contract is that decoders never
-// panic on hostile input *because* every caller checks the error; a
-// dropped error silently turns corrupt frames into stale or zeroed
-// state. Flagged shapes: a bare expression statement, go/defer
-// statements, and assignments of the error result to the blank
-// identifier.
-func NewErrWire(wirePkg string) *Analyzer {
+// wire package (wirePkg), or by one of decoders (types.Func full names,
+// "import/path.name") — the §11 contract is that decoders never panic on
+// hostile input *because* every caller checks the error; a dropped error
+// silently turns corrupt input into stale or zeroed state. Flagged
+// shapes: a bare expression statement, go/defer statements, and
+// assignments of the error result to the blank identifier.
+func NewErrWire(wirePkg string, decoders ...string) *Analyzer {
 	a := &Analyzer{
 		Name: "errwire",
-		Doc:  "errors from wire decode/apply calls must not be discarded",
+		Doc:  "errors from wire and body decode calls must not be discarded",
+	}
+	covered := func(f *types.Func) bool {
+		return f.Pkg().Path() == wirePkg || slices.Contains(decoders, f.FullName())
 	}
 	report := func(pass *Pass, call *ast.CallExpr, how string) {
 		f := funcObj(pass.Info, call)
-		pass.Reportf(call.Pos(), "%s error from wire.%s discarded: wire decoders report corruption only through their error (§11)", how, f.Name())
+		pass.Reportf(call.Pos(), "%s error from %s.%s discarded: decoders report corruption only through their error (§11)", how, f.Pkg().Name(), f.Name())
 	}
 	a.Run = func(pass *Pass) {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch st := n.(type) {
 				case *ast.ExprStmt:
-					if call, ok := st.X.(*ast.CallExpr); ok && wireErrCall(pass, call, wirePkg) {
+					if call, ok := st.X.(*ast.CallExpr); ok && wireErrCall(pass, call, covered) {
 						report(pass, call, "unchecked")
 					}
 				case *ast.GoStmt:
-					if wireErrCall(pass, st.Call, wirePkg) {
+					if wireErrCall(pass, st.Call, covered) {
 						report(pass, st.Call, "unchecked")
 					}
 				case *ast.DeferStmt:
-					if wireErrCall(pass, st.Call, wirePkg) {
+					if wireErrCall(pass, st.Call, covered) {
 						report(pass, st.Call, "unchecked")
 					}
 				case *ast.AssignStmt:
-					checkWireAssign(pass, st, wirePkg, report)
+					checkWireAssign(pass, st, covered, report)
 				}
 				return true
 			})
@@ -48,11 +52,11 @@ func NewErrWire(wirePkg string) *Analyzer {
 	return a
 }
 
-// wireErrCall reports whether call invokes a wirePkg function or method
+// wireErrCall reports whether call invokes a covered function or method
 // whose results include an error.
-func wireErrCall(pass *Pass, call *ast.CallExpr, wirePkg string) bool {
+func wireErrCall(pass *Pass, call *ast.CallExpr, covered func(*types.Func) bool) bool {
 	f := funcObj(pass.Info, call)
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != wirePkg {
+	if f == nil || f.Pkg() == nil || !covered(f) {
 		return false
 	}
 	return errResultIndex(f) >= 0
@@ -73,13 +77,13 @@ func errResultIndex(f *types.Func) int {
 	return -1
 }
 
-// checkWireAssign flags assignments that bind a wire call's error result
-// to the blank identifier.
-func checkWireAssign(pass *Pass, as *ast.AssignStmt, wirePkg string, report func(*Pass, *ast.CallExpr, string)) {
+// checkWireAssign flags assignments that bind a covered call's error
+// result to the blank identifier.
+func checkWireAssign(pass *Pass, as *ast.AssignStmt, covered func(*types.Func) bool, report func(*Pass, *ast.CallExpr, string)) {
 	// Multi-value form: x, err := call().
 	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
 		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok || !wireErrCall(pass, call, wirePkg) {
+		if !ok || !wireErrCall(pass, call, covered) {
 			return
 		}
 		idx := errResultIndex(funcObj(pass.Info, call))
@@ -93,7 +97,7 @@ func checkWireAssign(pass *Pass, as *ast.AssignStmt, wirePkg string, report func
 		if i >= len(as.Lhs) || !isBlank(as.Lhs[i]) {
 			continue
 		}
-		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && wireErrCall(pass, call, wirePkg) {
+		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && wireErrCall(pass, call, covered) {
 			// Only flag when the discarded value IS the error (a
 			// single-result error function).
 			f := funcObj(pass.Info, call)

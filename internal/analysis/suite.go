@@ -34,6 +34,13 @@ var viewFuncs = []ViewFunc{
 // wirePackage is the binary codec whose errors must never be discarded.
 const wirePackage = "figret/internal/wire"
 
+// bodyDecoders are the serving API's one-pass JSON body decoders, held to
+// the same rule: their error is encoding/json's verdict on the body.
+var bodyDecoders = []string{
+	"figret/internal/serve.decodeSnapshotJSON",
+	"figret/internal/serve.decodeRoutingJSON",
+}
+
 // DefaultSuite returns the project's analyzer suite with its production
 // configuration — the one cmd/figretvet runs and CI gates on.
 func DefaultSuite() *Suite {
@@ -41,7 +48,7 @@ func DefaultSuite() *Suite {
 		NewDetRange(detPackages),
 		NewDetSource(detPackages),
 		NewViewSafe(viewFuncs),
-		NewErrWire(wirePackage),
+		NewErrWire(wirePackage, bodyDecoders...),
 	}}
 }
 

@@ -23,24 +23,24 @@ func DecodeTwo(p []byte) (int, error) { return len(p), nil }
 func Size(p []byte) int { return len(p) }
 
 func exprStatement(p []byte) {
-	DecodeThing(p) // want errwire:"unchecked error from wire.DecodeThing"
+	DecodeThing(p) // want errwire:"unchecked error from errwire.DecodeThing"
 }
 
 func blankSingle(p []byte) {
-	_ = DecodeThing(p) // want errwire:"blank-assigned error from wire.DecodeThing"
+	_ = DecodeThing(p) // want errwire:"blank-assigned error from errwire.DecodeThing"
 }
 
 func blankMulti(p []byte) int {
-	n, _ := DecodeTwo(p) // want errwire:"blank-assigned error from wire.DecodeTwo"
+	n, _ := DecodeTwo(p) // want errwire:"blank-assigned error from errwire.DecodeTwo"
 	return n
 }
 
 func goStatement(p []byte) {
-	go DecodeThing(p) // want errwire:"unchecked error from wire.DecodeThing"
+	go DecodeThing(p) // want errwire:"unchecked error from errwire.DecodeThing"
 }
 
 func deferStatement(p []byte) {
-	defer DecodeThing(p) // want errwire:"unchecked error from wire.DecodeThing"
+	defer DecodeThing(p) // want errwire:"unchecked error from errwire.DecodeThing"
 }
 
 func checkedIsFine(p []byte) error {

@@ -60,8 +60,8 @@ func (c *Client) http() *http.Client {
 	return defaultHTTPClient
 }
 
-// do issues one request and decodes the JSON response into out (skipped
-// when out is nil).
+// do issues one request and decodes the JSON response into a zero out
+// (skipped when out is nil).
 func (c *Client) do(method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -83,15 +83,21 @@ func (c *Client) do(method, path string, body, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
+	buf := bodyBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer putBodyBuf(buf)
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBodyBytes)); err != nil {
 		return err
 	}
+	data := buf.Bytes()
 	if resp.StatusCode >= 400 {
 		return apiError(method, path, resp.StatusCode, data)
 	}
 	if out == nil {
 		return nil
+	}
+	if rr, ok := out.(*RoutingResponse); ok {
+		return decodeRoutingJSON(data, rr)
 	}
 	return json.Unmarshal(data, out)
 }

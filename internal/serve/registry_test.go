@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"figret/internal/figret"
 	"figret/internal/graph"
@@ -513,15 +517,45 @@ func TestAllocContracts(t *testing.T) {
 	}
 	perParam := float64(after.TotalAlloc-before.TotalAlloc) / 5 / float64(m.Net.NumParams())
 
+	// The JSON decision path's two bodies at GEANT's sizes: the snapshot
+	// decodes into the handler's scratch, the decision allocates its
+	// topology string and its ratio vector.
+	body, ratios := make([]float64, ps.Pairs.Count()), make([]float64, ps.NumPaths())
+	for i := range body {
+		body[i] = math.Sqrt(float64(i+1)) * 1e3
+	}
+	for i := range ratios {
+		ratios[i] = 1 / float64(i%3+2)
+	}
+	snapBody, err := json.Marshal(SnapshotRequest{Demand: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := SnapshotRequest{Demand: make([]float64, 0, len(body))}
+	snapDecode := testing.AllocsPerRun(20, func() { err = decodeSnapshotJSON(snapBody, &req) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, RoutingResponse{Topology: "geant", Seq: 9, Version: 1, Ratios: ratios, At: time.Now()})
+	var out RoutingResponse
+	routeDecode := testing.AllocsPerRun(20, func() { out = RoutingResponse{}; err = decodeRoutingJSON(rec.Body.Bytes(), &out) })
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	for _, c := range []struct {
 		what     string
 		got, max float64
 	}{
 		{"Controller.Ingest allocs/op", ingest, 7},
+		{"JSON snapshot decode allocs/op", snapDecode, 0},
+		{"JSON routing decode allocs/op", routeDecode, 2},
 		{"BinClient.Stream allocs/decision", stream, 8},
 		{"Registry.Install allocs/op", install, 57},
 		{"Registry.Install bytes/parameter", perParam, 17},
 	} {
+		t.Logf("%s = %.4g (bound %v)", c.what, c.got, c.max)
 		if c.got > c.max {
 			t.Errorf("%s = %.4g, want <= %v", c.what, c.got, c.max)
 		}

@@ -306,8 +306,21 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		if !readWireSnapshot(w, r, &req) {
 			return
 		}
-	} else if !readJSON(w, r, &req) {
-		return
+	} else {
+		// Ingest copies the demand, so a JSON body decodes into scratch.
+		p := floatsPool.Get().(*[]float64)
+		req.Demand = *p
+		defer func() { putFloats(p, req.Demand) }()
+		buf := readBody(w, r)
+		if buf == nil {
+			return
+		}
+		err := decodeSnapshotJSON(buf.Bytes(), &req)
+		putBodyBuf(buf)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
 	}
 	res, err := c.Ingest(req.Demand, !req.Async)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -426,10 +427,13 @@ func TestServerEndpoints(t *testing.T) {
 
 // TestIngestRejectsHostileDemand: a negative or non-finite demand entry is
 // the caller's fault on every transport (the binary ones carry raw float
-// bits, so they can deliver all four; JSON can spell only the negative
-// one). Each answers 400 and moves nothing — not the published decision,
-// not the ingest counter, not the durable spool — and the same connection
-// serves the next clean snapshot bitwise as offline inference does.
+// bits, so they can deliver all four; JSON can spell the negative one,
+// and ±1e400, which encoding/json refuses with its own text). Each answers
+// 400 and moves nothing — not the published decision, not the ingest
+// counter, not the durable spool — and the same connection serves the
+// next clean snapshot bitwise as offline inference does. A JSON body
+// pretty-printed, key-reordered or with "Demand" cased, spelling numbers
+// as 1.5E+02 and -0E+00, decides what the canonical body decides.
 func TestIngestRejectsHostileDemand(t *testing.T) {
 	ps, tr, m := fixture(t, 40, 5)
 	dir := t.TempDir()
@@ -482,6 +486,80 @@ func TestIngestRejectsHostileDemand(t *testing.T) {
 		}
 		if rr.Snapshot != int64(next-1) || !slices.Equal(rr.Ratios, want.R) {
 			t.Fatalf("%s: decision for snapshot %d after the rejected ones differs from offline inference", transport, rr.Snapshot)
+		}
+	}
+
+	// Raw JSON bodies, which the one-pass decoder declines and
+	// encoding/json answers for.
+	postRaw := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(client.BaseURL+"/v1/topologies/pod/snapshots", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+	spelled := func(d []float64, format byte) []string {
+		s := make([]string, len(d))
+		for i, v := range d {
+			s[i] = strconv.FormatFloat(v, format, -1, 64)
+		}
+		return s
+	}
+	// A number past float64's range: 400 with encoding/json's own text, and
+	// nothing moves.
+	for _, huge := range []string{"1e400", "-1e400"} {
+		s := spelled(tr.At(next), 'g')
+		s[3] = huge
+		body := `{"demand":[` + strings.Join(s, ",") + `]}`
+		want := json.Unmarshal([]byte(body), new(SnapshotRequest))
+		decided, snapshots, spooled := ctl.Decision(), ctl.Metrics().Snapshots, spoolLen()
+		code, resp := postRaw(body)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if want == nil || code != http.StatusBadRequest || json.Unmarshal(resp, &e) != nil || e.Error != want.Error() {
+			t.Fatalf("demand entry %s answered %d %s, want 400 with %v", huge, code, resp, want)
+		}
+		if ctl.Decision() != decided || ctl.Metrics().Snapshots != snapshots || spoolLen() != spooled {
+			t.Fatalf("rejected entry %s moved state", huge)
+		}
+	}
+	// The same demand spelled any way JSON allows decides the same bits. H
+	// canonical posts fill the window with it, so every later post of it
+	// decides on an identical window.
+	d := append([]float64(nil), tr.At(next)...)
+	d[0] = math.Copysign(0, -1)
+	canonical, err := json.Marshal(SnapshotRequest{Demand: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decide := func(body string) RoutingResponse {
+		t.Helper()
+		code, resp := postRaw(body)
+		var rr RoutingResponse
+		if code != http.StatusOK || json.Unmarshal(resp, &rr) != nil || rr.Warming {
+			t.Fatalf("%s answered %d %s", body, code, resp)
+		}
+		return rr
+	}
+	var ref RoutingResponse
+	for i := 0; i < h; i++ {
+		ref = decide(string(canonical))
+	}
+	upper := strings.Join(spelled(d, 'E'), ",") // -0E+00, 1.5E+02
+	for _, body := range []string{
+		"{\n  \"demand\": [\n    " + strings.Join(spelled(d, 'E'), ",\n    ") + "\n  ]\n}\n",
+		`{"async":false,"demand":[` + upper + `]}`,
+		`{"Demand":[` + upper + `]}`,
+	} {
+		if rr := decide(body); rr.Version != ref.Version || !sameBits(rr.Ratios, ref.Ratios) {
+			t.Fatalf("%s decided other bits than the canonical body %s", body, canonical)
 		}
 	}
 }

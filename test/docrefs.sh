@@ -15,7 +15,12 @@
 #     test names fall under the first rule;
 #   - a span that is exactly `-name` is a flag some cmd/*/main.go defines,
 #     or one of the few `go test` flags the docs quote: a flag that was
-#     deleted is history, and history lives in CHANGES.md.
+#     deleted is history, and history lives in CHANGES.md;
+#   - a span shaped like a per-layer metric — a layer of BENCHMARK.json,
+#     a dot, a snake_case name — is one, each {a,b} group expanded and
+#     cut like a path at the first character a name cannot hold, so
+#     `scenario.spec_s.<name>` checks that some metric starts
+#     scenario.spec_s.
 #
 # With an argument it checks that tree instead (an exported parent, say).
 #
@@ -39,6 +44,22 @@ tests="$(find . -name '*_test.go' -not -path './.bench_build/*' -print0 |
 flags="$(grep -ohE '\b(flag|fs)\.[A-Za-z0-9]+\((&[^,]+, )?"[A-Za-z0-9-]+"' cmd/*/main.go |
   sed -E 's/.*"([^"]+)"$/\1/' | sort -u)"
 flags+=$'\nrace\nshort\nrun\nbench\ncount\nfuzz\nv'
+
+# Per-layer metrics of BENCHMARK.json, one name per line, and their layers
+# as an alternation.
+metrics="$(grep -oE '"name": *"[a-z]+\.[a-z0-9_.-]+"' BENCHMARK.json | sed -E 's/.*"([^"]+)"$/\1/' | sort -u)"
+layers="$(cut -d. -f1 <<<"$metrics" | sort -u | paste -sd'|')"
+
+# expand prints s once per choice of every {a,b,…} group in it.
+expand() {
+  if [[ "$1" =~ ^([^{]*)\{([^{}]*)\}(.*)$ ]]; then
+    local pre="${BASH_REMATCH[1]}" post="${BASH_REMATCH[3]}" alt alts
+    IFS=, read -r -a alts <<<"${BASH_REMATCH[2]}"
+    for alt in "${alts[@]}"; do expand "$pre$alt$post"; done
+  else
+    echo "$1"
+  fi
+}
 
 # declared <dir> <ident>: ident is declared at top level of, or as a field
 # or block member in, a non-test file of dir.
@@ -68,6 +89,18 @@ for doc in "${docs[@]}"; do
     [[ -z "$flag" ]] && continue
     grep -qx -- "${flag#-}" <<<"$flags" || miss "$doc" "$flag" "is no flag of cmd/*/main.go, nor a go test flag"
   done < <(grep -oxE '`-[A-Za-z][A-Za-z0-9-]*`' <<<"$spans" | tr -d '`' | sort -u)
+
+  while read -r span; do
+    [[ -z "$span" ]] && continue
+    while read -r name; do
+      cut="${name%%[^a-z0-9_.-]*}"
+      if [[ "$cut" == "$name" ]]; then
+        grep -qxF -- "$name" <<<"$metrics" || miss "$doc" "$span" "is no per-layer metric of BENCHMARK.json"
+      else
+        grep -q "^${cut//./\\.}" <<<"$metrics" || miss "$doc" "$span" "starts no per-layer metric of BENCHMARK.json"
+      fi
+    done < <(expand "$span")
+  done < <(grep -oxE "\`($layers)\\.[a-z0-9_{},]*_[a-z0-9_{},]*(\\.[^\`]*)?\`" <<<"$spans" | tr -d '`' | sort -u)
 
   while read -r ref; do
     [[ -z "$ref" ]] && continue
