@@ -78,7 +78,21 @@ func (a *Adam) step(net *MLP, workers int) {
 // to all three and subtract lr·(+0/c1)/(√(+0/c2)+ε) = +0 from p, which
 // leaves every p — −0 included — as it was. Any other bit pattern (g = −0,
 // a denormal moment, a unit that just woke) takes the rule (DESIGN.md §10).
+// With AVX2 the whole 4-groups run in assembly, one parameter a lane, and
+// updateGo takes the remainder.
 func (a *Adam) update(params, grads, mBuf, vBuf []float64, c1, c2 float64) {
+	if useAVX2 {
+		n := len(params)
+		grads, mBuf, vBuf = grads[:n], mBuf[:n], vBuf[:n]
+		adamAVX2(params, grads, mBuf, vBuf, a.Beta1, 1-a.Beta1, a.Beta2, 1-a.Beta2, c1, c2, a.LR, a.Epsilon)
+		k := n &^ 3
+		params, grads, mBuf, vBuf = params[k:], grads[k:], mBuf[k:], vBuf[k:]
+	}
+	a.updateGo(params, grads, mBuf, vBuf, c1, c2)
+}
+
+// updateGo is update in Go, one parameter at a time.
+func (a *Adam) updateGo(params, grads, mBuf, vBuf []float64, c1, c2 float64) {
 	n := len(params)
 	grads = grads[:n]
 	mBuf = mBuf[:n]

@@ -140,12 +140,30 @@ func adamStateEqual(t *testing.T, label string, a, b *MLP, optA *Adam, optB *map
 // again on live moments, which must go on decaying and moving the
 // parameter; always live; and no gradient but moments at the smallest
 // denormal. Some parameters of every kind start at −0. The 300×230 tensor
-// is above parallelThreshold, so workers 3 and 7 cut it mid-run.
+// is above parallelThreshold, so workers 3 and 7 cut it mid-run. Runs of 7
+// elements put kinds side by side inside the assembly's 4-groups, so a
+// group mixes dead and live lanes, and the 10→5→3 net's tensors (50, 5,
+// 15 and 3 parameters) end in remainders of 2, 1, 3 and 3 that the Go body
+// takes after the assembly.
 func TestAdamSkipIsIdentity(t *testing.T) {
+	for _, c := range []struct {
+		net func() *MLP
+		run int
+	}{
+		{bigAdamNet, 100},
+		{bigAdamNet, 7},
+		{func() *MLP { return NewMLP([]int{10, 5, 3}, ReLU, Sigmoid, rand.New(rand.NewSource(11))) }, 7},
+	} {
+		adamSkipIsIdentity(t, c.net, c.run)
+	}
+}
+
+func adamSkipIsIdentity(t *testing.T, net func() *MLP, run int) {
+	t.Helper()
 	negZero := math.Copysign(0, -1)
-	const run, kinds, denormalKind = 100, 6, 5
+	const kinds, denormalKind = 6, 5
 	mk := func() *MLP {
-		m := bigAdamNet()
+		m := net()
 		m.VisitParams(func(params, _ []float64) {
 			for i := range params {
 				if i%3 == 0 {
@@ -209,7 +227,8 @@ func TestAdamSkipIsIdentity(t *testing.T) {
 					ti++
 				})
 			}
-			adamStateEqual(t, fmt.Sprintf("workers=%d step %d", w, step), a, b, optA, optB)
+			adamStateEqual(t, fmt.Sprintf("%d params, run %d, workers=%d step %d", a.NumParams(), run, w, step),
+				a, b, optA, optB)
 		}
 	}
 }

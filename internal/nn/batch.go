@@ -360,21 +360,37 @@ func (d *Dense) backwardInputBlock(dy, dx []float64, b0, b1 int) {
 // dot2x4 computes the eight dot products {x0,x1}·{w0,w1,w2,w3}; sRO is batch
 // row R against weight row O. Each accumulator follows dot()'s grouping —
 // s += ((w₀x₀ + w₁x₁) + w₂x₂) + w₃x₃, remainder elements one at a time —
-// so every result is bitwise the corresponding dot(w, x); the eight chains
-// are independent and each x element is loaded once for four weight rows
-// (24 loads per 32 multiply-adds). Reslicing the other five operands to
-// len(x0) leaves go build -gcflags=-d=ssa/check_bce reporting four
-// IsInBounds per 4-wide step (the loads of x0, which then cover the rest)
-// and one in the remainder loop; the check-free loop shapes measured slower
-// (DESIGN.md §10).
+// so every result is bitwise the corresponding dot(w, x). With AVX2 the
+// whole 4-groups run in assembly, one lane per weight row, and dot2x4Go
+// continues their accumulators over the remainder (DESIGN.md §3).
 func dot2x4(x0, x1, w0, w1, w2, w3 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64) {
+	var s [8]float64
+	i := 0
+	if useAVX2 {
+		n := len(x0)
+		x1, w0, w1, w2, w3 = x1[:n], w0[:n], w1[:n], w2[:n], w3[:n]
+		dot2x4AVX2(x0, x1, w0, w1, w2, w3, &s)
+		i = n &^ 3
+	}
+	dot2x4Go(x0, x1, w0, w1, w2, w3, i, &s)
+	return s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+}
+
+// dot2x4Go is dot2x4 in Go from element i on (a multiple of 4), continuing
+// the accumulators s = {s00..s03, s10..s13}: the eight chains are
+// independent and each x element is loaded once for four weight rows.
+// Reslicing the other five operands to len(x0) leaves go build
+// -gcflags=-d=ssa/check_bce reporting four IsInBounds per 4-wide step (the
+// loads of x0, which then cover the rest) and one in the remainder loop;
+// the check-free loop shapes measured slower (DESIGN.md §10).
+func dot2x4Go(x0, x1, w0, w1, w2, w3 []float64, i int, s *[8]float64) {
 	n := len(x0)
 	x1 = x1[:n]
 	w0 = w0[:n]
 	w1 = w1[:n]
 	w2 = w2[:n]
 	w3 = w3[:n]
-	i := 0
+	s00, s01, s02, s03, s10, s11, s12, s13 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
 	for ; i+4 <= n; i += 4 {
 		p0, p1, p2, p3 := x0[i], x0[i+1], x0[i+2], x0[i+3]
 		q0, q1, q2, q3 := x1[i], x1[i+1], x1[i+2], x1[i+3]
@@ -402,13 +418,13 @@ func dot2x4(x0, x1, w0, w1, w2, w3 []float64) (s00, s01, s02, s03, s10, s11, s12
 		s12 += w2[i] * q
 		s13 += w3[i] * q
 	}
-	return
+	*s = [8]float64{s00, s01, s02, s03, s10, s11, s12, s13}
 }
 
 // dot1x4 computes the four dot products x·{w0,w1,w2,w3}, each accumulator in
 // dot()'s grouping like dot2x4's: the kernel of every single-row pass, where
 // dot would re-read x once per weight row. check_bce reports the same as
-// for dot2x4: four IsInBounds per 4-wide step (the loads of x), one in the
+// for dot2x4Go: four IsInBounds per 4-wide step (the loads of x), one in the
 // remainder loop.
 func dot1x4(x, w0, w1, w2, w3 []float64) (s0, s1, s2, s3 float64) {
 	n := len(x)
@@ -434,11 +450,24 @@ func dot1x4(x, w0, w1, w2, w3 []float64) (s0, s1, s2, s3 float64) {
 	return
 }
 
-// axpy computes dst[i] += a·src[i], 4-way unrolled. Element updates are
-// independent, so unrolling cannot change results. src is resliced to
-// len(dst), which leaves check_bce reporting four IsInBounds per 4-wide
-// step (on dst; they cover src) and one in the remainder loop.
+// axpy computes dst[i] += a·src[i]. Element updates are independent, so
+// neither the assembly's four lanes nor axpyGo's unrolling can change a
+// result: with AVX2 the whole 4-groups run in assembly and axpyGo takes
+// the remainder.
 func axpy(dst, src []float64, a float64) {
+	if useAVX2 {
+		src = src[:len(dst)]
+		axpyAVX2(dst, src, a)
+		k := len(dst) &^ 3
+		dst, src = dst[k:], src[k:]
+	}
+	axpyGo(dst, src, a)
+}
+
+// axpyGo is axpy in Go, 4-way unrolled. src is resliced to len(dst), which
+// leaves check_bce reporting four IsInBounds per 4-wide step (on dst; they
+// cover src) and one in the remainder loop.
+func axpyGo(dst, src []float64, a float64) {
 	n := len(dst)
 	src = src[:n]
 	i := 0
@@ -455,10 +484,23 @@ func axpy(dst, src []float64, a float64) {
 
 // axpy2 computes dst[i] += a·u[i]; dst[i] += b·v[i] as two separate adds
 // per element (preserving sequential rounding) while loading and storing
-// dst only once. u and v are resliced to len(dst), which leaves check_bce
-// reporting four IsInBounds per 4-wide step (on dst; they cover u and v)
-// and one in the remainder loop.
+// dst only once; with AVX2 the whole 4-groups run in assembly, one element
+// a lane, and axpy2Go takes the remainder.
 func axpy2(dst, u, v []float64, a, b float64) {
+	if useAVX2 {
+		n := len(dst)
+		u, v = u[:n], v[:n]
+		axpy2AVX2(dst, u, v, a, b)
+		k := n &^ 3
+		dst, u, v = dst[k:], u[k:], v[k:]
+	}
+	axpy2Go(dst, u, v, a, b)
+}
+
+// axpy2Go is axpy2 in Go. u and v are resliced to len(dst), which leaves
+// check_bce reporting four IsInBounds per 4-wide step (on dst; they cover u
+// and v) and one in the remainder loop.
+func axpy2Go(dst, u, v []float64, a, b float64) {
 	n := len(dst)
 	u = u[:n]
 	v = v[:n]

@@ -1,0 +1,53 @@
+package nn
+
+// useAVX2 selects the four-lane assembly bodies of dot2x4, axpy, axpy2 and
+// Adam's update (kernels_amd64.s). It is decided once, from CPUID and
+// XGETBV alone: the CPU must report AVX and AVX2, and the OS must save the
+// YMM registers across context switches. Without it every kernel runs its
+// Go body, which the assembly matches bit for bit (DESIGN.md §3).
+var useAVX2 = hasAVX2()
+
+func hasAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx, avx2 = 1 << 27, 1 << 28, 1 << 5
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state enabled
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// dot2x4AVX2 runs dot2x4 over the first len(x0)&^3 elements, storing the
+// accumulators {s00..s03, s10..s13} to s. The other slices must be at
+// least as long as x0.
+//
+//go:noescape
+func dot2x4AVX2(x0, x1, w0, w1, w2, w3 []float64, s *[8]float64)
+
+// axpyAVX2 runs axpy over the first len(dst)&^3 elements; len(src) >= len(dst).
+//
+//go:noescape
+func axpyAVX2(dst, src []float64, a float64)
+
+// axpy2AVX2 runs axpy2 over the first len(dst)&^3 elements; u and v are at
+// least as long as dst.
+//
+//go:noescape
+func axpy2AVX2(dst, u, v []float64, a, b float64)
+
+// adamAVX2 runs Adam's update over the first len(p)&^3 parameters; gr, m
+// and v are at least as long as p. b1c and b2c are 1−β₁ and 1−β₂ as the Go
+// body computes them.
+//
+//go:noescape
+func adamAVX2(p, gr, m, v []float64, b1, b1c, b2, b2c, c1, c2, lr, eps float64)
