@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"figret/internal/experiments"
@@ -38,9 +37,7 @@ func main() {
 	flag.Float64Var(&r.model.Gamma, "gamma", 0, "FIGRET robustness weight (0 = default)")
 	flag.IntVar(&r.model.Epochs, "epochs", 0, "training epochs (0 = scale default)")
 	flag.Int64Var(&r.env.Seed, "seed", 1, "random seed")
-	flag.IntVar(&r.workers, "workers", runtime.GOMAXPROCS(0), "evaluation worker pool size; results are bitwise identical for any worker count")
 	flag.StringVar(&r.env.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache (shared across figret/experiments/served runs; empty = recompute every run)")
-	flag.IntVar(&r.env.PathWorkers, "pathworkers", 0, "candidate-path precomputation worker pool size (0 = all CPUs); the path set is bitwise identical for any value")
 	flag.Parse()
 
 	var err error
@@ -57,11 +54,10 @@ func main() {
 // runner is the parsed command line: the flags fill the option structs
 // the experiments take.
 type runner struct {
-	scale   experiments.Scale
-	topo    string
-	workers int
-	env     experiments.EnvOptions // -T -seed -pathcache -pathworkers
-	model   figret.Config          // -H -gamma -epochs
+	scale experiments.Scale
+	topo  string
+	env   experiments.EnvOptions // -T -seed -pathcache
+	model figret.Config          // -H -gamma -epochs
 }
 
 // run prints experiment exp, or every study under its banner for "all".
@@ -100,7 +96,6 @@ func (r runner) study(w io.Writer, s experiments.Study) error {
 		if err != nil {
 			return err
 		}
-		env.Workers = r.workers
 		if s.Each == nil {
 			envs = append(envs, env)
 			continue

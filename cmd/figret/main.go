@@ -14,19 +14,15 @@
 // file that crosses processes is the model JSON train writes, which eval
 // loads and a served daemon accepts on POST …/checkpoints.
 //
-// Candidate-path precomputation fans out across all CPUs by default
-// (-pathworkers pins the pool size; results are bitwise identical for any
-// value), and -pathcache names an on-disk path cache shared with the
-// experiments and served commands, so a topology's Yen precomputation is
-// paid once per machine rather than once per process:
+// Candidate-path precomputation and training fan out over GOMAXPROCS
+// goroutines, with results bitwise identical for any worker count
+// (GOMAXPROCS=1 confines the whole run to one core). -pathcache names an
+// on-disk path cache shared with the experiments and served commands, so a
+// topology's Yen precomputation is paid once per machine rather than once
+// per process:
 //
 //	figret train -topo cogentco -scale full -pathcache ~/.cache/figret-paths -out model.json
 //	figret eval  -topo cogentco -scale full -pathcache ~/.cache/figret-paths -model model.json
-//
-// Training kernels fan out over -trainworkers goroutines (0 = all CPUs)
-// with a bitwise worker-count-independent loss trajectory:
-//
-//	figret train -topo pod-db -batch 32 -trainworkers 4 -out model.json
 package main
 
 import (
@@ -70,12 +66,10 @@ func main() {
 	fs.IntVar(&envOpt.T, "T", 200, "trace length")
 	fs.Int64Var(&envOpt.Seed, "seed", 1, "random seed")
 	fs.StringVar(&envOpt.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache (shared across figret/experiments/served runs; empty = recompute every run)")
-	fs.IntVar(&envOpt.PathWorkers, "pathworkers", 0, "candidate-path precomputation worker pool size (0 = all CPUs); the path set is bitwise identical for any value")
 	fs.IntVar(&cfg.H, "H", 12, "history window")
 	fs.Float64Var(&cfg.Gamma, "gamma", 1, "robustness loss weight (0 = DOTE)")
 	fs.IntVar(&cfg.Epochs, "epochs", 10, "training epochs")
 	fs.IntVar(&cfg.BatchSize, "batch", 1, "training minibatch size (1 = the paper's per-sample protocol; larger batches train faster)")
-	fs.IntVar(&cfg.TrainWorkers, "trainworkers", 0, "training worker pool size (0 = all CPUs); the loss trajectory and trained weights are bitwise identical for any value")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -180,7 +174,7 @@ func runEval(env *experiments.Env, modelPath string) error {
 	// normalizes by its memoized omniscient oracle; results are identical
 	// for any worker count.
 	run, err := eval.Run([]baselines.Scheme{scheme}, env.Test,
-		eval.Window{From: from, To: to}, env.EvalOptions())
+		eval.Window{From: from, To: to}, eval.Options{Oracle: env.Oracle()})
 	if err != nil {
 		return err
 	}

@@ -52,9 +52,13 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  scenarios run   [-suite dir] [-json] [-workers n] [-trainworkers n] [-pathcache dir]
-  scenarios bless [-suite dir] [-golden dir] [-workers n] [-trainworkers n] [-pathcache dir]
-  scenarios diff  [-suite dir] [-golden dir] [-json] [-workers n] [-trainworkers n] [-pathcache dir]`)
+  scenarios run   [-suite dir] [-json] [-workers n] [-pathcache dir]
+  scenarios bless [-suite dir] [-golden dir] [-workers n] [-pathcache dir]
+  scenarios diff  [-suite dir] [-golden dir] [-json] [-workers n] [-pathcache dir]
+
+Every fan-out (evaluation, substrate training, path precompute) sizes
+itself from GOMAXPROCS, -workers included by default, so GOMAXPROCS=1 runs
+everything on one goroutine. Metrics are bitwise identical at any setting.`)
 }
 
 func execute(cmd string, args []string) error {
@@ -68,7 +72,6 @@ func execute(cmd string, args []string) error {
 	)
 	fs.IntVar(&opt.Workers, "workers", runtime.GOMAXPROCS(0), "per-scenario evaluation worker pool size, and how many substrates run at once; metrics are bitwise identical for any value")
 	fs.StringVar(&opt.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache shared with figret/experiments/served (empty = recompute)")
-	fs.IntVar(&opt.TrainWorkers, "trainworkers", 0, "substrate-model training worker pool size (0 = all CPUs); metrics are bitwise identical for any value")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())

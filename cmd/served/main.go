@@ -51,7 +51,7 @@
 //
 // Startup cost is dominated by candidate-path precomputation (Yen's
 // algorithm over all SD pairs of every served topology). It fans out
-// across all CPUs by default (-pathworkers pins the pool), and -pathcache
+// over GOMAXPROCS goroutines, as training does, and -pathcache
 // names an on-disk path cache shared with the figret and experiments
 // CLIs: with a warm cache the daemon skips the solve entirely and comes
 // up in seconds even for large WANs:
@@ -105,12 +105,10 @@ func main() {
 	flag.IntVar(&cfg.env.T, "T", 200, "bootstrap trace length")
 	flag.Int64Var(&cfg.env.Seed, "seed", 1, "random seed")
 	flag.StringVar(&cfg.env.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache; a warm cache brings multi-topology daemons up in seconds instead of re-running Yen per process")
-	flag.IntVar(&cfg.env.PathWorkers, "pathworkers", 0, "candidate-path precomputation worker pool size (0 = all CPUs); the path set is bitwise identical for any value")
 	flag.IntVar(&cfg.model.H, "H", 12, "history window of bootstrap models")
 	flag.Float64Var(&cfg.model.Gamma, "gamma", 1, "robustness loss weight of bootstrap models (0 = DOTE)")
 	flag.IntVar(&cfg.model.Epochs, "epochs", 6, "bootstrap training epochs")
 	flag.IntVar(&cfg.model.BatchSize, "batch", 16, "bootstrap training minibatch size")
-	flag.IntVar(&cfg.model.TrainWorkers, "trainworkers", 0, "worker pool size for bootstrap and drift retraining (0 = all CPUs); trained weights are bitwise identical for any value")
 	flag.IntVar(&cfg.ctl.HistoryCap, "history", 256, "sliding demand-window capacity per topology")
 	flag.Float64Var(&cfg.ctl.MaxChurn, "churn", 0, "per-interval L1 churn limit (0 = unlimited)")
 	flag.StringVar(&cfg.ctl.Spool, "spool", "", "directory where each controller spools every ingested snapshot to an on-disk trace store (<dir>/<topology>.fgt); the in-RAM window stays bounded by -history, and a restarted daemon recovers the spool and resumes where it stopped")
@@ -369,13 +367,11 @@ type topoConfig struct {
 	srv    *serve.Server
 	reg    *serve.Registry
 	scale  experiments.Scale
-	env    experiments.EnvOptions  // -T -seed -pathcache -pathworkers
+	env    experiments.EnvOptions  // -T -seed -pathcache
 	ctl    serve.ControllerOptions // -history -churn -spool
 
-	drift, bootstrap bool // -drift -bootstrap
-	// model holds the bootstrap hyperparameters; its TrainWorkers also
-	// sizes drift retrains.
-	model figret.Config
+	drift, bootstrap bool          // -drift -bootstrap
+	model            figret.Config // bootstrap hyperparameters: -H -gamma -epochs -batch
 }
 
 // addTopology builds one topology's environment, starts its controller
@@ -397,10 +393,7 @@ func (c *topoConfig) addTopology(topo string) error {
 		// across retrains.
 		oracle := eval.NewOracle(env.PS, baselines.AutoSolve(env.PS), nil)
 		c.tel.RegisterCacheStats("oracle", topo, oracle.Stats)
-		opt.Drift = &serve.DriftOptions{
-			Oracle:       oracle,
-			TrainWorkers: c.model.TrainWorkers,
-		}
+		opt.Drift = &serve.DriftOptions{Oracle: oracle}
 	}
 	if _, err := c.srv.Add(topo, opt); err != nil {
 		return err

@@ -22,9 +22,9 @@ import (
 func main() {
 	// 1. Offline stack, unchanged: topology, paths, traffic, one briefly
 	// trained bootstrap model and one properly trained replacement.
-	// (NewPathSet precomputes on all CPUs; a restarting daemon can skip
-	// the solve entirely by passing a te.PathStore via te.NewPathSetOpt —
-	// the served CLI exposes that as -pathcache/-pathworkers.)
+	// (NewPathSet precomputes on GOMAXPROCS workers; a restarting daemon
+	// can skip the solve entirely by passing a te.PathStore via
+	// te.NewPathSetOpt — the served CLI exposes that as -pathcache.)
 	g := graph.GEANT()
 	ps, err := te.NewPathSet(g, 3, nil)
 	if err != nil {

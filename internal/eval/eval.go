@@ -63,10 +63,9 @@ type SchemeSeries struct {
 	// Norm is Raw normalized by the omniscient base at the matching
 	// snapshots (nil when Run had no oracle).
 	Norm []float64
-	// Stats summarizes Norm (or Raw without an oracle).
+	// Stats summarizes Norm (or Raw without an oracle); Stats.Mean is the
+	// scheme's average.
 	Stats traffic.Candlestick
-	// AvgNorm is the mean of Norm (or Raw without an oracle).
-	AvgNorm float64
 	// SevereCongestion is the fraction of snapshots whose normalized MLU
 	// exceeds the severe threshold (0 without an oracle).
 	SevereCongestion float64
@@ -170,7 +169,6 @@ func Run(schemes []baselines.Scheme, tr *traffic.Trace, win Window, opt Options)
 			ss.Norm = baselines.Normalize(ss.Raw, res.Base[ss.From-from:])
 			ss.Stats, ss.SevereCongestion = Summarize(ss.Norm)
 		}
-		ss.AvgNorm = ss.Stats.Mean
 	}
 	return res, nil
 }

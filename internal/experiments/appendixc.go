@@ -99,7 +99,7 @@ func HeuristicF(env *Env, kind string, maxEval int) (*HeuristicFResult, error) {
 	for i, p := range params {
 		schemes[i] = &baselines.DesTE{PS: env.PS, Solve: env.Oracle().CachedSolve, H: 12, F: p.f, Label: p.label}
 	}
-	run, err := eval.Run(schemes, env.Test, eval.Window{From: from, To: to}, env.EvalOptions())
+	run, err := eval.Run(schemes, env.Test, eval.Window{From: from, To: to}, eval.Options{Oracle: env.Oracle()})
 	if err != nil {
 		return nil, err
 	}

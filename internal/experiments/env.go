@@ -65,9 +65,6 @@ type Env struct {
 	// TestStart is Test's offset within Trace (snapshots before it are
 	// training history usable for window warmup).
 	TestStart int
-	// Workers sizes the evaluation engine's worker pool (0 selects
-	// runtime.GOMAXPROCS(0)); results are bitwise identical for any value.
-	Workers int
 	// WarmIters, when positive, enables warm-started oracle solves with
 	// this iteration budget (set by UseGradSolver; meaningless for the
 	// exact LP).
@@ -105,12 +102,6 @@ func (e *Env) Oracle() *eval.Oracle {
 		e.oracle = e.NewOracle()
 	}
 	return e.oracle
-}
-
-// EvalOptions returns the engine options every experiment on this
-// environment shares: its worker pool size and its oracle.
-func (e *Env) EvalOptions() eval.Options {
-	return eval.Options{Workers: e.Workers, Oracle: e.Oracle()}
 }
 
 // UseGradSolver switches per-snapshot solves to the projected-gradient
@@ -172,10 +163,6 @@ type EnvOptions struct {
 	// leaving it empty with a custom Selector disables caching for that
 	// environment (see te.PathSetOptions).
 	SelectorName string
-	// PathWorkers sizes the candidate-path precomputation worker pool
-	// (0 = runtime.GOMAXPROCS(0)). The path set is bitwise identical for any
-	// value.
-	PathWorkers int
 	// PathCache, when non-empty, is the directory of an on-disk
 	// te.PathStore: the trainer, the evaluation engine and the serving
 	// daemon then share one Yen precomputation per (topology, K,
@@ -209,7 +196,6 @@ func NewEnv(topo string, scale Scale, opt EnvOptions) (*Env, error) {
 		return nil, err
 	}
 	pso := te.PathSetOptions{
-		Workers:      opt.PathWorkers,
 		Selector:     opt.Selector,
 		SelectorName: opt.SelectorName,
 	}

@@ -151,12 +151,12 @@ func TestTEQualityShape(t *testing.T) {
 	// Des TE on average and stay in DOTE's band (the paper's "performs at
 	// least as well as DOTE" holds at full training scale; the toy-scale
 	// band is wider).
-	figret := res.Scheme("FIGRET").AvgMLU
-	if figret > res.Scheme("Des TE").AvgMLU {
-		t.Errorf("FIGRET avg %v worse than Des TE %v", figret, res.Scheme("Des TE").AvgMLU)
+	figret := res.Scheme("FIGRET").Stats.Mean
+	if figret > res.Scheme("Des TE").Stats.Mean {
+		t.Errorf("FIGRET avg %v worse than Des TE %v", figret, res.Scheme("Des TE").Stats.Mean)
 	}
-	if figret > 1.3*res.Scheme("DOTE").AvgMLU {
-		t.Errorf("FIGRET avg %v far above DOTE %v", figret, res.Scheme("DOTE").AvgMLU)
+	if figret > 1.3*res.Scheme("DOTE").Stats.Mean {
+		t.Errorf("FIGRET avg %v far above DOTE %v", figret, res.Scheme("DOTE").Stats.Mean)
 	}
 	if !strings.Contains(res.String(), "FIGRET") {
 		t.Error("render broken")
@@ -177,8 +177,8 @@ func TestTEQualityBurstyHeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	fig, dote := res.Scheme("FIGRET"), res.Scheme("DOTE")
-	if fig.AvgMLU >= dote.AvgMLU {
-		t.Errorf("FIGRET avg %v not below DOTE %v on bursty traffic", fig.AvgMLU, dote.AvgMLU)
+	if fig.Stats.Mean >= dote.Stats.Mean {
+		t.Errorf("FIGRET avg %v not below DOTE %v on bursty traffic", fig.Stats.Mean, dote.Stats.Mean)
 	}
 	if fig.SevereCongestion >= dote.SevereCongestion {
 		t.Errorf("FIGRET severe rate %v not below DOTE %v", fig.SevereCongestion, dote.SevereCongestion)
@@ -215,8 +215,8 @@ func TestFailuresShape(t *testing.T) {
 		if fig == nil {
 			t.Fatal("FIGRET row missing")
 		}
-		if fig.AvgMLU < 1-1e-6 {
-			t.Errorf("normalized failure MLU %v < 1", fig.AvgMLU)
+		if fig.Stats.Mean < 1-1e-6 {
+			t.Errorf("normalized failure MLU %v < 1", fig.Stats.Mean)
 		}
 	}
 	if !strings.Contains(res.String(), "failure") {

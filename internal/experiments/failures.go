@@ -98,7 +98,7 @@ func Failures(env *Env, cfg figret.Config, opt FailureOptions) (*FailureResult, 
 			vals [4]float64 // normalized MLU per schemeNames entry
 		}
 		results := make([]cellResult, len(cells))
-		err := eval.Parallel(len(cells), env.Workers, func(i int) error {
+		err := eval.Parallel(len(cells), 0, func(i int) error {
 			c := cells[i]
 			d := env.Test.At(c.t)
 			// Oracle: fault-aware omniscient.
@@ -146,7 +146,6 @@ func Failures(env *Env, cfg figret.Config, opt FailureOptions) (*FailureResult, 
 			}
 			st := SchemeStats{Name: name}
 			st.Stats, st.SevereCongestion = eval.Summarize(xs)
-			st.AvgMLU = st.Stats.Mean
 			row.Schemes = append(row.Schemes, st)
 		}
 		res.Rows = append(res.Rows, row)
@@ -208,7 +207,7 @@ func (r *FailureResult) String() string {
 		fmt.Fprintf(&b, "-- %d failure(s)\n", row.Failures)
 		fmt.Fprintf(&b, "%-12s %8s %8s %8s\n", "scheme", "avg", "median", "max")
 		for _, s := range row.Schemes {
-			fmt.Fprintf(&b, "%-12s %8.3f %8.3f %8.3f\n", s.Name, s.AvgMLU, s.Stats.Median, s.Stats.Max)
+			fmt.Fprintf(&b, "%-12s %8.3f %8.3f %8.3f\n", s.Name, s.Stats.Mean, s.Stats.Median, s.Stats.Max)
 		}
 	}
 	b.WriteString("expected shape: FIGRET ≈ FA Des TE, both better than DOTE and Des TE\n")

@@ -18,7 +18,6 @@ type SchemeStats struct {
 	Name             string
 	Stats            traffic.Candlestick
 	SevereCongestion float64
-	AvgMLU           float64 // mean normalized MLU
 }
 
 // QualityResult is a Figure 5/6-style comparison on one topology.
@@ -84,7 +83,7 @@ func TEQuality(env *Env, cfg figret.Config, opt QualityOptions) (*QualityResult,
 	if to-from > opt.MaxEval {
 		to = from + opt.MaxEval
 	}
-	run, err := eval.Run(schemes, env.Test, eval.Window{From: from, To: to}, env.EvalOptions())
+	run, err := eval.Run(schemes, env.Test, eval.Window{From: from, To: to}, eval.Options{Oracle: env.Oracle()})
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +94,6 @@ func TEQuality(env *Env, cfg figret.Config, opt QualityOptions) (*QualityResult,
 			Name:             ss.Name,
 			Stats:            ss.Stats,
 			SevereCongestion: ss.SevereCongestion,
-			AvgMLU:           ss.AvgNorm,
 		})
 	}
 	return res, nil
@@ -109,7 +107,7 @@ func (r *QualityResult) String() string {
 		"scheme", "avg", "min", "p25", "median", "p75", "max", ">2 (sev)")
 	for _, s := range r.Schemes {
 		fmt.Fprintf(&b, "%-12s %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %8.1f%%\n",
-			s.Name, s.AvgMLU, s.Stats.Min, s.Stats.P25, s.Stats.Median, s.Stats.P75, s.Stats.Max,
+			s.Name, s.Stats.Mean, s.Stats.Min, s.Stats.P25, s.Stats.Median, s.Stats.P75, s.Stats.Max,
 			100*s.SevereCongestion)
 	}
 	return b.String()
@@ -151,7 +149,7 @@ func Hedging(env *Env, maxEval int) (*HedgingResult, error) {
 	// Raw MLUs only (the figure normalizes by the series max itself), so
 	// the engine runs without an oracle base.
 	run, err := eval.Run([]baselines.Scheme{noHedge, hedge}, env.Test,
-		eval.Window{From: from, To: to}, eval.Options{Workers: env.Workers})
+		eval.Window{From: from, To: to}, eval.Options{})
 	if err != nil {
 		return nil, err
 	}

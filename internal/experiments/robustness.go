@@ -36,7 +36,7 @@ func Perturbation(env *Env, cfg figret.Config, alphas []float64, worstCase bool)
 	if err != nil {
 		return nil, err
 	}
-	baseAvg, baseP90, err := evalModel(fig, env.Test, env.Workers)
+	baseAvg, baseP90, err := evalModel(fig, env.Test)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +49,7 @@ func Perturbation(env *Env, cfg figret.Config, alphas []float64, worstCase bool)
 		} else {
 			pert = traffic.Perturb(env.Test, env.Train, a, env.Seed+int64(100+i))
 		}
-		avg, p90, err := evalModel(fig, pert, env.Workers)
+		avg, p90, err := evalModel(fig, pert)
 		if err != nil {
 			return nil, err
 		}
@@ -62,18 +62,18 @@ func Perturbation(env *Env, cfg figret.Config, alphas []float64, worstCase bool)
 // evalModel runs a trained model over every snapshot of a trace that has
 // a full window behind it, on the evaluation engine (raw MLUs, snapshots
 // in parallel), and returns (mean, p90) MLU.
-func evalModel(m *figret.Model, tr *traffic.Trace, workers int) (avg, p90 float64, err error) {
+func evalModel(m *figret.Model, tr *traffic.Trace) (avg, p90 float64, err error) {
 	h := m.Cfg.H
 	if tr.Len() <= h {
 		return 0, 0, fmt.Errorf("experiments: no snapshots to evaluate")
 	}
 	run, err := eval.Run(
 		[]baselines.Scheme{&baselines.NNScheme{Label: "model", Model: m}},
-		tr, eval.Window{From: h, To: tr.Len()}, eval.Options{Workers: workers})
+		tr, eval.Window{From: h, To: tr.Len()}, eval.Options{})
 	if err != nil {
 		return 0, 0, err
 	}
-	return run.Schemes[0].AvgNorm, traffic.Quantile(run.Schemes[0].Raw, 0.9), nil
+	return run.Schemes[0].Stats.Mean, traffic.Quantile(run.Schemes[0].Raw, 0.9), nil
 }
 
 // declineTable renders the three rows Tables 3–5 share — the column
@@ -146,7 +146,7 @@ func Drift(env *Env, cfg figret.Config) (*DriftResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("segment %s: %w", sg.name, err)
 		}
-		avg, p90, err := evalModel(m, test, env.Workers)
+		avg, p90, err := evalModel(m, test)
 		if err != nil {
 			return nil, err
 		}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -51,18 +52,6 @@ type Config struct {
 	// fixed BatchSize the trajectory is bitwise identical to sequential
 	// per-sample evaluation with gradient accumulation (TrainSequential).
 	BatchSize int
-	// TrainWorkers bounds the goroutines a training step fans out over:
-	// its kernels — forward and backward tiles, the Adam sweep — and the
-	// per-row work around them, window assembly and loss scoring. Every
-	// output, gradient row, parameter and batch row has one writer and a
-	// fixed accumulation order, so the loss trajectory and the trained
-	// weights are bitwise identical for every value (DESIGN.md §10). 0 (the
-	// default) selects GOMAXPROCS; 1 trains on the calling goroutine alone
-	// and starts no other — the way to confine a retrain to one core.
-	// Excluded from model serialization: it is an execution knob of the
-	// machine that trains, not a property of the trained model — saved
-	// models must be byte-identical for any worker count.
-	TrainWorkers int `json:"-"`
 	// CoarseGrained replaces the per-pair variance weights of the L2 term
 	// with a uniform weight of 1 — the coarse-grained robustness of
 	// desensitization-based TE, kept as an ablation of the paper's central
@@ -211,11 +200,17 @@ func (m *Model) sampleOrder(tr *traffic.Trace) []int {
 // scored row by row (lossAndGrad) and backpropagated, then Adam steps.
 // The kernels and, on a path set large enough to pay for it
 // (nn.DataParallel.ForRows), the rows of assembly and scoring fan out over
-// Cfg.TrainWorkers goroutines; each row writes only its own slots and the
-// epoch sums run in row order afterwards, so the loss trajectory and final
-// weights are bitwise identical for every worker count, and bitwise
+// runtime.GOMAXPROCS(0) goroutines; each row writes only its own slots and
+// the epoch sums run in row order afterwards, so the loss trajectory and
+// final weights are bitwise identical for every worker count, and bitwise
 // identical to TrainSequential at every BatchSize.
 func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
+	return m.train(tr, runtime.GOMAXPROCS(0))
+}
+
+// train is Train on a fan-out of the given width; 1 trains on the calling
+// goroutine alone and starts no other.
+func (m *Model) train(tr *traffic.Trace, workers int) (TrainStats, error) {
 	if err := m.fitTrace(tr); err != nil {
 		return TrainStats{}, err
 	}
@@ -229,7 +224,7 @@ func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 		batch = len(order)
 	}
 
-	eng := nn.NewDataParallel(m.Net, m.Cfg.TrainWorkers)
+	eng := nn.NewDataParallel(m.Net, workers)
 	xb := make([]float64, batch*in)  // minibatch input matrix [B][H·K]
 	losses := make([]float64, batch) // per-sample losses, summed in order
 	mlus := make([]float64, batch)
@@ -724,11 +719,9 @@ func LoadModel(ps *te.PathSet, data []byte) (*Model, error) {
 
 // Snapshot returns an independent deep copy of m bound to ps: the model
 // LoadModel(ps, m.MarshalJSON()) yields, bit for bit and through the same
-// validation (Cfg.TrainWorkers, never serialized, comes out 0), without
-// the text.
+// validation, without the text.
 func (m *Model) Snapshot(ps *te.PathSet) (*Model, error) {
 	j := modelJSON{Cfg: m.Cfg, VarWeights: slices.Clone(m.VarWeights), Scale: m.Scale, LossScale: m.LossScale}
-	j.Cfg.TrainWorkers = 0
 	j.Cfg.Hidden = slices.Clone(m.Cfg.Hidden)
 	if m.Net != nil {
 		var err error

@@ -14,12 +14,13 @@ import (
 	"figret/internal/traffic"
 )
 
-// trainWith runs Train on a fresh model with the given config and returns
-// the stats plus a flat snapshot of the trained weights.
-func trainWith(t *testing.T, ps *te.PathSet, cfg Config, tr *traffic.Trace) (TrainStats, []float64) {
+// trainWith trains a fresh model with the given config on a fan-out of the
+// given width and returns the stats plus a flat snapshot of the trained
+// weights.
+func trainWith(t *testing.T, ps *te.PathSet, cfg Config, tr *traffic.Trace, workers int) (TrainStats, []float64) {
 	t.Helper()
 	m := New(ps, cfg)
-	stats, err := m.Train(tr)
+	stats, err := m.train(tr, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func rowChunks(b, work int) int {
 
 // TestTrainWorkerCountInvariance is the end-to-end determinism contract:
 // the whole loss trajectory and the trained weights are bitwise identical
-// for every TrainWorkers value, and identical to TrainSequential. BatchSize
+// for every worker count, and identical to TrainSequential. BatchSize
 // 48 is three kernel tiles of rows on a network too small to fan out; at
 // BatchSize 16, H 44 makes layer 0 (528×128) cross nn's parallel threshold
 // as a kernel and as an Adam tensor, and leaves a trailing 8-row minibatch.
@@ -108,14 +109,10 @@ func TestTrainWorkerCountInvariance(t *testing.T) {
 			t.Fatalf("in=%d batch=%d: scoring in %d chunks, assembly in %d, want fan-out %v: the table no longer straddles nn's threshold",
 				in, b, score, assemble, c.rowsFan)
 		}
-		ref := base
-		ref.TrainWorkers = 1
-		refStats, refW := trainWith(t, ps, ref, tr)
+		refStats, refW := trainWith(t, ps, base, tr, 1)
 
 		for _, w := range []int{2, 3, runtime.GOMAXPROCS(0), runtime.GOMAXPROCS(0) + 5, 64, 0} {
-			cfg := base
-			cfg.TrainWorkers = w
-			stats, weights := trainWith(t, ps, cfg, tr)
+			stats, weights := trainWith(t, ps, base, tr, w)
 			label := fmt.Sprintf("in=%d batch=%d workers=%d", in, base.BatchSize, w)
 			statsEqual(t, label, refStats, stats)
 			weightsEqual(t, label, refW, weights)
@@ -139,15 +136,9 @@ func TestTrainWorkerCountInvariance(t *testing.T) {
 // and must match the single-worker run bitwise.
 func TestTrainWorkersExceedBatch(t *testing.T) {
 	ps, tr := trainSetup(t)
-	base := Config{H: 4, Epochs: 2, Seed: 5, Gamma: 1, BatchSize: 4}
-
-	ref := base
-	ref.TrainWorkers = 1
-	refStats, refW := trainWith(t, ps, ref, tr)
-
-	many := base
-	many.TrainWorkers = 64
-	stats, weights := trainWith(t, ps, many, tr)
+	cfg := Config{H: 4, Epochs: 2, Seed: 5, Gamma: 1, BatchSize: 4}
+	refStats, refW := trainWith(t, ps, cfg, tr, 1)
+	stats, weights := trainWith(t, ps, cfg, tr, 64)
 	statsEqual(t, "workers=64 batch=4", refStats, stats)
 	weightsEqual(t, "workers=64 batch=4", refW, weights)
 }
@@ -156,11 +147,9 @@ func TestTrainWorkersExceedBatch(t *testing.T) {
 // larger than the tile count of a batch that itself exceeds the trace.
 func TestTrainWorkersWithBatchOverTrace(t *testing.T) {
 	ps, tr := trainSetup(t)
-	ref := Config{H: 4, Epochs: 2, Seed: 3, BatchSize: 10000, TrainWorkers: 1}
-	big := ref
-	big.TrainWorkers = 32
-	refStats, refW := trainWith(t, ps, ref, tr)
-	stats, weights := trainWith(t, ps, big, tr)
+	cfg := Config{H: 4, Epochs: 2, Seed: 3, BatchSize: 10000}
+	refStats, refW := trainWith(t, ps, cfg, tr, 1)
+	stats, weights := trainWith(t, ps, cfg, tr, 32)
 	statsEqual(t, "oversized batch", refStats, stats)
 	weightsEqual(t, "oversized batch", refW, weights)
 }

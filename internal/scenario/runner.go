@@ -26,12 +26,6 @@ type Options struct {
 	// many substrates Run works on at once (<= 0 selects
 	// runtime.GOMAXPROCS(0)). Metrics are bitwise identical for any value.
 	Workers int
-	// TrainWorkers sizes the data-parallel pool used to train substrate
-	// models (<= 0 selects GOMAXPROCS). Trained weights — and so every
-	// golden-gated metric — are bitwise identical for any value, which is
-	// why this is a runner option and not part of the spec or the model
-	// cache key.
-	TrainWorkers int
 	// PathCache, when non-empty, is the directory of an on-disk
 	// te.PathStore shared with the trainer and the serving daemon: one
 	// candidate-path precomputation per (topology, K) across all cells
@@ -264,7 +258,6 @@ func (r *Runner) envFor(sub *substrate, sp *Spec) (*experiments.Env, error) {
 	// deterministic at every scale, and its iteration budget is part
 	// of the substrate key so goldens pin it.
 	env.UseGradSolver(sp.SolverIters)
-	env.Workers = r.opt.Workers
 	sub.env = env
 	return env, nil
 }
@@ -301,7 +294,6 @@ func (r *Runner) modelFor(sub *substrate, sp *Spec, kind string) (*figret.Model,
 	cfg := figret.Config{
 		H: t.H, Epochs: t.Epochs, Seed: sp.Seed,
 		Hidden: t.Hidden, BatchSize: t.BatchSize,
-		TrainWorkers: r.opt.TrainWorkers,
 	}
 	var m *figret.Model
 	if kind == SchemeFIGRET {
@@ -392,7 +384,7 @@ func (r *Runner) runOffline(tr *traffic.Trace, oracle *eval.Oracle, cells []*sch
 		ss := &res.Schemes[i]
 		m.Schemes = append(m.Schemes, SchemeMetrics{
 			Scheme:           ss.Name,
-			AvgMLU:           ss.AvgNorm,
+			AvgMLU:           ss.Stats.Mean,
 			P50MLU:           traffic.Quantile(ss.Norm, 0.5),
 			P95MLU:           traffic.Quantile(ss.Norm, 0.95),
 			MaxMLU:           traffic.Quantile(ss.Norm, 1),

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -131,8 +132,18 @@ func runEach(t *testing.T, specs ...*Spec) map[string]string {
 	return got
 }
 
+// atProcs runs fn with GOMAXPROCS set to n (0 leaves it as it is): every
+// fan-out Options does not size — substrate training, path precompute —
+// reads it.
+func atProcs(n int, fn func()) {
+	if n > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	}
+	fn()
+}
+
 // TestRunDeterminism is the scheduling contract: Run's substrate-major
-// schedule returns, for any Workers (and TrainWorkers), byte for byte
+// schedule returns, for any Workers and any GOMAXPROCS, byte for byte
 // what RunOne returns spec after spec in name order on a fresh runner.
 // The mini-suite puts three specs on one substrate — one with its own
 // window, one perturbed — and two on another, so groups run beside each
@@ -153,26 +164,23 @@ func TestRunDeterminism(t *testing.T) {
 	specs := []*Spec{fail, web, win, webFluid, pert}
 
 	want := runEach(t, specs...)
-	for _, opt := range []Options{
-		{Workers: 1, TrainWorkers: 1},
-		{Workers: 2},
-		{Workers: 4, TrainWorkers: 3},
-		{Workers: 16},
-	} {
-		r := NewRunner(opt)
-		ms, err := r.Run(specs)
+	for _, c := range []struct{ workers, procs int }{{1, 1}, {2, 0}, {4, 3}, {16, 0}} {
+		r := NewRunner(Options{Workers: c.workers})
+		var ms []*Metrics
+		var err error
+		atProcs(c.procs, func() { ms, err = r.Run(specs) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Substrates() != 2 {
-			t.Fatalf("Workers=%d: %d substrates, want 2", opt.Workers, r.Substrates())
+			t.Fatalf("Workers=%d: %d substrates, want 2", c.workers, r.Substrates())
 		}
 		for i, m := range ms {
 			if m.Scenario != specs[i].Name {
-				t.Fatalf("Workers=%d: result %d is %s, want %s (input order)", opt.Workers, i, m.Scenario, specs[i].Name)
+				t.Fatalf("Workers=%d: result %d is %s, want %s (input order)", c.workers, i, m.Scenario, specs[i].Name)
 			}
 			if got := sealed(t, m); got != want[m.Scenario] {
-				t.Errorf("Workers=%d: %s differs from name-order RunOne:\n%s\n%s", opt.Workers, m.Scenario, got, want[m.Scenario])
+				t.Errorf("Workers=%d GOMAXPROCS=%d: %s differs from name-order RunOne:\n%s\n%s", c.workers, c.procs, m.Scenario, got, want[m.Scenario])
 			}
 		}
 	}
@@ -269,16 +277,17 @@ func TestMetricsIndependentOfSuiteOrder(t *testing.T) {
 }
 
 // TestTrainWorkerGoldenByteIdentity pins the golden contract for the
-// data-parallel trainer: a substrate model whose minibatch spans several
-// gradient shards (BatchSize 48 = 3 shards) trains to bitwise-identical
-// weights under any TrainWorkers, so the sealed Metrics payload — and any
-// golden blessed from it — is byte-identical across worker counts.
+// data-parallel trainer end to end: a substrate model whose minibatch spans
+// three kernel tiles of rows (BatchSize 48) trains to bitwise-identical
+// weights at any GOMAXPROCS, so the sealed Metrics payload — and any golden
+// blessed from it — is byte-identical across worker counts.
 func TestTrainWorkerGoldenByteIdentity(t *testing.T) {
-	run := func(workers int) *Metrics {
+	run := func(procs int) (m *Metrics) {
 		spec := podSpec("golden-tw")
 		spec.Schemes = []string{SchemeFIGRET}
 		spec.Train = &TrainSpec{BatchSize: 48}
-		m, err := NewRunner(Options{TrainWorkers: workers}).RunOne(spec)
+		var err error
+		atProcs(procs, func() { m, err = NewRunner(Options{}).RunOne(spec) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,11 +79,6 @@ type DriftOptions struct {
 	// Epochs is the retraining epoch budget (default 4; retrains favor
 	// fast turnaround over squeezing out the last fraction of loss).
 	Epochs int
-	// TrainWorkers sizes the retraining worker pool (0 = GOMAXPROCS; a
-	// registry checkpoint never carries a worker count of its own, and
-	// served passes -trainworkers here). Retrained weights are bitwise
-	// identical for any value, so this only trades latency for CPU.
-	TrainWorkers int
 	// ShadowWindow is how many recent snapshots the candidate is
 	// shadow-evaluated on before it may replace the incumbent (default 8).
 	ShadowWindow int
@@ -398,7 +393,16 @@ func (c *Controller) Ingest(demand []float64, wait bool) (*IngestResult, error) 
 // ReportFailures installs the set of failed undirected links (replacing
 // any previous report; an empty set clears all failures) and immediately
 // republishes a rerouted decision, without waiting for the next snapshot.
+// A report naming a pair that is not a link of the topology in either
+// direction is rejected whole, and nothing changes.
 func (c *Controller) ReportFailures(links [][2]int) error {
+	for _, l := range links {
+		_, fwd := c.ps.G.EdgeID(l[0], l[1])
+		_, rev := c.ps.G.EdgeID(l[1], l[0])
+		if !fwd && !rev {
+			return fmt.Errorf("serve: %s: failed link %v is not a link of the topology", c.topo, l)
+		}
+	}
 	cp := make([][2]int, len(links))
 	copy(cp, links)
 	msg := ctrlMsg{links: cp, failure: true, reply: make(chan ingestReply, 1)}
@@ -688,9 +692,6 @@ func (c *Controller) retrain(hist *traffic.Trace, incumbent *Checkpoint) {
 	cfg := incumbent.Model.Cfg
 	cfg.Epochs = opt.Epochs
 	cfg.Seed = cfg.Seed + int64(incumbent.Version) // decorrelate restarts
-	// Worker count never changes the trained bits, so it cannot perturb
-	// the accept/reject decision.
-	cfg.TrainWorkers = opt.TrainWorkers
 	cand := figret.New(c.ps, cfg)
 	// Hold the shadow window out of training: the candidate is accepted
 	// on snapshots neither model trained on, so an overfit candidate

@@ -167,12 +167,10 @@ func TestCheckpointPredictMatchesModel(t *testing.T) {
 // TestInstallServesWhatUploadServes: an in-process Install serves the
 // model an Upload of the same model's MarshalJSON serves — the snapshot is
 // the round trip without the text. Twin servers, one fed each way, must
-// hold deep-equal models (Cfg included, TrainWorkers 0 on both as the
-// json:"-" round trip leaves it) and answer a replay with bitwise-equal
-// decisions over every transport.
+// hold deep-equal models (Cfg included) and answer a replay with
+// bitwise-equal decisions over every transport.
 func TestInstallServesWhatUploadServes(t *testing.T) {
 	ps, tr, m := fixture(t, 60, 1)
-	m.Cfg.TrainWorkers = 3
 	data, err := m.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -190,9 +188,6 @@ func TestInstallServesWhatUploadServes(t *testing.T) {
 		}
 		if ckI.Model == m || ckI.Model.Net == m.Net {
 			t.Fatal("Install serves the caller's own model")
-		}
-		if ckI.Model.Cfg.TrainWorkers != 0 {
-			t.Fatalf("installed Cfg.TrainWorkers = %d, want 0", ckI.Model.Cfg.TrainWorkers)
 		}
 		if !reflect.DeepEqual(ckI.Model, ckU.Model) {
 			t.Fatalf("installed model differs from uploaded model:\ncfg %+v\nvs  %+v", ckI.Model.Cfg, ckU.Model.Cfg)

@@ -370,7 +370,9 @@ func (s *Server) handleFailures(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.ReportFailures(req.Links); err != nil {
-		httpError(w, statusOf(err, http.StatusInternalServerError), err.Error())
+		// A link the topology lacks is the caller's fault; lifecycle
+		// conditions are the server's.
+		httpError(w, statusOf(err, http.StatusBadRequest), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, routingResponse(c.Topology(), c.Decision(), true))

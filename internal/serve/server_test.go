@@ -687,3 +687,95 @@ func TestUploadBodyReadFailures(t *testing.T) {
 		t.Fatal("a failed body read installed a checkpoint")
 	}
 }
+
+// TestReportFailuresRejectsUnknownLink: a failure report naming a pair that
+// is not a link of the topology used to be answered as rerouted while
+// nothing moved, leaving traffic on the link the operator meant to fail.
+// It is rejected whole, naming the first offending entry, over the
+// Controller and as a 400 over JSON; the failure set, the published
+// decision and the counters stay as they were.
+func TestReportFailuresRejectsUnknownLink(t *testing.T) {
+	g, err := graph.RingWithChords(6, 6, 10, 1) // a bare ring: most pairs are not links
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := te.NewPathSet(g, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := traffic.WAN(g.NumVertices(), 12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const h = 2
+	m := figret.New(ps, figret.Config{H: h, Hidden: []int{8}, Seed: 1})
+	client, srv, reg := startServer(t, "ring", ps, ControllerOptions{})
+	if _, err := reg.Install("ring", m, "bootstrap"); err != nil {
+		t.Fatal(err)
+	}
+	ctl := srv.Controller("ring")
+	for i := 0; i < h; i++ {
+		if _, err := ctl.Ingest(tr.At(i), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := g.Edge(0)
+	valid := [2]int{e.From, e.To}
+	if err := ctl.ReportFailures([][2]int{valid}); err != nil {
+		t.Fatal(err)
+	}
+	stranger := [2]int{-1, -1}
+	for a := 0; a < g.NumVertices() && stranger[0] < 0; a++ {
+		for b := a + 1; b < g.NumVertices(); b++ {
+			_, fwd := g.EdgeID(a, b)
+			_, rev := g.EdgeID(b, a)
+			if !fwd && !rev {
+				stranger = [2]int{a, b}
+				break
+			}
+		}
+	}
+	if stranger[0] < 0 {
+		t.Fatal("the ring has no non-adjacent pair")
+	}
+	n := g.NumVertices()
+	for _, c := range []struct {
+		name      string
+		links     [][2]int
+		offending [2]int
+	}{
+		{"vertex past the topology", [][2]int{{0, n}}, [2]int{0, n}},
+		{"negative vertex", [][2]int{{-1, 0}}, [2]int{-1, 0}},
+		{"non-adjacent pair", [][2]int{stranger}, stranger},
+		{"valid link then an unknown one", [][2]int{valid, stranger}, stranger},
+	} {
+		want := strconv.Itoa(c.offending[0]) + " " + strconv.Itoa(c.offending[1])
+		decided, before := ctl.Decision(), ctl.Metrics()
+		err := ctl.ReportFailures(c.links)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: Controller answered %v, want an error naming [%s]", c.name, err, want)
+		}
+		_, err = client.ReportFailures("ring", c.links)
+		if err == nil || !strings.Contains(err.Error(), "status 400") || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: JSON client answered %v, want a 400 naming [%s]", c.name, err, want)
+		}
+		after := ctl.Metrics()
+		if ctl.Decision() != decided || after.Snapshots != before.Snapshots || after.Decisions != before.Decisions {
+			t.Fatalf("%s: rejected report moved state: seq %d -> %d, decisions %d -> %d",
+				c.name, decided.Seq, ctl.Decision().Seq, before.Decisions, after.Decisions)
+		}
+	}
+	// The next decision is still rerouted around the valid link alone.
+	res, err := ctl.Ingest(tr.At(h), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := m.Predict(tr.Window(h+1, h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := te.Reroute(base, te.NewFailureSet(g, [][2]int{valid}))
+	if !res.Decision.Rerouted || !sameBits(res.Decision.Config.R, want.R) {
+		t.Fatal("decision after the rejected reports is not the reroute around the one valid link")
+	}
+}

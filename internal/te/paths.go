@@ -55,16 +55,10 @@ const SelectorYen = "yen"
 
 // PathSetOptions configures NewPathSetOpt.
 type PathSetOptions struct {
-	// Workers sizes the precomputation worker pool; <= 0 selects
-	// runtime.GOMAXPROCS(0), 1 runs sequentially. The resulting PathSet is
-	// bitwise identical for every worker count: each pair's candidate
-	// list lands in an index-addressed slot and the set is flattened in
-	// pair order, so scheduling never reorders output.
-	Workers int
 	// Selector overrides path selection. Nil selects Yen's algorithm run
 	// on per-worker solvers with reused scratch (graph.YenSolver). A
-	// non-nil Selector must be safe for concurrent use when Workers != 1
-	// (it is called from multiple goroutines with distinct pairs).
+	// non-nil Selector must be safe for concurrent use (it is called from
+	// multiple goroutines with distinct pairs).
 	Selector PathSelector
 	// SelectorName content-addresses the selector for Store lookups.
 	// Defaults to SelectorYen when Selector is nil. A custom Selector
@@ -86,8 +80,10 @@ type PathSetOptions struct {
 // NewPathSet computes candidate paths for every SD pair of g using sel
 // (k paths per pair where the topology allows). It returns an error if any
 // pair has no path (disconnected topology). Precomputation fans out across
-// runtime.GOMAXPROCS(0) workers; use NewPathSetOpt to pin the worker count or
-// attach an on-disk PathStore. Output is identical for any worker count.
+// runtime.GOMAXPROCS(0) workers; use NewPathSetOpt to attach an on-disk
+// PathStore. Output is identical for any worker count: each pair's
+// candidate list lands in an index-addressed slot and the set is flattened
+// in pair order, so scheduling never reorders output.
 func NewPathSet(g *graph.Graph, k int, sel PathSelector) (*PathSet, error) {
 	return NewPathSetOpt(g, k, PathSetOptions{Selector: sel})
 }
@@ -96,9 +92,6 @@ func NewPathSet(g *graph.Graph, k int, sel PathSelector) (*PathSet, error) {
 func NewPathSetOpt(g *graph.Graph, k int, opt PathSetOptions) (*PathSet, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("te: path count k=%d must be positive", k)
-	}
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	selName := opt.SelectorName
 	if opt.Selector == nil && selName == "" {
@@ -112,7 +105,7 @@ func NewPathSetOpt(g *graph.Graph, k int, opt PathSetOptions) (*PathSet, error) 
 		}
 	}
 	pairs := NewPairs(g.NumVertices())
-	perPair, err := computePairPaths(g, k, pairs, opt)
+	perPair, err := computePairPaths(g, k, pairs, opt.Selector, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}
@@ -129,22 +122,22 @@ func NewPathSetOpt(g *graph.Graph, k int, opt PathSetOptions) (*PathSet, error) 
 	return ps, nil
 }
 
-// computePairPaths runs the per-pair selector over all SD pairs on a worker
-// pool and returns the candidate lists in index-addressed slots (slot pi
+// computePairPaths runs the per-pair selector (nil: Yen) over all SD pairs
+// on a pool of the given width and returns the candidate lists in index-addressed slots (slot pi
 // holds pair pi's paths), so the output layout is independent of worker
 // count and scheduling. Pair indices are claimed in ascending order and a
 // failure stops further claims; because every claimed index runs to
 // completion, the smallest failing pair is always among the completed ones
 // and the returned error is deterministic.
-func computePairPaths(g *graph.Graph, k int, pairs Pairs, opt PathSetOptions) ([][]graph.Path, error) {
+func computePairPaths(g *graph.Graph, k int, pairs Pairs, custom PathSelector, workers int) ([][]graph.Path, error) {
 	count := pairs.Count()
 	perPair := make([][]graph.Path, count)
 	// newSel builds one worker's selector: the shared custom selector, or
 	// a worker-owned Yen solver whose Dijkstra/spur scratch is reused
 	// across every pair the worker claims.
 	newSel := func() PathSelector {
-		if opt.Selector != nil {
-			return opt.Selector
+		if custom != nil {
+			return custom
 		}
 		ys := graph.NewYenSolver(g)
 		return func(g *graph.Graph, s, d, k int) []graph.Path {
@@ -160,7 +153,6 @@ func computePairPaths(g *graph.Graph, k int, pairs Pairs, opt PathSetOptions) ([
 		perPair[pi] = cand
 		return nil
 	}
-	workers := opt.Workers
 	if workers > count {
 		workers = count
 	}

@@ -61,22 +61,33 @@ func samePathSet(t *testing.T, got, want *PathSet) {
 	}
 }
 
+// pathSetWith is NewPathSetOpt without a store, on a precompute pool of the
+// given width.
+func pathSetWith(g *graph.Graph, k int, sel PathSelector, workers int) (*PathSet, error) {
+	pairs := NewPairs(g.NumVertices())
+	perPair, err := computePairPaths(g, k, pairs, sel, workers)
+	if err != nil {
+		return nil, err
+	}
+	return assemblePathSet(g, k, pairs, perPair)
+}
+
 // TestNewPathSetParallelBitwise is the determinism contract of the worker
 // pool: any worker count produces exactly the sequential path set.
 func TestNewPathSetParallelBitwise(t *testing.T) {
 	g := graph.GEANT()
-	want, err := NewPathSetOpt(g, 3, PathSetOptions{Workers: 1})
+	want, err := pathSetWith(g, 3, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 5, 8} {
-		got, err := NewPathSetOpt(g, 3, PathSetOptions{Workers: workers})
+		got, err := pathSetWith(g, 3, nil, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		samePathSet(t, got, want)
 	}
-	// The legacy constructor (which now defaults to all CPUs) must agree.
+	// The public constructor, on GOMAXPROCS workers, must agree.
 	legacy, err := NewPathSet(g, 3, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +104,11 @@ func TestNewPathSetParallelCustomSelector(t *testing.T) {
 		// Shortest path only, ignoring k: a deliberately odd selector.
 		return g.KShortestPaths(s, d, 1, graph.HopWeight)
 	}
-	want, err := NewPathSetOpt(g, 3, PathSetOptions{Workers: 1, Selector: sel})
+	want, err := pathSetWith(g, 3, sel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewPathSetOpt(g, 3, PathSetOptions{Workers: 4, Selector: sel})
+	got, err := pathSetWith(g, 3, sel, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +129,7 @@ func TestNewPathSetParallelDisconnected(t *testing.T) {
 	g.MustAddEdge(3, 2, 1)
 	want := "te: no path from 0 to 2"
 	for _, workers := range []int{1, 2, 8} {
-		_, err := NewPathSetOpt(g, 3, PathSetOptions{Workers: workers})
+		_, err := pathSetWith(g, 3, nil, workers)
 		if err == nil || err.Error() != want {
 			t.Fatalf("workers=%d: err = %v, want %q", workers, err, want)
 		}
@@ -132,7 +143,7 @@ func TestPathStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.GEANT()
-	want, err := NewPathSetOpt(g, 3, PathSetOptions{Workers: 2, Store: store})
+	want, err := NewPathSetOpt(g, 3, PathSetOptions{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
