@@ -43,7 +43,7 @@
 // With -drive the binary becomes a load generator instead of a daemon:
 // it replays demand snapshots against an already-running served
 // instance — over the pipelined binary wire protocol by default
-// (sustained decisions/sec, RTT quantiles, delta mix), or as a
+// (sustained decisions/sec, RTT quantiles, frames received), or as a
 // synchronous JSON closed-loop replay with -drivetransport json:
 //
 //	served -topos geant -drive http://127.0.0.1:8080 -driven 20000
@@ -349,8 +349,7 @@ func runDrive(logger *slog.Logger, baseURL, topo, transport string, sc experimen
 			"decisions_per_sec", int(res.DecisionsPerSec), "requests_per_sec", int(res.RequestsPerSec))
 		logger.Info("drive rtt", "mean_us", int(s.MeanRTTMicros), "p50_us", int(s.P50RTTMicros),
 			"p99_us", int(s.P99RTTMicros))
-		logger.Info("drive transfer", "deltas", res.Bin.Deltas, "fulls", res.Bin.Fulls,
-			"resyncs", res.Bin.Resyncs, "redials", res.Bin.Redials,
+		logger.Info("drive transfer", "fulls", res.Bin.Fulls, "redials", res.Bin.Redials,
 			"bytes_sent", s.BytesSent, "bytes_received", s.BytesReceived)
 		return nil
 	default:

@@ -47,13 +47,12 @@ const (
 // upgraded connection: an HTTP Upgrade handshake on the JSON API's own
 // listener, then length-prefixed wire frames both ways. Requests
 // pipeline (Stream keeps up to streamDepth of them in flight), responses
-// arrive strictly in request order, and decisions may be delta-encoded
-// against the previous one, with automatic full-decision resync.
+// arrive strictly in request order, and every decision is a full frame,
+// decoded into one reused wire.Decision.
 //
-// A broken connection redials with exponential backoff (and a fresh
-// delta base — reconnecting is the coarse resync). Snapshot ingest is
-// therefore at-least-once across redials: a request whose response was
-// lost may have been ingested.
+// A broken connection redials with exponential backoff. Snapshot ingest
+// is therefore at-least-once across redials: a request whose response
+// was lost may have been ingested.
 //
 // A BinClient is not safe for concurrent use; replay and load
 // generation are single-driver loops by construction.
@@ -68,59 +67,61 @@ type BinClient struct {
 	enc  wire.Encoder
 	dec  wire.Decoder
 
-	// Delta state: last holds the latest full decision (the delta
-	// base), spare is the decode/apply target they swap through.
-	last, spare *wire.Decision
-	delta       wire.Delta
-	haveLast    bool
+	// decision is the decode target of every decision reply.
+	decision wire.Decision
 
 	// Counters (see BinStats).
-	deltas, fulls, resyncs, redials uint64
-	bytesIn                         int64
+	fulls, redials uint64
+	bytesIn        int64
 }
 
 // BinStats reports a client's transport counters.
 type BinStats struct {
-	// Deltas and Fulls count decision encodings received.
+	// Fulls counts decision frames received. Deltas is always 0: the
+	// stream sends full decisions only, and the field stays because
+	// benchmark/, which compiles against this package, prints it.
 	Deltas, Fulls uint64
-	// Resyncs counts full-decision resyncs forced by delta gaps.
-	Resyncs uint64
 	// Redials counts reconnects after broken connections.
 	Redials uint64
 }
 
 // DialBin connects the binary stream client to the server at baseURL
 // (the JSON client's BaseURL, e.g. "http://127.0.0.1:8080") and binds
-// it to topo. ps must be the topology's path set — decisions are
-// validated and delta-decoded against its layout.
+// it to topo. baseURL may also be a bare host:port. ps must be the
+// topology's path set: the hello-ack's pair and path counts are
+// validated against it.
 func DialBin(baseURL, topo string, ps *te.PathSet, _ BinClientOptions) (*BinClient, error) {
-	u, err := url.Parse(baseURL)
+	hostport, err := dialAddr(baseURL)
 	if err != nil {
-		return nil, fmt.Errorf("serve: bin client: %w", err)
+		return nil, err
 	}
-	host := u.Host
-	if host == "" {
-		host = baseURL // tolerate a bare host:port
-	}
-	if !strings.Contains(host, ":") {
-		host += ":80"
-	}
-	c := &BinClient{
-		hostport: host,
-		topo:     topo,
-		ps:       ps,
-		last:     &wire.Decision{},
-		spare:    &wire.Decision{},
-	}
+	c := &BinClient{hostport: hostport, topo: topo, ps: ps}
 	if err := c.dial(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
+// dialAddr derives the TCP address to dial from a base URL
+// ("http://host[:port]", port 80 by default) or a bare "host:port".
+func dialAddr(baseURL string) (string, error) {
+	if u, err := url.Parse(baseURL); err == nil && u.Host != "" {
+		port := u.Port()
+		if port == "" {
+			port = "80"
+		}
+		return net.JoinHostPort(u.Hostname(), port), nil
+	}
+	host, port, err := net.SplitHostPort(baseURL)
+	if err != nil {
+		return "", fmt.Errorf("serve: bin client: base URL %q is neither http://host[:port] nor host:port", baseURL)
+	}
+	return net.JoinHostPort(host, port), nil
+}
+
 // Stats returns the transport counters.
 func (c *BinClient) Stats() BinStats {
-	return BinStats{Deltas: c.deltas, Fulls: c.fulls, Resyncs: c.resyncs, Redials: c.redials}
+	return BinStats{Fulls: c.fulls, Redials: c.redials}
 }
 
 // Close drops the connection.
@@ -162,7 +163,7 @@ func (c *BinClient) dial() error {
 		return fmt.Errorf("serve: bin client: %w", err)
 	}
 	// Bind to the topology.
-	if _, err := conn.Write(c.enc.Hello(&wire.Hello{Topo: c.topo, Delta: true})); err != nil {
+	if _, err := conn.Write(c.enc.Hello(&wire.Hello{Topo: c.topo})); err != nil {
 		conn.Close()
 		return fmt.Errorf("serve: bin client: %w", err)
 	}
@@ -199,7 +200,6 @@ func (c *BinClient) dial() error {
 	c.conn = conn
 	c.br = br
 	c.bw = bufio.NewWriterSize(conn, wireWriteBufSize)
-	c.haveLast = false // fresh connection, fresh delta chain
 	return nil
 }
 
@@ -239,11 +239,9 @@ func (e *wireError) Error() string {
 }
 
 // readReply reads one response frame and resolves it into either a
-// decision (full or delta-applied), an ack (nil decision), or an
-// error. Delta gaps trigger an inline resync only when resync is set
-// (safe when nothing else is in flight); otherwise they surface as
-// errors and the caller reconnects.
-func (c *BinClient) readReply(deadline time.Time, resync bool) (*wire.Decision, error) {
+// decision (c.decision, overwritten by the next reply), an ack (nil
+// decision), or an error.
+func (c *BinClient) readReply(deadline time.Time) (*wire.Decision, error) {
 	c.conn.SetReadDeadline(deadline)
 	t, payload, err := c.dec.ReadFrame(c.br)
 	if err != nil {
@@ -260,67 +258,14 @@ func (c *BinClient) readReply(deadline time.Time, resync bool) (*wire.Decision, 
 		}
 		return nil, &wireError{Code: em.Code, Msg: em.Msg}
 	case wire.TDecision:
-		if err := wire.DecodeDecision(payload, c.spare); err != nil {
+		if err := wire.DecodeDecision(payload, &c.decision); err != nil {
 			return nil, err
 		}
 		c.fulls++
-		if c.spare.Warming {
-			// Warming carries no ratios; the delta base stays put.
-			return c.spare, nil
-		}
-		c.last, c.spare = c.spare, c.last
-		c.haveLast = true
-		return c.last, nil
-	case wire.TDelta:
-		if err := wire.DecodeDelta(payload, &c.delta); err != nil {
-			return nil, err
-		}
-		base := c.last
-		if !c.haveLast {
-			base = nil
-		}
-		if err := wire.ApplyDelta(base, &c.delta, wire.Layout(c.ps.PairPaths), c.spare); err != nil {
-			if errors.Is(err, wire.ErrDeltaGap) && resync {
-				return c.resyncFull(deadline)
-			}
-			return nil, err
-		}
-		c.deltas++
-		c.last, c.spare = c.spare, c.last
-		return c.last, nil
+		return &c.decision, nil
 	default:
 		return nil, fmt.Errorf("serve: bin client: unexpected %s reply", t)
 	}
-}
-
-// resyncFull recovers from a delta gap: request a full decision and
-// adopt it as the new base.
-func (c *BinClient) resyncFull(deadline time.Time) (*wire.Decision, error) {
-	c.resyncs++
-	if _, err := c.bw.Write(c.enc.Resync()); err != nil {
-		return nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
-	}
-	c.conn.SetReadDeadline(deadline)
-	t, payload, err := c.dec.ReadFrame(c.br)
-	if err != nil {
-		return nil, fmt.Errorf("serve: bin client: resync: %w", err)
-	}
-	if t != wire.TDecision {
-		return nil, fmt.Errorf("serve: bin client: resync answered with %s", t)
-	}
-	if err := wire.DecodeDecision(payload, c.spare); err != nil {
-		return nil, err
-	}
-	c.fulls++
-	if !c.spare.Warming {
-		c.last, c.spare = c.spare, c.last
-		c.haveLast = true
-		return c.last, nil
-	}
-	return c.spare, nil
 }
 
 // roundTrip sends one request frame and reads its reply, redialing once
@@ -334,7 +279,7 @@ func (c *BinClient) roundTrip(build func() []byte) (*wire.Decision, error) {
 		err := c.writeFlush(build())
 		var d *wire.Decision
 		if err == nil {
-			d, err = c.readReply(time.Now().Add(binReadTimeout), true)
+			d, err = c.readReply(time.Now().Add(binReadTimeout))
 		}
 		if err == nil {
 			return d, nil
@@ -431,7 +376,7 @@ func (c *BinClient) stream(n int, demand func(i int) []float64, onDecision func(
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			d, err := c.readReply(time.Now().Add(binReadTimeout), false)
+			d, err := c.readReply(time.Now().Add(binReadTimeout))
 			now := time.Now()
 			if err != nil {
 				mu.Lock()

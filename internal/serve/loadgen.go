@@ -22,8 +22,8 @@ type LoadResult struct {
 	// Stream carries the pipelining measurements (RTT quantiles, byte
 	// counts).
 	Stream StreamStats
-	// Bin carries the transport counters (delta vs full decisions,
-	// resyncs, redials).
+	// Bin carries the transport counters (decision frames received,
+	// redials).
 	Bin BinStats
 	// DecisionsPerSec is decision responses over elapsed wall clock —
 	// the serving data plane's sustained throughput as observed by one
@@ -36,7 +36,7 @@ type LoadResult struct {
 // LoadGen drives the server's binary stream at maximum sustainable rate:
 // it dials the upgraded protocol, pipelines Requests snapshot ingests
 // cycling through the trace, and reports decisions/sec plus the
-// transport's delta and RTT statistics. This is the load-generator mode
+// transport's frame counts and RTT statistics. This is the load-generator mode
 // behind cmd/served -drive.
 func LoadGen(baseURL, topo string, ps *te.PathSet, tr *traffic.Trace, opt LoadOptions) (*LoadResult, error) {
 	if tr.Len() == 0 {

@@ -54,8 +54,8 @@ const maxCheckpointBytes = 512 << 20
 // the snapshot and routing endpoints accept binary request bodies
 // (Content-Type wire.MediaType) and answer in kind (Accept
 // wire.MediaType), and GET /v1/wire upgrades the connection to the
-// persistent pipelined stream with delta-encoded decisions that
-// BinClient drives. The JSON API is byte-for-byte untouched — binary is
+// persistent pipelined stream of full decision frames that BinClient
+// drives. The JSON API is byte-for-byte untouched — binary is
 // a purely additive fast path.
 type Server struct {
 	reg *Registry

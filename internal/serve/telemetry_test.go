@@ -72,8 +72,7 @@ func TestNilTelemetryIsInert(t *testing.T) {
 		}
 	}
 	tel.wireConnOpen()
-	tel.wireDecision(true)
-	tel.wireResync()
+	tel.wireDecisionSent()
 	tel.wireConnClose()
 	tel.transport("json").observe(time.Second)
 	if tel.topo("pod") != nil {

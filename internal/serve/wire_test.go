@@ -116,8 +116,8 @@ func TestWireHTTPNegotiation(t *testing.T) {
 }
 
 // TestWireStream exercises the upgraded persistent stream end to end:
-// hello validation, sync decisions, delta encoding on stable demand,
-// async acks, typed error frames, and the two retired control verbs.
+// hello validation, sync decisions, full frames even on stable demand,
+// async acks, typed error frames, and the three retired type numbers.
 func TestWireStream(t *testing.T) {
 	client, _ := wireFixture(t)
 	ps, tr, _ := fixture(t, 60, 1)
@@ -131,7 +131,6 @@ func TestWireStream(t *testing.T) {
 
 	bin := dialPod(t, client, ps)
 
-	// First decision over the stream is full (no base yet).
 	d1, err := bin.PostSnapshot(tr.At(10))
 	if err != nil {
 		t.Fatal(err)
@@ -139,20 +138,20 @@ func TestWireStream(t *testing.T) {
 	if d1.Warming || len(d1.Ratios) != ps.NumPaths() {
 		t.Fatalf("stream decision %+v", d1)
 	}
-	if s := bin.Stats(); s.Fulls == 0 {
+	if s := bin.Stats(); s.Fulls != 1 {
 		t.Fatalf("first decision not counted full: %+v", s)
 	}
 
-	// Stable demand saturates the window with identical snapshots; the
-	// decisions converge and the server switches to (tiny) delta frames.
+	// Stable demand saturates the window with identical snapshots, so
+	// consecutive decisions converge; every reply is still a full frame.
 	var last *RoutingResponse
 	for i := 0; i < 12; i++ {
 		if last, err = bin.PostSnapshot(tr.At(10)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s := bin.Stats(); s.Deltas == 0 {
-		t.Fatalf("no delta frames on stable demand: %+v", s)
+	if s := bin.Stats(); s.Deltas != 0 || s.Fulls != 13 {
+		t.Fatalf("13 decisions on stable demand counted %+v, want 13 full frames", s)
 	}
 
 	// The stream's decision equals the JSON surface's routing view.
@@ -185,21 +184,21 @@ func TestWireStream(t *testing.T) {
 	}
 
 	// Type numbers 6 and 7 were the stream's failure report and routing
-	// query; control is JSON now. A frame carrying one is any unknown
-	// frame: a 400 error frame, then the server closes the connection
-	// (and the client redials on its next request).
-	for _, retired := range []byte{6, 7} {
-		frame := append([]byte(nil), bin.enc.Resync()...)
+	// query, 8 its delta resync request. A frame carrying one is any
+	// unknown frame: a 400 error frame, then the server closes the
+	// connection (and the client redials on its next request).
+	for _, retired := range []byte{6, 7, 8} {
+		frame := append([]byte(nil), bin.enc.Ack()...)
 		frame[5] = retired // u32 length, version, type
 		binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc32.ChecksumIEEE(frame[4:len(frame)-4]))
 		if _, err := bin.conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 		var we *wireError
-		if _, err := bin.readReply(time.Now().Add(5*time.Second), false); !errors.As(err, &we) || we.Code != 400 {
+		if _, err := bin.readReply(time.Now().Add(5*time.Second)); !errors.As(err, &we) || we.Code != 400 {
 			t.Fatalf("retired type %d answered %v, want a 400 error frame", retired, err)
 		}
-		if _, err := bin.readReply(time.Now().Add(5*time.Second), false); err == nil {
+		if _, err := bin.readReply(time.Now().Add(5*time.Second)); err == nil {
 			t.Fatalf("connection still open after retired type %d", retired)
 		}
 		if _, err := bin.PostSnapshot(tr.At(12)); err != nil {
@@ -208,44 +207,24 @@ func TestWireStream(t *testing.T) {
 	}
 }
 
-// TestWireStreamResync forces a delta gap (the client's base is
-// corrupted behind the server's back) and checks the client recovers
-// with a full-decision resync rather than failing.
-func TestWireStreamResync(t *testing.T) {
-	client, _ := wireFixture(t)
-	ps, tr, _ := fixture(t, 60, 1)
-	bin := dialPod(t, client, ps)
-
-	// Establish a delta chain on stable demand.
-	for i := 0; i < 10; i++ {
-		if _, err := bin.PostSnapshot(tr.At(20)); err != nil {
-			t.Fatal(err)
+// TestDialAddr: DialBin takes the JSON client's base URL or a bare
+// host:port, IPv6 literals included, and dials port 80 when a URL names
+// none.
+func TestDialAddr(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"http://127.0.0.1:8080", "127.0.0.1:8080"},
+		{"127.0.0.1:8080", "127.0.0.1:8080"},
+		{"localhost:8080", "localhost:8080"},
+		{"http://[::1]", "[::1]:80"},
+		{"[::1]:8080", "[::1]:8080"},
+		{"http://example.com", "example.com:80"},
+	} {
+		if got, err := dialAddr(tc.in); err != nil || got != tc.want {
+			t.Errorf("dialAddr(%q) = %q, %v; want %q", tc.in, got, err, tc.want)
 		}
 	}
-	if bin.Stats().Deltas == 0 {
-		t.Fatal("no delta chain established")
-	}
-
-	// Sabotage the client's cached base: the next delta no longer
-	// applies (ErrDeltaGap) and must trigger an inline TResync.
-	bin.last.Seq -= 5
-	d, err := bin.PostSnapshot(tr.At(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Warming || len(d.Ratios) != ps.NumPaths() {
-		t.Fatalf("post-resync decision %+v", d)
-	}
-	if s := bin.Stats(); s.Resyncs != 1 {
-		t.Fatalf("resyncs = %d, want 1 (%+v)", s.Resyncs, s)
-	}
-	// The chain continues (deltas resume against the resynced base).
-	before := bin.Stats().Deltas
-	if _, err := bin.PostSnapshot(tr.At(20)); err != nil {
-		t.Fatal(err)
-	}
-	if bin.Stats().Deltas == before {
-		t.Fatal("delta chain did not resume after resync")
+	if got, err := dialAddr("example.com"); err == nil {
+		t.Errorf("dialAddr(%q) = %q, want an error (no scheme, no port)", "example.com", got)
 	}
 }
 
@@ -345,7 +324,7 @@ func TestWireServerClose(t *testing.T) {
 
 // TestWireReplayBitwise is the tentpole identity contract: a closed-loop
 // replay over the binary transports — the content-negotiated HTTP codec
-// and the upgraded delta-encoded stream — must produce decisions and
+// and the upgraded stream — must produce decisions and
 // simulated per-interval results bitwise identical to the JSON replay of
 // the same trace against the same checkpoint. Only publication
 // timestamps (wall clock) may differ across runs.
@@ -411,8 +390,8 @@ func TestLoadGen(t *testing.T) {
 	if res.Stream.Decisions != 50 || res.DecisionsPerSec <= 0 {
 		t.Fatalf("load result %+v", res)
 	}
-	if res.Bin.Fulls+res.Bin.Deltas == 0 {
-		t.Fatalf("no decisions counted: %+v", res.Bin)
+	if res.Bin.Fulls != 50 || res.Bin.Deltas != 0 {
+		t.Fatalf("50 decisions counted %+v, want 50 full frames", res.Bin)
 	}
 
 	ares, err := LoadGen(client.BaseURL, "pod", ps, tr, LoadOptions{Requests: 20, Async: true})

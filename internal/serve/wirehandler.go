@@ -98,11 +98,9 @@ func (s *Server) closeWireConns() {
 	}
 }
 
-// wireSession is one upgraded connection's state: reusable codec
-// buffers (per-connection buffer reuse — zero steady-state allocations
-// on the snapshot→decision hot path) and the delta base, the last
-// decision whose ratios the client holds, against which the next
-// decision is delta-encoded.
+// wireSession is one upgraded connection's state: the bound controller
+// and reusable codec buffers (per-connection buffer reuse — zero
+// steady-state allocations on the snapshot→decision hot path).
 type wireSession struct {
 	s   *Server
 	c   *Controller
@@ -112,12 +110,6 @@ type wireSession struct {
 
 	// Reused decode target.
 	snap wire.Snapshot
-
-	// Delta state. last.Ratios aliases the published decision's
-	// immutable Config.R, so keeping the base costs no copy.
-	wantDelta bool
-	haveBase  bool
-	last      wire.Decision
 }
 
 // serveWire runs the frame loop on an upgraded connection: frames are
@@ -175,7 +167,6 @@ func (ws *wireSession) handle(t wire.MsgType, payload []byte) (frame []byte, fat
 			return ws.errorFrame(http.StatusNotFound, fmt.Sprintf("unknown topology %q", h.Topo)), true
 		}
 		ws.c = c
-		ws.wantDelta = h.Delta
 		return ws.enc.HelloAck(&wire.HelloAck{Pairs: c.ps.Pairs.Count(), Paths: c.ps.NumPaths()}), false
 
 	case wire.TSnapshot:
@@ -195,54 +186,18 @@ func (ws *wireSession) handle(t wire.MsgType, payload []byte) (frame []byte, fat
 			return ws.enc.Ack(), false
 		}
 		if res.Decision == nil {
-			// Warming: no ratios yet, and no delta base update.
+			// Warming: no ratios yet.
 			ws.tel.transport(transportWire).observe(time.Since(start))
 			return ws.enc.Decision(&wire.Decision{Snapshot: res.Snapshot, Warming: true}), false
 		}
-		frame := ws.decisionFrame(res.Decision)
+		frame := ws.enc.Decision(wireDecision(res.Decision))
+		ws.tel.wireDecisionSent()
 		ws.tel.transport(transportWire).observe(time.Since(start))
 		return frame, false
-
-	case wire.TResync:
-		if ws.c == nil {
-			return ws.errorFrame(http.StatusBadRequest, "hello required before requests"), true
-		}
-		// Drop the delta base: the reply and the next decision are full.
-		ws.haveBase = false
-		ws.tel.wireResync()
-		return ws.decisionFrame(ws.c.Decision()), false
 
 	default:
 		return ws.errorFrame(http.StatusBadRequest, fmt.Sprintf("unexpected %s frame", t)), true
 	}
-}
-
-// decisionFrame encodes a published decision, delta-encoded against the
-// connection's base when the client asked for deltas and the delta is
-// strictly smaller (never across versions or warming states — those
-// resync with a full decision, per the wire package contract).
-func (ws *wireSession) decisionFrame(d *Decision) []byte {
-	next := wire.Decision{
-		Seq:          d.Seq,
-		Snapshot:     d.Snapshot,
-		Version:      d.Version,
-		Rerouted:     d.Rerouted,
-		ChurnLimited: d.ChurnLimited,
-		AtUnixNanos:  d.At.UnixNano(),
-		Ratios:       d.Config.R, // immutable by the Decision contract
-	}
-	var frame []byte
-	ok := false
-	if ws.wantDelta && ws.haveBase {
-		frame, ok = ws.enc.DecisionDelta(&ws.last, &next, wire.Layout(ws.c.ps.PairPaths))
-	}
-	if !ok {
-		frame = ws.enc.Decision(&next)
-	}
-	ws.tel.wireDecision(ok)
-	ws.last = next
-	ws.haveBase = true
-	return frame
 }
 
 func (ws *wireSession) errorFrame(code int, msg string) []byte {
@@ -269,9 +224,8 @@ func statusOf(err error, fallback int) int {
 // per-connection buffer reuse without per-conn bookkeeping).
 var wireEncPool = sync.Pool{New: func() any { return new(wire.Encoder) }}
 
-// writeWireDecision writes a full binary decision frame as an HTTP
-// response body. The stateless HTTP surface never delta-encodes —
-// deltas need the per-connection base only the upgraded stream has.
+// writeWireDecision writes a binary decision frame as an HTTP response
+// body.
 func writeWireDecision(w http.ResponseWriter, status int, m *wire.Decision) {
 	e := wireEncPool.Get().(*wire.Encoder)
 	frame := e.Decision(m)
@@ -281,6 +235,9 @@ func writeWireDecision(w http.ResponseWriter, status int, m *wire.Decision) {
 	wireEncPool.Put(e)
 }
 
+// wireDecision is a published decision's wire form, for both binary
+// surfaces. Ratios aliases the decision's Config.R, immutable by the
+// Decision contract, so the conversion copies no ratio.
 func wireDecision(d *Decision) *wire.Decision {
 	return &wire.Decision{
 		Seq:          d.Seq,

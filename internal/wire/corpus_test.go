@@ -17,7 +17,7 @@ func seedFrames() map[string][]byte {
 	frames := map[string][]byte{}
 	add := func(name string, b []byte) { frames[name] = append([]byte(nil), b...) }
 
-	add("hello", e.Hello(&Hello{Topo: "toy", Delta: true}))
+	add("hello", e.Hello(&Hello{Topo: "toy"}))
 	add("hello_ack", e.HelloAck(&HelloAck{Pairs: 6, Paths: 18}))
 	add("snapshot", e.Snapshot(&Snapshot{Async: true, Demand: []float64{1, 2.5, 0, 4096}}))
 	add("decision", e.Decision(&Decision{
@@ -46,7 +46,6 @@ func seedFrames() map[string][]byte {
 	}
 	add("delta", delta)
 
-	add("resync", e.Resync())
 	add("ack", e.Ack())
 	add("error", e.Error(&ErrorMsg{Code: 503, Msg: "solver warming"}))
 

@@ -9,7 +9,8 @@ import (
 // paths — te.PathSet.PairPaths, passed down without importing te so the
 // codec stays dependency-free. Delta encoding and application are
 // defined over a layout: a "pair's ratios" are the entries of the flat
-// ratio vector the layout assigns to it.
+// ratio vector the layout assigns to it. Like the rest of this file it
+// serves the offline delta probe; no transport sends deltas.
 type Layout [][]int
 
 // NumPaths returns the total path count across all pairs.
@@ -22,16 +23,17 @@ func (l Layout) NumPaths() int {
 }
 
 // ErrDeltaGap reports a delta whose base does not match the decision it
-// is being applied to — the client's cache is behind (or ahead of) the
-// server's delta chain, and only a full-decision resync (TResync, or a
-// reconnect) can recover. Gaps never corrupt state: ApplyDelta returns
-// before touching out.
+// is being applied to: the holder of the base is behind (or ahead of) the
+// encoder's chain, and only a full decision can re-anchor it. Gaps never
+// corrupt state: ApplyDelta returns before touching out. Offline delta
+// codec only, like ApplyDelta.
 var ErrDeltaGap = errors.New("wire: delta base mismatch, full resync required")
 
 // ApplyDelta reconstructs the full decision a delta describes by
-// patching the changed pairs onto prev (the client's cached full
-// decision), writing the result into out (whose Ratios capacity is
-// reused). prev and out may not alias.
+// patching the changed pairs onto prev (the last full decision),
+// writing the result into out (whose Ratios capacity is reused). prev
+// and out may not alias. It is the offline delta codec's decode half;
+// no transport calls it.
 //
 // It fails with ErrDeltaGap when prev is not the delta's base —
 // mismatched sequence number, a version gap, or a warming/ratio-less

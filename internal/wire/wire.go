@@ -9,8 +9,13 @@
 // incrementally-deployable fast path next to it. Frames travel either
 // as content-negotiated HTTP bodies (Content-Type / Accept
 // wire.MediaType) or over a persistent upgraded stream
-// (Upgrade: figret-wire) that supports request pipelining and
-// delta-encoded decisions.
+// (Upgrade: figret-wire) that supports request pipelining. Every
+// decision either carries is a full TDecision frame.
+//
+// The delta codec (Delta, DecisionDelta, DecodeDelta, ApplyDelta) is not
+// on either transport. It stays for the offline probe that asks whether
+// consecutive quantised decisions would make deltas worth sending; the
+// benchmark module links it.
 //
 // # Frame layout
 //
@@ -43,8 +48,10 @@ import (
 )
 
 const (
-	// Version tags every frame; decoders reject anything else.
-	Version = 1
+	// Version tags every frame; decoders reject anything else. Version 2
+	// dropped the hello's delta flag, so a version-1 peer is refused as
+	// foreign rather than misparsed.
+	Version = 2
 	// MediaType is the content-negotiation token for binary frames over
 	// HTTP (Content-Type on requests, Accept on responses).
 	MediaType = "application/x-figret-wire"
@@ -67,7 +74,8 @@ type MsgType uint8
 
 // The numbers are the protocol: 6 and 7 belonged to the stream's failure
 // report and current-decision request, retired with no caller (control is
-// JSON), and stay unassigned so every other type keeps its value.
+// JSON), and 8 to the delta resync request, retired with delta
+// negotiation. They stay unassigned so every other type keeps its value.
 const (
 	// THello binds a stream connection to a topology (client → server;
 	// first frame on a stream).
@@ -80,11 +88,9 @@ const (
 	// TDecision is a full routing decision.
 	TDecision MsgType = 4
 	// TDelta is a delta-encoded routing decision: a base sequence number
-	// plus only the pairs whose splits changed.
+	// plus only the pairs whose splits changed. No transport sends one;
+	// the type is the offline delta codec's frame.
 	TDelta MsgType = 5
-	// TResync requests a full (non-delta) decision, resetting the
-	// server's delta base.
-	TResync MsgType = 8
 	// TAck acknowledges a request with no decision payload (async
 	// ingest).
 	TAck MsgType = 9
@@ -104,8 +110,6 @@ func (t MsgType) String() string {
 		return "decision"
 	case TDelta:
 		return "delta"
-	case TResync:
-		return "resync"
 	case TAck:
 		return "ack"
 	case TError:
@@ -121,10 +125,6 @@ type Hello struct {
 	// Topo is the topology every subsequent request on the connection
 	// addresses.
 	Topo string
-	// Delta requests delta-encoded decisions (the server still sends
-	// full decisions whenever a delta would not be smaller, on version
-	// changes, and after a resync).
-	Delta bool
 }
 
 // HelloAck confirms a Hello.
@@ -163,11 +163,11 @@ type Decision struct {
 
 // Delta is a delta-encoded decision: everything a Decision carries, but
 // with only the changed pairs' ratios, relative to the base decision
-// identified by BaseSeq.
+// identified by BaseSeq. No transport sends one; it is kept for the
+// offline delta probe (see the package comment).
 type Delta struct {
 	// BaseSeq is the Seq of the decision this delta applies to. Applying
-	// against any other base is a gap (ErrDeltaGap) and requires a full
-	// resync.
+	// against any other base is a gap (ErrDeltaGap).
 	BaseSeq      int64
 	Seq          int64
 	Snapshot     int64
@@ -184,7 +184,8 @@ type Delta struct {
 	flat []float64
 }
 
-// DeltaPair is one changed pair's new split ratios.
+// DeltaPair is one changed pair's new split ratios (offline delta codec
+// only, like Delta).
 type DeltaPair struct {
 	// Pair is the SD-pair index.
 	Pair int
@@ -258,7 +259,6 @@ const (
 // Hello encodes a stream-binding request.
 func (e *Encoder) Hello(m *Hello) []byte {
 	e.begin(THello)
-	e.u8(boolByte(m.Delta))
 	e.str(m.Topo)
 	return e.seal()
 }
@@ -313,10 +313,9 @@ func (e *Encoder) Decision(m *Decision) []byte {
 // that is strictly smaller than the full encoding; ok reports whether a
 // delta was produced (callers fall back to Decision otherwise). Deltas
 // are never produced across versions, from or to warming decisions, or
-// against a mismatched ratio count — those are exactly the conditions
-// that force a full-decision resync. Ratio comparison is bitwise
-// (math.Float64bits), preserving the serving subsystem's bitwise
-// contracts even across +0/−0.
+// against a mismatched ratio count. Ratio comparison is bitwise
+// (math.Float64bits), so +0 and −0 differ. No transport calls it; the
+// offline delta probe does (see the package comment).
 func (e *Encoder) DecisionDelta(prev, next *Decision, layout Layout) ([]byte, bool) {
 	if prev == nil || prev.Warming || next.Warming ||
 		prev.Version != next.Version ||
@@ -363,12 +362,6 @@ func (e *Encoder) DecisionDelta(prev, next *Decision, layout Layout) ([]byte, bo
 		}
 	}
 	return e.seal(), true
-}
-
-// Resync encodes a full-decision resync request.
-func (e *Encoder) Resync() []byte {
-	e.begin(TResync)
-	return e.seal()
 }
 
 // Ack encodes a payload-free acknowledgement.
@@ -540,7 +533,6 @@ func payloadErr(t MsgType, r *reader) error {
 // DecodeHello decodes a THello payload into m.
 func DecodeHello(p []byte, m *Hello) error {
 	r := &reader{data: p}
-	m.Delta = r.u8() != 0
 	m.Topo = r.str()
 	return payloadErr(THello, r)
 }
@@ -587,7 +579,7 @@ func DecodeDecision(p []byte, m *Decision) error {
 // DecodeDelta decodes a TDelta payload into m, reusing its backing
 // storage. The payload is self-describing (per-pair ratio counts are
 // encoded), so decoding needs no layout; ApplyDelta validates against
-// one.
+// one. Offline delta codec only, like DecisionDelta.
 func DecodeDelta(p []byte, m *Delta) error {
 	r := &reader{data: p}
 	m.BaseSeq = r.i64()

@@ -50,7 +50,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 
-	hello := &Hello{Topo: "geant", Delta: true}
+	hello := &Hello{Topo: "geant"}
 	check("hello", e.Hello(hello), THello, func(p []byte) (any, error) {
 		var m Hello
 		err := DecodeHello(p, &m)
@@ -95,40 +95,29 @@ func TestRoundTrip(t *testing.T) {
 		return &m, err
 	}, em)
 
-	// The frames must be copied one call at a time: both encode calls
-	// share e's reusable buffer.
-	for _, tc := range []struct {
-		name  string
-		frame []byte
-		typ   MsgType
-	}{
-		{"resync", append([]byte(nil), e.Resync()...), TResync},
-		{"ack", append([]byte(nil), e.Ack()...), TAck},
-	} {
-		typ, payload, err := DecodeFrame(tc.frame)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if typ != tc.typ || len(payload) != 0 {
-			t.Fatalf("%s: decoded (%s, %d payload bytes)", tc.name, typ, len(payload))
-		}
+	typ, payload, err := DecodeFrame(e.Ack())
+	if err != nil {
+		t.Fatalf("ack: %v", err)
+	}
+	if typ != TAck || len(payload) != 0 {
+		t.Fatalf("ack: decoded (%s, %d payload bytes)", typ, len(payload))
 	}
 }
 
 // TestMsgTypeNumbers pins the protocol's type numbers. 6 and 7 were the
-// stream's failure report and routing query; they stay unassigned so a
-// peer that still sends one gets "unexpected frame", never another
-// message's decoder.
+// stream's failure report and routing query, 8 its delta resync request;
+// they stay unassigned so a peer that still sends one gets "unexpected
+// frame", never another message's decoder.
 func TestMsgTypeNumbers(t *testing.T) {
 	for _, tc := range []struct {
 		typ  MsgType
 		want uint8
-	}{{THello, 1}, {THelloAck, 2}, {TSnapshot, 3}, {TDecision, 4}, {TDelta, 5}, {TResync, 8}, {TAck, 9}, {TError, 10}} {
+	}{{THello, 1}, {THelloAck, 2}, {TSnapshot, 3}, {TDecision, 4}, {TDelta, 5}, {TAck, 9}, {TError, 10}} {
 		if uint8(tc.typ) != tc.want {
 			t.Errorf("%s = %d, want %d", tc.typ, uint8(tc.typ), tc.want)
 		}
 	}
-	for _, retired := range []MsgType{6, 7} {
+	for _, retired := range []MsgType{6, 7, 8} {
 		if s := retired.String(); !strings.HasPrefix(s, "wire.MsgType(") {
 			t.Errorf("retired type %d still has a name: %s", uint8(retired), s)
 		}
@@ -143,12 +132,12 @@ func TestReadFrameStream(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(e.Snapshot(&Snapshot{Demand: []float64{1, 2, 3}}))
 	buf.Write(e.Ack())
-	buf.Write(e.Resync())
+	buf.Write(e.Error(&ErrorMsg{Code: 400, Msg: "x"}))
 	full := append([]byte(nil), buf.Bytes()...)
 
 	var d Decoder
 	r := bytes.NewReader(full)
-	for i, want := range []MsgType{TSnapshot, TAck, TResync} {
+	for i, want := range []MsgType{TSnapshot, TAck, TError} {
 		typ, _, err := d.ReadFrame(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
@@ -261,8 +250,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	var e Encoder
 	f.Add(append([]byte(nil), e.Decision(decision(1, 0.5, 0.5, 1, 0, 0))...))
 	f.Add(append([]byte(nil), e.Snapshot(&Snapshot{Demand: []float64{1, 2}})...))
-	f.Add(append([]byte(nil), e.Hello(&Hello{Topo: "x", Delta: true})...))
-	retired := append([]byte(nil), e.Resync()...)
+	f.Add(append([]byte(nil), e.Hello(&Hello{Topo: "x"})...))
+	retired := append([]byte(nil), e.Ack()...)
 	retired[5] = 6 // a type number no longer assigned
 	reseal(retired)
 	f.Add(retired)

@@ -108,6 +108,9 @@ grep -Eq ' requests=500( |$)' "$workdir/drive-wire.log" \
   || fail "wire replay did not log requests=500: $(cat "$workdir/drive-wire.log")"
 grep -Eq ' decisions_per_sec=[1-9][0-9]*( |$)' "$workdir/drive-wire.log" \
   || fail "wire replay logged no decision rate: $(cat "$workdir/drive-wire.log")"
+# Every stream reply is a full decision frame.
+grep -Eq ' fulls=500( |$)' "$workdir/drive-wire.log" \
+  || fail "wire replay did not log fulls=500: $(cat "$workdir/drive-wire.log")"
 
 [[ "$(code "$OPS/readyz")" == 200 ]] || fail "readyz did not flip to 200 after serving decisions"
 echo "e2e: readyz flipped to ready"
