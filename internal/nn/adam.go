@@ -43,9 +43,7 @@ func (a *Adam) Step(net *MLP) { a.step(net, 0) }
 // cannot change a bit. The gradient is cleared in the same sweep that
 // consumes it.
 func (a *Adam) step(net *MLP, workers int) {
-	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c1, c2 := a.tick()
 	if a.m == nil {
 		net.VisitParams(func(params, _ []float64) {
 			a.m = append(a.m, make([]float64, len(params)))
@@ -70,6 +68,29 @@ func (a *Adam) step(net *MLP, workers int) {
 	if ti != len(a.m) {
 		panic("nn: Adam state bound to a different architecture")
 	}
+}
+
+// StepVec applies one Adam update to the flat parameter vector x from its
+// gradient g (at least as long as x), then clears g: Step's rule on a
+// single tensor, without fan-out. The first StepVec binds the optimizer to
+// len(x); a later StepVec of another length, or a Step, panics.
+func (a *Adam) StepVec(x, g []float64) {
+	c1, c2 := a.tick()
+	if a.m == nil {
+		a.m = [][]float64{make([]float64, len(x))}
+		a.v = [][]float64{make([]float64, len(x))}
+	}
+	if len(a.m) != 1 || len(a.m[0]) != len(x) {
+		panic("nn: Adam state bound to a different architecture")
+	}
+	a.update(x, g, a.m[0], a.v[0], c1, c2)
+}
+
+// tick advances the step count and returns the step's bias corrections
+// 1−β₁ᵗ and 1−β₂ᵗ.
+func (a *Adam) tick() (c1, c2 float64) {
+	a.t++
+	return 1 - math.Pow(a.Beta1, float64(a.t)), 1 - math.Pow(a.Beta2, float64(a.t))
 }
 
 // update is the Adam rule over one run of parameters, zeroing each

@@ -249,3 +249,28 @@ func TestAdamRejectsArchitectureChange(t *testing.T) {
 	}()
 	opt.Step(other)
 }
+
+// TestAdamStepVecBindsLength: StepVec binds the optimizer to one flat
+// tensor of the first call's length; another length, or a Step over a
+// network, panics instead of re-keying the moments.
+func TestAdamStepVecBindsLength(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		misuse func(*Adam)
+	}{
+		{"other length", func(opt *Adam) { opt.StepVec(make([]float64, 6), make([]float64, 6)) }},
+		{"network", func(opt *Adam) { opt.Step(testNet(t, 1)) }},
+	} {
+		name, misuse := c.name, c.misuse
+		opt := NewAdam(1e-3)
+		opt.StepVec(make([]float64, 5), []float64{1, -1, 0, 2, 0.5})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic after StepVec bound 5 parameters", name)
+				}
+			}()
+			misuse(opt)
+		}()
+	}
+}

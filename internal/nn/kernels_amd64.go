@@ -1,5 +1,7 @@
 package nn
 
+import "math"
+
 // useAVX2 selects the four-lane assembly bodies of dot2x4, axpy, axpy2 and
 // Adam's update (kernels_amd64.s). It is decided once, from CPUID and
 // XGETBV alone: the CPU must report AVX and AVX2, and the OS must save the
@@ -21,6 +23,34 @@ func hasAVX2() bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&avx2 != 0
+}
+
+// useExpFMA selects ExpInto's assembly body. It is expAVX2's bit-for-bit
+// contract with math.Exp: math's amd64 exponential fuses its multiply-adds
+// exactly when the CPU has AVX and FMA (CPUID.1:ECX bit 12), and expAVX2
+// runs that fused branch. GODEBUG=cpu.fma=off or cpu.avx=off sends math to
+// its unfused branch instead, so the kernel must also reproduce math.Exp
+// on four inputs where the two branches round differently.
+var useExpFMA = useAVX2 && hasFMA() && expAgreesWithMath()
+
+func hasFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0
+}
+
+func expAgreesWithMath() bool {
+	x := []float64{44.05090880450124, 16.456005321849045, -28.57361274176251, -11.9342810700314}
+	var y [4]float64
+	if expAVX2(y[:], x) != len(x) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(y[i]) != math.Float64bits(math.Exp(x[i])) {
+			return false
+		}
+	}
+	return true
 }
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -51,3 +81,10 @@ func axpy2AVX2(dst, u, v []float64, a, b float64)
 //
 //go:noescape
 func adamAVX2(p, gr, m, v []float64, b1, b1c, b2, b2c, c1, c2, lr, eps float64)
+
+// expAVX2 runs ExpInto over whole 4-groups of dst, stopping before the
+// first group with a lane outside math.Exp's common path, and returns the
+// number of elements it finished; len(src) >= len(dst).
+//
+//go:noescape
+func expAVX2(dst, src []float64) int

@@ -1,11 +1,12 @@
 #include "textflag.h"
 
-// Four-lane AVX2 bodies of the training kernels (DESIGN.md §3). Each one
-// covers the whole 4-groups of its operands and leaves the remainder to
-// the Go body. Every lane performs the Go body's operations on the same
-// operands in the same order, as separate VMULPD / VADDPD / VSUBPD /
-// VDIVPD / VSQRTPD, each correctly rounded: there is no fused
-// multiply-add, which rounds once and would change bits.
+// Four-lane AVX2 bodies of the training kernels and of ExpInto (DESIGN.md
+// §3). Each one covers the whole 4-groups of its operands and leaves the
+// remainder to the Go side. Every lane of a training kernel performs the
+// Go body's operations on the same operands in the same order, as
+// separate VMULPD / VADDPD / VSUBPD / VDIVPD / VSQRTPD, each correctly
+// rounded: there is no fused multiply-add, which rounds once and would
+// change bits. expAVX2, last, fuses exactly where math.archExp does.
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -226,5 +227,119 @@ adamnext:
 	JB adamloop
 
 adamdone:
+	VZEROUPPER
+	RET
+
+// Constants of math.archExp (Go's $GOROOT/src/math/exp_amd64.s): the
+// scalars are broadcast once per call, the two Horner terms that are not
+// kept in a register are stored four wide, and the last two rows are the
+// int32 bounds of the range check (1023 is also the exponent bias).
+DATA expdata<>+0(SB)/8, $1.4426950408889634073599246810018920 // log₂e
+DATA expdata<>+8(SB)/8, $0.69314718055966295651160180568695068359375 // LN2U
+DATA expdata<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // LN2L
+DATA expdata<>+24(SB)/8, $0.0625
+DATA expdata<>+32(SB)/8, $2.4801587301587301587e-5
+DATA expdata<>+40(SB)/8, $1.9841269841269841270e-4
+DATA expdata<>+48(SB)/8, $1.3888888888888888889e-3
+DATA expdata<>+56(SB)/8, $8.3333333333333333333e-3
+DATA expdata<>+64(SB)/8, $4.1666666666666666667e-2
+DATA expdata<>+72(SB)/8, $1.6666666666666666667e-1
+DATA expdata<>+80(SB)/8, $2.0
+DATA expdata<>+88(SB)/8, $0.5
+DATA expdata<>+96(SB)/8, $0.5
+DATA expdata<>+104(SB)/8, $0.5
+DATA expdata<>+112(SB)/8, $0.5
+DATA expdata<>+120(SB)/8, $1.0
+DATA expdata<>+128(SB)/8, $1.0
+DATA expdata<>+136(SB)/8, $1.0
+DATA expdata<>+144(SB)/8, $1.0
+DATA expdata<>+152(SB)/4, $1023
+DATA expdata<>+156(SB)/4, $1023
+DATA expdata<>+160(SB)/4, $1023
+DATA expdata<>+164(SB)/4, $1023
+DATA expdata<>+168(SB)/4, $-1023
+DATA expdata<>+172(SB)/4, $-1023
+DATA expdata<>+176(SB)/4, $-1023
+DATA expdata<>+180(SB)/4, $-1023
+GLOBL expdata<>(SB), RODATA|NOPTR, $184
+
+// func expAVX2(dst, src []float64) int
+//
+// dst[i] = math.Exp(src[i]), one element a lane, by the FMA branch of
+// math.archExp in its order:
+//   k = round(x·log₂e); r = x − k·LN2U, fused; r = r − k·LN2L, fused;
+//   r = r·(1/16); p = Horner(r), each step fused; r = r·p;
+//   r = (r+2)·r three times; r = (r+2)·r + 1, fused; r·2^k.
+// The lanes stay on archExp's common path as long as −1022 ≤ k ≤ 1023:
+// the result is normal and ldexp is the one multiply. Underflow,
+// denormal results, overflow, ±Inf and NaN (the last two convert to
+// 0x80000000) all put k outside, and the kernel stops before the first
+// group with such a lane, stores nothing of it, and returns the number of
+// elements done. It covers at most len(dst)&^3 elements; len(src) >= len(dst).
+TEXT ·expAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	LEAQ expdata<>(SB), DX
+	VBROADCASTSD 0(DX), Y15          // log₂e
+	VBROADCASTSD 8(DX), Y14          // LN2U
+	VBROADCASTSD 16(DX), Y13         // LN2L
+	VBROADCASTSD 24(DX), Y12         // 1/16
+	VBROADCASTSD 32(DX), Y11         // Horner, highest degree first
+	VBROADCASTSD 40(DX), Y10
+	VBROADCASTSD 48(DX), Y9
+	VBROADCASTSD 56(DX), Y8
+	VBROADCASTSD 64(DX), Y7
+	VBROADCASTSD 72(DX), Y6
+	VBROADCASTSD 80(DX), Y5          // 2
+	SHLQ $3, CX
+	ANDQ $-32, CX
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ expdone
+
+exploop:
+	VMOVUPD (SI)(AX*1), Y0           // x
+	VMULPD Y15, Y0, Y1
+	VCVTPD2DQY Y1, X1                // k, rounded to nearest
+	VPCMPGTD 152(DX), X1, X2         // k > 1023
+	VPCMPGTD 168(DX), X1, X3         // k > −1023
+	VPANDN X3, X2, X2                // −1023 < k ≤ 1023
+	VMOVMSKPS X2, BX
+	CMPL BX, $15
+	JNE expdone
+	VPADDD 152(DX), X1, X2           // biased exponent
+	VCVTDQ2PD X1, Y1                 // float64(k)
+	VFNMADD231PD Y14, Y1, Y0         // x − k·LN2U
+	VFNMADD231PD Y13, Y1, Y0         // − k·LN2L
+	VMULPD Y12, Y0, Y0
+	VMOVAPD Y11, Y1
+	VFMADD213PD Y10, Y0, Y1
+	VFMADD213PD Y9, Y0, Y1
+	VFMADD213PD Y8, Y0, Y1
+	VFMADD213PD Y7, Y0, Y1
+	VFMADD213PD Y6, Y0, Y1
+	VFMADD213PD 88(DX), Y0, Y1       // + 0.5
+	VFMADD213PD 120(DX), Y0, Y1      // + 1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y5, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y5, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y5, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y5, Y0, Y1
+	VFMADD213PD 120(DX), Y1, Y0      // (r+2)·r + 1
+	VPMOVSXDQ X2, Y2
+	VPSLLQ $52, Y2, Y2               // 2^k
+	VMULPD Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JB exploop
+
+expdone:
+	SHRQ $3, AX
+	MOVQ AX, ret+48(FP)
 	VZEROUPPER
 	RET

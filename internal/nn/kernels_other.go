@@ -4,7 +4,10 @@ package nn
 
 // Off amd64 there is no assembly: every kernel runs its Go body, and these
 // stubs exist only so the dispatchers compile.
-const useAVX2 = false
+const (
+	useAVX2   = false
+	useExpFMA = false
+)
 
 func dot2x4AVX2(x0, x1, w0, w1, w2, w3 []float64, s *[8]float64) { panic("nn: no assembly kernels") }
 
@@ -15,3 +18,5 @@ func axpy2AVX2(dst, u, v []float64, a, b float64) { panic("nn: no assembly kerne
 func adamAVX2(p, gr, m, v []float64, b1, b1c, b2, b2c, c1, c2, lr, eps float64) {
 	panic("nn: no assembly kernels")
 }
+
+func expAVX2(dst, src []float64) int { panic("nn: no assembly kernels") }

@@ -10,7 +10,8 @@ import (
 // TestSIMDKernelsBitwise holds the AVX2 bodies of dot2x4, axpy, axpy2 and
 // Adam's update, reached through the dispatchers, against the Go bodies
 // they replace, over every length 0–70: every remainder of the 4-groups,
-// and n < 4, which never enters assembly. Inputs mix ±0, denormals, values
+// and n < 4, which never enters assembly. First, on any CPU, it holds
+// ExpInto against math.Exp on both of its paths (checkExpInto). Inputs mix ±0, denormals, values
 // near ±1e±300 and ±Inf into normal ones, and every result must carry the
 // same bits, except that a NaN need only be a NaN on both sides. The Adam
 // cases include groups that mix dead (g, m, v all +0) and live lanes, and
@@ -20,6 +21,12 @@ import (
 // dot2x4 — assembly on an AVX2 CPU — against the scalar dot and dot1x4
 // with no further work.
 func TestSIMDKernelsBitwise(t *testing.T) {
+	if !useExpFMA {
+		t.Log("math.Exp takes no FMA branch here: ExpInto runs math.Exp only")
+	}
+	for _, kernel := range []bool{useExpFMA, false} {
+		checkExpInto(t, kernel)
+	}
 	if !useAVX2 {
 		t.Skip("no AVX2 on this CPU: only the Go kernels run")
 	}
@@ -106,4 +113,107 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 			}
 		}
 	}
+}
+
+// expSpecials are inputs at and around the edges of expAVX2's range
+// −1022 ≤ k = round(x·log₂e) ≤ 1023, and beyond it: k = −1022/−1023
+// about x = −708.74, denormal results, −745.2 (which underflows to 0),
+// k = 1023/1024 about x = 709.44, math's overflow threshold 709.78, ±0,
+// denormal inputs, ±Inf, NaN, and arguments whose k does not fit an int32.
+var expSpecials = func() []float64 {
+	v := []float64{
+		-708.4, -708.74, -708.75, -709.0, -720, -740, -745.13, -745.2,
+		709.0, 709.43, 709.44, 709.6, 709.782712893384, 709.8,
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -3e-310, 2.5e-308,
+		math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e300,
+	}
+	for _, k := range []float64{-1022.5, 1023.5} { // ulps either side of a rounding edge
+		x := k * math.Ln2
+		for _, dir := range []float64{math.Inf(-1), math.Inf(1)} {
+			y := x
+			for range 3 {
+				y = math.Nextafter(y, dir)
+				v = append(v, y)
+			}
+		}
+		v = append(v, x)
+	}
+	return v
+}()
+
+// checkExpInto holds expInto, with the assembly kernel or without it,
+// against math.Exp over every length 0–70 with a share of expSpecials
+// mixed into normal arguments, on a slice whose only special sits mid-way
+// (the kernel must resume after that group), and aliased (dst == src).
+// Every result carries math.Exp's bits; a NaN need only be a NaN.
+func checkExpInto(t *testing.T, kernel bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(30))
+	check := func(label string, src []float64, alias bool) {
+		t.Helper()
+		want := make([]float64, len(src))
+		for i, x := range src {
+			want[i] = math.Exp(x)
+		}
+		got := make([]float64, len(src))
+		if alias {
+			copy(got, src)
+			expInto(got, got, kernel)
+		} else {
+			expInto(got, src, kernel)
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("ExpInto kernel=%v %s, n=%d: exp(%v) = %v (%#x), math.Exp gives %v (%#x)",
+					kernel, label, len(src), src[i], g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+	for n := 0; n <= 70; n++ {
+		for _, wild := range []float64{0, 0.1, 0.5} {
+			src := make([]float64, n)
+			for i := range src {
+				if rng.Float64() < wild {
+					src[i] = expSpecials[rng.Intn(len(expSpecials))]
+				} else {
+					src[i] = 30 * rng.NormFloat64()
+				}
+			}
+			check(fmt.Sprintf("wild=%v", wild), src, false)
+			check(fmt.Sprintf("wild=%v aliased", wild), src, true)
+		}
+	}
+	for _, x := range expSpecials {
+		src := make([]float64, 23)
+		for i := range src {
+			src[i] = rng.NormFloat64()
+		}
+		src[9] = x
+		check(fmt.Sprintf("special %v mid-slice", x), src, false)
+		check(fmt.Sprintf("special %v mid-slice aliased", x), src, true)
+	}
+}
+
+// FuzzExpInto holds ExpInto against math.Exp on arbitrary arguments, each
+// one at several lane and group positions of a 13-element slice: the bits
+// must match, except that a NaN need only be a NaN. Seeds in
+// testdata/fuzz/FuzzExpInto.
+func FuzzExpInto(f *testing.F) {
+	f.Add(0.5, -1.25, 3.0, -20.0, 7.75)
+	f.Fuzz(func(t *testing.T, a, b, c, d, e float64) {
+		src := []float64{a, b, c, d, e, a, b, c, d, e, a, b, c}
+		dst := make([]float64, len(src))
+		ExpInto(dst, src)
+		ExpInto(src, src)
+		for i, x := range []float64{a, b, c, d, e, a, b, c, d, e, a, b, c} {
+			w := math.Exp(x)
+			for _, g := range []float64{dst[i], src[i]} {
+				if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("[%d] exp(%v) = %v (%#x), math.Exp gives %v (%#x)",
+						i, x, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
+		}
+	})
 }

@@ -195,10 +195,10 @@ func TestWireStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		var we *wireError
-		if _, err := bin.readReply(time.Now().Add(5*time.Second)); !errors.As(err, &we) || we.Code != 400 {
+		if _, err := bin.readReply(time.Now().Add(5 * time.Second)); !errors.As(err, &we) || we.Code != 400 {
 			t.Fatalf("retired type %d answered %v, want a 400 error frame", retired, err)
 		}
-		if _, err := bin.readReply(time.Now().Add(5*time.Second)); err == nil {
+		if _, err := bin.readReply(time.Now().Add(5 * time.Second)); err == nil {
 			t.Fatalf("connection still open after retired type %d", retired)
 		}
 		if _, err := bin.PostSnapshot(tr.At(12)); err != nil {

@@ -1,6 +1,9 @@
 // Package solver provides a projected-gradient MLU minimizer: split ratios
 // are parameterized as per-pair softmaxes over logits and optimized with
 // Adam against a smooth-max (log-sum-exp) relaxation of the MLU objective.
+// The optimizer is nn.Adam on one flat tensor, and every exponential of an
+// iteration goes through nn.ExpInto, so both run four lanes wide where
+// the CPU allows, with the bits of the scalar math.Exp and Adam rule.
 //
 // It serves as the scalable counterpart of the exact simplex LP in
 // internal/lp: on ToR-scale topologies — where the paper itself reports LP
@@ -15,10 +18,12 @@ import (
 	"math"
 	"math/rand"
 
+	"figret/internal/nn"
 	"figret/internal/te"
 )
 
-// Options configures the solver. Zero values select sensible defaults.
+// Options configures the solver. Zero values select sensible defaults;
+// MinimizeMLU panics on a negative Iters or LR.
 type Options struct {
 	// Iters is the number of Adam iterations (default 400).
 	Iters int
@@ -63,6 +68,9 @@ func (o Options) withDefaults() Options {
 // split-ratio simplex constraints exactly (softmax parameterization); caps
 // are satisfied approximately, to within the penalty's tolerance.
 func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64) {
+	if opt.Iters < 0 || opt.LR < 0 {
+		panic(fmt.Sprintf("solver: Iters %d and LR %v must not be negative", opt.Iters, opt.LR))
+	}
 	opt = opt.withDefaults()
 	P := ps.NumPaths()
 	z := make([]float64, P)
@@ -94,7 +102,7 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 	edgeIDs, edgeStart := ps.EdgeCSR()
 	caps := ps.EdgeCaps()
 
-	ad := newAdam(P, opt.LR)
+	ad := nn.NewAdam(opt.LR)
 
 	best := math.Inf(1)
 	bestR := make([]float64, P)
@@ -126,10 +134,13 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 		// edge capacity so the per-path gradient loop below is a single
 		// multiply-accumulate over the flat CSR edge list.
 		beta := betaRel / maxU
-		var sumW float64
 		for e := range util {
-			w[e] = math.Exp(beta * (util[e] - maxU))
-			sumW += w[e]
+			w[e] = beta * (util[e] - maxU)
+		}
+		nn.ExpInto(w, w)
+		var sumW float64
+		for _, we := range w {
+			sumW += we
 		}
 		inv := 1 / sumW
 		for e := range w {
@@ -160,6 +171,7 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 			}
 		}
 		// Chain through per-pair softmax: dz_p = r_p (gr_p − Σ_q r_q gr_q).
+		// It writes every entry of gz, which the Adam step clears.
 		for _, pp := range ps.PairPaths {
 			var mean float64
 			for _, p := range pp {
@@ -169,7 +181,7 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 				gz[p] = r[p] * (gr[p] - mean)
 			}
 		}
-		ad.step(z, gz)
+		ad.StepVec(z, gz)
 	}
 
 	cfg := te.NewConfig(ps)
@@ -239,7 +251,9 @@ func projectCaps(ps *te.PathSet, cfg *te.Config, caps []float64) {
 	}
 }
 
-// softmaxPerPair fills r with softmax(z) computed independently per pair.
+// softmaxPerPair fills r with softmax(z) computed independently per pair:
+// the shifts z_p − max of every pair first, then one ExpInto over all
+// paths, then each pair's sum and scaling in path order.
 func softmaxPerPair(ps *te.PathSet, z, r []float64) {
 	for _, pp := range ps.PairPaths {
 		mx := math.Inf(-1)
@@ -248,37 +262,19 @@ func softmaxPerPair(ps *te.PathSet, z, r []float64) {
 				mx = z[p]
 			}
 		}
+		for _, p := range pp {
+			r[p] = z[p] - mx
+		}
+	}
+	nn.ExpInto(r, r)
+	for _, pp := range ps.PairPaths {
 		var sum float64
 		for _, p := range pp {
-			r[p] = math.Exp(z[p] - mx)
 			sum += r[p]
 		}
 		inv := 1 / sum
 		for _, p := range pp {
 			r[p] *= inv
 		}
-	}
-}
-
-// adam is a flat-vector Adam optimizer.
-type adam struct {
-	lr, b1, b2, eps float64
-	t               int
-	m, v            []float64
-}
-
-func newAdam(n int, lr float64) *adam {
-	return &adam{lr: lr, b1: 0.9, b2: 0.999, eps: 1e-8,
-		m: make([]float64, n), v: make([]float64, n)}
-}
-
-func (a *adam) step(x, g []float64) {
-	a.t++
-	c1 := 1 - math.Pow(a.b1, float64(a.t))
-	c2 := 1 - math.Pow(a.b2, float64(a.t))
-	for i := range x {
-		a.m[i] = a.b1*a.m[i] + (1-a.b1)*g[i]
-		a.v[i] = a.b2*a.v[i] + (1-a.b2)*g[i]*g[i]
-		x[i] -= a.lr * (a.m[i] / c1) / (math.Sqrt(a.v[i]/c2) + a.eps)
 	}
 }

@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"figret/internal/graph"
@@ -204,5 +205,238 @@ func TestSoftmaxPerPair(t *testing.T) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatal("softmax overflow")
 		}
+	}
+}
+
+// TestMinimizeMLURejectsBadOptions: a negative Iters would skip the loop
+// and return the all-zero routing with MLU 0, and a negative LR would
+// ascend; both panic up front with the package's own message.
+func TestMinimizeMLURejectsBadOptions(t *testing.T) {
+	ps, d := geantSetup(t)
+	for _, opt := range []Options{{Iters: -1}, {LR: -0.05}, {Iters: -400, LR: -1}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "solver: ") {
+					t.Errorf("Options%+v: recovered %q, want a solver: panic", opt, msg)
+				}
+			}()
+			MinimizeMLU(ps, d, opt)
+		}()
+	}
+}
+
+// TestMinimizeMLUMatchesScalarReference holds MinimizeMLU, whose
+// exponentials go through nn.ExpInto and whose optimizer is nn.Adam,
+// against referenceMinimizeMLU, the iteration as it stood with a scalar
+// math.Exp per path and per edge and a private Adam: the ratios and the
+// MLU must carry the same bits, cold, capped (some caps +Inf), warm
+// started, jittered, with a zero-demand pair and with no demand at all.
+func TestMinimizeMLUMatchesScalarReference(t *testing.T) {
+	topos := []struct {
+		name string
+		g    *graph.Graph
+		k    int
+	}{
+		{"geant", graph.GEANT(), 3},
+		{"pod-web", graph.PoDWEB(), 4},
+		{"pfabric", graph.PFabric(), 3},
+	}
+	for ti, tc := range topos {
+		ps, err := te.NewPathSet(tc.g, tc.k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(30 + ti)))
+		d := make([]float64, ps.Pairs.Count())
+		for i := range d {
+			d[i] = rng.ExpFloat64()
+		}
+		d[rng.Intn(len(d))] = 0
+		caps := make([]float64, ps.NumPaths())
+		for p := range caps {
+			if rng.Intn(4) == 0 {
+				caps[p] = math.Inf(1)
+			} else {
+				caps[p] = 0.2 + 0.6*rng.Float64()
+			}
+		}
+		cold, _ := referenceMinimizeMLU(ps, d, Options{Iters: 60})
+		for _, c := range []struct {
+			name string
+			d    []float64
+			opt  Options
+		}{
+			{"cold", d, Options{}},
+			{"capped", d, Options{Iters: 300, Caps: caps}},
+			{"warm", d, Options{Iters: 100, InitR: cold.R}},
+			{"jitter", d, Options{Iters: 150, LR: 0.02, Seed: 7}},
+			{"capped-jitter", d, Options{Iters: 120, Seed: 5, Caps: caps}},
+			{"no-demand", make([]float64, len(d)), Options{Iters: 50}},
+		} {
+			got, gotMLU := MinimizeMLU(ps, c.d, c.opt)
+			want, wantMLU := referenceMinimizeMLU(ps, c.d, c.opt)
+			if math.Float64bits(gotMLU) != math.Float64bits(wantMLU) {
+				t.Errorf("%s %s: MLU %v, scalar reference %v", tc.name, c.name, gotMLU, wantMLU)
+			}
+			for p := range want.R {
+				if math.Float64bits(got.R[p]) != math.Float64bits(want.R[p]) {
+					t.Errorf("%s %s: R[%d] = %v, scalar reference %v", tc.name, c.name, p, got.R[p], want.R[p])
+					break
+				}
+			}
+		}
+	}
+}
+
+// referenceMinimizeMLU is MinimizeMLU with a scalar math.Exp per path and
+// per edge and its own flat-vector Adam, kept as the bit-level reference.
+func referenceMinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64) {
+	opt = opt.withDefaults()
+	P := ps.NumPaths()
+	z := make([]float64, P)
+	switch {
+	case opt.InitR != nil:
+		for p, r := range opt.InitR {
+			if r < 1e-9 {
+				r = 1e-9
+			}
+			z[p] = math.Log(r)
+		}
+	case opt.Seed != 0:
+		rng := rand.New(rand.NewSource(opt.Seed))
+		for i := range z {
+			z[i] = 0.01 * rng.NormFloat64()
+		}
+	}
+
+	r := make([]float64, P)
+	gr := make([]float64, P) // dL/dr
+	gz := make([]float64, P) // dL/dz
+	flows := make([]float64, ps.G.NumEdges())
+	util := make([]float64, ps.G.NumEdges())
+	w := make([]float64, ps.G.NumEdges())
+	edgeIDs, edgeStart := ps.EdgeCSR()
+	caps := ps.EdgeCaps()
+
+	ad := newReferenceAdam(P, opt.LR)
+
+	best := math.Inf(1)
+	bestR := make([]float64, P)
+
+	for it := 0; it < opt.Iters; it++ {
+		referenceSoftmaxPerPair(ps, z, r)
+		ps.EdgeFlows(d, r, flows)
+		maxU := 0.0
+		for e := range flows {
+			util[e] = flows[e] / caps[e]
+			if util[e] > maxU {
+				maxU = util[e]
+			}
+		}
+		score := maxU
+		if opt.Caps != nil {
+			score += penaltyWeight * capViolation(r, opt.Caps)
+		}
+		if score < best {
+			best = score
+			copy(bestR, r)
+		}
+		if maxU == 0 {
+			break
+		}
+
+		beta := betaRel / maxU
+		var sumW float64
+		for e := range util {
+			w[e] = math.Exp(beta * (util[e] - maxU))
+			sumW += w[e]
+		}
+		inv := 1 / sumW
+		for e := range w {
+			w[e] = w[e] * inv / caps[e]
+		}
+		for p := range gr {
+			dp := d[ps.PairOf[p]]
+			if dp == 0 {
+				gr[p] = 0
+				continue
+			}
+			var g float64
+			for _, e := range edgeIDs[edgeStart[p]:edgeStart[p+1]] {
+				g += w[e] * dp
+			}
+			gr[p] = g
+		}
+		if opt.Caps != nil {
+			for p, c := range opt.Caps {
+				if math.IsInf(c, 1) {
+					continue
+				}
+				if v := r[p] - c; v > 0 {
+					gr[p] += 2 * penaltyWeight * v
+				}
+			}
+		}
+		for _, pp := range ps.PairPaths {
+			var mean float64
+			for _, p := range pp {
+				mean += r[p] * gr[p]
+			}
+			for _, p := range pp {
+				gz[p] = r[p] * (gr[p] - mean)
+			}
+		}
+		ad.step(z, gz)
+	}
+
+	cfg := te.NewConfig(ps)
+	copy(cfg.R, bestR)
+	if opt.Caps != nil {
+		projectCaps(ps, cfg, opt.Caps)
+	}
+	m, _ := ps.MLU(d, cfg.R)
+	return cfg, m
+}
+
+func referenceSoftmaxPerPair(ps *te.PathSet, z, r []float64) {
+	for _, pp := range ps.PairPaths {
+		mx := math.Inf(-1)
+		for _, p := range pp {
+			if z[p] > mx {
+				mx = z[p]
+			}
+		}
+		var sum float64
+		for _, p := range pp {
+			r[p] = math.Exp(z[p] - mx)
+			sum += r[p]
+		}
+		inv := 1 / sum
+		for _, p := range pp {
+			r[p] *= inv
+		}
+	}
+}
+
+type referenceAdam struct {
+	lr, b1, b2, eps float64
+	t               int
+	m, v            []float64
+}
+
+func newReferenceAdam(n int, lr float64) *referenceAdam {
+	return &referenceAdam{lr: lr, b1: 0.9, b2: 0.999, eps: 1e-8,
+		m: make([]float64, n), v: make([]float64, n)}
+}
+
+func (a *referenceAdam) step(x, g []float64) {
+	a.t++
+	c1 := 1 - math.Pow(a.b1, float64(a.t))
+	c2 := 1 - math.Pow(a.b2, float64(a.t))
+	for i := range x {
+		a.m[i] = a.b1*a.m[i] + (1-a.b1)*g[i]
+		a.v[i] = a.b2*a.v[i] + (1-a.b2)*g[i]*g[i]
+		x[i] -= a.lr * (a.m[i] / c1) / (math.Sqrt(a.v[i]/c2) + a.eps)
 	}
 }
