@@ -128,9 +128,9 @@ func (p *PredTE) Advise(tr *traffic.Trace, t int) (*te.Config, error) {
 	return cfg, err
 }
 
-// desTEBound is Des TE's default constant sensitivity bound F: 2/3, the
+// DesTEBound is Des TE's default constant sensitivity bound F: 2/3, the
 // "Original" setting of Appendix C's Tables 7/8.
-const desTEBound = 2.0 / 3.0
+const DesTEBound = 2.0 / 3.0
 
 // DesTE is desensitization-based TE — the scheme of Google's Jupiter data
 // centers [37] and COUDER [44]: optimize MLU for the window-peak predicted
@@ -169,7 +169,7 @@ func (d *DesTE) Advise(tr *traffic.Trace, t int) (*te.Config, error) {
 	d.capsOnce.Do(func() {
 		f := d.F
 		if f == nil {
-			f = lp.ConstantF(cmp.Or(d.Bound, desTEBound))
+			f = lp.ConstantF(cmp.Or(d.Bound, DesTEBound))
 		}
 		d.caps = lp.SensitivityCaps(d.PS, f)
 	})

@@ -67,7 +67,7 @@ func Failures(env *Env, cfg figret.Config, opt FailureOptions) (*FailureResult, 
 		&baselines.NNScheme{Label: "DOTE", Model: dote},
 		&baselines.DesTE{PS: env.PS, Solve: env.Oracle().CachedSolve, H: h},
 	}
-	faCaps := lp.SensitivityCaps(env.PS, lp.ConstantF(2.0/3.0)) // Des TE's default bound
+	faCaps := lp.SensitivityCaps(env.PS, lp.ConstantF(baselines.DesTEBound))
 	rng := rand.New(rand.NewSource(env.Seed + 77))
 
 	// Failure sets are drawn sequentially up front (the rng is a chain),

@@ -72,7 +72,7 @@ func Timing(env *Env, cfg figret.Config) (*TimingResult, error) {
 			return nil, err
 		}
 		res.LPCalc = time.Since(start)
-		caps := lp.SensitivityCaps(env.PS, lp.ConstantF(2.0/3.0))
+		caps := lp.SensitivityCaps(env.PS, lp.ConstantF(baselines.DesTEBound))
 		start = time.Now()
 		if _, _, err := lp.MLUMinCapped(env.PS, d, caps); err != nil {
 			return nil, err

@@ -183,7 +183,7 @@ func TestSoftmaxPerPair(t *testing.T) {
 	}
 	z := make([]float64, ps.NumPaths())
 	r := make([]float64, ps.NumPaths())
-	softmaxPerPair(ps, z, r)
+	softmaxPerPair(ps.PairStarts(), z, r)
 	for _, pp := range ps.PairPaths {
 		sum := 0.0
 		for _, p := range pp {
@@ -200,7 +200,7 @@ func TestSoftmaxPerPair(t *testing.T) {
 	for i := range z {
 		z[i] = 1e4 * float64(i%3)
 	}
-	softmaxPerPair(ps, z, r)
+	softmaxPerPair(ps.PairStarts(), z, r)
 	for _, v := range r {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatal("softmax overflow")
@@ -209,29 +209,86 @@ func TestSoftmaxPerPair(t *testing.T) {
 }
 
 // TestMinimizeMLURejectsBadOptions: a negative Iters would skip the loop
-// and return the all-zero routing with MLU 0, and a negative LR would
-// ascend; both panic up front with the package's own message.
+// and return the all-zero routing with MLU 0, a negative LR would ascend,
+// and a NaN or ±Inf demand or warm start would return an all-NaN routing
+// that MLUFromFlows scores 0. Wrong lengths index out of range or cap a
+// prefix. Each panics up front with the package's own message.
 func TestMinimizeMLURejectsBadOptions(t *testing.T) {
 	ps, d := geantSetup(t)
-	for _, opt := range []Options{{Iters: -1}, {LR: -0.05}, {Iters: -400, LR: -1}} {
+	P := ps.NumPaths()
+	with := func(i int, v float64) []float64 {
+		x := append([]float64(nil), d...)
+		x[i] = v
+		return x
+	}
+	initR := func(i int, v float64) []float64 {
+		r := te.UniformConfig(ps).R
+		r[i] = v
+		return r
+	}
+	for _, c := range []struct {
+		name string
+		d    []float64
+		opt  Options
+	}{
+		{"negative Iters", d, Options{Iters: -1}},
+		{"negative LR", d, Options{LR: -0.05}},
+		{"both negative", d, Options{Iters: -400, LR: -1}},
+		{"NaN demand", with(5, math.NaN()), Options{Iters: 20}},
+		{"+Inf demand", with(5, math.Inf(1)), Options{Iters: 20}},
+		{"-Inf demand", with(0, math.Inf(-1)), Options{Iters: 20}},
+		{"short demand", d[:len(d)-1], Options{Iters: 20}},
+		{"long demand", append(append([]float64(nil), d...), 1), Options{Iters: 20}},
+		{"NaN InitR", d, Options{Iters: 20, InitR: initR(3, math.NaN())}},
+		{"+Inf InitR", d, Options{Iters: 20, InitR: initR(3, math.Inf(1))}},
+		{"short InitR", d, Options{Iters: 20, InitR: make([]float64, P-1)}},
+		{"short Caps", d, Options{Iters: 20, Caps: make([]float64, P-1)}},
+		{"long Caps", d, Options{Iters: 20, Caps: make([]float64, P+1)}},
+	} {
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
 				if !strings.HasPrefix(msg, "solver: ") {
-					t.Errorf("Options%+v: recovered %q, want a solver: panic", opt, msg)
+					t.Errorf("%s: recovered %q, want a solver: panic", c.name, msg)
 				}
 			}()
-			MinimizeMLU(ps, d, opt)
+			MinimizeMLU(ps, c.d, c.opt)
 		}()
+	}
+	// Negative demand stays allowed.
+	if _, m := MinimizeMLU(ps, with(5, -1), Options{Iters: 20}); math.IsNaN(m) {
+		t.Errorf("negative demand: MLU %v", m)
 	}
 }
 
+// ladder is a 2×n ladder: two rails of n nodes with a rung at every
+// position, links both ways. Its corner-to-corner paths run n edges and
+// more, so K-path sets on it have long paths of unequal lengths, which
+// today's named topologies (at most 6 edges) never produce.
+func ladder(n int) *graph.Graph {
+	g := graph.New(2 * n)
+	for i := 0; i < n; i++ {
+		g.MustAddEdge(i, n+i, 5)
+		g.MustAddEdge(n+i, i, 5)
+		if i+1 < n {
+			g.MustAddEdge(i, i+1, 10)
+			g.MustAddEdge(i+1, i, 10)
+			g.MustAddEdge(n+i, n+i+1, 8)
+			g.MustAddEdge(n+i+1, n+i, 8)
+		}
+	}
+	return g
+}
+
 // TestMinimizeMLUMatchesScalarReference holds MinimizeMLU, whose
-// exponentials go through nn.ExpInto and whose optimizer is nn.Adam,
-// against referenceMinimizeMLU, the iteration as it stood with a scalar
-// math.Exp per path and per edge and a private Adam: the ratios and the
-// MLU must carry the same bits, cold, capped (some caps +Inf), warm
-// started, jittered, with a zero-demand pair and with no demand at all.
+// exponentials go through nn.ExpInto, whose optimizer is nn.Adam and whose
+// incidence walks use the layouts of te.PathSet.EdgePaths, PathGroups and
+// PairStarts, against referenceMinimizeMLU, the iteration as it stood with
+// a scalar math.Exp per path and per edge, a private Adam, the EdgeFlows
+// scatter and a per-path gather: the ratios and the MLU must carry the same
+// bits, cold, capped (some caps +Inf), warm started, jittered, with a
+// zero-demand pair and with no demand at all. The ladder's long paths of
+// unequal lengths exercise the 4-path groups' padding.
 func TestMinimizeMLUMatchesScalarReference(t *testing.T) {
 	topos := []struct {
 		name string
@@ -241,11 +298,28 @@ func TestMinimizeMLUMatchesScalarReference(t *testing.T) {
 		{"geant", graph.GEANT(), 3},
 		{"pod-web", graph.PoDWEB(), 4},
 		{"pfabric", graph.PFabric(), 3},
+		{"ladder", ladder(15), 3},
 	}
 	for ti, tc := range topos {
 		ps, err := te.NewPathSet(tc.g, tc.k, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.name == "ladder" {
+			// The case exists for the 4-path groups: make sure it
+			// reaches long paths and groups of unequal lengths.
+			_, start := ps.EdgeCSR()
+			longest, uneven := 0, false
+			for p := 0; p < ps.NumPaths(); p++ {
+				n := int(start[p+1] - start[p])
+				longest = max(longest, n)
+				if q := p &^ 3; n != int(start[q+1]-start[q]) {
+					uneven = true
+				}
+			}
+			if longest < 10 || !uneven {
+				t.Fatalf("ladder: longest path %d edges, uneven groups %v", longest, uneven)
+			}
 		}
 		rng := rand.New(rand.NewSource(int64(30 + ti)))
 		d := make([]float64, ps.Pairs.Count())
@@ -285,6 +359,155 @@ func TestMinimizeMLUMatchesScalarReference(t *testing.T) {
 					break
 				}
 			}
+		}
+	}
+}
+
+// FuzzMinimizeMLU holds MinimizeMLU against referenceMinimizeMLU on
+// arbitrary inputs, on the triangle, pod-db and the ladder: the same bits
+// in every ratio and the MLU, where a NaN only needs to be a NaN on both
+// sides. The demand cycles d0, d1, d2 over the pairs; mode bit 0 warm
+// starts from r0, r1 cycled over the paths, and bit 1 caps the paths at
+// c0, c1 likewise. A non-finite demand or warm start must panic instead.
+// Seeds in testdata/fuzz/FuzzMinimizeMLU.
+func FuzzMinimizeMLU(f *testing.F) {
+	var sets []*te.PathSet
+	for _, g := range []*graph.Graph{graph.Triangle(), graph.PoDDB(), ladder(15)} {
+		ps, err := te.NewPathSet(g, 3, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sets = append(sets, ps)
+	}
+	f.Add(uint8(2), uint8(30), uint8(3), int64(0), 1.0, 0.0, 2.5, 0.7, 0.0, math.Inf(1), 0.2)
+	f.Fuzz(func(t *testing.T, topo, iters, mode uint8, seed int64, d0, d1, d2, r0, r1, c0, c1 float64) {
+		ps := sets[int(topo)%len(sets)]
+		cycle := func(n int, v ...float64) []float64 {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = v[i%len(v)]
+			}
+			return x
+		}
+		d := cycle(ps.Pairs.Count(), d0, d1, d2)
+		opt := Options{Iters: 1 + int(iters)%100, Seed: seed}
+		if mode&1 != 0 {
+			opt.InitR = cycle(ps.NumPaths(), r0, r1)
+		}
+		if mode&2 != 0 {
+			opt.Caps = cycle(ps.NumPaths(), c0, c1)
+		}
+		finite := func(v ...float64) bool {
+			for _, x := range v {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					return false
+				}
+			}
+			return true
+		}
+		if !finite(d0, d1, d2) || mode&1 != 0 && !finite(r0, r1) {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "solver: ") {
+					t.Errorf("non-finite input: recovered %q, want a solver: panic", msg)
+				}
+			}()
+			MinimizeMLU(ps, d, opt)
+			return
+		}
+		same := func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+		}
+		got, gotMLU := MinimizeMLU(ps, d, opt)
+		want, wantMLU := referenceMinimizeMLU(ps, d, opt)
+		if !same(gotMLU, wantMLU) {
+			t.Errorf("MLU %v, scalar reference %v", gotMLU, wantMLU)
+		}
+		for p := range want.R {
+			if !same(got.R[p], want.R[p]) {
+				t.Fatalf("R[%d] = %v, scalar reference %v", p, got.R[p], want.R[p])
+			}
+		}
+	})
+}
+
+// TestMinimizeMLUDualityBracket brackets the LP optimum between a weak-
+// duality lower bound and the solver's MLU. Any edge lengths l ≥ 0 with
+// Σ_e c_e·l_e = 1 give LB = Σ_pairs d·min_p Σ_{e∈p} l_e ≤ MLU*, because
+// every routing puts at least that much length-weighted flow on the
+// network. The lengths here are the smooth-max weights at the returned
+// routing, softmax(β·util)_e / c_e, the ones the solver descends along.
+// LB ≤ lp.MLUMin ≤ UB then checks the solver and the simplex at once.
+// Short mode keeps one of GEANT's five instances: its LP is the slow part.
+func TestMinimizeMLUDualityBracket(t *testing.T) {
+	topos := []struct {
+		name  string
+		g     *graph.Graph
+		k     int
+		iters int
+	}{
+		{"triangle", graph.Triangle(), 3, 400},
+		{"pod-db", graph.PoDDB(), 3, 400},
+		{"pod-web", graph.PoDWEB(), 4, 400},
+		{"geant", graph.GEANT(), 3, 800},
+	}
+	for ti, tc := range topos {
+		ps, err := te.NewPathSet(tc.g, tc.k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps := ps.EdgeCaps()
+		rng := rand.New(rand.NewSource(int64(70 + ti)))
+		count := 5
+		if testing.Short() && tc.name == "geant" {
+			count = 1
+		}
+		for n := 0; n < count; n++ {
+			d := make([]float64, ps.Pairs.Count())
+			for i := range d {
+				d[i] = rng.ExpFloat64()
+			}
+			d[rng.Intn(len(d))] = 0
+			cfg, ub := MinimizeMLU(ps, d, Options{Iters: tc.iters})
+			_, opt, err := lp.MLUMin(ps, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			flows := ps.EdgeFlows(d, cfg.R, nil)
+			maxU := 0.0
+			for e, f := range flows {
+				maxU = max(maxU, f/caps[e])
+			}
+			l := make([]float64, len(flows))
+			var sum float64
+			for e, f := range flows {
+				l[e] = math.Exp(betaRel / maxU * (f/caps[e] - maxU))
+				sum += l[e]
+			}
+			for e := range l {
+				l[e] /= sum * caps[e]
+			}
+			lb := 0.0
+			for i, pp := range ps.PairPaths {
+				shortest := math.Inf(1)
+				for _, p := range pp {
+					var length float64
+					for _, e := range ps.EdgeIDs[p] {
+						length += l[e]
+					}
+					shortest = min(shortest, length)
+				}
+				lb += d[i] * shortest
+			}
+
+			const tol = 1e-9
+			if lb > opt*(1+tol) || opt > ub*(1+tol) {
+				t.Errorf("%s #%d: bracket LB %.9g <= LP %.9g <= UB %.9g fails", tc.name, n, lb, opt, ub)
+			}
+			if lb <= 0 {
+				t.Errorf("%s #%d: lower bound %v, want positive", tc.name, n, lb)
+			}
+			t.Logf("%s #%d: LB %.6g  LP %.6g  UB %.6g  (gap %.2f%%)", tc.name, n, lb, opt, ub, 100*(ub-lb)/ub)
 		}
 	}
 }

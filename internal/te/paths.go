@@ -45,6 +45,15 @@ type PathSet struct {
 	csrEdges []int32
 	csrStart []int32
 	csrCap   []float64
+
+	// The gradient solver's layouts, built on its first call (see
+	// ensureSolverLayouts) and never by NewPathSet or PathStore.Load.
+	solverOnce sync.Once
+	edgePaths  []int32 // transposed CSR: path ids per edge, ascending
+	edgeStart  []int32
+	pairStart  []int32 // pair i owns paths [pairStart[i], pairStart[i+1])
+	groupEdges []int32 // 4-lane groups of paths, see PathGroups
+	groupStart []int32
 }
 
 // PathSelector chooses candidate paths for one SD pair.
@@ -277,6 +286,113 @@ func (ps *PathSet) EdgeCSR() (ids []int32, start []int32) {
 func (ps *PathSet) EdgeCaps() []float64 {
 	ps.ensureCSR()
 	return ps.csrCap
+}
+
+// ensureSolverLayouts builds the three layouts the gradient solver walks
+// instead of EdgeIDs and PairPaths. They are derived from the CSR, so every
+// per-edge and per-path list keeps its order. It panics when a pair's paths
+// are not one ascending run of ids following the previous pair's, which
+// only a hand-assembled set can violate (assemblePathSet numbers each
+// pair's paths contiguously in pair order).
+func (ps *PathSet) ensureSolverLayouts() {
+	ps.ensureCSR()
+	ps.solverOnce.Do(func() {
+		ids, start := ps.csrEdges, ps.csrStart
+		P, ne := len(ps.PairOf), ps.G.NumEdges()
+
+		pairStart := make([]int32, len(ps.PairPaths)+1)
+		next := 0
+		for i, pp := range ps.PairPaths {
+			for _, p := range pp {
+				if p != next || p >= P || ps.PairOf[p] != i {
+					panic(fmt.Sprintf("te: pair %d's paths %v are not the contiguous range from path %d", i, pp, pairStart[i]))
+				}
+				next++
+			}
+			pairStart[i+1] = int32(next)
+		}
+		if next != P {
+			panic(fmt.Sprintf("te: pairs cover %d of %d paths", next, P))
+		}
+
+		// Transpose by counting sort: paths visited in ascending order
+		// land in each edge's list in ascending order.
+		edgeStart := make([]int32, ne+1)
+		for _, e := range ids {
+			edgeStart[e+1]++
+		}
+		for e := 0; e < ne; e++ {
+			edgeStart[e+1] += edgeStart[e]
+		}
+		edgePaths := make([]int32, len(ids))
+		fill := append([]int32(nil), edgeStart[:ne]...)
+		for p := 0; p < P; p++ {
+			for _, e := range ids[start[p]:start[p+1]] {
+				edgePaths[fill[e]] = int32(p)
+				fill[e]++
+			}
+		}
+
+		// Group g holds paths 4g..4g+3, lane-interleaved and padded to
+		// its longest path with the sentinel edge id ne.
+		groups := (P + 3) / 4
+		groupStart := make([]int32, groups+1)
+		for g := 0; g < groups; g++ {
+			longest := int32(0)
+			for p := 4 * g; p < min(4*g+4, P); p++ {
+				longest = max(longest, start[p+1]-start[p])
+			}
+			groupStart[g+1] = groupStart[g] + 4*longest
+		}
+		groupEdges := make([]int32, groupStart[groups])
+		for g := 0; g < groups; g++ {
+			lanes := groupEdges[groupStart[g]:groupStart[g+1]]
+			for lane := 0; lane < 4; lane++ {
+				var path []int32
+				if p := 4*g + lane; p < P {
+					path = ids[start[p]:start[p+1]]
+				}
+				for k := lane; k < len(lanes); k += 4 {
+					if k/4 < len(path) {
+						lanes[k] = path[k/4]
+					} else {
+						lanes[k] = int32(ne)
+					}
+				}
+			}
+		}
+
+		ps.pairStart = pairStart
+		ps.edgePaths, ps.edgeStart = edgePaths, edgeStart
+		ps.groupEdges, ps.groupStart = groupEdges, groupStart
+	})
+}
+
+// PairStarts returns the pair ranges: pair i's paths are the ids
+// [start[i], start[i+1]), in PairPaths[i]'s order. Built on first use;
+// shared and read-only.
+func (ps *PathSet) PairStarts() []int32 {
+	ps.ensureSolverLayouts()
+	return ps.pairStart
+}
+
+// EdgePaths returns the transposed incidence: ids[start[e]:start[e+1]] are
+// the paths through edge e in ascending id order, which is the order
+// EdgeFlows adds their flows to e. Built on first use; shared and
+// read-only.
+func (ps *PathSet) EdgePaths() (ids []int32, start []int32) {
+	ps.ensureSolverLayouts()
+	return ps.edgePaths, ps.edgeStart
+}
+
+// PathGroups returns the paths four abreast: group g holds paths 4g..4g+3
+// in ids[start[g]:start[g+1]], where entry k*4+lane is the k-th edge of
+// path 4g+lane. Each group is as long as its longest path; shorter paths,
+// and the lanes past the last path, are padded with the sentinel edge id
+// G.NumEdges(). Built on first use; shared and read-only.
+func (ps *PathSet) PathGroups() (ids []int32, start []int32) {
+	ps.ensureSolverLayouts()
+	return ps.groupEdges, ps.groupStart
 }
 
 // EdgeFlows accumulates the per-edge flow induced by demand vector d (indexed

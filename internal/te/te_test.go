@@ -3,6 +3,7 @@ package te
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -252,6 +253,159 @@ func TestEdgeCSRLazyBuild(t *testing.T) {
 			t.Fatalf("edge %d: lazy CSR flow %v, eager %v", e, got[e], want[e])
 		}
 	}
+}
+
+// ladder is a 2×n ladder, links both ways: its paths run up to n edges
+// and more, so its 4-path groups have unequal lengths.
+func ladder(n int) *graph.Graph {
+	g := graph.New(2 * n)
+	for i := 0; i < n; i++ {
+		g.MustAddEdge(i, n+i, 5)
+		g.MustAddEdge(n+i, i, 5)
+		if i+1 < n {
+			g.MustAddEdge(i, i+1, 10)
+			g.MustAddEdge(i+1, i, 10)
+			g.MustAddEdge(n+i, n+i+1, 8)
+			g.MustAddEdge(n+i+1, n+i, 8)
+		}
+	}
+	return g
+}
+
+// TestTransposedIncidence: for every edge, EdgePaths lists exactly the
+// paths whose CSR run contains the edge, in ascending id order, which is
+// the order EdgeFlows adds their flows.
+func TestTransposedIncidence(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.GEANT(), ladder(15)} {
+		ps, err := NewPathSet(g, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csr, cstart := ps.EdgeCSR()
+		want := make([][]int32, g.NumEdges())
+		for p := 0; p < ps.NumPaths(); p++ {
+			for _, e := range csr[cstart[p]:cstart[p+1]] {
+				want[e] = append(want[e], int32(p))
+			}
+		}
+		ids, start := ps.EdgePaths()
+		if len(start) != g.NumEdges()+1 || int(start[g.NumEdges()]) != len(ids) {
+			t.Fatalf("%d edges: %d starts over %d ids", g.NumEdges(), len(start), len(ids))
+		}
+		for e := range want {
+			got := ids[start[e]:start[e+1]]
+			if len(got) != len(want[e]) {
+				t.Fatalf("edge %d: %d paths, want %d", e, len(got), len(want[e]))
+			}
+			for i := range got {
+				if got[i] != want[e][i] || i > 0 && got[i] <= got[i-1] {
+					t.Fatalf("edge %d: paths %v, want %v ascending", e, got, want[e])
+				}
+			}
+		}
+	}
+}
+
+// TestPathGroupsAndPairStarts: group g holds paths 4g..4g+3 with entry
+// k*4+lane the k-th edge of path 4g+lane, padded with the sentinel edge
+// NumEdges() to the group's longest path; pair i's range is PairPaths[i].
+func TestPathGroupsAndPairStarts(t *testing.T) {
+	ps, err := NewPathSet(ladder(15), 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	E, P := int32(ps.G.NumEdges()), ps.NumPaths()
+	ids, start := ps.PathGroups()
+	if len(start) != (P+3)/4+1 || int(start[len(start)-1]) != len(ids) {
+		t.Fatalf("%d paths: %d group starts over %d ids", P, len(start), len(ids))
+	}
+	padded := 0
+	for g := 0; g+1 < len(start); g++ {
+		lanes := ids[start[g]:start[g+1]]
+		longest := 0
+		for lane := 0; lane < 4; lane++ {
+			var path []int
+			if p := 4*g + lane; p < P {
+				path = ps.EdgeIDs[p]
+			}
+			longest = max(longest, len(path))
+			for k := 0; k < len(lanes)/4; k++ {
+				want := E
+				if k < len(path) {
+					want = int32(path[k])
+				} else {
+					padded++
+				}
+				if lanes[k*4+lane] != want {
+					t.Fatalf("group %d lane %d step %d: edge %d, want %d", g, lane, k, lanes[k*4+lane], want)
+				}
+			}
+		}
+		if len(lanes) != 4*longest {
+			t.Fatalf("group %d: %d entries, want 4×%d", g, len(lanes), longest)
+		}
+	}
+	if padded == 0 {
+		t.Fatal("no padded step: the ladder should give groups of unequal lengths")
+	}
+	pairStart := ps.PairStarts()
+	for i, pp := range ps.PairPaths {
+		if int(pairStart[i+1]-pairStart[i]) != len(pp) {
+			t.Fatalf("pair %d: range [%d,%d), paths %v", i, pairStart[i], pairStart[i+1], pp)
+		}
+		for j, p := range pp {
+			if p != int(pairStart[i])+j {
+				t.Fatalf("pair %d: range [%d,%d), paths %v", i, pairStart[i], pairStart[i+1], pp)
+			}
+		}
+	}
+}
+
+// TestSolverLayoutsBuiltLazily: NewPathSet and PathStore.Load build none of
+// the solver's layouts, and a hand-assembled set whose pairs are not
+// contiguous ranges panics with a te: message when they are built.
+func TestSolverLayoutsBuiltLazily(t *testing.T) {
+	store, err := NewPathStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := NewPathSetOpt(graph.GEANT(), 3, PathSetOptions{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := store.Load(graph.GEANT(), 3, SelectorYen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		ps   *PathSet
+	}{{"NewPathSetOpt", built}, {"PathStore.Load", loaded}} {
+		name, ps := c.name, c.ps
+		if ps.edgePaths != nil || ps.pairStart != nil || ps.groupEdges != nil {
+			t.Errorf("%s built the solver layouts", name)
+		}
+		ps.PairStarts()
+		if ps.edgePaths == nil || ps.pairStart == nil || ps.groupEdges == nil {
+			t.Errorf("%s: PairStarts left a layout unbuilt", name)
+		}
+	}
+
+	full := trianglePS(t)
+	swapped := make([][]int, len(full.PairPaths))
+	copy(swapped, full.PairPaths)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	ps := &PathSet{
+		G: full.G, Pairs: full.Pairs,
+		Paths: full.Paths, PairOf: full.PairOf, EdgeIDs: full.EdgeIDs,
+		Cap: full.Cap, PairPaths: swapped,
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "te: ") {
+			t.Errorf("non-contiguous pairs: recovered %q, want a te: panic", msg)
+		}
+	}()
+	ps.EdgePaths()
 }
 
 func TestEdgeFlowsMatchesNaive(t *testing.T) {
