@@ -20,6 +20,13 @@
 // With -bootstrap=false the daemon starts without models: routing serves
 // the uniform fallback until a checkpoint is uploaded.
 //
+// Drift retraining is on unless -drift=false: each controller watches
+// the MLU its decisions achieve against a demand-derived lower bound and,
+// on sustained degradation, retrains in the background and swaps the
+// candidate in when it holds up in a shadow test normalized by the
+// topology's oracle. Its trigger and retrain budget are fixed values of
+// internal/serve, not flags.
+//
 // Next to the API listener the daemon runs an ops listener (-opsaddr)
 // with the Prometheus scrape and the probes:
 //
@@ -392,7 +399,7 @@ func (c *topoConfig) addTopology(topo string) error {
 		// across retrains.
 		oracle := eval.NewOracle(env.PS, baselines.AutoSolve(env.PS), nil)
 		c.tel.RegisterCacheStats("oracle", topo, oracle.Stats)
-		opt.Drift = &serve.DriftOptions{Oracle: oracle}
+		opt.DriftOracle = oracle
 	}
 	if _, err := c.srv.Add(topo, opt); err != nil {
 		return err

@@ -211,7 +211,6 @@ func TestOracleWarmStartAgreement(t *testing.T) {
 	ps, tr := setup(t)
 	cold := NewOracle(ps, baselines.GradSolve(solver.Options{Iters: 400}), nil)
 	warm := gradOracle(ps)
-	warm.BlockSize = 8
 	cb, err := cold.Series(tr, 0, 24, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -247,15 +246,15 @@ func TestOracleWarmStartAgreement(t *testing.T) {
 // run (results are published afterwards, in ascending order).
 func TestOracleSeriesDuplicateSnapshotsWorkerIndependent(t *testing.T) {
 	ps, tr := setup(t)
-	// Duplicate one snapshot's content across two blocks of size 4:
-	// trace index 2 (block 0) and index 6 (block 1) share a slice.
+	// Duplicate one snapshot's content across two warm-start blocks:
+	// trace index 2 (block 0) and index oracleBlock+2 (block 1) share a
+	// slice.
 	dup := tr.At(2)
-	tr.Snapshots[6] = dup
+	tr.Snapshots[oracleBlock+2] = dup
 	var ref []float64
 	for _, workers := range []int{1, 2, 4} {
 		orc := gradOracle(ps)
-		orc.BlockSize = 4
-		base, err := orc.Series(tr, 0, 12, workers)
+		base, err := orc.Series(tr, 0, 2*oracleBlock+4, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,8 +276,7 @@ func TestOracleSeriesWorkerIndependent(t *testing.T) {
 	var ref []float64
 	for _, workers := range []int{1, 3, 5} {
 		orc := gradOracle(ps)
-		orc.BlockSize = 4
-		base, err := orc.Series(tr, 2, 22, workers)
+		base, err := orc.Series(tr, 2, 3*oracleBlock+6, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

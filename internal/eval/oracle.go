@@ -28,7 +28,7 @@ import (
 // When Warm is set, Series solves temporally-adjacent snapshots as
 // warm-started chains: each snapshot's solve is seeded with the previous
 // snapshot's optimal split ratios and runs far fewer iterations. Chains
-// are bounded to BlockSize snapshots and anchored to the requested
+// are bounded to oracleBlock snapshots and anchored to the requested
 // window, so a Series result depends only on the window and the cache
 // contents — never on how many workers computed it.
 type Oracle struct {
@@ -39,10 +39,6 @@ type Oracle struct {
 	// inside Series chains. Nil disables warm starts (appropriate for the
 	// exact LP, which has nothing to warm).
 	Warm baselines.WarmSolveFunc
-	// BlockSize bounds each warm-start chain (default 16). Block
-	// boundaries are anchored at the window start, so results are
-	// independent of the worker count.
-	BlockSize int
 
 	mu     sync.Mutex
 	cache  map[solveKey][]*oracleEntry
@@ -242,9 +238,14 @@ func (o *Oracle) CachedSolve(ps *te.PathSet, d, caps []float64) (*te.Config, flo
 	return cfg, e.mlu, nil
 }
 
+// oracleBlock bounds each warm-start chain of Series. Block boundaries are
+// anchored at the window start, so results are independent of the worker
+// count.
+const oracleBlock = 16
+
 // Series returns the optimal MLU for snapshots [from, to) of tr, filling
 // the cache. Uncached snapshots are solved in warm-started chains of up to
-// BlockSize snapshots; chains run in parallel on up to workers goroutines.
+// oracleBlock snapshots; chains run in parallel on up to workers goroutines.
 // For a fixed window and cache state the result is bitwise identical for
 // any worker count: block boundaries are anchored at from, snapshots
 // within a block are solved strictly in trace order, and chains consult
@@ -257,18 +258,14 @@ func (o *Oracle) Series(tr *traffic.Trace, from, to, workers int) ([]float64, er
 	if from < 0 || to > tr.Len() || from >= to {
 		return nil, fmt.Errorf("eval: oracle window [%d,%d) invalid for trace length %d", from, to, tr.Len())
 	}
-	block := o.BlockSize
-	if block <= 0 {
-		block = 16
-	}
 	out := make([]float64, to-from)
 	// computed[i] holds the ratios of a solve performed by this call
 	// (nil where the cache already answered).
 	computed := make([][]float64, to-from)
-	nBlocks := (to - from + block - 1) / block
+	nBlocks := (to - from + oracleBlock - 1) / oracleBlock
 	err := Parallel(nBlocks, workers, func(bi int) error {
-		lo := from + bi*block
-		hi := lo + block
+		lo := from + bi*oracleBlock
+		hi := lo + oracleBlock
 		if hi > to {
 			hi = to
 		}

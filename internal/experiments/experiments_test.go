@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"figret/internal/baselines"
 	"figret/internal/figret"
@@ -435,4 +436,24 @@ func TestRerouteNeverBeatsFaultAwareOptimum(t *testing.T) {
 		}
 	}
 	t.Logf("largest rerouted/fault-aware MLU ratio over 40 cases: %.4f", worst)
+}
+
+// TestSampleFailuresMoreThanLinks: asking for more failed links than the
+// topology has distinct undirected links must answer "infeasible" rather
+// than draw forever.
+func TestSampleFailuresMoreThanLinks(t *testing.T) {
+	env := podEnv(t)
+	done := make(chan bool, 1)
+	go func() {
+		_, ok := SampleFailures(env.PS, rand.New(rand.NewSource(1)), 1000)
+		done <- ok
+	}()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("a 1000-link failure set reported feasible on pod-db")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SampleFailures still drawing after 10 s")
+	}
 }

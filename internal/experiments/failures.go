@@ -159,9 +159,17 @@ func Failures(env *Env, cfg figret.Config, opt FailureOptions) (*FailureResult, 
 // (ps, rng state, nf): seeding rng explicitly replays a bit-identical
 // failure sequence, which the scenario harness relies on for golden
 // metrics. The second return is false when no feasible set was found in
-// 200 attempts.
+// 200 attempts, and at once, drawing nothing, when nf exceeds the
+// topology's distinct undirected links.
 func SampleFailures(ps *te.PathSet, rng *rand.Rand, nf int) (*te.FailureSet, bool) {
 	edges := ps.G.Edges()
+	distinct := map[[2]int]bool{}
+	for _, e := range edges {
+		distinct[[2]int{min(e.From, e.To), max(e.From, e.To)}] = true
+	}
+	if nf > len(distinct) {
+		return nil, false
+	}
 	for attempt := 0; attempt < 200; attempt++ {
 		seen := map[[2]int]bool{}
 		var links [][2]int

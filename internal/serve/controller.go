@@ -66,49 +66,6 @@ type IngestResult struct {
 	Warming bool
 }
 
-// DriftOptions configures drift-triggered background retraining.
-type DriftOptions struct {
-	// Threshold, Alpha, Patience tune the underlying
-	// figret.DriftDetector (zero values keep its defaults).
-	Threshold float64
-	Alpha     float64
-	Patience  int
-	// CalibrationSamples is the number of (achieved MLU, demand)
-	// observations collected before the detector calibrates (default 8).
-	CalibrationSamples int
-	// Epochs is the retraining epoch budget (default 4; retrains favor
-	// fast turnaround over squeezing out the last fraction of loss).
-	Epochs int
-	// ShadowWindow is how many recent snapshots the candidate is
-	// shadow-evaluated on before it may replace the incumbent (default 8).
-	ShadowWindow int
-	// Tolerance is the acceptance slack: the candidate is installed when
-	// its shadow score is at most (1+Tolerance)× the incumbent's
-	// (default 0.05).
-	Tolerance float64
-	// Oracle, when set, normalizes shadow-evaluation MLUs by the
-	// memoized omniscient solve of each snapshot. The solves run in the
-	// background retrain goroutine and hit the shared cache, so shadow
-	// evaluation never blocks the decision path. Nil compares raw MLUs.
-	Oracle *eval.Oracle
-}
-
-func (d DriftOptions) withDefaults() DriftOptions {
-	if d.CalibrationSamples <= 0 {
-		d.CalibrationSamples = 8
-	}
-	if d.Epochs <= 0 {
-		d.Epochs = 4
-	}
-	if d.ShadowWindow <= 0 {
-		d.ShadowWindow = 8
-	}
-	if d.Tolerance == 0 {
-		d.Tolerance = 0.05
-	}
-	return d
-}
-
 // ControllerOptions tunes one topology's controller.
 type ControllerOptions struct {
 	// HistoryCap bounds the sliding demand window (default 256). It must
@@ -124,8 +81,13 @@ type ControllerOptions struct {
 	// decisions; failure reroutes are never clamped (restoring
 	// connectivity beats smoothness).
 	MaxChurn float64
-	// Drift enables drift-triggered background retraining when non-nil.
-	Drift *DriftOptions
+	// DriftOracle, when non-nil, enables drift-triggered background
+	// retraining: the driftDetector watches every served interval, and a
+	// retrain's candidate is shadow-evaluated against the incumbent on
+	// MLUs normalized by this oracle's memoized omniscient solves. The
+	// solves run in the background retrain goroutine and hit the shared
+	// cache, so shadow evaluation never blocks the decision path.
+	DriftOracle *eval.Oracle
 	// Telemetry names the obs registry this controller's counters, stage
 	// spans and latency histograms are exported through. Nil does not
 	// turn them off — Metrics and Ready read them — it keeps them on a
@@ -144,11 +106,18 @@ type ControllerOptions struct {
 	// append failure disables spooling for the controller's lifetime
 	// (counted in telemetry) instead of failing the decision path.
 	Spool string
+
+	// policy tunes the drift trigger and the retrain; the zero value
+	// selects defaultPolicy.
+	policy retrainPolicy
 }
 
 func (o ControllerOptions) withDefaults() ControllerOptions {
 	if o.HistoryCap <= 0 {
 		o.HistoryCap = 256
+	}
+	if o.policy == (retrainPolicy{}) {
+		o.policy = defaultPolicy
 	}
 	return o
 }
@@ -209,10 +178,8 @@ type Controller struct {
 	// this clean base, so clearing or replacing a failure set never
 	// leaves stale reroutes behind.
 	base       *te.Config
-	detector   *figret.DriftDetector
+	detector   *driftDetector
 	detVersion int // checkpoint version the detector was calibrated for
-	calMLU     []float64
-	calDemand  [][]float64
 	retraining bool
 }
 
@@ -224,10 +191,6 @@ func NewController(topo string, reg *Registry, opt ControllerOptions) (*Controll
 		return nil, fmt.Errorf("serve: topology %q not registered", topo)
 	}
 	opt = opt.withDefaults()
-	if opt.Drift != nil {
-		d := opt.Drift.withDefaults()
-		opt.Drift = &d
-	}
 	tel := opt.Telemetry.topo(topo)
 	if tel == nil {
 		tel = newTopoTelemetry(obs.NewRegistry(), topo)
@@ -618,12 +581,12 @@ func (c *Controller) publish(d *Decision) {
 }
 
 // observeDrift feeds the drift detector with the MLU the installed
-// configuration achieves on the just-revealed demand. Before enough
-// samples exist the detector calibrates its healthy level; once a
-// sustained degradation is flagged, a background retrain starts (at most
-// one in flight).
+// configuration achieves on the just-revealed demand. The detector's
+// first observations of a version calibrate its healthy level; once it
+// flags a sustained degradation, a background retrain starts (at most one
+// in flight).
 func (c *Controller) observeDrift(demand []float64) {
-	if c.opt.Drift == nil {
+	if c.opt.DriftOracle == nil {
 		return
 	}
 	if c.failures != nil {
@@ -639,43 +602,16 @@ func (c *Controller) observeDrift(demand []float64) {
 	if c.detector == nil || c.detVersion != prev.Version {
 		// New serving version (bootstrap, upload or retrain swap): start a
 		// fresh calibration at this version's quality level.
-		c.detector = figret.NewDriftDetector(c.ps)
-		if c.opt.Drift.Threshold > 0 {
-			c.detector.Threshold = c.opt.Drift.Threshold
-		}
-		if c.opt.Drift.Alpha > 0 {
-			c.detector.Alpha = c.opt.Drift.Alpha
-		}
-		if c.opt.Drift.Patience > 0 {
-			c.detector.Patience = c.opt.Drift.Patience
-		}
+		c.detector = newDriftDetector(c.ps, c.opt.policy)
 		c.detVersion = prev.Version
-		c.calMLU = c.calMLU[:0]
-		c.calDemand = c.calDemand[:0]
 	}
-	achieved := prev.Config.MLU(demand)
-	_, _, calibrated := c.detector.Status()
-	if !calibrated {
-		c.calMLU = append(c.calMLU, achieved)
-		c.calDemand = append(c.calDemand, demand)
-		if len(c.calMLU) >= c.opt.Drift.CalibrationSamples {
-			// Calibration fails only on degenerate all-zero demand runs;
-			// drop the window and collect a fresh one.
-			if err := c.detector.Calibrate(c.calMLU, c.calDemand); err != nil {
-				c.calMLU = c.calMLU[:0]
-				c.calDemand = c.calDemand[:0]
-			}
-		}
-		return
-	}
-	retrain, err := c.detector.Observe(achieved, demand)
-	if err != nil || !retrain || c.retraining {
+	if !c.detector.observe(prev.Config.MLU(demand), demand) || c.retraining {
 		return
 	}
 	ck := c.reg.Active(c.topo)
 	// The candidate trains on history with the shadow window held out
 	// (see retrain), so both must fit before a retrain can launch.
-	if ck == nil || c.history.Len() <= ck.Model.Cfg.H+1+c.opt.Drift.ShadowWindow {
+	if ck == nil || c.history.Len() <= ck.Model.Cfg.H+1+c.opt.policy.shadow {
 		return
 	}
 	c.retraining = true
@@ -688,24 +624,24 @@ func (c *Controller) observeDrift(demand []float64) {
 // continues at full rate; the swap itself is the registry's atomic
 // pointer store.
 func (c *Controller) retrain(hist *traffic.Trace, incumbent *Checkpoint) {
-	opt := *c.opt.Drift
+	pol := c.opt.policy
 	cfg := incumbent.Model.Cfg
-	cfg.Epochs = opt.Epochs
+	cfg.Epochs = pol.epochs
 	cfg.Seed = cfg.Seed + int64(incumbent.Version) // decorrelate restarts
 	cand := figret.New(c.ps, cfg)
 	// Hold the shadow window out of training: the candidate is accepted
 	// on snapshots neither model trained on, so an overfit candidate
 	// cannot buy its way past the incumbent with memorized data.
-	if _, err := cand.Train(hist.Slice(0, hist.Len()-opt.ShadowWindow)); err != nil {
+	if _, err := cand.Train(hist.Slice(0, hist.Len()-pol.shadow)); err != nil {
 		c.retrainFailed(err)
 		return
 	}
-	candScore, incScore, err := c.shadowScores(hist, cand, incumbent.Model, opt)
+	candScore, incScore, err := c.shadowScores(hist, cand, incumbent.Model)
 	if err != nil {
 		c.retrainFailed(err)
 		return
 	}
-	if candScore > incScore*(1+opt.Tolerance) {
+	if candScore > incScore*(1+pol.tolerance) {
 		c.tel.retrains["rejected"].Inc()
 		c.retctl <- struct{}{}
 		return
@@ -729,16 +665,16 @@ func (c *Controller) retrainFailed(err error) {
 }
 
 // shadowScores evaluates candidate and incumbent on the most recent
-// ShadowWindow predictable snapshots of hist, returning their mean
-// (oracle-normalized, when an oracle is shared) MLUs. Oracle solves are
-// memoized and content-addressed, so repeated retrains over overlapping
-// windows hit the cache.
-func (c *Controller) shadowScores(hist *traffic.Trace, cand, inc *figret.Model, opt DriftOptions) (candScore, incScore float64, err error) {
+// policy.shadow predictable snapshots of hist, returning their mean
+// oracle-normalized MLUs. Oracle solves are memoized and
+// content-addressed, so repeated retrains over overlapping windows hit
+// the cache.
+func (c *Controller) shadowScores(hist *traffic.Trace, cand, inc *figret.Model) (candScore, incScore float64, err error) {
 	h := cand.Cfg.H
 	if ih := inc.Cfg.H; ih > h {
 		h = ih
 	}
-	from := hist.Len() - opt.ShadowWindow
+	from := hist.Len() - c.opt.policy.shadow
 	if from < h {
 		from = h
 	}
@@ -758,20 +694,15 @@ func (c *Controller) shadowScores(hist *traffic.Trace, cand, inc *figret.Model, 
 			return 0, 0, err
 		}
 		d := hist.At(t)
-		cm, im := ccfg.MLU(d), icfg.MLU(d)
-		if opt.Oracle != nil {
-			// A snapshot whose omniscient solve fails is skipped for both
-			// models: mixing raw and normalized MLUs in one mean would
-			// weight snapshots inconsistently around the accept boundary.
-			base, err := opt.Oracle.MLU(d)
-			if err != nil || base <= 0 {
-				continue
-			}
-			cm /= base
-			im /= base
+		// A snapshot whose omniscient solve fails is skipped for both
+		// models: mixing raw and normalized MLUs in one mean would weight
+		// snapshots inconsistently around the accept boundary.
+		base, err := c.opt.DriftOracle.MLU(d)
+		if err != nil || base <= 0 {
+			continue
 		}
-		cSum += cm
-		iSum += im
+		cSum += ccfg.MLU(d) / base
+		iSum += icfg.MLU(d) / base
 		n++
 	}
 	if n == 0 {

@@ -23,6 +23,7 @@ import (
 	"figret/internal/figret"
 	"figret/internal/graph"
 	"figret/internal/netsim"
+	"figret/internal/obs"
 	"figret/internal/te"
 	"figret/internal/tracestore"
 	"figret/internal/traffic"
@@ -184,19 +185,9 @@ func TestHotSwapMidStream(t *testing.T) {
 	ps, tr, m := fixture(t, 200, 11)
 	oracle := eval.NewOracle(ps, baselines.AutoSolve(ps), nil)
 	client, srv, reg := startServer(t, "pod", ps, ControllerOptions{
-		HistoryCap: 32,
-		Drift: &DriftOptions{
-			// Hair trigger: any post-calibration observation counts as
-			// drifted, so the retrain fires deterministically early.
-			Threshold:          1e-9,
-			Alpha:              0.5,
-			Patience:           2,
-			CalibrationSamples: 4,
-			Epochs:             2,
-			ShadowWindow:       4,
-			Tolerance:          1e9, // accept the candidate unconditionally
-			Oracle:             oracle,
-		},
+		HistoryCap:  32,
+		DriftOracle: oracle,
+		policy:      hairTrigger,
 	})
 	if _, err := reg.Install("pod", m, "bootstrap"); err != nil {
 		t.Fatal(err)
@@ -235,11 +226,6 @@ func TestHotSwapMidStream(t *testing.T) {
 		}()
 	}
 
-	type served struct {
-		snapshot int64
-		version  int
-		ratios   []float64
-	}
 	var log []served
 	deadline := time.Now().Add(60 * time.Second)
 	swapped := false
@@ -271,9 +257,34 @@ func TestHotSwapMidStream(t *testing.T) {
 	default:
 	}
 
-	// Post-hoc misrouting audit: every decision must be exactly what the
-	// checkpoint version it reports computes on the window it saw. The
-	// served demand stream cycled tr, so rebuild it to recover windows.
+	auditServed(t, reg, ps, tr, log)
+
+	// The swap is visible in the registry and the metrics.
+	if v := reg.Active("pod").Version; v < 2 {
+		t.Fatalf("active version %d after swap", v)
+	}
+	if got := srv.Controller("pod").Metrics(); got.Retrains == 0 {
+		t.Fatalf("metrics recorded no retrain: %+v", got)
+	}
+	// The oracle actually backed the shadow evaluation.
+	if hits, misses := oracle.Stats(); hits+misses == 0 {
+		t.Fatal("shadow evaluation never consulted the oracle")
+	}
+}
+
+// served is one decision a drift test received.
+type served struct {
+	snapshot int64
+	version  int
+	ratios   []float64
+}
+
+// auditServed is the post-hoc misrouting audit: every decision must be
+// exactly what the checkpoint version it reports computes on the window
+// it saw. The served demand stream cycled tr, so it is rebuilt to recover
+// the windows.
+func auditServed(t *testing.T, reg *Registry, ps *te.PathSet, tr *traffic.Trace, log []served) {
+	t.Helper()
 	replayed := traffic.NewTrace(ps.Pairs.N())
 	for i := int64(0); i <= log[len(log)-1].snapshot; i++ {
 		replayed.Append(tr.At(int(i) % tr.Len()))
@@ -295,17 +306,101 @@ func TestHotSwapMidStream(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// The swap is visible in the registry and the metrics.
-	if v := reg.Active("pod").Version; v < 2 {
-		t.Fatalf("active version %d after swap", v)
+// TestRetrainRejectedKeepsIncumbent drives a retrain whose candidate
+// cannot pass shadow evaluation (tolerance −1 accepts only a candidate
+// scoring ≤ 0) and pins what a rejection leaves behind: the incumbent
+// stays active, no version is added, every decision before, during and
+// after the retrain is the incumbent's offline inference bit for bit,
+// and the rejection is counted. The detector then recalibrates at the
+// level being served, so the next retrain waits for a fresh calibration
+// window plus the patience run — it does not launch on the next snapshot.
+func TestRetrainRejectedKeepsIncumbent(t *testing.T) {
+	ps, tr, m := fixture(t, 200, 11)
+	oracle := eval.NewOracle(ps, baselines.AutoSolve(ps), nil)
+	pol := hairTrigger
+	pol.tolerance = -1
+	page := obs.NewRegistry()
+	client, srv, reg := startServer(t, "pod", ps, ControllerOptions{
+		HistoryCap:  32,
+		DriftOracle: oracle,
+		Telemetry:   NewTelemetry(page),
+		policy:      pol,
+	})
+	if _, err := reg.Install("pod", m, "bootstrap"); err != nil {
+		t.Fatal(err)
 	}
-	if got := srv.Controller("pod").Metrics(); got.Retrains == 0 {
-		t.Fatalf("metrics recorded no retrain: %+v", got)
+	ctl := srv.Controller("pod")
+	var log []served
+	next := 0
+	post := func() {
+		t.Helper()
+		rr, err := client.PostSnapshot("pod", tr.At(next%tr.Len()))
+		if err != nil {
+			t.Fatalf("request %d dropped: %v", next, err)
+		}
+		next++
+		if rr.Warming {
+			return
+		}
+		if rr.Version != 1 {
+			t.Fatalf("snapshot %d served version %d; the incumbent is 1", rr.Snapshot, rr.Version)
+		}
+		log = append(log, served{snapshot: rr.Snapshot, version: rr.Version, ratios: append([]float64(nil), rr.Ratios...)})
 	}
-	// The oracle actually backed the shadow evaluation.
-	if hits, misses := oracle.Stats(); hits+misses == 0 {
-		t.Fatal("shadow evaluation never consulted the oracle")
+
+	// Stream until the first retrain has been rejected.
+	start := time.Now()
+	for ctl.Metrics().RetrainsRejected == 0 {
+		if time.Since(start) > 60*time.Second {
+			t.Fatal("no rejected retrain within deadline")
+		}
+		post()
+	}
+	firstRetrain := time.Since(start)
+	// The retrain goroutine hands the controller its completion right
+	// after counting the rejection; with no snapshot queued, the
+	// controller takes it at once and drops the detector. The snapshot
+	// in flight when the count moved may have been its replacement's
+	// first observation, so the next launch is one or two posts short of
+	// a full calibration window plus the patience run.
+	time.Sleep(100 * time.Millisecond)
+	for i := 0; i < pol.calibration+pol.patience-2; i++ {
+		post()
+	}
+	time.Sleep(2*firstRetrain + 200*time.Millisecond)
+	if got := ctl.Metrics().RetrainsRejected; got != 1 {
+		t.Fatalf("%d rejected retrains before the recalibrated detector could fire; want 1", got)
+	}
+	post()
+	post()
+	for deadline := time.Now().Add(60 * time.Second); ctl.Metrics().RetrainsRejected < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the recalibrated detector never fired again: %+v", ctl.Metrics())
+		}
+	}
+	for i := 0; i < 3; i++ {
+		post()
+	}
+
+	auditServed(t, reg, ps, tr, log)
+	if v := reg.Active("pod").Version; v != 1 {
+		t.Fatalf("active version %d after rejected retrains", v)
+	}
+	if ck := reg.Get("pod", 2); ck != nil {
+		t.Fatalf("a rejected candidate was installed as version 2 (source %q)", ck.Source)
+	}
+	got := ctl.Metrics()
+	if got.Retrains != 0 || got.RetrainsFailed != 0 {
+		t.Fatalf("rejected retrains counted as accepted or failed: %+v", got)
+	}
+	var sb strings.Builder
+	if err := page.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if n := promValue(t, sb.String(), `figret_serve_retrains_total{outcome="rejected",topology="pod"}`); n < 1 {
+		t.Fatalf("figret_serve_retrains_total{outcome=\"rejected\"} = %d, want >= 1", n)
 	}
 }
 
