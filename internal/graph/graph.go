@@ -63,7 +63,7 @@ func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 
 // AddEdge adds a directed edge and returns its index. It returns an error if
 // the endpoints are out of range, equal, the capacity is non-positive, or the
-// edge already exists.
+// edge already exists. A NaN capacity counts as non-positive.
 func (g *Graph) AddEdge(from, to int, capacity float64) (int, error) {
 	if from < 0 || from >= g.n || to < 0 || to >= g.n {
 		return 0, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", from, to, g.n)
@@ -71,7 +71,7 @@ func (g *Graph) AddEdge(from, to int, capacity float64) (int, error) {
 	if from == to {
 		return 0, fmt.Errorf("graph: self-loop (%d,%d) not allowed", from, to)
 	}
-	if capacity <= 0 {
+	if !(capacity > 0) {
 		return 0, fmt.Errorf("graph: edge (%d,%d) capacity %v must be positive", from, to, capacity)
 	}
 	key := [2]int{from, to}

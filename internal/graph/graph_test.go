@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -19,6 +20,7 @@ func TestAddEdgeValidation(t *testing.T) {
 		{"self-loop", 1, 1, 1},
 		{"negative cap", 1, 2, -1},
 		{"zero cap", 1, 2, 0},
+		{"NaN cap", 1, 2, math.NaN()},
 		{"out of range from", -1, 2, 1},
 		{"out of range to", 0, 3, 1},
 		{"duplicate", 0, 1, 5},

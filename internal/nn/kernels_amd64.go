@@ -2,10 +2,10 @@ package nn
 
 import "math"
 
-// useAVX2 selects the four-lane assembly bodies of dot2x4, axpy, axpy2 and
-// Adam's update (kernels_amd64.s). It is decided once, from CPUID and
-// XGETBV alone: the CPU must report AVX and AVX2, and the OS must save the
-// YMM registers across context switches. Without it every kernel runs its
+// useAVX2 selects the four-lane assembly bodies of dot2x4, axpy, axpy2,
+// Adam's update and the gathers of gather.go (kernels_amd64.s). It is
+// decided once, from CPUID and XGETBV alone: the CPU must report AVX and
+// AVX2, and the OS must save the YMM registers across context switches. Without it every kernel runs its
 // Go body, which the assembly matches bit for bit (DESIGN.md §3).
 var useAVX2 = hasAVX2()
 
@@ -88,3 +88,28 @@ func adamAVX2(p, gr, m, v []float64, b1, b1c, b2, b2c, c1, c2, lr, eps float64)
 //
 //go:noescape
 func expAVX2(dst, src []float64) int
+
+// The incidence-walk kernels of gather.go. Each Quad kernel covers every
+// quad of (ids, start); each At kernel covers the first len(dst)&^3
+// elements, and its other operands are at least as long as dst.
+
+//go:noescape
+func quadSumAVX2(out, x []float64, ids, start []int32)
+
+//go:noescape
+func quadScaledSumAVX2(out, x, scale []float64, ids, start []int32)
+
+//go:noescape
+func quadDotAVX2(out, x, y []float64, ids, start []int32)
+
+//go:noescape
+func quadMaxAVX2(out, x []float64, ids, start []int32)
+
+//go:noescape
+func subAtAVX2(dst, x, v []float64, at []int32)
+
+//go:noescape
+func mulAtAVX2(dst, v []float64, at []int32)
+
+//go:noescape
+func chainAtAVX2(dst, r, g, v []float64, at []int32)

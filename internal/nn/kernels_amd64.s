@@ -1,12 +1,13 @@
 #include "textflag.h"
 
-// Four-lane AVX2 bodies of the training kernels and of ExpInto (DESIGN.md
-// §3). Each one covers the whole 4-groups of its operands and leaves the
-// remainder to the Go side. Every lane of a training kernel performs the
-// Go body's operations on the same operands in the same order, as
-// separate VMULPD / VADDPD / VSUBPD / VDIVPD / VSQRTPD, each correctly
-// rounded: there is no fused multiply-add, which rounds once and would
-// change bits. expAVX2, last, fuses exactly where math.archExp does.
+// Four-lane AVX2 bodies of the training kernels, of ExpInto (DESIGN.md
+// §3) and of the solver's gathers (§4). Each one covers the whole 4-groups
+// (or quads) of its operands and leaves the remainder to the Go side.
+// Every lane of a training kernel or a gather performs the Go body's
+// operations on the same operands in the same order, as separate
+// VMULPD / VADDPD / VSUBPD / VDIVPD / VSQRTPD, each correctly rounded:
+// there is no fused multiply-add, which rounds once and would change bits.
+// expAVX2 fuses exactly where math.archExp does.
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -341,5 +342,281 @@ exploop:
 expdone:
 	SHRQ $3, AX
 	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// The incidence walks of gather.go. Every gather sets its mask to all ones
+// first, because VGATHERDPD clears the mask as it completes, and zeroes its
+// destination, which it otherwise reads, so no step waits on the last.
+// A Quad kernel's lanes start each quad from +0 (−Inf for the max) and fold
+// one 4-step at a time into out[4q..4q+3]; every quad is a whole number of
+// 4-steps. An At kernel covers len(dst)&^3 elements and leaves the rest
+// to the Go side.
+
+// func quadSumAVX2(out, x []float64, ids, start []int32)
+//
+// s += x[id].
+TEXT ·quadSumAVX2(SB), NOSPLIT, $0-96
+	MOVQ out_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ ids_base+48(FP), R8
+	MOVQ start_base+72(FP), R9
+	MOVQ start_len+80(FP), CX
+	SUBQ $1, CX                      // quads
+	JLE qsumdone
+	MOVLQSX (R9), AX
+
+qsumquad:
+	MOVLQSX 4(R9), BX
+	VXORPD Y0, Y0, Y0
+	CMPQ AX, BX
+	JGE qsumstore
+
+qsumstep:
+	VMOVDQU (R8)(AX*4), X1
+	VPCMPEQD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VGATHERDPD Y2, (SI)(X1*8), Y3
+	VADDPD Y3, Y0, Y0
+	ADDQ $4, AX
+	CMPQ AX, BX
+	JLT qsumstep
+
+qsumstore:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $4, R9
+	SUBQ $1, CX
+	JNZ qsumquad
+
+qsumdone:
+	VZEROUPPER
+	RET
+
+// func quadScaledSumAVX2(out, x, scale []float64, ids, start []int32)
+//
+// s += x[id]·c, then s = +0 in the lanes whose c is ±0.
+TEXT ·quadScaledSumAVX2(SB), NOSPLIT, $0-120
+	MOVQ out_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ scale_base+48(FP), DX
+	MOVQ ids_base+72(FP), R8
+	MOVQ start_base+96(FP), R9
+	MOVQ start_len+104(FP), CX
+	VXORPD Y5, Y5, Y5
+	SUBQ $1, CX
+	JLE qscaleddone
+	MOVLQSX (R9), AX
+
+qscaledquad:
+	MOVLQSX 4(R9), BX
+	VMOVUPD (DX), Y4                 // c
+	VXORPD Y0, Y0, Y0
+	CMPQ AX, BX
+	JGE qscaledstore
+
+qscaledstep:
+	VMOVDQU (R8)(AX*4), X1
+	VPCMPEQD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VGATHERDPD Y2, (SI)(X1*8), Y3
+	VMULPD Y4, Y3, Y3                // x[id]·c
+	VADDPD Y3, Y0, Y0
+	ADDQ $4, AX
+	CMPQ AX, BX
+	JLT qscaledstep
+
+qscaledstore:
+	VCMPPD $0x00, Y5, Y4, Y6         // c == 0
+	VANDNPD Y0, Y6, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	ADDQ $4, R9
+	SUBQ $1, CX
+	JNZ qscaledquad
+
+qscaleddone:
+	VZEROUPPER
+	RET
+
+// func quadDotAVX2(out, x, y []float64, ids, start []int32)
+//
+// s += x[id]·y[id].
+TEXT ·quadDotAVX2(SB), NOSPLIT, $0-120
+	MOVQ out_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ y_base+48(FP), DX
+	MOVQ ids_base+72(FP), R8
+	MOVQ start_base+96(FP), R9
+	MOVQ start_len+104(FP), CX
+	SUBQ $1, CX
+	JLE qdotdone
+	MOVLQSX (R9), AX
+
+qdotquad:
+	MOVLQSX 4(R9), BX
+	VXORPD Y0, Y0, Y0
+	CMPQ AX, BX
+	JGE qdotstore
+
+qdotstep:
+	VMOVDQU (R8)(AX*4), X1
+	VPCMPEQD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VGATHERDPD Y2, (SI)(X1*8), Y3
+	VPCMPEQD Y2, Y2, Y2
+	VXORPD Y4, Y4, Y4
+	VGATHERDPD Y2, (DX)(X1*8), Y4
+	VMULPD Y4, Y3, Y3                // x[id]·y[id]
+	VADDPD Y3, Y0, Y0
+	ADDQ $4, AX
+	CMPQ AX, BX
+	JLT qdotstep
+
+qdotstore:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $4, R9
+	SUBQ $1, CX
+	JNZ qdotquad
+
+qdotdone:
+	VZEROUPPER
+	RET
+
+// func quadMaxAVX2(out, x []float64, ids, start []int32)
+//
+// m = x[id] > m ? x[id] : m, from −Inf: VCMPPD's GT_OQ is false when
+// either side is a NaN and for +0 > −0, which is greater's `v > mx`.
+TEXT ·quadMaxAVX2(SB), NOSPLIT, $0-96
+	MOVQ out_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ ids_base+48(FP), R8
+	MOVQ start_base+72(FP), R9
+	MOVQ start_len+80(FP), CX
+	VPCMPEQD Y5, Y5, Y5
+	VPSLLQ $52, Y5, Y5               // −Inf
+	SUBQ $1, CX
+	JLE qmaxdone
+	MOVLQSX (R9), AX
+
+qmaxquad:
+	MOVLQSX 4(R9), BX
+	VMOVAPD Y5, Y0
+	CMPQ AX, BX
+	JGE qmaxstore
+
+qmaxstep:
+	VMOVDQU (R8)(AX*4), X1
+	VPCMPEQD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VGATHERDPD Y2, (SI)(X1*8), Y3
+	VCMPPD $0x1e, Y0, Y3, Y6         // x[id] > m, GT_OQ
+	VBLENDVPD Y6, Y3, Y0, Y0
+	ADDQ $4, AX
+	CMPQ AX, BX
+	JLT qmaxstep
+
+qmaxstore:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $4, R9
+	SUBQ $1, CX
+	JNZ qmaxquad
+
+qmaxdone:
+	VZEROUPPER
+	RET
+
+// func subAtAVX2(dst, x, v []float64, at []int32)
+//
+// dst[i] = x[i] − v[at[i]].
+TEXT ·subAtAVX2(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ v_base+48(FP), DX
+	MOVQ at_base+72(FP), R8
+	ANDQ $-4, CX
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ subatdone
+
+subatloop:
+	VMOVDQU (R8)(AX*4), X1
+	VPCMPEQD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VGATHERDPD Y2, (DX)(X1*8), Y3
+	VMOVUPD (SI)(AX*8), Y4
+	VSUBPD Y3, Y4, Y4                // x − v[at]
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JB subatloop
+
+subatdone:
+	VZEROUPPER
+	RET
+
+// func mulAtAVX2(dst, v []float64, at []int32)
+//
+// dst[i] = dst[i]·v[at[i]].
+TEXT ·mulAtAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ v_base+24(FP), DX
+	MOVQ at_base+48(FP), R8
+	ANDQ $-4, CX
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ mulatdone
+
+mulatloop:
+	VMOVDQU (R8)(AX*4), X1
+	VPCMPEQD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VGATHERDPD Y2, (DX)(X1*8), Y3
+	VMOVUPD (DI)(AX*8), Y4
+	VMULPD Y3, Y4, Y4                // dst·v[at]
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JB mulatloop
+
+mulatdone:
+	VZEROUPPER
+	RET
+
+// func chainAtAVX2(dst, r, g, v []float64, at []int32)
+//
+// dst[i] = r[i]·(g[i] − v[at[i]]).
+TEXT ·chainAtAVX2(SB), NOSPLIT, $0-120
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ r_base+24(FP), SI
+	MOVQ g_base+48(FP), R9
+	MOVQ v_base+72(FP), DX
+	MOVQ at_base+96(FP), R8
+	ANDQ $-4, CX
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ chainatdone
+
+chainatloop:
+	VMOVDQU (R8)(AX*4), X1
+	VPCMPEQD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VGATHERDPD Y2, (DX)(X1*8), Y3
+	VMOVUPD (R9)(AX*8), Y5
+	VSUBPD Y3, Y5, Y5                // g − v[at]
+	VMOVUPD (SI)(AX*8), Y4
+	VMULPD Y5, Y4, Y4                // r·(g − v[at])
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JB chainatloop
+
+chainatdone:
 	VZEROUPPER
 	RET

@@ -20,3 +20,19 @@ func adamAVX2(p, gr, m, v []float64, b1, b1c, b2, b2c, c1, c2, lr, eps float64) 
 }
 
 func expAVX2(dst, src []float64) int { panic("nn: no assembly kernels") }
+
+func quadSumAVX2(out, x []float64, ids, start []int32) { panic("nn: no assembly kernels") }
+
+func quadScaledSumAVX2(out, x, scale []float64, ids, start []int32) {
+	panic("nn: no assembly kernels")
+}
+
+func quadDotAVX2(out, x, y []float64, ids, start []int32) { panic("nn: no assembly kernels") }
+
+func quadMaxAVX2(out, x []float64, ids, start []int32) { panic("nn: no assembly kernels") }
+
+func subAtAVX2(dst, x, v []float64, at []int32) { panic("nn: no assembly kernels") }
+
+func mulAtAVX2(dst, v []float64, at []int32) { panic("nn: no assembly kernels") }
+
+func chainAtAVX2(dst, r, g, v []float64, at []int32) { panic("nn: no assembly kernels") }

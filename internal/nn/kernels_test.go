@@ -217,3 +217,224 @@ func FuzzExpInto(f *testing.F) {
 		}
 	})
 }
+
+// TestGatherKernelsBitwise holds the incidence-walk kernels of gather.go,
+// dispatched (assembly on an AVX2 CPU) and as Go bodies, against a one-lane
+// walk of the same layout (checkGatherKernels): QuadSum, QuadScaledSum,
+// QuadDot and QuadMax over 0–70 lists of 0–7 ids, so that the last quad
+// is partial and its lanes past the last list are all padding, and SubAt,
+// MulAt and ChainAt over every length 0–70. The padding id indexes the
+// last slot of x, which holds +0, −Inf or an ordinary value. Operands mix
+// NaN, ±0, ±Inf, denormals and huge values into normal ones, and the
+// scales hold ±0 beside an infinite x, where skipping the zero-scale mask
+// would leave a NaN. One case draws only from {+0, −0, −Inf, NaN}: the max
+// must pass over NaN and keep the first of two equal zeros.
+func TestGatherKernelsBitwise(t *testing.T) {
+	if !useAVX2 {
+		t.Log("no AVX2 on this CPU: the dispatchers run the Go bodies")
+	}
+	rng := rand.New(rand.NewSource(33))
+	specials := []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -3e-310, 1e300, -1e300,
+	}
+	zeros := []float64{0, math.Copysign(0, -1), math.Inf(-1), math.NaN()}
+	vec := func(n int, wild float64, from []float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			if rng.Float64() < wild {
+				v[i] = from[rng.Intn(len(from))]
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+		return v
+	}
+	for n := 0; n <= 70; n++ {
+		for _, c := range []struct {
+			wild float64
+			from []float64
+			pad  float64
+		}{
+			{0, specials, 0},
+			{0.1, specials, math.Inf(-1)},
+			{0.5, specials, 1.5},
+			{0.9, zeros, 0},
+		} {
+			m := 1 + rng.Intn(3*n+1)
+			x, y := vec(m, c.wild, c.from), vec(m, c.wild, c.from)
+			x[m-1], y[m-1] = c.pad, c.pad
+			label := fmt.Sprintf("n=%d wild=%v pad=%v", n, c.wild, c.pad)
+			checkGatherKernels(t, label, rng, n, x, y, vec(4*n+4, c.wild, c.from), vec(n, c.wild, c.from))
+		}
+	}
+}
+
+// FuzzGatherKernels runs checkGatherKernels on arbitrary operands: x and y
+// cycle a, b, c and the scales and dst cycle them the other way round, over
+// a layout drawn from seed. Seeds in testdata/fuzz/FuzzGatherKernels.
+func FuzzGatherKernels(f *testing.F) {
+	f.Add(int64(1), uint8(9), 0.5, math.Copysign(0, -1), math.Inf(-1))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, a, b, c float64) {
+		rng := rand.New(rand.NewSource(seed))
+		cycle := func(n int, v ...float64) []float64 {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = v[i%len(v)]
+			}
+			return x
+		}
+		k := int(n) % 71
+		m := 1 + int(n)%13
+		checkGatherKernels(t, "fuzz", rng, k, cycle(m, a, b, c), cycle(m, b, c, a), cycle(4*k+4, c, b, a), cycle(k, c, a, b))
+	})
+}
+
+// checkGatherKernels draws n lists of ids below len(x)−1, lays them out four
+// abreast padded with id len(x)−1, and holds every Quad kernel over them and
+// every At kernel over n elements (at drawn below len(x), g = y[:n] cycled
+// when y is shorter) against a one-lane walk, dispatched and as Go bodies.
+// Every result carries the walk's bits, except that a NaN need only be a
+// NaN.
+func checkGatherKernels(t *testing.T, label string, rng *rand.Rand, n int, x, y, scale, dst []float64) {
+	t.Helper()
+	m := len(x)
+	lists := make([][]int32, n)
+	for i := range lists {
+		lists[i] = make([]int32, rng.Intn(8))
+		for k := range lists[i] {
+			lists[i][k] = int32(rng.Intn(m))
+		}
+	}
+	nq := (n + 3) / 4
+	start := make([]int32, nq+1)
+	for q := 0; q < nq; q++ {
+		longest := 0
+		for _, l := range lists[4*q : min(4*q+4, n)] {
+			longest = max(longest, len(l))
+		}
+		start[q+1] = start[q] + 4*int32(longest)
+	}
+	ids := make([]int32, start[nq])
+	for i := range ids {
+		ids[i] = int32(m - 1)
+	}
+	for i, l := range lists {
+		for k, id := range l {
+			ids[int(start[i/4])+4*k+i%4] = id
+		}
+	}
+
+	same := func(kernel string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			g, w := got[i], want[i]
+			if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("%s %s: [%d] = %v (%#x), one-lane walk gives %v (%#x)",
+					kernel, label, i, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+	// walk folds lane l of quad q from init with step, the one-lane loop.
+	walk := func(init float64, step func(acc float64, id int32, lane int) float64) []float64 {
+		out := make([]float64, 4*nq)
+		for q := 0; q < nq; q++ {
+			for l := 0; l < 4; l++ {
+				acc := init
+				for k := int(start[q]) + l; k < int(start[q+1]); k += 4 {
+					acc = step(acc, ids[k], 4*q+l)
+				}
+				out[4*q+l] = acc
+			}
+		}
+		return out
+	}
+	quads := []struct {
+		name     string
+		want     []float64
+		dispatch func(out []float64)
+		goBody   func(out []float64)
+	}{
+		{"QuadSum", walk(0, func(s float64, id int32, _ int) float64 { return s + x[id] }),
+			func(out []float64) { QuadSum(out, x, ids, start) },
+			func(out []float64) { quadSumGo(out, x, ids, start) }},
+		{"QuadScaledSum", func() []float64 {
+			out := walk(0, func(s float64, id int32, l int) float64 { return s + x[id]*scale[l] })
+			for l := range out {
+				if scale[l] == 0 {
+					out[l] = 0
+				}
+			}
+			return out
+		}(),
+			func(out []float64) { QuadScaledSum(out, x, scale, ids, start) },
+			func(out []float64) { quadScaledSumGo(out, x, scale, ids, start) }},
+		{"QuadDot", walk(0, func(s float64, id int32, _ int) float64 { return s + x[id]*y[id] }),
+			func(out []float64) { QuadDot(out, x, y, ids, start) },
+			func(out []float64) { quadDotGo(out, x, y, ids, start) }},
+		{"QuadMax", walk(math.Inf(-1), func(mx float64, id int32, _ int) float64 {
+			if x[id] > mx {
+				return x[id]
+			}
+			return mx
+		}),
+			func(out []float64) { QuadMax(out, x, ids, start) },
+			func(out []float64) { quadMaxGo(out, x, ids, start) }},
+	}
+	for _, k := range quads {
+		for _, run := range []struct {
+			path string
+			f    func([]float64)
+		}{{"dispatched", k.dispatch}, {"Go body", k.goBody}} {
+			out := make([]float64, 4*nq)
+			for i := range out {
+				out[i] = math.NaN() // every lane must be written
+			}
+			run.f(out)
+			same(k.name+" "+run.path, out, k.want)
+		}
+	}
+
+	at := make([]int32, n)
+	g := make([]float64, n)
+	for i := range at {
+		at[i] = int32(rng.Intn(m))
+		g[i] = y[i%len(y)]
+	}
+	r := dst
+	v := x
+	vec := func(f func(i int) float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	xs := vec(func(i int) float64 { return y[(i+1)%len(y)] })
+	subWant := vec(func(i int) float64 { return xs[i] - v[at[i]] })
+	mulWant := vec(func(i int) float64 { return r[i] * v[at[i]] })
+	chainWant := vec(func(i int) float64 { return r[i] * (g[i] - v[at[i]]) })
+	for _, run := range []struct {
+		path     string
+		sub, mul func(dst []float64)
+		chain    func(dst []float64)
+	}{
+		{"dispatched",
+			func(d []float64) { SubAt(d, xs, v, at) },
+			func(d []float64) { MulAt(d, v, at) },
+			func(d []float64) { ChainAt(d, r, g, v, at) }},
+		{"Go body",
+			func(d []float64) { subAtGo(d, xs, v, at) },
+			func(d []float64) { mulAtGo(d, v, at) },
+			func(d []float64) { chainAtGo(d, r, g, v, at) }},
+	} {
+		out := make([]float64, n)
+		run.sub(out)
+		same("SubAt "+run.path, out, subWant)
+		copy(out, r)
+		run.mul(out)
+		same("MulAt "+run.path, out, mulWant)
+		run.chain(out)
+		same("ChainAt "+run.path, out, chainWant)
+	}
+}

@@ -4,11 +4,12 @@
 // The optimizer is nn.Adam on one flat tensor, and every exponential of an
 // iteration goes through nn.ExpInto, so both run four lanes wide where
 // the CPU allows, with the bits of the scalar math.Exp and Adam rule. The
-// incidence walks use te.PathSet's solver layouts: edge flows are gathered
-// edge-major (EdgePaths), the gradient runs four paths abreast
-// (PathGroups) and the softmax walks pair ranges (PairStarts). Each sum
-// keeps its operands and its order, so the bits are those of the per-path
-// scatter and gather they replace.
+// incidence walks are nn's four-lane gathers over te.PathSet's solver
+// layouts: edge flows four edges abreast (EdgeQuads), the gradient four
+// paths abreast (PathGroups), and the softmax and its chain rule four
+// pairs abreast (PairQuads). Each fold keeps its operands and its order,
+// and the padding adds +0 (or compares −Inf), so the bits are those of the
+// per-path scatter and gather they replace.
 //
 // It serves as the scalable counterpart of the exact simplex LP in
 // internal/lp: on ToR-scale topologies — where the paper itself reports LP
@@ -45,7 +46,7 @@ type Options struct {
 	// InitR itself evaluated on d.
 	InitR []float64
 	// Caps, if non-nil, are per-path upper bounds on split ratios, enforced
-	// by a quadratic penalty (entries may be +Inf).
+	// by a quadratic penalty: each ≥ 0, or +Inf for an uncapped path.
 	Caps []float64
 }
 
@@ -74,13 +75,13 @@ func (o Options) withDefaults() Options {
 // are satisfied approximately, to within the penalty's tolerance.
 //
 // d must hold one finite entry per pair (negative entries are allowed), and
-// InitR and Caps, when set, one entry per path, InitR's finite; anything
-// else panics with a solver: message.
+// InitR and Caps, when set, one entry per path, InitR's finite and Caps'
+// ≥ 0 or +Inf; anything else panics with a solver: message.
 func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64) {
 	checkInputs(ps, d, opt)
 	opt = opt.withDefaults()
 	P := ps.NumPaths()
-	z := make([]float64, P)
+	z := make([]float64, P+1)
 	switch {
 	case opt.InitR != nil:
 		// Softmax inverse up to a per-pair constant: z_p = ln r_p.
@@ -92,27 +93,31 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 		}
 	case opt.Seed != 0:
 		rng := rand.New(rand.NewSource(opt.Seed))
-		for i := range z {
+		for i := range P {
 			z[i] = 0.01 * rng.NormFloat64()
 		}
 	}
+	z[P] = math.Inf(-1)
 
 	E := ps.G.NumEdges()
-	edgePaths, edgeStart := ps.EdgePaths()
 	groupEdges, groupStart := ps.PathGroups()
-	pairStart := ps.PairStarts()
+	edges := newEdgeQuads(ps)
+	pairs := newPairQuads(ps)
 	caps := ps.EdgeCaps()
 
-	// dp[p] is path p's pair demand, zero-padded to whole 4-path groups;
-	// gr's padding lanes are scratch the gradient writes and nothing reads.
+	// dp[p] is path p's pair demand, zero-padded to whole 4-path groups.
+	// The per-path vectors have one slot past the last path, the sentinel
+	// the edge and pair quads pad with: z[P] = −Inf, and r, f and gr are
+	// +0 there. gr's other padding lanes are scratch the gradient writes,
+	// +0 too because their dp is.
 	dp := make([]float64, 4*(len(groupStart)-1))
 	for p, pi := range ps.PairOf {
 		dp[p] = d[pi]
 	}
-	r := make([]float64, P)
-	f := make([]float64, P) // d·r per path
-	grAll := make([]float64, len(dp))
-	gr := grAll[:P]          // dL/dr
+	r := make([]float64, P+1)
+	f := make([]float64, P+1) // d·r per path
+	grAll := make([]float64, max(len(dp), P+1))
+	gr := grAll[:P+1]        // dL/dr
 	gz := make([]float64, P) // dL/dz
 	flows := make([]float64, E)
 	util := make([]float64, E)
@@ -124,11 +129,11 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 	bestR := make([]float64, P)
 
 	for it := 0; it < opt.Iters; it++ {
-		softmaxPerPair(pairStart, z, r)
-		for p := range f {
+		pairs.softmax(z, r)
+		for p := range P {
 			f[p] = dp[p] * r[p]
 		}
-		gatherFlows(edgePaths, edgeStart, f, flows)
+		edges.flows(f, flows)
 		maxU := 0.0
 		for e := range flows {
 			util[e] = flows[e] / caps[e]
@@ -137,8 +142,10 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 			}
 		}
 		// Track the best hard-max iterate (with caps feasibility preferred).
+		// The penalty is finite and ≥ 0 (checkInputs), so an iterate
+		// with maxU >= best cannot win and its O(P) penalty is skipped.
 		score := maxU
-		if opt.Caps != nil {
+		if opt.Caps != nil && maxU < best {
 			score += penaltyWeight * capViolation(r, opt.Caps)
 		}
 		if score < best {
@@ -150,7 +157,7 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 		}
 
 		// Smooth-max weights: w_e = softmax(beta * util), pre-divided by
-		// edge capacity so the per-path gradient loop below is a single
+		// edge capacity so the per-path gradient below is a single
 		// multiply-accumulate over the path's edges.
 		beta := betaRel / maxU
 		ws := w[:E]
@@ -166,8 +173,12 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 		for e := range ws {
 			ws[e] = ws[e] * inv / caps[e]
 		}
-		// dL/dr_p = Σ_{e∈p} w_e · d_pair / c_e.
-		pathGradients(groupEdges, groupStart, w, dp, grAll)
+		// dL/dr_p = Σ_{e∈p} w_e · d_pair / c_e, four paths abreast. A
+		// padded step adds w[E]·dp = +0·dp = ±0, the identity on a sum
+		// that starts at +0 (see edgeQuads), because dp is finite;
+		// checkInputs makes it so. A path with zero demand gets
+		// gradient +0, as it always has.
+		nn.QuadScaledSum(grAll, w, dp, groupEdges, groupStart)
 		// Cap penalty gradient.
 		if opt.Caps != nil {
 			for p, c := range opt.Caps {
@@ -181,8 +192,8 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 		}
 		// Chain through per-pair softmax: dz_p = r_p (gr_p − Σ_q r_q gr_q).
 		// It writes every entry of gz, which the Adam step clears.
-		softmaxChain(pairStart, r, gr, gz)
-		ad.StepVec(z, gz)
+		pairs.chain(r, gr, gz)
+		ad.StepVec(z[:P], gz)
 	}
 
 	cfg := te.NewConfig(ps)
@@ -197,8 +208,10 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 // checkInputs panics on what would otherwise come back as a meaningless
 // optimum: a negative Iters skips the loop and a negative LR ascends, and a
 // NaN or ±Inf demand or warm start poisons every ratio while
-// te.PathSet.MLUFromFlows, which skips NaN flows, reports MLU 0. Wrong
-// lengths would index out of range or silently cap a prefix.
+// te.PathSet.MLUFromFlows, which skips NaN flows, reports MLU 0. A −Inf cap
+// does the same, a negative one becomes a negative split ratio in
+// projectCaps and a NaN one silently uncaps its path. Wrong lengths would
+// index out of range or silently cap a prefix.
 func checkInputs(ps *te.PathSet, d []float64, opt Options) {
 	if opt.Iters < 0 || opt.LR < 0 {
 		panic(fmt.Sprintf("solver: Iters %d and LR %v must not be negative", opt.Iters, opt.LR))
@@ -215,6 +228,11 @@ func checkInputs(ps *te.PathSet, d []float64, opt Options) {
 	}
 	mustBeFinite("demand", d)
 	mustBeFinite("InitR", opt.InitR)
+	for p, c := range opt.Caps {
+		if !(c >= 0) {
+			panic(fmt.Sprintf("solver: Caps[%d] = %v must be a ratio >= 0 or +Inf", p, c))
+		}
+	}
 }
 
 func mustBeFinite(name string, x []float64) {
@@ -225,75 +243,28 @@ func mustBeFinite(name string, x []float64) {
 	}
 }
 
-// gatherFlows sets flows[e] = Σ f[p] over the paths through e, from the
-// transposed incidence (te.PathSet.EdgePaths). Each sum starts at +0 and
-// adds its terms in ascending path id, the order te.PathSet.EdgeFlows
-// scatters them in, so the bits are EdgeFlows'. EdgeFlows skips f = ±0
-// terms; adding one changes nothing, because a sum that starts at +0 never
-// becomes −0 and x + ±0 = x for every other x. Four edges run side by
-// side so their add chains overlap.
-func gatherFlows(ids, start []int32, f, flows []float64) {
-	e := 0
-	for ; e+4 <= len(flows); e += 4 {
-		a := ids[start[e]:start[e+1]]
-		b := ids[start[e+1]:start[e+2]]
-		c := ids[start[e+2]:start[e+3]]
-		d := ids[start[e+3]:start[e+4]]
-		n := min(len(a), len(b), len(c), len(d))
-		var s0, s1, s2, s3 float64
-		for k := 0; k < n; k++ {
-			s0 += f[a[k]]
-			s1 += f[b[k]]
-			s2 += f[c[k]]
-			s3 += f[d[k]]
-		}
-		flows[e] = sumFrom(s0, f, a[n:])
-		flows[e+1] = sumFrom(s1, f, b[n:])
-		flows[e+2] = sumFrom(s2, f, c[n:])
-		flows[e+3] = sumFrom(s3, f, d[n:])
-	}
-	for ; e < len(flows); e++ {
-		flows[e] = sumFrom(0, f, ids[start[e]:start[e+1]])
-	}
+// edgeQuads sums the flow of every edge from te.PathSet.EdgeQuads: each
+// lane adds f[p] over its edge's paths in ascending id, starting at +0,
+// the order te.PathSet.EdgeFlows scatters them in, so the bits are
+// EdgeFlows'. EdgeFlows skips f = ±0 terms, and the quads add them, and
+// the padding slot f[P] = +0 besides; neither changes a bit, because a sum
+// that starts at +0 never becomes −0 and x + ±0 = x for every other x.
+type edgeQuads struct {
+	ids, start, edgeOf []int32
+	sums               []float64 // per slot
 }
 
-// sumFrom adds f[p] for the ids in order to s.
-func sumFrom(s float64, f []float64, ids []int32) float64 {
-	for _, p := range ids {
-		s += f[p]
-	}
-	return s
+func newEdgeQuads(ps *te.PathSet) edgeQuads {
+	ids, start, edgeOf := ps.EdgeQuads()
+	return edgeQuads{ids, start, edgeOf, make([]float64, 4*(len(start)-1))}
 }
 
-// pathGradients sets gr[p] = Σ_{e∈p} w[e]·dp[p], in p's edge order, four
-// paths abreast over the lane-interleaved groups of te.PathSet.PathGroups.
-// A padded step adds w[E]·dp = +0·dp = ±0, the identity on a sum that
-// starts at +0 (see gatherFlows), because dp is finite; checkInputs makes
-// it so. A path with zero demand gets gradient 0, as it always has.
-func pathGradients(ids, start []int32, w, dp, gr []float64) {
-	for g := 0; g+1 < len(start); g++ {
-		lanes := ids[start[g]:start[g+1]]
-		p := 4 * g
-		d0, d1, d2, d3 := dp[p], dp[p+1], dp[p+2], dp[p+3]
-		var g0, g1, g2, g3 float64
-		for ; len(lanes) >= 4; lanes = lanes[4:] {
-			g0 += w[lanes[0]] * d0
-			g1 += w[lanes[1]] * d1
-			g2 += w[lanes[2]] * d2
-			g3 += w[lanes[3]] * d3
-		}
-		gr[p] = zeroIfNoDemand(g0, d0)
-		gr[p+1] = zeroIfNoDemand(g1, d1)
-		gr[p+2] = zeroIfNoDemand(g2, d2)
-		gr[p+3] = zeroIfNoDemand(g3, d3)
+// flows sets flows[e] = Σ f[p] over the paths through e; f[P] must be +0.
+func (q edgeQuads) flows(f, flows []float64) {
+	nn.QuadSum(q.sums, f, q.ids, q.start)
+	for s, e := range q.edgeOf {
+		flows[e] = q.sums[s]
 	}
-}
-
-func zeroIfNoDemand(g, dp float64) float64 {
-	if dp == 0 {
-		return 0
-	}
-	return g
 }
 
 // capViolation returns Σ_p max(0, r_p − cap_p)².
@@ -354,96 +325,42 @@ func projectCaps(ps *te.PathSet, cfg *te.Config, caps []float64) {
 	}
 }
 
-// softmaxPerPair fills r with softmax(z) computed independently over each
-// pair's range of paths [start[i], start[i+1]) (te.PathSet.PairStarts): the
-// shifts z_p − max of every pair first, then one ExpInto over all paths,
-// then each pair's sum and scaling in path order. Pairs of 3 and 4 paths,
-// the suite's K, run as straight-line code; every sum still starts at +0
-// and adds in path order, so the bits are the loops'.
-func softmaxPerPair(start []int32, z, r []float64) {
-	for i := 0; i+1 < len(start); i++ {
-		zs, rs := z[start[i]:start[i+1]], r[start[i]:start[i+1]]
-		switch len(zs) {
-		case 3:
-			zs, rs := (*[3]float64)(zs), (*[3]float64)(rs)
-			mx := greater(zs[2], greater(zs[1], greater(zs[0], math.Inf(-1))))
-			rs[0], rs[1], rs[2] = zs[0]-mx, zs[1]-mx, zs[2]-mx
-		case 4:
-			zs, rs := (*[4]float64)(zs), (*[4]float64)(rs)
-			mx := greater(zs[3], greater(zs[2], greater(zs[1], greater(zs[0], math.Inf(-1)))))
-			rs[0], rs[1], rs[2], rs[3] = zs[0]-mx, zs[1]-mx, zs[2]-mx, zs[3]-mx
-		default:
-			mx := math.Inf(-1)
-			for _, v := range zs {
-				mx = greater(v, mx)
-			}
-			for j, v := range zs {
-				rs[j] = v - mx
-			}
-		}
-	}
-	nn.ExpInto(r, r)
-	for i := 0; i+1 < len(start); i++ {
-		rs := r[start[i]:start[i+1]]
-		switch len(rs) {
-		case 3:
-			rs := (*[3]float64)(rs)
-			inv := 1 / (0 + rs[0] + rs[1] + rs[2])
-			rs[0], rs[1], rs[2] = rs[0]*inv, rs[1]*inv, rs[2]*inv
-		case 4:
-			rs := (*[4]float64)(rs)
-			inv := 1 / (0 + rs[0] + rs[1] + rs[2] + rs[3])
-			rs[0], rs[1], rs[2], rs[3] = rs[0]*inv, rs[1]*inv, rs[2]*inv, rs[3]*inv
-		default:
-			var sum float64
-			for _, v := range rs {
-				sum += v
-			}
-			inv := 1 / sum
-			for j := range rs {
-				rs[j] *= inv
-			}
-		}
-	}
+// pairQuads runs the per-pair softmax and its chain rule four pairs
+// abreast over te.PathSet.PairQuads. Every per-pair fold walks a pair's
+// paths in PairPaths order from the value the scalar loop starts at, and
+// the padding slot P is inert: −Inf never exceeds the max, and +0 leaves
+// the sums as in edgeQuads. The per-path steps gather their pair's
+// value through pairOf. The bits are those of the per-pair loops.
+type pairQuads struct {
+	ids, start, pairOf []int32
+	lane               []float64 // one value per pair slot
 }
 
-// softmaxChain sets gz_p = r_p (gr_p − Σ_q r_q gr_q) over each pair's range,
-// the gradient through softmaxPerPair, with the same straight-line cases.
-// Their leading 0 is the loop's +0 start, which turns a first product of
-// −0 (r_p = 0, gr_p < 0) into +0 exactly as the loop does.
-func softmaxChain(start []int32, r, gr, gz []float64) {
-	for i := 0; i+1 < len(start); i++ {
-		lo, hi := start[i], start[i+1]
-		rs, gs, zs := r[lo:hi], gr[lo:hi], gz[lo:hi]
-		switch len(rs) {
-		case 3:
-			rs, gs, zs := (*[3]float64)(rs), (*[3]float64)(gs), (*[3]float64)(zs)
-			mean := 0 + rs[0]*gs[0] + rs[1]*gs[1] + rs[2]*gs[2]
-			zs[0], zs[1], zs[2] = rs[0]*(gs[0]-mean), rs[1]*(gs[1]-mean), rs[2]*(gs[2]-mean)
-		case 4:
-			rs, gs, zs := (*[4]float64)(rs), (*[4]float64)(gs), (*[4]float64)(zs)
-			mean := 0 + rs[0]*gs[0] + rs[1]*gs[1] + rs[2]*gs[2] + rs[3]*gs[3]
-			zs[0], zs[1], zs[2], zs[3] = rs[0]*(gs[0]-mean), rs[1]*(gs[1]-mean), rs[2]*(gs[2]-mean), rs[3]*(gs[3]-mean)
-		default:
-			var mean float64
-			for j, v := range rs {
-				mean += v * gs[j]
-			}
-			for j, v := range rs {
-				zs[j] = v * (gs[j] - mean)
-			}
-		}
-	}
+func newPairQuads(ps *te.PathSet) pairQuads {
+	ids, start, pairOf := ps.PairQuads()
+	return pairQuads{ids, start, pairOf, make([]float64, 4*(len(start)-1))}
 }
 
-// greater is `if v > mx { mx = v }` without a branch: a NaN v leaves mx as
-// it is, and of two equal zeros mx keeps its sign. The builtin max differs
-// on both.
-func greater(v, mx float64) float64 {
-	var take uint64
-	if v > mx {
-		take = 1
+// softmax fills r[:P] with softmax(z) over each pair's paths: every pair's
+// max from −Inf by `if z > max` (nn.QuadMax), the shifts z_p − max, one ExpInto over all
+// paths, then every pair's sum from +0, and r_p·(1/sum). z[P] must be −Inf
+// and r[P] +0.
+func (q pairQuads) softmax(z, r []float64) {
+	P := len(q.pairOf)
+	nn.QuadMax(q.lane, z, q.ids, q.start)
+	nn.SubAt(r[:P], z, q.lane, q.pairOf)
+	nn.ExpInto(r[:P], r[:P])
+	nn.QuadSum(q.lane, r, q.ids, q.start)
+	for i, s := range q.lane {
+		q.lane[i] = 1 / s
 	}
-	vb, mb := math.Float64bits(v), math.Float64bits(mx)
-	return math.Float64frombits(mb ^ (mb^vb)&-take)
+	nn.MulAt(r[:P], q.lane, q.pairOf)
+}
+
+// chain sets gz_p = r_p (gr_p − Σ_q r_q gr_q) over each pair's paths, the
+// gradient through softmax, the mean summed from +0 in path order. r[P]
+// and gr[P] must be +0.
+func (q pairQuads) chain(r, gr, gz []float64) {
+	nn.QuadDot(q.lane, r, gr, q.ids, q.start)
+	nn.ChainAt(gz, r, gr, q.lane, q.pairOf)
 }

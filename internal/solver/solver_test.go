@@ -181,9 +181,12 @@ func TestSoftmaxPerPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := make([]float64, ps.NumPaths())
-	r := make([]float64, ps.NumPaths())
-	softmaxPerPair(ps.PairStarts(), z, r)
+	P := ps.NumPaths()
+	z := make([]float64, P+1)
+	r := make([]float64, P+1)
+	z[P] = math.Inf(-1)
+	pairs := newPairQuads(ps)
+	pairs.softmax(z, r)
 	for _, pp := range ps.PairPaths {
 		sum := 0.0
 		for _, p := range pp {
@@ -197,10 +200,10 @@ func TestSoftmaxPerPair(t *testing.T) {
 		}
 	}
 	// Extreme logits must not overflow.
-	for i := range z {
+	for i := range P {
 		z[i] = 1e4 * float64(i%3)
 	}
-	softmaxPerPair(ps.PairStarts(), z, r)
+	pairs.softmax(z, r)
 	for _, v := range r {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatal("softmax overflow")
@@ -210,9 +213,11 @@ func TestSoftmaxPerPair(t *testing.T) {
 
 // TestMinimizeMLURejectsBadOptions: a negative Iters would skip the loop
 // and return the all-zero routing with MLU 0, a negative LR would ascend,
-// and a NaN or ±Inf demand or warm start would return an all-NaN routing
-// that MLUFromFlows scores 0. Wrong lengths index out of range or cap a
-// prefix. Each panics up front with the package's own message.
+// and a NaN or ±Inf demand or warm start, or a −Inf cap, would return an
+// all-NaN routing that MLUFromFlows scores 0. A negative cap would come
+// back as a negative split ratio and a NaN cap would uncap its path.
+// Wrong lengths index out of range or cap a prefix. Each panics up front
+// with the package's own message.
 func TestMinimizeMLURejectsBadOptions(t *testing.T) {
 	ps, d := geantSetup(t)
 	P := ps.NumPaths()
@@ -225,6 +230,14 @@ func TestMinimizeMLURejectsBadOptions(t *testing.T) {
 		r := te.UniformConfig(ps).R
 		r[i] = v
 		return r
+	}
+	capped := func(v float64) []float64 {
+		c := make([]float64, P)
+		for p := range c {
+			c[p] = math.Inf(1)
+		}
+		c[0] = v
+		return c
 	}
 	for _, c := range []struct {
 		name string
@@ -244,6 +257,9 @@ func TestMinimizeMLURejectsBadOptions(t *testing.T) {
 		{"short InitR", d, Options{Iters: 20, InitR: make([]float64, P-1)}},
 		{"short Caps", d, Options{Iters: 20, Caps: make([]float64, P-1)}},
 		{"long Caps", d, Options{Iters: 20, Caps: make([]float64, P+1)}},
+		{"-Inf cap", d, Options{Iters: 50, Caps: capped(math.Inf(-1))}},
+		{"negative cap", d, Options{Iters: 50, Caps: capped(-0.5)}},
+		{"NaN cap", d, Options{Iters: 50, Caps: capped(math.NaN())}},
 	} {
 		func() {
 			defer func() {
@@ -255,9 +271,14 @@ func TestMinimizeMLURejectsBadOptions(t *testing.T) {
 			MinimizeMLU(ps, c.d, c.opt)
 		}()
 	}
-	// Negative demand stays allowed.
+	// Negative demand stays allowed, and so do caps of ±0 and +Inf.
 	if _, m := MinimizeMLU(ps, with(5, -1), Options{Iters: 20}); math.IsNaN(m) {
 		t.Errorf("negative demand: MLU %v", m)
+	}
+	for _, c := range []float64{0, math.Copysign(0, -1), math.Inf(1)} {
+		if cfg, m := MinimizeMLU(ps, d, Options{Iters: 20, Caps: capped(c)}); !(m > 0) || cfg.R[0] != 0 && c == 0 {
+			t.Errorf("cap %v: MLU %v, R[0] = %v", c, m, cfg.R[0])
+		}
 	}
 }
 
@@ -280,15 +301,32 @@ func ladder(n int) *graph.Graph {
 	return g
 }
 
+// padded is a 6-node directed ring with chords 0→2, 0→3 and 0→4: 9 edges
+// and 30 pairs, neither a multiple of four. At K = 3 its first pair quad
+// holds pairs of 1, 2, 3 and 3 paths (0→1 .. 0→4), and its last quad two
+// pairs and two lanes of padding.
+func padded() *graph.Graph {
+	g := graph.New(6)
+	for v := 0; v < 6; v++ {
+		g.MustAddEdge(v, (v+1)%6, float64(4+v%3))
+	}
+	g.MustAddEdge(0, 2, 3)
+	g.MustAddEdge(0, 3, 2)
+	g.MustAddEdge(0, 4, 5)
+	return g
+}
+
 // TestMinimizeMLUMatchesScalarReference holds MinimizeMLU, whose
 // exponentials go through nn.ExpInto, whose optimizer is nn.Adam and whose
-// incidence walks use the layouts of te.PathSet.EdgePaths, PathGroups and
-// PairStarts, against referenceMinimizeMLU, the iteration as it stood with
-// a scalar math.Exp per path and per edge, a private Adam, the EdgeFlows
-// scatter and a per-path gather: the ratios and the MLU must carry the same
-// bits, cold, capped (some caps +Inf), warm started, jittered, with a
-// zero-demand pair and with no demand at all. The ladder's long paths of
-// unequal lengths exercise the 4-path groups' padding.
+// incidence walks are the four-abreast gathers over te.PathSet's
+// PathGroups, EdgeQuads and PairQuads, against referenceMinimizeMLU, the
+// iteration as it stood with a scalar math.Exp per path and per edge, a
+// private Adam, the EdgeFlows scatter and a per-path gather: the ratios
+// and the MLU must carry the same bits, cold, capped (some caps +Inf),
+// warm started, jittered, with a zero-demand pair and with no demand at
+// all. The ladder's long paths of unequal lengths exercise the 4-path
+// groups' padding, and padded every layout's: partial quads and whole
+// lanes of sentinels.
 func TestMinimizeMLUMatchesScalarReference(t *testing.T) {
 	topos := []struct {
 		name string
@@ -299,6 +337,7 @@ func TestMinimizeMLUMatchesScalarReference(t *testing.T) {
 		{"pod-web", graph.PoDWEB(), 4},
 		{"pfabric", graph.PFabric(), 3},
 		{"ladder", ladder(15), 3},
+		{"padded", padded(), 3},
 	}
 	for ti, tc := range topos {
 		ps, err := te.NewPathSet(tc.g, tc.k, nil)
@@ -319,6 +358,15 @@ func TestMinimizeMLUMatchesScalarReference(t *testing.T) {
 			}
 			if longest < 10 || !uneven {
 				t.Fatalf("ladder: longest path %d edges, uneven groups %v", longest, uneven)
+			}
+		}
+		if tc.name == "padded" {
+			sizes := map[int]bool{}
+			for _, pp := range ps.PairPaths[:4] {
+				sizes[len(pp)] = true
+			}
+			if !sizes[1] || !sizes[2] || !sizes[3] || ps.Pairs.Count()%4 == 0 || tc.g.NumEdges()%4 == 0 {
+				t.Fatalf("padded: first pair quad's sizes %v, %d pairs, %d edges", sizes, ps.Pairs.Count(), tc.g.NumEdges())
 			}
 		}
 		rng := rand.New(rand.NewSource(int64(30 + ti)))
@@ -364,15 +412,16 @@ func TestMinimizeMLUMatchesScalarReference(t *testing.T) {
 }
 
 // FuzzMinimizeMLU holds MinimizeMLU against referenceMinimizeMLU on
-// arbitrary inputs, on the triangle, pod-db and the ladder: the same bits
-// in every ratio and the MLU, where a NaN only needs to be a NaN on both
-// sides. The demand cycles d0, d1, d2 over the pairs; mode bit 0 warm
-// starts from r0, r1 cycled over the paths, and bit 1 caps the paths at
-// c0, c1 likewise. A non-finite demand or warm start must panic instead.
-// Seeds in testdata/fuzz/FuzzMinimizeMLU.
+// arbitrary inputs, on the triangle, pod-db, the ladder and padded: the
+// same bits in every ratio and the MLU, where a NaN only needs to be a NaN
+// on both sides. The demand cycles d0, d1, d2 over the pairs; mode bit 0
+// warm starts from r0, r1 cycled over the paths, and bit 1 caps the paths
+// at c0, c1 likewise. A non-finite demand or warm start, or a cap that is
+// NaN or negative, must panic instead. Seeds in
+// testdata/fuzz/FuzzMinimizeMLU.
 func FuzzMinimizeMLU(f *testing.F) {
 	var sets []*te.PathSet
-	for _, g := range []*graph.Graph{graph.Triangle(), graph.PoDDB(), ladder(15)} {
+	for _, g := range []*graph.Graph{graph.Triangle(), graph.PoDDB(), ladder(15), padded()} {
 		ps, err := te.NewPathSet(g, 3, nil)
 		if err != nil {
 			f.Fatal(err)
@@ -405,10 +454,10 @@ func FuzzMinimizeMLU(f *testing.F) {
 			}
 			return true
 		}
-		if !finite(d0, d1, d2) || mode&1 != 0 && !finite(r0, r1) {
+		if !finite(d0, d1, d2) || mode&1 != 0 && !finite(r0, r1) || mode&2 != 0 && !(c0 >= 0 && c1 >= 0) {
 			defer func() {
 				if msg, _ := recover().(string); !strings.HasPrefix(msg, "solver: ") {
-					t.Errorf("non-finite input: recovered %q, want a solver: panic", msg)
+					t.Errorf("bad input: recovered %q, want a solver: panic", msg)
 				}
 			}()
 			MinimizeMLU(ps, d, opt)

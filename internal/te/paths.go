@@ -1,9 +1,11 @@
 package te
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -48,12 +50,15 @@ type PathSet struct {
 
 	// The gradient solver's layouts, built on its first call (see
 	// ensureSolverLayouts) and never by NewPathSet or PathStore.Load.
-	solverOnce sync.Once
-	edgePaths  []int32 // transposed CSR: path ids per edge, ascending
-	edgeStart  []int32
-	pairStart  []int32 // pair i owns paths [pairStart[i], pairStart[i+1])
-	groupEdges []int32 // 4-lane groups of paths, see PathGroups
-	groupStart []int32
+	solverOnce    sync.Once
+	groupEdges    []int32 // paths four abreast, see PathGroups
+	groupStart    []int32
+	edgeQuadPaths []int32 // edges four abreast, see EdgeQuads
+	edgeQuadStart []int32
+	edgeOf        []int32
+	pairQuadPaths []int32 // pairs four abreast, see PairQuads
+	pairQuadStart []int32
+	pairOf32      []int32
 }
 
 // PathSelector chooses candidate paths for one SD pair.
@@ -289,30 +294,34 @@ func (ps *PathSet) EdgeCaps() []float64 {
 }
 
 // ensureSolverLayouts builds the three layouts the gradient solver walks
-// instead of EdgeIDs and PairPaths. They are derived from the CSR, so every
-// per-edge and per-path list keeps its order. It panics when a pair's paths
-// are not one ascending run of ids following the previous pair's, which
-// only a hand-assembled set can violate (assemblePathSet numbers each
-// pair's paths contiguously in pair order).
+// instead of EdgeIDs and PairPaths, each four lists abreast (see quads):
+// the paths' edges (PathGroups), the edges' paths (EdgeQuads) and the
+// pairs' paths (PairQuads). They are derived from the CSR and PairPaths, so
+// every list keeps its order. It panics when PairPaths and PairOf disagree
+// or leave a path out, which only a hand-assembled set can do.
 func (ps *PathSet) ensureSolverLayouts() {
 	ps.ensureCSR()
 	ps.solverOnce.Do(func() {
 		ids, start := ps.csrEdges, ps.csrStart
 		P, ne := len(ps.PairOf), ps.G.NumEdges()
 
-		pairStart := make([]int32, len(ps.PairPaths)+1)
-		next := 0
+		pairOf := make([]int32, P)
+		pairPaths := make([][]int32, len(ps.PairPaths))
+		flat := make([]int32, 0, P)
+		seen := make([]bool, P)
 		for i, pp := range ps.PairPaths {
 			for _, p := range pp {
-				if p != next || p >= P || ps.PairOf[p] != i {
-					panic(fmt.Sprintf("te: pair %d's paths %v are not the contiguous range from path %d", i, pp, pairStart[i]))
+				if p < 0 || p >= P || ps.PairOf[p] != i || seen[p] {
+					panic(fmt.Sprintf("te: pair %d lists path %d, which is not one of its own", i, p))
 				}
-				next++
+				seen[p] = true
+				pairOf[p] = int32(i)
+				flat = append(flat, int32(p))
 			}
-			pairStart[i+1] = int32(next)
+			pairPaths[i] = flat[len(flat)-len(pp):]
 		}
-		if next != P {
-			panic(fmt.Sprintf("te: pairs cover %d of %d paths", next, P))
+		if len(flat) != P {
+			panic(fmt.Sprintf("te: pairs cover %d of %d paths", len(flat), P))
 		}
 
 		// Transpose by counting sort: paths visited in ascending order
@@ -332,57 +341,56 @@ func (ps *PathSet) ensureSolverLayouts() {
 				fill[e]++
 			}
 		}
-
-		// Group g holds paths 4g..4g+3, lane-interleaved and padded to
-		// its longest path with the sentinel edge id ne.
-		groups := (P + 3) / 4
-		groupStart := make([]int32, groups+1)
-		for g := 0; g < groups; g++ {
-			longest := int32(0)
-			for p := 4 * g; p < min(4*g+4, P); p++ {
-				longest = max(longest, start[p+1]-start[p])
-			}
-			groupStart[g+1] = groupStart[g] + 4*longest
+		// Longest list first, so that a quad's lanes pad little.
+		edgeOf := make([]int32, ne)
+		for e := range edgeOf {
+			edgeOf[e] = int32(e)
 		}
-		groupEdges := make([]int32, groupStart[groups])
-		for g := 0; g < groups; g++ {
-			lanes := groupEdges[groupStart[g]:groupStart[g+1]]
-			for lane := 0; lane < 4; lane++ {
-				var path []int32
-				if p := 4*g + lane; p < P {
-					path = ids[start[p]:start[p+1]]
-				}
-				for k := lane; k < len(lanes); k += 4 {
-					if k/4 < len(path) {
-						lanes[k] = path[k/4]
-					} else {
-						lanes[k] = int32(ne)
-					}
-				}
-			}
+		size := func(e int32) int32 { return edgeStart[e+1] - edgeStart[e] }
+		slices.SortStableFunc(edgeOf, func(a, b int32) int { return cmp.Compare(size(b), size(a)) })
+		edgeLists := make([][]int32, ne)
+		for s, e := range edgeOf {
+			edgeLists[s] = edgePaths[edgeStart[e]:edgeStart[e+1]]
 		}
 
-		ps.pairStart = pairStart
-		ps.edgePaths, ps.edgeStart = edgePaths, edgeStart
-		ps.groupEdges, ps.groupStart = groupEdges, groupStart
+		pathLists := make([][]int32, P)
+		for p := range pathLists {
+			pathLists[p] = ids[start[p]:start[p+1]]
+		}
+
+		ps.groupEdges, ps.groupStart = quads(pathLists, int32(ne))
+		ps.edgeQuadPaths, ps.edgeQuadStart = quads(edgeLists, int32(P))
+		ps.edgeOf = edgeOf
+		ps.pairQuadPaths, ps.pairQuadStart = quads(pairPaths, int32(P))
+		ps.pairOf32 = pairOf
 	})
 }
 
-// PairStarts returns the pair ranges: pair i's paths are the ids
-// [start[i], start[i+1]), in PairPaths[i]'s order. Built on first use;
-// shared and read-only.
-func (ps *PathSet) PairStarts() []int32 {
-	ps.ensureSolverLayouts()
-	return ps.pairStart
-}
-
-// EdgePaths returns the transposed incidence: ids[start[e]:start[e+1]] are
-// the paths through edge e in ascending id order, which is the order
-// EdgeFlows adds their flows to e. Built on first use; shared and
-// read-only.
-func (ps *PathSet) EdgePaths() (ids []int32, start []int32) {
-	ps.ensureSolverLayouts()
-	return ps.edgePaths, ps.edgeStart
+// quads lays lists out four abreast: quad q holds lists 4q..4q+3 in
+// ids[start[q]:start[q+1]], where entry k*4+lane is the k-th id of list
+// 4q+lane. Each quad is as long as its longest list; shorter lists, and
+// the lanes past the last list, are padded with pad.
+func quads(lists [][]int32, pad int32) (ids, start []int32) {
+	n := (len(lists) + 3) / 4
+	start = make([]int32, n+1)
+	for q := 0; q < n; q++ {
+		longest := 0
+		for _, l := range lists[4*q : min(4*q+4, len(lists))] {
+			longest = max(longest, len(l))
+		}
+		start[q+1] = start[q] + 4*int32(longest)
+	}
+	ids = make([]int32, start[n])
+	for i := range ids {
+		ids[i] = pad
+	}
+	for i, l := range lists {
+		quad := ids[start[i/4]:]
+		for k, id := range l {
+			quad[4*k+i%4] = id
+		}
+	}
+	return ids, start
 }
 
 // PathGroups returns the paths four abreast: group g holds paths 4g..4g+3
@@ -390,9 +398,33 @@ func (ps *PathSet) EdgePaths() (ids []int32, start []int32) {
 // path 4g+lane. Each group is as long as its longest path; shorter paths,
 // and the lanes past the last path, are padded with the sentinel edge id
 // G.NumEdges(). Built on first use; shared and read-only.
-func (ps *PathSet) PathGroups() (ids []int32, start []int32) {
+func (ps *PathSet) PathGroups() (ids, start []int32) {
 	ps.ensureSolverLayouts()
 	return ps.groupEdges, ps.groupStart
+}
+
+// EdgeQuads returns the edges four abreast: quad q holds the edges in
+// slots 4q..4q+3, edgeOf[slot] being the edge in a slot, and entry k*4+lane
+// of ids[start[q]:start[q+1]] is the k-th path through edge
+// edgeOf[4q+lane], in ascending id order: the order EdgeFlows adds flows
+// to an edge. Edges are slotted by descending path count (stable in edge
+// id). Each quad is as long as its longest list; shorter lists, and the
+// slots past the last edge, are padded with the sentinel path id
+// NumPaths(). Built on first use; shared and read-only.
+func (ps *PathSet) EdgeQuads() (ids, start, edgeOf []int32) {
+	ps.ensureSolverLayouts()
+	return ps.edgeQuadPaths, ps.edgeQuadStart, ps.edgeOf
+}
+
+// PairQuads returns the pairs four abreast: quad q holds pairs 4q..4q+3 in
+// ids[start[q]:start[q+1]], where entry k*4+lane is the k-th path of
+// PairPaths[4q+lane]. Each quad is as long as its largest pair; smaller
+// pairs, and the lanes past the last pair, are padded with the sentinel
+// path id NumPaths(). pairOf is PairOf as int32. Built on first use;
+// shared and read-only.
+func (ps *PathSet) PairQuads() (ids, start, pairOf []int32) {
+	ps.ensureSolverLayouts()
+	return ps.pairQuadPaths, ps.pairQuadStart, ps.pairOf32
 }
 
 // EdgeFlows accumulates the per-edge flow induced by demand vector d (indexed

@@ -3,6 +3,7 @@ package te
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -272,98 +273,153 @@ func ladder(n int) *graph.Graph {
 	return g
 }
 
-// TestTransposedIncidence: for every edge, EdgePaths lists exactly the
-// paths whose CSR run contains the edge, in ascending id order, which is
-// the order EdgeFlows adds their flows.
-func TestTransposedIncidence(t *testing.T) {
-	for _, g := range []*graph.Graph{graph.GEANT(), ladder(15)} {
-		ps, err := NewPathSet(g, 3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		csr, cstart := ps.EdgeCSR()
-		want := make([][]int32, g.NumEdges())
-		for p := 0; p < ps.NumPaths(); p++ {
-			for _, e := range csr[cstart[p]:cstart[p+1]] {
-				want[e] = append(want[e], int32(p))
+// padded is a 6-node directed ring with chords 0→2, 0→3 and 0→4: 9 edges
+// and 30 pairs, neither a multiple of four. At K = 3 its first pair quad
+// holds pairs of 1, 2, 3 and 3 paths (0→1 .. 0→4), and its last quad two
+// pairs and two lanes of padding.
+func padded() *graph.Graph {
+	g := graph.New(6)
+	for v := 0; v < 6; v++ {
+		g.MustAddEdge(v, (v+1)%6, float64(4+v%3))
+	}
+	g.MustAddEdge(0, 2, 3)
+	g.MustAddEdge(0, 3, 2)
+	g.MustAddEdge(0, 4, 5)
+	return g
+}
+
+// checkQuads checks a four-abreast layout against its lists: quad q holds
+// lists 4q..4q+3, entry k*4+lane the k-th id of list 4q+lane, padded with
+// pad to the quad's longest list, and lanes past the last list all pad.
+func checkQuads(t *testing.T, what string, ids, start []int32, lists [][]int32, pad int32) {
+	t.Helper()
+	nq := (len(lists) + 3) / 4
+	if len(start) != nq+1 || int(start[nq]) != len(ids) {
+		t.Fatalf("%s: %d lists, %d starts over %d ids", what, len(lists), len(start), len(ids))
+	}
+	for q := 0; q < nq; q++ {
+		quad := ids[start[q]:start[q+1]]
+		longest := 0
+		for lane := 0; lane < 4; lane++ {
+			var list []int32
+			if i := 4*q + lane; i < len(lists) {
+				list = lists[i]
 			}
-		}
-		ids, start := ps.EdgePaths()
-		if len(start) != g.NumEdges()+1 || int(start[g.NumEdges()]) != len(ids) {
-			t.Fatalf("%d edges: %d starts over %d ids", g.NumEdges(), len(start), len(ids))
-		}
-		for e := range want {
-			got := ids[start[e]:start[e+1]]
-			if len(got) != len(want[e]) {
-				t.Fatalf("edge %d: %d paths, want %d", e, len(got), len(want[e]))
-			}
-			for i := range got {
-				if got[i] != want[e][i] || i > 0 && got[i] <= got[i-1] {
-					t.Fatalf("edge %d: paths %v, want %v ascending", e, got, want[e])
+			longest = max(longest, len(list))
+			for k := 0; k < len(quad)/4; k++ {
+				want := pad
+				if k < len(list) {
+					want = list[k]
+				}
+				if quad[k*4+lane] != want {
+					t.Fatalf("%s: quad %d lane %d step %d holds %d, want %d", what, q, lane, k, quad[k*4+lane], want)
 				}
 			}
+		}
+		if len(quad) != 4*longest {
+			t.Fatalf("%s: quad %d has %d entries, want 4×%d", what, q, len(quad), longest)
 		}
 	}
 }
 
-// TestPathGroupsAndPairStarts: group g holds paths 4g..4g+3 with entry
+// TestEdgeQuads: edgeOf visits every edge exactly once, longest path list
+// first and in edge id among equals; the slot of edge e lists exactly the
+// paths whose CSR run contains e, in ascending id order (the order
+// EdgeFlows adds their flows), padded with the sentinel path NumPaths(),
+// and the slots past the last edge are all sentinel.
+func TestEdgeQuads(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.GEANT(), ladder(15), padded()} {
+		ps, err := NewPathSet(g, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		E := g.NumEdges()
+		csr, cstart := ps.EdgeCSR()
+		through := make([][]int32, E)
+		for p := 0; p < ps.NumPaths(); p++ {
+			for _, e := range csr[cstart[p]:cstart[p+1]] {
+				through[e] = append(through[e], int32(p))
+			}
+		}
+		ids, start, edgeOf := ps.EdgeQuads()
+		if len(edgeOf) != E {
+			t.Fatalf("%d edges, %d slots", E, len(edgeOf))
+		}
+		seen := make([]bool, E)
+		lists := make([][]int32, E)
+		for s, e := range edgeOf {
+			if e < 0 || int(e) >= E || seen[e] {
+				t.Fatalf("slot %d holds edge %d: not a permutation of %d edges", s, e, E)
+			}
+			seen[e] = true
+			lists[s] = through[e]
+			if s > 0 {
+				prev := edgeOf[s-1]
+				if n, m := len(through[prev]), len(through[e]); n < m || n == m && prev > e {
+					t.Fatalf("slot %d: edge %d (%d paths) after edge %d (%d paths)", s, e, m, prev, n)
+				}
+			}
+		}
+		checkQuads(t, "edge quads", ids, start, lists, int32(ps.NumPaths()))
+	}
+}
+
+// TestPathGroupsAndPairQuads: group g holds paths 4g..4g+3 with entry
 // k*4+lane the k-th edge of path 4g+lane, padded with the sentinel edge
-// NumEdges() to the group's longest path; pair i's range is PairPaths[i].
-func TestPathGroupsAndPairStarts(t *testing.T) {
-	ps, err := NewPathSet(ladder(15), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	E, P := int32(ps.G.NumEdges()), ps.NumPaths()
-	ids, start := ps.PathGroups()
-	if len(start) != (P+3)/4+1 || int(start[len(start)-1]) != len(ids) {
-		t.Fatalf("%d paths: %d group starts over %d ids", P, len(start), len(ids))
-	}
-	padded := 0
-	for g := 0; g+1 < len(start); g++ {
-		lanes := ids[start[g]:start[g+1]]
-		longest := 0
-		for lane := 0; lane < 4; lane++ {
-			var path []int
-			if p := 4*g + lane; p < P {
-				path = ps.EdgeIDs[p]
-			}
-			longest = max(longest, len(path))
-			for k := 0; k < len(lanes)/4; k++ {
-				want := E
-				if k < len(path) {
-					want = int32(path[k])
-				} else {
-					padded++
-				}
-				if lanes[k*4+lane] != want {
-					t.Fatalf("group %d lane %d step %d: edge %d, want %d", g, lane, k, lanes[k*4+lane], want)
-				}
+// NumEdges(); pair quad q holds PairPaths[4q..4q+3] the same way, padded
+// with the sentinel path NumPaths(); pairOf is PairOf. The ladder's paths
+// are of unequal lengths, and padded's first pair quad mixes pairs of 1, 2
+// and 3 paths and its last ends in two empty lanes.
+func TestPathGroupsAndPairQuads(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"ladder", ladder(15)}, {"padded", padded()}} {
+		g := tc.g
+		ps, err := NewPathSet(g, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		P := ps.NumPaths()
+		edges := make([][]int32, P)
+		for p, eids := range ps.EdgeIDs {
+			for _, e := range eids {
+				edges[p] = append(edges[p], int32(e))
 			}
 		}
-		if len(lanes) != 4*longest {
-			t.Fatalf("group %d: %d entries, want 4×%d", g, len(lanes), longest)
-		}
-	}
-	if padded == 0 {
-		t.Fatal("no padded step: the ladder should give groups of unequal lengths")
-	}
-	pairStart := ps.PairStarts()
-	for i, pp := range ps.PairPaths {
-		if int(pairStart[i+1]-pairStart[i]) != len(pp) {
-			t.Fatalf("pair %d: range [%d,%d), paths %v", i, pairStart[i], pairStart[i+1], pp)
-		}
-		for j, p := range pp {
-			if p != int(pairStart[i])+j {
-				t.Fatalf("pair %d: range [%d,%d), paths %v", i, pairStart[i], pairStart[i+1], pp)
+		ids, start := ps.PathGroups()
+		checkQuads(t, "path groups", ids, start, edges, int32(g.NumEdges()))
+
+		paths := make([][]int32, len(ps.PairPaths))
+		sizes := map[int]bool{}
+		for i, pp := range ps.PairPaths {
+			for _, p := range pp {
+				paths[i] = append(paths[i], int32(p))
 			}
+			if i < 4 {
+				sizes[len(pp)] = true
+			}
+		}
+		ids, start, pairOf := ps.PairQuads()
+		checkQuads(t, "pair quads", ids, start, paths, int32(P))
+		if len(pairOf) != P {
+			t.Fatalf("pairOf has %d entries, want %d", len(pairOf), P)
+		}
+		for p, pi := range ps.PairOf {
+			if int(pairOf[p]) != pi {
+				t.Fatalf("pairOf[%d] = %d, want %d", p, pairOf[p], pi)
+			}
+		}
+		if tc.name == "padded" && (!sizes[1] || !sizes[2] || !sizes[3] || len(paths)%4 == 0) {
+			t.Fatalf("padded: first quad's pair sizes %v, %d pairs", sizes, len(paths))
 		}
 	}
 }
 
 // TestSolverLayoutsBuiltLazily: NewPathSet and PathStore.Load build none of
-// the solver's layouts, and a hand-assembled set whose pairs are not
-// contiguous ranges panics with a te: message when they are built.
+// the solver's layouts, the path groups, the edge quads or the pair quads,
+// and asking for one builds them all; a hand-assembled set whose PairPaths
+// disagree with PairOf panics with a te: message when they are built.
 func TestSolverLayoutsBuiltLazily(t *testing.T) {
 	store, err := NewPathStore(t.TempDir())
 	if err != nil {
@@ -382,12 +438,15 @@ func TestSolverLayoutsBuiltLazily(t *testing.T) {
 		ps   *PathSet
 	}{{"NewPathSetOpt", built}, {"PathStore.Load", loaded}} {
 		name, ps := c.name, c.ps
-		if ps.edgePaths != nil || ps.pairStart != nil || ps.groupEdges != nil {
-			t.Errorf("%s built the solver layouts", name)
+		layouts := func() []bool {
+			return []bool{ps.groupEdges != nil, ps.edgeQuadPaths != nil, ps.edgeOf != nil, ps.pairQuadPaths != nil, ps.pairOf32 != nil}
 		}
-		ps.PairStarts()
-		if ps.edgePaths == nil || ps.pairStart == nil || ps.groupEdges == nil {
-			t.Errorf("%s: PairStarts left a layout unbuilt", name)
+		if built := layouts(); slices.Contains(built, true) {
+			t.Errorf("%s built solver layouts: %v", name, built)
+		}
+		ps.PairQuads()
+		if built := layouts(); slices.Contains(built, false) {
+			t.Errorf("%s: PairQuads left a layout unbuilt: %v", name, built)
 		}
 	}
 
@@ -402,10 +461,10 @@ func TestSolverLayoutsBuiltLazily(t *testing.T) {
 	}
 	defer func() {
 		if msg, _ := recover().(string); !strings.HasPrefix(msg, "te: ") {
-			t.Errorf("non-contiguous pairs: recovered %q, want a te: panic", msg)
+			t.Errorf("swapped pairs: recovered %q, want a te: panic", msg)
 		}
 	}()
-	ps.EdgePaths()
+	ps.EdgeQuads()
 }
 
 func TestEdgeFlowsMatchesNaive(t *testing.T) {
