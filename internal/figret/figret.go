@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"figret/internal/nn"
+	"figret/internal/solver"
 	"figret/internal/te"
 	"figret/internal/traffic"
 )
@@ -65,13 +66,8 @@ type Config struct {
 	SelfTarget bool
 }
 
-const (
-	// learningRate is the Adam learning rate, constant over training.
-	learningRate = 1e-3
-	// smoothMaxBeta is the smooth-max sharpness used when differentiating
-	// the MLU term (see internal/solver).
-	smoothMaxBeta = 30
-)
+// learningRate is the Adam learning rate, constant over training.
+const learningRate = 1e-3
 
 func (c Config) withDefaults() Config {
 	if c.H == 0 {
@@ -141,13 +137,28 @@ type TrainStats struct {
 }
 
 // fitTrace fits input normalization, variance weights and the loss scale
-// on the training trace, and validates trace/model compatibility.
+// on the training trace. First it checks what training cannot use: a trace
+// of another pair count, too short for the window or holding a NaN or ±Inf
+// demand, and a Gamma or Epochs that would train as something else.
 func (m *Model) fitTrace(tr *traffic.Trace) error {
 	if tr.Pairs.Count() != m.PS.Pairs.Count() {
 		return fmt.Errorf("figret: trace has %d pairs, model %d", tr.Pairs.Count(), m.PS.Pairs.Count())
 	}
 	if tr.Len() <= m.Cfg.H {
 		return fmt.Errorf("figret: trace length %d too short for window %d", tr.Len(), m.Cfg.H)
+	}
+	if g := m.Cfg.Gamma; !(g >= 0) || math.IsInf(g, 1) {
+		return fmt.Errorf("figret: Gamma %v must be finite and >= 0", g)
+	}
+	if m.Cfg.Epochs < 0 {
+		return fmt.Errorf("figret: Epochs %d must not be negative", m.Cfg.Epochs)
+	}
+	for t, snap := range tr.Snapshots {
+		for i, v := range snap {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("figret: trace snapshot %d holds %v for pair %d", t, v, i)
+			}
+		}
 	}
 	m.Scale = meanDemand(tr)
 	if m.Scale <= 0 {
@@ -281,9 +292,9 @@ func (m *Model) train(tr *traffic.Trace, workers int) (TrainStats, error) {
 // TrainSequential is the single-sample reference trainer: per-sample
 // Forward/Backward accumulating into the network's gradient, one Adam step
 // every BatchSize samples and at the epoch's end. It shares no code with
-// the batched engine below the loss, which is what makes it the equivalence
-// oracle for Train (identical seeds must produce bitwise-identical loss
-// trajectories and weights).
+// the batched engine but the loss and its normalization, which is what
+// makes it the equivalence oracle for Train (identical seeds must produce
+// bitwise-identical loss trajectories and weights).
 func (m *Model) TrainSequential(tr *traffic.Trace) (TrainStats, error) {
 	if err := m.fitTrace(tr); err != nil {
 		return TrainStats{}, err
@@ -293,6 +304,7 @@ func (m *Model) TrainSequential(tr *traffic.Trace) (TrainStats, error) {
 	order := m.sampleOrder(tr)
 	stats := TrainStats{}
 	scratch := newLossScratch(m.PS)
+	dy := make([]float64, m.PS.NumPaths())
 
 	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -305,9 +317,9 @@ func (m *Model) TrainSequential(tr *traffic.Trace) (TrainStats, error) {
 			}
 			x := m.normalizedWindow(tr, wt)
 			y := m.Net.Forward(x)
-			r, dRtoY := normalizePerPair(m.PS, y)
+			r := normalizePerPairInto(m.PS, y, scratch)
 			loss, mlu, gr := m.lossAndGrad(r, tr.At(t), scratch)
-			dy := dRtoY(gr)
+			normalizeGradInto(m.PS, gr, scratch, dy)
 			m.Net.Backward(dy)
 			pending++
 			if pending == m.Cfg.BatchSize {
@@ -449,17 +461,14 @@ func (m *Model) normalizedWindow(tr *traffic.Trace, t int) []float64 {
 // keeps one per chunk of minibatch rows it scores side by side (one in all
 // when scoring stays on the calling goroutine), TrainSequential one.
 type lossScratch struct {
-	flows []float64
-	util  []float64
-	w     []float64
-	gr    []float64
-	r     []float64 // per-pair-normalized split ratios
-	sums  []float64 // per-pair raw-output sums (for the backward map)
+	obj  *solver.Objective // the L1 term
+	r    []float64         // per-pair-normalized split ratios
+	sums []float64         // per-pair raw-output sums (for the backward map)
 }
 
 // scoreWork sizes the scoring of b rows for nn's fan-out threshold, whose
 // unit is a kernel's multiply-add: what a row costs is its sweeps over the
-// path set's path–edge incidences (EdgeFlows, then the smooth-max
+// path set's path–edge incidences (the edge flows, then the smooth-max
 // gradient), one multiply-add an incidence, counted as one sweep.
 func scoreWork(ps *te.PathSet, b int) int {
 	ids, _ := ps.EdgeCSR()
@@ -468,19 +477,16 @@ func scoreWork(ps *te.PathSet, b int) int {
 
 func newLossScratch(ps *te.PathSet) *lossScratch {
 	return &lossScratch{
-		flows: make([]float64, ps.G.NumEdges()),
-		util:  make([]float64, ps.G.NumEdges()),
-		w:     make([]float64, ps.G.NumEdges()),
-		gr:    make([]float64, ps.NumPaths()),
-		r:     make([]float64, ps.NumPaths()),
-		sums:  make([]float64, ps.Pairs.Count()),
+		obj:  solver.NewObjective(ps),
+		r:    make([]float64, ps.NumPaths()),
+		sums: make([]float64, ps.Pairs.Count()),
 	}
 }
 
-// normalizePerPairInto is the allocation-free counterpart of
-// normalizePerPair: it writes the feasible ratios into ls.r (recording the
-// pair sums in ls.sums for normalizeGradInto) and returns ls.r. The math
-// matches normalizePerPair operation for operation.
+// normalizePerPairInto converts raw sigmoid outputs y to feasible ratios
+// r_p = y_p / Σ_{q∈pair} y_q, written into ls.r and returned, recording the
+// pair sums in ls.sums for normalizeGradInto. Pairs whose outputs sum to ~0
+// fall back to a uniform split.
 func normalizePerPairInto(ps *te.PathSet, y []float64, ls *lossScratch) []float64 {
 	r, sums := ls.r, ls.sums
 	for pi, pp := range ps.PairPaths {
@@ -506,7 +512,8 @@ func normalizePerPairInto(ps *te.PathSet, y []float64, ls *lossScratch) []float6
 
 // normalizeGradInto maps dL/dr back to dL/dy through the per-pair
 // normalization recorded by the preceding normalizePerPairInto on ls,
-// writing into dy (every entry is set, so dy may hold stale values).
+// writing into dy (every entry is set, so dy may hold stale values). A
+// degenerate pair gets zero gradient.
 func normalizeGradInto(ps *te.PathSet, gr []float64, ls *lossScratch, dy []float64) {
 	r, sums := ls.r, ls.sums
 	for pi, pp := range ps.PairPaths {
@@ -529,54 +536,19 @@ func normalizeGradInto(ps *te.PathSet, gr []float64, ls *lossScratch, dy []float
 }
 
 // lossAndGrad evaluates L = L1 + γ·L2 at split ratios r against the revealed
-// demand d, returning (total loss, hard-max MLU, dL/dr).
+// demand d, returning (total loss, hard-max MLU, dL/dr). gr is s's own.
 //
-// L1 uses the log-sum-exp smooth max for a dense gradient; the reported MLU
-// is the exact hard max. L2 = Σ_sd σ̂²_sd · max_{p∈sd} r_p/Ĉ_p with the
-// subgradient routed through each pair's arg-max path; Ĉ_p is the path
-// capacity normalized by the topology's minimum edge capacity.
+// L1 is the solver's smooth max of link utilisation (solver.Objective), for
+// a dense gradient; the reported MLU is the exact hard max. L2 =
+// Σ_sd σ̂²_sd · max_{p∈sd} r_p/Ĉ_p with the subgradient routed through each
+// pair's arg-max path; Ĉ_p is the path capacity normalized by the
+// topology's minimum edge capacity.
 func (m *Model) lossAndGrad(r, d []float64, s *lossScratch) (loss, mlu float64, gr []float64) {
 	ps := m.PS
-	caps := ps.EdgeCaps()
-	ps.EdgeFlows(d, r, s.flows)
-	maxU := 0.0
-	for e := range s.flows {
-		s.util[e] = s.flows[e] / caps[e]
-		if s.util[e] > maxU {
-			maxU = s.util[e]
-		}
-	}
-	for p := range s.gr {
-		s.gr[p] = 0
-	}
-	mlu = maxU
-	loss = maxU
-	if maxU > 0 {
-		// Smooth-max weights, pre-divided by edge capacity so the CSR
-		// gradient sweep below is a single multiply-accumulate per edge.
-		beta := smoothMaxBeta / maxU
-		var sumW float64
-		for e := range s.util {
-			s.w[e] = math.Exp(beta * (s.util[e] - maxU))
-			sumW += s.w[e]
-		}
-		inv := 1 / sumW
-		for e := range s.w {
-			s.w[e] = s.w[e] * inv / caps[e]
-		}
-		ids, start := ps.EdgeCSR()
-		for p := range s.gr {
-			dp := d[ps.PairOf[p]]
-			if dp == 0 {
-				continue
-			}
-			var g float64
-			for _, e := range ids[start[p]:start[p+1]] {
-				g += s.w[e] * dp
-			}
-			s.gr[p] = g
-		}
-	}
+	s.obj.SetDemand(d)
+	mlu, gr = s.obj.Eval(r)
+	gr = gr[:ps.NumPaths()]
+	loss = mlu
 	if m.Cfg.Gamma > 0 {
 		gamma := m.Cfg.Gamma * m.LossScale
 		minCap := ps.G.MinCapacity()
@@ -601,59 +573,12 @@ func (m *Model) lossAndGrad(r, d []float64, s *lossScratch) (loss, mlu float64, 
 			}
 			if bestP >= 0 {
 				l2 += wv * bestS * invK
-				s.gr[bestP] += gamma * wv * invK * minCap / ps.Cap[bestP]
+				gr[bestP] += gamma * wv * invK * minCap / ps.Cap[bestP]
 			}
 		}
 		loss += gamma * l2
 	}
-	return loss, mlu, s.gr
-}
-
-// normalizePerPair converts raw sigmoid outputs y to feasible ratios r and
-// returns a closure mapping dL/dr back to dL/dy through the normalization
-// r_p = y_p / Σ_{q∈pair} y_q. Pairs whose outputs sum to ~0 fall back to a
-// uniform split with zero gradient.
-func normalizePerPair(ps *te.PathSet, y []float64) (r []float64, backward func(gr []float64) []float64) {
-	P := ps.NumPaths()
-	r = make([]float64, P)
-	sums := make([]float64, ps.Pairs.Count())
-	for pi, pp := range ps.PairPaths {
-		var s float64
-		for _, p := range pp {
-			s += y[p]
-		}
-		sums[pi] = s
-		if s < 1e-12 {
-			w := 1 / float64(len(pp))
-			for _, p := range pp {
-				r[p] = w
-			}
-			continue
-		}
-		inv := 1 / s
-		for _, p := range pp {
-			r[p] = y[p] * inv
-		}
-	}
-	backward = func(gr []float64) []float64 {
-		dy := make([]float64, P)
-		for pi, pp := range ps.PairPaths {
-			s := sums[pi]
-			if s < 1e-12 {
-				continue // degenerate pair: no gradient
-			}
-			var mean float64
-			for _, p := range pp {
-				mean += r[p] * gr[p]
-			}
-			inv := 1 / s
-			for _, p := range pp {
-				dy[p] = inv * (gr[p] - mean)
-			}
-		}
-		return dy
-	}
-	return r, backward
+	return loss, mlu, gr
 }
 
 func meanDemand(tr *traffic.Trace) float64 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -59,7 +60,8 @@ func TestNormalizePerPairForwardBackward(t *testing.T) {
 	for i := range y {
 		y[i] = 0.1 + 0.05*float64(i%7)
 	}
-	r, back := normalizePerPair(ps, y)
+	ls := newLossScratch(ps)
+	r := normalizePerPairInto(ps, y, ls)
 	for _, pp := range ps.PairPaths {
 		sum := 0.0
 		for _, p := range pp {
@@ -75,8 +77,9 @@ func TestNormalizePerPairForwardBackward(t *testing.T) {
 	for i := range a {
 		a[i] = float64(i%5) - 2
 	}
+	probe := newLossScratch(ps)
 	loss := func(y []float64) float64 {
-		r, _ := normalizePerPair(ps, y)
+		r := normalizePerPairInto(ps, y, probe)
 		s := 0.0
 		for p := range r {
 			s += a[p] * r[p] * r[p]
@@ -87,7 +90,8 @@ func TestNormalizePerPairForwardBackward(t *testing.T) {
 	for p := range gr {
 		gr[p] = 2 * a[p] * r[p]
 	}
-	dy := back(gr)
+	dy := make([]float64, len(y))
+	normalizeGradInto(ps, gr, ls, dy)
 	const h = 1e-7
 	for _, idx := range []int{0, 5, len(y) - 1} {
 		yp := append([]float64(nil), y...)
@@ -104,14 +108,20 @@ func TestNormalizePerPairForwardBackward(t *testing.T) {
 func TestNormalizePerPairDegenerate(t *testing.T) {
 	ps := smallSetup(t)
 	y := make([]float64, ps.NumPaths()) // all zero
-	r, back := normalizePerPair(ps, y)
+	ls := newLossScratch(ps)
+	r := normalizePerPairInto(ps, y, ls)
 	pp := ps.PairPaths[0]
 	for _, p := range pp {
 		if math.Abs(r[p]-1/float64(len(pp))) > 1e-12 {
 			t.Errorf("degenerate pair ratio %v", r[p])
 		}
 	}
-	dy := back(make([]float64, len(y)))
+	// dy starts out non-zero: normalizeGradInto must write every entry.
+	dy := make([]float64, len(y))
+	for i := range dy {
+		dy[i] = 1
+	}
+	normalizeGradInto(ps, make([]float64, len(y)), ls, dy)
 	for _, v := range dy {
 		if v != 0 {
 			t.Error("degenerate pair should get zero gradient")
@@ -147,6 +157,35 @@ func TestLossGradientDecreasesMLU(t *testing.T) {
 	mlu1 := step.MLU(d)
 	if mlu1 >= mlu0 {
 		t.Errorf("gradient step did not reduce MLU: %v -> %v", mlu0, mlu1)
+	}
+}
+
+// TestLossAndGradAllocatesNothing: once its lossScratch exists, scoring a
+// row (normalization, both loss terms, the gradient map back) allocates
+// nothing. Skipped under -short, which the race job uses: -race allocates.
+func TestLossAndGradAllocatesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc contract: not under -short")
+	}
+	ps := smallSetup(t)
+	m := New(ps, Config{H: 2, Gamma: 1, Seed: 1})
+	for i := range m.VarWeights {
+		m.VarWeights[i] = 1
+	}
+	d := burstyTrace(ps, 1, 1, 30).At(0)
+	y := make([]float64, ps.NumPaths())
+	for i := range y {
+		y[i] = 0.1 + 0.05*float64(i%7)
+	}
+	s := newLossScratch(ps)
+	dy := make([]float64, len(y))
+	n := testing.AllocsPerRun(50, func() {
+		r := normalizePerPairInto(ps, y, s)
+		_, _, gr := m.lossAndGrad(r, d, s)
+		normalizeGradInto(ps, gr, s, dy)
+	})
+	if n != 0 {
+		t.Errorf("scoring a row: %v allocs/op, want 0", n)
 	}
 }
 
@@ -381,6 +420,39 @@ func TestTrainValidation(t *testing.T) {
 	wrong := traffic.NewTrace(5)
 	if _, err := m.Train(wrong); err == nil {
 		t.Error("mismatched trace accepted")
+	}
+	// Each of these used to train without an error: a NaN in the trace
+	// left Scale NaN and the model unmarshalable, a NaN or negative Gamma
+	// trained DOTE and negative Epochs trained nothing.
+	clean := burstyTrace(ps, 40, 10, 30)
+	tainted := func(v float64) *traffic.Trace {
+		tr := burstyTrace(ps, 40, 10, 30)
+		tr.Snapshots[7][2] = v
+		return tr
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		tr   *traffic.Trace
+	}{
+		{"NaN demand", Config{H: 4, Epochs: 1}, tainted(math.NaN())},
+		{"+Inf demand", Config{H: 4, Epochs: 1}, tainted(math.Inf(1))},
+		{"-Inf demand", Config{H: 4, Epochs: 1}, tainted(math.Inf(-1))},
+		{"NaN Gamma", Config{H: 4, Epochs: 1, Gamma: math.NaN()}, clean},
+		{"+Inf Gamma", Config{H: 4, Epochs: 1, Gamma: math.Inf(1)}, clean},
+		{"negative Gamma", Config{H: 4, Epochs: 1, Gamma: -1}, clean},
+		{"negative Epochs", Config{H: 4, Epochs: -3}, clean},
+	} {
+		for _, seq := range []bool{false, true} {
+			m := New(ps, c.cfg)
+			train := m.Train
+			if seq {
+				train = m.TrainSequential
+			}
+			if st, err := train(c.tr); err == nil || !strings.HasPrefix(err.Error(), "figret: ") {
+				t.Errorf("%s (sequential %v): stats %+v, error %v, want a figret: error", c.name, seq, st, err)
+			}
+		}
 	}
 }
 

@@ -1,15 +1,16 @@
 // Package solver provides a projected-gradient MLU minimizer: split ratios
 // are parameterized as per-pair softmaxes over logits and optimized with
-// Adam against a smooth-max (log-sum-exp) relaxation of the MLU objective.
-// The optimizer is nn.Adam on one flat tensor, and every exponential of an
-// iteration goes through nn.ExpInto, so both run four lanes wide where
-// the CPU allows, with the bits of the scalar math.Exp and Adam rule. The
-// incidence walks are nn's four-lane gathers over te.PathSet's solver
-// layouts: edge flows four edges abreast (EdgeQuads), the gradient four
-// paths abreast (PathGroups), and the softmax and its chain rule four
-// pairs abreast (PairQuads). Each fold keeps its operands and its order,
-// and the padding adds +0 (or compares −Inf), so the bits are those of the
-// per-path scatter and gather they replace.
+// Adam against a smooth-max (log-sum-exp) relaxation of the MLU objective,
+// Objective, which figret's L1 loss term evaluates too. The optimizer is
+// nn.Adam on one flat tensor, and every exponential of an iteration goes
+// through nn.ExpInto, so both run four lanes wide where the CPU allows,
+// with the bits of the scalar math.Exp and Adam rule. The incidence walks
+// are nn's four-lane gathers over te.PathSet's solver layouts: edge flows
+// four edges abreast (EdgeQuads), the gradient four paths abreast
+// (PathGroups), and the softmax and its chain rule four pairs abreast
+// (PairQuads). Each fold keeps its operands and its order, and the padding
+// adds +0 (or compares −Inf), so the bits are those of the per-path
+// scatter and gather they replace.
 //
 // It serves as the scalable counterpart of the exact simplex LP in
 // internal/lp: on ToR-scale topologies — where the paper itself reports LP
@@ -29,7 +30,8 @@ import (
 )
 
 // Options configures the solver. Zero values select sensible defaults;
-// MinimizeMLU panics on a negative Iters or LR.
+// MinimizeMLU panics on a negative Iters and on an LR that is negative or not
+// finite.
 type Options struct {
 	// Iters is the number of Adam iterations (default 400).
 	Iters int
@@ -99,29 +101,11 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 	}
 	z[P] = math.Inf(-1)
 
-	E := ps.G.NumEdges()
-	groupEdges, groupStart := ps.PathGroups()
-	edges := newEdgeQuads(ps)
+	obj := NewObjective(ps)
+	obj.SetDemand(d)
 	pairs := newPairQuads(ps)
-	caps := ps.EdgeCaps()
-
-	// dp[p] is path p's pair demand, zero-padded to whole 4-path groups.
-	// The per-path vectors have one slot past the last path, the sentinel
-	// the edge and pair quads pad with: z[P] = −Inf, and r, f and gr are
-	// +0 there. gr's other padding lanes are scratch the gradient writes,
-	// +0 too because their dp is.
-	dp := make([]float64, 4*(len(groupStart)-1))
-	for p, pi := range ps.PairOf {
-		dp[p] = d[pi]
-	}
-	r := make([]float64, P+1)
-	f := make([]float64, P+1) // d·r per path
-	grAll := make([]float64, max(len(dp), P+1))
-	gr := grAll[:P+1]        // dL/dr
-	gz := make([]float64, P) // dL/dz
-	flows := make([]float64, E)
-	util := make([]float64, E)
-	w := make([]float64, E+1) // w[E] = +0 is the padding edge's weight
+	r := make([]float64, P+1) // r[P] = +0, the pair quads' padding slot
+	gz := make([]float64, P)  // dL/dz
 
 	ad := nn.NewAdam(opt.LR)
 
@@ -130,17 +114,7 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 
 	for it := 0; it < opt.Iters; it++ {
 		pairs.softmax(z, r)
-		for p := range P {
-			f[p] = dp[p] * r[p]
-		}
-		edges.flows(f, flows)
-		maxU := 0.0
-		for e := range flows {
-			util[e] = flows[e] / caps[e]
-			if util[e] > maxU {
-				maxU = util[e]
-			}
-		}
+		maxU, gr := obj.Eval(r)
 		// Track the best hard-max iterate (with caps feasibility preferred).
 		// The penalty is finite and ≥ 0 (checkInputs), so an iterate
 		// with maxU >= best cannot win and its O(P) penalty is skipped.
@@ -155,30 +129,6 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 		if maxU == 0 {
 			break // zero demand: any config is optimal
 		}
-
-		// Smooth-max weights: w_e = softmax(beta * util), pre-divided by
-		// edge capacity so the per-path gradient below is a single
-		// multiply-accumulate over the path's edges.
-		beta := betaRel / maxU
-		ws := w[:E]
-		for e := range util {
-			ws[e] = beta * (util[e] - maxU)
-		}
-		nn.ExpInto(ws, ws)
-		var sumW float64
-		for _, we := range ws {
-			sumW += we
-		}
-		inv := 1 / sumW
-		for e := range ws {
-			ws[e] = ws[e] * inv / caps[e]
-		}
-		// dL/dr_p = Σ_{e∈p} w_e · d_pair / c_e, four paths abreast. A
-		// padded step adds w[E]·dp = +0·dp = ±0, the identity on a sum
-		// that starts at +0 (see edgeQuads), because dp is finite;
-		// checkInputs makes it so. A path with zero demand gets
-		// gradient +0, as it always has.
-		nn.QuadScaledSum(grAll, w, dp, groupEdges, groupStart)
 		// Cap penalty gradient.
 		if opt.Caps != nil {
 			for p, c := range opt.Caps {
@@ -206,15 +156,18 @@ func MinimizeMLU(ps *te.PathSet, d []float64, opt Options) (*te.Config, float64)
 }
 
 // checkInputs panics on what would otherwise come back as a meaningless
-// optimum: a negative Iters skips the loop and a negative LR ascends, and a
-// NaN or ±Inf demand or warm start poisons every ratio while
-// te.PathSet.MLUFromFlows, which skips NaN flows, reports MLU 0. A −Inf cap
-// does the same, a negative one becomes a negative split ratio in
+// optimum: a negative Iters skips the loop and a negative LR ascends. A NaN
+// or +Inf LR, and a NaN or ±Inf demand or warm start, poison every ratio
+// while te.PathSet.MLUFromFlows, which skips NaN flows, reports MLU 0. A
+// −Inf cap does the same, a negative one becomes a negative split ratio in
 // projectCaps and a NaN one silently uncaps its path. Wrong lengths would
 // index out of range or silently cap a prefix.
 func checkInputs(ps *te.PathSet, d []float64, opt Options) {
-	if opt.Iters < 0 || opt.LR < 0 {
-		panic(fmt.Sprintf("solver: Iters %d and LR %v must not be negative", opt.Iters, opt.LR))
+	if opt.Iters < 0 {
+		panic(fmt.Sprintf("solver: Iters %d must not be negative", opt.Iters))
+	}
+	if !(opt.LR >= 0) || math.IsInf(opt.LR, 1) {
+		panic(fmt.Sprintf("solver: LR %v must be finite and >= 0", opt.LR))
 	}
 	if n := ps.Pairs.Count(); len(d) != n {
 		panic(fmt.Sprintf("solver: demand has %d entries, want %d", len(d), n))
@@ -241,6 +194,110 @@ func mustBeFinite(name string, x []float64) {
 			panic(fmt.Sprintf("solver: %s[%d] = %v is not finite", name, i, v))
 		}
 	}
+}
+
+// Objective is the smooth max of link utilisation that MinimizeMLU
+// descends and figret's L1 loss term differentiates:
+//
+//	S(r) = M + (1/β)·ln Σ_e exp(β(u_e − M)),  u_e = Σ_{p∋e} d_p·r_p / c_e,
+//
+// with M = max_e u_e and β = betaRel/M held fixed at the point evaluated,
+// which makes the relaxation scale-invariant. Its gradient
+// dS/dr_p = Σ_{e∈p} w_e·d_p/c_e, w = softmax(β·u), is Garg–Young's length
+// function of the edges. An Objective owns every buffer an evaluation
+// touches, so it belongs to one goroutine.
+type Objective struct {
+	pairOf                 []int
+	caps                   []float64
+	groupEdges, groupStart []int32
+	edges                  edgeQuads
+	// dp is each path's pair demand, zero-padded to whole 4-path groups.
+	// f and w have one slot past the last path and edge, the sentinel the
+	// edge quads and path groups pad with, and it holds +0. grAll's
+	// padding lanes are scratch the gradient writes, +0 too because their
+	// dp is.
+	dp, f, grAll, flows, util, w []float64
+}
+
+// NewObjective returns an Objective over ps with zero demand. It builds
+// ps's solver layouts if they are not built yet.
+func NewObjective(ps *te.PathSet) *Objective {
+	P, E := ps.NumPaths(), ps.G.NumEdges()
+	groupEdges, groupStart := ps.PathGroups()
+	dp := make([]float64, 4*(len(groupStart)-1))
+	return &Objective{
+		pairOf:     ps.PairOf,
+		caps:       ps.EdgeCaps(),
+		groupEdges: groupEdges,
+		groupStart: groupStart,
+		edges:      newEdgeQuads(ps),
+		dp:         dp,
+		f:          make([]float64, P+1),
+		grAll:      make([]float64, max(len(dp), P+1)),
+		flows:      make([]float64, E),
+		util:       make([]float64, E),
+		w:          make([]float64, E+1),
+	}
+}
+
+// SetDemand sets the demand, one entry per pair, that Eval routes. Every
+// entry must be finite: the gradient's padded steps multiply it by +0.
+func (o *Objective) SetDemand(d []float64) {
+	for p, pi := range o.pairOf {
+		o.dp[p] = d[pi]
+	}
+}
+
+// Eval returns the hard-max MLU of the split ratios r[:P] under the demand
+// and the gradient dS/dr in P+1 entries, gr[P] = +0. A path whose
+// pair demand is zero gets gradient +0, and so does every path when the
+// MLU is 0. gr is the Objective's own, valid until the next Eval.
+func (o *Objective) Eval(r []float64) (mlu float64, gr []float64) {
+	// Each loop copies into locals only the slices it walks: with more live
+	// across it a loop spills its counter to the stack. The per-path loop
+	// also cuts its slices to one length, which drops its bounds checks.
+	P := len(o.f) - 1
+	f, dp, r := o.f[:P], o.dp[:P], r[:P]
+	for p := range f {
+		f[p] = dp[p] * r[p]
+	}
+	flows, util, caps := o.flows, o.util, o.caps
+	o.edges.flows(o.f, flows)
+	maxU := 0.0
+	for e := range flows {
+		util[e] = flows[e] / caps[e]
+		if util[e] > maxU {
+			maxU = util[e]
+		}
+	}
+	gr = o.grAll[:P+1]
+	if maxU == 0 {
+		clear(o.grAll)
+		return 0, gr
+	}
+	// Smooth-max weights: w_e = softmax(beta * util), pre-divided by edge
+	// capacity so the per-path gradient below is a single multiply-
+	// accumulate over the path's edges.
+	beta := betaRel / maxU
+	ws := o.w[:len(util)]
+	for e := range util {
+		ws[e] = beta * (util[e] - maxU)
+	}
+	nn.ExpInto(ws, ws)
+	var sumW float64
+	for _, we := range ws {
+		sumW += we
+	}
+	inv := 1 / sumW
+	for e := range ws {
+		ws[e] = ws[e] * inv / caps[e]
+	}
+	// dS/dr_p = Σ_{e∈p} w_e · d_pair / c_e, four paths abreast. A padded
+	// step adds w[E]·dp = +0·dp = ±0, the identity on a sum that starts at
+	// +0 (see edgeQuads), as long as dp is finite. A path with zero demand
+	// gets gradient +0.
+	nn.QuadScaledSum(o.grAll, o.w, o.dp, o.groupEdges, o.groupStart)
+	return maxU, gr
 }
 
 // edgeQuads sums the flow of every edge from te.PathSet.EdgeQuads: each

@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -213,8 +214,8 @@ func TestSoftmaxPerPair(t *testing.T) {
 
 // TestMinimizeMLURejectsBadOptions: a negative Iters would skip the loop
 // and return the all-zero routing with MLU 0, a negative LR would ascend,
-// and a NaN or ±Inf demand or warm start, or a −Inf cap, would return an
-// all-NaN routing that MLUFromFlows scores 0. A negative cap would come
+// and a NaN or +Inf LR, a NaN or ±Inf demand or warm start, or a −Inf cap,
+// would return an all-NaN routing that MLUFromFlows scores 0. A negative cap would come
 // back as a negative split ratio and a NaN cap would uncap its path.
 // Wrong lengths index out of range or cap a prefix. Each panics up front
 // with the package's own message.
@@ -247,6 +248,8 @@ func TestMinimizeMLURejectsBadOptions(t *testing.T) {
 		{"negative Iters", d, Options{Iters: -1}},
 		{"negative LR", d, Options{LR: -0.05}},
 		{"both negative", d, Options{Iters: -400, LR: -1}},
+		{"NaN LR", d, Options{Iters: 50, LR: math.NaN()}},
+		{"+Inf LR", d, Options{Iters: 50, LR: math.Inf(1)}},
 		{"NaN demand", with(5, math.NaN()), Options{Iters: 20}},
 		{"+Inf demand", with(5, math.Inf(1)), Options{Iters: 20}},
 		{"-Inf demand", with(0, math.Inf(-1)), Options{Iters: 20}},
@@ -557,6 +560,91 @@ func TestMinimizeMLUDualityBracket(t *testing.T) {
 				t.Errorf("%s #%d: lower bound %v, want positive", tc.name, n, lb)
 			}
 			t.Logf("%s #%d: LB %.6g  LP %.6g  UB %.6g  (gap %.2f%%)", tc.name, n, lb, opt, ub, 100*(ub-lb)/ub)
+		}
+	}
+}
+
+// TestObjectiveGradient holds Eval's gradient to central differences of
+// S(r) = M + (1/β)·ln Σ_e exp(β(u_e − M)), with M and β = betaRel/M frozen
+// at the point evaluated, on GEANT and padded. A path whose pair has no
+// demand gets exactly +0, and so does the sentinel slot; with no demand at
+// all the MLU is 0 and every entry +0, after an evaluation that had some.
+func TestObjectiveGradient(t *testing.T) {
+	for ti, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"geant", graph.GEANT()}, {"padded", padded()}} {
+		ps, err := te.NewPathSet(tc.g, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		P := ps.NumPaths()
+		rng := rand.New(rand.NewSource(int64(50 + ti)))
+		d := make([]float64, ps.Pairs.Count())
+		for i := range d {
+			d[i] = rng.ExpFloat64()
+		}
+		idle := rng.Intn(len(d))
+		d[idle] = 0
+		r := make([]float64, P)
+		for _, pp := range ps.PairPaths {
+			var sum float64
+			for _, p := range pp {
+				r[p] = 0.2 + rng.Float64()
+				sum += r[p]
+			}
+			for _, p := range pp {
+				r[p] /= sum
+			}
+		}
+
+		obj := NewObjective(ps)
+		obj.SetDemand(d)
+		mlu, gr := obj.Eval(r)
+		if want, _ := ps.MLU(d, r); mlu != want || len(gr) != P+1 || math.Float64bits(gr[P]) != 0 {
+			t.Fatalf("%s: MLU %v (hard max %v), %d gradient entries (want %d), gr[P] = %v",
+				tc.name, mlu, want, len(gr), P+1, gr[P])
+		}
+		beta, caps := betaRel/mlu, ps.EdgeCaps()
+		smooth := func(r []float64) float64 {
+			var sum float64
+			for e, f := range ps.EdgeFlows(d, r, nil) {
+				sum += math.Exp(beta * (f/caps[e] - mlu))
+			}
+			return mlu + math.Log(sum)/beta
+		}
+		scale := 0.0
+		for _, v := range gr {
+			scale = max(scale, math.Abs(v))
+		}
+		const h = 1e-6
+		for p := range P {
+			if ps.PairOf[p] == idle {
+				if math.Float64bits(gr[p]) != 0 {
+					t.Errorf("%s: path %d of the idle pair has gradient %v, want +0", tc.name, p, gr[p])
+				}
+				continue
+			}
+			x := slices.Clone(r)
+			x[p] = r[p] + h
+			up := smooth(x)
+			x[p] = r[p] - h
+			numeric := (up - smooth(x)) / (2 * h)
+			if math.Abs(gr[p]-numeric) > 1e-6*scale {
+				t.Errorf("%s: dS/dr[%d] = %v, central difference %v", tc.name, p, gr[p], numeric)
+			}
+		}
+
+		obj.SetDemand(make([]float64, len(d)))
+		mlu, gr = obj.Eval(r)
+		if mlu != 0 {
+			t.Errorf("%s: no demand, MLU %v", tc.name, mlu)
+		}
+		for p, v := range gr {
+			if math.Float64bits(v) != 0 {
+				t.Errorf("%s: no demand, gr[%d] = %v, want +0", tc.name, p, v)
+				break
+			}
 		}
 	}
 }
