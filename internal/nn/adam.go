@@ -22,10 +22,12 @@ type Adam struct {
 }
 
 // NewAdam returns an Adam optimizer with the standard defaults
-// (β1=0.9, β2=0.999, ε=1e-8) and the given learning rate.
+// (β1=0.9, β2=0.999, ε=1e-8) and the given learning rate, which must be
+// positive and finite: a NaN or +Inf rate would make every live parameter
+// non-finite on the first Step.
 func NewAdam(lr float64) *Adam {
-	if lr <= 0 {
-		panic(fmt.Sprintf("nn: learning rate %v must be positive", lr))
+	if !(lr > 0) || math.IsInf(lr, 1) {
+		panic(fmt.Sprintf("nn: learning rate %v must be positive and finite", lr))
 	}
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }

@@ -6,31 +6,39 @@ import "fmt"
 // minibatch is a row-major [B][In] matrix, and Forward/Backward become
 // blocked GEMM-style products. Every per-(sample, output) dot product
 // accumulates in exactly the order of dot(), so a batch of B samples is
-// bitwise identical to B sequential single-sample calls; the speedup comes
-// from register blocking (one load of x feeds four weight rows: eight
-// independent accumulator chains for a pair of batch rows, four for a
-// single row, instead of one chain that re-reads x per weight row), cache
-// blocking (each weight row is reused across the batch rows of a tile), and
-// the complete absence of per-step allocations once a Scratch has been
-// built.
+// bitwise identical to B sequential single-sample calls. A pass of two or
+// more rows runs batch-major: its lanes are batch rows, so each weight
+// element is loaded once for eight of them (dot2x8), over a column-major
+// copy of the layer input; a batch-1 pass (every served decision) runs
+// dot1x4 over weight-row quads. Once a Scratch is built no step
+// allocates.
 
-// Tile sizes for the blocked kernels: a tile spans up to tileRows batch
-// rows × tileOuts output rows. Tiles keep the batch-row block of the input
-// resident in cache while a block of weight rows streams through, and they
-// are the sharding unit for parallelFor in the forward pass and in
-// backward pass 1 (backward pass 2 shards over single batch rows).
-const (
-	tileRows = 16
-	tileOuts = 64
-)
+// tileOuts is the sharding unit of the forward pass and of backward pass
+// 1: a tile is up to tileOuts output rows, for every batch row. Backward
+// pass 2 shards over batch rows.
+const tileOuts = 64
+
+// colBlock is the column block of the batch-major forward: a tile walks
+// its weight rows over colBlock input columns at a time, so that block of
+// the column-major input (colBlock × lanes(b) float64s, 64 KB at b = 16)
+// stays in L2 while the weight rows stream past it. A multiple of 4, so
+// every block but the last ends on a whole 4-group of dot()'s loop.
+const colBlock = 512
+
+// lanes is the row stride of a column-major copy of a b-row batch: b
+// rounded up to a whole number of dot2x8's eight lanes.
+func lanes(b int) int { return (b + 7) &^ 7 }
 
 // Scratch holds every intermediate buffer a batched forward/backward pass
 // over an MLP needs: per-layer activation matrices and gradient matrices,
-// all row-major [B][width]. A Scratch is built once per training loop
-// (NewScratch), reused for every minibatch, and eliminates all per-step
-// allocations — including the dL/dx buffer the pre-batching Backward
-// allocated on every call. It is tied to the layer shapes of the MLP it
-// was built for and supports any batch size up to its capacity.
+// all row-major [B][width], and for a capacity of two or more rows a
+// column-major copy of each activation matrix, [width][lanes(B)], which
+// the batch-major forward reads (cols[i], layer i's input) and writes
+// (cols[i+1]). A Scratch is built once per training loop (NewScratch),
+// reused for every minibatch, and eliminates all per-step allocations —
+// including the dL/dx buffer the pre-batching Backward allocated on every
+// call. It is tied to the layer shapes of the MLP it was built for and
+// supports any batch size up to its capacity.
 //
 // A Scratch is not safe for concurrent use: one pass at a time. The
 // goroutines a kernel fans out to inside that pass write disjoint rows of
@@ -38,12 +46,15 @@ const (
 type Scratch struct {
 	batch int         // capacity in batch rows
 	sizes []int       // layer widths: sizes[0] = input, sizes[i+1] = Layers[i].Out
-	acts  [][]float64 // acts[i]: input to layer i (acts[0] is an owned copy of the minibatch)
+	acts  [][]float64 // acts[i]: input to layer i (acts[0] is input, or the engine's borrowed batch)
+	input []float64   // the owned copy of the minibatch
+	cols  [][]float64 // cols[i]: acts[i] column-major, padding lanes +0; nil at capacity 1
 	grads [][]float64 // grads[i]: dL/d acts[i]
 }
 
 // NewScratch allocates a scratch sized for minibatches of up to batch rows
-// through m. The total footprint is batch × Σ layer widths × 2 float64s.
+// through m. The total footprint is (2·batch + lanes(batch)) × Σ layer
+// widths float64s, or 2·Σ widths at batch 1.
 func NewScratch(m *MLP, batch int) *Scratch {
 	if batch <= 0 {
 		panic(fmt.Sprintf("nn: scratch batch %d must be positive", batch))
@@ -55,6 +66,7 @@ func NewScratch(m *MLP, batch int) *Scratch {
 		batch: batch,
 		sizes: make([]int, len(m.Layers)+1),
 		acts:  make([][]float64, len(m.Layers)+1),
+		cols:  make([][]float64, len(m.Layers)+1),
 		grads: make([][]float64, len(m.Layers)+1),
 	}
 	s.sizes[0] = m.Layers[0].In
@@ -63,7 +75,13 @@ func NewScratch(m *MLP, batch int) *Scratch {
 	}
 	for i, w := range s.sizes {
 		s.acts[i] = make([]float64, batch*w)
+		if i == 0 {
+			s.input = s.acts[0]
+		}
 		s.grads[i] = make([]float64, batch*w)
+		if batch > 1 {
+			s.cols[i] = make([]float64, lanes(batch)*w)
+		}
 	}
 	return s
 }
@@ -71,6 +89,8 @@ func NewScratch(m *MLP, batch int) *Scratch {
 // Batch returns the scratch's batch-row capacity.
 func (s *Scratch) Batch() int { return s.batch }
 
+// check panics unless s can carry a b-row pass through m: b within
+// capacity and every layer width equal to the one s was sized for.
 func (s *Scratch) check(m *MLP, b int) {
 	if b <= 0 || b > s.batch {
 		panic(fmt.Sprintf("nn: batch %d outside scratch capacity %d", b, s.batch))
@@ -78,8 +98,10 @@ func (s *Scratch) check(m *MLP, b int) {
 	if len(s.sizes) != len(m.Layers)+1 {
 		panic("nn: scratch built for a different architecture")
 	}
-	if s.sizes[0] != m.Layers[0].In || s.sizes[len(s.sizes)-1] != m.Layers[len(m.Layers)-1].Out {
-		panic("nn: scratch built for a different architecture")
+	for i, l := range m.Layers {
+		if s.sizes[i] != l.In || s.sizes[i+1] != l.Out {
+			panic("nn: scratch built for a different architecture")
+		}
 	}
 }
 
@@ -88,24 +110,86 @@ func (s *Scratch) check(m *MLP, b int) {
 // copied into an owned buffer, so the caller may reuse it immediately. The
 // returned [b][Out] matrix is owned by s and valid until the next call.
 func (m *MLP) BatchForward(x []float64, b int, s *Scratch) []float64 {
-	return m.batchForward(x, b, s, 0)
+	return m.batchForward(x, b, s, 0, false)
 }
 
-// batchForward is BatchForward with the kernel fan-out made explicit: each
-// layer at or above parallelThreshold splits its tiles over at most workers
-// goroutines — 0 means GOMAXPROCS (fanOut), 1 starts none. The
-// data-parallel engine passes its worker count (DESIGN.md §10).
-func (m *MLP) batchForward(x []float64, b int, s *Scratch, workers int) []float64 {
+// batchForward is BatchForward with two extensions for the data-parallel
+// engine: workers bounds the kernel fan-out — each layer at or above
+// parallelThreshold splits its tiles over at most workers goroutines, 0
+// means GOMAXPROCS (fanOut), 1 starts none (DESIGN.md §10) — and borrow
+// true leaves x in place of the owned copy, for a caller that keeps x
+// unchanged until its backward pass has run. For b ≥ 2 layer 0's
+// column-major copy is packed here, once, and every layer writes the
+// next one.
+func (m *MLP) batchForward(x []float64, b int, s *Scratch, workers int, borrow bool) []float64 {
 	s.check(m, b)
 	in := s.sizes[0]
 	if len(x) != b*in {
 		panic(fmt.Sprintf("nn: batch input size %d, want %d×%d", len(x), b, in))
 	}
-	copy(s.acts[0][:b*in], x)
+	ld := lanes(b)
+	var a []float64
+	if borrow {
+		s.acts[0] = x
+	} else {
+		s.acts[0], a = s.input, s.input[:b*in]
+	}
+	if b > 1 {
+		packInput(a, s.cols[0][:in*ld], x, b, in, workers)
+	} else {
+		copy(a, x)
+	}
 	for i, l := range m.Layers {
-		l.batchForward(s.acts[i][:b*l.In], s.acts[i+1][:b*l.Out], b, workers)
+		var xc, yc []float64
+		if b > 1 {
+			xc, yc = s.cols[i][:l.In*ld], s.cols[i+1][:l.Out*ld]
+		}
+		l.batchForward(s.acts[i][:b*l.In], xc, s.acts[i+1][:b*l.Out], yc, b, workers)
 	}
 	return s.acts[len(m.Layers)][:b*s.sizes[len(s.sizes)-1]]
+}
+
+// packBlock is the column block of packInput: its workers take whole
+// blocks, and a block's b row segments (32 KB at b = 16) stay in L1
+// while they are copied and then read into the column-major copy.
+const packBlock = 256
+
+// packInput writes the row-major [b][in] minibatch x (b ≥ 2) column-major
+// into the scratch's xc and, unless a is nil, row-major into a, once per
+// micro-batch. A batch of at least parallelThreshold elements is split
+// over at most workers goroutines by column blocks.
+func packInput(a, xc, x []float64, b, in, workers int) {
+	if b*in >= parallelThreshold {
+		if workers = fanOut(workers); workers > 1 {
+			parallelFor(workers, (in+packBlock-1)/packBlock, func(_, lo, hi int) {
+				packColumns(a, xc, x, b, in, lo*packBlock, min(hi*packBlock, in))
+			})
+			return
+		}
+	}
+	packColumns(a, xc, x, b, in, 0, in)
+}
+
+// packColumns does packInput's work for columns [c0,c1), one packBlock
+// at a time: xc is [in][lanes(b)] with +0 in the padding lanes
+// b..lanes(b)-1, and is written in order while the b rows are read
+// abreast.
+func packColumns(a, xc, x []float64, b, in, c0, c1 int) {
+	ld := lanes(b)
+	x = x[:b*in]
+	for k0 := c0; k0 < c1; k0 += packBlock {
+		k1 := min(k0+packBlock, c1)
+		for bi := 0; bi < b && a != nil; bi++ {
+			copy(a[bi*in+k0:bi*in+k1], x[bi*in+k0:bi*in+k1])
+		}
+		for i := k0; i < k1; i++ {
+			col := xc[i*ld : i*ld+ld]
+			for bi := range col[:b] {
+				col[bi] = x[bi*in+i]
+			}
+			clear(col[b:])
+		}
+	}
 }
 
 // BatchBackward propagates dL/d(output) for the minibatch of the preceding
@@ -146,87 +230,128 @@ func (m *MLP) batchBackward(dOut []float64, b int, s *Scratch, workers int, inpu
 
 // BatchForward computes y = act(x·Wᵀ + bias) for a row-major batch x of
 // shape [b][In] into y of shape [b][Out]. It retains no references to its
-// arguments. Equivalent to b Forward calls, bitwise.
+// arguments. Equivalent to b Forward calls, bitwise. For b ≥ 2 it
+// allocates the two column-major buffers a Scratch would own.
 func (d *Dense) BatchForward(x, y []float64, b int) {
-	d.batchForward(x, y, b, 0)
+	var xc, yc []float64
+	if b > 1 && len(x) == b*d.In {
+		xc, yc = make([]float64, d.In*lanes(b)), make([]float64, d.Out*lanes(b))
+		packColumns(nil, xc, x, b, d.In, 0, d.In)
+	}
+	d.batchForward(x, xc, y, yc, b, 0)
 }
 
-func (d *Dense) batchForward(x, y []float64, b, workers int) {
+// batchForward fills y ([b][Out]) for the batch x ([b][In]). A batch-1
+// pass reads x and runs forwardOne; a larger one reads only xc, x
+// column-major ([In][lanes(b)], padding lanes +0), runs forwardCols, and
+// leaves its output column-major in yc as well ([Out][lanes(b)], padding
+// lanes +0): the next layer's xc. Tiles of tileOuts output rows are split
+// over at most workers goroutines once the pass reaches parallelThreshold.
+func (d *Dense) batchForward(x, xc, y, yc []float64, b, workers int) {
 	if len(x) != b*d.In {
 		panic(fmt.Sprintf("nn: batch input size %d, want %d×%d", len(x), b, d.In))
 	}
 	if len(y) != b*d.Out {
 		panic(fmt.Sprintf("nn: batch output size %d, want %d×%d", len(y), b, d.Out))
 	}
-	if b*d.In*d.Out < parallelThreshold {
-		d.forwardBlock(x, y, 0, b, 0, d.Out)
-		return
+	if b > 1 {
+		ld := lanes(b)
+		xc, yc = xc[:d.In*ld], yc[:d.Out*ld]
 	}
-	if workers = fanOut(workers); workers <= 1 {
-		// Serial but still tiled for cache; no closure allocations.
-		for b0 := 0; b0 < b; b0 += tileRows {
-			b1 := min(b0+tileRows, b)
-			for o0 := 0; o0 < d.Out; o0 += tileOuts {
-				d.forwardBlock(x, y, b0, b1, o0, min(o0+tileOuts, d.Out))
-			}
+	nt := (d.Out + tileOuts - 1) / tileOuts
+	if b*d.In*d.Out >= parallelThreshold {
+		if workers = fanOut(workers); workers > 1 {
+			parallelFor(workers, nt, func(_, lo, hi int) {
+				d.forwardTiles(x, xc, y, yc, b, lo, hi)
+			})
+			return
 		}
-		return
 	}
-	nb := (b + tileRows - 1) / tileRows
-	no := (d.Out + tileOuts - 1) / tileOuts
-	parallelFor(workers, nb*no, func(_, lo, hi int) {
-		for t := lo; t < hi; t++ {
-			b0 := (t / no) * tileRows
-			o0 := (t % no) * tileOuts
-			d.forwardBlock(x, y, b0, min(b0+tileRows, b), o0, min(o0+tileOuts, d.Out))
-		}
-	})
+	d.forwardTiles(x, xc, y, yc, b, 0, nt)
 }
 
-// forwardBlock fills y for batch rows [b0,b1) × output rows [o0,o1), four
-// output rows per pass of x: batch rows go through dot2x4 in pairs, an odd
-// last row — all of a batch-1 pass — through dot1x4, and the (o1-o0)%4
-// leftover output rows through dot one at a time. Every accumulator keeps
-// dot()'s exact order.
-func (d *Dense) forwardBlock(x, y []float64, b0, b1, o0, o1 int) {
-	in, out := d.In, d.Out
+// forwardTiles fills the output rows of tiles [t0,t1) for every batch
+// row: a batch-1 pass in one walk, a batch-major one a tile at a time.
+func (d *Dense) forwardTiles(x, xc, y, yc []float64, b, t0, t1 int) {
+	if b == 1 {
+		d.forwardOne(x, y, t0*tileOuts, min(t1*tileOuts, d.Out))
+		return
+	}
+	for t := t0; t < t1; t++ {
+		d.forwardCols(xc, y, yc, b, t*tileOuts, min((t+1)*tileOuts, d.Out))
+	}
+}
+
+// forwardOne fills output rows [o0,o1) of a batch-1 pass, y = act(W·x +
+// B), four weight rows per pass of x (dot1x4) and the (o1-o0)%4 leftover
+// rows through dot. Every accumulator keeps dot()'s exact order.
+func (d *Dense) forwardOne(x, y []float64, o0, o1 int) {
+	in := d.In
 	o := o0
 	for ; o+4 <= o1; o += 4 {
-		w0 := d.W[o*in : o*in+in]
-		w1 := d.W[(o+1)*in : (o+1)*in+in]
-		w2 := d.W[(o+2)*in : (o+2)*in+in]
-		w3 := d.W[(o+3)*in : (o+3)*in+in]
-		c0, c1, c2, c3 := d.B[o], d.B[o+1], d.B[o+2], d.B[o+3]
-		bi := b0
-		for ; bi+2 <= b1; bi += 2 {
-			x0 := x[bi*in : bi*in+in]
-			x1 := x[(bi+1)*in : (bi+1)*in+in]
-			s00, s01, s02, s03, s10, s11, s12, s13 := dot2x4(x0, x1, w0, w1, w2, w3)
-			y0 := y[bi*out+o : bi*out+o+4]
-			y1 := y[(bi+1)*out+o : (bi+1)*out+o+4]
-			y0[0] = d.Act.apply(s00 + c0)
-			y0[1] = d.Act.apply(s01 + c1)
-			y0[2] = d.Act.apply(s02 + c2)
-			y0[3] = d.Act.apply(s03 + c3)
-			y1[0] = d.Act.apply(s10 + c0)
-			y1[1] = d.Act.apply(s11 + c1)
-			y1[2] = d.Act.apply(s12 + c2)
-			y1[3] = d.Act.apply(s13 + c3)
-		}
-		if bi < b1 {
-			s0, s1, s2, s3 := dot1x4(x[bi*in:bi*in+in], w0, w1, w2, w3)
-			y0 := y[bi*out+o : bi*out+o+4]
-			y0[0] = d.Act.apply(s0 + c0)
-			y0[1] = d.Act.apply(s1 + c1)
-			y0[2] = d.Act.apply(s2 + c2)
-			y0[3] = d.Act.apply(s3 + c3)
-		}
+		s0, s1, s2, s3 := dot1x4(x, d.W[o*in:o*in+in], d.W[(o+1)*in:(o+1)*in+in],
+			d.W[(o+2)*in:(o+2)*in+in], d.W[(o+3)*in:(o+3)*in+in])
+		y[o] = d.Act.apply(s0 + d.B[o])
+		y[o+1] = d.Act.apply(s1 + d.B[o+1])
+		y[o+2] = d.Act.apply(s2 + d.B[o+2])
+		y[o+3] = d.Act.apply(s3 + d.B[o+3])
 	}
 	for ; o < o1; o++ {
-		w0 := d.W[o*in : o*in+in]
-		c0 := d.B[o]
-		for bi := b0; bi < b1; bi++ {
-			y[bi*out+o] = d.Act.apply(dot(w0, x[bi*in:bi*in+in]) + c0)
+		y[o] = d.Act.apply(dot(d.W[o*in:o*in+in], x) + d.B[o])
+	}
+}
+
+// forwardCols fills output rows [o0,o1) of a pass of b ≥ 2 rows from the
+// column-major input xc. The rows' column-major outputs in yc are the
+// accumulators: cleared, then grown colBlock columns at a time by dot2x8
+// for each weight-row pair and each 8-lane group, then overwritten with
+// act(s + B[o]) and copied to y row by row; padding lanes end at +0. An
+// odd last row is paired with itself. Every value carries the bits of
+// Activation.apply.
+func (d *Dense) forwardCols(xc, y, yc []float64, b, o0, o1 int) {
+	in, out, ld := d.In, d.Out, lanes(b)
+	acc := yc[o0*ld : o1*ld]
+	clear(acc)
+	for c0 := 0; c0 < in; c0 += colBlock {
+		c1 := min(c0+colBlock, in)
+		xb := xc[c0*ld : c1*ld]
+		for o := o0; o < o1; o += 2 {
+			p := min(o+1, o1-1) // an odd last row pairs with itself
+			w0, w1 := d.W[o*in+c0:o*in+c1], d.W[p*in+c0:p*in+c1]
+			s0, s1 := acc[(o-o0)*ld:(o-o0+1)*ld], acc[(p-o0)*ld:(p-o0+1)*ld]
+			for g := 0; g < ld; g += 8 {
+				dot2x8(xb[g:], ld, w0, w1, (*[8]float64)(s0[g:]), (*[8]float64)(s1[g:]))
+			}
+		}
+	}
+	if d.Act == Sigmoid {
+		// apply's 1/(1+exp(−x)) in three sweeps, the exps in one ExpInto
+		// over the tile: math.Exp's bits, four lanes wide.
+		for o := o0; o < o1; o++ {
+			col, c := yc[o*ld:o*ld+b], d.B[o]
+			for bi, s := range col {
+				col[bi] = -(s + c)
+			}
+		}
+		ExpInto(acc, acc)
+		for k, e := range acc {
+			acc[k] = 1 / (1 + e)
+		}
+	} else {
+		for o := o0; o < o1; o++ {
+			col, c := yc[o*ld:o*ld+b], d.B[o]
+			for bi, s := range col {
+				col[bi] = d.Act.apply(s + c)
+			}
+		}
+	}
+	for o := o0; o < o1; o++ {
+		clear(yc[o*ld+b : o*ld+ld])
+	}
+	for bi := 0; bi < b; bi++ {
+		row := y[bi*out+o0 : bi*out+o1]
+		for k := range row {
+			row[k] = acc[k*ld+bi]
 		}
 	}
 }
@@ -269,10 +394,10 @@ func (d *Dense) batchBackward(x, y, dy, dx []float64, b, workers int) {
 			}
 		})
 	}
-	// Pass 2 — dL/dx, sharded over single batch rows (a row's sweep over W
-	// shares nothing with its neighbours', so even one tileRows block
-	// splits) so every dx row has a single writer. Within a row, output
-	// rows accumulate in ascending order, matching sequential execution.
+	// Pass 2 — dL/dx, sharded over batch rows so every dx row has a single
+	// writer; a shard reads each weight row once for all its rows. Within a
+	// row, output rows accumulate in ascending order, matching sequential
+	// execution.
 	if dx == nil {
 		return
 	}
@@ -328,103 +453,98 @@ func (d *Dense) backwardGradBlock(x, y, dy []float64, o0, o1, b int) {
 }
 
 // backwardInputBlock handles pass 2 for batch rows [b0,b1): dx[bi] =
-// Σ_o g[bi][o]·W[o], output rows applied in ascending order, two per sweep.
+// Σ_o g[bi][o]·W[o]. Output rows are walked in pairs, outermost, and each
+// pair is applied to every row of the block before the next, so each dx
+// element still takes its terms in ascending output order, and a term
+// whose g is zero is skipped per (row, output) as in a batch-1 pass.
 func (d *Dense) backwardInputBlock(dy, dx []float64, b0, b1 int) {
 	in, out := d.In, d.Out
-	for bi := b0; bi < b1; bi++ {
-		dxrow := dx[bi*in : bi*in+in]
-		for i := range dxrow {
-			dxrow[i] = 0
-		}
-		o := 0
-		for ; o+2 <= out; o += 2 {
+	clear(dx[b0*in : b1*in])
+	o := 0
+	for ; o+2 <= out; o += 2 {
+		w0 := d.W[o*in : o*in+in]
+		w1 := d.W[(o+1)*in : (o+1)*in+in]
+		for bi := b0; bi < b1; bi++ {
+			dxrow := dx[bi*in : bi*in+in]
 			g0 := dy[bi*out+o]
 			g1 := dy[bi*out+o+1]
 			switch {
 			case g0 != 0 && g1 != 0:
-				axpy2(dxrow, d.W[o*in:o*in+in], d.W[(o+1)*in:(o+1)*in+in], g0, g1)
+				axpy2(dxrow, w0, w1, g0, g1)
 			case g0 != 0:
-				axpy(dxrow, d.W[o*in:o*in+in], g0)
+				axpy(dxrow, w0, g0)
 			case g1 != 0:
-				axpy(dxrow, d.W[(o+1)*in:(o+1)*in+in], g1)
+				axpy(dxrow, w1, g1)
 			}
 		}
-		if o < out {
+	}
+	if o < out {
+		w0 := d.W[o*in : o*in+in]
+		for bi := b0; bi < b1; bi++ {
 			if g := dy[bi*out+o]; g != 0 {
-				axpy(dxrow, d.W[o*in:o*in+in], g)
+				axpy(dx[bi*in:bi*in+in], w0, g)
 			}
 		}
 	}
 }
 
-// dot2x4 computes the eight dot products {x0,x1}·{w0,w1,w2,w3}; sRO is batch
-// row R against weight row O. Each accumulator follows dot()'s grouping —
-// s += ((w₀x₀ + w₁x₁) + w₂x₂) + w₃x₃, remainder elements one at a time —
-// so every result is bitwise the corresponding dot(w, x). With AVX2 the
-// whole 4-groups run in assembly, one lane per weight row, and dot2x4Go
-// continues their accumulators over the remainder (DESIGN.md §3).
-func dot2x4(x0, x1, w0, w1, w2, w3 []float64) (s00, s01, s02, s03, s10, s11, s12, s13 float64) {
-	var s [8]float64
+// dot2x8 grows the sixteen dot products of two weight rows w0, w1 with
+// eight batch rows: s0[l] += w0·x_l and s1[l] += w1·x_l, where x_l is lane
+// l of the column-major block x (column i of lane l at x[i·ld+l], ld ≥ 8)
+// and the block is len(w0) columns long. Each lane follows dot()'s
+// grouping — s += ((w₀x₀ + w₁x₁) + w₂x₂) + w₃x₃, remainder columns one at
+// a time — so a block that starts on a 4-group continues dot(w, x_l)
+// exactly. s0 and s1 may be one array when w0 and w1 are one row: both
+// sums are formed from its old value and stored, the same bits twice.
+// With AVX2 the whole 4-groups run in assembly, eight lanes in two YMM
+// registers per weight row, and dot2x8Go takes the remainder.
+func dot2x8(x []float64, ld int, w0, w1 []float64, s0, s1 *[8]float64) {
+	n := len(w0)
+	if n == 0 {
+		return
+	}
+	x, w1 = x[:(n-1)*ld+8], w1[:n]
 	i := 0
 	if useAVX2 {
-		n := len(x0)
-		x1, w0, w1, w2, w3 = x1[:n], w0[:n], w1[:n], w2[:n], w3[:n]
-		dot2x4AVX2(x0, x1, w0, w1, w2, w3, &s)
+		dot2x8AVX2(x, ld, w0, w1, s0, s1)
 		i = n &^ 3
 	}
-	dot2x4Go(x0, x1, w0, w1, w2, w3, i, &s)
-	return s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+	dot2x8Go(x, ld, w0, w1, i, s0, s1)
 }
 
-// dot2x4Go is dot2x4 in Go from element i on (a multiple of 4), continuing
-// the accumulators s = {s00..s03, s10..s13}: the eight chains are
-// independent and each x element is loaded once for four weight rows.
-// Reslicing the other five operands to len(x0) leaves go build
-// -gcflags=-d=ssa/check_bce reporting four IsInBounds per 4-wide step (the
-// loads of x0, which then cover the rest) and one in the remainder loop;
-// the check-free loop shapes measured slower (DESIGN.md §10).
-func dot2x4Go(x0, x1, w0, w1, w2, w3 []float64, i int, s *[8]float64) {
-	n := len(x0)
-	x1 = x1[:n]
-	w0 = w0[:n]
+// dot2x8Go is dot2x8 in Go from column i on (a multiple of 4), one lane at
+// a time within each column group, on copies of the accumulators.
+func dot2x8Go(x []float64, ld int, w0, w1 []float64, i int, s0, s1 *[8]float64) {
+	n := len(w0)
 	w1 = w1[:n]
-	w2 = w2[:n]
-	w3 = w3[:n]
-	s00, s01, s02, s03, s10, s11, s12, s13 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+	t0, t1 := *s0, *s1
 	for ; i+4 <= n; i += 4 {
-		p0, p1, p2, p3 := x0[i], x0[i+1], x0[i+2], x0[i+3]
-		q0, q1, q2, q3 := x1[i], x1[i+1], x1[i+2], x1[i+3]
 		a0, a1, a2, a3 := w0[i], w0[i+1], w0[i+2], w0[i+3]
-		s00 += a0*p0 + a1*p1 + a2*p2 + a3*p3
-		s10 += a0*q0 + a1*q1 + a2*q2 + a3*q3
-		a0, a1, a2, a3 = w1[i], w1[i+1], w1[i+2], w1[i+3]
-		s01 += a0*p0 + a1*p1 + a2*p2 + a3*p3
-		s11 += a0*q0 + a1*q1 + a2*q2 + a3*q3
-		a0, a1, a2, a3 = w2[i], w2[i+1], w2[i+2], w2[i+3]
-		s02 += a0*p0 + a1*p1 + a2*p2 + a3*p3
-		s12 += a0*q0 + a1*q1 + a2*q2 + a3*q3
-		a0, a1, a2, a3 = w3[i], w3[i+1], w3[i+2], w3[i+3]
-		s03 += a0*p0 + a1*p1 + a2*p2 + a3*p3
-		s13 += a0*q0 + a1*q1 + a2*q2 + a3*q3
+		b0, b1, b2, b3 := w1[i], w1[i+1], w1[i+2], w1[i+3]
+		x0 := x[i*ld : i*ld+8]
+		x1 := x[(i+1)*ld : (i+1)*ld+8]
+		x2 := x[(i+2)*ld : (i+2)*ld+8]
+		x3 := x[(i+3)*ld : (i+3)*ld+8]
+		for l := range 8 {
+			t0[l] += a0*x0[l] + a1*x1[l] + a2*x2[l] + a3*x3[l]
+			t1[l] += b0*x0[l] + b1*x1[l] + b2*x2[l] + b3*x3[l]
+		}
 	}
 	for ; i < n; i++ {
-		p, q := x0[i], x1[i]
-		s00 += w0[i] * p
-		s01 += w1[i] * p
-		s02 += w2[i] * p
-		s03 += w3[i] * p
-		s10 += w0[i] * q
-		s11 += w1[i] * q
-		s12 += w2[i] * q
-		s13 += w3[i] * q
+		a, c := w0[i], w1[i]
+		xi := x[i*ld : i*ld+8]
+		for l := range 8 {
+			t0[l] += a * xi[l]
+			t1[l] += c * xi[l]
+		}
 	}
-	*s = [8]float64{s00, s01, s02, s03, s10, s11, s12, s13}
+	*s0, *s1 = t0, t1
 }
 
 // dot1x4 computes the four dot products x·{w0,w1,w2,w3}, each accumulator in
-// dot()'s grouping like dot2x4's: the kernel of every single-row pass, where
-// dot would re-read x once per weight row. check_bce reports the same as
-// for dot2x4Go: four IsInBounds per 4-wide step (the loads of x), one in the
+// dot()'s grouping: the kernel of every single-row pass, where dot would
+// re-read x once per weight row. check_bce reports four IsInBounds per
+// 4-wide step (the loads of x; they cover the weight rows) and one in the
 // remainder loop.
 func dot1x4(x, w0, w1, w2, w3 []float64) (s0, s1, s2, s3 float64) {
 	n := len(x)

@@ -53,18 +53,28 @@ func TestBatchForwardMatchesSequential(t *testing.T) {
 // against each other: Forward is the batch-1 wrapper of the same kernels,
 // so TestBatchForwardMatchesSequential compares dot1x4 with dot1x4. Every
 // y[b][o] must be act(dot(W[o], x[b]) + B[o]) bit for bit over every
-// remainder path — the 4-wide inner loop (In), the quad walk over outputs
-// (Out, also split into tileOuts tiles), the row-pair walk (b, also split
-// into tileRows tiles) — below and above parallelThreshold, serial and over
-// even and uneven worker counts. Identity keeps the raw sums visible.
+// remainder path — the 4-wide inner loop and its column blocks (In, up to
+// three colBlocks and a remainder of 3), the quad walk of a batch-1 pass
+// and the row-pair walk of a batch-major one (Out, also split into
+// tileOuts tiles), every padding width of an 8-lane group and more than
+// one group (b) — below and above parallelThreshold, serial and over even
+// and uneven worker counts. A batch-major pass must also leave its output
+// column-major in yc, with +0 in the padding lanes, also where a +Inf
+// weight meets a padding lane's +0 input (a NaN need only be a NaN). The
+// layers take turns at Identity, which keeps the raw sums visible, ReLU
+// and Sigmoid, whose batch-major exps go through ExpInto.
 func TestForwardKernelsMatchDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var below, above int
-	for _, in := range []int{1, 2, 3, 4, 5, 7, 8, 129} {
+	for _, in := range []int{1, 2, 3, 4, 5, 7, 8, 129, 2*colBlock + 259} {
 		for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 67} {
-			d := NewDense(in, out, Identity, rng)
+			act := []Activation{Identity, ReLU, Sigmoid}[(in+out)%3]
+			d := NewDense(in, out, act, rng)
 			copy(d.B, randVec(rng, out))
-			for _, b := range []int{1, 2, 3, 16, 17} {
+			if out == 67 {
+				d.W[in/2] = math.Inf(1) // 0·Inf in a padding lane must not reach yc
+			}
+			for _, b := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17} {
 				if b*in*out < parallelThreshold {
 					below++
 				} else {
@@ -72,16 +82,35 @@ func TestForwardKernelsMatchDot(t *testing.T) {
 				}
 				x := randVec(rng, b*in)
 				y := make([]float64, b*out)
+				var xc, yc []float64
+				if b > 1 {
+					xc, yc = make([]float64, in*lanes(b)), make([]float64, out*lanes(b))
+					packColumns(nil, xc, x, b, in, 0, in)
+				}
 				for _, workers := range []int{1, 2, 3} {
 					clear(y)
-					d.batchForward(x, y, b, workers)
+					for i := range yc {
+						yc[i] = math.NaN() // every slot must be written
+					}
+					d.batchForward(x, xc, y, yc, b, workers)
 					for bi := 0; bi < b; bi++ {
 						for o := 0; o < out; o++ {
 							want := d.Act.apply(dot(d.W[o*in:(o+1)*in], x[bi*in:(bi+1)*in]) + d.B[o])
-							if got := y[bi*out+o]; got != want {
-								t.Fatalf("%d×%d layer, b=%d, workers=%d: y[%d][%d] = %v, dot() gives %v",
-									in, out, b, workers, bi, o, got, want)
+							if got := y[bi*out+o]; math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+								t.Fatalf("%d×%d %v layer, b=%d, workers=%d: y[%d][%d] = %v, dot() gives %v",
+									in, out, act, b, workers, bi, o, got, want)
 							}
+						}
+					}
+					for i, v := range yc {
+						o, bi := i/lanes(b), i%lanes(b)
+						want := 0.0
+						if bi < b {
+							want = y[bi*out+o]
+						}
+						if math.Float64bits(v) != math.Float64bits(want) && !(math.IsNaN(v) && math.IsNaN(want)) {
+							t.Fatalf("%d×%d layer, b=%d, workers=%d: column-major output [%d][%d] = %v, want %v",
+								in, out, b, workers, o, bi, v, want)
 						}
 					}
 				}
@@ -141,7 +170,7 @@ func TestBatchBackwardMatchesSequential(t *testing.T) {
 // Backward calls do, also on a network the engine has just been through.
 func TestBatchBackwardStillReturnsInputGrad(t *testing.T) {
 	const in, out = 1201, 1101
-	for _, b := range []int{1, 2, tileRows - 1, tileRows, 2*tileRows + 1} {
+	for _, b := range []int{1, 2, 15, 16, 33} {
 		net := wideNet(5)
 		ref := cloneNet(net)
 		rng := rand.New(rand.NewSource(int64(b)))
@@ -163,6 +192,67 @@ func TestBatchBackwardStillReturnsInputGrad(t *testing.T) {
 			for i, v := range ref.Backward(dOut[bi*out : (bi+1)*out]) {
 				if dx[bi*in+i] != v {
 					t.Fatalf("b=%d sample %d dx[%d]: batch %v, sequential %v", b, bi, i, dx[bi*in+i], v)
+				}
+			}
+		}
+	}
+}
+
+// TestInputGradSkipsZeroDeltas pins pass 2's per-(row, output) skip of a
+// zero delta, which the output-pair-outermost walk must keep: an output
+// row holds +Inf, and the rows whose delta for it is ±0 must not pick up
+// 0·Inf = NaN. The deltas mix ±0 into both slots of output pairs in
+// different rows, the odd last output included, and every dx element must
+// carry the bits of a one-row scalar walk over ascending outputs, skipping
+// zeros (a NaN need only be a NaN), serial and with the rows split over
+// workers. Identity makes the deltas the given dy.
+func TestInputGradSkipsZeroDeltas(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	const in, out, inf = 130, 67, 5
+	d := NewDense(in, out, Identity, rng)
+	d.W[inf*in+7] = math.Inf(1)
+	for _, b := range []int{3, 9} {
+		x := randVec(rng, b*in)
+		dy := randVec(rng, b*out)
+		for i := range dy {
+			switch rng.Intn(4) {
+			case 0:
+				dy[i] = 0
+			case 1:
+				dy[i] = math.Copysign(0, -1)
+			}
+		}
+		for bi := 0; bi < b; bi++ {
+			if bi%2 == 0 {
+				dy[bi*out+inf] = 0
+			} else if dy[bi*out+inf] == 0 {
+				dy[bi*out+inf] = 1.5
+			}
+		}
+		want := make([]float64, b*in)
+		for bi := 0; bi < b; bi++ {
+			for o := 0; o < out; o++ {
+				if g := dy[bi*out+o]; g != 0 {
+					for i := 0; i < in; i++ {
+						want[bi*in+i] += g * d.W[o*in+i]
+					}
+				}
+			}
+		}
+		y := make([]float64, b*out)
+		for _, workers := range []int{1, 2, 3} {
+			dx := make([]float64, b*in)
+			for i := range dx {
+				dx[i] = math.NaN() // every entry must be written
+			}
+			d.ZeroGrads()
+			d.batchBackward(x, y, append([]float64(nil), dy...), dx, b, workers)
+			for i, v := range dx {
+				if math.Float64bits(v) != math.Float64bits(want[i]) && !(math.IsNaN(v) && math.IsNaN(want[i])) {
+					t.Fatalf("b=%d workers=%d: dx[%d][%d] = %v, scalar walk gives %v", b, workers, i/in, i%in, v, want[i])
+				}
+				if bi := i / in; bi%2 == 0 && i%in == 7 && math.IsNaN(v) {
+					t.Fatalf("b=%d workers=%d: row %d took the +Inf weight through a zero delta", b, workers, bi)
 				}
 			}
 		}
@@ -283,14 +373,16 @@ func TestBackwardDoesNotClobberCallerGrad(t *testing.T) {
 }
 
 func TestScratchSmallerBatches(t *testing.T) {
-	// A scratch sized for B must serve any batch size 1..B.
+	// A scratch sized for B must serve any batch size 1..B, and a smaller
+	// batch must find +0 in the padding lanes of every column-major copy
+	// that a larger one filled.
 	rng := rand.New(rand.NewSource(6))
 	net := NewMLP([]int{5, 9, 3}, ReLU, Sigmoid, rng)
 	s := NewScratch(net, 8)
 	if s.Batch() != 8 {
 		t.Fatalf("Batch() = %d, want 8", s.Batch())
 	}
-	for _, b := range []int{1, 3, 8} {
+	for _, b := range []int{1, 8, 3} {
 		x := randVec(rng, b*5)
 		y := net.BatchForward(x, b, s)
 		if len(y) != b*3 {
@@ -302,6 +394,13 @@ func TestScratchSmallerBatches(t *testing.T) {
 				t.Fatalf("batch %d sample 0 mismatch", b)
 			}
 		}
+		for i, w := range s.sizes {
+			for k, v := range s.cols[i][:w*lanes(b)] {
+				if k%lanes(b) >= b && math.Float64bits(v) != 0 {
+					t.Fatalf("batch %d: column-major copy %d holds %v in padding lane %d", b, i, v, k%lanes(b))
+				}
+			}
+		}
 	}
 }
 
@@ -309,6 +408,8 @@ func TestScratchValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	net := NewMLP([]int{4, 6, 2}, ReLU, Sigmoid, rng)
 	other := NewMLP([]int{5, 6, 2}, ReLU, Sigmoid, rng)
+	narrow := NewMLP([]int{4, 3, 2}, ReLU, Sigmoid, rng)
+	wide := NewMLP([]int{4, 9, 2}, ReLU, Sigmoid, rng)
 	s := NewScratch(net, 2)
 	for _, tc := range []struct {
 		name string
@@ -317,6 +418,8 @@ func TestScratchValidation(t *testing.T) {
 		{"zero batch", func() { NewScratch(net, 0) }},
 		{"over capacity", func() { net.BatchForward(make([]float64, 3*4), 3, s) }},
 		{"wrong arch", func() { other.BatchForward(make([]float64, 2*5), 2, s) }},
+		{"narrower hidden layer", func() { narrow.BatchForward(make([]float64, 2*4), 2, s) }},
+		{"wider hidden layer", func() { wide.BatchForward(make([]float64, 2*4), 2, s) }},
 		{"wrong input", func() { net.BatchForward(make([]float64, 7), 2, s) }},
 		{"wrong gradient", func() { net.BatchBackward(make([]float64, 3), 2, s) }},
 	} {

@@ -2,7 +2,7 @@ package nn
 
 import "math"
 
-// useAVX2 selects the four-lane assembly bodies of dot2x4, axpy, axpy2,
+// useAVX2 selects the four-lane assembly bodies of dot2x8, axpy, axpy2,
 // Adam's update and the gathers of gather.go (kernels_amd64.s). It is
 // decided once, from CPUID and XGETBV alone: the CPU must report AVX and
 // AVX2, and the OS must save the YMM registers across context switches. Without it every kernel runs its
@@ -57,12 +57,12 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// dot2x4AVX2 runs dot2x4 over the first len(x0)&^3 elements, storing the
-// accumulators {s00..s03, s10..s13} to s. The other slices must be at
-// least as long as x0.
+// dot2x8AVX2 runs dot2x8 over the first len(w0)&^3 columns, continuing
+// the accumulators in s0 and s1. len(w1) >= len(w0), and x holds at least
+// (len(w0)-1)·ld + 8 elements.
 //
 //go:noescape
-func dot2x4AVX2(x0, x1, w0, w1, w2, w3 []float64, s *[8]float64)
+func dot2x8AVX2(x []float64, ld int, w0, w1 []float64, s0, s1 *[8]float64)
 
 // axpyAVX2 runs axpy over the first len(dst)&^3 elements; len(src) >= len(dst).
 //

@@ -28,77 +28,95 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func dot2x4AVX2(x0, x1, w0, w1, w2, w3 []float64, s *[8]float64)
+// func dot2x8AVX2(x []float64, ld int, w0, w1 []float64, s0, s1 *[8]float64)
 //
-// Lane k of Y0 is s0k = x0·wk and lane k of Y1 is s1k = x1·wk. Per group
-// of four columns the 4×4 block of W is transposed in registers, so that
-// Y6..Y9 hold column i..i+3 of the four weight rows; each lane then forms
-// ((wk[i]·x[i] + wk[i+1]·x[i+1]) + wk[i+2]·x[i+2]) + wk[i+3]·x[i+3] and
-// adds it to its accumulator: dot()'s grouping.
-TEXT ·dot2x4AVX2(SB), NOSPLIT, $0-152
-	MOVQ x0_base+0(FP), SI
-	MOVQ x0_len+8(FP), CX
-	MOVQ x1_base+24(FP), DI
-	MOVQ w0_base+48(FP), R8
-	MOVQ w1_base+72(FP), R9
-	MOVQ w2_base+96(FP), R10
-	MOVQ w3_base+120(FP), R11
+// The lanes are batch rows: Y0/Y1 hold s0[0..3]/s0[4..7], Y2/Y3 hold
+// s1[0..3]/s1[4..7]. Per column the eight lanes of x are loaded (Y4, Y5)
+// and w0[i], w1[i] broadcast (Y6, Y7). Per group of four columns each lane
+// forms T = w₀x₀, T += w₁x₁, T += w₂x₂, T += w₃x₃ in Y8..Y11 and adds it
+// to its accumulator: dot()'s grouping. SI walks x one column (ld·8
+// bytes) at a time.
+TEXT ·dot2x8AVX2(SB), NOSPLIT, $0-96
+	MOVQ x_base+0(FP), SI
+	MOVQ ld+24(FP), DX
+	MOVQ w0_base+32(FP), R8
+	MOVQ w0_len+40(FP), CX
+	MOVQ w1_base+56(FP), R9
+	MOVQ s0+80(FP), DI
+	MOVQ s1+88(FP), BX
+	SHLQ $3, DX
 	SHLQ $3, CX
 	ANDQ $-32, CX
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (BX), Y2
+	VMOVUPD 32(BX), Y3
 	XORQ AX, AX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
 	TESTQ CX, CX
-	JEQ dot2x4done
+	JEQ dot2x8done
 
-dot2x4loop:
-	VMOVUPD (R8)(AX*1), X2
-	VINSERTF128 $1, (R10)(AX*1), Y2, Y2     // w0[i] w0[i+1] w2[i] w2[i+1]
-	VMOVUPD (R9)(AX*1), X3
-	VINSERTF128 $1, (R11)(AX*1), Y3, Y3     // w1[i] w1[i+1] w3[i] w3[i+1]
-	VMOVUPD 16(R8)(AX*1), X4
-	VINSERTF128 $1, 16(R10)(AX*1), Y4, Y4   // w0[i+2] w0[i+3] w2[i+2] w2[i+3]
-	VMOVUPD 16(R9)(AX*1), X5
-	VINSERTF128 $1, 16(R11)(AX*1), Y5, Y5   // w1[i+2] w1[i+3] w3[i+2] w3[i+3]
-	VUNPCKLPD Y3, Y2, Y6                    // column i
-	VUNPCKHPD Y3, Y2, Y7                    // column i+1
-	VUNPCKLPD Y5, Y4, Y8                    // column i+2
-	VUNPCKHPD Y5, Y4, Y9                    // column i+3
-
-	VBROADCASTSD (SI)(AX*1), Y10
-	VMULPD Y10, Y6, Y10
-	VBROADCASTSD 8(SI)(AX*1), Y11
-	VMULPD Y11, Y7, Y11
-	VADDPD Y11, Y10, Y10
-	VBROADCASTSD 16(SI)(AX*1), Y11
-	VMULPD Y11, Y8, Y11
-	VADDPD Y11, Y10, Y10
-	VBROADCASTSD 24(SI)(AX*1), Y11
-	VMULPD Y11, Y9, Y11
-	VADDPD Y11, Y10, Y10
-	VADDPD Y10, Y0, Y0
-
-	VBROADCASTSD (DI)(AX*1), Y12
-	VMULPD Y12, Y6, Y12
-	VBROADCASTSD 8(DI)(AX*1), Y13
-	VMULPD Y13, Y7, Y13
-	VADDPD Y13, Y12, Y12
-	VBROADCASTSD 16(DI)(AX*1), Y13
-	VMULPD Y13, Y8, Y13
-	VADDPD Y13, Y12, Y12
-	VBROADCASTSD 24(DI)(AX*1), Y13
-	VMULPD Y13, Y9, Y13
-	VADDPD Y13, Y12, Y12
-	VADDPD Y12, Y1, Y1
-
+dot2x8loop:
+	VMOVUPD (SI), Y4
+	VMOVUPD 32(SI), Y5
+	VBROADCASTSD (R8)(AX*1), Y6
+	VBROADCASTSD (R9)(AX*1), Y7
+	VMULPD Y4, Y6, Y8
+	VMULPD Y5, Y6, Y9
+	VMULPD Y4, Y7, Y10
+	VMULPD Y5, Y7, Y11
+	ADDQ DX, SI
+	VMOVUPD (SI), Y4
+	VMOVUPD 32(SI), Y5
+	VBROADCASTSD 8(R8)(AX*1), Y6
+	VBROADCASTSD 8(R9)(AX*1), Y7
+	VMULPD Y4, Y6, Y12
+	VADDPD Y12, Y8, Y8
+	VMULPD Y5, Y6, Y13
+	VADDPD Y13, Y9, Y9
+	VMULPD Y4, Y7, Y14
+	VADDPD Y14, Y10, Y10
+	VMULPD Y5, Y7, Y15
+	VADDPD Y15, Y11, Y11
+	ADDQ DX, SI
+	VMOVUPD (SI), Y4
+	VMOVUPD 32(SI), Y5
+	VBROADCASTSD 16(R8)(AX*1), Y6
+	VBROADCASTSD 16(R9)(AX*1), Y7
+	VMULPD Y4, Y6, Y12
+	VADDPD Y12, Y8, Y8
+	VMULPD Y5, Y6, Y13
+	VADDPD Y13, Y9, Y9
+	VMULPD Y4, Y7, Y14
+	VADDPD Y14, Y10, Y10
+	VMULPD Y5, Y7, Y15
+	VADDPD Y15, Y11, Y11
+	ADDQ DX, SI
+	VMOVUPD (SI), Y4
+	VMOVUPD 32(SI), Y5
+	VBROADCASTSD 24(R8)(AX*1), Y6
+	VBROADCASTSD 24(R9)(AX*1), Y7
+	VMULPD Y4, Y6, Y12
+	VADDPD Y12, Y8, Y8
+	VMULPD Y5, Y6, Y13
+	VADDPD Y13, Y9, Y9
+	VMULPD Y4, Y7, Y14
+	VADDPD Y14, Y10, Y10
+	VMULPD Y5, Y7, Y15
+	VADDPD Y15, Y11, Y11
+	ADDQ DX, SI
+	VADDPD Y8, Y0, Y0
+	VADDPD Y9, Y1, Y1
+	VADDPD Y10, Y2, Y2
+	VADDPD Y11, Y3, Y3
 	ADDQ $32, AX
 	CMPQ AX, CX
-	JB dot2x4loop
+	JB dot2x8loop
 
-dot2x4done:
-	MOVQ s+144(FP), DX
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
+dot2x8done:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (BX)
+	VMOVUPD Y3, 32(BX)
 	VZEROUPPER
 	RET
 

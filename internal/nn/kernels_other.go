@@ -9,7 +9,9 @@ const (
 	useExpFMA = false
 )
 
-func dot2x4AVX2(x0, x1, w0, w1, w2, w3 []float64, s *[8]float64) { panic("nn: no assembly kernels") }
+func dot2x8AVX2(x []float64, ld int, w0, w1 []float64, s0, s1 *[8]float64) {
+	panic("nn: no assembly kernels")
+}
 
 func axpyAVX2(dst, src []float64, a float64) { panic("nn: no assembly kernels") }
 

@@ -7,19 +7,22 @@ import (
 	"testing"
 )
 
-// TestSIMDKernelsBitwise holds the AVX2 bodies of dot2x4, axpy, axpy2 and
+// TestSIMDKernelsBitwise holds the AVX2 bodies of dot2x8, axpy, axpy2 and
 // Adam's update, reached through the dispatchers, against the Go bodies
 // they replace, over every length 0–70: every remainder of the 4-groups,
-// and n < 4, which never enters assembly. First, on any CPU, it holds
-// ExpInto against math.Exp on both of its paths (checkExpInto). Inputs mix ±0, denormals, values
-// near ±1e±300 and ±Inf into normal ones, and every result must carry the
-// same bits, except that a NaN need only be a NaN on both sides. The Adam
-// cases include groups that mix dead (g, m, v all +0) and live lanes, and
-// hyperparameters under which computing a dead lane would not be the
-// identity. Beyond this pairing, TestForwardKernelsMatchDot and
-// figret's TestBatchedMatchesSequentialTrajectory hold the dispatched
-// dot2x4 — assembly on an AVX2 CPU — against the scalar dot and dot1x4
-// with no further work.
+// and n < 4, which never enters assembly; dot2x8 also over one length
+// longer than two colBlocks. First, on any CPU, it holds ExpInto against
+// math.Exp on both of its paths (checkExpInto). Inputs mix ±0, denormals,
+// values near ±1e±300 and ±Inf into normal ones, and dot2x8's also NaN;
+// every result must carry the same bits, except that a NaN need only be a
+// NaN on both sides. dot2x8 runs at lane strides 8, 16 and 24 from
+// accumulators that already hold a sum. The Adam cases include groups
+// that mix dead (g, m, v all +0) and live lanes, and hyperparameters under
+// which computing a dead lane would not be the identity. Beyond this
+// pairing, TestForwardKernelsMatchDot and figret's
+// TestBatchedMatchesSequentialTrajectory hold the dispatched dot2x8 —
+// assembly on an AVX2 CPU — against the scalar dot and dot1x4 with no
+// further work.
 func TestSIMDKernelsBitwise(t *testing.T) {
 	if !useExpFMA {
 		t.Log("math.Exp takes no FMA branch here: ExpInto runs math.Exp only")
@@ -37,19 +40,21 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 		1e300, -1e300, 1e-300, -1e-300,
 		math.Inf(1), math.Inf(-1),
 	}
-	// vec draws standard normals, a fraction wild of them replaced by a
-	// special value.
-	vec := func(n int, wild float64) []float64 {
+	withNaN := append([]float64{math.NaN()}, specials...)
+	// vecOf draws standard normals, a fraction wild of them replaced by a
+	// value from special; vec draws from specials.
+	vecOf := func(n int, wild float64, special []float64) []float64 {
 		v := make([]float64, n)
 		for i := range v {
 			if rng.Float64() < wild {
-				v[i] = specials[rng.Intn(len(specials))]
+				v[i] = special[rng.Intn(len(special))]
 			} else {
 				v[i] = rng.NormFloat64()
 			}
 		}
 		return v
 	}
+	vec := func(n int, wild float64) []float64 { return vecOf(n, wild, specials) }
 	same := func(label string, n int, got, want []float64) {
 		t.Helper()
 		for i := range got {
@@ -61,17 +66,33 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 		}
 	}
 	scalar := func() float64 { return vec(1, 0.3)[0] }
+	// checkDot2x8 runs dot2x8 and dot2x8Go from the same non-zero
+	// accumulators over an n-column block at lane stride ld.
+	checkDot2x8 := func(n, ld int, wild float64) {
+		t.Helper()
+		x := vecOf(max(n*ld, 8), wild, withNaN)
+		w0, w1 := vecOf(n, wild, withNaN), vecOf(n, wild, withNaN)
+		var got0, got1 [8]float64
+		copy(got0[:], vecOf(8, wild, withNaN))
+		copy(got1[:], vecOf(8, wild, withNaN))
+		want0, want1 := got0, got1
+		dot2x8(x, ld, w0, w1, &got0, &got1)
+		dot2x8Go(x, ld, w0, w1, 0, &want0, &want1)
+		label := fmt.Sprintf("dot2x8 ld=%d wild=%v", ld, wild)
+		same(label+" row 0", n, got0[:], want0[:])
+		same(label+" row 1", n, got1[:], want1[:])
+	}
 
+	for _, ld := range []int{8, 16, 24} {
+		checkDot2x8(2*colBlock+7, ld, 0.1)
+	}
 	for n := 0; n <= 70; n++ {
 		for _, wild := range []float64{0, 0.1, 0.5} {
 			label := fmt.Sprintf("wild=%v", wild)
 
-			x0, x1 := vec(n, wild), vec(n, wild)
-			w0, w1, w2, w3 := vec(n, wild), vec(n, wild), vec(n, wild), vec(n, wild)
-			var got, want [8]float64
-			got[0], got[1], got[2], got[3], got[4], got[5], got[6], got[7] = dot2x4(x0, x1, w0, w1, w2, w3)
-			dot2x4Go(x0, x1, w0, w1, w2, w3, 0, &want)
-			same("dot2x4 "+label, n, got[:], want[:])
+			for _, ld := range []int{8, 16, 24} {
+				checkDot2x8(n, ld, wild)
+			}
 
 			src, u, v := vec(n, wild), vec(n, wild), vec(n, wild)
 			a, b := scalar(), scalar()

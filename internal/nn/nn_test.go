@@ -336,6 +336,8 @@ func TestInvalidConstruction(t *testing.T) {
 		func() { NewDense(0, 1, ReLU, rand.New(rand.NewSource(1))) },
 		func() { NewMLP([]int{3}, ReLU, Sigmoid, rand.New(rand.NewSource(1))) },
 		func() { NewAdam(0) },
+		func() { NewAdam(math.NaN()) },
+		func() { NewAdam(math.Inf(1)) },
 	} {
 		func() {
 			defer func() {

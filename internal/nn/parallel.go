@@ -61,8 +61,10 @@ func NewDataParallel(m *MLP, workers int) *DataParallel {
 // Accumulate runs forward, scoring, and backward for one micro-batch x of
 // shape [b][In], adding its gradient into the network's GW/GB (zero after
 // an optimizer Step). Layer 0's dL/dx, which a trainer never reads, is
-// skipped. The input is consumed before Accumulate returns, so the caller
-// may reuse x immediately.
+// skipped. x is read in place until Accumulate returns — backward takes
+// layer 0's input from it, not from a copy — so it must not change during
+// the call, score included; the caller may reuse it once Accumulate
+// returns.
 func (e *DataParallel) Accumulate(x []float64, b int, score ScoreFunc) {
 	in := e.m.Layers[0].In
 	out := e.m.Layers[len(e.m.Layers)-1].Out
@@ -76,7 +78,7 @@ func (e *DataParallel) Accumulate(x []float64, b int, score ScoreFunc) {
 		e.scratch = NewScratch(e.m, b)
 		e.dy = make([]float64, b*out)
 	}
-	y := e.m.batchForward(x, b, e.scratch, e.workers)
+	y := e.m.batchForward(x, b, e.scratch, e.workers, true)
 	dy := e.dy[:b*out]
 	score(0, y, 0, b, dy)
 	e.m.batchBackward(dy, b, e.scratch, e.workers, false)

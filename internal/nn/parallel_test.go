@@ -162,7 +162,7 @@ func TestDataParallelNoGradientSizedAllocation(t *testing.T) {
 // public Adam.Step, and leaves the gradients cleared, for every worker
 // count.
 func TestDataParallelStepMatchesReduceThenAdam(t *testing.T) {
-	const b = tileRows
+	const b = 16
 	const steps = 3
 	x := testBatch(b, 1201, 23)
 	ref := wideNet(2)
