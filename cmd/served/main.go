@@ -256,9 +256,9 @@ func registerTracestoreMetrics(reg *obs.Registry) {
 	reg.CounterFunc("figret_tracestore_blocks_verified_total",
 		"Trace-store blocks whose payload checksum was validated.",
 		func() float64 { return float64(tracestore.Stats().BlocksVerified) })
-	reg.CounterFunc("figret_tracestore_bytes_mapped_total",
-		"Bytes memory-mapped (or heap-loaded) by trace-store readers.",
-		func() float64 { return float64(tracestore.Stats().BytesMapped) })
+	reg.CounterFunc("figret_tracestore_bytes_read_total",
+		"Trace-store block bytes read back by readers.",
+		func() float64 { return float64(tracestore.Stats().BytesRead) })
 	reg.CounterFunc("figret_tracestore_opens_total",
 		"Successfully-opened trace-store readers.",
 		func() float64 { return float64(tracestore.Stats().Opens) })

@@ -221,8 +221,8 @@ func (l *Loader) LoadDir(dir, path string) ([]*Package, error) {
 // parseDir parses every .go file of dir into production, in-package test
 // and external-test file groups, each in filename order. Files are
 // filtered through the host build context (//go:build lines and
-// GOOS/GOARCH filename suffixes), so platform-gated pairs — e.g. the
-// tracestore's mmap_unix.go / mmap_other.go — contribute exactly the
+// GOOS/GOARCH filename suffixes), so platform-gated pairs — e.g. nn's
+// kernels_amd64.go / kernels_other.go — contribute exactly the
 // declarations `go build` would compile here, not both halves at once.
 func (l *Loader) parseDir(dir string) (prod, intest, extest []*ast.File, err error) {
 	entries, err := os.ReadDir(dir)

@@ -20,15 +20,12 @@ var detPackages = []string{
 	"figret/internal/tracestore",
 }
 
-// View-returning functions under the PR 3 aliasing contract. The
-// tracestore reader's Trace and At return windows into the mmap'd file
-// (capacity-clipped, but still aliases of the mapping), so call sites
-// must not retain them past the reader's Close.
+// View-returning functions under the view aliasing contract: each
+// returns a window into its receiver's storage, so call sites must not
+// write through it.
 var viewFuncs = []ViewFunc{
 	{Pkg: "figret/internal/traffic", Recv: "Trace", Name: "Slice", Fields: []string{"Snapshots"}},
 	{Pkg: "figret/internal/traffic", Recv: "Trace", Name: "WindowInto"},
-	{Pkg: "figret/internal/tracestore", Recv: "Reader", Name: "Trace", Fields: []string{"Snapshots"}},
-	{Pkg: "figret/internal/tracestore", Recv: "Reader", Name: "At"},
 }
 
 // wirePackage is the binary codec whose errors must never be discarded.

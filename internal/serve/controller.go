@@ -224,9 +224,9 @@ func NewController(topo string, reg *Registry, opt ControllerOptions) (*Controll
 
 // openSpool opens — recovering, when the previous process crashed — the
 // controller's on-disk ingest spool and warm-starts the in-RAM window
-// from its tail: the newest HistoryCap snapshots are copied out of the
-// memory-mapped store, and absolute snapshot numbering resumes at the
-// spool's durable length. Runs before the controller goroutine starts,
+// from its tail: the newest HistoryCap snapshots are read back out of the
+// store, and absolute snapshot numbering resumes at the spool's durable
+// length. Runs before the controller goroutine starts,
 // so it may touch goroutine-owned state.
 func (c *Controller) openSpool() error {
 	fail := func(err error) error { return fmt.Errorf("serve: %s spool: %w", c.topo, err) }
@@ -258,7 +258,7 @@ func (c *Controller) openSpool() error {
 				w.Close()
 				return fail(err)
 			}
-			c.history.Append(s) // copies out of the mapping
+			c.history.AppendOwned(s) // At returns a fresh slice
 		}
 		if err := r.Close(); err != nil {
 			w.Close()

@@ -66,9 +66,10 @@ func Replay(post func(demand []float64) (*RoutingResponse, error), ps *te.PathSe
 
 	res := &ReplayResult{}
 	seen := make(map[int]bool)
-	// pending[i] is the configuration computed after snapshot from+i-1,
-	// which starts serving at interval from+i-1+Delay; before the first
-	// decision lands, installed serves.
+	// pending holds one configuration per streamed snapshot not yet
+	// serving, oldest first: the one queued after snapshot t starts
+	// serving at interval t+1+Delay. A warming answer queues the
+	// configuration that would be serving then anyway.
 	var pending []*te.Config
 	for t := from; t < to; t++ {
 		// Interval t is served by whatever is installed when its demand
@@ -92,6 +93,14 @@ func Replay(post func(demand []float64) (*RoutingResponse, error), ps *te.PathSe
 		}
 		res.Decisions = append(res.Decisions, dec)
 		if dec.Warming {
+			// No new decision: the network keeps what it would be serving
+			// at t+1+Delay anyway, which keeps the queue one entry per
+			// snapshot (netsim.ControlLoop queues one per interval too).
+			cfg := installed
+			if len(pending) > 0 {
+				cfg = pending[len(pending)-1]
+			}
+			pending = append(pending, cfg)
 			continue
 		}
 		cfg, err := decisionConfig(ps, dec.Ratios)

@@ -1,12 +1,8 @@
 // Package tracestore is the on-disk columnar trace store: a versioned,
-// CRC-32-checksummed binary format for demand traces that a streaming
-// Writer appends to durably and a Reader memory-maps back as zero-copy
-// traffic.Trace views. It is the engineering pattern of te.PathStore
-// applied to trace data, built so traces no longer have to fit in RAM:
-// the serving daemon spools its ingest history through a Writer, the
-// scenario runner's substrate cache mmaps calibrated traces instead of
-// regenerating them, and training and evaluation read month-scale
-// traces through window views that never materialize the whole series.
+// CRC-32-checksummed binary format for demand snapshots that a streaming
+// Writer appends to durably and a Reader reads back. The serving daemon
+// spools its ingest history through a Writer (served -spool), and a
+// restarted daemon reads its newest window back through a Reader.
 //
 // # File layout
 //
@@ -21,12 +17,8 @@
 // snapshot count, payload CRC-32) followed by the payload: count
 // snapshots of pairCount little-endian IEEE-754 float64s each, zero
 // padding to the fixed block size. Thinking of the trace as the
-// pairs × time demand matrix, the payload is stored column-major — each
-// snapshot (one column) is contiguous — which is exactly what makes the
-// sliding windows behind online decisions zero-copy: a mapped block's
-// bytes reinterpret directly as the []float64 snapshot vectors of a
-// traffic.Trace, and every float lands 8-byte-aligned because blocks
-// are page-aligned and the block header is 64 bytes.
+// pairs × time demand matrix, the payload is stored column-major: each
+// snapshot (one column) is one contiguous byte range.
 //
 // Only the tail block may hold fewer than snapsPerBlock snapshots. The
 // header is written once at create time and never updated — the
@@ -35,17 +27,9 @@
 // detects and OpenAppend truncates away (crash recovery loses at most
 // the snapshots of one unflushed block, never the prefix).
 //
-// # Ownership and the view contract
-//
-// Reader.Trace and Reader.At return views over the mapping, extending
-// the PR 3 capacity-clipped view contract (enforced by the viewsafe
-// analyzer): views are for reading, owners mutate. The mapping is
-// private (copy-on-write), so a stray write through a view can never
-// corrupt the durable file — it only diverges that process's copy.
-//
-// Corrupt, truncated or foreign-version input — on open or in any
-// block — surfaces as an error, never a panic: the same hardening bar
-// as internal/wire's frame decoders.
+// Corrupt, truncated or foreign-version input — on open, in any block,
+// or in a file that shrinks after Open — surfaces as an error, never a
+// panic: the same hardening bar as internal/wire's frame decoders.
 package tracestore
 
 import (
@@ -53,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 const (
@@ -67,9 +52,8 @@ const (
 	pageSize = 4096
 	// headerBytes is the reserved on-disk size of the file header.
 	headerBytes = pageSize
-	// blockHeaderBytes is the fixed per-block header size. 64 keeps the
-	// payload 8-byte-aligned (blocks start on page boundaries) with room
-	// for the fields below.
+	// blockHeaderBytes is the fixed per-block header size, with room for
+	// the fields below.
 	blockHeaderBytes = 64
 	// defaultBlockPayload targets ~1 MiB of payload per block when the
 	// caller does not pin snapsPerBlock: big enough to amortize the
@@ -213,8 +197,7 @@ func encodeBlockHeader(dst []byte, first int64, count int, payloadCRC uint32) {
 
 // decodeBlockHeader validates a block header against the geometry and
 // the expected first-snapshot index, returning the snapshot count and
-// payload CRC. It checks only the header; payload verification is the
-// caller's (lazy) job.
+// payload CRC. It checks only the header; readBlock checks the payload.
 func decodeBlockHeader(buf []byte, g geometry, wantFirst int64) (count int, payloadCRC uint32, err error) {
 	if len(buf) < blockHeaderBytes {
 		return 0, 0, corruptf("block header truncated at %d bytes", len(buf))
@@ -234,4 +217,38 @@ func decodeBlockHeader(buf []byte, g geometry, wantFirst int64) (count int, payl
 		return 0, 0, corruptf("block holds %d snapshots, geometry allows 1..%d", count, g.snapsPerBlock)
 	}
 	return count, le.Uint32(buf[16:20]), nil
+}
+
+// readAt fills buf from src at offset off. A short read is ErrCorrupt:
+// the file ends before its layout says it does.
+func readAt(src io.ReaderAt, buf []byte, off int64) error {
+	n, err := src.ReadAt(buf, off)
+	if n == len(buf) {
+		return nil
+	}
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return corruptf("file ends %d bytes into a %d-byte read at offset %d", n, len(buf), off)
+	}
+	return fmt.Errorf("tracestore: read at offset %d: %w", off, err)
+}
+
+// readBlock reads block i of a store with geometry g into buf
+// (g.blockBytes long), checks its header against its slot and its
+// payload against the header's CRC, and returns the snapshot count and
+// the payload: count·pairCount little-endian float64s. It is the one
+// payload check on read, shared by Reader.At and OpenAppend's recovery
+// walk.
+func readBlock(src io.ReaderAt, g geometry, i int, buf []byte) (count int, payload []byte, err error) {
+	if err := readAt(src, buf, g.blockOffset(i)); err != nil {
+		return 0, nil, fmt.Errorf("block %d: %w", i, err)
+	}
+	count, payloadCRC, err := decodeBlockHeader(buf, g, int64(i)*int64(g.snapsPerBlock))
+	if err != nil {
+		return 0, nil, fmt.Errorf("block %d: %w", i, err)
+	}
+	payload = buf[blockHeaderBytes : blockHeaderBytes+count*g.pairCount*8]
+	if crc32.ChecksumIEEE(payload) != payloadCRC {
+		return 0, nil, corruptf("block %d payload checksum mismatch", i)
+	}
+	return count, payload, nil
 }

@@ -1,6 +1,7 @@
 package tracestore
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -122,14 +123,11 @@ func TestFuzzSeedCorpus(t *testing.T) {
 }
 
 // readWholeImage drives every reader path over a store image: open,
-// per-block verification via Trace and per-snapshot access. It must
-// return an error or succeed — never panic — for any input whatsoever.
+// then every snapshot through At, which reads and checks each block. It
+// must return an error or succeed — never panic — for any input
+// whatsoever.
 func readWholeImage(data []byte) error {
-	r, err := openBytes(data)
-	if err != nil {
-		return err
-	}
-	tr, err := r.Trace()
+	r, err := newReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return err
 	}
@@ -138,16 +136,15 @@ func readWholeImage(data []byte) error {
 		if err != nil {
 			return err
 		}
-		if len(s) != tr.Pairs.Count() {
-			return fmt.Errorf("snapshot %d has %d entries, want %d", i, len(s), tr.Pairs.Count())
+		if len(s) != r.g.pairCount {
+			return fmt.Errorf("snapshot %d has %d entries, want %d", i, len(s), r.g.pairCount)
 		}
 	}
 	return nil
 }
 
 // FuzzReadBlock feeds arbitrary bytes through the whole reader:
-// structural validation, lazy block verification and zero-copy snapshot
-// views. The invariant is the wire decoder's:
+// structural validation, lazy block verification and snapshot copies. The invariant is the wire decoder's:
 // corrupt, truncated, hostile or foreign-version input surfaces as an
 // error, never a panic or an out-of-bounds access.
 func FuzzReadBlock(f *testing.F) {

@@ -10,7 +10,7 @@ var (
 	statBlocksWritten  atomic.Uint64
 	statBytesWritten   atomic.Uint64
 	statBlocksVerified atomic.Uint64
-	statBytesMapped    atomic.Uint64
+	statBytesRead      atomic.Uint64
 	statOpens          atomic.Uint64
 )
 
@@ -23,9 +23,9 @@ type CounterStats struct {
 	// BlocksVerified counts blocks whose payload checksum was validated
 	// (each block verifies at most once per Reader).
 	BlocksVerified uint64
-	// BytesMapped counts bytes memory-mapped (or heap-loaded on
-	// platforms without mmap) by Readers.
-	BytesMapped uint64
+	// BytesRead counts block bytes Readers read back (each block at most
+	// once per Reader).
+	BytesRead uint64
 	// Opens counts successfully-opened Readers.
 	Opens uint64
 }
@@ -38,7 +38,7 @@ func Stats() CounterStats {
 		BlocksWritten:  statBlocksWritten.Load(),
 		BytesWritten:   statBytesWritten.Load(),
 		BlocksVerified: statBlocksVerified.Load(),
-		BytesMapped:    statBytesMapped.Load(),
+		BytesRead:      statBytesRead.Load(),
 		Opens:          statOpens.Load(),
 	}
 }

@@ -99,12 +99,12 @@ func TestWindowViewsMatchInMemory(t *testing.T) {
 	pc := tr.Pairs.Count()
 	for at := H; at <= tr.Len(); at++ {
 		want := tr.Window(at, H)
-		// Through the materialized zero-copy trace.
+		// Through the trace read back snapshot by snapshot.
 		got := stored.Window(at, H)
 		if !bytes.Equal(floatBytes(want), floatBytes(got)) {
 			t.Fatalf("trace window at %d differs", at)
 		}
-		// Through the reader's per-snapshot views.
+		// Through the reader's per-snapshot copies.
 		for i := 0; i < H; i++ {
 			s, err := r.At(int64(at - H + i))
 			if err != nil {
@@ -117,19 +117,31 @@ func TestWindowViewsMatchInMemory(t *testing.T) {
 	}
 }
 
-// loadStore opens path and materializes its trace; the reader owns the
-// mapping the trace's snapshots view.
+// loadStore opens path and reads its whole trace.
 func loadStore(path string) (*traffic.Trace, *Reader, error) {
 	r, err := Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := r.Trace()
+	tr, err := readTrace(r)
 	if err != nil {
 		r.Close()
 		return nil, nil, err
 	}
 	return tr, r, nil
+}
+
+// readTrace reads every snapshot of r, in order, into a trace.
+func readTrace(r *Reader) (*traffic.Trace, error) {
+	tr := traffic.NewTrace(r.N())
+	for i := int64(0); i < r.Len(); i++ {
+		s, err := r.At(i)
+		if err != nil {
+			return nil, err
+		}
+		tr.AppendOwned(s)
+	}
+	return tr, nil
 }
 
 func floatBytes(f []float64) []byte {
@@ -188,7 +200,7 @@ func TestAppendReuseBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]float64, w.PairCount())
+	buf := make([]float64, w.g.pairCount)
 	want := make([][]float64, 5)
 	for i := range want {
 		for j := range buf {
@@ -319,7 +331,7 @@ func TestCorruptionSurfacesAsErrors(t *testing.T) {
 	damage := []struct {
 		name  string
 		mut   func([]byte) []byte
-		openE bool // error expected at Open (vs at Trace/At)
+		openE bool // error expected at Open (vs at At)
 	}{
 		{"empty_file", func(b []byte) []byte { return nil }, true},
 		{"short_header", func(b []byte) []byte { return b[:16] }, true},
@@ -353,8 +365,8 @@ func TestCorruptionSurfacesAsErrors(t *testing.T) {
 				t.Fatalf("structural open should succeed (payload damage is lazy): %v", err)
 			}
 			defer r.Close()
-			if _, err := r.Trace(); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Trace on flipped payload: want ErrCorrupt, got %v", err)
+			if _, err := readTrace(r); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("At on flipped payload: want ErrCorrupt, got %v", err)
 			}
 		})
 	}
@@ -412,8 +424,9 @@ func TestMismatchedVertexCount(t *testing.T) {
 	}
 }
 
-// TestViewCapacityClipped: appending to a loaded trace must reallocate
-// its index, never write into the mapping past the views.
+// TestViewCapacityClipped: a loaded trace behaves like an in-memory one —
+// each snapshot's capacity is its length, and appending to a slice view
+// of the trace reallocates instead of clobbering the parent.
 func TestViewCapacityClipped(t *testing.T) {
 	tr := synthTrace(4, 6, 2)
 	path := filepath.Join(t.TempDir(), "t.fgt")
@@ -425,11 +438,9 @@ func TestViewCapacityClipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	// Each snapshot view is capacity-clipped: growing it cannot reach the
-	// neighbouring snapshot in the block.
 	s0 := got.At(0)
 	if cap(s0) != len(s0) {
-		t.Fatalf("snapshot view capacity %d exceeds length %d", cap(s0), len(s0))
+		t.Fatalf("snapshot capacity %d exceeds length %d", cap(s0), len(s0))
 	}
 	// Slice views of the loaded trace behave exactly like in-memory ones.
 	view := got.Slice(0, 2)
@@ -463,7 +474,7 @@ func TestConcurrentReaders(t *testing.T) {
 					done <- err
 					return
 				}
-				if len(s) != r.PairCount() {
+				if len(s) != r.g.pairCount {
 					done <- errors.New("short snapshot")
 					return
 				}
@@ -495,7 +506,75 @@ func TestStatsAdvance(t *testing.T) {
 	if after.BlocksWritten <= before.BlocksWritten || after.BytesWritten <= before.BytesWritten {
 		t.Fatal("write counters did not advance")
 	}
-	if after.BlocksVerified <= before.BlocksVerified || after.Opens <= before.Opens || after.BytesMapped <= before.BytesMapped {
+	if after.BlocksVerified <= before.BlocksVerified || after.Opens <= before.Opens || after.BytesRead <= before.BytesRead {
 		t.Fatal("read counters did not advance")
+	}
+}
+
+// TestAtReturnsOwnedSlice: a snapshot At returns belongs to the caller;
+// writing to it leaves what the next At returns untouched.
+func TestAtReturnsOwnedSlice(t *testing.T) {
+	tr := synthTrace(4, 5, 4)
+	path := filepath.Join(t.TempDir(), "t.fgt")
+	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 2}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i := int64(0); i < r.Len(); i++ {
+		s, err := r.At(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range s {
+			s[j] = -1
+		}
+		again, err := r.At(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(floatBytes(again), floatBytes(tr.At(int(i)))) {
+			t.Fatalf("snapshot %d: a write to a returned slice reached the reader", i)
+		}
+	}
+}
+
+// TestTruncatedAfterOpen: a store that shrinks under an open Reader —
+// another process truncating a spool file, say — makes At return
+// ErrCorrupt for the snapshots that went, and keeps serving the ones
+// still on disk.
+func TestTruncatedAfterOpen(t *testing.T) {
+	tr := synthTrace(4, 11, 5)
+	path := filepath.Join(t.TempDir(), "t.fgt")
+	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 4}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	// Keep the header and block 0; blocks 1 and 2 go.
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, headerBytes+(fi.Size()-headerBytes)/3); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(4); i < r.Len(); i++ {
+		if _, err := r.At(i); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("At(%d) past the truncation: want ErrCorrupt, got %v", i, err)
+		}
+	}
+	s, err := r.At(0)
+	if err != nil {
+		t.Fatalf("At(0) before the truncation: %v", err)
+	}
+	if !bytes.Equal(floatBytes(s), floatBytes(tr.At(0))) {
+		t.Fatal("snapshot 0 differs after the truncation")
 	}
 }

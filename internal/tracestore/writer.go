@@ -33,9 +33,8 @@ type Options struct {
 //
 // A Writer is single-owner: it is not safe for concurrent use.
 type Writer struct {
-	f    *os.File
-	path string
-	g    geometry
+	f *os.File
+	g geometry
 
 	nBlocks   int    // full blocks durably at their final offsets
 	buf       []byte // one block: header + payload, blockBytes long
@@ -57,7 +56,7 @@ func Create(path string, n int, opt Options) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracestore: %w", err)
 	}
-	w := &Writer{f: f, path: path, g: g, buf: make([]byte, g.blockBytes), fileBytes: headerBytes}
+	w := &Writer{f: f, g: g, buf: make([]byte, g.blockBytes), fileBytes: headerBytes}
 	if _, err := f.WriteAt(encodeHeader(g), 0); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("tracestore: write header: %w", err)
@@ -88,7 +87,6 @@ func OpenAppend(path string, n int, opt Options) (*Writer, error) {
 		f.Close()
 		return nil, err
 	}
-	w.path = path
 	return w, nil
 }
 
@@ -96,8 +94,8 @@ func OpenAppend(path string, n int, opt Options) (*Writer, error) {
 // a writer after its last intact snapshot.
 func recoverAppend(f *os.File, size int64, n int) (*Writer, error) {
 	hdr := make([]byte, headerUsed)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, corruptf("header unreadable: %v", err)
+	if err := readAt(f, hdr, 0); err != nil {
+		return nil, err
 	}
 	g, err := decodeHeader(hdr)
 	if err != nil {
@@ -110,33 +108,20 @@ func recoverAppend(f *os.File, size int64, n int) (*Writer, error) {
 	block := make([]byte, g.blockBytes)
 	good := int64(headerBytes) // prefix known intact
 	for i := 0; ; i++ {
-		off := g.blockOffset(i)
-		if off+int64(g.blockBytes) > size {
-			break // no complete block slot left; anything beyond is torn
-		}
-		if _, err := f.ReadAt(block, off); err != nil {
-			break
-		}
-		count, payloadCRC, err := decodeBlockHeader(block, g, int64(i)*int64(g.snapsPerBlock))
+		count, payload, err := readBlock(f, g, i, block)
 		if err != nil {
+			break // a short, damaged or absent block ends the durable prefix
+		}
+		good = g.blockOffset(i) + int64(g.blockBytes)
+		if count < g.snapsPerBlock {
+			// Partial tail: pull it into the buffer and keep filling it.
+			copy(w.buf[blockHeaderBytes:], payload)
+			w.bufCount = count
+			w.total += int64(count)
 			break
 		}
-		payload := block[blockHeaderBytes : blockHeaderBytes+count*g.pairCount*8]
-		if crc32.ChecksumIEEE(payload) != payloadCRC {
-			break
-		}
-		if count == g.snapsPerBlock {
-			w.nBlocks = i + 1
-			w.total = int64(w.nBlocks) * int64(g.snapsPerBlock)
-			good = off + int64(g.blockBytes)
-			continue
-		}
-		// Partial tail: pull it into the buffer and keep filling it.
-		copy(w.buf[blockHeaderBytes:], payload)
-		w.bufCount = count
-		w.total += int64(count)
-		good = off + int64(g.blockBytes)
-		break
+		w.nBlocks = i + 1
+		w.total = int64(w.nBlocks) * int64(g.snapsPerBlock)
 	}
 	if good != size {
 		if err := f.Truncate(good); err != nil {
@@ -147,20 +132,9 @@ func recoverAppend(f *os.File, size int64, n int) (*Writer, error) {
 	return w, nil
 }
 
-// Geometry accessors.
-
-// N returns the vertex count of the stored traces.
-func (w *Writer) N() int { return w.g.n }
-
-// PairCount returns the snapshot width in demand entries.
-func (w *Writer) PairCount() int { return w.g.pairCount }
-
 // Len returns the number of snapshots appended so far (durable plus
 // buffered; Flush or Close makes them all durable).
 func (w *Writer) Len() int64 { return w.total }
-
-// Path returns the file the writer appends to.
-func (w *Writer) Path() string { return w.path }
 
 // DurableBytes returns how many bytes of the store sit durably at their
 // final offsets — the file size after the last flush. Buffered appends
