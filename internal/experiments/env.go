@@ -37,9 +37,9 @@ const (
 	ScaleFull
 )
 
-// ParseScale reads a -scale flag or a spec's scale field: "" and "fast"
-// are ScaleFast, "full" is ScaleFull, anything else is an error — a typo
-// must not silently run the fast scale under a full-scale label.
+// ParseScale reads a -scale flag: "" and "fast" are ScaleFast, "full" is
+// ScaleFull, anything else is an error — a typo must not silently run the
+// fast scale under a full-scale label.
 func ParseScale(s string) (Scale, error) {
 	switch s {
 	case "", "fast":
@@ -76,9 +76,8 @@ type Env struct {
 // NewOracle returns a fresh, empty omniscient-solve cache over the
 // environment's path set and solvers, for callers that must not share
 // solves with every other user of the environment (the scenario runner
-// keeps one per evaluated trace and window start). The cold solve
-// delegates to the CURRENT e.Solve on every call; the warm solve is fixed
-// at construction.
+// keeps one per evaluated trace). The cold solve delegates to the CURRENT
+// e.Solve on every call; the warm solve is fixed at construction.
 func (e *Env) NewOracle() *eval.Oracle {
 	var warm baselines.WarmSolveFunc
 	if e.WarmIters > 0 {

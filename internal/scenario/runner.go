@@ -28,8 +28,8 @@ type Options struct {
 	Workers int
 	// PathCache, when non-empty, is the directory of an on-disk
 	// te.PathStore shared with the trainer and the serving daemon: one
-	// candidate-path precomputation per (topology, K) across all cells
-	// and processes.
+	// candidate-path precomputation per topology across all cells and
+	// processes.
 	PathCache string
 	// Log, when non-nil, receives one progress line per completed
 	// scenario. Run calls it from several goroutines.
@@ -48,9 +48,10 @@ type Runner struct {
 	subs map[string]*substrate
 }
 
-// substrate is what the specs of one envKey share. Its lock is held for
-// the whole of a RunOne: specs on one substrate run one at a time — the
-// way Run schedules them anyway — so the caches below need no
+// substrate is what the specs of one envKey share: the environment, one
+// model per NN scheme and one oracle per evaluated trace. Its lock is
+// held for the whole of a RunOne: specs on one substrate run one at a
+// time — the way Run schedules them anyway — so the caches below need no
 // synchronization of their own and nothing ever waits on a half-built
 // entry.
 type substrate struct {
@@ -156,37 +157,34 @@ func (r *Runner) RunOne(spec *Spec) (*Metrics, error) {
 	evTrace := env.Trace
 	if p := sp.Perturb; p != nil {
 		if p.WorstCase {
-			evTrace = traffic.WorstCasePerturb(env.Trace, env.Train, p.Alpha, p.Seed)
+			evTrace = traffic.WorstCasePerturb(env.Trace, env.Train, p.Alpha, perturbSeed)
 		} else {
-			evTrace = traffic.Perturb(env.Trace, env.Train, p.Alpha, p.Seed)
+			evTrace = traffic.Perturb(env.Trace, env.Train, p.Alpha, perturbSeed)
 		}
 	}
 
-	// Evaluated window, absolute within the trace.
-	from := env.TestStart
-	to := evTrace.Len()
-	if w := sp.Window; w != nil {
-		from += w.From
-		if w.To != 0 {
-			to = env.TestStart + w.To
-		}
-	}
-	if to > evTrace.Len() {
-		to = evTrace.Len()
-	}
+	// Evaluated window: the test split.
+	from, to := env.TestStart, evTrace.Len()
 	if from >= to {
 		return nil, fmt.Errorf("empty evaluation window [%d,%d) (trace length %d)", from, to, evTrace.Len())
 	}
+	// An advised configuration installs Delay intervals after it is
+	// computed; at Delay >= the window length none lands inside the window
+	// and every scheme would score the bootstrap uniform split.
+	if sp.Delay >= to-from {
+		return nil, fmt.Errorf("delay %d leaves no advised configuration installed inside the %d-snapshot evaluation window [%d,%d)",
+			sp.Delay, to-from, from, to)
+	}
 
-	// Failure set: sampled bit-identically from the spec's failure seed,
-	// hitting at an absolute snapshot index.
+	// Failure set: sampled bit-identically from failureSeed, hitting at an
+	// absolute snapshot index.
 	var fs *te.FailureSet
 	failAt := -1
 	if f := sp.Failures; f != nil {
-		rng := rand.New(rand.NewSource(f.Seed))
+		rng := rand.New(rand.NewSource(failureSeed))
 		set, ok := experiments.SampleFailures(env.PS, rng, f.Count)
 		if !ok {
-			return nil, fmt.Errorf("no feasible %d-link failure set found (seed %d)", f.Count, f.Seed)
+			return nil, fmt.Errorf("no feasible %d-link failure set found", f.Count)
 		}
 		fs = set
 		failAt = from + f.At
@@ -196,7 +194,7 @@ func (r *Runner) RunOne(spec *Spec) (*Metrics, error) {
 		}
 	}
 
-	oracle := sub.oracleFor(sp, from)
+	oracle := sub.oracleFor(sp)
 	cells, err := r.schemeCells(sub, sp, oracle, fs, failAt)
 	if err != nil {
 		return nil, err
@@ -222,10 +220,10 @@ func (r *Runner) RunOne(spec *Spec) (*Metrics, error) {
 
 // --- substrate caches ---------------------------------------------------
 
-// envKey identifies a shareable substrate: everything that shapes the
-// topology, the trace and the oracle.
+// envKey identifies a shareable substrate: the spec values that shape the
+// topology and the trace.
 func envKey(sp *Spec) string {
-	return fmt.Sprintf("%s|%s|T=%d|K=%d|seed=%d|iters=%d", sp.Topo, sp.Scale, sp.T, sp.K, sp.Seed, sp.SolverIters)
+	return fmt.Sprintf("%s|T=%d", sp.Topo, sp.T)
 }
 
 func (r *Runner) substrateFor(sp *Spec) *substrate {
@@ -244,36 +242,24 @@ func (r *Runner) envFor(sub *substrate, sp *Spec) (*experiments.Env, error) {
 	if sub.env != nil {
 		return sub.env, nil
 	}
-	scale, err := experiments.ParseScale(sp.Scale)
-	if err != nil {
-		return nil, err
-	}
-	env, err := experiments.NewEnv(sp.Topo, scale, experiments.EnvOptions{
-		T: sp.T, K: sp.K, Seed: sp.Seed, PathCache: r.opt.PathCache,
+	env, err := experiments.NewEnv(sp.Topo, experiments.ScaleFast, experiments.EnvOptions{
+		T: sp.T, K: pathK, Seed: traceSeed, PathCache: r.opt.PathCache,
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Scenarios always use the projected-gradient solver: it is
-	// deterministic at every scale, and its iteration budget is part
-	// of the substrate key so goldens pin it.
-	env.UseGradSolver(sp.SolverIters)
+	env.UseGradSolver(solverIters)
 	sub.env = env
 	return env, nil
 }
 
-// oracleFor returns the solve cache of one (evaluated trace, window
-// start). Oracle.Series anchors its warm-start chains at the window start
-// and publishes them first-writer-wins, and PredTE reads them back, so
-// two windows starting at different snapshots would hand each other
-// differently-seeded solves of the same demand if they shared a cache —
-// a spec's metrics would depend on which specs ran before it. Specs that
-// agree on trace and start share everything they can and nothing else is
-// shared.
-func (sub *substrate) oracleFor(sp *Spec, from int) *eval.Oracle {
-	key := fmt.Sprintf("from=%d", from)
+// oracleFor returns the solve cache of one evaluated trace: the
+// substrate's own, or one perturbation of it. Every spec evaluates the
+// same window, so specs that agree on the trace share every solve.
+func (sub *substrate) oracleFor(sp *Spec) *eval.Oracle {
+	key := ""
 	if p := sp.Perturb; p != nil {
-		key += fmt.Sprintf("|alpha=%g|seed=%d|worst=%t", p.Alpha, p.Seed, p.WorstCase)
+		key = fmt.Sprintf("alpha=%g|worst=%t", p.Alpha, p.WorstCase)
 	}
 	o, ok := sub.oracles[key]
 	if !ok {
@@ -283,21 +269,18 @@ func (sub *substrate) oracleFor(sp *Spec, from int) *eval.Oracle {
 	return o
 }
 
-func (r *Runner) modelFor(sub *substrate, sp *Spec, kind string) (*figret.Model, error) {
-	env := sub.env
-	t := *sp.Train
-	key := fmt.Sprintf("%s|H=%d|gamma=%g|epochs=%d|hidden=%v|batch=%d",
-		kind, t.H, t.Gamma, t.Epochs, t.Hidden, t.BatchSize)
-	if m, ok := sub.models[key]; ok {
+func (r *Runner) modelFor(sub *substrate, kind string) (*figret.Model, error) {
+	if m, ok := sub.models[kind]; ok {
 		return m, nil
 	}
+	env := sub.env
 	cfg := figret.Config{
-		H: t.H, Epochs: t.Epochs, Seed: sp.Seed,
-		Hidden: t.Hidden, BatchSize: t.BatchSize,
+		H: trainH, Epochs: trainEpochs, Seed: traceSeed,
+		Hidden: []int{32, 32}, BatchSize: trainBatch,
 	}
 	var m *figret.Model
 	if kind == SchemeFIGRET {
-		cfg.Gamma = t.Gamma
+		cfg.Gamma = trainGamma
 		m = figret.New(env.PS, cfg)
 	} else {
 		m = figret.NewDOTE(env.PS, cfg)
@@ -305,7 +288,7 @@ func (r *Runner) modelFor(sub *substrate, sp *Spec, kind string) (*figret.Model,
 	if _, err := m.Train(env.Train); err != nil {
 		return nil, err
 	}
-	sub.models[key] = m
+	sub.models[kind] = m
 	return m, nil
 }
 
@@ -345,15 +328,15 @@ func (r *Runner) schemeCells(sub *substrate, sp *Spec, oracle *eval.Oracle, fs *
 		var inner baselines.Scheme
 		switch name {
 		case SchemeFIGRET, SchemeDOTE:
-			m, err := r.modelFor(sub, sp, name)
+			m, err := r.modelFor(sub, name)
 			if err != nil {
 				return nil, err
 			}
 			inner = &baselines.NNScheme{Label: name, Model: m}
 		case SchemeDesTE:
 			// CachedSolve shares capped peak-matrix solves across cells
-			// and same-window scenarios on the same substrate.
-			inner = &baselines.DesTE{PS: env.PS, Solve: oracle.CachedSolve, H: sp.Train.H}
+			// and scenarios that evaluate the same trace.
+			inner = &baselines.DesTE{PS: env.PS, Solve: oracle.CachedSolve, H: trainH}
 		case SchemePredTE:
 			// PredTE's advice for t is the omniscient solve of t−1: every
 			// call is a hit on the oracle's base series.
@@ -430,8 +413,8 @@ func fluidMetrics(name string, intervals []*netsim.Result) SchemeMetrics {
 // paper's §1 control loop exposes.
 func (r *Runner) runFluid(sp *Spec, env *experiments.Env, tr *traffic.Trace, oracle *eval.Oracle, cells []*schemeCell, m *Metrics) error {
 	// PredTE reads the oracle's base series back. Fill it first, as
-	// eval.Run does, so what PredTE reads is this window's warm-start
-	// chain whether or not an offline spec on the same window ran before.
+	// eval.Run does, so what PredTE reads is the window's warm-start chain
+	// whether or not an offline spec on the same trace ran before.
 	if slices.Contains(sp.Schemes, SchemePredTE) {
 		if _, err := oracle.Series(tr, m.From, m.To, r.opt.Workers); err != nil {
 			return err
@@ -470,11 +453,11 @@ func (r *Runner) runFluid(sp *Spec, env *experiments.Env, tr *traffic.Trace, ora
 // metrics.
 func (r *Runner) runClosedLoop(sub *substrate, sp *Spec, tr *traffic.Trace, m *Metrics) error {
 	env, kind := sub.env, sp.Schemes[0]
-	model, err := r.modelFor(sub, sp, kind)
+	model, err := r.modelFor(sub, kind)
 	if err != nil {
 		return err
 	}
-	h := sp.Train.H
+	h := trainH
 	if m.From-h < 0 {
 		return fmt.Errorf("closed-loop warmup needs %d snapshots before the window start %d", h, m.From)
 	}

@@ -1,16 +1,21 @@
 // Package scenario is the declarative scenario-matrix subsystem: a Spec
 // names one cell of the paper's evaluation space — (topology × traffic
 // model × perturbation × failure pattern × scheme set × evaluation mode)
-// — in JSON, a Runner executes whole suites of cells on a worker
-// pool that shares one environment (path set, oracle cache, trained
-// models) per substrate across cells, and a checksummed golden-metrics
-// store with tolerance-checked Compare turns the suite into a regression
-// gate: any change that silently degrades a scenario's MLU, loss or
-// latency fails CI.
+// — in JSON, a Runner executes whole suites of cells on a worker pool
+// that shares one substrate (path set, trace, oracle caches, trained
+// models) per (topology, trace length) across cells, and a checksummed
+// golden-metrics store with tolerance-checked Compare turns the suite
+// into a regression gate: any change that silently degrades a scenario's
+// MLU, loss or latency fails CI.
+//
+// A spec declares only what the suite varies. Scale, path count, seeds,
+// solver budget, training sizes and the evaluated window (always the
+// test split) are package constants, so a spec file that sets one of
+// them is rejected as an unknown field.
 //
 // Determinism contract: a Spec's Metrics are a pure function of the spec
 // alone — every random draw (traffic, perturbation, failure sampling,
-// model initialization) is explicitly seeded, the evaluation engine is
+// model initialization) has a fixed seed, the evaluation engine is
 // worker-count independent, and the closed-loop mode streams its trace
 // through synchronous ingest. `bless` → `diff` therefore round-trips
 // clean on an unchanged tree.
@@ -23,8 +28,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"figret/internal/experiments"
 )
 
 // Evaluation modes.
@@ -44,8 +47,8 @@ const (
 )
 
 // Scheme names accepted by Spec.Schemes. The NN schemes train on the
-// environment's training split under Spec.Train; the rest are
-// training-free.
+// environment's training split with the train* constants below; the rest
+// are training-free.
 const (
 	SchemeFIGRET  = "figret"
 	SchemeDOTE    = "dote"
@@ -54,40 +57,33 @@ const (
 	SchemeUniform = "uniform"
 )
 
-// TrainSpec sizes NN-scheme training. The defaults are deliberately
-// small: scenario cells are regression probes that run on every push,
-// not paper-grade training runs.
-type TrainSpec struct {
-	// H is the history window (default 6).
-	H int `json:"h,omitempty"`
-	// Gamma is FIGRET's robustness weight (default 1).
-	Gamma float64 `json:"gamma,omitempty"`
-	// Epochs is the training pass count (default 2).
-	Epochs int `json:"epochs,omitempty"`
-	// Hidden overrides the MLP widths (default [32, 32]).
-	Hidden []int `json:"hidden,omitempty"`
-	// BatchSize is the minibatch size (default 16).
-	BatchSize int `json:"batchSize,omitempty"`
-}
-
-func (t TrainSpec) withDefaults() TrainSpec {
-	if t.H == 0 {
-		t.H = 6
-	}
-	if t.Gamma == 0 {
-		t.Gamma = 1
-	}
-	if t.Epochs == 0 {
-		t.Epochs = 2
-	}
-	if t.Hidden == nil {
-		t.Hidden = []int{32, 32}
-	}
-	if t.BatchSize == 0 {
-		t.BatchSize = 16
-	}
-	return t
-}
+// The values every spec shares. No suite spec varies them, so they are
+// constants and not spec fields: scenario cells are regression probes
+// sized for every-push CI (fast-scale topologies, short traces, 2-epoch
+// training), not paper-grade runs.
+const (
+	// defaultT is the trace length of a spec that sets no t: the first
+	// 75% trains, the rest is the evaluated window.
+	defaultT = 64
+	// pathK is the candidate-path count per pair.
+	pathK = 3
+	// traceSeed drives the traffic generator and model initialization.
+	traceSeed = 1
+	// solverIters is the projected-gradient iteration budget of the
+	// oracle and the solve-based schemes. Scenarios always use the
+	// gradient solver: it is deterministic at every scale.
+	solverIters = 200
+	// NN-scheme training: history window, FIGRET's robustness weight,
+	// pass count and minibatch size. The MLP is two hidden layers of 32.
+	trainH      = 6
+	trainGamma  = 1
+	trainEpochs = 2
+	trainBatch  = 16
+	// perturbSeed drives the noise draw of a perturbed spec, failureSeed
+	// the failure sampling of a spec with failures.
+	perturbSeed = traceSeed + 101
+	failureSeed = traceSeed + 77
+)
 
 // PerturbSpec adds Table 3 / Table 5 style stress noise to the
 // evaluation trace: additive Gaussian noise Alpha·N(0, σ²_sd) per pair,
@@ -95,8 +91,6 @@ func (t TrainSpec) withDefaults() TrainSpec {
 type PerturbSpec struct {
 	// Alpha scales the per-pair noise.
 	Alpha float64 `json:"alpha"`
-	// Seed drives the noise draw (default: Spec.Seed + 101).
-	Seed int64 `json:"seed,omitempty"`
 	// WorstCase reverses the per-pair σ ranking (Table 5's adversarial
 	// variant).
 	WorstCase bool `json:"worstCase,omitempty"`
@@ -108,19 +102,9 @@ type PerturbSpec struct {
 type FailureSpec struct {
 	// Count is the number of simultaneously failed links (1..).
 	Count int `json:"count"`
-	// Seed drives failure sampling (default: Spec.Seed + 77). The sampled
-	// set is bit-identical for a given (topology, k, seed, count).
-	Seed int64 `json:"seed,omitempty"`
 	// At is the offset within the evaluation window at which the failure
 	// hits (default 0: failed from the first evaluated snapshot).
 	At int `json:"at,omitempty"`
-}
-
-// WindowSpec narrows the evaluated snapshot range, as offsets into the
-// test split (both default to the full split).
-type WindowSpec struct {
-	From int `json:"from,omitempty"`
-	To   int `json:"to,omitempty"` // 0 = end of test split
 }
 
 // Spec declares one scenario. The zero values of the optional fields
@@ -135,8 +119,6 @@ type Spec struct {
 	// gravity on uscarrier/cogentco/large-wan, pFabric flows on pfabric,
 	// Meta DC profiles on pod-*/tor-*.
 	Topo string `json:"topo"`
-	// Scale is "fast" (default) or "full" (the paper's Table 1 sizes).
-	Scale string `json:"scale,omitempty"`
 	// Mode is one of ModeOffline, ModeFluid, ModeClosedLoop.
 	Mode string `json:"mode"`
 	// Schemes lists the evaluated schemes (Scheme* constants). The
@@ -145,26 +127,14 @@ type Spec struct {
 	// T is the trace length (default 64; the first 75% train, the rest
 	// evaluate).
 	T int `json:"t,omitempty"`
-	// K is the candidate-path count (default 3).
-	K int `json:"k,omitempty"`
-	// Seed drives the traffic generator and every derived default seed
-	// (default 1).
-	Seed int64 `json:"seed,omitempty"`
-	// SolverIters is the projected-gradient iteration budget of the
-	// oracle and the solve-based schemes (default 200; scenarios always
-	// use the gradient solver — it is deterministic at every scale).
-	SolverIters int `json:"solverIters,omitempty"`
-	// Train sizes NN-scheme training (defaults documented on TrainSpec).
-	Train *TrainSpec `json:"train,omitempty"`
 	// Perturb stresses the evaluation trace (nil = none).
 	Perturb *PerturbSpec `json:"perturb,omitempty"`
 	// Failures injects mid-series link failures (nil = none). Not
 	// supported in closed-loop mode.
 	Failures *FailureSpec `json:"failures,omitempty"`
-	// Window narrows the evaluated range within the test split.
-	Window *WindowSpec `json:"window,omitempty"`
 	// Delay is the control-plane installation delay in intervals (fluid
-	// and closed-loop modes).
+	// and closed-loop modes; it must be shorter than the evaluated
+	// window).
 	Delay int `json:"delay,omitempty"`
 	// Tolerance overrides the golden-diff relative tolerance for this
 	// scenario (default DefaultTolerance).
@@ -173,43 +143,8 @@ type Spec struct {
 
 func (s *Spec) withDefaults() *Spec {
 	c := *s
-	if c.Scale == "" {
-		c.Scale = "fast"
-	}
 	if c.T == 0 {
-		c.T = 64
-	}
-	if c.K == 0 {
-		c.K = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.SolverIters == 0 {
-		c.SolverIters = 200
-	}
-	t := TrainSpec{}
-	if c.Train != nil {
-		t = *c.Train
-	}
-	t = t.withDefaults()
-	c.Train = &t
-	if c.Perturb != nil {
-		p := *c.Perturb
-		if p.Seed == 0 {
-			p.Seed = c.Seed + 101
-		}
-		c.Perturb = &p
-	}
-	if c.Failures != nil {
-		f := *c.Failures
-		if f.Seed == 0 {
-			f.Seed = c.Seed + 77
-		}
-		c.Failures = &f
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = DefaultTolerance
+		c.T = defaultT
 	}
 	return &c
 }
@@ -224,9 +159,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Topo == "" {
 		return fmt.Errorf("scenario %s: missing topo", s.Name)
-	}
-	if _, err := experiments.ParseScale(s.Scale); err != nil {
-		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	switch s.Mode {
 	case ModeOffline, ModeFluid, ModeClosedLoop:
@@ -265,32 +197,11 @@ func (s *Spec) Validate() error {
 	if s.Perturb != nil && s.Perturb.Alpha <= 0 {
 		return fmt.Errorf("scenario %s: perturb.alpha %v must be > 0", s.Name, s.Perturb.Alpha)
 	}
-	if s.Window != nil && (s.Window.From < 0 || (s.Window.To != 0 && s.Window.To <= s.Window.From)) {
-		return fmt.Errorf("scenario %s: bad window [%d,%d)", s.Name, s.Window.From, s.Window.To)
-	}
 	if s.Delay < 0 {
 		return fmt.Errorf("scenario %s: negative delay %d", s.Name, s.Delay)
 	}
-	// Sizes: 0 selects the documented default; a negative one would reach
-	// nn.NewDense or the solver's iteration loop as-is.
-	if s.SolverIters < 0 {
-		return fmt.Errorf("scenario %s: solverIters %d must be >= 0", s.Name, s.SolverIters)
-	}
-	if t := s.Train; t != nil {
-		if t.H < 0 {
-			return fmt.Errorf("scenario %s: train.h %d must be >= 0", s.Name, t.H)
-		}
-		if t.Epochs < 0 {
-			return fmt.Errorf("scenario %s: train.epochs %d must be >= 0", s.Name, t.Epochs)
-		}
-		if t.BatchSize < 0 {
-			return fmt.Errorf("scenario %s: train.batchSize %d must be >= 0", s.Name, t.BatchSize)
-		}
-		for _, w := range t.Hidden {
-			if w < 1 {
-				return fmt.Errorf("scenario %s: train.hidden width %d must be >= 1", s.Name, w)
-			}
-		}
+	if s.Delay > 0 && s.Mode == ModeOffline {
+		return fmt.Errorf("scenario %s: delay %d has no effect in offline mode", s.Name, s.Delay)
 	}
 	if s.Tolerance < 0 {
 		return fmt.Errorf("scenario %s: negative tolerance %v", s.Name, s.Tolerance)
