@@ -1,8 +1,8 @@
 package graph
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 )
 
 // Path is a sequence of vertex indices; Path[0] is the source and
@@ -71,18 +71,53 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap on dist. push and pop make the same sift steps
+// and the same dist comparisons, in the same order, as container/heap's
+// Push and Pop over a Less of q[i].dist < q[j].dist, so the pop sequence
+// is container/heap's, ties and NaN included (TestHeapPopsLikeContainerHeap).
+// They move the sifted item through a hole instead of swapping it.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+// push adds it and sifts it up.
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(it.dist < h[i].dist) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = it
+	*q = h
+}
+
+// pop removes and returns the root: the last item takes its place and
+// sifts down.
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	top, it := h[0], h[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < it.dist) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = it
+	*q = h[:n]
+	return top
 }
 
 // dijkstraScratch holds the per-search working arrays of Dijkstra's
@@ -109,13 +144,17 @@ func newDijkstraScratch(n int) *dijkstraScratch {
 // edge indices from the search (used by Yen's algorithm); banVertex[src] must
 // be false.
 func (g *Graph) ShortestPath(src, dst int, w EdgeWeight, banVertex []bool, banEdge []bool) (Path, float64, bool) {
-	return g.shortestPathWith(newDijkstraScratch(g.n), src, dst, w, banVertex, banEdge)
+	sc := newDijkstraScratch(g.n)
+	if !g.search(sc, src, dst, w, banVertex, banEdge) {
+		return nil, 0, false
+	}
+	return sc.pathTo(nil, nil, dst), sc.dist[dst], true
 }
 
-// shortestPathWith is ShortestPath on caller-owned scratch. The returned
-// path is freshly allocated; only the working arrays are reused, so the
-// result is identical to ShortestPath.
-func (g *Graph) shortestPathWith(sc *dijkstraScratch, src, dst int, w EdgeWeight, banVertex []bool, banEdge []bool) (Path, float64, bool) {
+// search runs Dijkstra's algorithm from src on sc's arrays, stopping once
+// dst is settled, and reports whether dst is reachable. The path it found
+// is read back with sc.pathTo.
+func (g *Graph) search(sc *dijkstraScratch, src, dst int, w EdgeWeight, banVertex []bool, banEdge []bool) bool {
 	dist, prev, done := sc.dist, sc.prev, sc.done
 	for i := range dist {
 		dist[i] = math.Inf(1)
@@ -123,10 +162,10 @@ func (g *Graph) shortestPathWith(sc *dijkstraScratch, src, dst int, w EdgeWeight
 		done[i] = false
 	}
 	dist[src] = 0
-	sc.q = append(sc.q[:0], pqItem{v: src, dist: 0})
 	q := &sc.q
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
+	*q = append((*q)[:0], pqItem{v: src, dist: 0})
+	for len(*q) > 0 {
+		it := q.pop()
 		if done[it.v] || it.dist > dist[it.v] {
 			continue
 		}
@@ -146,20 +185,25 @@ func (g *Graph) shortestPathWith(sc *dijkstraScratch, src, dst int, w EdgeWeight
 			if nd < dist[e.To] {
 				dist[e.To] = nd
 				prev[e.To] = it.v
-				heap.Push(q, pqItem{v: e.To, dist: nd})
+				q.push(pqItem{v: e.To, dist: nd})
 			}
 		}
 	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, 0, false
+	return !math.IsInf(dist[dst], 1)
+}
+
+// pathTo writes root followed by the path to dst that the last search
+// found into buf's storage, grown once to the final length, and returns
+// it. A nil buf makes it allocate exactly one slice of that length.
+func (sc *dijkstraScratch) pathTo(buf, root Path, dst int) Path {
+	n := len(root)
+	for v := dst; v != -1; v = sc.prev[v] {
+		n++
 	}
-	// Reconstruct.
-	var rev Path
-	for v := dst; v != -1; v = prev[v] {
-		rev = append(rev, v)
+	buf = slices.Grow(buf[:0], n)[:n]
+	copy(buf, root)
+	for v, i := dst, n-1; v != -1; v, i = sc.prev[v], i-1 {
+		buf[i] = v
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, dist[dst], true
+	return buf
 }

@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"sort"
+	"slices"
 )
 
 // KShortestPaths computes up to k loopless shortest paths from src to dst
@@ -23,23 +23,27 @@ type yenCand struct {
 }
 
 // YenSolver runs Yen's K-shortest-paths queries on one graph with reusable
-// scratch: the Dijkstra working arrays, the spur-search ban masks and the
-// candidate list are allocated once and shared across queries. Whole-topology
-// precomputation issues one query per SD pair with several Dijkstra runs
-// each; reusing the scratch removes that per-query allocation churn, which
-// keeps a worker pool of solvers GC-quiet (the compute itself still
-// dominates single-thread wall clock).
+// scratch: the Dijkstra working arrays and heap, the spur-search ban masks,
+// the candidate lists and the spur path buffer are allocated once and
+// shared across queries. Whole-topology precomputation issues one query per
+// SD pair with several Dijkstra runs each; with the scratch reused, a query
+// allocates only the paths it keeps: each candidate once, at its final
+// length, and the returned slice.
 //
 // Results are identical to Graph.KShortestPaths — only working storage is
 // reused; every returned path is freshly allocated. A YenSolver is NOT safe
 // for concurrent use: give each goroutine its own solver (they are cheap,
-// three O(V) and two O(E) slices).
+// four O(V) slices and one O(E)).
 type YenSolver struct {
 	g         *Graph
 	sc        *dijkstraScratch
 	banEdge   []bool
 	banVertex []bool
-	cands     []yenCand
+	// bannedEdges lists the ids a spur search set in banEdge, so that
+	// only those are cleared again; its banned vertices are its root's.
+	bannedEdges     []int
+	accepted, cands []yenCand
+	spur            Path
 }
 
 // NewYenSolver returns a solver bound to g. The graph must not gain vertices
@@ -53,28 +57,36 @@ func NewYenSolver(g *Graph) *YenSolver {
 	}
 }
 
+// edgeTo returns the id of edge (u, v), found by scanning u's out-edges,
+// or -1 when there is none.
+func (g *Graph) edgeTo(u, v int) int {
+	for _, ei := range g.out[u] {
+		if g.edges[ei].To == v {
+			return ei
+		}
+	}
+	return -1
+}
+
 // KShortestPaths is Graph.KShortestPaths evaluated on the solver's scratch.
 func (ys *YenSolver) KShortestPaths(src, dst, k int, w EdgeWeight) []Path {
 	if k <= 0 || src == dst {
 		return nil
 	}
-	g := ys.g
-	first, _, ok := g.shortestPathWith(ys.sc, src, dst, w, nil, nil)
-	if !ok {
+	g, sc := ys.g, ys.sc
+	if !g.search(sc, src, dst, w, nil, nil) {
 		return nil
 	}
-	accepted := make([]Path, 0, k)
-	accepted = append(accepted, first)
-	candidates := ys.cands[:0]
-
 	pathCost := func(p Path) float64 {
 		var c float64
 		for i := 0; i+1 < len(p); i++ {
-			id, _ := g.EdgeID(p[i], p[i+1])
-			c += w(g.edges[id])
+			c += w(g.edges[g.edgeTo(p[i], p[i+1])])
 		}
 		return c
 	}
+	first := sc.pathTo(nil, nil, dst)
+	accepted := append(ys.accepted[:0], yenCand{p: first, cost: pathCost(first)})
+	candidates := ys.cands[:0]
 
 	haveCand := func(p Path) bool {
 		for _, c := range candidates {
@@ -89,24 +101,19 @@ func (ys *YenSolver) KShortestPaths(src, dst, k int, w EdgeWeight) []Path {
 	banVertex := ys.banVertex
 
 	for len(accepted) < k {
-		prevPath := accepted[len(accepted)-1]
+		prevPath := accepted[len(accepted)-1].p
 		// For each spur node in the previous accepted path.
 		for i := 0; i+1 < len(prevPath); i++ {
 			spur := prevPath[i]
 			root := prevPath[:i+1]
 
-			for j := range banEdge {
-				banEdge[j] = false
-			}
-			for j := range banVertex {
-				banVertex[j] = false
-			}
 			// Ban edges that would recreate an already-accepted path sharing
 			// this root.
 			for _, ap := range accepted {
-				if len(ap) > i && Path(ap[:i+1]).Equal(Path(root)) {
-					if id, ok := g.EdgeID(ap[i], ap[i+1]); ok {
+				if len(ap.p) > i && ap.p[:i+1].Equal(root) {
+					if id := g.edgeTo(ap.p[i], ap.p[i+1]); id >= 0 {
 						banEdge[id] = true
+						ys.bannedEdges = append(ys.bannedEdges, id)
 					}
 				}
 			}
@@ -115,25 +122,27 @@ func (ys *YenSolver) KShortestPaths(src, dst, k int, w EdgeWeight) []Path {
 				banVertex[v] = true
 			}
 
-			spurPath, _, ok := g.shortestPathWith(ys.sc, spur, dst, w, banVertex, banEdge)
+			ok := g.search(sc, spur, dst, w, banVertex, banEdge)
+			for _, id := range ys.bannedEdges {
+				banEdge[id] = false
+			}
+			ys.bannedEdges = ys.bannedEdges[:0]
+			for _, v := range root[:len(root)-1] {
+				banVertex[v] = false
+			}
 			if !ok {
 				continue
 			}
-			total := append(Path(nil), root[:len(root)-1]...)
-			total = append(total, spurPath...)
-			if !haveCand(total) {
-				candidates = append(candidates, yenCand{p: total, cost: pathCost(total)})
+			ys.spur = sc.pathTo(ys.spur, root[:len(root)-1], dst)
+			if !haveCand(ys.spur) {
+				p := slices.Clone(ys.spur)
+				candidates = append(candidates, yenCand{p: p, cost: pathCost(p)})
 			}
 		}
 		if len(candidates) == 0 {
 			break
 		}
-		sort.Slice(candidates, func(a, b int) bool {
-			if candidates[a].cost != candidates[b].cost {
-				return candidates[a].cost < candidates[b].cost
-			}
-			return lessPath(candidates[a].p, candidates[b].p)
-		})
+		slices.SortFunc(candidates, compareCands)
 		best := candidates[0]
 		// Pop-front by copying down so the candidate buffer keeps its
 		// backing array across queries.
@@ -141,24 +150,38 @@ func (ys *YenSolver) KShortestPaths(src, dst, k int, w EdgeWeight) []Path {
 		candidates = candidates[:len(candidates)-1]
 		dup := false
 		for _, ap := range accepted {
-			if ap.Equal(best.p) {
+			if ap.p.Equal(best.p) {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			accepted = append(accepted, best.p)
+			accepted = append(accepted, best)
 		}
 	}
-	ys.cands = candidates[:0]
-	sort.SliceStable(accepted, func(a, b int) bool {
-		ca, cb := pathCost(accepted[a]), pathCost(accepted[b])
-		if ca != cb {
-			return ca < cb
+	slices.SortStableFunc(accepted, compareCands)
+	out := make([]Path, len(accepted))
+	for i, a := range accepted {
+		out[i] = a.p
+	}
+	ys.accepted, ys.cands = accepted[:0], candidates[:0]
+	return out
+}
+
+// compareCands orders candidates by cost, then by vertex sequence. The
+// sorts read only whether the result is negative, that is whether a sorts
+// before b; a NaN cost sorts before no other cost, and none before it.
+func compareCands(a, b yenCand) int {
+	if a.cost != b.cost {
+		if a.cost < b.cost {
+			return -1
 		}
-		return lessPath(accepted[a], accepted[b])
-	})
-	return accepted
+		return 1
+	}
+	if lessPath(a.p, b.p) {
+		return -1
+	}
+	return 1
 }
 
 func lessPath(a, b Path) bool {

@@ -219,8 +219,10 @@ func computePairPaths(g *graph.Graph, k int, pairs Pairs, custom PathSelector, w
 // assemblePathSet flattens index-addressed per-pair candidate lists into a
 // PathSet in pair order — the same order the original sequential
 // implementation appended in, which is what keeps parallel output bitwise
-// identical to sequential. It validates every path against g (also the
-// integrity backstop for PathStore loads).
+// identical to sequential. It is the integrity backstop of a fresh solve
+// and of a PathStore load alike: every pair must hold between 1 and k
+// paths, each a walk of g from the pair's source to its destination that
+// visits no vertex twice, none listed twice (TestPathSetBackstop).
 func assemblePathSet(g *graph.Graph, k int, pairs Pairs, perPair [][]graph.Path) (*PathSet, error) {
 	ps := &PathSet{
 		G:         g,
@@ -228,18 +230,36 @@ func assemblePathSet(g *graph.Graph, k int, pairs Pairs, perPair [][]graph.Path)
 		K:         k,
 		PairPaths: make([][]int, pairs.Count()),
 	}
+	// visit[v] == id+1 marks v as on path id, so no pass clears it.
+	visit := make([]int, g.NumVertices())
 	for pi, cand := range perPair {
+		s, d := pairs.SD(pi)
 		if len(cand) == 0 {
-			s, d := pairs.SD(pi)
 			return nil, fmt.Errorf("te: no path from %d to %d", s, d)
 		}
-		for _, p := range cand {
+		if len(cand) > k {
+			return nil, fmt.Errorf("te: pair (%d,%d) has %d paths, more than k=%d", s, d, len(cand), k)
+		}
+		for i, p := range cand {
+			id := len(ps.Paths)
 			eids, ok := p.Edges(g)
 			if !ok {
-				s, d := pairs.SD(pi)
-				return nil, fmt.Errorf("te: selector returned invalid path %v for (%d,%d)", p, s, d)
+				return nil, fmt.Errorf("te: pair (%d,%d): path %v is no walk of the graph", s, d, p)
 			}
-			id := len(ps.Paths)
+			if p[0] != s || p[len(p)-1] != d {
+				return nil, fmt.Errorf("te: pair (%d,%d): path %v has the wrong endpoints", s, d, p)
+			}
+			for _, v := range p {
+				if visit[v] == id+1 {
+					return nil, fmt.Errorf("te: pair (%d,%d): path %v visits %d twice", s, d, p, v)
+				}
+				visit[v] = id + 1
+			}
+			for _, q := range cand[:i] {
+				if q.Equal(p) {
+					return nil, fmt.Errorf("te: pair (%d,%d): path %v is listed twice", s, d, p)
+				}
+			}
 			ps.Paths = append(ps.Paths, p)
 			ps.PairOf = append(ps.PairOf, pi)
 			ps.EdgeIDs = append(ps.EdgeIDs, eids)

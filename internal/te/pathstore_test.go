@@ -3,6 +3,7 @@ package te
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"figret/internal/graph"
@@ -134,6 +135,77 @@ func TestNewPathSetParallelDisconnected(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want %q", workers, err, want)
 		}
 	}
+}
+
+// TestPathSetBackstop holds assemblePathSet to its four rules on a fresh
+// solve: a selector that breaks one of them for pair (0,2) of the triangle,
+// and answers Yen's paths for every other pair, fails the build with an
+// error that names the pair.
+func TestPathSetBackstop(t *testing.T) {
+	g := graph.Triangle()
+	for _, c := range []struct {
+		name  string
+		k     int
+		paths []graph.Path
+	}{
+		{"wrong endpoints", 3, []graph.Path{{0, 1}}},
+		{"revisits a vertex", 3, []graph.Path{{0, 1, 0, 2}}},
+		{"listed twice", 3, []graph.Path{{0, 2}, {0, 1, 2}, {0, 2}}},
+		{"more than k", 1, []graph.Path{{0, 2}, {0, 1, 2}}},
+	} {
+		sel := func(g *graph.Graph, s, d, k int) []graph.Path {
+			if s == 0 && d == 2 {
+				return c.paths
+			}
+			return g.KShortestPaths(s, d, k, graph.HopWeight)
+		}
+		_, err := pathSetWith(g, c.k, sel, 1)
+		if err == nil || !strings.Contains(err.Error(), "(0,2)") {
+			t.Errorf("%s: err = %v, want an error naming pair (0,2)", c.name, err)
+		}
+	}
+	// Every pair answered with a path of the wrong pair and a walk that
+	// revisits its start.
+	hostile := func(*graph.Graph, int, int, int) []graph.Path {
+		return []graph.Path{{0, 1}, {1, 0, 1}}
+	}
+	if ps, err := pathSetWith(g, 3, hostile, 1); err == nil {
+		t.Errorf("hostile selector built a path set: %v", ps.Paths)
+	}
+}
+
+// TestPathStoreSwappedPairsIsMiss: an entry whose first two pairs carry
+// each other's path lists passes the checksum, since it was written whole,
+// but not the backstop. It loads as a miss, and the next build heals it.
+func TestPathStoreSwappedPairsIsMiss(t *testing.T) {
+	store, err := NewPathStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.GEANT()
+	want, err := NewPathSetOpt(g, 3, PathSetOptions{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := &PathSet{G: g, Pairs: want.Pairs, K: 3, Paths: want.Paths,
+		PairPaths: append([][]int(nil), want.PairPaths...)}
+	swapped.PairPaths[0], swapped.PairPaths[1] = swapped.PairPaths[1], swapped.PairPaths[0]
+	if err := store.Save(swapped, SelectorYen); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Load(g, 3, SelectorYen); !IsPathCacheMiss(err) {
+		t.Fatalf("swapped pairs: err = %v, want cache miss", err)
+	}
+	healed, err := NewPathSetOpt(g, 3, PathSetOptions{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePathSet(t, healed, want)
+	reloaded, err := store.Load(g, 3, SelectorYen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePathSet(t, reloaded, want)
 }
 
 func TestPathStoreRoundTrip(t *testing.T) {
