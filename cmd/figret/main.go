@@ -197,7 +197,9 @@ func runSimulate(env *experiments.Env, cfg figret.Config, delay int) error {
 		Initial: te.UniformConfig(env.PS),
 		Delay:   delay,
 	}
-	from, to := cfg.H, env.Test.Len()
+	// The model's H, not the flag's: figret.New turns -H 0 into the
+	// default window.
+	from, to := m.Cfg.H, env.Test.Len()
 	if to-from > 40 {
 		to = from + 40
 	}

@@ -26,16 +26,17 @@ type ReplayOptions struct {
 
 // ReplayResult aggregates a closed-loop replay.
 type ReplayResult struct {
+	// LoopResult is the fluid-simulation result of every interval of
+	// [From, To), each served by the configuration installed then
+	// (possibly stale, per Delay), with its MLU and loss summary.
+	netsim.LoopResult
 	// Decisions holds the server's response per streamed snapshot of
 	// [From, To), in order.
 	Decisions []*RoutingResponse
-	// PerInterval is the fluid-simulation result of every interval served
-	// by an installed (possibly stale, per Delay) configuration.
-	PerInterval []*netsim.Result
-	// MeanMLU, PeakMLU and MeanLoss summarize the simulated intervals.
-	MeanMLU, PeakMLU, MeanLoss float64
-	// Versions lists the distinct model versions that served, in first-
-	// use order — a hot swap mid-replay shows up as a second entry.
+	// Versions lists the distinct model versions that answered, in
+	// first-answer order — a hot swap mid-replay shows up as a second
+	// entry. It counts every answer, including the last snapshot's and
+	// any still in the delay pipeline at To, which served no interval.
 	Versions []int
 }
 
@@ -43,13 +44,13 @@ type ReplayResult struct {
 // (synchronous ingest: each call returns the decision for the window
 // ending at that snapshot; post is a client's PostSnapshot bound to the
 // topology, so the transport is the caller's choice and the decisions
-// are the same bitwise over any of them) and closes the loop like
-// netsim.ControlLoop: the configuration serving interval t is the
-// decision computed after snapshot t-1, delayed by Delay intervals.
-// Each served interval is scored with the fluid simulator, so the
-// result is directly comparable to an offline control-loop run over the
-// same windows — the serving path is benchmarkable and testable
-// end-to-end.
+// are the same bitwise over any of them) and is the advisor of a
+// netsim.ControlLoop: the advice for interval t is the decision
+// answered after posting snapshot t-1, the uniform split at From, and
+// the previous advice after a warming answer. A trailing post of
+// snapshot To-1 keeps Decisions at one entry per streamed snapshot. The
+// result is an offline control-loop run over the same windows — the
+// serving path is benchmarkable and testable end-to-end.
 func Replay(post func(demand []float64) (*RoutingResponse, error), ps *te.PathSet, tr *traffic.Trace, opt ReplayOptions) (*ReplayResult, error) {
 	from, to := opt.From, opt.To
 	if to <= 0 || to > tr.Len() {
@@ -58,73 +59,49 @@ func Replay(post func(demand []float64) (*RoutingResponse, error), ps *te.PathSe
 	if from < 0 || from >= to {
 		return nil, fmt.Errorf("serve: empty replay window [%d,%d) of trace length %d", from, to, tr.Len())
 	}
-	if opt.Delay < 0 {
-		return nil, fmt.Errorf("serve: negative replay delay %d", opt.Delay)
-	}
-	// The uniform split serves until the first delayed decision lands.
-	installed := te.UniformConfig(ps)
-
 	res := &ReplayResult{}
 	seen := make(map[int]bool)
-	// pending holds one configuration per streamed snapshot not yet
-	// serving, oldest first: the one queued after snapshot t starts
-	// serving at interval t+1+Delay. A warming answer queues the
-	// configuration that would be serving then anyway.
-	var pending []*te.Config
-	for t := from; t < to; t++ {
-		// Interval t is served by whatever is installed when its demand
-		// arrives.
-		if len(pending) > opt.Delay {
-			installed = pending[0]
-			pending = pending[1:]
-		}
-		sim, err := netsim.Simulate(installed, tr.At(t))
+	advice := te.UniformConfig(ps)
+	// stream posts snapshot s; a decision replaces the advice, a warming
+	// answer keeps it.
+	stream := func(s int) error {
+		dec, err := post(tr.At(s))
 		if err != nil {
-			return nil, err
-		}
-		res.PerInterval = append(res.PerInterval, sim)
-
-		// Snapshot t is now revealed: stream it and collect the decision
-		// for the window ending at t (it can serve interval t+Delay at the
-		// earliest).
-		dec, err := post(tr.At(t))
-		if err != nil {
-			return nil, fmt.Errorf("serve: replay at t=%d: %w", t, err)
+			return fmt.Errorf("serve: replay snapshot %d: %w", s, err)
 		}
 		res.Decisions = append(res.Decisions, dec)
 		if dec.Warming {
-			// No new decision: the network keeps what it would be serving
-			// at t+1+Delay anyway, which keeps the queue one entry per
-			// snapshot (netsim.ControlLoop queues one per interval too).
-			cfg := installed
-			if len(pending) > 0 {
-				cfg = pending[len(pending)-1]
-			}
-			pending = append(pending, cfg)
-			continue
+			return nil
 		}
-		cfg, err := decisionConfig(ps, dec.Ratios)
-		if err != nil {
-			return nil, fmt.Errorf("serve: replay at t=%d: invalid decision: %w", t, err)
+		if advice, err = decisionConfig(ps, dec.Ratios); err != nil {
+			return fmt.Errorf("serve: replay snapshot %d: invalid decision: %w", s, err)
 		}
-		pending = append(pending, cfg)
 		if !seen[dec.Version] {
 			seen[dec.Version] = true
 			res.Versions = append(res.Versions, dec.Version)
 		}
+		return nil
 	}
-
-	var mluSum, lossSum float64
-	for _, r := range res.PerInterval {
-		mluSum += r.MLU
-		lossSum += r.LossRate
-		if r.MLU > res.PeakMLU {
-			res.PeakMLU = r.MLU
-		}
+	loop := &netsim.ControlLoop{
+		Advise: func(t int) (*te.Config, error) {
+			if t > from {
+				if err := stream(t - 1); err != nil {
+					return nil, err
+				}
+			}
+			return advice, nil
+		},
+		Delay:   opt.Delay,
+		Initial: advice,
 	}
-	n := float64(len(res.PerInterval))
-	res.MeanMLU = mluSum / n
-	res.MeanLoss = lossSum / n
+	lr, err := loop.Run(tr.At, from, to)
+	if err != nil {
+		return nil, err
+	}
+	res.LoopResult = *lr
+	if err := stream(to - 1); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

@@ -15,9 +15,12 @@ import (
 // TestReplayDelayWithWarming holds Replay to its rule: the decision
 // answered after snapshot s serves from interval s+1+Delay until a newer
 // one lands, and a warming answer changes nothing — the interval it
-// would have taken keeps the configuration before it. The fake post
-// answers each snapshot with its own random split, so every interval's
-// fluid result names the configuration that served it.
+// would have taken keeps the configuration before it. The uniform split
+// serves until the first decision lands, a replay from From > 0 posts
+// no snapshot before From, and a negative Delay is refused before any
+// post. The fake post answers each snapshot with its own random split,
+// so every interval's fluid result names the configuration that served
+// it.
 func TestReplayDelayWithWarming(t *testing.T) {
 	ps, err := te.NewPathSet(graph.PoDDB(), 3, nil)
 	if err != nil {
@@ -44,38 +47,67 @@ func TestReplayDelayWithWarming(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		delay   int
-		warming []int
+		from, delay int
+		warming     []int
 	}{
-		{1, []int{4}},
-		{2, []int{4}},
-		{1, []int{0, 1, 2}},
-		{2, []int{0, 1, 2}},
-		{1, []int{3, 4, 8}},
-		{2, []int{3, 4, 8}},
-		{0, []int{4, 5}},
+		{0, 1, []int{4}},
+		{0, 2, []int{4}},
+		{0, 1, []int{0, 1, 2}},
+		{0, 2, []int{0, 1, 2}},
+		{0, 1, []int{3, 4, 8}},
+		{0, 2, []int{3, 4, 8}},
+		{0, 0, []int{4, 5}},
+		// The closed-loop scenario's shape: the stream starts past
+		// snapshot 0 and its first decisions are warming.
+		{5, 1, []int{5, 6}},
+		{0, -1, nil},
 	} {
-		t.Run(fmt.Sprintf("delay%d_warming%v", tc.delay, tc.warming), func(t *testing.T) {
+		name := fmt.Sprintf("delay%d_warming%v", tc.delay, tc.warming)
+		if tc.from > 0 {
+			name = fmt.Sprintf("from%d_%s", tc.from, name)
+		}
+		t.Run(name, func(t *testing.T) {
 			warm := make([]bool, T)
 			for _, s := range tc.warming {
 				warm[s] = true
 			}
-			next := 0
-			post := func([]float64) (*RoutingResponse, error) {
-				s := next
-				next++
+			var posted []int
+			post := func(demand []float64) (*RoutingResponse, error) {
+				s := 0
+				for s < T && !reflect.DeepEqual(demand, tr.At(s)) {
+					s++
+				}
+				posted = append(posted, s)
+				if s == T {
+					return nil, fmt.Errorf("posted demand is no snapshot of the trace")
+				}
 				if warm[s] {
 					return &RoutingResponse{Snapshot: int64(s), Warming: true}, nil
 				}
 				return &RoutingResponse{Snapshot: int64(s), Version: 1, Ratios: cfgs[s].R}, nil
 			}
-			res, err := Replay(post, ps, tr, ReplayOptions{Delay: tc.delay})
+			res, err := Replay(post, ps, tr, ReplayOptions{From: tc.from, Delay: tc.delay})
+			if tc.delay < 0 {
+				if err == nil || len(posted) > 0 {
+					t.Fatalf("negative delay: err %v after %d posts, want an error before any post", err, len(posted))
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			for at := 0; at < T; at++ {
+			for i, s := range posted {
+				if s != tc.from+i {
+					t.Fatalf("post %d streamed snapshot %d, want %d", i, s, tc.from+i)
+				}
+			}
+			if len(posted) != T-tc.from || len(res.Decisions) != T-tc.from || len(res.PerInterval) != T-tc.from {
+				t.Fatalf("%d posts, %d decisions, %d intervals; want %d of each",
+					len(posted), len(res.Decisions), len(res.PerInterval), T-tc.from)
+			}
+			for at := tc.from; at < T; at++ {
 				want, from := te.UniformConfig(ps), -1
-				for s := at - 1 - tc.delay; s >= 0; s-- {
+				for s := at - 1 - tc.delay; s >= tc.from; s-- {
 					if !warm[s] {
 						want, from = cfgs[s], s
 						break
@@ -85,7 +117,7 @@ func TestReplayDelayWithWarming(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(sim, res.PerInterval[at]) {
+				if !reflect.DeepEqual(sim, res.PerInterval[at-tc.from]) {
 					t.Fatalf("interval %d not served by the decision after snapshot %d (-1: uniform)", at, from)
 				}
 			}
