@@ -109,12 +109,12 @@ func solveMultiDemand(ps *te.PathSet, demands [][]float64, weights []float64) (*
 			row[theta] = -weights[di] * ps.G.Edge(e).Capacity
 			rows[e] = row
 		}
-		for p, eids := range ps.EdgeIDs {
-			dp := d[ps.PairOf[p]]
+		for p, pi := range ps.PairOf {
+			dp := d[pi]
 			if dp == 0 {
 				continue
 			}
-			for _, e := range eids {
+			for _, e := range ps.PathEdges(p) {
 				rows[e][p] += dp
 			}
 		}
@@ -145,14 +145,13 @@ func worstBoxDemand(ps *te.PathSet, cfg *te.Config, dmax []float64) ([]float64, 
 	k := ps.Pairs.Count()
 	// coef[e*k+pair] accumulated sparsely via path traversal.
 	coef := make([]float64, ne*k)
-	for p, eids := range ps.EdgeIDs {
+	for p, pair := range ps.PairOf {
 		r := cfg.R[p]
 		if r == 0 {
 			continue
 		}
-		pair := ps.PairOf[p]
-		for _, e := range eids {
-			coef[e*k+pair] += r
+		for _, e := range ps.PathEdges(p) {
+			coef[int(e)*k+pair] += r
 		}
 	}
 	bestE, bestU := -1, -1.0

@@ -43,22 +43,6 @@ func (p Path) Edges(g *Graph) ([]int, bool) {
 	return ids, true
 }
 
-// Capacity returns the path capacity: the minimum capacity over the path's
-// edges (the paper's C_p). It returns 0 if the path is invalid in g.
-func (p Path) Capacity(g *Graph) float64 {
-	ids, ok := p.Edges(g)
-	if !ok {
-		return 0
-	}
-	c := math.Inf(1)
-	for _, id := range ids {
-		if cap := g.Edge(id).Capacity; cap < c {
-			c = cap
-		}
-	}
-	return c
-}
-
 // EdgeWeight gives the cost of traversing an edge; used to parameterize
 // shortest-path computations (hop count, custom).
 type EdgeWeight func(e Edge) float64

@@ -28,13 +28,15 @@ type Edge struct {
 // The zero value is an empty graph; use New to allocate one with a known
 // vertex count.
 type Graph struct {
-	n     int
+	n int
+	// edges[i] is edge i; ids are dense, in the order edges were added.
 	edges []Edge
-	// out[v] lists indices into edges for edges leaving v.
+	// out[v] lists the indices into edges of the edges leaving v, in the
+	// order they were added. It is the only adjacency: EdgeID scans it,
+	// and AddEdge refuses a (from,to) pair it already holds, since
+	// parallel edges are not supported (TestEdgeIDAndOutEdges,
+	// TestAddEdgeValidation).
 	out [][]int
-	// index maps (from,to) -> edge index for O(1) lookup. Parallel edges are
-	// not supported: adding a duplicate (from,to) pair is an error.
-	index map[[2]int]int
 }
 
 // New returns an empty graph with n vertices.
@@ -42,11 +44,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Graph{
-		n:     n,
-		out:   make([][]int, n),
-		index: make(map[[2]int]int),
-	}
+	return &Graph{n: n, out: make([][]int, n)}
 }
 
 // NumVertices returns the number of vertices.
@@ -74,14 +72,12 @@ func (g *Graph) AddEdge(from, to int, capacity float64) (int, error) {
 	if !(capacity > 0) {
 		return 0, fmt.Errorf("graph: edge (%d,%d) capacity %v must be positive", from, to, capacity)
 	}
-	key := [2]int{from, to}
-	if _, dup := g.index[key]; dup {
+	if _, dup := g.EdgeID(from, to); dup {
 		return 0, fmt.Errorf("graph: duplicate edge (%d,%d)", from, to)
 	}
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{From: from, To: to, Capacity: capacity})
 	g.out[from] = append(g.out[from], id)
-	g.index[key] = id
 	return id, nil
 }
 
@@ -107,10 +103,18 @@ func (g *Graph) AddLink(a, b int, capacity float64) error {
 	return nil
 }
 
-// EdgeID returns the index of edge (from,to) and whether it exists.
+// EdgeID returns the index of edge (from,to) and whether it exists, found
+// by scanning from's out-edges. A vertex outside the graph has no edges.
 func (g *Graph) EdgeID(from, to int) (int, bool) {
-	id, ok := g.index[[2]int{from, to}]
-	return id, ok
+	if from < 0 || from >= len(g.out) {
+		return 0, false
+	}
+	for _, ei := range g.out[from] {
+		if g.edges[ei].To == to {
+			return ei, true
+		}
+	}
+	return 0, false
 }
 
 // OutEdges returns the indices of edges leaving v. Callers must not mutate
@@ -123,9 +127,6 @@ func (g *Graph) Clone() *Graph {
 	c.edges = append([]Edge(nil), g.edges...)
 	for v := range g.out {
 		c.out[v] = append([]int(nil), g.out[v]...)
-	}
-	for k, v := range g.index {
-		c.index[k] = v
 	}
 	return c
 }

@@ -36,11 +36,26 @@ func TestEdgeIDAndOutEdges(t *testing.T) {
 	g := New(4)
 	id01 := g.MustAddEdge(0, 1, 1)
 	id02 := g.MustAddEdge(0, 2, 2)
-	if got, ok := g.EdgeID(0, 1); !ok || got != id01 {
-		t.Errorf("EdgeID(0,1)=%d,%v want %d,true", got, ok, id01)
-	}
-	if _, ok := g.EdgeID(1, 0); ok {
-		t.Error("EdgeID(1,0) should not exist")
+	id20 := g.MustAddEdge(2, 0, 3)
+	for _, c := range []struct {
+		name     string
+		from, to int
+		id       int
+		ok       bool
+	}{
+		{"first out-edge", 0, 1, id01, true},
+		{"second out-edge", 0, 2, id02, true},
+		{"edge of another vertex", 2, 0, id20, true},
+		{"reverse of an edge", 1, 0, 0, false},
+		{"vertex without out-edges", 3, 0, 0, false},
+		{"negative from", -1, 0, 0, false},
+		{"negative to", 0, -1, 0, false},
+		{"from past the end", 4, 0, 0, false},
+		{"to past the end", 0, 4, 0, false},
+	} {
+		if id, ok := g.EdgeID(c.from, c.to); id != c.id || ok != c.ok {
+			t.Errorf("%s: EdgeID(%d,%d) = %d,%v, want %d,%v", c.name, c.from, c.to, id, ok, c.id, c.ok)
+		}
 	}
 	out := g.OutEdges(0)
 	if len(out) != 2 || out[0] != id01 || out[1] != id02 {
@@ -48,6 +63,9 @@ func TestEdgeIDAndOutEdges(t *testing.T) {
 	}
 	if len(g.OutEdges(3)) != 0 {
 		t.Error("vertex 3 should have no out edges")
+	}
+	if _, ok := (&Graph{}).EdgeID(0, 0); ok {
+		t.Error("the zero Graph has an edge")
 	}
 }
 
@@ -111,18 +129,6 @@ func TestShortestPathWeights(t *testing.T) {
 	p, _, ok := g.ShortestPath(0, 2, func(e Edge) float64 { return 1 / e.Capacity }, nil, nil)
 	if !ok || !p.Equal(Path{0, 1, 2}) {
 		t.Errorf("inverse-capacity path = %v", p)
-	}
-}
-
-func TestPathCapacity(t *testing.T) {
-	g := New(3)
-	g.MustAddEdge(0, 1, 5)
-	g.MustAddEdge(1, 2, 3)
-	if c := (Path{0, 1, 2}).Capacity(g); c != 3 {
-		t.Errorf("capacity = %v, want 3 (bottleneck)", c)
-	}
-	if c := (Path{0, 2}).Capacity(g); c != 0 {
-		t.Errorf("invalid path capacity = %v, want 0", c)
 	}
 }
 

@@ -57,17 +57,6 @@ func NewYenSolver(g *Graph) *YenSolver {
 	}
 }
 
-// edgeTo returns the id of edge (u, v), found by scanning u's out-edges,
-// or -1 when there is none.
-func (g *Graph) edgeTo(u, v int) int {
-	for _, ei := range g.out[u] {
-		if g.edges[ei].To == v {
-			return ei
-		}
-	}
-	return -1
-}
-
 // KShortestPaths is Graph.KShortestPaths evaluated on the solver's scratch.
 func (ys *YenSolver) KShortestPaths(src, dst, k int, w EdgeWeight) []Path {
 	if k <= 0 || src == dst {
@@ -80,7 +69,8 @@ func (ys *YenSolver) KShortestPaths(src, dst, k int, w EdgeWeight) []Path {
 	pathCost := func(p Path) float64 {
 		var c float64
 		for i := 0; i+1 < len(p); i++ {
-			c += w(g.edges[g.edgeTo(p[i], p[i+1])])
+			id, _ := g.EdgeID(p[i], p[i+1])
+			c += w(g.edges[id])
 		}
 		return c
 	}
@@ -111,7 +101,7 @@ func (ys *YenSolver) KShortestPaths(src, dst, k int, w EdgeWeight) []Path {
 			// this root.
 			for _, ap := range accepted {
 				if len(ap.p) > i && ap.p[:i+1].Equal(root) {
-					if id := g.edgeTo(ap.p[i], ap.p[i+1]); id >= 0 {
+					if id, ok := g.EdgeID(ap.p[i], ap.p[i+1]); ok {
 						banEdge[id] = true
 						ys.bannedEdges = append(ys.bannedEdges, id)
 					}

@@ -62,12 +62,12 @@ func MLUMinCapped(ps *te.PathSet, d []float64, caps []float64) (*te.Config, floa
 		row[theta] = -ps.G.Edge(e).Capacity
 		edgeRows[e] = row
 	}
-	for p, eids := range ps.EdgeIDs {
-		dp := d[ps.PairOf[p]]
+	for p, pi := range ps.PairOf {
+		dp := d[pi]
 		if dp == 0 {
 			continue
 		}
-		for _, e := range eids {
+		for _, e := range ps.PathEdges(p) {
 			edgeRows[e][p] += dp
 		}
 	}

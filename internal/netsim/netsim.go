@@ -97,7 +97,7 @@ func Simulate(cfg *te.Config, d []float64) (*Result, error) {
 		}
 		for _, f := range flows {
 			rate := f.rate
-			for _, e := range ps.EdgeIDs[f.path] {
+			for _, e := range ps.PathEdges(f.path) {
 				load[e] += rate
 				rate *= pass[e]
 			}
@@ -123,8 +123,8 @@ func Simulate(cfg *te.Config, d []float64) (*Result, error) {
 	for _, f := range flows {
 		rate := f.rate
 		delay := 0.0
-		for _, e := range ps.EdgeIDs[f.path] {
-			u := load[e] / ps.G.Edge(e).Capacity
+		for _, e := range ps.PathEdges(f.path) {
+			u := load[e] / ps.G.Edge(int(e)).Capacity
 			if u >= 1 {
 				delay += MaxDelayFactor
 			} else {

@@ -544,7 +544,7 @@ func TestMinimizeMLUDualityBracket(t *testing.T) {
 				shortest := math.Inf(1)
 				for _, p := range pp {
 					var length float64
-					for _, e := range ps.EdgeIDs[p] {
+					for _, e := range ps.PathEdges(p) {
 						length += l[e]
 					}
 					shortest = min(shortest, length)

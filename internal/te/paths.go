@@ -30,20 +30,15 @@ type PathSet struct {
 	Paths []graph.Path
 	// PairOf[p] is the pair index served by path p.
 	PairOf []int
-	// EdgeIDs[p] lists the edge indices traversed by path p.
-	EdgeIDs [][]int
 	// Cap[p] is the path capacity C_p = min edge capacity along p.
 	Cap []float64
 	// PairPaths[k] lists the path indices serving pair k (ordered by length).
 	PairPaths [][]int
 
-	// Flat CSR mirror of EdgeIDs, built lazily: csrEdges[csrStart[p]:
-	// csrStart[p+1]] are path p's edge ids in one contiguous array. The
-	// hot loops (EdgeFlows, the training loss gradient, the gradient
-	// solver) walk this layout instead of the slice-of-slices, trading
-	// one indirection per path for none and keeping the edge ids dense
-	// in cache. csrCap caches per-edge capacities for the same loops.
-	csrOnce  sync.Once
+	// The path-to-edge incidence, stored once as a CSR:
+	// csrEdges[csrStart[p]:csrStart[p+1]] are path p's edge ids in hop
+	// order, in one contiguous array (see PathEdges and EdgeCSR). csrCap
+	// holds the per-edge capacities the hot loops divide by.
 	csrEdges []int32
 	csrStart []int32
 	csrCap   []float64
@@ -222,14 +217,33 @@ func computePairPaths(g *graph.Graph, k int, pairs Pairs, custom PathSelector, w
 // identical to sequential. It is the integrity backstop of a fresh solve
 // and of a PathStore load alike: every pair must hold between 1 and k
 // paths, each a walk of g from the pair's source to its destination that
-// visits no vertex twice, none listed twice (TestPathSetBackstop).
+// visits no vertex twice, none listed twice (TestPathSetBackstop). One walk
+// over each path's hops fills its CSR run and its capacity.
 func assemblePathSet(g *graph.Graph, k int, pairs Pairs, perPair [][]graph.Path) (*PathSet, error) {
+	nPaths, nHops := 0, 0
+	for _, cand := range perPair {
+		nPaths += len(cand)
+		for _, p := range cand {
+			nHops += max(len(p)-1, 0)
+		}
+	}
 	ps := &PathSet{
 		G:         g,
 		Pairs:     pairs,
 		K:         k,
+		Paths:     make([]graph.Path, 0, nPaths),
+		PairOf:    make([]int, 0, nPaths),
+		Cap:       make([]float64, 0, nPaths),
 		PairPaths: make([][]int, pairs.Count()),
+		csrEdges:  make([]int32, 0, nHops),
+		csrStart:  make([]int32, 1, nPaths+1),
+		csrCap:    make([]float64, g.NumEdges()),
 	}
+	for e := range ps.csrCap {
+		ps.csrCap[e] = g.Edge(e).Capacity
+	}
+	// Each pair's PairPaths entry is carved off the front of pathIDs.
+	pathIDs := make([]int, nPaths)
 	// visit[v] == id+1 marks v as on path id, so no pass clears it.
 	visit := make([]int, g.NumVertices())
 	for pi, cand := range perPair {
@@ -240,9 +254,11 @@ func assemblePathSet(g *graph.Graph, k int, pairs Pairs, perPair [][]graph.Path)
 		if len(cand) > k {
 			return nil, fmt.Errorf("te: pair (%d,%d) has %d paths, more than k=%d", s, d, len(cand), k)
 		}
+		ids := pathIDs[:len(cand):len(cand)]
+		pathIDs = pathIDs[len(cand):]
 		for i, p := range cand {
 			id := len(ps.Paths)
-			eids, ok := p.Edges(g)
+			c, ok := ps.appendHops(p)
 			if !ok {
 				return nil, fmt.Errorf("te: pair (%d,%d): path %v is no walk of the graph", s, d, p)
 			}
@@ -262,65 +278,63 @@ func assemblePathSet(g *graph.Graph, k int, pairs Pairs, perPair [][]graph.Path)
 			}
 			ps.Paths = append(ps.Paths, p)
 			ps.PairOf = append(ps.PairOf, pi)
-			ps.EdgeIDs = append(ps.EdgeIDs, eids)
-			ps.Cap = append(ps.Cap, p.Capacity(g))
-			ps.PairPaths[pi] = append(ps.PairPaths[pi], id)
+			ps.Cap = append(ps.Cap, c)
+			ids[i] = id
 		}
+		ps.PairPaths[pi] = ids
 	}
-	ps.ensureCSR()
 	return ps, nil
+}
+
+// appendHops appends path p's edge ids to the CSR and closes its run. It
+// returns the path capacity, the minimum of its edge capacities, and false
+// when p is shorter than one hop or a hop is no edge of the graph.
+func (ps *PathSet) appendHops(p graph.Path) (float64, bool) {
+	if len(p) < 2 {
+		return 0, false
+	}
+	c := math.Inf(1)
+	for i := 0; i+1 < len(p); i++ {
+		e, ok := ps.G.EdgeID(p[i], p[i+1])
+		if !ok {
+			return 0, false
+		}
+		ps.csrEdges = append(ps.csrEdges, int32(e))
+		c = min(c, ps.csrCap[e])
+	}
+	ps.csrStart = append(ps.csrStart, int32(len(ps.csrEdges)))
+	return c, true
 }
 
 // NumPaths returns the total number of candidate paths.
 func (ps *PathSet) NumPaths() int { return len(ps.Paths) }
 
-// ensureCSR builds the flat edge-incidence layout. It runs eagerly in
-// NewPathSet and lazily (via sync.Once, so still concurrency-safe) for
-// PathSets assembled by hand in tests.
-func (ps *PathSet) ensureCSR() {
-	ps.csrOnce.Do(func() {
-		total := 0
-		for _, eids := range ps.EdgeIDs {
-			total += len(eids)
-		}
-		ps.csrEdges = make([]int32, 0, total)
-		ps.csrStart = make([]int32, len(ps.EdgeIDs)+1)
-		for p, eids := range ps.EdgeIDs {
-			for _, e := range eids {
-				ps.csrEdges = append(ps.csrEdges, int32(e))
-			}
-			ps.csrStart[p+1] = int32(len(ps.csrEdges))
-		}
-		ne := ps.G.NumEdges()
-		ps.csrCap = make([]float64, ne)
-		for e := 0; e < ne; e++ {
-			ps.csrCap[e] = ps.G.Edge(e).Capacity
-		}
-	})
+// PathEdges returns path p's edge ids in hop order: its run of the CSR.
+// The slice is shared and must not be modified.
+func (ps *PathSet) PathEdges(p int) []int32 {
+	lo, hi := ps.csrStart[p], ps.csrStart[p+1]
+	return ps.csrEdges[lo:hi:hi]
 }
 
 // EdgeCSR returns the flat edge-incidence layout: ids[start[p]:start[p+1]]
 // are the edge indices of path p. Both slices are shared and must not be
 // modified.
 func (ps *PathSet) EdgeCSR() (ids []int32, start []int32) {
-	ps.ensureCSR()
 	return ps.csrEdges, ps.csrStart
 }
 
 // EdgeCaps returns the cached per-edge capacity vector (shared; read-only).
 func (ps *PathSet) EdgeCaps() []float64 {
-	ps.ensureCSR()
 	return ps.csrCap
 }
 
 // ensureSolverLayouts builds the three layouts the gradient solver walks
-// instead of EdgeIDs and PairPaths, each four lists abreast (see quads):
+// instead of the CSR and PairPaths, each four lists abreast (see quads):
 // the paths' edges (PathGroups), the edges' paths (EdgeQuads) and the
 // pairs' paths (PairQuads). They are derived from the CSR and PairPaths, so
 // every list keeps its order. It panics when PairPaths and PairOf disagree
 // or leave a path out, which only a hand-assembled set can do.
 func (ps *PathSet) ensureSolverLayouts() {
-	ps.ensureCSR()
 	ps.solverOnce.Do(func() {
 		ids, start := ps.csrEdges, ps.csrStart
 		P, ne := len(ps.PairOf), ps.G.NumEdges()
@@ -452,7 +466,6 @@ func (ps *PathSet) PairQuads() (ids, start, pairOf []int32) {
 // over paths containing e. The result has one entry per directed edge.
 // dst, if non-nil and correctly sized, is reused to avoid allocation.
 func (ps *PathSet) EdgeFlows(d, r []float64, dst []float64) []float64 {
-	ps.ensureCSR()
 	ne := ps.G.NumEdges()
 	if dst == nil || len(dst) != ne {
 		dst = make([]float64, ne)

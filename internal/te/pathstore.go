@@ -38,10 +38,10 @@ func PathCacheStats() (hits, misses uint64) {
 // format documented in DESIGN.md §8: a magic/version header, the full
 // address key, the per-pair vertex sequences of every candidate path, and a
 // trailing CRC-32 over everything before it. Load rebuilds the PathSet
-// through the same assembly path as a fresh computation — edge ids,
-// capacities and the CSR mirror are re-derived from the live graph, never
-// trusted from disk — so a loaded set is bitwise identical to the computed
-// one. Any mismatch (truncation, bit rot, foreign format, stale version,
+// through the same assembly path as a fresh computation — the CSR and the
+// path capacities are re-derived from the live graph, never trusted from
+// disk — so a loaded set is bitwise identical to the computed one
+// (TestPathStoreRoundTrip, FuzzPathStoreEntry). Any mismatch (truncation, bit rot, foreign format, stale version,
 // different topology/k/selector) surfaces as a cache miss, and
 // NewPathSetOpt then recomputes and overwrites the entry.
 //
@@ -271,7 +271,9 @@ type byteReader struct {
 }
 
 func (r *byteReader) bytes(n int) []byte {
-	if n < 0 || r.off+n > len(r.data) {
+	// n > len-off, not off+n > len: on a 32-bit host a length read from
+	// the file can overflow off+n (TestPathStoreHugeLengthIsMiss).
+	if n < 0 || n > len(r.data)-r.off {
 		r.failed = true
 		return nil
 	}

@@ -1,16 +1,20 @@
 package te
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"figret/internal/graph"
 )
 
-// samePathSet asserts every exported structure (and the CSR mirror) of two
-// path sets is bitwise identical.
+// samePathSet asserts every exported structure and the CSR of two path
+// sets are bitwise identical.
 func samePathSet(t *testing.T, got, want *PathSet) {
 	t.Helper()
 	if got.NumPaths() != want.NumPaths() {
@@ -25,14 +29,6 @@ func samePathSet(t *testing.T, got, want *PathSet) {
 		}
 		if got.Cap[p] != want.Cap[p] {
 			t.Fatalf("Cap[%d] = %v, want %v", p, got.Cap[p], want.Cap[p])
-		}
-		if len(got.EdgeIDs[p]) != len(want.EdgeIDs[p]) {
-			t.Fatalf("EdgeIDs[%d] length mismatch", p)
-		}
-		for i := range want.EdgeIDs[p] {
-			if got.EdgeIDs[p][i] != want.EdgeIDs[p][i] {
-				t.Fatalf("EdgeIDs[%d][%d] = %d, want %d", p, i, got.EdgeIDs[p][i], want.EdgeIDs[p][i])
-			}
 		}
 	}
 	for pi := range want.PairPaths {
@@ -360,4 +356,98 @@ func TestPathStoreSaveBestEffort(t *testing.T) {
 		t.Fatal(err)
 	}
 	samePathSet(t, ps, want)
+}
+
+// sealEntry writes body plus its CRC-32 as the store entry for (g, k,
+// selector), where Load will look for it.
+func sealEntry(t *testing.T, st *PathStore, g *graph.Graph, k int, selector string, body []byte) {
+	t.Helper()
+	entry := binary.LittleEndian.AppendUint32(slices.Clip(body), crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(st.entryPath(g.ContentHash(), k, selector), entry, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// hugeSelectorBody is a 56-byte entry body (60 bytes sealed) with GEANT's
+// header whose selector length reads 0x7FFFFFF5: past the end of the
+// entry, and past the largest int on a 32-bit host once added to the
+// offset it is read at.
+func hugeSelectorBody(g *graph.Graph, k int) []byte {
+	b := []byte(pathStoreMagic)
+	b = binary.LittleEndian.AppendUint32(b, pathStoreVersion)
+	hash := g.ContentHash()
+	b = append(b, hash[:]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(k))
+	b = binary.LittleEndian.AppendUint32(b, uint32(g.NumVertices()))
+	return binary.LittleEndian.AppendUint32(b, 0x7FFFFFF5)
+}
+
+// TestPathStoreHugeLengthIsMiss: a checksummed entry whose selector length
+// runs past its end is a cache miss, on a 32-bit host too, where the
+// length overflows the reader's offset.
+func TestPathStoreHugeLengthIsMiss(t *testing.T) {
+	store, err := NewPathStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.GEANT()
+	sealEntry(t, store, g, 3, SelectorYen, hugeSelectorBody(g, 3))
+	if _, err := store.Load(g, 3, SelectorYen); !IsPathCacheMiss(err) {
+		t.Fatalf("err = %v, want cache miss", err)
+	}
+}
+
+// FuzzPathStoreEntry re-seals the CRC of a mutated entry body, so the bytes
+// get past the checksum into the decoder and the assembly backstop. Load
+// never panics: it answers a cache miss, or a set that Save writes back
+// byte for byte and Load then reproduces exactly.
+func FuzzPathStoreEntry(f *testing.F) {
+	for _, g := range []*graph.Graph{graph.Triangle(), graph.GEANT()} {
+		store, err := NewPathStore(f.TempDir())
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := NewPathSetOpt(g, 3, PathSetOptions{Store: store}); err != nil {
+			f.Fatal(err)
+		}
+		entry, err := os.ReadFile(store.entryPath(g.ContentHash(), 3, SelectorYen))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(g.NumVertices() > 3, entry[:len(entry)-4])
+	}
+	f.Add(true, hugeSelectorBody(graph.GEANT(), 3))
+	f.Fuzz(func(t *testing.T, geant bool, body []byte) {
+		g := graph.Triangle()
+		if geant {
+			g = graph.GEANT()
+		}
+		store, err := NewPathStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealEntry(t, store, g, 3, SelectorYen, body)
+		ps, err := store.Load(g, 3, SelectorYen)
+		if IsPathCacheMiss(err) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("Load: %v, want a set or a cache miss", err)
+		}
+		if err := store.Save(ps, SelectorYen); err != nil {
+			t.Fatal(err)
+		}
+		saved, err := os.ReadFile(store.entryPath(g.ContentHash(), 3, SelectorYen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved[:len(saved)-4], body) {
+			t.Fatalf("Save wrote %d body bytes, not the %d it loaded", len(saved)-4, len(body))
+		}
+		again, err := store.Load(g, 3, SelectorYen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePathSet(t, again, ps)
+	})
 }

@@ -25,7 +25,7 @@ func NewFailureSet(g *graph.Graph, links [][2]int) *FailureSet {
 
 // PathDown reports whether path p (by index into ps) traverses a failed edge.
 func (fs *FailureSet) PathDown(ps *PathSet, p int) bool {
-	for _, e := range ps.EdgeIDs[p] {
+	for _, e := range ps.PathEdges(p) {
 		if fs.edgeDown[e] {
 			return true
 		}

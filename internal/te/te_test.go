@@ -200,58 +200,109 @@ func TestEdgeFlowsReuseBuffer(t *testing.T) {
 	}
 }
 
-func TestEdgeCSRMatchesEdgeIDs(t *testing.T) {
-	for _, g := range []*graph.Graph{graph.Triangle(), graph.GEANT()} {
-		ps, err := NewPathSet(g, 3, nil)
+// incidenceSets are the path sets the incidence tests walk: GEANT (mixed
+// capacities), pod-web (a full mesh), the ladder (paths of unequal
+// lengths, three capacities) and GEANT again under a custom selector that
+// prefers wide links over few hops.
+func incidenceSets(t *testing.T) []namedSet {
+	t.Helper()
+	wide := func(g *graph.Graph, s, d, k int) []graph.Path {
+		return g.KShortestPaths(s, d, k, func(e graph.Edge) float64 { return 1 / e.Capacity })
+	}
+	var sets []namedSet
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		sel  PathSelector
+	}{
+		{"geant", graph.GEANT(), nil},
+		{"pod-web", graph.PoDWEB(), nil},
+		{"ladder", ladder(15), nil},
+		{"geant-wide", graph.GEANT(), wide},
+	} {
+		ps, err := NewPathSet(c.g, 3, c.sel)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
+		sets = append(sets, namedSet{c.name, ps})
+	}
+	return sets
+}
+
+type namedSet struct {
+	name string
+	ps   *PathSet
+}
+
+// walkEdges maps path p's vertices to edge ids hop by hop through
+// g.EdgeID, independently of the path set's CSR.
+func walkEdges(t *testing.T, g *graph.Graph, p graph.Path) []int32 {
+	t.Helper()
+	var ids []int32
+	for i := 0; i+1 < len(p); i++ {
+		e, ok := g.EdgeID(p[i], p[i+1])
+		if !ok {
+			t.Fatalf("path %v: hop %d→%d is no edge", p, p[i], p[i+1])
+		}
+		ids = append(ids, int32(e))
+	}
+	return ids
+}
+
+// TestEdgeCSRMatchesEdgeIDs: every path's CSR run is its vertex walk
+// mapped through g.EdgeID, the runs tile the CSR in path order, Cap[p] is
+// the smallest capacity along the walk and EdgeCaps is the graph's
+// capacities.
+func TestEdgeCSRMatchesEdgeIDs(t *testing.T) {
+	for _, c := range incidenceSets(t) {
+		name, ps, g := c.name, c.ps, c.ps.G
 		ids, start := ps.EdgeCSR()
-		if len(start) != ps.NumPaths()+1 {
-			t.Fatalf("start has %d entries for %d paths", len(start), ps.NumPaths())
+		if len(start) != ps.NumPaths()+1 || start[0] != 0 || int(start[ps.NumPaths()]) != len(ids) {
+			t.Fatalf("%s: start has %d entries for %d paths over %d ids", name, len(start), ps.NumPaths(), len(ids))
 		}
-		for p, eids := range ps.EdgeIDs {
-			span := ids[start[p]:start[p+1]]
-			if len(span) != len(eids) {
-				t.Fatalf("path %d: CSR span %d edges, EdgeIDs %d", p, len(span), len(eids))
+		for p, path := range ps.Paths {
+			want := walkEdges(t, g, path)
+			if got := ps.PathEdges(p); !slices.Equal(got, want) {
+				t.Fatalf("%s: path %d %v: PathEdges %v, walk %v", name, p, path, got, want)
 			}
-			for i, e := range eids {
-				if int(span[i]) != e {
-					t.Fatalf("path %d edge %d: CSR %d, EdgeIDs %d", p, i, span[i], e)
-				}
+			if got := ids[start[p]:start[p+1]]; !slices.Equal(got, want) {
+				t.Fatalf("%s: path %d: CSR run %v, walk %v", name, p, got, want)
+			}
+			bottleneck := math.Inf(1)
+			for _, e := range want {
+				bottleneck = min(bottleneck, g.Edge(int(e)).Capacity)
+			}
+			if ps.Cap[p] != bottleneck {
+				t.Fatalf("%s: path %d: Cap %v, bottleneck %v", name, p, ps.Cap[p], bottleneck)
 			}
 		}
 		caps := ps.EdgeCaps()
-		for e := 0; e < ps.G.NumEdges(); e++ {
-			if caps[e] != ps.G.Edge(e).Capacity {
-				t.Fatalf("edge %d capacity cache %v, graph %v", e, caps[e], ps.G.Edge(e).Capacity)
+		for e := 0; e < g.NumEdges(); e++ {
+			if caps[e] != g.Edge(e).Capacity {
+				t.Fatalf("%s: edge %d capacity cache %v, graph %v", name, e, caps[e], g.Edge(e).Capacity)
 			}
 		}
 	}
 }
 
-func TestEdgeCSRLazyBuild(t *testing.T) {
-	// PathSets assembled by hand (without NewPathSet) must still serve
-	// EdgeFlows via the lazily built CSR.
-	full := trianglePS(t)
-	ps := &PathSet{
-		G: full.G, Pairs: full.Pairs,
-		Paths: full.Paths, PairOf: full.PairOf, EdgeIDs: full.EdgeIDs,
-		Cap: full.Cap, PairPaths: full.PairPaths,
+// TestPathCapBottleneck: Cap[p] is the smallest capacity along the path,
+// whether it sits at the first hop or the last (0→2 runs 5 then 3, 2→0
+// runs 2 then 7).
+func TestPathCapBottleneck(t *testing.T) {
+	g := graph.New(3)
+	g.MustAddEdge(0, 1, 5)
+	g.MustAddEdge(1, 2, 3)
+	g.MustAddEdge(2, 1, 2)
+	g.MustAddEdge(1, 0, 7)
+	ps, err := NewPathSet(g, 1, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := make([]float64, ps.NumPaths())
-	d := make([]float64, ps.Pairs.Count())
-	for i := range r {
-		r[i] = 0.5
-	}
-	for i := range d {
-		d[i] = float64(i + 1)
-	}
-	got := ps.EdgeFlows(d, r, nil)
-	want := full.EdgeFlows(d, r, nil)
-	for e := range want {
-		if got[e] != want[e] {
-			t.Fatalf("edge %d: lazy CSR flow %v, eager %v", e, got[e], want[e])
+	want := map[[2]int]float64{{0, 1}: 5, {0, 2}: 3, {1, 0}: 7, {1, 2}: 3, {2, 0}: 2, {2, 1}: 2}
+	for pi, pp := range ps.PairPaths {
+		s, d := ps.Pairs.SD(pi)
+		if c := ps.Cap[pp[0]]; c != want[[2]int{s, d}] {
+			t.Errorf("pair (%d,%d): Cap %v, want %v", s, d, c, want[[2]int{s, d}])
 		}
 	}
 }
@@ -382,10 +433,8 @@ func TestPathGroupsAndPairQuads(t *testing.T) {
 		}
 		P := ps.NumPaths()
 		edges := make([][]int32, P)
-		for p, eids := range ps.EdgeIDs {
-			for _, e := range eids {
-				edges[p] = append(edges[p], int32(e))
-			}
+		for p := range edges {
+			edges[p] = ps.PathEdges(p)
 		}
 		ids, start := ps.PathGroups()
 		checkQuads(t, "path groups", ids, start, edges, int32(g.NumEdges()))
@@ -456,8 +505,8 @@ func TestSolverLayoutsBuiltLazily(t *testing.T) {
 	swapped[0], swapped[1] = swapped[1], swapped[0]
 	ps := &PathSet{
 		G: full.G, Pairs: full.Pairs,
-		Paths: full.Paths, PairOf: full.PairOf, EdgeIDs: full.EdgeIDs,
-		Cap: full.Cap, PairPaths: swapped,
+		Paths: full.Paths, PairOf: full.PairOf, Cap: full.Cap, PairPaths: swapped,
+		csrEdges: full.csrEdges, csrStart: full.csrStart, csrCap: full.csrCap,
 	}
 	defer func() {
 		if msg, _ := recover().(string); !strings.HasPrefix(msg, "te: ") {
@@ -467,29 +516,30 @@ func TestSolverLayoutsBuiltLazily(t *testing.T) {
 	ps.EdgeQuads()
 }
 
+// TestEdgeFlowsMatchesNaive holds EdgeFlows against a reference that
+// walks each path's vertices through g.EdgeID, so it shares nothing with
+// the CSR the flows are summed over.
 func TestEdgeFlowsMatchesNaive(t *testing.T) {
-	ps, err := NewPathSet(graph.GEANT(), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	d := make([]float64, ps.Pairs.Count())
-	for i := range d {
-		d[i] = rng.Float64() * 3
-	}
-	cfg := UniformConfig(ps)
-	got := ps.EdgeFlows(d, cfg.R, nil)
-	// Naive slice-of-slices reference.
-	want := make([]float64, ps.G.NumEdges())
-	for p, eids := range ps.EdgeIDs {
-		f := d[ps.PairOf[p]] * cfg.R[p]
-		for _, e := range eids {
-			want[e] += f
+	for _, c := range incidenceSets(t) {
+		name, ps := c.name, c.ps
+		rng := rand.New(rand.NewSource(7))
+		d := make([]float64, ps.Pairs.Count())
+		for i := range d {
+			d[i] = rng.Float64() * 3
 		}
-	}
-	for e := range want {
-		if math.Abs(got[e]-want[e]) > 1e-12 {
-			t.Fatalf("edge %d: CSR flow %v, naive %v", e, got[e], want[e])
+		cfg := UniformConfig(ps)
+		got := ps.EdgeFlows(d, cfg.R, nil)
+		want := make([]float64, ps.G.NumEdges())
+		for p, path := range ps.Paths {
+			f := d[ps.PairOf[p]] * cfg.R[p]
+			for _, e := range walkEdges(t, ps.G, path) {
+				want[e] += f
+			}
+		}
+		for e := range want {
+			if math.Abs(got[e]-want[e]) > 1e-12 {
+				t.Fatalf("%s: edge %d: CSR flow %v, naive %v", name, e, got[e], want[e])
+			}
 		}
 	}
 }
