@@ -19,6 +19,7 @@ import (
 
 	"figret/internal/experiments"
 	"figret/internal/figret"
+	"figret/internal/te"
 )
 
 func main() {
@@ -30,6 +31,7 @@ func main() {
 		r     runner
 		exp   = flag.String("exp", "all", "experiment: "+strings.Join(names, " ")+" all (fig17 is fig16: one study draws both)")
 		scale = flag.String("scale", "fast", "fast|full")
+		cache = flag.String("pathcache", "", "directory of the on-disk candidate-path cache (shared across figret/experiments/served runs; empty = recompute every run)")
 	)
 	flag.StringVar(&r.topo, "topo", "", "topology (default: per-experiment paper choice)")
 	flag.IntVar(&r.env.T, "T", 0, "trace length (0 = scale default)")
@@ -37,7 +39,6 @@ func main() {
 	flag.Float64Var(&r.model.Gamma, "gamma", 0, "FIGRET robustness weight (0 = default)")
 	flag.IntVar(&r.model.Epochs, "epochs", 0, "training epochs (0 = scale default)")
 	flag.Int64Var(&r.env.Seed, "seed", 1, "random seed")
-	flag.StringVar(&r.env.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache (shared across figret/experiments/served runs; empty = recompute every run)")
 	flag.Parse()
 
 	var err error
@@ -45,7 +46,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	if err := r.run(os.Stdout, *exp); err != nil {
+	if r.env.PathStore, err = te.NewPathStore(*cache); err == nil {
+		err = r.run(os.Stdout, *exp)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}

@@ -62,10 +62,10 @@ func main() {
 		out   = fs.String("out", "", "output model file (train)")
 		model = fs.String("model", "", "model file (eval)")
 		delay = fs.Int("delay", 1, "controller installation delay in intervals (simulate)")
+		cache = fs.String("pathcache", "", "directory of the on-disk candidate-path cache (shared across figret/experiments/served runs; empty = recompute every run)")
 	)
 	fs.IntVar(&envOpt.T, "T", 200, "trace length")
 	fs.Int64Var(&envOpt.Seed, "seed", 1, "random seed")
-	fs.StringVar(&envOpt.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache (shared across figret/experiments/served runs; empty = recompute every run)")
 	fs.IntVar(&cfg.H, "H", 12, "history window")
 	fs.Float64Var(&cfg.Gamma, "gamma", 1, "robustness loss weight (0 = DOTE)")
 	fs.IntVar(&cfg.Epochs, "epochs", 10, "training epochs")
@@ -89,6 +89,9 @@ func main() {
 		fail(errors.New("train requires -out"))
 	case cmd == "eval" && *model == "":
 		fail(errors.New("eval requires -model"))
+	}
+	if envOpt.PathStore, err = te.NewPathStore(*cache); err != nil {
+		fail(err)
 	}
 	env, err := experiments.NewEnv(*topo, sc, envOpt)
 	if err != nil {

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"figret/internal/scenario"
+	"figret/internal/te"
 )
 
 func main() {
@@ -69,9 +70,9 @@ func execute(cmd string, args []string) error {
 		golden  = fs.String("golden", "scenarios/golden", "directory of blessed golden metrics (bless/diff)")
 		jsonOut = fs.Bool("json", false, "emit machine-readable JSON instead of text")
 		quiet   = fs.Bool("q", false, "suppress the per-scenario progress lines and the closing summary on stderr")
+		cache   = fs.String("pathcache", "", "directory of the on-disk candidate-path cache shared with figret/experiments/served (empty = recompute)")
 	)
 	fs.IntVar(&opt.Workers, "workers", runtime.GOMAXPROCS(0), "per-scenario evaluation worker pool size, and how many substrates run at once; metrics are bitwise identical for any value")
-	fs.StringVar(&opt.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache shared with figret/experiments/served (empty = recompute)")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
@@ -79,6 +80,9 @@ func execute(cmd string, args []string) error {
 
 	specs, err := scenario.LoadSuite(*suite)
 	if err != nil {
+		return err
+	}
+	if opt.PathStore, err = te.NewPathStore(*cache); err != nil {
 		return err
 	}
 

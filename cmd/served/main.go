@@ -88,7 +88,6 @@ import (
 	"figret/internal/obs"
 	"figret/internal/serve"
 	"figret/internal/te"
-	"figret/internal/tracestore"
 )
 
 func main() {
@@ -108,10 +107,10 @@ func main() {
 		drive          = flag.String("drive", "", "load-generator mode: instead of serving, drive the daemon at this base URL (e.g. http://127.0.0.1:8080); the first -topos entry names the target topology")
 		driveN         = flag.Int("driven", 0, "load-generator request count (0 = one pass over the topology's trace)")
 		driveTransport = flag.String("drivetransport", "wire", "drive-mode transport: wire (pipelined binary stream) or json (synchronous closed-loop HTTP replay)")
+		cache          = flag.String("pathcache", "", "directory of the on-disk candidate-path cache; a warm cache brings multi-topology daemons up in seconds instead of re-running Yen per process")
 	)
 	flag.IntVar(&cfg.env.T, "T", 200, "bootstrap trace length")
 	flag.Int64Var(&cfg.env.Seed, "seed", 1, "random seed")
-	flag.StringVar(&cfg.env.PathCache, "pathcache", "", "directory of the on-disk candidate-path cache; a warm cache brings multi-topology daemons up in seconds instead of re-running Yen per process")
 	flag.IntVar(&cfg.model.H, "H", 12, "history window of bootstrap models")
 	flag.Float64Var(&cfg.model.Gamma, "gamma", 1, "robustness loss weight of bootstrap models (0 = DOTE)")
 	flag.IntVar(&cfg.model.Epochs, "epochs", 6, "bootstrap training epochs")
@@ -134,6 +133,10 @@ func main() {
 	if cfg.scale, err = experiments.ParseScale(*scale); err != nil {
 		fmt.Fprintln(os.Stderr, "served:", err)
 		os.Exit(2)
+	}
+	if cfg.env.PathStore, err = te.NewPathStore(*cache); err != nil {
+		logger.Error("path cache unusable", "err", err)
+		os.Exit(1)
 	}
 
 	if *drive != "" {
@@ -193,11 +196,8 @@ func main() {
 		opsSrv = startListener(logger, "ops", *opsAddr, ops.Handler())
 	}
 
-	if cfg.env.PathCache != "" {
-		tel.RegisterCacheStats("paths", "", te.PathCacheStats)
-	}
-	if cfg.ctl.Spool != "" {
-		registerTracestoreMetrics(metrics)
+	if cfg.env.PathStore != nil {
+		tel.RegisterCacheStats("paths", "", cfg.env.PathStore.Stats)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -241,27 +241,6 @@ func main() {
 		}
 	}
 	logger.Info("shutdown complete")
-}
-
-// registerTracestoreMetrics exports the process-wide trace-store
-// counters (the ingest spools' writes and recovery reads) as scrape-time
-// Prometheus counters.
-func registerTracestoreMetrics(reg *obs.Registry) {
-	reg.CounterFunc("figret_tracestore_blocks_written_total",
-		"Trace-store block writes, including tail-block rewrites.",
-		func() float64 { return float64(tracestore.Stats().BlocksWritten) })
-	reg.CounterFunc("figret_tracestore_bytes_written_total",
-		"Bytes handed to the OS by trace-store block writes.",
-		func() float64 { return float64(tracestore.Stats().BytesWritten) })
-	reg.CounterFunc("figret_tracestore_blocks_verified_total",
-		"Trace-store blocks whose payload checksum was validated.",
-		func() float64 { return float64(tracestore.Stats().BlocksVerified) })
-	reg.CounterFunc("figret_tracestore_bytes_read_total",
-		"Trace-store block bytes read back by readers.",
-		func() float64 { return float64(tracestore.Stats().BytesRead) })
-	reg.CounterFunc("figret_tracestore_opens_total",
-		"Successfully-opened trace-store readers.",
-		func() float64 { return float64(tracestore.Stats().Opens) })
 }
 
 // envOr returns the environment value when set, else def.

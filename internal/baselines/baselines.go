@@ -134,18 +134,15 @@ const DesTEBound = 2.0 / 3.0
 
 // DesTE is desensitization-based TE — the scheme of Google's Jupiter data
 // centers [37] and COUDER [44]: optimize MLU for the window-peak predicted
-// matrix under a path-sensitivity cap. The cap is the constant Bound, or —
-// the Appendix C variant — a per-pair bound F varying with the pair's
-// historical variance (lp.LinearF, lp.PiecewiseF).
+// matrix under a path-sensitivity cap. The cap is a per-pair bound F: the
+// constant DesTEBound by default or — the Appendix C variant — one varying
+// with the pair's historical variance (lp.LinearF, lp.PiecewiseF).
 type DesTE struct {
 	PS *te.PathSet
 	// H is the peak-tracking window (default 12).
 	H int
-	// Bound is the constant sensitivity bound (default 2/3); ignored when
-	// F is set.
-	Bound float64
 	// F maps a pair index to its sensitivity bound; nil is
-	// lp.ConstantF(Bound).
+	// lp.ConstantF(DesTEBound).
 	F func(pair int) float64
 	// Label names the parameterization in reports (default "Des TE").
 	Label string
@@ -169,7 +166,7 @@ func (d *DesTE) Advise(tr *traffic.Trace, t int) (*te.Config, error) {
 	d.capsOnce.Do(func() {
 		f := d.F
 		if f == nil {
-			f = lp.ConstantF(cmp.Or(d.Bound, DesTEBound))
+			f = lp.ConstantF(DesTEBound)
 		}
 		d.caps = lp.SensitivityCaps(d.PS, f)
 	})

@@ -6,6 +6,7 @@ import (
 
 	"figret/internal/figret"
 	"figret/internal/graph"
+	"figret/internal/lp"
 	"figret/internal/solver"
 	"figret/internal/te"
 	"figret/internal/traffic"
@@ -51,7 +52,7 @@ func TestOmniscientIsLowerEnvelope(t *testing.T) {
 
 func TestDesTERespectsBound(t *testing.T) {
 	ps, tr := setup(t)
-	des := &DesTE{PS: ps, Solve: LPSolve, Bound: 0.5, H: 8}
+	des := &DesTE{PS: ps, Solve: LPSolve, F: lp.ConstantF(0.5), H: 8}
 	cfg, err := des.Advise(tr, 50)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func TestDesTERespectsBound(t *testing.T) {
 func TestDesTEWorseThanOmniscientInNormalCase(t *testing.T) {
 	ps, tr := setup(t)
 	omni := &Omniscient{PS: ps, Solve: LPSolve}
-	des := &DesTE{PS: ps, Solve: LPSolve, Bound: 0.5}
+	des := &DesTE{PS: ps, Solve: LPSolve, F: lp.ConstantF(0.5)}
 	o, err := Evaluate(omni, tr, 100, 112)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestFineGrainedDominatesConstantObjective(t *testing.T) {
 		t.Errorf("looser caps worsened objective: %v vs %v", objFine, objConst)
 	}
 
-	constant := &DesTE{PS: ps, Solve: LPSolve, Bound: 0.5, H: 8}
+	constant := &DesTE{PS: ps, Solve: LPSolve, F: lp.ConstantF(0.5), H: 8}
 	fine := &DesTE{PS: ps, Solve: LPSolve, H: 8, F: lin, Label: "FG linear"}
 	c, err := Evaluate(constant, tr, 95, 115)
 	if err != nil {

@@ -162,11 +162,10 @@ type EnvOptions struct {
 	// leaving it empty with a custom Selector disables caching for that
 	// environment (see te.PathSetOptions).
 	SelectorName string
-	// PathCache, when non-empty, is the directory of an on-disk
-	// te.PathStore: the trainer, the evaluation engine and the serving
-	// daemon then share one Yen precomputation per (topology, K,
-	// selector) across processes instead of each recomputing at startup.
-	PathCache string
+	// PathStore, when non-nil, is an on-disk candidate-path cache: the
+	// trainer, the evaluation engine and the serving daemon then share one
+	// Yen precomputation per (topology, K, selector) across processes.
+	PathStore *te.PathStore
 }
 
 // NewEnv builds the evaluation environment for a named topology.
@@ -194,18 +193,11 @@ func NewEnv(topo string, scale Scale, opt EnvOptions) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	pso := te.PathSetOptions{
+	ps, err := te.NewPathSetOpt(g, opt.K, te.PathSetOptions{
 		Selector:     opt.Selector,
 		SelectorName: opt.SelectorName,
-	}
-	if opt.PathCache != "" {
-		store, err := te.NewPathStore(opt.PathCache)
-		if err != nil {
-			return nil, err
-		}
-		pso.Store = store
-	}
-	ps, err := te.NewPathSetOpt(g, opt.K, pso)
+		Store:        opt.PathStore,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -26,11 +26,10 @@ type Options struct {
 	// many substrates Run works on at once (<= 0 selects
 	// runtime.GOMAXPROCS(0)). Metrics are bitwise identical for any value.
 	Workers int
-	// PathCache, when non-empty, is the directory of an on-disk
-	// te.PathStore shared with the trainer and the serving daemon: one
-	// candidate-path precomputation per topology across all cells and
-	// processes.
-	PathCache string
+	// PathStore, when non-nil, is an on-disk candidate-path cache shared
+	// with the trainer and the serving daemon: one candidate-path
+	// precomputation per topology across all cells and processes.
+	PathStore *te.PathStore
 	// Log, when non-nil, receives one progress line per completed
 	// scenario. Run calls it from several goroutines.
 	Log func(format string, args ...any)
@@ -243,7 +242,7 @@ func (r *Runner) envFor(sub *substrate, sp *Spec) (*experiments.Env, error) {
 		return sub.env, nil
 	}
 	env, err := experiments.NewEnv(sp.Topo, experiments.ScaleFast, experiments.EnvOptions{
-		T: sp.T, K: pathK, Seed: traceSeed, PathCache: r.opt.PathCache,
+		T: sp.T, K: pathK, Seed: traceSeed, PathStore: r.opt.PathStore,
 	})
 	if err != nil {
 		return nil, err

@@ -169,6 +169,7 @@ type Controller struct {
 
 	// Goroutine-owned state below (never touched outside run).
 	spool      *tracestore.Writer // nil when spooling is off or failed
+	spoolIO    storeTelemetry     // where the spool's handles book their I/O
 	history    *traffic.Trace
 	nSnapshots int64 // absolute count of ingested snapshots
 	seq        int64
@@ -238,6 +239,7 @@ func (c *Controller) openSpool() error {
 	if err != nil {
 		return fail(err)
 	}
+	c.spoolIO = c.opt.Telemetry.storeIO()
 	if w.Len() > 0 {
 		// OpenAppend leaves exactly its durable snapshots on disk (torn
 		// tails are truncated), so a fresh reader sees the same history the
@@ -264,9 +266,12 @@ func (c *Controller) openSpool() error {
 			w.Close()
 			return fail(err)
 		}
+		c.spoolIO.book(r.Stats(), tracestore.CounterStats{})
+		c.spoolIO.opens.Inc()
 		c.nSnapshots = w.Len()
 	}
 	c.spool = w
+	c.spoolIO.book(w.Stats(), tracestore.CounterStats{}) // the recovery walk or a new header
 	c.tel.spoolBytes.Set(float64(w.DurableBytes()))
 	return nil
 }
@@ -278,16 +283,19 @@ func (c *Controller) spoolSnapshot(demand []float64) {
 	if c.spool == nil {
 		return
 	}
+	before := c.spool.Stats()
 	err := c.spool.Append(demand)
 	if err == nil {
 		err = c.spool.Flush()
 	}
 	if err != nil {
 		c.tel.spoolErrors.Inc()
-		c.spool.Close()
+		c.spool.Close() // retries the unflushed tail
+		c.spoolIO.book(c.spool.Stats(), before)
 		c.spool = nil
 		return
 	}
+	c.spoolIO.book(c.spool.Stats(), before)
 	c.tel.spoolBytes.Set(float64(c.spool.DurableBytes()))
 }
 
@@ -390,7 +398,7 @@ func (c *Controller) run() {
 	defer close(c.done)
 	defer func() {
 		if c.spool != nil {
-			c.spool.Close()
+			c.spool.Close() // clean after each snapshot's Flush: no write
 		}
 	}()
 	for {

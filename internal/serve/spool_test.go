@@ -4,8 +4,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"figret/internal/obs"
 	"figret/internal/tracestore"
 )
 
@@ -201,5 +203,93 @@ func TestServerAddDuplicateLeavesSpool(t *testing.T) {
 	defer r.Close()
 	if r.Len() != before+1 {
 		t.Fatalf("spool holds %d snapshots, want %d", r.Len(), before+1)
+	}
+}
+
+// TestSpoolTracestoreSeries: the unlabeled figret_tracestore_* series of
+// a Telemetry registry are the sum of what its controllers' spool handles
+// count — each writer's header and blocks, the recovery walk of a restart
+// and the reader that reloads the window — and opens_total counts the
+// recoveries. A registry without spools shows none.
+func TestSpoolTracestoreSeries(t *testing.T) {
+	ps, tr, m := fixture(t, 60, 1)
+	reg := NewRegistry()
+	for _, topo := range []string{"a", "b"} {
+		if err := reg.AddTopology(topo, ps); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Install(topo, m, "bootstrap"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(topo string, opt ControllerOptions, from, to int) *Controller {
+		c, err := NewController(topo, reg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := from; i < to; i++ {
+			if _, err := c.Ingest(tr.At(i), true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+		return c
+	}
+	scrape := func(r *obs.Registry) string {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+
+	quiet := obs.NewRegistry()
+	run("a", ControllerOptions{HistoryCap: 8, Telemetry: NewTelemetry(quiet)}, 0, 5)
+	if page := scrape(quiet); strings.Contains(page, "figret_tracestore_") {
+		t.Errorf("a registry without spools shows trace-store series:\n%s", page)
+	}
+
+	metrics := obs.NewRegistry()
+	opt := ControllerOptions{HistoryCap: 8, Spool: t.TempDir(), Telemetry: NewTelemetry(metrics)}
+	run("a", opt, 0, 10)
+	run("b", opt, 0, 5)
+	run("a", opt, 10, 13) // the one recovery
+
+	// What each handle counts, read off a probe store over the same
+	// vertex count: a header, and one block (every store here fits one).
+	probe, err := tracestore.Create(filepath.Join(t.TempDir(), "probe.fgt"), ps.Pairs.N(), tracestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := probe.Stats().BytesWritten
+	if err := probe.Append(tr.At(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := probe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	block := probe.Stats().BytesWritten - header
+	// Writers: two new stores, one tail write per synchronous ingest.
+	// Recovery: the walk checks a's block, and the reader that reloads
+	// the window checks it again.
+	var want tracestore.CounterStats
+	want.BlocksWritten = 10 + 5 + 3
+	want.BytesWritten = 2*header + want.BlocksWritten*block
+	want.BlocksVerified = 2
+	want.BytesRead = 2 * block
+	page := scrape(metrics)
+	for _, c := range []struct {
+		series string
+		want   uint64
+	}{
+		{"figret_tracestore_blocks_written_total", want.BlocksWritten},
+		{"figret_tracestore_bytes_written_total", want.BytesWritten},
+		{"figret_tracestore_blocks_verified_total", want.BlocksVerified},
+		{"figret_tracestore_bytes_read_total", want.BytesRead},
+		{"figret_tracestore_opens_total", 1},
+	} {
+		if got := promValue(t, page, c.series); got != c.want {
+			t.Errorf("%s = %d, want %d", c.series, got, c.want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"figret/internal/obs"
+	"figret/internal/tracestore"
 )
 
 // Decision-span stages, in pipeline order. A span opens when a snapshot
@@ -40,6 +41,7 @@ type Telemetry struct {
 
 	mu    sync.Mutex
 	topos map[string]*topoTelemetry
+	store storeTelemetry // registered by the first spool to open (storeIO)
 
 	transports map[string]*transportTelemetry
 
@@ -214,6 +216,43 @@ func (tt *topoTelemetry) install(source string) {
 	tt.reg.Counter("figret_serve_checkpoint_installs_total",
 		"Checkpoint activations by source.",
 		obs.L("topology", tt.topo), obs.L("source", source)).Inc()
+}
+
+// storeTelemetry is a registry's figret_tracestore_* counters: the I/O
+// of every spool handle its controllers opened, summed, and the readers
+// their recoveries opened.
+type storeTelemetry struct {
+	blocksWritten, bytesWritten, blocksVerified, bytesRead, opens *obs.Counter
+}
+
+// book adds the I/O a handle did between two of its Stats readings.
+func (st storeTelemetry) book(now, before tracestore.CounterStats) {
+	st.blocksWritten.Add(now.BlocksWritten - before.BlocksWritten)
+	st.bytesWritten.Add(now.BytesWritten - before.BytesWritten)
+	st.blocksVerified.Add(now.BlocksVerified - before.BlocksVerified)
+	st.bytesRead.Add(now.BytesRead - before.BytesRead)
+}
+
+// storeIO returns the trace-store counters, registering them on first
+// use, so a registry without spools shows none. On a nil Telemetry they
+// are nil instruments: nothing could read them.
+func (t *Telemetry) storeIO() storeTelemetry {
+	if t == nil {
+		return storeTelemetry{}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.store.opens == nil {
+		r := t.reg
+		t.store = storeTelemetry{
+			blocksWritten:  r.Counter("figret_tracestore_blocks_written_total", "Trace-store block writes, including tail-block rewrites."),
+			bytesWritten:   r.Counter("figret_tracestore_bytes_written_total", "Bytes handed to the OS by trace-store block writes."),
+			blocksVerified: r.Counter("figret_tracestore_blocks_verified_total", "Trace-store blocks whose payload checksum was validated."),
+			bytesRead:      r.Counter("figret_tracestore_bytes_read_total", "Trace-store block bytes read back by readers."),
+			opens:          r.Counter("figret_tracestore_opens_total", "Successfully-opened trace-store readers."),
+		}
+	}
+	return t.store
 }
 
 // transportTelemetry times the decision path of one serving surface.

@@ -14,20 +14,6 @@ import (
 	"figret/internal/graph"
 )
 
-// Process-wide path-cache counters, aggregated across every PathStore
-// (stores are created ad hoc — experiments.NewEnv, cmd/served — and not
-// retained, so per-store counters would be unreachable by the time a
-// metrics scrape wants them).
-var pathCacheHits, pathCacheMisses atomic.Uint64
-
-// PathCacheStats returns the process-wide PathStore load totals: hits
-// are Loads that returned a usable entry, misses are Loads that found
-// the entry absent, corrupt or keyed differently (the recomputation
-// path). Monotonic; safe for concurrent use.
-func PathCacheStats() (hits, misses uint64) {
-	return pathCacheHits.Load(), pathCacheMisses.Load()
-}
-
 // PathStore is a versioned on-disk cache of candidate-path precomputations,
 // content-addressed by (topology content hash, k, selector name): every
 // process serving, training on or evaluating the same topology shares one
@@ -49,13 +35,15 @@ func PathCacheStats() (hits, misses uint64) {
 // never publish partial files, and readers fully validate whatever they
 // find.
 type PathStore struct {
-	dir string
+	dir          string
+	hits, misses atomic.Uint64
 }
 
-// NewPathStore opens (creating if needed) a path cache rooted at dir.
+// NewPathStore opens (creating if needed) a path cache rooted at dir. An
+// empty dir means no cache, a nil store.
 func NewPathStore(dir string) (*PathStore, error) {
 	if dir == "" {
-		return nil, fmt.Errorf("te: path store needs a directory")
+		return nil, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("te: path store: %w", err)
@@ -65,6 +53,14 @@ func NewPathStore(dir string) (*PathStore, error) {
 
 // Dir returns the store's root directory.
 func (st *PathStore) Dir() string { return st.dir }
+
+// Stats returns the store's Load totals: hits are Loads that returned a
+// usable entry, misses are Loads that found the entry absent, corrupt or
+// keyed differently (the recomputation path). Monotonic; safe for
+// concurrent use.
+func (st *PathStore) Stats() (hits, misses uint64) {
+	return st.hits.Load(), st.misses.Load()
+}
 
 // pathCacheMissError reports that a store lookup found no usable entry; the
 // reason distinguishes absent, corrupt and mismatched files for logging.
@@ -169,7 +165,7 @@ func (st *PathStore) Load(g *graph.Graph, k int, selector string) (*PathSet, err
 	topoHash := g.ContentHash()
 	data, err := os.ReadFile(st.entryPath(topoHash, k, selector))
 	if os.IsNotExist(err) {
-		pathCacheMisses.Add(1)
+		st.misses.Add(1)
 		return nil, &pathCacheMissError{reason: "no entry"}
 	}
 	if err != nil {
@@ -177,7 +173,7 @@ func (st *PathStore) Load(g *graph.Graph, k int, selector string) (*PathSet, err
 	}
 	perPair, err := decodePathStoreEntry(data, topoHash, k, g.NumVertices(), selector)
 	if err != nil {
-		pathCacheMisses.Add(1)
+		st.misses.Add(1)
 		return nil, err
 	}
 	ps, err := assemblePathSet(g, k, NewPairs(g.NumVertices()), perPair)
@@ -185,10 +181,10 @@ func (st *PathStore) Load(g *graph.Graph, k int, selector string) (*PathSet, err
 		// Paths that no longer exist in g mean the entry belongs to a
 		// different (hash-colliding or hand-edited) topology: a miss, not
 		// a fault.
-		pathCacheMisses.Add(1)
+		st.misses.Add(1)
 		return nil, &pathCacheMissError{reason: err.Error()}
 	}
-	pathCacheHits.Add(1)
+	st.hits.Add(1)
 	return ps, nil
 }
 

@@ -237,6 +237,19 @@ func TestPathStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	samePathSet(t, hit, want)
+	// The store counts its own Loads: the cold build missed, the reload
+	// and the constructor hit. A second store over the same directory
+	// starts from zero.
+	if h, m := store.Stats(); h != 2 || m != 1 {
+		t.Errorf("Stats() = (%d hits, %d misses), want (2, 1)", h, m)
+	}
+	other, err := NewPathStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, m := other.Stats(); h != 0 || m != 0 {
+		t.Errorf("fresh store Stats() = (%d, %d), want (0, 0)", h, m)
+	}
 }
 
 func TestPathStoreMissOnDifferentKey(t *testing.T) {

@@ -28,6 +28,8 @@ type Reader struct {
 	// benign.
 	blocks []atomic.Pointer[[]float64]
 	closed atomic.Bool
+	// First reads of blocks; atomic, as concurrent At calls share them.
+	blocksVerified, bytesRead atomic.Uint64
 }
 
 // Open opens the store file at path.
@@ -47,7 +49,6 @@ func Open(path string) (*Reader, error) {
 		return nil, err
 	}
 	r.file = f
-	statOpens.Add(1)
 	return r, nil
 }
 
@@ -104,10 +105,24 @@ func (r *Reader) block(i int) ([]float64, error) {
 	for k := range f {
 		f[k] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*k:]))
 	}
-	statBlocksVerified.Add(1)
-	statBytesRead.Add(uint64(len(buf)))
+	r.blocksVerified.Add(1)
+	r.bytesRead.Add(uint64(len(buf)))
 	r.blocks[i].Store(&f)
 	return f, nil
+}
+
+// Stats returns the blocks the Reader has checked, each counted once.
+func (r *Reader) Stats() CounterStats {
+	return CounterStats{BlocksVerified: r.blocksVerified.Load(), BytesRead: r.bytesRead.Load()}
+}
+
+// CounterStats is one handle's I/O: a Writer's writes and recovery reads,
+// or a Reader's checked blocks. The package keeps no counter of its own.
+type CounterStats struct {
+	BlocksWritten  uint64 // block writes, tail rewrites included
+	BytesWritten   uint64 // header and block bytes handed to the OS
+	BlocksVerified uint64 // blocks whose payload CRC was checked
+	BytesRead      uint64 // the block bytes behind BlocksVerified
 }
 
 // N returns the vertex count of the stored trace.

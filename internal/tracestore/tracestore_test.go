@@ -489,25 +489,74 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestStatsAdvance sanity-checks the process-wide counters move.
-func TestStatsAdvance(t *testing.T) {
-	before := Stats()
-	tr := synthTrace(4, 9, 3)
+// TestHandleStats: each Writer and Reader counts exactly its own I/O. A
+// writer books its header and every block write, tail rewrites included;
+// a reader books each block it checks, once; OpenAppend books every intact
+// block its recovery walk checks, and stops at a torn one.
+func TestHandleStats(t *testing.T) {
+	tr := synthTrace(4, 10, 3)
+	g, err := newGeometry(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := uint64(g.blockBytes)
 	path := filepath.Join(t.TempDir(), "t.fgt")
-	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 4}); err != nil {
+	w, err := Create(path, 4, Options{SnapsPerBlock: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, r, err := loadStore(path); err != nil {
+	for i := 0; i < 10; i++ {
+		if err := w.Append(tr.At(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 8 { // land a 1-snapshot tail that the 10th append rewrites
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
-	} else {
-		r.Close()
 	}
-	after := Stats()
-	if after.BlocksWritten <= before.BlocksWritten || after.BytesWritten <= before.BytesWritten {
-		t.Fatal("write counters did not advance")
+	// Two full blocks, the tail at 1 snapshot, the tail at 2.
+	if got, want := w.Stats(), (CounterStats{BlocksWritten: 4, BytesWritten: headerBytes + 4*blk}); got != want {
+		t.Errorf("writer: %+v, want %+v", got, want)
 	}
-	if after.BlocksVerified <= before.BlocksVerified || after.Opens <= before.Opens || after.BytesRead <= before.BytesRead {
-		t.Fatal("read counters did not advance")
+
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.Stats(); got != (CounterStats{}) {
+		t.Errorf("reader after Open: %+v, want nothing read", got)
+	}
+	for pass := 0; pass < 2; pass++ { // the second pass hits the cache
+		if _, err := readTrace(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := r.Stats(), (CounterStats{BlocksVerified: 3, BytesRead: 3 * blk}); got != want {
+		t.Errorf("reader: %+v, want %+v", got, want)
+	}
+
+	a, err := OpenAppend(path, 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := a.Stats(), (CounterStats{BlocksVerified: 3, BytesRead: 3 * blk}); got != want {
+		t.Errorf("OpenAppend: %+v, want %+v", got, want)
+	}
+	a.Close()
+	if err := os.Truncate(path, int64(headerBytes+3*blk-1)); err != nil {
+		t.Fatal(err)
+	}
+	if a, err = OpenAppend(path, 4, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if got, want := a.Stats(), (CounterStats{BlocksVerified: 2, BytesRead: 2 * blk}); got != want {
+		t.Errorf("OpenAppend over a torn tail: %+v, want %+v", got, want)
 	}
 }
 

@@ -43,6 +43,7 @@ type Writer struct {
 	fileBytes int64  // file size as of the last write (header + landed blocks)
 	dirty     bool   // buf holds appends not yet flushed
 	closed    bool
+	stats     CounterStats
 }
 
 // Create creates (truncating any existing file) a store for traces over
@@ -61,7 +62,7 @@ func Create(path string, n int, opt Options) (*Writer, error) {
 		f.Close()
 		return nil, fmt.Errorf("tracestore: write header: %w", err)
 	}
-	statBytesWritten.Add(headerBytes)
+	w.stats.BytesWritten = headerBytes
 	return w, nil
 }
 
@@ -113,6 +114,8 @@ func recoverAppend(f *os.File, size int64, n int) (*Writer, error) {
 			break // a short, damaged or absent block ends the durable prefix
 		}
 		good = g.blockOffset(i) + int64(g.blockBytes)
+		w.stats.BlocksVerified++
+		w.stats.BytesRead += uint64(len(block))
 		if count < g.snapsPerBlock {
 			// Partial tail: pull it into the buffer and keep filling it.
 			copy(w.buf[blockHeaderBytes:], payload)
@@ -141,6 +144,10 @@ func (w *Writer) Len() int64 { return w.total }
 // are excluded until Flush/Close lands them; cmd/served exports this as
 // its spool-size gauge.
 func (w *Writer) DurableBytes() int64 { return w.fileBytes }
+
+// Stats returns the Writer's I/O so far, OpenAppend's recovery walk
+// included as verified reads.
+func (w *Writer) Stats() CounterStats { return w.stats }
 
 // Append adds one snapshot (pairCount demand entries). The slice is
 // encoded immediately; the caller may reuse it. A full block is written
@@ -195,8 +202,8 @@ func (w *Writer) flushBlock() error {
 	if _, err := w.f.WriteAt(w.buf, w.g.blockOffset(w.nBlocks)); err != nil {
 		return fmt.Errorf("tracestore: write block %d: %w", w.nBlocks, err)
 	}
-	statBlocksWritten.Add(1)
-	statBytesWritten.Add(uint64(len(w.buf)))
+	w.stats.BlocksWritten++
+	w.stats.BytesWritten += uint64(len(w.buf))
 	w.fileBytes = w.g.blockOffset(w.nBlocks) + int64(len(w.buf))
 	w.dirty = false
 	if w.bufCount == w.g.snapsPerBlock {

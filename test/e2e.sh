@@ -2,7 +2,9 @@
 # e2e smoke gate for the served daemon: boot it, watch the ops probes
 # transition (healthz live while readyz still reports the warming
 # topology), replay a trace over both transports through the real
-# sockets, assert non-zero decision counters on the Prometheus scrape,
+# sockets, assert non-zero decision counters on the Prometheus scrape
+# (and the spool and path-cache series the -spool and -pathcache flags
+# add),
 # upload a checkpoint trained by the figret CLI (and roll it back), and
 # verify SIGTERM drains the process within the budget.
 #
@@ -57,6 +59,7 @@ echo "e2e: -H above -history refused at flag-parse time"
 echo "e2e: booting served ($TOPO, api :$API_PORT, ops :$OPS_PORT)"
 "$workdir/served" -topos "$TOPO" -addr "127.0.0.1:$API_PORT" -opsaddr "127.0.0.1:$OPS_PORT" \
   -T 60 -epochs 2 -H 4 -seed 3 -logformat json -draintimeout "${DRAIN_BUDGET_SECS}s" \
+  -spool "$workdir/spool" -pathcache "$workdir/paths" \
   >"$workdir/served.log" 2>&1 &
 served_pid=$!
 
@@ -123,6 +126,13 @@ wire_reqs="$(metric 'figret_serve_transport_requests_total{transport="wire"}')"
 [[ -n "$json_reqs" && "$json_reqs" != 0 ]] || fail "json transport counter is '${json_reqs:-missing}'"
 [[ -n "$wire_reqs" && "$wire_reqs" != 0 ]] || fail "wire transport counter is '${wire_reqs:-missing}'"
 echo "e2e: metrics scrape ok (decisions=$decisions json=$json_reqs wire=$wire_reqs)"
+# The controller books its spool's writes, and the daemon's path store
+# its loads: one miss, since the cache directory started empty.
+spooled="$(metric figret_tracestore_blocks_written_total)"
+path_misses="$(metric 'figret_cache_misses_total{cache="paths"}')"
+[[ -n "$spooled" && "$spooled" != 0 ]] || fail "figret_tracestore_blocks_written_total is '${spooled:-missing}'"
+[[ "$path_misses" == 1 ]] || fail "path-cache misses are '${path_misses:-missing}', want 1 on a cold cache"
+echo "e2e: spool and path-cache series ok (blocks_written=$spooled path_misses=$path_misses)"
 
 # The one file format a second process reads: a model trained by the
 # figret CLI with the daemon's own flags uploads as version 2, serves
