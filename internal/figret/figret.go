@@ -51,7 +51,8 @@ type Config struct {
 	// per-sample updates as in the paper's protocol; larger batches trade
 	// update frequency for gradient smoothness and throughput). For any
 	// fixed BatchSize the trajectory is bitwise identical to sequential
-	// per-sample evaluation with gradient accumulation (TrainSequential).
+	// per-sample evaluation with gradient accumulation (TrainSequential, the
+	// reference trainer in the package's tests).
 	BatchSize int
 	// CoarseGrained replaces the per-pair variance weights of the L2 term
 	// with a uniform weight of 1 — the coarse-grained robustness of
@@ -214,7 +215,8 @@ func (m *Model) sampleOrder(tr *traffic.Trace) []int {
 // runtime.GOMAXPROCS(0) goroutines; each row writes only its own slots and
 // the epoch sums run in row order afterwards, so the loss trajectory and
 // final weights are bitwise identical for every worker count, and bitwise
-// identical to TrainSequential at every BatchSize.
+// identical to the tests' reference trainer TrainSequential at every
+// BatchSize.
 func (m *Model) Train(tr *traffic.Trace) (TrainStats, error) {
 	return m.train(tr, runtime.GOMAXPROCS(0))
 }
@@ -281,56 +283,6 @@ func (m *Model) train(tr *traffic.Trace, workers int) (TrainStats, error) {
 				sumLoss += losses[bi]
 				sumMLU += mlus[bi]
 			}
-		}
-		n := float64(len(order))
-		stats.EpochLoss = append(stats.EpochLoss, sumLoss/n)
-		stats.EpochMLU = append(stats.EpochMLU, sumMLU/n)
-	}
-	return stats, nil
-}
-
-// TrainSequential is the single-sample reference trainer: per-sample
-// Forward/Backward accumulating into the network's gradient, one Adam step
-// every BatchSize samples and at the epoch's end. It shares no code with
-// the batched engine but the loss and its normalization, which is what
-// makes it the equivalence oracle for Train (identical seeds must produce
-// bitwise-identical loss trajectories and weights).
-func (m *Model) TrainSequential(tr *traffic.Trace) (TrainStats, error) {
-	if err := m.fitTrace(tr); err != nil {
-		return TrainStats{}, err
-	}
-	opt := nn.NewAdam(learningRate)
-	rng := rand.New(rand.NewSource(m.Cfg.Seed + 1))
-	order := m.sampleOrder(tr)
-	stats := TrainStats{}
-	scratch := newLossScratch(m.PS)
-	dy := make([]float64, m.PS.NumPaths())
-
-	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var sumLoss, sumMLU float64
-		pending := 0
-		for _, t := range order {
-			wt := t
-			if m.Cfg.SelfTarget {
-				wt = t + 1
-			}
-			x := m.normalizedWindow(tr, wt)
-			y := m.Net.Forward(x)
-			r := normalizePerPairInto(m.PS, y, scratch)
-			loss, mlu, gr := m.lossAndGrad(r, tr.At(t), scratch)
-			normalizeGradInto(m.PS, gr, scratch, dy)
-			m.Net.Backward(dy)
-			pending++
-			if pending == m.Cfg.BatchSize {
-				opt.Step(m.Net)
-				pending = 0
-			}
-			sumLoss += loss
-			sumMLU += mlu
-		}
-		if pending > 0 {
-			opt.Step(m.Net)
 		}
 		n := float64(len(order))
 		stats.EpochLoss = append(stats.EpochLoss, sumLoss/n)
@@ -450,16 +402,10 @@ func (m *Model) scaledWindowInto(dst []float64, tr *traffic.Trace, t int) {
 	}
 }
 
-// normalizedWindow returns the scaled input vector for snapshot t.
-func (m *Model) normalizedWindow(tr *traffic.Trace, t int) []float64 {
-	w := make([]float64, m.Cfg.H*tr.Pairs.Count())
-	m.scaledWindowInto(w, tr, t)
-	return w
-}
-
 // lossScratch holds every reusable buffer one loss evaluation needs. Train
 // keeps one per chunk of minibatch rows it scores side by side (one in all
-// when scoring stays on the calling goroutine), TrainSequential one.
+// when scoring stays on the calling goroutine), the tests' TrainSequential
+// one.
 type lossScratch struct {
 	obj  *solver.Objective // the L1 term
 	r    []float64         // per-pair-normalized split ratios

@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file implements the batched minibatch engine (DESIGN.md §3): a
 // minibatch is a row-major [B][In] matrix, and Forward/Backward become
@@ -303,11 +306,12 @@ func (d *Dense) forwardOne(x, y []float64, o0, o1 int) {
 
 // forwardCols fills output rows [o0,o1) of a pass of b ≥ 2 rows from the
 // column-major input xc. The rows' column-major outputs in yc are the
-// accumulators: cleared, then grown colBlock columns at a time by dot2x8
-// for each weight-row pair and each 8-lane group, then overwritten with
-// act(s + B[o]) and copied to y row by row; padding lanes end at +0. An
-// odd last row is paired with itself. Every value carries the bits of
-// Activation.apply.
+// accumulators: cleared, then grown colBlock columns at a time for each
+// weight-row pair — by dot2x16 for each whole 16-lane group when the CPU
+// has AVX-512, and by dot2x8 for each 8-lane group left — then
+// overwritten with act(s + B[o]) and copied to y row by row; padding
+// lanes end at +0. An odd last row is paired with itself. Every value
+// carries the bits of Activation.apply.
 func (d *Dense) forwardCols(xc, y, yc []float64, b, o0, o1 int) {
 	in, out, ld := d.In, d.Out, lanes(b)
 	acc := yc[o0*ld : o1*ld]
@@ -319,7 +323,13 @@ func (d *Dense) forwardCols(xc, y, yc []float64, b, o0, o1 int) {
 			p := min(o+1, o1-1) // an odd last row pairs with itself
 			w0, w1 := d.W[o*in+c0:o*in+c1], d.W[p*in+c0:p*in+c1]
 			s0, s1 := acc[(o-o0)*ld:(o-o0+1)*ld], acc[(p-o0)*ld:(p-o0+1)*ld]
-			for g := 0; g < ld; g += 8 {
+			g := 0
+			if useAVX512 {
+				for ; g+16 <= ld; g += 16 {
+					dot2x16(xb[g:], ld, w0, w1, (*[16]float64)(s0[g:]), (*[16]float64)(s1[g:]))
+				}
+			}
+			for ; g < ld; g += 8 {
 				dot2x8(xb[g:], ld, w0, w1, (*[8]float64)(s0[g:]), (*[8]float64)(s1[g:]))
 			}
 		}
@@ -385,7 +395,9 @@ func (d *Dense) batchBackward(x, y, dy, dx []float64, b, workers int) {
 	// every GW row and GB entry has a single writer. Within a row, samples
 	// accumulate in batch order, matching sequential execution.
 	if serial {
-		d.backwardGradBlock(x, y, dy, 0, d.Out, b)
+		for o0 := 0; o0 < d.Out; o0 += tileOuts {
+			d.backwardGradBlock(x, y, dy, o0, min(o0+tileOuts, d.Out), b)
+		}
 	} else {
 		parallelFor(workers, (d.Out+tileOuts-1)/tileOuts, func(_, lo, hi int) {
 			for t := lo; t < hi; t++ {
@@ -410,45 +422,55 @@ func (d *Dense) batchBackward(x, y, dy, dx []float64, b, workers int) {
 	}
 }
 
-// backwardGradBlock handles pass 1 for output rows [o0,o1): it rewrites
-// dy entries as post-activation deltas g = dy·σ′(y) and accumulates into
-// the bias gradient GB and the rank-b weight-gradient row updates of GW,
-// two batch rows per sweep.
+// gradChunk is the most batch rows pass 1 adds into a gradient row per
+// load and store of it: a larger batch is taken gradChunk rows at a time,
+// in row order.
+const gradChunk = 32
+
+// backwardGradBlock handles pass 1 for the output rows [o0,o1) of one
+// tile, gradChunk batch rows at a time. First it rewrites the rows' dy
+// entries as post-activation deltas g = dy·σ′(y), adds the non-zero ones
+// into the bias gradient GB in batch order and marks them live. Then it
+// walks colBlock columns at a time, so the block of the input rows stays
+// in cache while the gradient rows stream past it, and grows each GW row
+// block by g_b·x_b over its live rows in ascending b (gradRows). Every
+// element takes the terms b sequential Backward calls would give it in
+// their order, so the sums carry their bits; a zero g is skipped, not
+// added as +0·x, which would turn −0 into +0 and 0·Inf into NaN.
 func (d *Dense) backwardGradBlock(x, y, dy []float64, o0, o1, b int) {
-	in, out := d.In, d.Out
-	for o := o0; o < o1; o++ {
-		grow := d.GW[o*in : o*in+in]
-		gb := d.GB[o]
-		bi := 0
-		for ; bi+2 <= b; bi += 2 {
-			g0 := dy[bi*out+o] * d.Act.derivFromOutput(y[bi*out+o])
-			g1 := dy[(bi+1)*out+o] * d.Act.derivFromOutput(y[(bi+1)*out+o])
-			dy[bi*out+o] = g0
-			dy[(bi+1)*out+o] = g1
-			if g0 != 0 {
-				gb += g0
+	in, out, act := d.In, d.Out, d.Act
+	x, dy = x[:b*in], dy[:b*out]
+	var live [tileOuts]uint32 // bit bi−b0 of live[o−o0]: g ≠ 0
+	var off [gradChunk]int
+	var gs [gradChunk]float64
+	for b0 := 0; b0 < b; b0 += gradChunk {
+		b1 := min(b0+gradChunk, b)
+		for o := o0; o < o1; o++ {
+			gb, m := d.GB[o], uint32(0)
+			for bi := b0; bi < b1; bi++ {
+				g := dy[bi*out+o] * act.derivFromOutput(y[bi*out+o])
+				dy[bi*out+o] = g
+				if g != 0 {
+					gb += g
+					m |= 1 << (bi - b0)
+				}
 			}
-			if g1 != 0 {
-				gb += g1
-			}
-			switch {
-			case g0 != 0 && g1 != 0:
-				axpy2(grow, x[bi*in:bi*in+in], x[(bi+1)*in:(bi+1)*in+in], g0, g1)
-			case g0 != 0:
-				axpy(grow, x[bi*in:bi*in+in], g0)
-			case g1 != 0:
-				axpy(grow, x[(bi+1)*in:(bi+1)*in+in], g1)
+			d.GB[o], live[o-o0] = gb, m
+		}
+		for c0 := 0; c0 < in; c0 += colBlock {
+			c1 := min(c0+colBlock, in)
+			for o := o0; o < o1; o++ {
+				k := 0
+				for m := live[o-o0]; m != 0; m &= m - 1 {
+					bi := b0 + bits.TrailingZeros32(m)
+					off[k%gradChunk], gs[k%gradChunk] = bi*in, dy[bi*out+o]
+					k++
+				}
+				if k > 0 {
+					gradRows(d.GW[o*in+c0:o*in+c1], x[c0:], off[:k], gs[:k])
+				}
 			}
 		}
-		if bi < b {
-			g := dy[bi*out+o] * d.Act.derivFromOutput(y[bi*out+o])
-			dy[bi*out+o] = g
-			if g != 0 {
-				gb += g
-				axpy(grow, x[bi*in:bi*in+in], g)
-			}
-		}
-		d.GB[o] = gb
 	}
 }
 
@@ -541,6 +563,22 @@ func dot2x8Go(x []float64, ld int, w0, w1 []float64, i int, s0, s1 *[8]float64) 
 	*s0, *s1 = t0, t1
 }
 
+// dot2x16 is dot2x8 over sixteen lanes (ld ≥ 16), for a CPU with
+// AVX-512: the whole 4-groups run in assembly, sixteen lanes in two ZMM
+// registers per weight row, and dot2x8Go takes the remainder of each
+// eight-lane half. Each lane carries dot2x8's bits.
+func dot2x16(x []float64, ld int, w0, w1 []float64, s0, s1 *[16]float64) {
+	n := len(w0)
+	if n == 0 {
+		return
+	}
+	x, w1 = x[:(n-1)*ld+16], w1[:n]
+	dot2x16AVX512(x, ld, w0, w1, s0, s1)
+	i := n &^ 3
+	dot2x8Go(x, ld, w0, w1, i, (*[8]float64)(s0[:8]), (*[8]float64)(s1[:8]))
+	dot2x8Go(x[8:], ld, w0, w1, i, (*[8]float64)(s0[8:]), (*[8]float64)(s1[8:]))
+}
+
 // dot1x4 computes the four dot products x·{w0,w1,w2,w3}, each accumulator in
 // dot()'s grouping: the kernel of every single-row pass, where dot would
 // re-read x once per weight row. check_bce reports four IsInBounds per
@@ -599,6 +637,33 @@ func axpyGo(dst, src []float64, a float64) {
 	}
 	for ; i < n; i++ {
 		dst[i] += a * src[i]
+	}
+}
+
+// gradRows computes dst[i] += g[k]·x[off[k]+i] for k = 0, 1, … in order,
+// each term a separate rounded multiply and add, while loading and storing
+// dst only once: pass 1's rank-k update of one gradient row block. With
+// AVX2 the whole 4-groups run in assembly, one element a lane, and
+// gradRowsGo takes the remainder. Lengths are checked, offsets are not:
+// every x[off[k]:] must hold len(dst) elements. backwardGradBlock's
+// offsets are rows of its batch, in range by construction.
+func gradRows(dst, x []float64, off []int, g []float64) {
+	g = g[:len(off)]
+	i := 0
+	if useAVX2 {
+		gradRowsAVX2(dst, x, off, g)
+		if i = len(dst) &^ 3; i == len(dst) {
+			return
+		}
+	}
+	gradRowsGo(dst, x, off, g, i)
+}
+
+// gradRowsGo is gradRows in Go from element i on, one row of the list at
+// a time: the order each element takes its terms in is the same.
+func gradRowsGo(dst, x []float64, off []int, g []float64, i int) {
+	for k, a := range g {
+		axpyGo(dst[i:], x[off[k]+i:], a)
 	}
 }
 

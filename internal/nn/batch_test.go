@@ -57,13 +57,21 @@ func TestBatchForwardMatchesSequential(t *testing.T) {
 // three colBlocks and a remainder of 3), the quad walk of a batch-1 pass
 // and the row-pair walk of a batch-major one (Out, also split into
 // tileOuts tiles), every padding width of an 8-lane group and more than
-// one group (b) — below and above parallelThreshold, serial and over even
-// and uneven worker counts. A batch-major pass must also leave its output
-// column-major in yc, with +0 in the padding lanes, also where a +Inf
-// weight meets a padding lane's +0 input (a NaN need only be a NaN). The
-// layers take turns at Identity, which keeps the raw sums visible, ReLU
-// and Sigmoid, whose batch-major exps go through ExpInto.
+// one group (b), and on an AVX-512 CPU every mix of whole 16-lane groups
+// and a trailing 8-lane one (b from 9 to 33) — below and above
+// parallelThreshold, serial and over even and uneven worker counts. A
+// batch-major pass must also leave its output column-major in yc, with +0
+// in the padding lanes, also where a +Inf weight meets a padding lane's
+// +0 input (a NaN need only be a NaN). The layers take turns at Identity,
+// which keeps the raw sums visible, ReLU and Sigmoid, whose batch-major
+// exps go through ExpInto. On an AVX-512 CPU the table runs twice, the
+// second time with dot2x16 switched off (forEachForwardBody).
 func TestForwardKernelsMatchDot(t *testing.T) {
+	forEachForwardBody(t, func() { checkForwardKernels(t) })
+}
+
+func checkForwardKernels(t *testing.T) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(8))
 	var below, above int
 	for _, in := range []int{1, 2, 3, 4, 5, 7, 8, 129, 2*colBlock + 259} {
@@ -74,7 +82,7 @@ func TestForwardKernelsMatchDot(t *testing.T) {
 			if out == 67 {
 				d.W[in/2] = math.Inf(1) // 0·Inf in a padding lane must not reach yc
 			}
-			for _, b := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17} {
+			for _, b := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 25, 32, 33} {
 				if b*in*out < parallelThreshold {
 					below++
 				} else {
@@ -119,6 +127,85 @@ func TestForwardKernelsMatchDot(t *testing.T) {
 	}
 	if below == 0 || above == 0 {
 		t.Fatalf("table has %d cases below parallelThreshold and %d at or above it; want both", below, above)
+	}
+}
+
+// TestWeightGradSkipsZeroDeltas pins pass 1's batch-major walk: every GW
+// and GB element must carry the bits of a scalar walk that, for each
+// output row, adds g·x over the batch rows in ascending order and skips a
+// g of ±0 — from accumulators that already hold a sum, some of it −0.
+// The layer is wider than two colBlocks and b reaches past gradChunk, so
+// column blocks, several batch chunks and both 4-group remainders run.
+// Input rows hold ±Inf and NaN where other rows' deltas are ±0: adding
+// those as +0·x would turn −0 into +0 and 0·Inf into NaN. Identity makes
+// the deltas the given dy; ReLU zeroes those of its dead units. Serial
+// and with the tiles split over workers; a NaN need only be a NaN.
+func TestWeightGradSkipsZeroDeltas(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	negZero := math.Copysign(0, -1)
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, c := range []struct {
+		in, out int
+		act     Activation
+	}{{5, 3, Identity}, {2*colBlock + 7, 67, Identity}, {130, 70, ReLU}} {
+		for _, b := range []int{1, 2, 9, 16, 33, 70} {
+			d := NewDense(c.in, c.out, c.act, rng)
+			x := randVec(rng, b*c.in)
+			for i := range x {
+				if rng.Intn(50) == 0 {
+					x[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			dy := randVec(rng, b*c.out)
+			y := randVec(rng, b*c.out)
+			for i := range dy {
+				switch rng.Intn(4) {
+				case 0:
+					dy[i] = 0
+				case 1:
+					dy[i] = negZero
+				}
+				if c.act == ReLU && rng.Intn(3) == 0 {
+					y[i] = 0
+				}
+			}
+			gw0, gb0 := randVec(rng, c.in*c.out), randVec(rng, c.out)
+			for i := range gw0 {
+				if rng.Intn(3) == 0 {
+					gw0[i] = negZero
+				}
+			}
+			gb0[0] = negZero
+			wantW, wantB := append([]float64(nil), gw0...), append([]float64(nil), gb0...)
+			for o := 0; o < c.out; o++ {
+				for bi := 0; bi < b; bi++ {
+					g := dy[bi*c.out+o] * c.act.derivFromOutput(y[bi*c.out+o])
+					if g == 0 {
+						continue
+					}
+					wantB[o] += g
+					for i := 0; i < c.in; i++ {
+						wantW[o*c.in+i] += g * x[bi*c.in+i]
+					}
+				}
+			}
+			for _, workers := range []int{1, 2, 3} {
+				copy(d.GW, gw0)
+				copy(d.GB, gb0)
+				d.batchBackward(x, y, append([]float64(nil), dy...), nil, b, workers)
+				for _, p := range []struct {
+					name      string
+					got, want []float64
+				}{{"GW", d.GW, wantW}, {"GB", d.GB, wantB}} {
+					for i, v := range p.got {
+						if w := p.want[i]; math.Float64bits(v) != math.Float64bits(w) && !(math.IsNaN(v) && math.IsNaN(w)) {
+							t.Fatalf("%d×%d %v layer, b=%d, workers=%d: %s[%d] = %v (%#x), scalar walk gives %v (%#x)",
+								c.in, c.out, c.act, b, workers, p.name, i, v, math.Float64bits(v), w, math.Float64bits(w))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -25,6 +25,23 @@ func hasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// useAVX512 selects dot2x16's 512-bit body, which forwardCols runs on each
+// whole sixteen-lane group of a pass. It is decided as useAVX2 is: the CPU
+// must report AVX-512F (CPUID.7:EBX bit 16), and the OS must save the
+// opmask and all 512 bits of the 32 vector registers (XCR0 bits 1, 2 and
+// 5–7). A var, not a const, so that the tests can switch it off and cover
+// the AVX2 path on the same CPU.
+var useAVX512 = useAVX2 && hasAVX512()
+
+func hasAVX512() bool {
+	const avx512f = 1 << 16
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx512f != 0
+}
+
 // useExpFMA selects ExpInto's assembly body. It is expAVX2's bit-for-bit
 // contract with math.Exp: math's amd64 exponential fuses its multiply-adds
 // exactly when the CPU has AVX and FMA (CPUID.1:ECX bit 12), and expAVX2
@@ -63,6 +80,19 @@ func xgetbv() (eax, edx uint32)
 //
 //go:noescape
 func dot2x8AVX2(x []float64, ld int, w0, w1 []float64, s0, s1 *[8]float64)
+
+// dot2x16AVX512 runs dot2x16 over the first len(w0)&^3 columns,
+// continuing the accumulators in s0 and s1. len(w1) >= len(w0), and x
+// holds at least (len(w0)-1)·ld + 16 elements.
+//
+//go:noescape
+func dot2x16AVX512(x []float64, ld int, w0, w1 []float64, s0, s1 *[16]float64)
+
+// gradRowsAVX2 runs gradRows over the first len(dst)&^3 elements; len(g)
+// = len(off) and every x[off[k]:] holds len(dst) elements.
+//
+//go:noescape
+func gradRowsAVX2(dst, x []float64, off []int, g []float64)
 
 // axpyAVX2 runs axpy over the first len(dst)&^3 elements; len(src) >= len(dst).
 //

@@ -120,6 +120,195 @@ dot2x8done:
 	VZEROUPPER
 	RET
 
+// func dot2x16AVX512(x []float64, ld int, w0, w1 []float64, s0, s1 *[16]float64)
+//
+// dot2x8AVX2 at twice the width: Z0/Z1 hold s0[0..7]/s0[8..15], Z2/Z3
+// hold s1[0..7]/s1[8..15], and per column the sixteen lanes of x are
+// loaded (Z4, Z5) and w0[i], w1[i] broadcast (Z6, Z7). Each lane performs
+// dot2x8AVX2's operations in its order.
+TEXT ·dot2x16AVX512(SB), NOSPLIT, $0-96
+	MOVQ x_base+0(FP), SI
+	MOVQ ld+24(FP), DX
+	MOVQ w0_base+32(FP), R8
+	MOVQ w0_len+40(FP), CX
+	MOVQ w1_base+56(FP), R9
+	MOVQ s0+80(FP), DI
+	MOVQ s1+88(FP), BX
+	SHLQ $3, DX
+	SHLQ $3, CX
+	ANDQ $-32, CX
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD (BX), Z2
+	VMOVUPD 64(BX), Z3
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ dot2x16done
+
+dot2x16loop:
+	VMOVUPD (SI), Z4
+	VMOVUPD 64(SI), Z5
+	VBROADCASTSD (R8)(AX*1), Z6
+	VBROADCASTSD (R9)(AX*1), Z7
+	VMULPD Z4, Z6, Z8
+	VMULPD Z5, Z6, Z9
+	VMULPD Z4, Z7, Z10
+	VMULPD Z5, Z7, Z11
+	ADDQ DX, SI
+	VMOVUPD (SI), Z4
+	VMOVUPD 64(SI), Z5
+	VBROADCASTSD 8(R8)(AX*1), Z6
+	VBROADCASTSD 8(R9)(AX*1), Z7
+	VMULPD Z4, Z6, Z12
+	VADDPD Z12, Z8, Z8
+	VMULPD Z5, Z6, Z13
+	VADDPD Z13, Z9, Z9
+	VMULPD Z4, Z7, Z14
+	VADDPD Z14, Z10, Z10
+	VMULPD Z5, Z7, Z15
+	VADDPD Z15, Z11, Z11
+	ADDQ DX, SI
+	VMOVUPD (SI), Z4
+	VMOVUPD 64(SI), Z5
+	VBROADCASTSD 16(R8)(AX*1), Z6
+	VBROADCASTSD 16(R9)(AX*1), Z7
+	VMULPD Z4, Z6, Z12
+	VADDPD Z12, Z8, Z8
+	VMULPD Z5, Z6, Z13
+	VADDPD Z13, Z9, Z9
+	VMULPD Z4, Z7, Z14
+	VADDPD Z14, Z10, Z10
+	VMULPD Z5, Z7, Z15
+	VADDPD Z15, Z11, Z11
+	ADDQ DX, SI
+	VMOVUPD (SI), Z4
+	VMOVUPD 64(SI), Z5
+	VBROADCASTSD 24(R8)(AX*1), Z6
+	VBROADCASTSD 24(R9)(AX*1), Z7
+	VMULPD Z4, Z6, Z12
+	VADDPD Z12, Z8, Z8
+	VMULPD Z5, Z6, Z13
+	VADDPD Z13, Z9, Z9
+	VMULPD Z4, Z7, Z14
+	VADDPD Z14, Z10, Z10
+	VMULPD Z5, Z7, Z15
+	VADDPD Z15, Z11, Z11
+	ADDQ DX, SI
+	VADDPD Z8, Z0, Z0
+	VADDPD Z9, Z1, Z1
+	VADDPD Z10, Z2, Z2
+	VADDPD Z11, Z3, Z3
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JB dot2x16loop
+
+dot2x16done:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (BX)
+	VMOVUPD Z3, 64(BX)
+	VZEROUPPER
+	RET
+
+// func gradRowsAVX2(dst, x []float64, off []int, g []float64)
+//
+// dst[i] = dst[i] + g[k]·x[off[k]+i] for k = 0, 1, … in order, one
+// element a lane. The outer loop takes 32 elements at a time in eight
+// accumulators (Y0..Y7), loaded once, grown by every row of the list and
+// stored once; a 4-element loop (Y0) takes the rest of the whole 4-groups.
+// R11 walks &x[off[k]+i].
+TEXT ·gradRowsAVX2(SB), NOSPLIT, $0-96
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ off_base+48(FP), R8
+	MOVQ off_len+56(FP), R9
+	MOVQ g_base+72(FP), R10
+	SHLQ $3, CX
+	MOVQ CX, DX
+	ANDQ $-256, DX
+	ANDQ $-32, CX
+	XORQ AX, AX
+	TESTQ R9, R9
+	JEQ gradrowsdone
+	TESTQ DX, DX
+	JEQ gradrows4
+
+gradrows32:
+	VMOVUPD (DI)(AX*1), Y0
+	VMOVUPD 32(DI)(AX*1), Y1
+	VMOVUPD 64(DI)(AX*1), Y2
+	VMOVUPD 96(DI)(AX*1), Y3
+	VMOVUPD 128(DI)(AX*1), Y4
+	VMOVUPD 160(DI)(AX*1), Y5
+	VMOVUPD 192(DI)(AX*1), Y6
+	VMOVUPD 224(DI)(AX*1), Y7
+	XORQ BX, BX
+
+gradrows32row:
+	MOVQ (R8)(BX*8), R11
+	LEAQ (SI)(R11*8), R11
+	ADDQ AX, R11
+	VBROADCASTSD (R10)(BX*8), Y8
+	VMULPD (R11), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(R11), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD 64(R11), Y8, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD 96(R11), Y8, Y12
+	VADDPD Y12, Y3, Y3
+	VMULPD 128(R11), Y8, Y13
+	VADDPD Y13, Y4, Y4
+	VMULPD 160(R11), Y8, Y14
+	VADDPD Y14, Y5, Y5
+	VMULPD 192(R11), Y8, Y15
+	VADDPD Y15, Y6, Y6
+	VMULPD 224(R11), Y8, Y9
+	VADDPD Y9, Y7, Y7
+	INCQ BX
+	CMPQ BX, R9
+	JB gradrows32row
+
+	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD Y1, 32(DI)(AX*1)
+	VMOVUPD Y2, 64(DI)(AX*1)
+	VMOVUPD Y3, 96(DI)(AX*1)
+	VMOVUPD Y4, 128(DI)(AX*1)
+	VMOVUPD Y5, 160(DI)(AX*1)
+	VMOVUPD Y6, 192(DI)(AX*1)
+	VMOVUPD Y7, 224(DI)(AX*1)
+	ADDQ $256, AX
+	CMPQ AX, DX
+	JB gradrows32
+
+gradrows4:
+	CMPQ AX, CX
+	JAE gradrowsdone
+
+gradrows4group:
+	VMOVUPD (DI)(AX*1), Y0
+	XORQ BX, BX
+
+gradrows4row:
+	MOVQ (R8)(BX*8), R11
+	LEAQ (SI)(R11*8), R11
+	VBROADCASTSD (R10)(BX*8), Y8
+	VMULPD (R11)(AX*1), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	INCQ BX
+	CMPQ BX, R9
+	JB gradrows4row
+
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JB gradrows4group
+
+gradrowsdone:
+	VZEROUPPER
+	RET
+
 // func axpyAVX2(dst, src []float64, a float64)
 //
 // dst[i] = dst[i] + a·src[i], one element a lane.

@@ -9,9 +9,18 @@ const (
 	useExpFMA = false
 )
 
+// useAVX512 is a var, as on amd64, only so that the tests compile.
+var useAVX512 = false
+
 func dot2x8AVX2(x []float64, ld int, w0, w1 []float64, s0, s1 *[8]float64) {
 	panic("nn: no assembly kernels")
 }
+
+func dot2x16AVX512(x []float64, ld int, w0, w1 []float64, s0, s1 *[16]float64) {
+	panic("nn: no assembly kernels")
+}
+
+func gradRowsAVX2(dst, x []float64, off []int, g []float64) { panic("nn: no assembly kernels") }
 
 func axpyAVX2(dst, src []float64, a float64) { panic("nn: no assembly kernels") }
 

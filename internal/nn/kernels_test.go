@@ -7,22 +7,27 @@ import (
 	"testing"
 )
 
-// TestSIMDKernelsBitwise holds the AVX2 bodies of dot2x8, axpy, axpy2 and
-// Adam's update, reached through the dispatchers, against the Go bodies
-// they replace, over every length 0–70: every remainder of the 4-groups,
-// and n < 4, which never enters assembly; dot2x8 also over one length
-// longer than two colBlocks. First, on any CPU, it holds ExpInto against
-// math.Exp on both of its paths (checkExpInto). Inputs mix ±0, denormals,
-// values near ±1e±300 and ±Inf into normal ones, and dot2x8's also NaN;
-// every result must carry the same bits, except that a NaN need only be a
-// NaN on both sides. dot2x8 runs at lane strides 8, 16 and 24 from
-// accumulators that already hold a sum. The Adam cases include groups
-// that mix dead (g, m, v all +0) and live lanes, and hyperparameters under
-// which computing a dead lane would not be the identity. Beyond this
-// pairing, TestForwardKernelsMatchDot and figret's
-// TestBatchedMatchesSequentialTrajectory hold the dispatched dot2x8 —
-// assembly on an AVX2 CPU — against the scalar dot and dot1x4 with no
-// further work.
+// TestSIMDKernelsBitwise holds the AVX2 bodies of dot2x8, gradRows, axpy,
+// axpy2 and Adam's update, reached through the dispatchers, and on an
+// AVX-512 CPU dot2x16, against the Go bodies they replace, over every
+// length 0–70: every remainder of the 4-groups, and n < 4, which never
+// enters assembly; dot2x8 and dot2x16 also over one length longer than
+// two colBlocks. First, on any CPU, it holds ExpInto against math.Exp on
+// both of its paths (checkExpInto). Inputs mix ±0, denormals, values near
+// ±1e±300 and ±Inf into normal ones, and dot2x8's, dot2x16's and
+// gradRows' also NaN; every result must carry the same bits, except that
+// a NaN need only be a NaN on both sides. dot2x8 runs at lane strides 8,
+// 16 and 24, and dot2x16 at 16, 24 and 32, each half of it against
+// dot2x8Go, from accumulators that already hold a sum. gradRows adds 0–9
+// rows, some with a ±0 g over an input row holding ±Inf or NaN, into
+// accumulators some of which start at −0. The Adam cases include groups
+// that mix dead (g, m, v all +0) and live lanes, and hyperparameters
+// under which computing a dead lane would not be the identity. Beyond
+// this pairing, TestForwardKernelsMatchDot and figret's
+// TestBatchedMatchesSequentialTrajectory hold the dispatched forward
+// bodies — assembly on an AVX2 CPU — against the scalar dot and dot1x4
+// with no further work, and TestWeightGradSkipsZeroDeltas holds pass 1
+// against a scalar walk.
 func TestSIMDKernelsBitwise(t *testing.T) {
 	if !useExpFMA {
 		t.Log("math.Exp takes no FMA branch here: ExpInto runs math.Exp only")
@@ -33,6 +38,7 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2 on this CPU: only the Go kernels run")
 	}
+	t.Logf("bodies: %s", kernelBodies())
 	rng := rand.New(rand.NewSource(27))
 	specials := []float64{
 		0, math.Copysign(0, -1),
@@ -83,8 +89,73 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 		same(label+" row 1", n, got1[:], want1[:])
 	}
 
+	// checkDot2x16 runs dot2x16 and, on each eight-lane half, dot2x8Go
+	// from the same non-zero accumulators over an n-column block at lane
+	// stride ld.
+	checkDot2x16 := func(n, ld int, wild float64) {
+		t.Helper()
+		x := vecOf(max(n*ld, 16), wild, withNaN)
+		w0, w1 := vecOf(n, wild, withNaN), vecOf(n, wild, withNaN)
+		var got0, got1 [16]float64
+		copy(got0[:], vecOf(16, wild, withNaN))
+		copy(got1[:], vecOf(16, wild, withNaN))
+		want0, want1 := got0, got1
+		dot2x16(x, ld, w0, w1, &got0, &got1)
+		for h := 0; h < 16; h += 8 {
+			dot2x8Go(x[h:], ld, w0, w1, 0, (*[8]float64)(want0[h:]), (*[8]float64)(want1[h:]))
+		}
+		label := fmt.Sprintf("dot2x16 ld=%d wild=%v", ld, wild)
+		same(label+" row 0", n, got0[:], want0[:])
+		same(label+" row 1", n, got1[:], want1[:])
+	}
+	// checkGradRows runs gradRows and gradRowsGo from the same
+	// accumulators over k of k+2 input rows of n columns, in ascending
+	// order; a third of the g are ±0 and the input rows hold NaN and ±Inf.
+	zeros := []float64{0, math.Copysign(0, -1)}
+	checkGradRows := func(n, k int, wild float64) {
+		t.Helper()
+		x := vecOf((k+2)*n, max(wild, 0.1), withNaN)
+		off := make([]int, 0, k)
+		for r := 0; len(off) < k; r++ {
+			if k+2-r > k-len(off) && rng.Intn(4) == 0 {
+				continue // skip a row while enough are left
+			}
+			off = append(off, r*n)
+		}
+		g := vecOf(k, wild, withNaN)
+		for j := range g {
+			if rng.Intn(3) == 0 {
+				g[j] = zeros[rng.Intn(2)]
+			}
+		}
+		if k >= 2 { // a +0 and a −0 g, each over ±Inf and NaN
+			g[0], g[1] = zeros[0], zeros[1]
+			for j, v := range []float64{math.Inf(1), math.NaN(), math.Inf(-1)}[:min(n, 3)] {
+				x[off[0]+j], x[off[1]+n-1-j] = v, v
+			}
+		}
+		got := vecOf(n, wild, withNaN)
+		for i := range got {
+			if rng.Intn(3) == 0 {
+				got[i] = math.Copysign(0, -1)
+			}
+		}
+		want := append([]float64(nil), got...)
+		gradRows(got, x, off, g)
+		gradRowsGo(want, x, off, g, 0)
+		same(fmt.Sprintf("gradRows k=%d wild=%v", k, wild), n, got, want)
+	}
+
 	for _, ld := range []int{8, 16, 24} {
 		checkDot2x8(2*colBlock+7, ld, 0.1)
+	}
+	if useAVX512 {
+		for _, ld := range []int{16, 24, 32} {
+			checkDot2x16(2*colBlock+7, ld, 0.1)
+		}
+	}
+	for _, k := range []int{1, 9} {
+		checkGradRows(2*colBlock+7, k, 0.1)
 	}
 	for n := 0; n <= 70; n++ {
 		for _, wild := range []float64{0, 0.1, 0.5} {
@@ -92,6 +163,14 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 
 			for _, ld := range []int{8, 16, 24} {
 				checkDot2x8(n, ld, wild)
+			}
+			if useAVX512 {
+				for _, ld := range []int{16, 24, 32} {
+					checkDot2x16(n, ld, wild)
+				}
+			}
+			for k := 0; k <= 9; k++ {
+				checkGradRows(n, k, wild)
 			}
 
 			src, u, v := vec(n, wild), vec(n, wild), vec(n, wild)
@@ -133,6 +212,36 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// kernelBodies names the training kernels' bodies the dispatchers take on
+// this CPU, for the tests' logs.
+func kernelBodies() string {
+	switch {
+	case useAVX512:
+		return "AVX-512 dot2x16, AVX2 elsewhere"
+	case useAVX2:
+		return "AVX2"
+	default:
+		return "Go"
+	}
+}
+
+// forEachForwardBody runs f with each forward body this CPU has: with
+// dot2x16's AVX-512 body and then, switched off, with dot2x8's alone, so
+// that an AVX-512 CPU still covers the AVX2 path. It logs which ran.
+func forEachForwardBody(t *testing.T, f func()) {
+	t.Helper()
+	on := useAVX512
+	defer func() { useAVX512 = on }()
+	for _, wide := range []bool{true, false} {
+		if wide && !on {
+			continue
+		}
+		useAVX512 = wide
+		t.Logf("bodies: %s", kernelBodies())
+		f()
 	}
 }
 

@@ -92,10 +92,12 @@ func (r *Registry) family(name, help string, kind metricKind) *family {
 	return f
 }
 
+// get returns the series for labels, creating it on first use. The caller
+// holds f.mu, under which a series' instrument is created, replaced and
+// read (family.write), so two goroutines registering one new series get
+// one instrument.
 func (f *family) get(labels []Label) *series {
 	key := renderLabels(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	s := f.series[key]
 	if s == nil {
 		s = &series{labels: key}
@@ -166,7 +168,10 @@ func (c *Counter) Value() uint64 {
 // Counter returns the counter for (name, labels), creating it on first
 // use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.family(name, help, kindCounter).get(labels)
+	f := r.family(name, help, kindCounter)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s := f.get(labels)
 	if s.c == nil {
 		s.c = &Counter{}
 	}
@@ -178,8 +183,10 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // cache hit counters). Re-registering the same (name, labels) replaces
 // the function.
 func (r *Registry) CounterFunc(name, help string, f func() float64, labels ...Label) {
-	s := r.family(name, help, kindCounter).get(labels)
-	s.fn = f
+	fam := r.family(name, help, kindCounter)
+	fam.mu.Lock()
+	defer fam.mu.Unlock()
+	fam.get(labels).fn = f
 }
 
 // --- gauge --------------------------------------------------------------
@@ -219,7 +226,10 @@ func (g *Gauge) Value() float64 {
 
 // Gauge returns the gauge for (name, labels), creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.family(name, help, kindGauge).get(labels)
+	f := r.family(name, help, kindGauge)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s := f.get(labels)
 	if s.g == nil {
 		s.g = &Gauge{}
 	}
@@ -228,8 +238,10 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 
 // GaugeFunc registers a gauge read from f at scrape time.
 func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Label) {
-	s := r.family(name, help, kindGauge).get(labels)
-	s.fn = f
+	fam := r.family(name, help, kindGauge)
+	fam.mu.Lock()
+	defer fam.mu.Unlock()
+	fam.get(labels).fn = f
 }
 
 // --- histogram ----------------------------------------------------------
@@ -349,7 +361,10 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 			panic(fmt.Sprintf("obs: histogram %q buckets not increasing at %d", name, i))
 		}
 	}
-	s := r.family(name, help, kindHistogram).get(labels)
+	f := r.family(name, help, kindHistogram)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s := f.get(labels)
 	if s.h == nil {
 		s.h = &Histogram{
 			bounds: append([]float64(nil), bounds...),

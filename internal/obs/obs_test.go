@@ -241,3 +241,52 @@ func TestTracerSpans(t *testing.T) {
 		t.Fatalf("stage b observations = %d, want 2", got)
 	}
 }
+
+// TestConcurrentRegistration has two goroutines register the same new
+// Counter, Gauge and Histogram series while a third renders the registry,
+// over many fresh registries. Both registrants must get the same
+// instrument, and the race detector must stay quiet: a series'
+// instrument is created and read only under its family's lock.
+func TestConcurrentRegistration(t *testing.T) {
+	type got struct {
+		c *Counter
+		g *Gauge
+		h *Histogram
+	}
+	bounds := ExpBuckets(1, 2, 4)
+	for range 200 {
+		r := NewRegistry()
+		var res [2]got
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := range res {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				l := Label{Name: "topology", Value: "geant"}
+				res[i] = got{
+					c: r.Counter("c_total", "help", l),
+					g: r.Gauge("g", "help", l),
+					h: r.Histogram("h", "help", bounds, l),
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for range 3 {
+				var sb strings.Builder
+				if err := r.WritePrometheus(&sb); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		close(start)
+		wg.Wait()
+		if res[0] != res[1] {
+			t.Fatalf("two registrations of one series got different instruments: %+v and %+v", res[0], res[1])
+		}
+	}
+}

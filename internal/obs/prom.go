@@ -42,9 +42,9 @@ func (f *family) write(bw *bufio.Writer) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	ss := make([]*series, 0, len(keys))
+	ss := make([]series, 0, len(keys)) // copies: instruments are read under f.mu
 	for _, k := range keys {
-		ss = append(ss, f.series[k])
+		ss = append(ss, *f.series[k])
 	}
 	f.mu.Unlock()
 
@@ -57,8 +57,8 @@ func (f *family) write(bw *bufio.Writer) {
 	bw.WriteByte(' ')
 	bw.WriteString(string(f.kind))
 	bw.WriteByte('\n')
-	for _, s := range ss {
-		s.write(bw, f)
+	for i := range ss {
+		ss[i].write(bw, f)
 	}
 }
 

@@ -256,8 +256,11 @@ func TestSpoolTracestoreSeries(t *testing.T) {
 	run("a", opt, 10, 13) // the one recovery
 
 	// What each handle counts, read off a probe store over the same
-	// vertex count: a header, and one block (every store here fits one).
-	probe, err := tracestore.Create(filepath.Join(t.TempDir(), "probe.fgt"), ps.Pairs.N(), tracestore.Options{})
+	// vertex count: a header, the flush of one snapshot (its bytes and a
+	// block header), and the read of one block (every store here fits
+	// one).
+	probePath := filepath.Join(t.TempDir(), "probe.fgt")
+	probe, err := tracestore.Create(probePath, ps.Pairs.N(), tracestore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,13 +271,22 @@ func TestSpoolTracestoreSeries(t *testing.T) {
 	if err := probe.Close(); err != nil {
 		t.Fatal(err)
 	}
-	block := probe.Stats().BytesWritten - header
-	// Writers: two new stores, one tail write per synchronous ingest.
+	flush := probe.Stats().BytesWritten - header
+	pr, err := tracestore.Open(probePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	if _, err := pr.At(0); err != nil {
+		t.Fatal(err)
+	}
+	block := pr.Stats().BytesRead
+	// Writers: two new stores, one tail flush per synchronous ingest.
 	// Recovery: the walk checks a's block, and the reader that reloads
 	// the window checks it again.
 	var want tracestore.CounterStats
 	want.BlocksWritten = 10 + 5 + 3
-	want.BytesWritten = 2*header + want.BlocksWritten*block
+	want.BytesWritten = 2*header + want.BlocksWritten*flush
 	want.BlocksVerified = 2
 	want.BytesRead = 2 * block
 	page := scrape(metrics)

@@ -245,7 +245,7 @@ func (t *Telemetry) storeIO() storeTelemetry {
 	if t.store.opens == nil {
 		r := t.reg
 		t.store = storeTelemetry{
-			blocksWritten:  r.Counter("figret_tracestore_blocks_written_total", "Trace-store block writes, including tail-block rewrites."),
+			blocksWritten:  r.Counter("figret_tracestore_blocks_written_total", "Trace-store block writes, including tail-block flushes."),
 			bytesWritten:   r.Counter("figret_tracestore_bytes_written_total", "Bytes handed to the OS by trace-store block writes."),
 			blocksVerified: r.Counter("figret_tracestore_blocks_verified_total", "Trace-store blocks whose payload checksum was validated."),
 			bytesRead:      r.Counter("figret_tracestore_bytes_read_total", "Trace-store block bytes read back by readers."),

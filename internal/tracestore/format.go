@@ -57,7 +57,8 @@ const (
 	blockHeaderBytes = 64
 	// defaultBlockPayload targets ~1 MiB of payload per block when the
 	// caller does not pin snapsPerBlock: big enough to amortize the
-	// header and CRC, small enough that a partial tail rewrite is cheap.
+	// header and CRC; a flush of the partial tail writes only its new
+	// snapshots and the block header.
 	defaultBlockPayload = 1 << 20
 	// maxSnapsPerBlock bounds the block geometry a reader will accept,
 	// so a hostile header cannot make size arithmetic overflow.

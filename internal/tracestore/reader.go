@@ -119,8 +119,8 @@ func (r *Reader) Stats() CounterStats {
 // CounterStats is one handle's I/O: a Writer's writes and recovery reads,
 // or a Reader's checked blocks. The package keeps no counter of its own.
 type CounterStats struct {
-	BlocksWritten  uint64 // block writes, tail rewrites included
-	BytesWritten   uint64 // header and block bytes handed to the OS
+	BlocksWritten  uint64 // block landings, tail flushes included
+	BytesWritten   uint64 // header, block-header and snapshot bytes handed to the OS
 	BlocksVerified uint64 // blocks whose payload CRC was checked
 	BytesRead      uint64 // the block bytes behind BlocksVerified
 }

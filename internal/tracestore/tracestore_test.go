@@ -156,18 +156,60 @@ func floatBytes(f []float64) []byte {
 
 // TestWriterDeterministicBytes pins the determinism contract: the same
 // appends produce byte-identical files, regardless of flush cadence.
+// TestWriterDeterministicBytes: a writer that flushes after every append
+// emits the bytes of WriteTrace over the same snapshots, with small blocks
+// (several full ones and a tail) and with the default geometry (one
+// zero-padded tail block, the spool's case).
 func TestWriterDeterministicBytes(t *testing.T) {
 	tr := synthTrace(4, 11, 3)
 	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.fgt"), filepath.Join(dir, "b.fgt")
-	if err := WriteTrace(a, tr, Options{SnapsPerBlock: 4}); err != nil {
-		t.Fatal(err)
+	for _, opt := range []Options{{SnapsPerBlock: 4}, {}} {
+		a, b := filepath.Join(dir, "a.fgt"), filepath.Join(dir, "b.fgt")
+		if err := WriteTrace(a, tr, opt); err != nil {
+			t.Fatal(err)
+		}
+		// Same snapshots, but flushed after every single append.
+		w, err := Create(b, 4, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tr.Len(); i++ {
+			if err := w.Append(tr.At(i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ab, err := os.ReadFile(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, err := os.ReadFile(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ab, bb) {
+			t.Fatalf("%+v: flush cadence changed the emitted bytes", opt)
+		}
 	}
-	// Same snapshots, but flushed after every single append.
-	w, err := Create(b, 4, Options{SnapsPerBlock: 4})
+}
+
+// TestFlushWritesOnlyNewSnapshots: a flush writes the snapshots appended
+// since the last one and a block header, not the zero-padded tail block.
+// Ten appends on a 4-vertex store in the default geometry (one ~1 MiB
+// block), each flushed, wrote 10,489,856 bytes when every flush rewrote
+// the block; now they write the file header and 10 × (64 + 96).
+func TestFlushWritesOnlyNewSnapshots(t *testing.T) {
+	tr := synthTrace(4, 10, 7)
+	w, err := Create(filepath.Join(t.TempDir(), "t.fgt"), 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	for i := 0; i < tr.Len(); i++ {
 		if err := w.Append(tr.At(i)); err != nil {
 			t.Fatal(err)
@@ -176,19 +218,82 @@ func TestWriterDeterministicBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	row := uint64(w.g.pairCount * 8)
+	want := CounterStats{BlocksWritten: 10, BytesWritten: headerBytes + 10*(blockHeaderBytes+row)}
+	if got := w.Stats(); got != want {
+		t.Fatalf("10 flushed appends: %+v, want %+v", got, want)
 	}
-	ab, err := os.ReadFile(a)
-	if err != nil {
-		t.Fatal(err)
+	if bound := uint64(w.g.blockBytes) + 10*(blockHeaderBytes+row); want.BytesWritten > bound {
+		t.Fatalf("%d bytes written, above one block plus 10 × (header + row) = %d", want.BytesWritten, bound)
 	}
-	bb, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ab, bb) {
-		t.Fatal("flush cadence changed the emitted bytes")
+}
+
+// TestTornFlushReopensAtPreviousCount builds the file a crash between a
+// flush's two writes leaves behind — the new snapshot in the tail block,
+// the previous block header in front of it — and requires OpenAppend to
+// resume at the previous count. Closing the recovered writer must leave
+// the bytes of WriteTrace over the snapshots it kept (the stray snapshot
+// is zeroed), and appending the rest must leave those of the whole trace.
+func TestTornFlushReopensAtPreviousCount(t *testing.T) {
+	tr := synthTrace(4, 11, 13)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.fgt")
+	for _, k := range []int{1, 5, 9} { // the tail holds 1 snapshot before the torn flush
+		w, err := Create(path, 4, Options{SnapsPerBlock: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			if err := w.Append(tr.At(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(tr.At(k)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		torn, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := w.g.blockOffset(k / 4)
+		copy(torn[tail:tail+blockHeaderBytes], before[tail:])
+		for _, rest := range []int{k, tr.Len()} {
+			if err := os.WriteFile(path, torn, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			a, err := OpenAppend(path, 4, Options{})
+			if err != nil {
+				t.Fatalf("k=%d: %v", k, err)
+			}
+			if a.Len() != int64(k) {
+				t.Fatalf("k=%d: reopened at %d snapshots, want %d", k, a.Len(), k)
+			}
+			if err := a.AppendTrace(tr.Slice(k, rest)); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := filepath.Join(dir, "want.fgt")
+			if err := WriteTrace(want, tr.Slice(0, rest), Options{SnapsPerBlock: 4}); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := os.ReadFile(path)
+			wb, _ := os.ReadFile(want)
+			if !bytes.Equal(got, wb) {
+				t.Fatalf("k=%d: recovered writer closed at %d snapshots differs from WriteTrace", k, rest)
+			}
+		}
 	}
 }
 
@@ -490,7 +595,9 @@ func TestConcurrentReaders(t *testing.T) {
 }
 
 // TestHandleStats: each Writer and Reader counts exactly its own I/O. A
-// writer books its header and every block write, tail rewrites included;
+// writer books its header and every block landing, tail flushes included,
+// each at the bytes it wrote: a block header and the snapshots new since
+// the last flush;
 // a reader books each block it checks, once; OpenAppend books every intact
 // block its recovery walk checks, and stops at a torn one.
 func TestHandleStats(t *testing.T) {
@@ -519,7 +626,8 @@ func TestHandleStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two full blocks, the tail at 1 snapshot, the tail at 2.
-	if got, want := w.Stats(), (CounterStats{BlocksWritten: 4, BytesWritten: headerBytes + 4*blk}); got != want {
+	row := uint64(g.pairCount * 8)
+	if got, want := w.Stats(), (CounterStats{BlocksWritten: 4, BytesWritten: headerBytes + 2*(blockHeaderBytes+4*row) + 2*(blockHeaderBytes+row)}); got != want {
 		t.Errorf("writer: %+v, want %+v", got, want)
 	}
 

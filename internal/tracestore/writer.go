@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"figret/internal/traffic"
 )
@@ -22,14 +23,18 @@ type Options struct {
 // Writer streams snapshots into a store file. Appends buffer one block
 // in memory; a full block is written (with its checksum) at its final
 // offset and never touched again, while Flush persists the partial tail
-// block, rewriting it in place as it fills. The header never changes
-// after Create, so the only bytes a crash can tear are the tail
-// block's — which its CRC detects and OpenAppend truncates away.
+// block as it fills. A block's slot is zero-filled once, when the file
+// is extended over it; each later flush writes only the snapshots
+// appended since the last one, then the 64-byte block header, so a crash
+// between the two leaves the previous header, which still covers exactly
+// the snapshots it counted. The file header never changes after Create,
+// so the only bytes a crash can tear are the tail block's — which its
+// CRC detects and OpenAppend truncates away.
 //
 // The emitted bytes are a pure function of (n, SnapsPerBlock, the
-// appended snapshots): unused payload is zeroed before every block
-// write, so two writers given the same appends produce byte-identical
-// files.
+// appended snapshots): every byte past the last snapshot of a block is
+// zero, so two writers given the same appends produce byte-identical
+// files, however often they flushed.
 //
 // A Writer is single-owner: it is not safe for concurrent use.
 type Writer struct {
@@ -39,9 +44,9 @@ type Writer struct {
 	nBlocks   int    // full blocks durably at their final offsets
 	buf       []byte // one block: header + payload, blockBytes long
 	bufCount  int    // snapshots currently in buf
+	landed    int    // of those, the ones in the file behind a header counting them
 	total     int64  // snapshots appended (durable + buffered)
 	fileBytes int64  // file size as of the last write (header + landed blocks)
-	dirty     bool   // buf holds appends not yet flushed
 	closed    bool
 	stats     CounterStats
 }
@@ -118,9 +123,19 @@ func recoverAppend(f *os.File, size int64, n int) (*Writer, error) {
 		w.stats.BytesRead += uint64(len(block))
 		if count < g.snapsPerBlock {
 			// Partial tail: pull it into the buffer and keep filling it.
+			// A crash between a flush's snapshot and header writes leaves
+			// snapshots past count; zero them, so that the next flush
+			// writes only its own and the bytes stay deterministic.
+			used := blockHeaderBytes + len(payload)
 			copy(w.buf[blockHeaderBytes:], payload)
-			w.bufCount = count
+			w.bufCount, w.landed = count, count
 			w.total += int64(count)
+			if slices.ContainsFunc(block[used:], func(c byte) bool { return c != 0 }) {
+				if _, err := f.WriteAt(w.buf[used:], g.blockOffset(i)+int64(used)); err != nil {
+					return nil, fmt.Errorf("tracestore: clearing torn tail: %w", err)
+				}
+				w.stats.BytesWritten += uint64(len(w.buf) - used)
+			}
 			break
 		}
 		w.nBlocks = i + 1
@@ -167,7 +182,6 @@ func (w *Writer) Append(d []float64) error {
 	}
 	w.bufCount++
 	w.total++
-	w.dirty = true
 	if w.bufCount == w.g.snapsPerBlock {
 		return w.flushBlock()
 	}
@@ -187,28 +201,42 @@ func (w *Writer) AppendTrace(tr *traffic.Trace) error {
 	return nil
 }
 
-// flushBlock writes the buffered block at its slot. It zeroes the
-// unused payload first (deterministic bytes), stamps the block header,
-// and resets the buffer when the block is full — a full block's slot is
-// final and never rewritten.
+// flushBlock lands the buffered snapshots of the tail block that are not
+// in the file yet. The block's first landing extends the file over its
+// slot, which zero-fills it, and writes the block header and snapshots in
+// one write. A later one writes the new snapshots, then the header that
+// counts them. A full block's slot is final and never rewritten: the
+// buffer starts the next block.
 func (w *Writer) flushBlock() error {
-	used := blockHeaderBytes + w.bufCount*w.g.pairCount*8
-	tail := w.buf[used:]
-	for i := range tail {
-		tail[i] = 0
+	off := w.g.blockOffset(w.nBlocks)
+	if end := off + int64(w.g.blockBytes); w.fileBytes < end {
+		if err := w.f.Truncate(end); err != nil {
+			return fmt.Errorf("tracestore: extend to block %d: %w", w.nBlocks, err)
+		}
+		w.fileBytes = end
 	}
-	payload := w.buf[blockHeaderBytes:used]
-	encodeBlockHeader(w.buf, int64(w.nBlocks)*int64(w.g.snapsPerBlock), w.bufCount, crc32.ChecksumIEEE(payload))
-	if _, err := w.f.WriteAt(w.buf, w.g.blockOffset(w.nBlocks)); err != nil {
+	row := w.g.pairCount * 8
+	from, used := blockHeaderBytes+w.landed*row, blockHeaderBytes+w.bufCount*row
+	encodeBlockHeader(w.buf, int64(w.nBlocks)*int64(w.g.snapsPerBlock), w.bufCount,
+		crc32.ChecksumIEEE(w.buf[blockHeaderBytes:used]))
+	if w.landed == 0 {
+		from = 0 // the header goes with the snapshots
+	}
+	if _, err := w.f.WriteAt(w.buf[from:used], off+int64(from)); err != nil {
 		return fmt.Errorf("tracestore: write block %d: %w", w.nBlocks, err)
 	}
+	if from > 0 {
+		if _, err := w.f.WriteAt(w.buf[:blockHeaderBytes], off); err != nil {
+			return fmt.Errorf("tracestore: write block %d header: %w", w.nBlocks, err)
+		}
+		w.stats.BytesWritten += blockHeaderBytes
+	}
 	w.stats.BlocksWritten++
-	w.stats.BytesWritten += uint64(len(w.buf))
-	w.fileBytes = w.g.blockOffset(w.nBlocks) + int64(len(w.buf))
-	w.dirty = false
+	w.stats.BytesWritten += uint64(used - from)
+	w.landed = w.bufCount
 	if w.bufCount == w.g.snapsPerBlock {
 		w.nBlocks++
-		w.bufCount = 0
+		w.bufCount, w.landed = 0, 0
 	}
 	return nil
 }
@@ -220,7 +248,7 @@ func (w *Writer) Flush() error {
 	if w.closed {
 		return fmt.Errorf("tracestore: flush on closed writer")
 	}
-	if !w.dirty || w.bufCount == 0 {
+	if w.landed == w.bufCount {
 		return nil
 	}
 	return w.flushBlock()
