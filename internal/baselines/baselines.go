@@ -209,39 +209,6 @@ func (f *FixedScheme) Advise(*traffic.Trace, int) (*te.Config, error) {
 	return f.Cfg, nil
 }
 
-// Evaluate runs a scheme sequentially over the test snapshots [from, to)
-// of tr and returns one MLU per snapshot. Callers normalize by the
-// Omniscient series to obtain the paper's normalized MLU.
-//
-// The scheme must be able to advise on every requested snapshot: if
-// s.Warmup() exceeds from, Evaluate returns an explicit error instead of
-// silently starting late — the historical clamping behavior returned a
-// shorter series whose indices were shifted relative to any base series
-// evaluated over the same [from, to), corrupting Normalize results.
-// internal/eval.Run aligns windows per scheme (and evaluates in parallel);
-// prefer it for multi-scheme comparisons.
-func Evaluate(s Scheme, tr *traffic.Trace, from, to int) ([]float64, error) {
-	if from < s.Warmup() {
-		return nil, fmt.Errorf("baselines: %s warmup %d exceeds evaluation start %d (use eval.Run for per-scheme window alignment)",
-			s.Name(), s.Warmup(), from)
-	}
-	if to > tr.Len() {
-		to = tr.Len()
-	}
-	if from >= to {
-		return nil, fmt.Errorf("baselines: empty evaluation range [%d,%d)", from, to)
-	}
-	out := make([]float64, 0, to-from)
-	for t := from; t < to; t++ {
-		cfg, err := s.Advise(tr, t)
-		if err != nil {
-			return nil, fmt.Errorf("baselines: %s at t=%d: %w", s.Name(), t, err)
-		}
-		out = append(out, cfg.MLU(tr.At(t)))
-	}
-	return out, nil
-}
-
 // Normalize divides each entry of series by the matching entry of base,
 // guarding against division by zero: a zero base entry maps a zero series
 // entry to 1 (both schemes idle) and a positive one to +Inf. The series

@@ -25,18 +25,27 @@ func setup(t *testing.T) (*te.PathSet, *traffic.Trace) {
 	return ps, tr
 }
 
+// mluSeries runs s over the snapshots [from, to) of tr and returns one
+// MLU per snapshot.
+func mluSeries(t *testing.T, s Scheme, tr *traffic.Trace, from, to int) []float64 {
+	t.Helper()
+	out := make([]float64, 0, to-from)
+	for i := from; i < to; i++ {
+		cfg, err := s.Advise(tr, i)
+		if err != nil {
+			t.Fatalf("%s at t=%d: %v", s.Name(), i, err)
+		}
+		out = append(out, cfg.MLU(tr.At(i)))
+	}
+	return out
+}
+
 func TestOmniscientIsLowerEnvelope(t *testing.T) {
 	ps, tr := setup(t)
 	omni := &Omniscient{PS: ps, Solve: LPSolve}
 	pred := &PredTE{PS: ps, Solve: LPSolve}
-	o, err := Evaluate(omni, tr, 100, 110)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Evaluate(pred, tr, 100, 110)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := mluSeries(t, omni, tr, 100, 110)
+	p := mluSeries(t, pred, tr, 100, 110)
 	for i := range o {
 		if p[i] < o[i]-1e-7 {
 			t.Errorf("snapshot %d: PredTE %v beat omniscient %v", i, p[i], o[i])
@@ -80,14 +89,8 @@ func TestDesTEWorseThanOmniscientInNormalCase(t *testing.T) {
 	ps, tr := setup(t)
 	omni := &Omniscient{PS: ps, Solve: LPSolve}
 	des := &DesTE{PS: ps, Solve: LPSolve, F: lp.ConstantF(0.5)}
-	o, err := Evaluate(omni, tr, 100, 112)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Evaluate(des, tr, 100, 112)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := mluSeries(t, omni, tr, 100, 112)
+	d := mluSeries(t, des, tr, 100, 112)
 	var so, sd float64
 	for i := range o {
 		so += o[i]
@@ -127,14 +130,8 @@ func TestFineGrainedDominatesConstantObjective(t *testing.T) {
 
 	constant := &DesTE{PS: ps, Solve: LPSolve, F: lp.ConstantF(0.5), H: 8}
 	fine := &DesTE{PS: ps, Solve: LPSolve, H: 8, F: lin, Label: "FG linear"}
-	c, err := Evaluate(constant, tr, 95, 115)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := Evaluate(fine, tr, 95, 115)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mluSeries(t, constant, tr, 95, 115)
+	f := mluSeries(t, fine, tr, 95, 115)
 	var sc, sf float64
 	for i := range c {
 		sc += c[i]
@@ -210,14 +207,8 @@ func TestObliviousWorseInNormalCase(t *testing.T) {
 	}
 	omni := &Omniscient{PS: ps, Solve: LPSolve}
 	fix := &FixedScheme{Label: "Oblivious", Cfg: obl}
-	o, err := Evaluate(omni, test, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Evaluate(fix, test, 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := mluSeries(t, omni, test, 0, 10)
+	b := mluSeries(t, fix, test, 0, 10)
 	var so, sb float64
 	for i := range o {
 		so += o[i]
@@ -279,7 +270,7 @@ func TestRaeckeSelectorProperties(t *testing.T) {
 			if p[0] != pair[0] || p[len(p)-1] != pair[1] {
 				t.Errorf("bad endpoints in %v", p)
 			}
-			if !p.IsSimple() {
+			if !isSimple(p) {
 				t.Errorf("non-simple path %v", p)
 			}
 			key := ""
@@ -313,10 +304,7 @@ func TestTEALIsPerDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &NNScheme{Label: "TEAL", Model: teal}
-	mlus, err := Evaluate(s, test, 1, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mlus := mluSeries(t, s, test, 1, 11)
 	for _, m := range mlus {
 		if math.IsNaN(m) || m <= 0 {
 			t.Errorf("bad TEAL MLU %v", m)
@@ -380,33 +368,6 @@ func TestAutoSolvePicksByScale(t *testing.T) {
 	}
 }
 
-func TestEvaluateRangeErrors(t *testing.T) {
-	ps, tr := setup(t)
-	omni := &Omniscient{PS: ps, Solve: LPSolve}
-	if _, err := Evaluate(omni, tr, 200, 100); err == nil {
-		t.Error("empty range accepted")
-	}
-}
-
-func TestEvaluateRejectsWarmupShift(t *testing.T) {
-	// The legacy clamping silently returned a shorter, index-shifted
-	// series when the scheme's warmup exceeded the requested start —
-	// misaligning it against any base series over the same window. The
-	// legacy path must now refuse instead.
-	ps, tr := setup(t)
-	pred := &PredTE{PS: ps, Solve: LPSolve} // warmup 1
-	if _, err := Evaluate(pred, tr, 0, 10); err == nil {
-		t.Fatal("warmup > from accepted; series would be index-shifted")
-	}
-	series, err := Evaluate(pred, tr, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 9 {
-		t.Errorf("got %d MLUs, want 9", len(series))
-	}
-}
-
 func TestNormalizeEdgeCases(t *testing.T) {
 	// Zero base entries: 0/0 is defined as 1 (both idle), x/0 as +Inf.
 	n := Normalize([]float64{0, 3, 2}, []float64{0, 0, 4})
@@ -445,16 +406,20 @@ func TestNNSchemeWithFigret(t *testing.T) {
 	if s.Warmup() != 4 {
 		t.Errorf("warmup = %d", s.Warmup())
 	}
-	// Starting before the warmup is an explicit error now (the engine
-	// aligns windows per scheme; the legacy path refuses to shift).
-	if _, err := Evaluate(s, test, 0, 12); err == nil {
-		t.Error("warmup > from accepted")
-	}
-	mlus, err := Evaluate(s, test, 4, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mlus := mluSeries(t, s, test, 4, 12)
 	if len(mlus) != 8 {
 		t.Errorf("got %d MLUs, want 8", len(mlus))
 	}
+}
+
+// isSimple reports whether p visits no vertex twice.
+func isSimple(p graph.Path) bool {
+	seen := make(map[int]bool, len(p))
+	for _, v := range p {
+		if seen[v] {
+			return false
+		}
+		seen[v] = true
+	}
+	return true
 }

@@ -18,7 +18,7 @@ func enumerateSimplePaths(g *Graph, src, dst int) []Path {
 		if v == dst {
 			out = append(out, cur.Clone())
 		} else {
-			for _, ei := range g.OutEdges(v) {
+			for _, ei := range g.out[v] {
 				w := g.Edge(ei).To
 				if !visited[w] {
 					dfs(w)

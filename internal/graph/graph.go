@@ -117,10 +117,6 @@ func (g *Graph) EdgeID(from, to int) (int, bool) {
 	return 0, false
 }
 
-// OutEdges returns the indices of edges leaving v. Callers must not mutate
-// the returned slice.
-func (g *Graph) OutEdges(v int) []int { return g.out[v] }
-
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
@@ -129,31 +125,6 @@ func (g *Graph) Clone() *Graph {
 		c.out[v] = append([]int(nil), g.out[v]...)
 	}
 	return c
-}
-
-// Connected reports whether every vertex is reachable from vertex 0
-// following directed edges (sufficient for the symmetric graphs used here).
-func (g *Graph) Connected() bool {
-	if g.n == 0 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ei := range g.out[v] {
-			w := g.edges[ei].To
-			if !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, w)
-			}
-		}
-	}
-	return count == g.n
 }
 
 // MinCapacity returns the smallest edge capacity, or 0 for an edgeless graph.

@@ -57,11 +57,11 @@ func TestEdgeIDAndOutEdges(t *testing.T) {
 			t.Errorf("%s: EdgeID(%d,%d) = %d,%v, want %d,%v", c.name, c.from, c.to, id, ok, c.id, c.ok)
 		}
 	}
-	out := g.OutEdges(0)
+	out := g.out[0]
 	if len(out) != 2 || out[0] != id01 || out[1] != id02 {
-		t.Errorf("OutEdges(0)=%v", out)
+		t.Errorf("out-list of 0 = %v", out)
 	}
-	if len(g.OutEdges(3)) != 0 {
+	if len(g.out[3]) != 0 {
 		t.Error("vertex 3 should have no out edges")
 	}
 	if _, ok := (&Graph{}).EdgeID(0, 0); ok {
@@ -73,12 +73,12 @@ func TestConnected(t *testing.T) {
 	g := New(3)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 0, 1)
-	if g.Connected() {
+	if g.connected() {
 		t.Error("disconnected graph reported connected")
 	}
 	g.MustAddEdge(1, 2, 1)
 	g.MustAddEdge(2, 1, 1)
-	if !g.Connected() {
+	if !g.connected() {
 		t.Error("connected graph reported disconnected")
 	}
 }
@@ -156,7 +156,7 @@ func TestKShortestPathsProperties(t *testing.T) {
 		seen := map[string]bool{}
 		prevLen := 0
 		for _, p := range ps {
-			if !p.IsSimple() {
+			if !p.isSimple() {
 				t.Errorf("pair %v: non-simple path %v", pair, p)
 			}
 			if p[0] != pair[0] || p[len(p)-1] != pair[1] {
@@ -240,8 +240,8 @@ func TestTopologySizes(t *testing.T) {
 			if g.NumEdges() != c.edges {
 				t.Errorf("edges = %d, want %d", g.NumEdges(), c.edges)
 			}
-			if g.Connected() != c.wantConnected {
-				t.Errorf("connected = %v, want %v", g.Connected(), c.wantConnected)
+			if g.connected() != c.wantConnected {
+				t.Errorf("connected = %v, want %v", g.connected(), c.wantConnected)
 			}
 		})
 	}
@@ -283,7 +283,7 @@ func TestFullMeshProperty(t *testing.T) {
 	f := func(raw uint8) bool {
 		n := int(raw%9) + 2
 		g := FullMesh(n, 1)
-		return g.NumEdges() == n*(n-1) && g.Connected()
+		return g.NumEdges() == n*(n-1) && g.connected()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -305,4 +305,41 @@ func TestMinCapacityAndDegrees(t *testing.T) {
 	if New(0).MinCapacity() != 0 {
 		t.Error("empty graph MinCapacity should be 0")
 	}
+}
+
+// connected reports whether every vertex is reachable from vertex 0
+// following directed edges (sufficient for the symmetric graphs used here).
+func (g *Graph) connected() bool {
+	if g.n == 0 {
+		return true
+	}
+	seen := make([]bool, g.n)
+	stack := []int{0}
+	seen[0] = true
+	count := 1
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, ei := range g.out[v] {
+			w := g.edges[ei].To
+			if !seen[w] {
+				seen[w] = true
+				count++
+				stack = append(stack, w)
+			}
+		}
+	}
+	return count == g.n
+}
+
+// isSimple reports whether p visits no vertex twice.
+func (p Path) isSimple() bool {
+	seen := make(map[int]bool, len(p))
+	for _, v := range p {
+		if seen[v] {
+			return false
+		}
+		seen[v] = true
+	}
+	return true
 }

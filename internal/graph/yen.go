@@ -182,15 +182,3 @@ func lessPath(a, b Path) bool {
 	}
 	return len(a) < len(b)
 }
-
-// IsSimple reports whether p visits no vertex twice.
-func (p Path) IsSimple() bool {
-	seen := make(map[int]bool, len(p))
-	for _, v := range p {
-		if seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
-}

@@ -90,7 +90,7 @@ func TestKShortestPathsFewerThanK(t *testing.T) {
 
 	seen := map[string]bool{}
 	for _, p := range tri.KShortestPaths(0, 1, 10, HopWeight) {
-		if !p.IsSimple() {
+		if !p.isSimple() {
 			t.Errorf("non-simple path %v", p)
 		}
 		key := fmt.Sprint(p)
@@ -136,7 +136,7 @@ func TestLargeWANShape(t *testing.T) {
 	if g.NumVertices() != 220 || g.NumEdges() != 660 {
 		t.Fatalf("LargeWAN = %d vertices / %d edges, want 220/660", g.NumVertices(), g.NumEdges())
 	}
-	if !g.Connected() {
+	if !g.connected() {
 		t.Fatal("LargeWAN disconnected")
 	}
 	byName, err := ByName(TopoLargeWAN)

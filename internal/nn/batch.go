@@ -89,9 +89,6 @@ func NewScratch(m *MLP, batch int) *Scratch {
 	return s
 }
 
-// Batch returns the scratch's batch-row capacity.
-func (s *Scratch) Batch() int { return s.batch }
-
 // check panics unless s can carry a b-row pass through m: b within
 // capacity and every layer width equal to the one s was sized for.
 func (s *Scratch) check(m *MLP, b int) {

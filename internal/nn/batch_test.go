@@ -466,8 +466,8 @@ func TestScratchSmallerBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	net := NewMLP([]int{5, 9, 3}, ReLU, Sigmoid, rng)
 	s := NewScratch(net, 8)
-	if s.Batch() != 8 {
-		t.Fatalf("Batch() = %d, want 8", s.Batch())
+	if s.batch != 8 {
+		t.Fatalf("batch capacity %d, want 8", s.batch)
 	}
 	for _, b := range []int{1, 8, 3} {
 		x := randVec(rng, b*5)

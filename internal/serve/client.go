@@ -219,17 +219,6 @@ func (c *Client) PostSnapshot(topo string, demand []float64) (*RoutingResponse, 
 	return &out, nil
 }
 
-// PostSnapshotAsync ingests one demand snapshot without waiting for the
-// decision.
-func (c *Client) PostSnapshotAsync(topo string, demand []float64) error {
-	if c.Binary {
-		_, err := c.doWire(http.MethodPost, "/v1/topologies/"+topo+"/snapshots", topo,
-			func(e *wire.Encoder) []byte { return e.Snapshot(&wire.Snapshot{Demand: demand, Async: true}) })
-		return err
-	}
-	return c.do(http.MethodPost, "/v1/topologies/"+topo+"/snapshots", SnapshotRequest{Demand: demand, Async: true}, nil)
-}
-
 // Routing returns the topology's currently published decision.
 func (c *Client) Routing(topo string) (*RoutingResponse, error) {
 	if c.Binary {

@@ -52,7 +52,7 @@ func TestMetricsOneSourceOfTruth(t *testing.T) {
 		}
 	}
 	for i := 0; i < 6; i++ {
-		if err := client.PostSnapshotAsync("pod", tr.At(i)); err != nil {
+		if err := client.postSnapshotAsync("pod", tr.At(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -215,7 +215,7 @@ func TestHotSwapMidStream(t *testing.T) {
 					}
 					return
 				}
-				if _, err := te.FromRatios(ps, append([]float64(nil), rr.Ratios...)); err != nil {
+				if _, err := decisionConfig(ps, rr.Ratios); err != nil {
 					select {
 					case readErr <- err:
 					default:
@@ -434,7 +434,7 @@ func TestServerEndpoints(t *testing.T) {
 	if rr.Version != 0 || rr.Seq != 0 {
 		t.Fatalf("bootstrap decision = %+v", rr)
 	}
-	if _, err := te.FromRatios(ps, append([]float64(nil), rr.Ratios...)); err != nil {
+	if _, err := decisionConfig(ps, rr.Ratios); err != nil {
 		t.Fatalf("bootstrap config invalid: %v", err)
 	}
 
@@ -475,7 +475,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Async ingest path + metrics.
 	for i := 0; i < 6; i++ {
-		if err := client.PostSnapshotAsync("pod", tr.At(i)); err != nil {
+		if err := client.postSnapshotAsync("pod", tr.At(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -873,4 +873,15 @@ func TestReportFailuresRejectsUnknownLink(t *testing.T) {
 	if !res.Decision.Rerouted || !sameBits(res.Decision.Config.R, want.R) {
 		t.Fatal("decision after the rejected reports is not the reroute around the one valid link")
 	}
+}
+
+// postSnapshotAsync ingests one demand snapshot without waiting for the
+// decision.
+func (c *Client) postSnapshotAsync(topo string, demand []float64) error {
+	if c.Binary {
+		_, err := c.doWire(http.MethodPost, "/v1/topologies/"+topo+"/snapshots", topo,
+			func(e *wire.Encoder) []byte { return e.Snapshot(&wire.Snapshot{Demand: demand, Async: true}) })
+		return err
+	}
+	return c.do(http.MethodPost, "/v1/topologies/"+topo+"/snapshots", SnapshotRequest{Demand: demand, Async: true}, nil)
 }

@@ -145,6 +145,37 @@ func TestControllerSpoolTornTailRecovered(t *testing.T) {
 	}
 }
 
+// TestControllerSpoolShortFileBoots: a spool file shorter than a store
+// header — a Create cut off by a crash or a full disk — holds no
+// snapshot, so the restarted controller starts the spool afresh and
+// numbers from 0 instead of refusing to boot.
+func TestControllerSpoolShortFileBoots(t *testing.T) {
+	ps, tr, m := fixture(t, 60, 1)
+	reg := NewRegistry()
+	if err := reg.AddTopology("pod", ps); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Install("pod", m, "bootstrap"); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "pod.fgt"), make([]byte, 10), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewController("pod", reg, ControllerOptions{HistoryCap: 8, Spool: dir})
+	if err != nil {
+		t.Fatalf("a 10-byte spool file was fatal: %v", err)
+	}
+	t.Cleanup(c.Close)
+	res, err := c.Ingest(tr.At(0), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot != 0 {
+		t.Fatalf("first snapshot over a fresh spool numbered %d, want 0", res.Snapshot)
+	}
+}
+
 // TestServerAddDuplicateLeavesSpool: a second Add for a served topology
 // is refused before a controller is built for it, so the live spool
 // never gets a second writer — the first controller's numbering, next
@@ -208,7 +239,7 @@ func TestServerAddDuplicateLeavesSpool(t *testing.T) {
 
 // TestSpoolTracestoreSeries: the unlabeled figret_tracestore_* series of
 // a Telemetry registry are the sum of what its controllers' spool handles
-// count — each writer's header and blocks, the recovery walk of a restart
+// count — each writer's header and records, the recovery walk of a restart
 // and the reader that reloads the window — and opens_total counts the
 // recoveries. A registry without spools shows none.
 func TestSpoolTracestoreSeries(t *testing.T) {
@@ -256,9 +287,8 @@ func TestSpoolTracestoreSeries(t *testing.T) {
 	run("a", opt, 10, 13) // the one recovery
 
 	// What each handle counts, read off a probe store over the same
-	// vertex count: a header, the flush of one snapshot (its bytes and a
-	// block header), and the read of one block (every store here fits
-	// one).
+	// vertex count: a header, the flush of one snapshot record, and the
+	// read of one record.
 	probePath := filepath.Join(t.TempDir(), "probe.fgt")
 	probe, err := tracestore.Create(probePath, ps.Pairs.N(), tracestore.Options{})
 	if err != nil {
@@ -280,15 +310,15 @@ func TestSpoolTracestoreSeries(t *testing.T) {
 	if _, err := pr.At(0); err != nil {
 		t.Fatal(err)
 	}
-	block := pr.Stats().BytesRead
-	// Writers: two new stores, one tail flush per synchronous ingest.
-	// Recovery: the walk checks a's block, and the reader that reloads
-	// the window checks it again.
+	record := pr.Stats().BytesRead
+	// Writers: two new stores, one record flushed per synchronous ingest.
+	// Recovery: the walk checks a's 10 records, and the reader that
+	// reloads the window checks the last HistoryCap = 8 of them again.
 	var want tracestore.CounterStats
 	want.BlocksWritten = 10 + 5 + 3
 	want.BytesWritten = 2*header + want.BlocksWritten*flush
-	want.BlocksVerified = 2
-	want.BytesRead = 2 * block
+	want.BlocksVerified = 10 + 8
+	want.BytesRead = want.BlocksVerified * record
 	page := scrape(metrics)
 	for _, c := range []struct {
 		series string

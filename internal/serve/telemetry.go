@@ -245,10 +245,10 @@ func (t *Telemetry) storeIO() storeTelemetry {
 	if t.store.opens == nil {
 		r := t.reg
 		t.store = storeTelemetry{
-			blocksWritten:  r.Counter("figret_tracestore_blocks_written_total", "Trace-store block writes, including tail-block flushes."),
-			bytesWritten:   r.Counter("figret_tracestore_bytes_written_total", "Bytes handed to the OS by trace-store block writes."),
-			blocksVerified: r.Counter("figret_tracestore_blocks_verified_total", "Trace-store blocks whose payload checksum was validated."),
-			bytesRead:      r.Counter("figret_tracestore_bytes_read_total", "Trace-store block bytes read back by readers."),
+			blocksWritten:  r.Counter("figret_tracestore_blocks_written_total", "Trace-store snapshot records written to the spool files."),
+			bytesWritten:   r.Counter("figret_tracestore_bytes_written_total", "Bytes handed to the OS by trace-store header and record writes."),
+			blocksVerified: r.Counter("figret_tracestore_blocks_verified_total", "Trace-store snapshot records whose checksum was validated, by readers and recovery."),
+			bytesRead:      r.Counter("figret_tracestore_bytes_read_total", "Trace-store record bytes read back by readers and recovery."),
 			opens:          r.Counter("figret_tracestore_opens_total", "Successfully-opened trace-store readers."),
 		}
 	}

@@ -105,7 +105,7 @@ func TestWireHTTPNegotiation(t *testing.T) {
 	}
 	sameDecision(t, "after-binary-ingest", j2, d)
 
-	if err := binClient.PostSnapshotAsync("pod", tr.At(10)); err != nil {
+	if err := binClient.postSnapshotAsync("pod", tr.At(10)); err != nil {
 		t.Fatal(err)
 	}
 

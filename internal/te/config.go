@@ -37,15 +37,6 @@ func UniformConfig(ps *PathSet) *Config {
 	return c
 }
 
-// FromRatios wraps raw ratios in a Config after validating them.
-func FromRatios(ps *PathSet, r []float64) (*Config, error) {
-	c := &Config{ps: ps, R: r}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // PathSet returns the path set this configuration is defined over.
 func (c *Config) PathSet() *PathSet { return c.ps }
 

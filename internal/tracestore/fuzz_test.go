@@ -13,14 +13,15 @@ import (
 
 // seedImages builds the checked-in seed corpus for FuzzReadBlock: one
 // well-formed store image per interesting shape, plus truncated,
-// bit-flipped and foreign-version variants — each produced by the live
+// bit-flipped and foreign-version variants (a newer version, and the
+// header of the version-1 block layout) — each produced by the live
 // Writer, so the corpus can never drift from the format it exercises
 // (the wire-corpus discipline). Each entry becomes
 // testdata/fuzz/FuzzReadBlock/<name>.
 func seedImages(t *testing.T) map[string][]byte {
 	t.Helper()
 	dir := t.TempDir()
-	build := func(n, T, snapsPerBlock int) []byte {
+	build := func(n, T int) []byte {
 		tr := traffic.NewTrace(n)
 		for i := 0; i < T; i++ {
 			d := make([]float64, tr.Pairs.Count())
@@ -29,8 +30,8 @@ func seedImages(t *testing.T) map[string][]byte {
 			}
 			tr.AppendOwned(d)
 		}
-		path := filepath.Join(dir, fmt.Sprintf("seed-%d-%d-%d.fgt", n, T, snapsPerBlock))
-		if err := WriteTrace(path, tr, Options{SnapsPerBlock: snapsPerBlock}); err != nil {
+		path := filepath.Join(dir, fmt.Sprintf("seed-%d-%d.fgt", n, T))
+		if err := WriteTrace(path, tr, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		b, err := os.ReadFile(path)
@@ -40,24 +41,29 @@ func seedImages(t *testing.T) map[string][]byte {
 		return b
 	}
 	images := map[string][]byte{}
-	images["empty"] = build(3, 0, 2)
-	images["single"] = build(3, 1, 2)
-	images["full_block"] = build(3, 2, 2)
-	multi := build(3, 5, 2) // two full blocks + one partial tail
+	images["empty"] = build(3, 0)
+	images["single"] = build(3, 1)
+	images["full_block"] = build(3, 2)
+	multi := build(3, 5)
 	images["multi"] = multi
+	rec := int(recordSize(3))
 
-	truncated := append([]byte(nil), multi...)
-	images["truncated"] = truncated[:len(truncated)-100]
+	images["truncated"] = append([]byte(nil), multi[:len(multi)-10]...)
 
 	flipped := append([]byte(nil), multi...)
-	flipped[headerBytes+blockHeaderBytes+9] ^= 0x10 // payload bit
+	flipped[headerBytes+rec+9] ^= 0x10 // a payload bit of record 1
 	images["bitflip_payload"] = flipped
 
-	flippedHdr := append([]byte(nil), multi...)
-	flippedHdr[headerBytes+6] ^= 0x01 // block header bit
-	images["bitflip_block_header"] = flippedHdr
+	flippedCRC := append([]byte(nil), multi...)
+	flippedCRC[headerBytes+3*rec-1] ^= 0x01 // a CRC bit of record 2
+	images["bitflip_record_crc"] = flippedCRC
 
-	images["foreign_version"] = foreignVersion(append([]byte(nil), multi...))
+	flippedHdr := append([]byte(nil), multi...)
+	flippedHdr[13] ^= 0x01 // a bit of n
+	images["bitflip_header"] = flippedHdr
+
+	images["foreign_version"] = foreignVersion(multi)
+	images["version1"] = version1Header(3, 2)
 	return images
 }
 
@@ -101,7 +107,7 @@ func TestFuzzSeedCorpus(t *testing.T) {
 		// fully, damaged ones error without panicking.
 		err = readWholeImage(images[name])
 		switch name {
-		case "truncated", "bitflip_payload", "bitflip_block_header", "foreign_version":
+		case "truncated", "bitflip_payload", "bitflip_record_crc", "bitflip_header", "foreign_version", "version1":
 			if err == nil {
 				t.Errorf("seed %s: damaged image read cleanly", name)
 			}
@@ -123,7 +129,7 @@ func TestFuzzSeedCorpus(t *testing.T) {
 }
 
 // readWholeImage drives every reader path over a store image: open,
-// then every snapshot through At, which reads and checks each block. It
+// then every snapshot through At, which reads and checks each record. It
 // must return an error or succeed — never panic — for any input
 // whatsoever.
 func readWholeImage(data []byte) error {
@@ -136,17 +142,18 @@ func readWholeImage(data []byte) error {
 		if err != nil {
 			return err
 		}
-		if len(s) != r.g.pairCount {
-			return fmt.Errorf("snapshot %d has %d entries, want %d", i, len(s), r.g.pairCount)
+		if len(s) != r.s.pairCount {
+			return fmt.Errorf("snapshot %d has %d entries, want %d", i, len(s), r.s.pairCount)
 		}
 	}
 	return nil
 }
 
 // FuzzReadBlock feeds arbitrary bytes through the whole reader:
-// structural validation, lazy block verification and snapshot copies. The invariant is the wire decoder's:
-// corrupt, truncated, hostile or foreign-version input surfaces as an
-// error, never a panic or an out-of-bounds access.
+// header and size validation, record checksums and snapshot copies. The
+// invariant is the wire decoder's: corrupt, truncated, hostile or
+// foreign-version input surfaces as an error, never a panic or an
+// out-of-bounds access.
 func FuzzReadBlock(f *testing.F) {
 	// Seeds beyond the checked-in corpus: pathological tiny inputs.
 	f.Add([]byte{})

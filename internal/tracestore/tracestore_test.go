@@ -49,24 +49,57 @@ func bitwiseEqual(a, b *traffic.Trace) bool {
 	return true
 }
 
+// recordSize is the on-disk size of one snapshot record over n vertices.
+func recordSize(n int) int64 { return int64(n*(n-1)*8 + crcBytes) }
+
+// TestRoundTripBitwise writes traces through Create and Append and reads
+// them back bit for bit. A case's name speaks of its flushes, a flush
+// writing every buffered record in one write: a partial flush at Close,
+// Append's own flush at exactly its last snapshot (84 records of 40
+// vertices are the first to reach flushBytes), several of those and a
+// partial one, and a flush after every append, the spool's case.
 func TestRoundTripBitwise(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		n, T  int
-		snaps int // SnapsPerBlock (0 = default)
+		every int // Flush after every this many appends (0 = never)
 	}{
 		{"empty", 4, 0, 0},
 		{"single", 4, 1, 0},
-		{"partial_block", 4, 3, 8},
-		{"exact_block", 4, 8, 8},
-		{"multi_block", 5, 23, 4},
+		{"partial_block", 4, 3, 0},
+		{"exact_block", 40, 84, 0},
+		{"multi_block", 40, 200, 0},
 		{"default_geometry", 6, 40, 0},
 		{"one_snap_blocks", 3, 5, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := synthTrace(tc.n, tc.T, 42)
 			path := filepath.Join(t.TempDir(), "trace.fgt")
-			if err := WriteTrace(path, tr, Options{SnapsPerBlock: tc.snaps}); err != nil {
+			w, err := Create(path, tc.n, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tr.Len(); i++ {
+				if err := w.Append(tr.At(i)); err != nil {
+					t.Fatal(err)
+				}
+				if tc.every > 0 && (i+1)%tc.every == 0 {
+					if err := w.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rec := recordSize(tc.n)
+			landed := int64(tc.T) // before Close: Append's own flushes, or the test's
+			if per := (flushBytes + rec - 1) / rec; tc.every == 0 {
+				landed -= landed % per
+			} else {
+				landed -= landed % int64(tc.every)
+			}
+			if w.DurableBytes() != headerBytes+landed*rec {
+				t.Fatalf("before Close the file holds %d bytes, want %d records in it", w.DurableBytes(), landed)
+			}
+			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
 			got, r, err := loadStore(path)
@@ -80,6 +113,13 @@ func TestRoundTripBitwise(t *testing.T) {
 			if int(r.Len()) != tc.T || r.N() != tc.n {
 				t.Fatalf("reader reports len=%d n=%d, want %d/%d", r.Len(), r.N(), tc.T, tc.n)
 			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := headerBytes + int64(tc.T)*rec; fi.Size() != want {
+				t.Fatalf("file holds %d bytes, want a header and %d records = %d", fi.Size(), tc.T, want)
+			}
 		})
 	}
 }
@@ -87,7 +127,7 @@ func TestRoundTripBitwise(t *testing.T) {
 func TestWindowViewsMatchInMemory(t *testing.T) {
 	tr := synthTrace(5, 30, 7)
 	path := filepath.Join(t.TempDir(), "trace.fgt")
-	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 4}); err != nil {
+	if err := WriteTrace(path, tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	stored, r, err := loadStore(path)
@@ -154,22 +194,30 @@ func floatBytes(f []float64) []byte {
 	return out
 }
 
+// readFile is os.ReadFile that fails the test on error.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestWriterDeterministicBytes pins the determinism contract: the same
-// appends produce byte-identical files, regardless of flush cadence.
-// TestWriterDeterministicBytes: a writer that flushes after every append
-// emits the bytes of WriteTrace over the same snapshots, with small blocks
-// (several full ones and a tail) and with the default geometry (one
-// zero-padded tail block, the spool's case).
+// appends produce the bytes of WriteTrace over the same snapshots,
+// whether the writer flushes after every append, every third, or only
+// when it closes.
 func TestWriterDeterministicBytes(t *testing.T) {
 	tr := synthTrace(4, 11, 3)
 	dir := t.TempDir()
-	for _, opt := range []Options{{SnapsPerBlock: 4}, {}} {
-		a, b := filepath.Join(dir, "a.fgt"), filepath.Join(dir, "b.fgt")
-		if err := WriteTrace(a, tr, opt); err != nil {
-			t.Fatal(err)
-		}
-		// Same snapshots, but flushed after every single append.
-		w, err := Create(b, 4, opt)
+	want := filepath.Join(dir, "want.fgt")
+	if err := WriteTrace(want, tr, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, every := range []int{1, 3, tr.Len() + 1} {
+		path := filepath.Join(dir, "b.fgt")
+		w, err := Create(path, 4, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,122 +225,94 @@ func TestWriterDeterministicBytes(t *testing.T) {
 			if err := w.Append(tr.At(i)); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
+			if (i+1)%every == 0 {
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		ab, err := os.ReadFile(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, err := os.ReadFile(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ab, bb) {
-			t.Fatalf("%+v: flush cadence changed the emitted bytes", opt)
+		if !bytes.Equal(readFile(t, want), readFile(t, path)) {
+			t.Fatalf("flushing every %d appends changed the emitted bytes", every)
 		}
 	}
 }
 
-// TestFlushWritesOnlyNewSnapshots: a flush writes the snapshots appended
-// since the last one and a block header, not the zero-padded tail block.
-// Ten appends on a 4-vertex store in the default geometry (one ~1 MiB
-// block), each flushed, wrote 10,489,856 bytes when every flush rewrote
-// the block; now they write the file header and 10 × (64 + 96).
-func TestFlushWritesOnlyNewSnapshots(t *testing.T) {
-	tr := synthTrace(4, 10, 7)
-	w, err := Create(filepath.Join(t.TempDir(), "t.fgt"), 4, Options{})
-	if err != nil {
+// TestEveryTruncationReopens cuts a store at every length from 0 to its
+// full size, as a crash can leave it, and requires OpenAppend to resume
+// at the whole records that survive — floor((L − header) / record), or
+// 0 below a header — and appending the rest to leave the bytes of
+// WriteTrace over the whole trace.
+func TestEveryTruncationReopens(t *testing.T) {
+	tr := synthTrace(3, 9, 13)
+	dir := t.TempDir()
+	want := filepath.Join(dir, "want.fgt")
+	if err := WriteTrace(want, tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	for i := 0; i < tr.Len(); i++ {
-		if err := w.Append(tr.At(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	row := uint64(w.g.pairCount * 8)
-	want := CounterStats{BlocksWritten: 10, BytesWritten: headerBytes + 10*(blockHeaderBytes+row)}
-	if got := w.Stats(); got != want {
-		t.Fatalf("10 flushed appends: %+v, want %+v", got, want)
-	}
-	if bound := uint64(w.g.blockBytes) + 10*(blockHeaderBytes+row); want.BytesWritten > bound {
-		t.Fatalf("%d bytes written, above one block plus 10 × (header + row) = %d", want.BytesWritten, bound)
-	}
-}
-
-// TestTornFlushReopensAtPreviousCount builds the file a crash between a
-// flush's two writes leaves behind — the new snapshot in the tail block,
-// the previous block header in front of it — and requires OpenAppend to
-// resume at the previous count. Closing the recovered writer must leave
-// the bytes of WriteTrace over the snapshots it kept (the stray snapshot
-// is zeroed), and appending the rest must leave those of the whole trace.
-func TestTornFlushReopensAtPreviousCount(t *testing.T) {
-	tr := synthTrace(4, 11, 13)
-	dir := t.TempDir()
+	full := readFile(t, want)
+	rec := recordSize(3)
 	path := filepath.Join(dir, "t.fgt")
-	for _, k := range []int{1, 5, 9} { // the tail holds 1 snapshot before the torn flush
-		w, err := Create(path, 4, Options{SnapsPerBlock: 4})
+	for L := 0; L <= len(full); L++ {
+		if err := os.WriteFile(path, full[:L], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := OpenAppend(path, 3, Options{})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("L=%d: %v", L, err)
 		}
-		for i := 0; i < k; i++ {
-			if err := w.Append(tr.At(i)); err != nil {
-				t.Fatal(err)
-			}
+		kept := int64(0)
+		if L >= headerBytes {
+			kept = (int64(L) - headerBytes) / rec
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
+		if w.Len() != kept || w.DurableBytes() != headerBytes+kept*rec {
+			t.Fatalf("L=%d: reopened at %d snapshots (%d durable bytes), want %d", L, w.Len(), w.DurableBytes(), kept)
 		}
-		before, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(tr.At(k)); err != nil {
+		if err := w.AppendTrace(tr.Slice(int(kept), tr.Len())); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		torn, err := os.ReadFile(path)
-		if err != nil {
+		if !bytes.Equal(readFile(t, path), full) {
+			t.Fatalf("L=%d: reopened and completed store differs from WriteTrace", L)
+		}
+	}
+}
+
+// TestOpenAppendOverShortFile: a file shorter than a header — what a
+// Create that crashed or hit a full disk before its header landed leaves
+// — holds no snapshot, so OpenAppend starts a store there instead of
+// refusing it.
+func TestOpenAppendOverShortFile(t *testing.T) {
+	tr := synthTrace(4, 3, 2)
+	dir := t.TempDir()
+	want := filepath.Join(dir, "want.fgt")
+	if err := WriteTrace(want, tr, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "t.fgt")
+	for _, size := range []int{0, 10, headerBytes - 1} {
+		if err := os.WriteFile(path, bytes.Repeat([]byte{0xAB}, size), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		tail := w.g.blockOffset(k / 4)
-		copy(torn[tail:tail+blockHeaderBytes], before[tail:])
-		for _, rest := range []int{k, tr.Len()} {
-			if err := os.WriteFile(path, torn, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			a, err := OpenAppend(path, 4, Options{})
-			if err != nil {
-				t.Fatalf("k=%d: %v", k, err)
-			}
-			if a.Len() != int64(k) {
-				t.Fatalf("k=%d: reopened at %d snapshots, want %d", k, a.Len(), k)
-			}
-			if err := a.AppendTrace(tr.Slice(k, rest)); err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Close(); err != nil {
-				t.Fatal(err)
-			}
-			want := filepath.Join(dir, "want.fgt")
-			if err := WriteTrace(want, tr.Slice(0, rest), Options{SnapsPerBlock: 4}); err != nil {
-				t.Fatal(err)
-			}
-			got, _ := os.ReadFile(path)
-			wb, _ := os.ReadFile(want)
-			if !bytes.Equal(got, wb) {
-				t.Fatalf("k=%d: recovered writer closed at %d snapshots differs from WriteTrace", k, rest)
-			}
+		w, err := OpenAppend(path, 4, Options{})
+		if err != nil {
+			t.Fatalf("%d-byte file: %v", size, err)
+		}
+		if w.Len() != 0 {
+			t.Fatalf("%d-byte file: reopened at %d snapshots, want 0", size, w.Len())
+		}
+		if err := w.AppendTrace(tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readFile(t, path), readFile(t, want)) {
+			t.Fatalf("%d-byte file: the store started over it differs from WriteTrace", size)
 		}
 	}
 }
@@ -301,11 +321,11 @@ func TestTornFlushReopensAtPreviousCount(t *testing.T) {
 // slice: the encode happens before return.
 func TestAppendReuseBuffer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.fgt")
-	w, err := Create(path, 3, Options{SnapsPerBlock: 2})
+	w, err := Create(path, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]float64, w.g.pairCount)
+	buf := make([]float64, w.s.pairCount)
 	want := make([][]float64, 5)
 	for i := range want {
 		for j := range buf {
@@ -340,11 +360,11 @@ func TestOpenAppendContinues(t *testing.T) {
 	tr := synthTrace(4, 13, 9)
 	dir := t.TempDir()
 	oneShot, twoShot := filepath.Join(dir, "one.fgt"), filepath.Join(dir, "two.fgt")
-	if err := WriteTrace(oneShot, tr, Options{SnapsPerBlock: 4}); err != nil {
+	if err := WriteTrace(oneShot, tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 1, 4, 5, 12, 13} {
-		w, err := Create(twoShot, 4, Options{SnapsPerBlock: 4})
+		w, err := Create(twoShot, 4, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,72 +387,81 @@ func TestOpenAppendContinues(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		a, _ := os.ReadFile(oneShot)
-		b, _ := os.ReadFile(twoShot)
-		if !bytes.Equal(a, b) {
+		if !bytes.Equal(readFile(t, oneShot), readFile(t, twoShot)) {
 			t.Fatalf("cut %d: two-session file differs from one-session file", cut)
 		}
 	}
 }
 
-// TestOpenAppendRecoversTornTail crashes mid-block (simulated by
-// truncating into the tail block) and requires OpenAppend to resume at
-// the last intact snapshot while a strict Reader refuses the torn file.
+// TestOpenAppendRecoversTornTail crashes mid-record (simulated by
+// truncating into the last record) and requires OpenAppend to resume at
+// the last intact snapshot while a strict Reader refuses the damaged
+// file. A damaged record in the middle ends the durable prefix the same
+// way, and so does a zero-filled tail, which no record's CRC accepts.
 func TestOpenAppendRecoversTornTail(t *testing.T) {
 	tr := synthTrace(4, 11, 5)
-	path := filepath.Join(t.TempDir(), "t.fgt")
-	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 4}); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tear the tail block: cut 100 bytes out of the last block slot.
-	if err := os.Truncate(path, fi.Size()-100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("reader accepted a torn file: %v", err)
-	}
-	w, err := OpenAppend(path, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 11 snapshots at 4/block = 2 full blocks + torn tail of 3: recovery
-	// keeps the 8 durable ones.
-	if w.Len() != 8 {
-		t.Fatalf("recovered writer reports %d snapshots, want 8", w.Len())
-	}
-	if err := w.AppendTrace(tr.Slice(8, tr.Len())); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, r, err := loadStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if !bitwiseEqual(tr, got) {
-		t.Fatal("recovered + re-appended trace differs from the original")
+	rec := recordSize(4)
+	for _, tc := range []struct {
+		name string
+		mut  func([]byte) []byte
+		kept int64
+	}{
+		{"torn_last_record", func(b []byte) []byte { return b[:len(b)-30] }, 10},
+		{"bitflip_in_record_6", flipByte(headerBytes + int(6*rec) + 9), 6},
+		{"zeroed_tail", func(b []byte) []byte { return append(b, make([]byte, 3*rec)...) }, 11},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "t.fgt")
+			if err := WriteTrace(path, tr, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.mut(readFile(t, path)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if r, err := Open(path); err == nil {
+				_, err = readTrace(r)
+				r.Close()
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("reader accepted a damaged file: %v", err)
+				}
+			} else if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open: want ErrCorrupt, got %v", err)
+			}
+			w, err := OpenAppend(path, 4, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.Len() != tc.kept {
+				t.Fatalf("recovered writer reports %d snapshots, want %d", w.Len(), tc.kept)
+			}
+			if err := w.AppendTrace(tr.Slice(int(tc.kept), tr.Len())); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, r, err := loadStore(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if !bitwiseEqual(tr, got) {
+				t.Fatal("recovered + re-appended trace differs from the original")
+			}
+		})
 	}
 }
 
 // TestCorruptionSurfacesAsErrors flips bits and mangles framing; every
-// damage mode must surface as an error (ErrCorrupt or ErrVersion), and
-// never a panic.
+// damage mode must surface as ErrCorrupt, and never a panic.
 func TestCorruptionSurfacesAsErrors(t *testing.T) {
 	tr := synthTrace(4, 9, 6)
 	path := filepath.Join(t.TempDir(), "t.fgt")
-	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 4}); err != nil {
+	if err := WriteTrace(path, tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	pristine, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pristine := readFile(t, path)
+	rec := int(recordSize(4))
 	damage := []struct {
 		name  string
 		mut   func([]byte) []byte
@@ -442,11 +471,22 @@ func TestCorruptionSurfacesAsErrors(t *testing.T) {
 		{"short_header", func(b []byte) []byte { return b[:16] }, true},
 		{"bad_magic", flipByte(0), true},
 		{"header_bitflip", flipByte(13), true},
-		{"block_header_bitflip", flipByte(headerBytes + 5), true},
-		{"payload_bitflip", flipByte(headerBytes + blockHeaderBytes + 17), false},
-		{"tail_payload_bitflip", flipByte(3*pageSize + blockHeaderBytes + 3), false},
+		{"header_crc_bitflip", flipByte(21), true},
+		{"payload_bitflip", flipByte(headerBytes + 17), false},
+		{"record_crc_bitflip", flipByte(headerBytes + rec - 2), false},
+		{"tail_payload_bitflip", flipByte(headerBytes + 8*rec + 3), false},
+		{"records_swapped", func(b []byte) []byte {
+			r0 := append([]byte(nil), b[headerBytes:headerBytes+rec]...)
+			copy(b[headerBytes:], b[headerBytes+rec:headerBytes+2*rec])
+			copy(b[headerBytes+rec:], r0)
+			return b
+		}, false},
+		{"zeroed_record", func(b []byte) []byte {
+			clear(b[headerBytes+4*rec : headerBytes+5*rec])
+			return b
+		}, false},
 		{"truncated_mid_block", func(b []byte) []byte { return b[:len(b)-50] }, true},
-		{"trailing_garbage", func(b []byte) []byte { return append(append([]byte(nil), b...), 1, 2, 3) }, true},
+		{"trailing_garbage", func(b []byte) []byte { return append(b, 1, 2, 3) }, true},
 	}
 	for _, d := range damage {
 		t.Run(d.name, func(t *testing.T) {
@@ -467,11 +507,11 @@ func TestCorruptionSurfacesAsErrors(t *testing.T) {
 				return
 			}
 			if err != nil {
-				t.Fatalf("structural open should succeed (payload damage is lazy): %v", err)
+				t.Fatalf("structural open should succeed (record damage is found by At): %v", err)
 			}
 			defer r.Close()
 			if _, err := readTrace(r); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("At on flipped payload: want ErrCorrupt, got %v", err)
+				t.Fatalf("At on a damaged record: want ErrCorrupt, got %v", err)
 			}
 		})
 	}
@@ -485,35 +525,68 @@ func flipByte(off int) func([]byte) []byte {
 }
 
 // foreignVersion rewrites a store image's header to claim format
-// version+1, re-checksummed so decode reaches the version check.
+// version+1, re-checksummed so only the version is foreign.
 func foreignVersion(b []byte) []byte {
 	out := append([]byte(nil), b...)
 	binary.LittleEndian.PutUint32(out[8:12], version+1)
-	binary.LittleEndian.PutUint32(out[28:32], crc32.ChecksumIEEE(out[:28]))
+	binary.LittleEndian.PutUint32(out[20:24], crc32.ChecksumIEEE(out[:20]))
 	return out
 }
 
-// TestForeignVersion rejects a structurally-valid file of a newer
-// format version with ErrVersion, not ErrCorrupt.
+// version1Header builds the 4 KiB header page of a version-1 store over
+// n vertices with snapsPerBlock snapshots per block: magic "FIGTRCS1",
+// version, n, pairCount, snapsPerBlock, a reserved word and a CRC-32 over
+// the 28 bytes before it, then zero padding.
+func version1Header(n, snapsPerBlock int) []byte {
+	buf := make([]byte, 4096)
+	copy(buf, "FIGTRCS1")
+	le := binary.LittleEndian
+	le.PutUint32(buf[8:], 1)
+	le.PutUint32(buf[12:], uint32(n))
+	le.PutUint32(buf[16:], uint32(n*(n-1)))
+	le.PutUint32(buf[20:], uint32(snapsPerBlock))
+	le.PutUint32(buf[28:], crc32.ChecksumIEEE(buf[:28]))
+	return buf
+}
+
+// TestForeignVersion rejects a file of another format version with
+// ErrVersion, not ErrCorrupt: a newer version's header, a version-1
+// store (the block layout this format replaced) and a header whose magic
+// names generation 1, through Open and through OpenAppend, which must
+// leave the refused file as it was.
 func TestForeignVersion(t *testing.T) {
 	tr := synthTrace(4, 3, 1)
-	path := filepath.Join(t.TempDir(), "t.fgt")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.fgt")
 	if err := WriteTrace(path, tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, foreignVersion(b), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(path)
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("want ErrVersion, got %v", err)
-	}
-	if errors.Is(err, ErrCorrupt) {
-		t.Fatal("a foreign version is not corruption")
+	v1Magic := readFile(t, path)
+	v1Magic[7] = '1' // the generation digit disagrees with the version field
+	binary.LittleEndian.PutUint32(v1Magic[20:24], crc32.ChecksumIEEE(v1Magic[:20]))
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{
+		{"newer", foreignVersion(readFile(t, path))},
+		{"v1", version1Header(4, 8)},
+		{"v1_magic", v1Magic},
+	} {
+		name, img := tc.name, tc.img
+		p := filepath.Join(dir, name+".fgt")
+		if err := os.WriteFile(p, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(p)
+		if !errors.Is(err, ErrVersion) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Open: want ErrVersion and not ErrCorrupt, got %v", name, err)
+		}
+		if _, err := OpenAppend(p, 4, Options{}); !errors.Is(err, ErrVersion) {
+			t.Fatalf("%s: OpenAppend: want ErrVersion, got %v", name, err)
+		}
+		if !bytes.Equal(readFile(t, p), img) {
+			t.Fatalf("%s: OpenAppend changed a file it refused", name)
+		}
 	}
 }
 
@@ -535,7 +608,7 @@ func TestMismatchedVertexCount(t *testing.T) {
 func TestViewCapacityClipped(t *testing.T) {
 	tr := synthTrace(4, 6, 2)
 	path := filepath.Join(t.TempDir(), "t.fgt")
-	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 3}); err != nil {
+	if err := WriteTrace(path, tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	got, r, err := loadStore(path)
@@ -557,12 +630,12 @@ func TestViewCapacityClipped(t *testing.T) {
 	}
 }
 
-// TestConcurrentReaders exercises the lazy per-block verification under
-// concurrency (run with -race in CI's tracestore job).
+// TestConcurrentReaders reads one Reader from eight goroutines (run with
+// -race in CI's tracestore job).
 func TestConcurrentReaders(t *testing.T) {
 	tr := synthTrace(5, 40, 8)
 	path := filepath.Join(t.TempDir(), "t.fgt")
-	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 4}); err != nil {
+	if err := WriteTrace(path, tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Open(path)
@@ -572,43 +645,41 @@ func TestConcurrentReaders(t *testing.T) {
 	defer r.Close()
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
-		go func(g int) {
+		go func() {
 			for i := int64(0); i < r.Len(); i++ {
 				s, err := r.At(i)
 				if err != nil {
 					done <- err
 					return
 				}
-				if len(s) != r.g.pairCount {
-					done <- errors.New("short snapshot")
+				if !bytes.Equal(floatBytes(s), floatBytes(tr.At(int(i)))) {
+					done <- errors.New("snapshot differs")
 					return
 				}
 			}
 			done <- nil
-		}(g)
+		}()
 	}
 	for g := 0; g < 8; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 	}
+	if got, want := r.Stats().BlocksVerified, uint64(8*tr.Len()); got != want {
+		t.Fatalf("%d records verified, want %d", got, want)
+	}
 }
 
-// TestHandleStats: each Writer and Reader counts exactly its own I/O. A
-// writer books its header and every block landing, tail flushes included,
-// each at the bytes it wrote: a block header and the snapshots new since
-// the last flush;
-// a reader books each block it checks, once; OpenAppend books every intact
-// block its recovery walk checks, and stops at a torn one.
+// TestHandleStats: each Writer and Reader counts exactly its own I/O, a
+// block being one record. A writer books its header and every record it
+// lands, at the bytes it wrote; a reader books each record At checks,
+// each time; OpenAppend books every intact record its recovery walk
+// checks, and stops at a torn one.
 func TestHandleStats(t *testing.T) {
 	tr := synthTrace(4, 10, 3)
-	g, err := newGeometry(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk := uint64(g.blockBytes)
+	rec := uint64(recordSize(4))
 	path := filepath.Join(t.TempDir(), "t.fgt")
-	w, err := Create(path, 4, Options{SnapsPerBlock: 4})
+	w, err := Create(path, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +687,7 @@ func TestHandleStats(t *testing.T) {
 		if err := w.Append(tr.At(i)); err != nil {
 			t.Fatal(err)
 		}
-		if i == 8 { // land a 1-snapshot tail that the 10th append rewrites
+		if i == 8 { // one flush of 9 records, then Close's of 1
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -625,9 +696,7 @@ func TestHandleStats(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Two full blocks, the tail at 1 snapshot, the tail at 2.
-	row := uint64(g.pairCount * 8)
-	if got, want := w.Stats(), (CounterStats{BlocksWritten: 4, BytesWritten: headerBytes + 2*(blockHeaderBytes+4*row) + 2*(blockHeaderBytes+row)}); got != want {
+	if got, want := w.Stats(), (CounterStats{BlocksWritten: 10, BytesWritten: headerBytes + 10*rec}); got != want {
 		t.Errorf("writer: %+v, want %+v", got, want)
 	}
 
@@ -639,12 +708,12 @@ func TestHandleStats(t *testing.T) {
 	if got := r.Stats(); got != (CounterStats{}) {
 		t.Errorf("reader after Open: %+v, want nothing read", got)
 	}
-	for pass := 0; pass < 2; pass++ { // the second pass hits the cache
+	for pass := 0; pass < 2; pass++ {
 		if _, err := readTrace(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := r.Stats(), (CounterStats{BlocksVerified: 3, BytesRead: 3 * blk}); got != want {
+	if got, want := r.Stats(), (CounterStats{BlocksVerified: 20, BytesRead: 20 * rec}); got != want {
 		t.Errorf("reader: %+v, want %+v", got, want)
 	}
 
@@ -652,18 +721,18 @@ func TestHandleStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := a.Stats(), (CounterStats{BlocksVerified: 3, BytesRead: 3 * blk}); got != want {
+	if got, want := a.Stats(), (CounterStats{BlocksVerified: 10, BytesRead: 10 * rec}); got != want {
 		t.Errorf("OpenAppend: %+v, want %+v", got, want)
 	}
 	a.Close()
-	if err := os.Truncate(path, int64(headerBytes+3*blk-1)); err != nil {
+	if err := os.Truncate(path, int64(headerBytes+10*rec-1)); err != nil {
 		t.Fatal(err)
 	}
 	if a, err = OpenAppend(path, 4, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if got, want := a.Stats(), (CounterStats{BlocksVerified: 2, BytesRead: 2 * blk}); got != want {
+	if got, want := a.Stats(), (CounterStats{BlocksVerified: 9, BytesRead: 9 * rec}); got != want {
 		t.Errorf("OpenAppend over a torn tail: %+v, want %+v", got, want)
 	}
 }
@@ -673,7 +742,7 @@ func TestHandleStats(t *testing.T) {
 func TestAtReturnsOwnedSlice(t *testing.T) {
 	tr := synthTrace(4, 5, 4)
 	path := filepath.Join(t.TempDir(), "t.fgt")
-	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 2}); err != nil {
+	if err := WriteTrace(path, tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Open(path)
@@ -706,7 +775,7 @@ func TestAtReturnsOwnedSlice(t *testing.T) {
 func TestTruncatedAfterOpen(t *testing.T) {
 	tr := synthTrace(4, 11, 5)
 	path := filepath.Join(t.TempDir(), "t.fgt")
-	if err := WriteTrace(path, tr, Options{SnapsPerBlock: 4}); err != nil {
+	if err := WriteTrace(path, tr, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Open(path)
@@ -714,12 +783,9 @@ func TestTruncatedAfterOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	// Keep the header and block 0; blocks 1 and 2 go.
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, headerBytes+(fi.Size()-headerBytes)/3); err != nil {
+	// Keep the header, records 0..3 and half of record 4.
+	rec := recordSize(4)
+	if err := os.Truncate(path, headerBytes+4*rec+rec/2); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(4); i < r.Len(); i++ {
@@ -727,11 +793,13 @@ func TestTruncatedAfterOpen(t *testing.T) {
 			t.Fatalf("At(%d) past the truncation: want ErrCorrupt, got %v", i, err)
 		}
 	}
-	s, err := r.At(0)
-	if err != nil {
-		t.Fatalf("At(0) before the truncation: %v", err)
-	}
-	if !bytes.Equal(floatBytes(s), floatBytes(tr.At(0))) {
-		t.Fatal("snapshot 0 differs after the truncation")
+	for i := int64(0); i < 4; i++ {
+		s, err := r.At(i)
+		if err != nil {
+			t.Fatalf("At(%d) before the truncation: %v", i, err)
+		}
+		if !bytes.Equal(floatBytes(s), floatBytes(tr.At(int(i)))) {
+			t.Fatalf("snapshot %d differs after the truncation", i)
+		}
 	}
 }

@@ -5,8 +5,9 @@
 # sockets, assert non-zero decision counters on the Prometheus scrape
 # (and the spool and path-cache series the -spool and -pathcache flags
 # add),
-# upload a checkpoint trained by the figret CLI (and roll it back), and
-# verify SIGTERM drains the process within the budget.
+# upload a checkpoint trained by the figret CLI (and roll it back),
+# verify SIGTERM drains the process within the budget, and restart it
+# over its spool with the last record torn.
 #
 # Run from the repository root:  ./test/e2e.sh
 set -euo pipefail
@@ -156,6 +157,12 @@ curl -s "$API/v1/topologies/$TOPO/checkpoints" | grep -q '"version":1,"source":"
   || fail "active checkpoint is not the bootstrap after rollback and the refused upload"
 echo "e2e: CLI-trained checkpoint uploaded, served, rolled back; foreign checkpoint refused"
 
+# The spool's durable count just before the drain: every accepted
+# snapshot is one record in $workdir/spool/$TOPO.fgt.
+curl -s "$OPS/metrics" >"$workdir/metrics"
+spooled_snaps="$(metric "figret_serve_snapshots_total{topology=\"$TOPO\"}")"
+[[ -n "$spooled_snaps" && "$spooled_snaps" -gt 1 ]] || fail "figret_serve_snapshots_total is '${spooled_snaps:-missing}'"
+
 echo "e2e: sending SIGTERM"
 kill -TERM "$served_pid"
 deadline=$(( $(date +%s) + DRAIN_BUDGET_SECS ))
@@ -166,5 +173,28 @@ done
 wait "$served_pid" || fail "served exited non-zero after SIGTERM"
 grep -q "shutdown complete" "$workdir/served.log" || fail "no graceful-shutdown log record"
 served_pid=""
+
+# A crash mid-flush tears the last record. A daemon restarted over that
+# spool drops the torn record and numbers on from the durable count:
+# the first snapshot it takes is number S-1.
+spool="$workdir/spool/$TOPO.fgt"
+truncate -s "$(( $(stat -c %s "$spool") - 3 ))" "$spool"
+echo "e2e: restarting over the spool with its last record torn ($spooled_snaps snapshots before)"
+"$workdir/served" -topos "$TOPO" -addr "127.0.0.1:$API_PORT" -opsaddr "" -T 60 -H 4 -seed 3 \
+  -bootstrap=false -spool "$workdir/spool" -pathcache "$workdir/paths" \
+  >"$workdir/served.log" 2>&1 &
+served_pid=$!
+for _ in $(seq 1 300); do
+  [[ "$(code "$API/v1/topologies")" == 200 ]] && break
+  kill -0 "$served_pid" 2>/dev/null || fail "served exited booting over the torn spool"
+  sleep 0.1
+done
+resumed="$(curl -s -X POST -d '{"demand":[1,2,1,1,3,1,1,1,2,1,1,1]}' "$API/v1/topologies/$TOPO/snapshots")"
+grep -q "\"snapshot\":$(( spooled_snaps - 1 ))," <<<"$resumed" \
+  || fail "first snapshot after the torn-spool restart answered $resumed, want \"snapshot\":$(( spooled_snaps - 1 ))"
+kill -TERM "$served_pid"
+wait "$served_pid" || fail "restarted served exited non-zero after SIGTERM"
+served_pid=""
+echo "e2e: restart over a torn spool resumed at snapshot $(( spooled_snaps - 1 ))"
 
 echo "e2e: PASS"
