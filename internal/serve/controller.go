@@ -99,12 +99,13 @@ type ControllerOptions struct {
 	// is appended to an on-disk trace store (<dir>/<topo>.fgt) as it
 	// arrives. The in-RAM window stays bounded by HistoryCap regardless —
 	// the spool is the durable full history it spills to. On restart the
-	// controller recovers the spool (truncating any torn tail), preloads
-	// the most recent HistoryCap snapshots into the window, and resumes
-	// absolute snapshot numbering where the previous process stopped, so
-	// replayed decision sequences continue rather than restart. A spool
-	// append failure disables spooling for the controller's lifetime
-	// (counted in telemetry) instead of failing the decision path.
+	// controller recovers the spool (truncating from the first damaged
+	// record), preloads the newest HistoryCap snapshots into the window,
+	// and resumes absolute snapshot numbering where the previous process
+	// stopped, so replayed decision sequences continue rather than
+	// restart. A spool append failure disables spooling for the
+	// controller's lifetime (counted in telemetry) instead of failing the
+	// decision path.
 	Spool string
 
 	// policy tunes the drift trigger and the retrain; the zero value
@@ -225,52 +226,24 @@ func NewController(topo string, reg *Registry, opt ControllerOptions) (*Controll
 
 // openSpool opens — recovering, when the previous process crashed — the
 // controller's on-disk ingest spool and warm-starts the in-RAM window
-// from its tail: the newest HistoryCap snapshots are read back out of the
-// store, and absolute snapshot numbering resumes at the spool's durable
-// length. Runs before the controller goroutine starts,
-// so it may touch goroutine-owned state.
+// from the newest HistoryCap snapshots its recovery walk checked;
+// absolute snapshot numbering resumes at the spool's durable length.
+// Runs before the controller goroutine starts, so it may touch
+// goroutine-owned state.
 func (c *Controller) openSpool() error {
-	fail := func(err error) error { return fmt.Errorf("serve: %s spool: %w", c.topo, err) }
 	if err := os.MkdirAll(c.opt.Spool, 0o755); err != nil {
-		return fail(err)
+		return fmt.Errorf("serve: %s spool: %w", c.topo, err)
 	}
-	path := filepath.Join(c.opt.Spool, c.topo+".fgt")
-	w, err := tracestore.OpenAppend(path, c.ps.Pairs.N(), tracestore.Options{})
+	w, tail, err := tracestore.OpenAppend(filepath.Join(c.opt.Spool, c.topo+".fgt"), c.ps.Pairs.N(), c.opt.HistoryCap)
 	if err != nil {
-		return fail(err)
+		return fmt.Errorf("serve: %s spool: %w", c.topo, err)
 	}
-	c.spoolIO = c.opt.Telemetry.storeIO()
-	if w.Len() > 0 {
-		// OpenAppend leaves exactly its durable snapshots on disk (torn
-		// tails are truncated), so a fresh reader sees the same history the
-		// writer will extend.
-		r, err := tracestore.Open(path)
-		if err != nil {
-			w.Close()
-			return fail(err)
-		}
-		from := r.Len() - int64(c.opt.HistoryCap)
-		if from < 0 {
-			from = 0
-		}
-		for i := from; i < r.Len(); i++ {
-			s, err := r.At(i)
-			if err != nil {
-				r.Close()
-				w.Close()
-				return fail(err)
-			}
-			c.history.AppendOwned(s) // At returns a fresh slice
-		}
-		if err := r.Close(); err != nil {
-			w.Close()
-			return fail(err)
-		}
-		c.spoolIO.book(r.Stats(), tracestore.CounterStats{})
-		c.spoolIO.opens.Inc()
-		c.nSnapshots = w.Len()
+	for _, s := range tail {
+		c.history.AppendOwned(s)
 	}
+	c.nSnapshots = w.Len()
 	c.spool = w
+	c.spoolIO = c.opt.Telemetry.storeIO()
 	c.spoolIO.book(w.Stats(), tracestore.CounterStats{}) // the recovery walk or a new header
 	c.tel.spoolBytes.Set(float64(w.DurableBytes()))
 	return nil

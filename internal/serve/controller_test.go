@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -35,6 +36,46 @@ type controllerFixture struct {
 	m  *figret.Model
 }
 
+// checkDecision returns why ratios are not a decision the daemon may
+// serve over ps, or nil. Every ratio is finite and non-negative and each
+// pair's sum to 1 (decisionConfig); a pair sums to 0 only when every one
+// of its paths crosses a link in failed, and no such path carries mass.
+// With want non-nil, the offline inference over the same window, every
+// ratio equals want's bitwise.
+func checkDecision(ps *te.PathSet, ratios []float64, failed [][2]int, want []float64) error {
+	cfg, err := decisionConfig(ps, ratios)
+	if err != nil {
+		return err
+	}
+	fs := te.NewFailureSet(ps.G, failed)
+	for pi, pp := range ps.PairPaths {
+		live, sum := false, 0.0
+		for _, p := range pp {
+			if !fs.PathDown(ps, p) {
+				live = true
+			} else if cfg.R[p] != 0 {
+				return fmt.Errorf("path %d crosses a failed link and carries %v", p, cfg.R[p])
+			}
+			sum += cfg.R[p]
+		}
+		if live && sum == 0 {
+			return fmt.Errorf("pair %d has a live path and no mass", pi)
+		}
+	}
+	if want == nil {
+		return nil
+	}
+	if len(want) != len(ratios) {
+		return fmt.Errorf("%d ratios, offline inference has %d", len(ratios), len(want))
+	}
+	for p := range want {
+		if math.Float64bits(ratios[p]) != math.Float64bits(want[p]) {
+			return fmt.Errorf("path %d: served %v, offline %v", p, ratios[p], want[p])
+		}
+	}
+	return nil
+}
+
 func TestControllerWarmingThenBitwiseDecisions(t *testing.T) {
 	c, _, fx := startController(t, ControllerOptions{})
 	h := 4
@@ -61,10 +102,8 @@ func TestControllerWarmingThenBitwiseDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p := range want.R {
-			if res.Decision.Config.R[p] != want.R[p] {
-				t.Fatalf("t=%d path %d: served %v, offline %v", i, p, res.Decision.Config.R[p], want.R[p])
-			}
+		if err := checkDecision(fx.ps, res.Decision.Config.R, nil, want.R); err != nil {
+			t.Fatalf("t=%d: %v", i, err)
 		}
 		if res.Decision.Version != 1 {
 			t.Fatalf("t=%d: version %d", i, res.Decision.Version)
@@ -105,10 +144,8 @@ func TestControllerSlidingWindowEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := range want.R {
-		if last.Decision.Config.R[p] != want.R[p] {
-			t.Fatalf("path %d: served %v, offline %v", p, last.Decision.Config.R[p], want.R[p])
-		}
+	if err := checkDecision(fx.ps, last.Decision.Config.R, nil, want.R); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -127,14 +164,8 @@ func TestControllerFailureReroute(t *testing.T) {
 	if !dec.Rerouted {
 		t.Fatal("decision not marked rerouted")
 	}
-	fs := te.NewFailureSet(fx.ps.G, [][2]int{{e.From, e.To}})
-	for p := range dec.Config.R {
-		if fs.PathDown(fx.ps, p) && dec.Config.R[p] != 0 {
-			t.Fatalf("failed path %d still carries ratio %v", p, dec.Config.R[p])
-		}
-	}
-	if err := dec.Config.Validate(); err != nil {
-		t.Fatalf("rerouted config invalid: %v", err)
+	if err := checkDecision(fx.ps, dec.Config.R, [][2]int{{e.From, e.To}}, nil); err != nil {
+		t.Fatalf("rerouted decision: %v", err)
 	}
 	// New snapshots keep rerouting until the failure clears.
 	res, err := c.Ingest(fx.tr.At(8), true)
@@ -158,10 +189,8 @@ func TestControllerFailureReroute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := range want.R {
-		if res.Decision.Config.R[p] != want.R[p] {
-			t.Fatalf("path %d differs after failure clear", p)
-		}
+	if err := checkDecision(fx.ps, res.Decision.Config.R, nil, want.R); err != nil {
+		t.Fatalf("after failure clear: %v", err)
 	}
 }
 
@@ -237,8 +266,8 @@ func TestControllerChurnLimit(t *testing.T) {
 			continue
 		}
 		cfg := res.Decision.Config
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("t=%d: churn-limited config invalid: %v", i, err)
+		if err := checkDecision(fx.ps, cfg.R, nil, nil); err != nil {
+			t.Fatalf("t=%d: churn-limited decision: %v", i, err)
 		}
 		if prev != nil {
 			var churn float64
@@ -267,19 +296,13 @@ func TestChurnNeverBlendsOntoFailedPaths(t *testing.T) {
 	if err := c.ReportFailures([][2]int{{e.From, e.To}}); err != nil {
 		t.Fatal(err)
 	}
-	fs := te.NewFailureSet(fx.ps.G, [][2]int{{e.From, e.To}})
 	for i := 8; i < 12; i++ {
 		res, err := c.Ingest(fx.tr.At(i), true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p := range res.Decision.Config.R {
-			if fs.PathDown(fx.ps, p) && res.Decision.Config.R[p] != 0 {
-				t.Fatalf("t=%d: churn blend put %v back on failed path %d", i, res.Decision.Config.R[p], p)
-			}
-		}
-		if err := res.Decision.Config.Validate(); err != nil {
-			t.Fatalf("t=%d: %v", i, err)
+		if err := checkDecision(fx.ps, res.Decision.Config.R, [][2]int{{e.From, e.To}}, nil); err != nil {
+			t.Fatalf("t=%d: churn blend: %v", i, err)
 		}
 	}
 }
@@ -315,8 +338,8 @@ func TestLimitChurn(t *testing.T) {
 	if math.Abs(moved-full/2) > 1e-9 {
 		t.Fatalf("moved %v, want %v", moved, full/2)
 	}
-	if err := out.Validate(); err != nil {
-		t.Fatalf("blended config invalid: %v", err)
+	if err := checkDecision(ps, out.R, nil, nil); err != nil {
+		t.Fatalf("blended config: %v", err)
 	}
 }
 
@@ -340,10 +363,8 @@ func TestControllerAsyncCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := range want.R {
-		if res.Decision.Config.R[p] != want.R[p] {
-			t.Fatalf("path %d: burst ingest corrupted the window", p)
-		}
+	if err := checkDecision(fx.ps, res.Decision.Config.R, nil, want.R); err != nil {
+		t.Fatalf("burst ingest corrupted the window: %v", err)
 	}
 	m := c.Metrics()
 	if m.Snapshots != 12 {

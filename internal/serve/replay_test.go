@@ -105,6 +105,13 @@ func TestReplayDelayWithWarming(t *testing.T) {
 				t.Fatalf("%d posts, %d decisions, %d intervals; want %d of each",
 					len(posted), len(res.Decisions), len(res.PerInterval), T-tc.from)
 			}
+			for i, d := range res.Decisions {
+				if s := tc.from + i; !warm[s] {
+					if err := checkDecision(ps, d.Ratios, nil, cfgs[s].R); err != nil {
+						t.Fatalf("decision after snapshot %d: %v", s, err)
+					}
+				}
+			}
 			for at := tc.from; at < T; at++ {
 				want, from := te.UniformConfig(ps), -1
 				for s := at - 1 - tc.delay; s >= tc.from; s-- {

@@ -132,13 +132,8 @@ func TestClosedLoopReplayMatchesOffline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(dec.Ratios) != len(want.R) {
-			t.Fatalf("t=%d: %d ratios, want %d", i, len(dec.Ratios), len(want.R))
-		}
-		for p := range want.R {
-			if dec.Ratios[p] != want.R[p] {
-				t.Fatalf("t=%d path %d: served %v, offline %v", i, p, dec.Ratios[p], want.R[p])
-			}
+		if err := checkDecision(ps, dec.Ratios, nil, want.R); err != nil {
+			t.Fatalf("t=%d: %v", i, err)
 		}
 	}
 	if len(res.Versions) != 1 || res.Versions[0] != 1 {
@@ -215,7 +210,7 @@ func TestHotSwapMidStream(t *testing.T) {
 					}
 					return
 				}
-				if _, err := decisionConfig(ps, rr.Ratios); err != nil {
+				if err := checkDecision(ps, rr.Ratios, nil, nil); err != nil {
 					select {
 					case readErr <- err:
 					default:
@@ -299,11 +294,8 @@ func auditServed(t *testing.T, reg *Registry, ps *te.PathSet, tr *traffic.Trace,
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p := range want.R {
-			if s.ratios[p] != want.R[p] {
-				t.Fatalf("snapshot %d (version %d) path %d: served %v, model %v — misrouted",
-					s.snapshot, s.version, p, s.ratios[p], want.R[p])
-			}
+		if err := checkDecision(ps, s.ratios, nil, want.R); err != nil {
+			t.Fatalf("snapshot %d (version %d) misrouted: %v", s.snapshot, s.version, err)
 		}
 	}
 }
@@ -434,8 +426,8 @@ func TestServerEndpoints(t *testing.T) {
 	if rr.Version != 0 || rr.Seq != 0 {
 		t.Fatalf("bootstrap decision = %+v", rr)
 	}
-	if _, err := decisionConfig(ps, rr.Ratios); err != nil {
-		t.Fatalf("bootstrap config invalid: %v", err)
+	if err := checkDecision(ps, rr.Ratios, nil, te.UniformConfig(ps).R); err != nil {
+		t.Fatalf("bootstrap decision: %v", err)
 	}
 
 	// Upload two checkpoints, then roll back.

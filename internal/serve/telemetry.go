@@ -219,10 +219,9 @@ func (tt *topoTelemetry) install(source string) {
 }
 
 // storeTelemetry is a registry's figret_tracestore_* counters: the I/O
-// of every spool handle its controllers opened, summed, and the readers
-// their recoveries opened.
+// of every spool writer its controllers opened, summed.
 type storeTelemetry struct {
-	blocksWritten, bytesWritten, blocksVerified, bytesRead, opens *obs.Counter
+	blocksWritten, bytesWritten, blocksVerified, bytesRead *obs.Counter
 }
 
 // book adds the I/O a handle did between two of its Stats readings.
@@ -242,14 +241,13 @@ func (t *Telemetry) storeIO() storeTelemetry {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.store.opens == nil {
+	if t.store.blocksWritten == nil {
 		r := t.reg
 		t.store = storeTelemetry{
 			blocksWritten:  r.Counter("figret_tracestore_blocks_written_total", "Trace-store snapshot records written to the spool files."),
 			bytesWritten:   r.Counter("figret_tracestore_bytes_written_total", "Bytes handed to the OS by trace-store header and record writes."),
-			blocksVerified: r.Counter("figret_tracestore_blocks_verified_total", "Trace-store snapshot records whose checksum was validated, by readers and recovery."),
-			bytesRead:      r.Counter("figret_tracestore_bytes_read_total", "Trace-store record bytes read back by readers and recovery."),
-			opens:          r.Counter("figret_tracestore_opens_total", "Successfully-opened trace-store readers."),
+			blocksVerified: r.Counter("figret_tracestore_blocks_verified_total", "Trace-store snapshot records whose checksum the spool's recovery walk validated."),
+			bytesRead:      r.Counter("figret_tracestore_bytes_read_total", "Trace-store record bytes the spool's recovery walk read back."),
 		}
 	}
 	return t.store

@@ -88,15 +88,17 @@ func TestWireHTTPNegotiation(t *testing.T) {
 	sameDecision(t, "routing", j, b)
 
 	ps, tr, _ := fixture(t, 60, 1)
-	_ = ps
 	// Sync ingest over the binary codec: the served decision advances and
 	// comes back in wire form.
 	d, err := binClient.PostSnapshot("pod", tr.At(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Warming || d.Seq <= j.Seq || len(d.Ratios) == 0 {
+	if d.Warming || d.Seq <= j.Seq {
 		t.Fatalf("binary ingest decision %+v", d)
+	}
+	if err := checkDecision(ps, d.Ratios, nil, nil); err != nil {
+		t.Fatalf("binary ingest decision: %v", err)
 	}
 	// And the JSON surface sees exactly what the binary one produced.
 	j2, err := jsonClient.Routing("pod")
@@ -135,8 +137,11 @@ func TestWireStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.Warming || len(d1.Ratios) != ps.NumPaths() {
+	if d1.Warming {
 		t.Fatalf("stream decision %+v", d1)
+	}
+	if err := checkDecision(ps, d1.Ratios, nil, nil); err != nil {
+		t.Fatalf("stream decision: %v", err)
 	}
 	if s := bin.Stats(); s.Fulls != 1 {
 		t.Fatalf("first decision not counted full: %+v", s)
@@ -279,6 +284,9 @@ func TestWireStreamPipelined(t *testing.T) {
 	}
 	for i := range want {
 		sameDecisionAt(t, "stream-vs-sync", want[i], got[i], false)
+		if err := checkDecision(ps, got[i].Ratios, nil, nil); err != nil {
+			t.Fatalf("streamed decision %d: %v", i, err)
+		}
 	}
 	if maxInFlight != streamDepth {
 		t.Fatalf("at most %d requests in flight, want the pipeline depth %d", maxInFlight, streamDepth)
@@ -346,6 +354,18 @@ func TestWireReplayBitwise(t *testing.T) {
 	base := run(transportJSON)
 	if len(base.Decisions) != 30 {
 		t.Fatalf("json replay produced %d decisions", len(base.Decisions))
+	}
+	for s, d := range base.Decisions {
+		if s < m.Cfg.H-1 {
+			continue // warming
+		}
+		want, err := m.PredictAt(tr, s+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkDecision(ps, d.Ratios, nil, want.R); err != nil {
+			t.Fatalf("json replay snapshot %d: %v", s, err)
+		}
 	}
 	for _, mode := range []string{transportBinHTTP, transportWire} {
 		rr := run(mode)

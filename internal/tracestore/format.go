@@ -2,7 +2,7 @@
 // CRC-32-checksummed binary log of demand snapshots that a streaming
 // Writer appends to durably and a Reader reads back. The serving daemon
 // spools its ingest history through a Writer (served -spool), and a
-// restarted daemon reads its newest window back through a Reader.
+// restarted daemon gets its newest window back from OpenAppend.
 //
 // # File layout
 //
@@ -112,13 +112,14 @@ func encodeHeader(s shape) []byte {
 	return buf
 }
 
-// decodeHeader validates a file header and returns the store's shape.
-// The generation digit and the version are checked before the CRC,
-// because the CRC sits elsewhere in another version's header: a file of
-// another version is ErrVersion, not ErrCorrupt.
-func decodeHeader(buf []byte) (shape, error) {
-	if len(buf) < headerBytes {
-		return shape{}, corruptf("header truncated at %d bytes", len(buf))
+// readHeader reads and validates src's file header and returns the
+// store's shape. The generation digit and the version are checked before
+// the CRC, because the CRC sits elsewhere in another version's header: a
+// file of another version is ErrVersion, not ErrCorrupt.
+func readHeader(src io.ReaderAt) (shape, error) {
+	buf := make([]byte, headerBytes)
+	if err := readAt(src, buf, 0); err != nil {
+		return shape{}, err
 	}
 	if string(buf[:7]) != magic[:7] {
 		return shape{}, corruptf("bad magic %q", buf[:8])
@@ -165,6 +166,15 @@ func checkRecord(rec []byte, i int64) error {
 		return corruptf("snapshot %d checksum mismatch", i)
 	}
 	return nil
+}
+
+// decodeRecord returns a checked record's snapshot as a new slice.
+func decodeRecord(rec []byte) []float64 {
+	s := make([]float64, (len(rec)-crcBytes)/8)
+	for k := range s {
+		s[k] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8*k:]))
+	}
+	return s
 }
 
 // readAt fills buf from src at offset off. A short read is ErrCorrupt:

@@ -1,10 +1,8 @@
 package tracestore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync/atomic"
 )
@@ -55,11 +53,7 @@ func newReader(src io.ReaderAt, size int64) (*Reader, error) {
 	if size < headerBytes {
 		return nil, corruptf("file holds %d bytes, header needs %d", size, headerBytes)
 	}
-	buf := make([]byte, headerBytes)
-	if err := readAt(src, buf, 0); err != nil {
-		return nil, err
-	}
-	s, err := decodeHeader(buf)
+	s, err := readHeader(src)
 	if err != nil {
 		return nil, err
 	}
@@ -105,11 +99,7 @@ func (r *Reader) At(i int64) ([]float64, error) {
 	}
 	r.recordsVerified.Add(1)
 	r.bytesRead.Add(uint64(len(rec)))
-	s := make([]float64, r.s.pairCount)
-	for k := range s {
-		s[k] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8*k:]))
-	}
-	return s, nil
+	return decodeRecord(rec), nil
 }
 
 // Close closes the file. Safe to call more than once.

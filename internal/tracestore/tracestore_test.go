@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"figret/internal/traffic"
@@ -259,7 +261,7 @@ func TestEveryTruncationReopens(t *testing.T) {
 		if err := os.WriteFile(path, full[:L], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, err := OpenAppend(path, 3, Options{})
+		w, tail, err := OpenAppend(path, 3, 4)
 		if err != nil {
 			t.Fatalf("L=%d: %v", L, err)
 		}
@@ -270,6 +272,7 @@ func TestEveryTruncationReopens(t *testing.T) {
 		if w.Len() != kept || w.DurableBytes() != headerBytes+kept*rec {
 			t.Fatalf("L=%d: reopened at %d snapshots (%d durable bytes), want %d", L, w.Len(), w.DurableBytes(), kept)
 		}
+		checkTail(t, tail, tr, kept, 4)
 		if err := w.AppendTrace(tr.Slice(int(kept), tr.Len())); err != nil {
 			t.Fatal(err)
 		}
@@ -298,11 +301,11 @@ func TestOpenAppendOverShortFile(t *testing.T) {
 		if err := os.WriteFile(path, bytes.Repeat([]byte{0xAB}, size), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, err := OpenAppend(path, 4, Options{})
+		w, tail, err := OpenAppend(path, 4, 8)
 		if err != nil {
 			t.Fatalf("%d-byte file: %v", size, err)
 		}
-		if w.Len() != 0 {
+		if w.Len() != 0 || len(tail) != 0 {
 			t.Fatalf("%d-byte file: reopened at %d snapshots, want 0", size, w.Len())
 		}
 		if err := w.AppendTrace(tr); err != nil {
@@ -374,13 +377,14 @@ func TestOpenAppendContinues(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		w, err = OpenAppend(twoShot, 4, Options{})
+		w, tail, err := OpenAppend(twoShot, 4, 5)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		if w.Len() != int64(cut) {
 			t.Fatalf("cut %d: reopened writer reports %d snapshots", cut, w.Len())
 		}
+		checkTail(t, tail, tr, int64(cut), 5)
 		if err := w.AppendTrace(tr.Slice(cut, tr.Len())); err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +401,9 @@ func TestOpenAppendContinues(t *testing.T) {
 // truncating into the last record) and requires OpenAppend to resume at
 // the last intact snapshot while a strict Reader refuses the damaged
 // file. A damaged record in the middle ends the durable prefix the same
-// way, and so does a zero-filled tail, which no record's CRC accepts.
+// way — after a power cut the pages of unsynced flushes land in any
+// order, so intact records after a bad one prove nothing — and so does a
+// zero-filled tail, which no record's CRC accepts.
 func TestOpenAppendRecoversTornTail(t *testing.T) {
 	tr := synthTrace(4, 11, 5)
 	rec := recordSize(4)
@@ -427,13 +433,14 @@ func TestOpenAppendRecoversTornTail(t *testing.T) {
 			} else if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Open: want ErrCorrupt, got %v", err)
 			}
-			w, err := OpenAppend(path, 4, Options{})
+			w, tail, err := OpenAppend(path, 4, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if w.Len() != tc.kept {
 				t.Fatalf("recovered writer reports %d snapshots, want %d", w.Len(), tc.kept)
 			}
+			checkTail(t, tail, tr, tc.kept, 3)
 			if err := w.AppendTrace(tr.Slice(int(tc.kept), tr.Len())); err != nil {
 				t.Fatal(err)
 			}
@@ -449,6 +456,150 @@ func TestOpenAppendRecoversTornTail(t *testing.T) {
 				t.Fatal("recovered + re-appended trace differs from the original")
 			}
 		})
+	}
+}
+
+// checkTail fails t unless tail, what OpenAppend handed back with keep,
+// is the newest min(keep, kept) of tr's first kept snapshots, bitwise and
+// oldest first.
+func checkTail(t *testing.T, tail [][]float64, tr *traffic.Trace, kept int64, keep int) {
+	t.Helper()
+	if want := min(int64(keep), kept); int64(len(tail)) != want {
+		t.Fatalf("tail holds %d snapshots, want %d", len(tail), want)
+	}
+	for j, s := range tail {
+		i := int(kept) - len(tail) + j
+		if !bytes.Equal(floatBytes(s), floatBytes(tr.At(i))) {
+			t.Fatalf("tail[%d] is not snapshot %d bitwise", j, i)
+		}
+	}
+}
+
+// TestOpenAppendTail: OpenAppend hands back the newest keep snapshots of
+// the durable prefix, whatever keep is — none, fewer than the prefix,
+// exactly it, more than the whole file — and wherever the first damaged
+// record sits, the first record and the last included. A damaged record
+// read into the ring must not cost the tail a record.
+func TestOpenAppendTail(t *testing.T) {
+	tr := synthTrace(4, 11, 8)
+	rec := int(recordSize(4))
+	dir := t.TempDir()
+	want := filepath.Join(dir, "want.fgt")
+	if err := WriteTrace(want, tr, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "t.fgt")
+	for _, bad := range []int{-1, 0, 3, 6, 10} {
+		img, kept := readFile(t, want), int64(tr.Len())
+		if bad >= 0 {
+			img, kept = flipByte(headerBytes+bad*rec+9)(img), int64(bad)
+		}
+		for _, keep := range []int{0, 1, 3, 4, 6, 7, 11, 20} {
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, tail, err := OpenAppend(path, 4, keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.Len() != kept {
+				t.Fatalf("damage at %d, keep %d: reopened at %d snapshots, want %d", bad, keep, w.Len(), kept)
+			}
+			checkTail(t, tail, tr, kept, keep)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// faultyFile is a store file that fails on a schedule. At step k of a
+// test, WriteAt fails with ENOSPC when 2 divides k, and otherwise lands
+// a prefix of short bytes and then fails when 3 divides k; Sync fails
+// when 5 divides k. Step 0 injects nothing.
+type faultyFile struct {
+	file
+	step, short int
+}
+
+func (f *faultyFile) WriteAt(p []byte, off int64) (int, error) {
+	switch {
+	case f.step == 0:
+	case f.step%2 == 0:
+		return 0, syscall.ENOSPC
+	case f.step%3 == 0:
+		n, err := f.file.WriteAt(p[:min(len(p), f.short)], off)
+		if err == nil {
+			err = io.ErrShortWrite
+		}
+		return n, err
+	}
+	return f.file.WriteAt(p, off)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.step != 0 && f.step%5 == 0 {
+		return syscall.EIO
+	}
+	return f.file.Sync()
+}
+
+// TestWriterFaultSchedule puts a faultyFile under a writer and appends
+// and syncs one snapshot per step. The fault periods 2, 3 and 5 are
+// pairwise coprime, so steps 1 to 30 meet each of the 30 phase
+// combinations once. Every step's Sync fails exactly when a fault is due,
+// and after every step a copy of the file reopens at exactly the
+// writer's durable records, holding them bitwise: a failed write lands
+// nothing recovery keeps, and a failed fsync loses nothing a process
+// crash would. Once the faults stop, Close leaves WriteTrace's bytes.
+func TestWriterFaultSchedule(t *testing.T) {
+	tr := synthTrace(4, 30, 12)
+	rec := recordSize(4)
+	dir := t.TempDir()
+	want, path, cp := filepath.Join(dir, "want.fgt"), filepath.Join(dir, "t.fgt"), filepath.Join(dir, "copy.fgt")
+	if err := WriteTrace(want, tr, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Create(path, 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := &faultyFile{file: w.f, short: int(rec) - 1}
+	w.f = ff
+	for k := 1; k <= tr.Len(); k++ {
+		ff.step = k
+		if err := w.Append(tr.At(k - 1)); err != nil {
+			t.Fatalf("step %d: Append: %v", k, err)
+		}
+		err := w.Sync()
+		if due := k%2 == 0 || k%3 == 0 || k%5 == 0; (err != nil) != due {
+			t.Fatalf("step %d: Sync returned %v with a fault due: %v", k, err, due)
+		}
+		if k%2 == 0 && !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("step %d: Sync returned %v, want ENOSPC", k, err)
+		}
+		if err := os.WriteFile(cp, readFile(t, path), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, tail, err := OpenAppend(cp, 4, tr.Len())
+		if err != nil {
+			t.Fatalf("step %d: reopening a copy: %v", k, err)
+		}
+		durable := (w.DurableBytes() - headerBytes) / rec
+		if c.Len() != durable {
+			t.Fatalf("step %d: the copy reopens at %d snapshots, the writer has %d durable", k, c.Len(), durable)
+		}
+		checkTail(t, tail, tr, durable, tr.Len())
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ff.step = 0
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readFile(t, path), readFile(t, want)) {
+		t.Fatal("after the faults stop, Close leaves other bytes than WriteTrace")
 	}
 }
 
@@ -581,7 +732,7 @@ func TestForeignVersion(t *testing.T) {
 		if !errors.Is(err, ErrVersion) || errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Open: want ErrVersion and not ErrCorrupt, got %v", name, err)
 		}
-		if _, err := OpenAppend(p, 4, Options{}); !errors.Is(err, ErrVersion) {
+		if _, _, err := OpenAppend(p, 4, 8); !errors.Is(err, ErrVersion) {
 			t.Fatalf("%s: OpenAppend: want ErrVersion, got %v", name, err)
 		}
 		if !bytes.Equal(readFile(t, p), img) {
@@ -597,7 +748,7 @@ func TestMismatchedVertexCount(t *testing.T) {
 	if err := WriteTrace(path, synthTrace(4, 2, 1), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenAppend(path, 5, Options{}); err == nil {
+	if _, _, err := OpenAppend(path, 5, 8); err == nil {
 		t.Fatal("OpenAppend accepted a store of a different vertex count")
 	}
 }
@@ -717,7 +868,7 @@ func TestHandleStats(t *testing.T) {
 		t.Errorf("reader: %+v, want %+v", got, want)
 	}
 
-	a, err := OpenAppend(path, 4, Options{})
+	a, _, err := OpenAppend(path, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -728,7 +879,7 @@ func TestHandleStats(t *testing.T) {
 	if err := os.Truncate(path, int64(headerBytes+10*rec-1)); err != nil {
 		t.Fatal(err)
 	}
-	if a, err = OpenAppend(path, 4, Options{}); err != nil {
+	if a, _, err = OpenAppend(path, 4, 8); err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()

@@ -14,6 +14,13 @@ import (
 // a store's layout follows from its vertex count alone.
 type Options struct{}
 
+// file is a Writer's store file after Create: the seam for test faults.
+type file interface {
+	io.WriterAt
+	Sync() error
+	Close() error
+}
+
 // Writer streams snapshots into a store file. Append encodes each
 // snapshot as its record in a buffer; Flush writes every buffered record
 // with one write at the durable end of the file, so no byte already in
@@ -27,7 +34,7 @@ type Options struct{}
 //
 // A Writer is single-owner: it is not safe for concurrent use.
 type Writer struct {
-	f *os.File
+	f file
 	s shape
 
 	buf     []byte // encoded records not yet in the file
@@ -59,56 +66,60 @@ func Create(path string, n int, opt Options) (*Writer, error) {
 	return w, nil
 }
 
-// OpenAppend opens path for appending, creating it when absent. A file
-// shorter than a header holds no snapshot — a Create that crashed or
-// failed before its header landed — and is created afresh. Any other
-// file must be a store over n vertices; its records are checked front to
-// back and anything after the last intact one — a torn flush, trailing
-// garbage — is truncated away, so a crashed writer's file reopens
-// cleanly at the last durable snapshot.
-func OpenAppend(path string, n int, opt Options) (*Writer, error) {
+// OpenAppend opens path for appending, creating it when absent, and
+// returns with the writer the newest keep intact snapshots, oldest
+// first, as slices the caller owns. A file shorter than a header holds
+// no snapshot — a Create that crashed or failed before its header
+// landed — and is created afresh. Any other file must be a store over n
+// vertices; its records are checked front to back and everything from
+// the first damaged one on — a torn flush, trailing garbage — is
+// truncated away, so a crashed writer's file reopens cleanly at the
+// last durable snapshot.
+func OpenAppend(path string, n, keep int) (*Writer, [][]float64, error) {
 	fi, err := os.Stat(path)
 	if os.IsNotExist(err) || err == nil && fi.Size() < headerBytes {
-		return Create(path, n, opt)
+		w, err := Create(path, n, Options{})
+		return w, nil, err
 	}
 	if err != nil {
-		return nil, fmt.Errorf("tracestore: %w", err)
+		return nil, nil, fmt.Errorf("tracestore: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("tracestore: %w", err)
+		return nil, nil, fmt.Errorf("tracestore: %w", err)
 	}
-	w, err := recoverAppend(f, fi.Size(), n)
+	w, tail, err := recoverAppend(f, fi.Size(), n, keep)
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	return w, nil
+	return w, tail, nil
 }
 
 // recoverAppend checks an existing store's records front to back through
-// one buffered sequential read and positions a writer after the last
-// intact one.
-func recoverAppend(f *os.File, size int64, n int) (*Writer, error) {
-	hdr := make([]byte, headerBytes)
-	if err := readAt(f, hdr, 0); err != nil {
-		return nil, err
-	}
-	s, err := decodeHeader(hdr)
+// one buffered sequential read, positions a writer after the last intact
+// one and decodes the newest keep of them. Their raw bytes wait in a ring
+// of keep+1 slots, and each record is read into the slot that holds none
+// of them, so a damaged record never overwrites one the tail needs.
+func recoverAppend(f *os.File, size int64, n, keep int) (*Writer, [][]float64, error) {
+	s, err := readHeader(f)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if s.n != n {
-		return nil, fmt.Errorf("tracestore: store holds %d-vertex traces, want %d", s.n, n)
+		return nil, nil, fmt.Errorf("tracestore: store holds %d-vertex traces, want %d", s.n, n)
 	}
 	w := &Writer{f: f, s: s}
-	body := size - headerBytes
+	body, rb := size-headerBytes, int64(s.recordBytes())
 	src := bufio.NewReaderSize(io.NewSectionReader(f, headerBytes, body), int(min(body, flushBytes)))
-	rec := make([]byte, s.recordBytes())
+	slots := max(0, min(int64(keep), body/rb)) + 1
+	ring := make([]byte, slots*rb)
+	slot := func(i int64) []byte { return ring[i%slots*rb:][:rb] }
 	for {
+		rec := slot(w.durable)
 		if _, err := io.ReadFull(src, rec); err != nil {
 			if err != io.EOF && err != io.ErrUnexpectedEOF {
-				return nil, fmt.Errorf("tracestore: read snapshot %d: %w", w.durable, err)
+				return nil, nil, fmt.Errorf("tracestore: read snapshot %d: %w", w.durable, err)
 			}
 			break // the file ends here, or mid-record
 		}
@@ -116,16 +127,19 @@ func recoverAppend(f *os.File, size int64, n int) (*Writer, error) {
 			break // a damaged record ends the durable prefix
 		}
 		w.durable++
-		w.stats.BlocksVerified++
-		w.stats.BytesRead += uint64(len(rec))
 	}
 	w.total = w.durable
+	w.stats.BlocksVerified, w.stats.BytesRead = uint64(w.durable), uint64(w.durable*rb)
 	if good := s.offset(w.durable); good != size {
 		if err := f.Truncate(good); err != nil {
-			return nil, fmt.Errorf("tracestore: truncating torn tail: %w", err)
+			return nil, nil, fmt.Errorf("tracestore: truncating torn tail: %w", err)
 		}
 	}
-	return w, nil
+	tail := make([][]float64, min(slots-1, w.durable))
+	for j := range tail {
+		tail[j] = decodeRecord(slot(w.durable - int64(len(tail)-j)))
+	}
+	return w, tail, nil
 }
 
 // Len returns the number of snapshots appended so far (durable plus

@@ -176,11 +176,13 @@ served_pid=""
 
 # A crash mid-flush tears the last record. A daemon restarted over that
 # spool drops the torn record and numbers on from the durable count:
-# the first snapshot it takes is number S-1.
+# the first snapshot it takes is number S-1. Its recovery walk is the
+# only read of the spool: it checks each of the S-1 durable records once
+# and hands the window back, so no reader is opened.
 spool="$workdir/spool/$TOPO.fgt"
 truncate -s "$(( $(stat -c %s "$spool") - 3 ))" "$spool"
 echo "e2e: restarting over the spool with its last record torn ($spooled_snaps snapshots before)"
-"$workdir/served" -topos "$TOPO" -addr "127.0.0.1:$API_PORT" -opsaddr "" -T 60 -H 4 -seed 3 \
+"$workdir/served" -topos "$TOPO" -addr "127.0.0.1:$API_PORT" -opsaddr "127.0.0.1:$OPS_PORT" -T 60 -H 4 -seed 3 \
   -bootstrap=false -spool "$workdir/spool" -pathcache "$workdir/paths" \
   >"$workdir/served.log" 2>&1 &
 served_pid=$!
@@ -192,9 +194,14 @@ done
 resumed="$(curl -s -X POST -d '{"demand":[1,2,1,1,3,1,1,1,2,1,1,1]}' "$API/v1/topologies/$TOPO/snapshots")"
 grep -q "\"snapshot\":$(( spooled_snaps - 1 ))," <<<"$resumed" \
   || fail "first snapshot after the torn-spool restart answered $resumed, want \"snapshot\":$(( spooled_snaps - 1 ))"
+curl -s "$OPS/metrics" >"$workdir/metrics"
+verified="$(metric figret_tracestore_blocks_verified_total)"
+[[ "$verified" == "$(( spooled_snaps - 1 ))" ]] \
+  || fail "restart verified ${verified:-no} spool records, want $(( spooled_snaps - 1 )), each durable record once"
+! grep -q figret_tracestore_opens_total "$workdir/metrics" || fail "restart opened a trace-store reader"
 kill -TERM "$served_pid"
 wait "$served_pid" || fail "restarted served exited non-zero after SIGTERM"
 served_pid=""
-echo "e2e: restart over a torn spool resumed at snapshot $(( spooled_snaps - 1 ))"
+echo "e2e: restart over a torn spool resumed at snapshot $(( spooled_snaps - 1 )), $verified records read once"
 
 echo "e2e: PASS"
