@@ -10,6 +10,7 @@ import (
 
 	"figret/internal/graph"
 	"figret/internal/lp"
+	"figret/internal/nn"
 	"figret/internal/te"
 	"figret/internal/traffic"
 )
@@ -405,6 +406,91 @@ func TestModelPredictConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPredictAtMatchesScalarForward holds every served decision's pass
+// against an oracle that shares no code with it: PredictAt must give, bit
+// for bit, the ratios of a forward written out here — the window scaled
+// by 1/Scale, then for each layer and each row a scalar sum in dot()'s
+// grouping, the bias and the activation — normalized by te.Config. The
+// serve tests and the benchmark compare served decisions with PredictAt,
+// so without this they would hold nn's batch-1 kernels against themselves.
+// Two trained pod-db models: one of the served shape (H 12, layer 0
+// 144 × 128, every layer below nn's fan-out threshold of 1<<16
+// multiply-adds), and one with H 48 (576 × 128 = 73 728), whose layer 0
+// splits its two tiles over the workers when GOMAXPROCS > 1.
+func TestPredictAtMatchesScalarForward(t *testing.T) {
+	ps, err := te.NewPathSet(graph.PoDDB(), 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := traffic.ForTopology(graph.TopoPoDDB, ps.G.NumVertices(), 140, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		h, epochs int
+	}{{12, 2}, {48, 1}} {
+		m := New(ps, Config{H: c.h, Gamma: 1, Epochs: c.epochs, Seed: 3})
+		if _, err := m.Train(tr); err != nil {
+			t.Fatal(err)
+		}
+		k := ps.Pairs.Count()
+		for at := c.h; at <= tr.Len(); at++ {
+			got, err := m.PredictAt(tr, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, c.h*k)
+			inv := 1 / m.Scale
+			for i := 0; i < c.h; i++ {
+				for j, v := range tr.At(at - c.h + i) {
+					x[i*k+j] = v * inv
+				}
+			}
+			want := te.NewConfig(ps)
+			copy(want.R, scalarForward(m.Net, x))
+			want.Normalize()
+			for i, r := range want.R {
+				if math.Float64bits(got.R[i]) != math.Float64bits(r) {
+					t.Fatalf("H=%d t=%d path %d: PredictAt %v (%#x), scalar forward %v (%#x)",
+						c.h, at, i, got.R[i], math.Float64bits(got.R[i]), r, math.Float64bits(r))
+				}
+			}
+		}
+	}
+}
+
+// scalarForward runs net on x one row and one term at a time: per 4-group
+// of columns s += ((w₀x₀ + w₁x₁) + w₂x₂) + w₃x₃, the remainder columns one
+// term each, then act(s + b).
+func scalarForward(net *nn.MLP, x []float64) []float64 {
+	for _, l := range net.Layers {
+		y := make([]float64, l.Out)
+		for o := range y {
+			w := l.W[o*l.In : (o+1)*l.In]
+			var s float64
+			i := 0
+			for ; i+4 <= l.In; i += 4 {
+				s += w[i]*x[i] + w[i+1]*x[i+1] + w[i+2]*x[i+2] + w[i+3]*x[i+3]
+			}
+			for ; i < l.In; i++ {
+				s += w[i] * x[i]
+			}
+			s += l.B[o]
+			switch l.Act {
+			case nn.ReLU:
+				if s < 0 {
+					s = 0
+				}
+			case nn.Sigmoid:
+				s = 1 / (1 + math.Exp(-s))
+			}
+			y[o] = s
+		}
+		x = y
+	}
+	return x
 }
 
 func TestTrainValidation(t *testing.T) {

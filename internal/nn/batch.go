@@ -12,9 +12,10 @@ import (
 // bitwise identical to B sequential single-sample calls. A pass of two or
 // more rows runs batch-major: its lanes are batch rows, so each weight
 // element is loaded once for eight of them (dot2x8), over a column-major
-// copy of the layer input; a batch-1 pass (every served decision) runs
-// dot1x4 over weight-row quads. Once a Scratch is built no step
-// allocates.
+// copy of the layer input. A batch-1 pass (every served decision) has one
+// batch row, so its lanes are weight rows instead: dotRows loads each x
+// group once for eight rows (AVX-512) or four (AVX2, and dot1x4 in Go).
+// Once a Scratch is built no step allocates.
 
 // tileOuts is the sharding unit of the forward pass and of backward pass
 // 1: a tile is up to tileOuts output rows, for every batch row. Backward
@@ -283,21 +284,14 @@ func (d *Dense) forwardTiles(x, xc, y, yc []float64, b, t0, t1 int) {
 }
 
 // forwardOne fills output rows [o0,o1) of a batch-1 pass, y = act(W·x +
-// B), four weight rows per pass of x (dot1x4) and the (o1-o0)%4 leftover
-// rows through dot. Every accumulator keeps dot()'s exact order.
+// B): one dotRows call over the rows' weights, which leaves each row's
+// dot() in y, then the bias and activation in place.
 func (d *Dense) forwardOne(x, y []float64, o0, o1 int) {
 	in := d.In
-	o := o0
-	for ; o+4 <= o1; o += 4 {
-		s0, s1, s2, s3 := dot1x4(x, d.W[o*in:o*in+in], d.W[(o+1)*in:(o+1)*in+in],
-			d.W[(o+2)*in:(o+2)*in+in], d.W[(o+3)*in:(o+3)*in+in])
-		y[o] = d.Act.apply(s0 + d.B[o])
-		y[o+1] = d.Act.apply(s1 + d.B[o+1])
-		y[o+2] = d.Act.apply(s2 + d.B[o+2])
-		y[o+3] = d.Act.apply(s3 + d.B[o+3])
-	}
-	for ; o < o1; o++ {
-		y[o] = d.Act.apply(dot(d.W[o*in:o*in+in], x) + d.B[o])
+	s := y[o0:o1]
+	dotRows(s, d.W[o0*in:o1*in], x)
+	for k, b := range d.B[o0:o1] {
+		s[k] = d.Act.apply(s[k] + b)
 	}
 }
 
@@ -576,11 +570,56 @@ func dot2x16(x []float64, ld int, w0, w1 []float64, s0, s1 *[16]float64) {
 	dot2x8Go(x[8:], ld, w0, w1, i, (*[8]float64)(s0[8:]), (*[8]float64)(s1[8:]))
 }
 
+// dotRows sets s[r] = dot(w[r·n:(r+1)·n], x) for each row r < len(s) of
+// the row-major w, n = len(x): the kernel of every batch-1 pass. Its lanes
+// are weight rows, since a single batch row leaves nothing else to put in
+// them. With AVX-512, dotRows8AVX512 takes the whole eight-row groups;
+// dotRows4AVX2 takes the quad left after them, or every quad without
+// AVX-512. Both cover each row's whole 4-groups of columns, from +0, in
+// dot()'s grouping, and the In%4 remainder columns then continue each
+// row's sum one term at a time, in order. dotRowsGo takes the rows left,
+// and every row on a CPU without AVX2.
+func dotRows(s, w, x []float64) {
+	n := len(x)
+	w = w[:len(s)*n]
+	r := 0
+	if useAVX2 {
+		if useAVX512 {
+			if r = len(s) &^ 7; r > 0 {
+				dotRows8AVX512(s[:r], w, x)
+			}
+		}
+		if q := len(s) &^ 3; q > r {
+			dotRows4AVX2(s[r:q], w[r*n:], x)
+			r = q
+		}
+		for i := n &^ 3; i < n; i++ {
+			p := x[i]
+			for o := range s[:r] {
+				s[o] += w[o*n+i] * p
+			}
+		}
+	}
+	dotRowsGo(s[r:], w[r*n:], x)
+}
+
+// dotRowsGo is dotRows in Go: dot1x4 over each row quad, dot over the
+// rows left.
+func dotRowsGo(s, w, x []float64) {
+	n := len(x)
+	r := 0
+	for ; r+4 <= len(s); r += 4 {
+		s[r], s[r+1], s[r+2], s[r+3] = dot1x4(x, w[r*n:], w[(r+1)*n:], w[(r+2)*n:], w[(r+3)*n:])
+	}
+	for ; r < len(s); r++ {
+		s[r] = dot(w[r*n:(r+1)*n], x)
+	}
+}
+
 // dot1x4 computes the four dot products x·{w0,w1,w2,w3}, each accumulator in
-// dot()'s grouping: the kernel of every single-row pass, where dot would
-// re-read x once per weight row. check_bce reports four IsInBounds per
-// 4-wide step (the loads of x; they cover the weight rows) and one in the
-// remainder loop.
+// dot()'s grouping: dotRowsGo's kernel, where dot would re-read x once per
+// weight row. check_bce reports four IsInBounds per 4-wide step (the loads
+// of x; they cover the weight rows) and one in the remainder loop.
 func dot1x4(x, w0, w1, w2, w3 []float64) (s0, s1, s2, s3 float64) {
 	n := len(x)
 	w0 = w0[:n]

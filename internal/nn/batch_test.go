@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,21 +52,22 @@ func TestBatchForwardMatchesSequential(t *testing.T) {
 
 // TestForwardKernelsMatchDot checks the forward kernels against dot(), not
 // against each other: Forward is the batch-1 wrapper of the same kernels,
-// so TestBatchForwardMatchesSequential compares dot1x4 with dot1x4. Every
-// y[b][o] must be act(dot(W[o], x[b]) + B[o]) bit for bit over every
-// remainder path — the 4-wide inner loop and its column blocks (In, up to
-// three colBlocks and a remainder of 3), the quad walk of a batch-1 pass
-// and the row-pair walk of a batch-major one (Out, also split into
-// tileOuts tiles), every padding width of an 8-lane group and more than
-// one group (b), and on an AVX-512 CPU every mix of whole 16-lane groups
-// and a trailing 8-lane one (b from 9 to 33) — below and above
-// parallelThreshold, serial and over even and uneven worker counts. A
-// batch-major pass must also leave its output column-major in yc, with +0
-// in the padding lanes, also where a +Inf weight meets a padding lane's
-// +0 input (a NaN need only be a NaN). The layers take turns at Identity,
-// which keeps the raw sums visible, ReLU and Sigmoid, whose batch-major
-// exps go through ExpInto. On an AVX-512 CPU the table runs twice, the
-// second time with dot2x16 switched off (forEachForwardBody).
+// so TestBatchForwardMatchesSequential compares dotRows with dotRows.
+// Every y[b][o] must be act(dot(W[o], x[b]) + B[o]) bit for bit over
+// every remainder path — the 4-wide inner loop and its column blocks (In,
+// up to three colBlocks and a remainder of 3), the row walk of a batch-1
+// pass, with every mix of eight-row, four-row and Go rows (Out 1–9, 12,
+// 15–17, and 71, whose second tile holds 7), and the row-pair walk of a
+// batch-major one (Out, also split into tileOuts tiles), every padding
+// width of an 8-lane group and more than one group (b), and on an AVX-512
+// CPU every mix of whole 16-lane groups and a trailing 8-lane one (b from
+// 9 to 33) — below and above parallelThreshold, serial and over even and
+// uneven worker counts. A batch-major pass must also leave its output
+// column-major in yc, with +0 in the padding lanes, also where a +Inf
+// weight meets a padding lane's +0 input (a NaN need only be a NaN). The
+// layers take turns at Identity, which keeps the raw sums visible, ReLU
+// and Sigmoid, whose batch-major exps go through ExpInto. On an AVX-512 CPU the table runs twice, the
+// second time with the AVX-512 bodies switched off (forEachForwardBody).
 func TestForwardKernelsMatchDot(t *testing.T) {
 	forEachForwardBody(t, func() { checkForwardKernels(t) })
 }
@@ -75,7 +77,7 @@ func checkForwardKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var below, above int
 	for _, in := range []int{1, 2, 3, 4, 5, 7, 8, 129, 2*colBlock + 259} {
-		for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 67} {
+		for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 64, 67, 71} {
 			act := []Activation{Identity, ReLU, Sigmoid}[(in+out)%3]
 			d := NewDense(in, out, act, rng)
 			copy(d.B, randVec(rng, out))
@@ -128,6 +130,65 @@ func checkForwardKernels(t *testing.T) {
 	if below == 0 || above == 0 {
 		t.Fatalf("table has %d cases below parallelThreshold and %d at or above it; want both", below, above)
 	}
+}
+
+// FuzzForwardOne holds a batch-1 pass — the row walk of every served
+// decision — against act(dot(W[o], x) + B[o]) on a layer drawn from the
+// bytes: In 1–300 from the first two (every column remainder, short of a
+// 4-group and past many), Out 1–40 from the third (every mix of
+// eight-row, four-row and Go rows), the activation from the fourth and a
+// seed for the normals from the fifth. The bytes after those mark, in
+// turn, each weight, then each input, then each bias: a byte below
+// len(specials) puts that special there (±0, denormals, ±1e300, ±Inf,
+// NaN), any other keeps the normal. Serial and at two workers, the same
+// bits; a NaN need only be a NaN. Seeds in testdata/fuzz/FuzzForwardOne.
+func FuzzForwardOne(f *testing.F) {
+	f.Add([]byte{71, 0, 14, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		specials := []float64{
+			0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -3e-310,
+			1e300, -1e300, math.Inf(1), math.Inf(-1), math.NaN(),
+		}
+		in := 1 + int(binary.LittleEndian.Uint16(data))%300
+		out := 1 + int(data[2])%40
+		act := []Activation{Identity, ReLU, Sigmoid}[data[3]%3]
+		rng := rand.New(rand.NewSource(int64(data[4])))
+		marks := data[5:]
+		k := 0
+		draw := func(v []float64) {
+			for i := range v {
+				v[i] = rng.NormFloat64()
+				if len(marks) > 0 {
+					if m := int(marks[k%len(marks)]); m < len(specials) {
+						v[i] = specials[m]
+					}
+					k++
+				}
+			}
+		}
+		d := &Dense{In: in, Out: out, Act: act, W: make([]float64, in*out), B: make([]float64, out)}
+		x := make([]float64, in)
+		draw(d.W)
+		draw(x)
+		draw(d.B)
+		y := make([]float64, out)
+		for _, workers := range []int{1, 2} {
+			for o := range y {
+				y[o] = math.NaN() // every output must be written
+			}
+			d.batchForward(x, nil, y, nil, 1, workers)
+			for o, got := range y {
+				want := act.apply(dot(d.W[o*in:(o+1)*in], x) + d.B[o])
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("%d×%d %v layer, workers=%d: y[%d] = %v (%#x), dot() gives %v (%#x)",
+						in, out, act, workers, o, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	})
 }
 
 // TestWeightGradSkipsZeroDeltas pins pass 1's batch-major walk: every GW

@@ -2,11 +2,12 @@ package nn
 
 import "math"
 
-// useAVX2 selects the four-lane assembly bodies of dot2x8, axpy, axpy2,
-// Adam's update and the gathers of gather.go (kernels_amd64.s). It is
-// decided once, from CPUID and XGETBV alone: the CPU must report AVX and
-// AVX2, and the OS must save the YMM registers across context switches. Without it every kernel runs its
-// Go body, which the assembly matches bit for bit (DESIGN.md §3).
+// useAVX2 selects the four-lane assembly bodies of dot2x8, dotRows,
+// gradRows, axpy, axpy2, Adam's update and the gathers of gather.go
+// (kernels_amd64.s). It is decided once, from CPUID and XGETBV alone: the
+// CPU must report AVX and AVX2, and the OS must save the YMM registers
+// across context switches. Without it every kernel runs its Go body,
+// which the assembly matches bit for bit (DESIGN.md §3).
 var useAVX2 = hasAVX2()
 
 func hasAVX2() bool {
@@ -25,11 +26,12 @@ func hasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
-// useAVX512 selects dot2x16's 512-bit body, which forwardCols runs on each
-// whole sixteen-lane group of a pass. It is decided as useAVX2 is: the CPU
-// must report AVX-512F (CPUID.7:EBX bit 16), and the OS must save the
-// opmask and all 512 bits of the 32 vector registers (XCR0 bits 1, 2 and
-// 5–7). A var, not a const, so that the tests can switch it off and cover
+// useAVX512 selects the 512-bit bodies: dot2x16's, which forwardCols runs
+// on each whole sixteen-lane group of a pass, and dotRows8AVX512, which a
+// batch-1 pass runs on each whole eight-row group. It is decided as
+// useAVX2 is: the CPU must report AVX-512F (CPUID.7:EBX bit 16), and the
+// OS must save the opmask and all 512 bits of the 32 vector registers
+// (XCR0 bits 1, 2 and 5–7). A var, not a const, so that the tests can switch it off and cover
 // the AVX2 path on the same CPU.
 var useAVX512 = useAVX2 && hasAVX512()
 
@@ -87,6 +89,19 @@ func dot2x8AVX2(x []float64, ld int, w0, w1 []float64, s0, s1 *[8]float64)
 //
 //go:noescape
 func dot2x16AVX512(x []float64, ld int, w0, w1 []float64, s0, s1 *[16]float64)
+
+// dotRows8AVX512 runs dotRows over the first len(x)&^3 columns of every
+// row: s[r] = the row's sum over its whole 4-groups, from +0. len(s) is a
+// multiple of 8, and w holds at least len(s)·len(x) elements.
+//
+//go:noescape
+func dotRows8AVX512(s, w, x []float64)
+
+// dotRows4AVX2 is dotRows8AVX512 four rows a pass: len(s) is a multiple
+// of 4.
+//
+//go:noescape
+func dotRows4AVX2(s, w, x []float64)
 
 // gradRowsAVX2 runs gradRows over the first len(dst)&^3 elements; len(g)
 // = len(off) and every x[off[k]:] holds len(dst) elements.

@@ -1,9 +1,10 @@
 #include "textflag.h"
 
-// Four-lane AVX2 bodies of the training kernels, of ExpInto (DESIGN.md
-// §3) and of the solver's gathers (§4). Each one covers the whole 4-groups
-// (or quads) of its operands and leaves the remainder to the Go side.
-// Every lane of a training kernel or a gather performs the Go body's
+// Four-lane AVX2 bodies of the forward and training kernels, of ExpInto
+// (DESIGN.md §3) and of the solver's gathers (§4), and AVX-512 bodies of
+// the two forward kernels. Each one covers the whole 4-groups (or quads)
+// of its operands and leaves the remainder to the Go side. Every lane of
+// a forward or training kernel or of a gather performs the Go body's
 // operations on the same operands in the same order, as separate
 // VMULPD / VADDPD / VSUBPD / VDIVPD / VSQRTPD, each correctly rounded:
 // there is no fused multiply-add, which rounds once and would change bits.
@@ -207,6 +208,149 @@ dot2x16done:
 	VMOVUPD Z1, 64(DI)
 	VMOVUPD Z2, (BX)
 	VMOVUPD Z3, 64(BX)
+	VZEROUPPER
+	RET
+
+// func dotRows8AVX512(s, w, x []float64)
+//
+// The batch-1 forward's body: s[r] = Σ over the whole 4-groups of row r of
+// the row-major w (row stride len(x)), eight rows a pass, and len(s) a
+// multiple of 8. The lanes are weight rows. Per 4-group of x, Z0..Z3 take
+// two rows' groups each, one per 256-bit half — rows (0,2), (1,3), (4,6)
+// and (5,7) of the pass — and are multiplied by the group broadcast to both
+// halves (Z4). VUNPCKLPD/VUNPCKHPD and VSHUFF64X2 then transpose each half
+// as a 4×4 block, so that product j of rows 0..7 lies in lanes 0..7 of one
+// register. Each lane forms T = w₀x₀ + w₁x₁, T += w₂x₂, T += w₃x₃ and adds
+// T to its accumulator Z9, which starts at +0: dot()'s grouping. R11 walks
+// row 0 of the pass and R12 row 4; DX is the row stride in bytes and R9
+// three of them.
+TEXT ·dotRows8AVX512(SB), NOSPLIT, $0-72
+	MOVQ s_base+0(FP), DI
+	MOVQ s_len+8(FP), BX
+	MOVQ w_base+24(FP), R8
+	MOVQ x_base+48(FP), SI
+	MOVQ x_len+56(FP), DX
+	SHLQ $3, DX
+	MOVQ DX, CX
+	ANDQ $-32, CX
+	LEAQ (DX)(DX*2), R9
+	SHRQ $3, BX
+	JEQ dotrows8done
+
+dotrows8pass:
+	MOVQ R8, R11
+	LEAQ (R8)(DX*4), R12
+	MOVQ SI, R13
+	MOVQ CX, AX
+	VPXORQ Z9, Z9, Z9
+	TESTQ AX, AX
+	JEQ dotrows8store
+
+dotrows8loop:
+	VMOVUPD (R11), Y0
+	VINSERTF64X4 $1, (R11)(DX*2), Z0, Z0
+	VMOVUPD (R11)(DX*1), Y1
+	VINSERTF64X4 $1, (R11)(R9*1), Z1, Z1
+	VMOVUPD (R12), Y2
+	VINSERTF64X4 $1, (R12)(DX*2), Z2, Z2
+	VMOVUPD (R12)(DX*1), Y3
+	VINSERTF64X4 $1, (R12)(R9*1), Z3, Z3
+	VBROADCASTF64X4 (R13), Z4
+	VMULPD Z4, Z0, Z0
+	VMULPD Z4, Z1, Z1
+	VMULPD Z4, Z2, Z2
+	VMULPD Z4, Z3, Z3
+	VUNPCKLPD Z1, Z0, Z5
+	VUNPCKHPD Z1, Z0, Z6
+	VUNPCKLPD Z3, Z2, Z7
+	VUNPCKHPD Z3, Z2, Z8
+	VSHUFF64X2 $0x88, Z7, Z5, Z0
+	VSHUFF64X2 $0x88, Z8, Z6, Z1
+	VSHUFF64X2 $0xdd, Z7, Z5, Z2
+	VSHUFF64X2 $0xdd, Z8, Z6, Z3
+	VADDPD Z1, Z0, Z0
+	VADDPD Z2, Z0, Z0
+	VADDPD Z3, Z0, Z0
+	VADDPD Z0, Z9, Z9
+	ADDQ $32, R11
+	ADDQ $32, R12
+	ADDQ $32, R13
+	SUBQ $32, AX
+	JNE dotrows8loop
+
+dotrows8store:
+	VMOVUPD Z9, (DI)
+	ADDQ $64, DI
+	LEAQ (R8)(DX*8), R8
+	DECQ BX
+	JNE dotrows8pass
+
+dotrows8done:
+	VZEROUPPER
+	RET
+
+// func dotRows4AVX2(s, w, x []float64)
+//
+// dotRows8AVX512 at half the width: four rows a pass, len(s) a multiple of
+// 4. Y0..Y3 take rows 0..3's group, VUNPCKLPD/VUNPCKHPD and VPERM2F128
+// transpose the 4×4 block of products, and each lane of Y9 grows by
+// ((w₀x₀ + w₁x₁) + w₂x₂) + w₃x₃ in dot()'s order.
+TEXT ·dotRows4AVX2(SB), NOSPLIT, $0-72
+	MOVQ s_base+0(FP), DI
+	MOVQ s_len+8(FP), BX
+	MOVQ w_base+24(FP), R8
+	MOVQ x_base+48(FP), SI
+	MOVQ x_len+56(FP), DX
+	SHLQ $3, DX
+	MOVQ DX, CX
+	ANDQ $-32, CX
+	LEAQ (DX)(DX*2), R9
+	SHRQ $2, BX
+	JEQ dotrows4done
+
+dotrows4pass:
+	MOVQ R8, R11
+	MOVQ SI, R13
+	MOVQ CX, AX
+	VXORPD Y9, Y9, Y9
+	TESTQ AX, AX
+	JEQ dotrows4store
+
+dotrows4loop:
+	VMOVUPD (R13), Y4
+	VMOVUPD (R11), Y0
+	VMOVUPD (R11)(DX*1), Y1
+	VMOVUPD (R11)(DX*2), Y2
+	VMOVUPD (R11)(R9*1), Y3
+	VMULPD Y4, Y0, Y0
+	VMULPD Y4, Y1, Y1
+	VMULPD Y4, Y2, Y2
+	VMULPD Y4, Y3, Y3
+	VUNPCKLPD Y1, Y0, Y5
+	VUNPCKHPD Y1, Y0, Y6
+	VUNPCKLPD Y3, Y2, Y7
+	VUNPCKHPD Y3, Y2, Y8
+	VPERM2F128 $0x20, Y7, Y5, Y0
+	VPERM2F128 $0x20, Y8, Y6, Y1
+	VPERM2F128 $0x31, Y7, Y5, Y2
+	VPERM2F128 $0x31, Y8, Y6, Y3
+	VADDPD Y1, Y0, Y0
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y0, Y0
+	VADDPD Y0, Y9, Y9
+	ADDQ $32, R11
+	ADDQ $32, R13
+	SUBQ $32, AX
+	JNE dotrows4loop
+
+dotrows4store:
+	VMOVUPD Y9, (DI)
+	ADDQ $32, DI
+	LEAQ (R8)(DX*4), R8
+	DECQ BX
+	JNE dotrows4pass
+
+dotrows4done:
 	VZEROUPPER
 	RET
 

@@ -20,6 +20,10 @@ func dot2x16AVX512(x []float64, ld int, w0, w1 []float64, s0, s1 *[16]float64) {
 	panic("nn: no assembly kernels")
 }
 
+func dotRows8AVX512(s, w, x []float64) { panic("nn: no assembly kernels") }
+
+func dotRows4AVX2(s, w, x []float64) { panic("nn: no assembly kernels") }
+
 func gradRowsAVX2(dst, x []float64, off []int, g []float64) { panic("nn: no assembly kernels") }
 
 func axpyAVX2(dst, src []float64, a float64) { panic("nn: no assembly kernels") }

@@ -7,27 +7,33 @@ import (
 	"testing"
 )
 
-// TestSIMDKernelsBitwise holds the AVX2 bodies of dot2x8, gradRows, axpy,
-// axpy2 and Adam's update, reached through the dispatchers, and on an
-// AVX-512 CPU dot2x16, against the Go bodies they replace, over every
-// length 0–70: every remainder of the 4-groups, and n < 4, which never
-// enters assembly; dot2x8 and dot2x16 also over one length longer than
-// two colBlocks. First, on any CPU, it holds ExpInto against math.Exp on
-// both of its paths (checkExpInto). Inputs mix ±0, denormals, values near
-// ±1e±300 and ±Inf into normal ones, and dot2x8's, dot2x16's and
-// gradRows' also NaN; every result must carry the same bits, except that
-// a NaN need only be a NaN on both sides. dot2x8 runs at lane strides 8,
-// 16 and 24, and dot2x16 at 16, 24 and 32, each half of it against
-// dot2x8Go, from accumulators that already hold a sum. gradRows adds 0–9
+// TestSIMDKernelsBitwise holds the AVX2 bodies of dot2x8, dotRows,
+// gradRows, axpy, axpy2 and Adam's update, reached through the
+// dispatchers, and on an AVX-512 CPU dot2x16's and dotRows' AVX-512
+// bodies, against the Go bodies they replace, over every length 0–70:
+// every remainder of the 4-groups, and n < 4, which never enters
+// assembly; dot2x8 and dot2x16 also over one length longer than two
+// colBlocks. dotRows runs over 0–17 rows and 8k±1 of them, so that every
+// mix of eight-row, four-row and Go rows runs, at In 0–9 and
+// 2·colBlock+7, where the Go remainder must continue the sums the
+// assembly left, and must write exactly len(s) sums. First, on any CPU,
+// it holds ExpInto against math.Exp on both of its paths (checkExpInto).
+// Inputs mix ±0, denormals, values near ±1e±300 and ±Inf into normal
+// ones, and dot2x8's, dot2x16's, dotRows' and gradRows' also NaN;
+// dotRows also runs on ±0 alone. Every result must carry the same bits,
+// except that a NaN need only be a NaN on both sides. dot2x8 runs at lane
+// strides 8, 16 and 24, and dot2x16 at 16, 24 and 32, each half of it
+// against dot2x8Go, from accumulators that already hold a sum. gradRows adds 0–9
 // rows, some with a ±0 g over an input row holding ±Inf or NaN, into
 // accumulators some of which start at −0. The Adam cases include groups
 // that mix dead (g, m, v all +0) and live lanes, and hyperparameters
 // under which computing a dead lane would not be the identity. Beyond
 // this pairing, TestForwardKernelsMatchDot and figret's
 // TestBatchedMatchesSequentialTrajectory hold the dispatched forward
-// bodies — assembly on an AVX2 CPU — against the scalar dot and dot1x4
-// with no further work, and TestWeightGradSkipsZeroDeltas holds pass 1
-// against a scalar walk.
+// bodies — assembly on an AVX2 CPU — against the scalar dot with no
+// further work, and TestWeightGradSkipsZeroDeltas holds pass 1 against a
+// scalar walk. The forward bodies run under forEachForwardBody, so an
+// AVX-512 CPU also covers the AVX2 ones.
 func TestSIMDKernelsBitwise(t *testing.T) {
 	if !useExpFMA {
 		t.Log("math.Exp takes no FMA branch here: ExpInto runs math.Exp only")
@@ -146,6 +152,39 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 		same(fmt.Sprintf("gradRows k=%d wild=%v", k, wild), n, got, want)
 	}
 
+	// checkDotRows runs dotRows and dotRowsGo over rows × n weights and
+	// an n-long x, both drawn from special with a fraction wild of them.
+	// The sums land in a longer buffer, whose tail must stay untouched.
+	checkDotRows := func(rows, n int, wild float64, special []float64) {
+		t.Helper()
+		w, x := vecOf(rows*n, wild, special), vecOf(n, wild, special)
+		got := make([]float64, rows+8)
+		for i := range got {
+			got[i] = 3.5 // every sum must be written, and nothing past them
+		}
+		want := make([]float64, rows)
+		dotRows(got[:rows], w, x)
+		dotRowsGo(want, w, x)
+		label := fmt.Sprintf("dotRows rows=%d wild=%v", rows, wild)
+		same(label, n, got[:rows], want)
+		for i, v := range got[rows:] {
+			if v != 3.5 {
+				t.Fatalf("%s, n=%d: wrote s[%d] = %v past the last row", label, n, rows+i, v)
+			}
+		}
+	}
+	forEachForwardBody(t, func() {
+		for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 25, 63, 65} {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2*colBlock + 7} {
+				for _, wild := range []float64{0, 0.1, 0.5} {
+					checkDotRows(rows, n, wild, withNaN)
+				}
+				// sums of ±0 alone: T = −0 must still leave s = +0 + T = +0
+				checkDotRows(rows, n, 1, zeros)
+			}
+		}
+	})
+
 	for _, ld := range []int{8, 16, 24} {
 		checkDot2x8(2*colBlock+7, ld, 0.1)
 	}
@@ -215,22 +254,24 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 	}
 }
 
-// kernelBodies names the training kernels' bodies the dispatchers take on
-// this CPU, for the tests' logs.
+// kernelBodies names the forward and training kernels' bodies the
+// dispatchers take on this CPU, for the tests' logs: the batch-major
+// forward's, the batch-1 forward's and the rest.
 func kernelBodies() string {
 	switch {
 	case useAVX512:
-		return "AVX-512 dot2x16, AVX2 elsewhere"
+		return "AVX-512 dot2x16 and dotRows8 (dotRows4 on a last row quad), AVX2 elsewhere"
 	case useAVX2:
-		return "AVX2"
+		return "AVX2: dot2x8, dotRows4 and the rest"
 	default:
 		return "Go"
 	}
 }
 
-// forEachForwardBody runs f with each forward body this CPU has: with
-// dot2x16's AVX-512 body and then, switched off, with dot2x8's alone, so
-// that an AVX-512 CPU still covers the AVX2 path. It logs which ran.
+// forEachForwardBody runs f with each forward body this CPU has: with the
+// AVX-512 bodies of dot2x16 and dotRows and then, switched off, with the
+// AVX2 ones alone, so that an AVX-512 CPU still covers the AVX2 path. It
+// logs which ran.
 func forEachForwardBody(t *testing.T, f func()) {
 	t.Helper()
 	on := useAVX512
