@@ -1,8 +1,8 @@
 // Command scenarios drives the declarative scenario-matrix subsystem
 // (internal/scenario): it runs suites of JSON scenario specs, blesses
 // their metrics as goldens, and diffs fresh runs against the blessed
-// goldens with tolerance gating — the regression gate CI's
-// scenario-matrix job is built on.
+// goldens byte for byte — the regression gate CI's scenario-matrix job
+// is built on.
 //
 // Usage:
 //
@@ -11,7 +11,9 @@
 //	scenarios diff  [-suite dir] [-golden dir] [-json] [flags]
 //
 // run prints fresh metrics; bless writes them as goldens; diff fails
-// (exit 1) when any scenario regressed past tolerance or lacks a golden.
+// (exit 1) when any scenario's metrics differ from its golden in any
+// bit, lists each moved metric old -> new, and fails as well on a
+// scenario without a golden or a golden without a scenario.
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -56,6 +59,9 @@ func usage() {
   scenarios run   [-suite dir] [-json] [-workers n] [-pathcache dir]
   scenarios bless [-suite dir] [-golden dir] [-workers n] [-pathcache dir]
   scenarios diff  [-suite dir] [-golden dir] [-json] [-workers n] [-pathcache dir]
+
+diff is exact: it exits 1 when any metric differs from its golden in any
+bit, and lists each move old -> new; bless accepts them.
 
 Every fan-out (evaluation, substrate training, path precompute) sizes
 itself from GOMAXPROCS, -workers included by default, so GOMAXPROCS=1 runs
@@ -116,7 +122,7 @@ func execute(cmd string, args []string) error {
 		fmt.Printf("blessed %d scenario golden(s) into %s\n", len(metrics), *golden)
 		return nil
 	case "diff":
-		return diff(metrics, *golden, specs, *jsonOut)
+		return diff(os.Stdout, metrics, *golden, *jsonOut)
 	}
 	return nil
 }
@@ -133,37 +139,41 @@ func emit(metrics []*scenario.Metrics, asJSON bool) error {
 
 // diffReport is the machine-readable diff output.
 type diffReport struct {
-	Scenario     string   `json:"scenario"`
-	OK           bool     `json:"ok"`
-	Regressions  []string `json:"regressions,omitempty"`
-	Improvements []string `json:"improvements,omitempty"`
+	Scenario string `json:"scenario"`
+	OK       bool   `json:"ok"`
+	// Moves is scenario.Diff.Moves; Error says why there is nothing to
+	// compare (no golden, a golden without a spec, a corrupt golden).
+	Moves []string `json:"moves,omitempty"`
+	Error string   `json:"error,omitempty"`
 }
 
-func diff(metrics []*scenario.Metrics, goldenDir string, specs []*scenario.Spec, asJSON bool) error {
+// diff compares each fresh scenario with its golden under goldenDir and
+// writes the report to w. It fails when any scenario moved, has no
+// golden, or when a golden has no scenario in metrics.
+func diff(w io.Writer, metrics []*scenario.Metrics, goldenDir string, asJSON bool) error {
 	st, err := scenario.NewStore(goldenDir)
 	if err != nil {
 		return err
 	}
-	tolerances := make(map[string]float64, len(specs))
-	for _, sp := range specs {
-		tolerances[sp.Name] = sp.Tolerance
+	inSuite := make(map[string]bool, len(metrics))
+	for _, m := range metrics {
+		inSuite[m.Scenario] = true
 	}
 	failed := 0
 	reports := make([]diffReport, 0, len(metrics))
 
 	// Orphaned goldens: a golden whose spec left the suite means the gate
 	// silently shrank — deleting a scenario must be as deliberate as
-	// regressing one.
+	// moving one.
 	blessed, err := st.List()
 	if err != nil {
 		return err
 	}
 	for _, name := range blessed {
-		if _, inSuite := tolerances[name]; !inSuite {
+		if !inSuite[name] {
 			failed++
-			reports = append(reports, diffReport{Scenario: name, Regressions: []string{
-				fmt.Sprintf("golden %s has no spec in the suite (scenario deleted? remove the golden to accept)", name),
-			}})
+			reports = append(reports, diffReport{Scenario: name,
+				Error: fmt.Sprintf("golden %s has no spec in the suite (scenario deleted? remove the golden to accept)", name)})
 		}
 	}
 	for _, m := range metrics {
@@ -173,37 +183,34 @@ func diff(metrics []*scenario.Metrics, goldenDir string, specs []*scenario.Spec,
 				err = fmt.Errorf("no golden for %s (run `scenarios bless` to create it)", m.Scenario)
 			}
 			failed++
-			reports = append(reports, diffReport{Scenario: m.Scenario, Regressions: []string{err.Error()}})
+			reports = append(reports, diffReport{Scenario: m.Scenario, Error: err.Error()})
 			continue
 		}
-		d := scenario.Compare(g, m, tolerances[m.Scenario])
+		d := scenario.Compare(g, m, 0)
 		if !d.OK() {
 			failed++
 		}
-		reports = append(reports, diffReport{
-			Scenario: m.Scenario, OK: d.OK(),
-			Regressions: d.Regressions, Improvements: d.Improvements,
-		})
+		reports = append(reports, diffReport{Scenario: m.Scenario, OK: d.OK(), Moves: d.Moves})
 	}
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(reports); err != nil {
 			return err
 		}
 	} else {
 		for _, r := range reports {
-			for _, reg := range r.Regressions {
-				fmt.Printf("REGRESSION %s: %s\n", r.Scenario, reg)
+			if r.Error != "" {
+				fmt.Fprintf(w, "FAILED %s: %s\n", r.Scenario, r.Error)
 			}
-			for _, im := range r.Improvements {
-				fmt.Printf("improved   %s: %s\n", r.Scenario, im)
+			for _, mv := range r.Moves {
+				fmt.Fprintf(w, "MOVED %s: %s\n", r.Scenario, mv)
 			}
 		}
-		fmt.Printf("%d/%d scenario(s) clean\n", len(reports)-failed, len(reports))
+		fmt.Fprintf(w, "%d/%d scenario(s) clean\n", len(reports)-failed, len(reports))
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d scenario(s) regressed or lack goldens", failed)
+		return fmt.Errorf("%d scenario(s) differ from their goldens or lack one (re-bless to accept a move)", failed)
 	}
 	return nil
 }

@@ -1,20 +1,17 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
-
-// DefaultTolerance is the relative degradation a golden diff tolerates
-// before failing: metrics are deterministic, so the slack exists only to
-// absorb intentional small-impact changes — a 5% MLU regression is well
-// past it.
-const DefaultTolerance = 0.02
 
 // SchemeMetrics is one scheme's golden-gated summary within a scenario.
 // All metrics are lower-is-better. In offline mode the MLU fields
@@ -172,103 +169,82 @@ func (st *Store) List() ([]string, error) {
 
 // Diff is the outcome of comparing fresh metrics against a golden.
 type Diff struct {
-	Scenario string
-	// Regressions are tolerance-exceeding degradations (or structural
-	// mismatches); any entry fails the gate.
-	Regressions []string
-	// Improvements are tolerance-exceeding gains — informational, blessed
-	// away when intentional.
-	Improvements []string
+	// Moves lists what differs, one line each: every metric that moved
+	// ("scheme metric old -> new (±x %)"), and any change to the
+	// scenario name, mode, window or scheme list. It is empty exactly
+	// when the gate passes.
+	Moves []string
 }
 
 // OK reports whether the diff passes the gate.
-func (d *Diff) OK() bool { return len(d.Regressions) == 0 }
+func (d *Diff) OK() bool { return len(d.Moves) == 0 }
 
-// String renders the diff for terminal output.
-func (d *Diff) String() string {
-	var b strings.Builder
-	for _, r := range d.Regressions {
-		fmt.Fprintf(&b, "REGRESSION %s: %s\n", d.Scenario, r)
-	}
-	for _, im := range d.Improvements {
-		fmt.Fprintf(&b, "improved   %s: %s\n", d.Scenario, im)
-	}
-	return b.String()
-}
-
-// Compare gates fresh metrics against a golden with relative tolerance
-// tol (0 selects DefaultTolerance). Every metric is lower-is-better: a
-// fresh value above golden·(1+tol) (plus a small absolute epsilon for
-// near-zero metrics like loss rates) is a regression; a fresh value
-// below golden·(1−tol) is an improvement note. Mode or window changes
-// and missing/extra schemes are regressions — they mean the scenario no
-// longer measures what was blessed.
-func Compare(golden, fresh *Metrics, tol float64) *Diff {
-	if tol <= 0 {
-		tol = DefaultTolerance
-	}
-	d := &Diff{Scenario: golden.Scenario}
-	if golden.Scenario != fresh.Scenario {
-		d.Regressions = append(d.Regressions, fmt.Sprintf("scenario name changed: %q vs %q", golden.Scenario, fresh.Scenario))
+// Compare is the golden gate, and it is exact: fresh passes only when
+// its canonical payload — what the checksum seals — is byte-equal to the
+// golden's. Metrics are a pure function of the spec, so any move, up or
+// down, is a change to what the scenario measures and is accepted only
+// by a re-bless; the moves are listed for that re-bless's record. The
+// float64 parameter is ignored: the benchmark module still passes it.
+func Compare(golden, fresh *Metrics, _ float64) *Diff {
+	d := &Diff{}
+	if bytes.Equal(golden.payload(), fresh.payload()) {
 		return d
 	}
+	move := func(format string, a ...any) { d.Moves = append(d.Moves, fmt.Sprintf(format, a...)) }
+	if golden.Scenario != fresh.Scenario {
+		move("scenario %q -> %q", golden.Scenario, fresh.Scenario)
+	}
 	if golden.Mode != fresh.Mode {
-		d.Regressions = append(d.Regressions, fmt.Sprintf("mode changed: %s vs %s", golden.Mode, fresh.Mode))
+		move("mode %s -> %s", golden.Mode, fresh.Mode)
 	}
 	if golden.From != fresh.From || golden.To != fresh.To {
-		d.Regressions = append(d.Regressions,
-			fmt.Sprintf("evaluated window changed: [%d,%d) vs [%d,%d)", golden.From, golden.To, fresh.From, fresh.To))
+		move("window [%d,%d) -> [%d,%d)", golden.From, golden.To, fresh.From, fresh.To)
+	}
+	if gs, fs := schemeNames(golden), schemeNames(fresh); !slices.Equal(gs, fs) {
+		move("schemes %v -> %v", gs, fs)
 	}
 	for i := range golden.Schemes {
 		g := &golden.Schemes[i]
 		f := fresh.Scheme(g.Scheme)
 		if f == nil {
-			d.Regressions = append(d.Regressions, fmt.Sprintf("scheme %s disappeared", g.Scheme))
 			continue
 		}
-		compareScheme(d, g, f, tol)
-	}
-	for i := range fresh.Schemes {
-		if golden.Scheme(fresh.Schemes[i].Scheme) == nil {
-			d.Regressions = append(d.Regressions,
-				fmt.Sprintf("scheme %s is new (re-bless to accept)", fresh.Schemes[i].Scheme))
+		for _, mt := range []struct {
+			name   string
+			gv, fv float64
+		}{
+			{"avgMLU", g.AvgMLU, f.AvgMLU},
+			{"p50MLU", g.P50MLU, f.P50MLU},
+			{"p95MLU", g.P95MLU, f.P95MLU},
+			{"maxMLU", g.MaxMLU, f.MaxMLU},
+			{"severeCongestion", g.SevereCongestion, f.SevereCongestion},
+			{"meanLoss", g.MeanLoss, f.MeanLoss},
+			{"maxLoss", g.MaxLoss, f.MaxLoss},
+			{"p50Delay", g.P50Delay, f.P50Delay},
+			{"p95Delay", g.P95Delay, f.P95Delay},
+		} {
+			// Bits, not ==: +0 and −0 encode differently.
+			if math.Float64bits(mt.gv) == math.Float64bits(mt.fv) {
+				continue
+			}
+			if mt.gv == 0 {
+				move("%s %s %v -> %v", g.Scheme, mt.name, mt.gv, mt.fv)
+			} else {
+				move("%s %s %v -> %v (%+.3g %%)", g.Scheme, mt.name, mt.gv, mt.fv, 100*(mt.fv-mt.gv)/mt.gv)
+			}
 		}
+	}
+	if len(d.Moves) == 0 {
+		// A Metrics field the lines above do not itemize.
+		move("canonical payloads differ")
 	}
 	return d
 }
 
-// lossEps absorbs relative comparison of near-zero rates: a loss rate
-// moving 0 → 1e-9 is numeric noise, not a regression.
-const lossEps = 1e-6
-
-func compareScheme(d *Diff, g, f *SchemeMetrics, tol float64) {
-	check := func(metric string, gv, fv float64) {
-		hi := gv*(1+tol) + lossEps
-		lo := gv * (1 - tol)
-		switch {
-		case fv > hi:
-			d.Regressions = append(d.Regressions,
-				fmt.Sprintf("%s %s %.6g -> %.6g (+%.1f%%, tolerance %.1f%%)",
-					g.Scheme, metric, gv, fv, 100*(fv-gv)/nonzero(gv), 100*tol))
-		case fv < lo-lossEps:
-			d.Improvements = append(d.Improvements,
-				fmt.Sprintf("%s %s %.6g -> %.6g (−%.1f%%)", g.Scheme, metric, gv, fv, 100*(gv-fv)/nonzero(gv)))
-		}
+func schemeNames(m *Metrics) []string {
+	names := make([]string, len(m.Schemes))
+	for i := range m.Schemes {
+		names[i] = m.Schemes[i].Scheme
 	}
-	check("avgMLU", g.AvgMLU, f.AvgMLU)
-	check("p50MLU", g.P50MLU, f.P50MLU)
-	check("p95MLU", g.P95MLU, f.P95MLU)
-	check("maxMLU", g.MaxMLU, f.MaxMLU)
-	check("severeCongestion", g.SevereCongestion, f.SevereCongestion)
-	check("meanLoss", g.MeanLoss, f.MeanLoss)
-	check("maxLoss", g.MaxLoss, f.MaxLoss)
-	check("p50Delay", g.P50Delay, f.P50Delay)
-	check("p95Delay", g.P95Delay, f.P95Delay)
-}
-
-func nonzero(v float64) float64 {
-	if v == 0 {
-		return 1
-	}
-	return v
+	return names
 }

@@ -1,8 +1,12 @@
 package scenario
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -69,92 +73,79 @@ func TestGoldenTamperDetected(t *testing.T) {
 	}
 }
 
-// TestCompareRegressionGate is the acceptance check of the gate: an
-// injected 5% MLU regression in any scheme fails Compare at the default
-// tolerance, identical metrics pass, and improvements are notes rather
-// than failures.
-func TestCompareRegressionGate(t *testing.T) {
+// TestCompareIsExact: the gate passes exactly when the canonical
+// payloads are byte-equal. A one-ulp move of any metric, up or down, a
+// changed window or mode, a scheme added, removed or reordered, and +0
+// against −0 each fail it, and the report names what moved.
+func TestCompareIsExact(t *testing.T) {
 	golden := sampleMetrics()
-
-	clean := Compare(golden, sampleMetrics(), 0)
-	if !clean.OK() || len(clean.Improvements) != 0 {
-		t.Fatalf("identical metrics did not pass clean: %v", clean)
+	check := func(name string, fresh *Metrics, want string) {
+		t.Helper()
+		fresh.Seal()
+		d := Compare(golden, fresh, 0)
+		if equal := bytes.Equal(golden.payload(), fresh.payload()); d.OK() != equal {
+			t.Errorf("%s: OK() = %v, payloads byte-equal = %v (moves %q)", name, d.OK(), equal, d.Moves)
+		}
+		if want == "" {
+			if !d.OK() {
+				t.Errorf("%s: identical metrics failed the gate: %q", name, d.Moves)
+			}
+			return
+		}
+		if len(d.Moves) != 1 || !strings.HasPrefix(d.Moves[0], want) {
+			t.Errorf("%s: moves %q, want one starting %q", name, d.Moves, want)
+		}
 	}
+	check("identical", sampleMetrics(), "")
 
-	// 5% worse MLU on one scheme -> regression.
-	worse := sampleMetrics()
-	worse.Schemes[1].AvgMLU *= 1.05
-	worse.Seal()
-	d := Compare(golden, worse, 0)
-	if d.OK() {
-		t.Fatal("5% avgMLU regression passed the gate")
+	rt := reflect.TypeOf(SchemeMetrics{})
+	floats := 0
+	for f := 0; f < rt.NumField(); f++ {
+		if rt.Field(f).Type.Kind() != reflect.Float64 {
+			continue
+		}
+		floats++
+		metric := rt.Field(f).Tag.Get("json")
+		for s, sch := range golden.Schemes {
+			for _, dir := range []float64{math.Inf(1), math.Inf(-1)} {
+				fresh := sampleMetrics()
+				v := reflect.ValueOf(&fresh.Schemes[s]).Elem().Field(f)
+				old := v.Float()
+				v.SetFloat(math.Nextafter(old, dir))
+				check(fmt.Sprintf("%s %s one ulp toward %v", sch.Scheme, metric, dir), fresh,
+					fmt.Sprintf("%s %s %v -> %v", sch.Scheme, metric, old, v.Float()))
+			}
+		}
 	}
-	if !strings.Contains(strings.Join(d.Regressions, "\n"), "deste avgMLU") {
-		t.Fatalf("regression not attributed: %v", d.Regressions)
-	}
-
-	// 5% better -> improvement note, no failure.
-	better := sampleMetrics()
-	better.Schemes[0].P95MLU /= 1.05
-	better.Seal()
-	d = Compare(golden, better, 0)
-	if !d.OK() || len(d.Improvements) == 0 {
-		t.Fatalf("improvement misclassified: %v", d)
-	}
-
-	// Within tolerance -> clean.
-	slight := sampleMetrics()
-	slight.Schemes[0].AvgMLU *= 1.01
-	slight.Seal()
-	if d := Compare(golden, slight, 0); !d.OK() {
-		t.Fatalf("1%% drift failed the 2%% gate: %v", d.Regressions)
-	}
-	// ...but a tight per-scenario tolerance catches it.
-	if d := Compare(golden, slight, 0.005); d.OK() {
-		t.Fatal("0.5% tolerance did not catch 1% drift")
-	}
-}
-
-func TestCompareStructuralMismatches(t *testing.T) {
-	golden := sampleMetrics()
-
-	missing := sampleMetrics()
-	missing.Schemes = missing.Schemes[:1]
-	missing.Seal()
-	if d := Compare(golden, missing, 0); d.OK() {
-		t.Fatal("disappeared scheme passed the gate")
+	if floats != 9 {
+		t.Errorf("SchemeMetrics has %d metrics; the ulp sweep expects 9", floats)
 	}
 
-	extra := sampleMetrics()
-	extra.Schemes = append(extra.Schemes, SchemeMetrics{Scheme: "new"})
-	extra.Seal()
-	if d := Compare(golden, extra, 0); d.OK() {
-		t.Fatal("new scheme passed the gate without a re-bless")
+	for _, c := range []struct {
+		name, want string
+		edit       func(m *Metrics)
+	}{
+		{"from", "window [48,64) -> [47,64)", func(m *Metrics) { m.From-- }},
+		{"to", "window [48,64) -> [48,65)", func(m *Metrics) { m.To++ }},
+		{"mode", "mode offline -> fluid", func(m *Metrics) { m.Mode = ModeFluid }},
+		{"scheme removed", "schemes [figret deste] -> [figret]", func(m *Metrics) { m.Schemes = m.Schemes[:1] }},
+		{"scheme added", "schemes [figret deste] -> [figret deste new]", func(m *Metrics) {
+			m.Schemes = append(m.Schemes, SchemeMetrics{Scheme: "new"})
+		}},
+		{"schemes reordered", "schemes [figret deste] -> [deste figret]", func(m *Metrics) {
+			m.Schemes[0], m.Schemes[1] = m.Schemes[1], m.Schemes[0]
+		}},
+		{"+0 -> -0", "figret severeCongestion 0 -> -0", func(m *Metrics) {
+			m.Schemes[0].SevereCongestion = math.Copysign(0, -1)
+		}},
+	} {
+		fresh := sampleMetrics()
+		c.edit(fresh)
+		check(c.name, fresh, c.want)
 	}
 
-	window := sampleMetrics()
-	window.To++
-	window.Seal()
-	if d := Compare(golden, window, 0); d.OK() {
-		t.Fatal("changed window passed the gate")
-	}
-
-	mode := sampleMetrics()
-	mode.Mode = ModeFluid
-	mode.Seal()
-	if d := Compare(golden, mode, 0); d.OK() {
-		t.Fatal("changed mode passed the gate")
-	}
-}
-
-// TestNearZeroLossNoise: a loss rate moving 0 -> 1e-9 is numeric noise,
-// not a regression (the absolute epsilon term).
-func TestNearZeroLossNoise(t *testing.T) {
-	golden := sampleMetrics()
-	fresh := sampleMetrics()
-	fresh.Schemes[0].MeanLoss = 1e-9
-	fresh.Seal()
-	if d := Compare(golden, fresh, 0); !d.OK() {
-		t.Fatalf("1e-9 loss flagged as regression: %v", d.Regressions)
-	}
+	// -0 -> +0, with the golden holding the negative zero.
+	golden.Schemes[0].SevereCongestion = math.Copysign(0, -1)
+	golden.Seal()
+	check("-0 -> +0", sampleMetrics(), "figret severeCongestion -0 -> 0")
 }

@@ -67,6 +67,7 @@ func TestParseSpecUnknownField(t *testing.T) {
 		{"window", `"window":{"to":10}`},
 		{"seed", `"perturb":{"alpha":0.5,"seed":7}`},
 		{"seed", `"failures":{"count":1,"seed":7}`},
+		{"tolerance", `"tolerance":0.05`},
 	} {
 		data := []byte(`{"name":"x","topo":"geant","mode":"offline","schemes":["uniform"],` + c.body + `}`)
 		_, err := ParseSpec(data)

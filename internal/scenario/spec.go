@@ -4,9 +4,9 @@
 // — in JSON, a Runner executes whole suites of cells on a worker pool
 // that shares one substrate (path set, trace, oracle caches, trained
 // models) per (topology, trace length) across cells, and a checksummed
-// golden-metrics store with tolerance-checked Compare turns the suite
-// into a regression gate: any change that silently degrades a scenario's
-// MLU, loss or latency fails CI.
+// golden-metrics store with an exact Compare turns the suite into a
+// regression gate: any change that moves a scenario's MLU, loss or
+// latency by even one ulp fails CI until it is re-blessed.
 //
 // A spec declares only what the suite varies. Scale, path count, seeds,
 // solver budget, training sizes and the evaluated window (always the
@@ -136,9 +136,10 @@ type Spec struct {
 	// and closed-loop modes; it must be shorter than the evaluated
 	// window).
 	Delay int `json:"delay,omitempty"`
-	// Tolerance overrides the golden-diff relative tolerance for this
-	// scenario (default DefaultTolerance).
-	Tolerance float64 `json:"tolerance,omitempty"`
+	// Tolerance is not part of a spec: the golden gate is exact, and a
+	// spec file that sets "tolerance" is rejected as an unknown field.
+	// The field stays only because the benchmark module still reads it.
+	Tolerance float64 `json:"-"`
 }
 
 func (s *Spec) withDefaults() *Spec {
@@ -202,9 +203,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Delay > 0 && s.Mode == ModeOffline {
 		return fmt.Errorf("scenario %s: delay %d has no effect in offline mode", s.Name, s.Delay)
-	}
-	if s.Tolerance < 0 {
-		return fmt.Errorf("scenario %s: negative tolerance %v", s.Name, s.Tolerance)
 	}
 	return nil
 }
