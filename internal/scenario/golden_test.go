@@ -73,13 +73,12 @@ func TestGoldenTamperDetected(t *testing.T) {
 	}
 }
 
-// TestCompareIsExact: the gate passes exactly when the canonical
-// payloads are byte-equal. A one-ulp move of any metric, up or down, a
-// changed window or mode, a scheme added, removed or reordered, and +0
-// against −0 each fail it, and the report names what moved.
-func TestCompareIsExact(t *testing.T) {
-	golden := sampleMetrics()
-	check := func(name string, fresh *Metrics, want string) {
+// exactCheck returns a check of fresh against golden: Compare's OK()
+// must hold exactly when the canonical payloads are byte-equal, an
+// empty want must pass, and any other want must be the one move
+// reported.
+func exactCheck(t *testing.T, golden *Metrics) func(name string, fresh *Metrics, want string) {
+	return func(name string, fresh *Metrics, want string) {
 		t.Helper()
 		fresh.Seal()
 		d := Compare(golden, fresh, 0)
@@ -96,8 +95,32 @@ func TestCompareIsExact(t *testing.T) {
 			t.Errorf("%s: moves %q, want one starting %q", name, d.Moves, want)
 		}
 	}
-	check("identical", sampleMetrics(), "")
+}
 
+// TestCompareIsExact: the gate passes exactly when the canonical
+// payloads are byte-equal, so identical metrics pass and +0 against −0
+// fails it either way round.
+func TestCompareIsExact(t *testing.T) {
+	check := exactCheck(t, sampleMetrics())
+	check("identical", sampleMetrics(), "")
+	fresh := sampleMetrics()
+	fresh.Schemes[0].SevereCongestion = math.Copysign(0, -1)
+	check("+0 -> -0", fresh, "figret severeCongestion 0 -> -0")
+
+	// -0 -> +0, with the golden holding the negative zero.
+	golden := sampleMetrics()
+	golden.Schemes[0].SevereCongestion = math.Copysign(0, -1)
+	golden.Seal()
+	exactCheck(t, golden)("-0 -> +0", sampleMetrics(), "figret severeCongestion -0 -> 0")
+}
+
+// TestCompareRegressionGate: there is no tolerance. A one-ulp move of
+// any of the nine metrics of any scheme, a regression or an
+// improvement, fails the gate, and the report names the scheme, the
+// metric and old -> new.
+func TestCompareRegressionGate(t *testing.T) {
+	golden := sampleMetrics()
+	check := exactCheck(t, golden)
 	rt := reflect.TypeOf(SchemeMetrics{})
 	floats := 0
 	for f := 0; f < rt.NumField(); f++ {
@@ -120,7 +143,13 @@ func TestCompareIsExact(t *testing.T) {
 	if floats != 9 {
 		t.Errorf("SchemeMetrics has %d metrics; the ulp sweep expects 9", floats)
 	}
+}
 
+// TestCompareStructuralMismatches: a changed window or mode, and a
+// scheme added, removed or reordered, each fail the gate with a report
+// of what changed.
+func TestCompareStructuralMismatches(t *testing.T) {
+	check := exactCheck(t, sampleMetrics())
 	for _, c := range []struct {
 		name, want string
 		edit       func(m *Metrics)
@@ -135,17 +164,9 @@ func TestCompareIsExact(t *testing.T) {
 		{"schemes reordered", "schemes [figret deste] -> [deste figret]", func(m *Metrics) {
 			m.Schemes[0], m.Schemes[1] = m.Schemes[1], m.Schemes[0]
 		}},
-		{"+0 -> -0", "figret severeCongestion 0 -> -0", func(m *Metrics) {
-			m.Schemes[0].SevereCongestion = math.Copysign(0, -1)
-		}},
 	} {
 		fresh := sampleMetrics()
 		c.edit(fresh)
 		check(c.name, fresh, c.want)
 	}
-
-	// -0 -> +0, with the golden holding the negative zero.
-	golden.Schemes[0].SevereCongestion = math.Copysign(0, -1)
-	golden.Seal()
-	check("-0 -> +0", sampleMetrics(), "figret severeCongestion -0 -> 0")
 }
